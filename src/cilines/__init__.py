@@ -23,7 +23,6 @@ from .chart import (
     NonFreeMatrix,
     all_lines_fq,
     enumerate_lines_fq,
-    is_smooth_along_curve,
     is_smooth_along_line,
     line_param,
     membership_system,

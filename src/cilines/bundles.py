@@ -31,6 +31,7 @@ from .errors import (
     BasePointedCover,
     ConstraintViolated,
     CurveNotOnX,
+    InvariantViolated,
     LineNotContained,
     ParameterPresent,
     RingMismatch,
@@ -122,7 +123,8 @@ def tangent_cohomology(
         acc = BinaryForm.zero(x.coeff_ring, b * degrees[i])
         for j in range(n + 1):
             acc = acc + phi[i][j] * comps[j]
-        assert acc.is_zero, "Euler section escaped the kernel"
+        if not acc.is_zero:
+            raise InvariantViolated("Euler section escaped the kernel")
 
     dom = b + m + 1  # h^0(O(b+m)) per component
     rows = []
@@ -149,7 +151,8 @@ def tangent_cohomology(
     h0 = kernel_dim - h0_line
     chi = b * (n + 1 - x.ci_type.total_degree) + (n - r) * (m + 1)
     h1 = h0 - chi
-    assert h1 >= 0, "negative h^1; kernel presentation violated"
+    if h1 < 0:
+        raise InvariantViolated("negative h^1; kernel presentation violated")
     return h0, h1
 
 
@@ -213,14 +216,15 @@ def normal_splitting_line(
         if counts[k] == rank:
             break
         k -= 1
-        assert k >= floor - 1, "splitting recovery descended past the degree floor"
+        if k < floor - 1:
+            raise InvariantViolated("splitting recovery descended past the degree floor")
 
     entries: list[int] = []
     for v in range(1, k - 1, -1):
         entries.extend([v] * (counts[v] - counts[v + 1]))
     st = SplittingType(tuple(entries))
-    assert st.rank == rank and st.degree == total, "splitting bookkeeping failed"
-    assert max(st.entries) <= 1
+    if st.rank != rank or st.degree != total or max(st.entries) > 1:
+        raise InvariantViolated(f"splitting bookkeeping failed: {st.entries}")
     return st
 
 

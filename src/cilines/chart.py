@@ -25,6 +25,7 @@ from dataclasses import dataclass
 from typing import Iterator, Sequence
 
 from .errors import (
+    BudgetExceeded,
     ConstraintViolated,
     InfiniteField,
     LineNotContained,
@@ -271,10 +272,6 @@ def is_smooth_along_line(x: CompleteIntersection, point: LineChartPoint) -> bool
     return smooth_along_components(x, curve.components)
 
 
-def is_smooth_along_curve(x: CompleteIntersection, curve: RationalCurve) -> bool:
-    return smooth_along_components(x, curve.components)
-
-
 # -- exhaustive line enumeration over finite fields ------------------------------
 
 
@@ -335,21 +332,89 @@ def all_lines_fq(field: Field, n: int) -> Iterator[FqLine]:
             yield FqLine(field, (tuple(row1), tuple(row2)), (j1, j2))
 
 
+#: largest P^N(F_q), counted in points, that a line census tabulates
+MAX_CENSUS_POINTS = 20_000
+#: most pairs of points of X that a line census tests as lines
+MAX_CENSUS_CANDIDATES = 1_000_000
+
+
+def _points_fq(q: int, n: int) -> Iterator[tuple[int, ...]]:
+    """Every point of P^n(F_q), first nonzero coordinate equal to 1."""
+    for lead in range(n + 1):
+        for tail in itertools.product(range(q), repeat=n - lead):
+            yield (0,) * lead + (1,) + tail
+
+
+def _vanishes_at(terms: list, pt: tuple[int, ...], q: int) -> bool:
+    """terms: (nonzero (coordinate, exponent) pairs, coefficient) per monomial."""
+    acc = 0
+    for factors, c in terms:
+        for i, k in factors:
+            c *= pt[i] ** k
+        acc += c
+    return acc % q == 0
+
+
 def enumerate_lines_fq(x: CompleteIntersection) -> list[FqLine]:
     """All F_q-rational lines of P^N lying on X, canonically sorted.
 
-    Containment filtering short-circuits on the first form whose
-    restriction to the candidate line is nonzero.
+    The forms are evaluated once at every point of P^N(F_q); a line lies
+    on X only if all q+1 of its points are in that table. Both rows of a
+    line's reduced row echelon representative are points of the line, so
+    the candidates are the pairs (r1, r2) of points of X in echelon
+    position: r1 leads before r2 and is 0 in r2's lead column. When
+    q >= max d^i the lookups decide containment, since a form of degree d
+    vanishing at d+1 points of a line vanishes on it; below that every
+    surviving line is confirmed by restricting each form to it.
     """
     if not x.field.is_finite:
         raise InfiniteField("line enumeration needs a finite base field")
     if not x.is_parameter_free:
         raise ParameterPresent("line enumeration needs parameter-free forms")
+    q, n = x.field.p, x.n
+    points = (q ** (n + 1) - 1) // (q - 1)
+    if points > MAX_CENSUS_POINTS:
+        raise BudgetExceeded(
+            f"P^{n}(F_{q}) has {points} points; a line census tabulates "
+            f"at most {MAX_CENSUS_POINTS}"
+        )
+    forms = [
+        [
+            ([(i, k) for i, k in enumerate(e) if k], c.constant_value())
+            for e, c in f.terms
+        ]
+        for f in x.forms
+    ]
+    on_x = {pt for pt in _points_fq(q, n) if all(_vanishes_at(t, pt, q) for t in forms)}
+    by_lead: dict[int, list[tuple[int, ...]]] = {}
+    for pt in on_x:
+        by_lead.setdefault(pt.index(1), []).append(pt)
+    firsts = {
+        j2: [r1 for j1, pts in by_lead.items() if j1 < j2 for r1 in pts if r1[j2] == 0]
+        for j2 in by_lead
+    }
+    candidates = sum(len(by_lead[j2]) * len(firsts[j2]) for j2 in by_lead)
+    if candidates > MAX_CENSUS_CANDIDATES:
+        raise BudgetExceeded(
+            f"X has {len(on_x)} points over F_{q} spanning {candidates} candidate lines; "
+            f"a line census tests at most {MAX_CENSUS_CANDIDATES}"
+        )
+    exact = q >= max(x.ci_type.degrees)
     found = []
-    for line in all_lines_fq(x.field, x.n):
-        comps = line.components(x.coeff_ring)
-        if all(restrict_along(f, comps).is_zero for f in x.forms):
-            found.append(line)
+    for j2, seconds in by_lead.items():
+        for r2 in seconds:
+            for r1 in firsts[j2]:
+                if not all(
+                    tuple((a + t * b) % q for a, b in zip(r1, r2)) in on_x
+                    for t in range(1, q)
+                ):
+                    continue
+                line = FqLine(x.field, (r1, r2), (r1.index(1), j2))
+                if not exact:
+                    comps = line.components(x.coeff_ring)
+                    if not all(restrict_along(f, comps).is_zero for f in x.forms):
+                        continue
+                found.append(line)
     found.sort(key=FqLine.sort_key)
     return found
 

@@ -75,5 +75,15 @@ class ConstraintViolated(ToolkitError):
     """A named numeric precondition fails; the message quotes it."""
 
 
+class BudgetExceeded(ToolkitError):
+    """An input whose exhaustive computation would exceed a fixed size
+    budget, refused before the bulk of the work starts."""
+
+
+class InvariantViolated(ToolkitError):
+    """A mathematical invariant that must hold by construction failed;
+    this is a bug in the package, not a verdict on the input."""
+
+
 class CharTwoForbidden(ToolkitError):
     pass

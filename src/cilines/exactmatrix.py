@@ -202,8 +202,3 @@ def kernel_basis(m: ExactMatrix) -> list[tuple[Scalar, ...]]:
             vec[pc] = field.neg(grid[i][c])
         basis.append(tuple(vec))
     return basis
-
-
-def rank_constant(m: ExactMatrix) -> int:
-    """Rank of a parameter-free matrix (independent elimination path)."""
-    return m.cols - len(kernel_basis(m))

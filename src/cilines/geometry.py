@@ -50,10 +50,6 @@ class CIType:
         """Sum of the degrees d^1 + ... + d^r."""
         return sum(self.degrees)
 
-    def tail_degree(self, i0: int) -> int:
-        """Partial sum d^{i0} + ... + d^r, 1-indexed; 0 beyond r."""
-        return sum(self.degrees[i0 - 1 :])
-
     @property
     def variety_dim(self) -> int:
         return self.ambient_dim - self.r

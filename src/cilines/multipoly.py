@@ -531,7 +531,6 @@ def _euclid_gcd(a: list[Scalar], b: list[Scalar], field) -> list[Scalar]:
             if field.is_zero(lead):
                 r = trim(r)
                 continue
-            shift = len(r) - len(b)
             for i, x in enumerate(b):
                 r[i] = field.sub(r[i], field.mul(lead, x))
             r = trim(r)

@@ -34,7 +34,7 @@ from .chart import (
     membership_system,
     nonfree_matrix,
 )
-from .errors import NotCorankOne
+from .errors import InvariantViolated, NotCorankOne
 from .exactmatrix import ExactMatrix, det, rank_exact
 from .fields import Scalar
 from .geometry import CompleteIntersection, LineChartPoint
@@ -145,7 +145,8 @@ def _local_equations_from(
         rows_idx = sorted((*pivot_rows, extra))
         sub = ExactMatrix.from_rows(flat, [sym_rows[i] for i in rows_idx])
         g = unflatten(det(sub), ab)
-        assert g.evaluate(vals).is_zero, "bordered minor fails to vanish at the base point"
+        if not g.evaluate(vals).is_zero:
+            raise InvariantViolated("bordered minor fails to vanish at the base point")
         minors.append(g)
     return LocalEquations(point, pivot_rows, pivot_cols, pivot_det, tuple(minors))
 
@@ -251,7 +252,8 @@ def expected_pair_report(
     # |d|+r+m with m = N-|d| collapses to N+r; expected local dimension
     # is the chart dimension minus that rank
     local_dim = 2 * (n - 1) - required
-    assert local_dim == n - r - 2
+    if local_dim != n - r - 2:
+        raise InvariantViolated(f"local dimension {local_dim} differs from N - r - 2")
     return SmoothnessReport(
         contained=True,
         in_nonfree_locus=True,

@@ -13,6 +13,7 @@ from cilines.errors import (
     BasePointedCover,
     ConstraintViolated,
     CurveNotOnX,
+    InvariantViolated,
     SingularAlongCurve,
     SingularAlongLine,
     TwistTooNegative,
@@ -106,6 +107,17 @@ def test_quadric_line_splittings():
     point = LineChartPoint.standard(RATIONALS, 3)
     assert normal_splitting_line(x, point).entries == (0,)
     assert tangent_splitting_line(x, point).entries == (2, 0)
+
+
+def test_splitting_recovery_stops_at_the_degree_floor(monkeypatch):
+    """The floor check is the only exit of the descent besides success,
+    so it must be a raised error that python -O keeps, not an assert."""
+    import cilines.bundles as bundles
+
+    monkeypatch.setattr(bundles, "_normal_h0", lambda dforms, degrees, m: 0)
+    x = make_ci(RATIONALS, 3, (2,), ["S*Z1 + T*Z2"])
+    with pytest.raises(InvariantViolated, match="degree floor"):
+        normal_splitting_line(x, LineChartPoint.standard(RATIONALS, 3))
 
 
 def test_quintic_line_splittings():

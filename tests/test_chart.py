@@ -13,11 +13,17 @@ from cilines.chart import (
     move_line_to_chart,
     nonfree_matrix,
 )
-from cilines.errors import InfiniteField, LineNotContained
+from cilines.errors import BudgetExceeded, InfiniteField, LineNotContained
 from cilines.exactmatrix import ExactMatrix, kernel_basis, rank_exact
 from cilines.families import FamilySpec, build_family
 from cilines.fields import RATIONALS, prime_field
-from cilines.geometry import CIType, CompleteIntersection, LineChartPoint, ambient_variables
+from cilines.geometry import (
+    CIType,
+    CompleteIntersection,
+    LineChartPoint,
+    ambient_variables,
+    restrict_along,
+)
 from cilines.multipoly import PolyRing
 from cilines.params import ParamRing
 from cilines.polytext import parse_poly
@@ -263,6 +269,78 @@ def test_enumeration_needs_finite_field():
     x = make_ci(RATIONALS, 3, (2,), ["S*Z1 + T*Z2"])
     with pytest.raises(InfiniteField):
         enumerate_lines_fq(x)
+
+
+def test_census_refuses_a_projective_space_over_the_points_budget():
+    x = make_ci(prime_field(1000003), 3, (2,), ["S*Z1 + T*Z2"])
+    with pytest.raises(BudgetExceeded, match="points"):
+        enumerate_lines_fq(x)
+
+
+def test_census_refuses_too_many_candidate_lines():
+    # vanishes at every F_2-point of P^12, so every line is a candidate
+    x = make_ci(prime_field(2), 12, (3,), ["S^2*T + S*T^2"])
+    with pytest.raises(BudgetExceeded, match="candidate lines"):
+        enumerate_lines_fq(x)
+
+
+def restriction_census(x):
+    """The census by restricting every form to every line of P^N(F_q)."""
+    return [
+        ln
+        for ln in all_lines_fq(x.field, x.n)
+        if all(restrict_along(f, ln.components(x.coeff_ring)).is_zero for f in x.forms)
+    ]
+
+
+def _ideal_form(rng, ring, linears, d):
+    """A degree-d form in the ideal of the given linear forms."""
+    out = ring.zero()
+    for lin in linears:
+        out = out + lin * random_homogeneous(rng, ring, d - 1, n_terms=4)
+    return out
+
+
+# (q, N, degrees, k): every form lies in the ideal of k random linear
+# forms, so X contains their common zero set, of dimension N - k at least
+CROSS_CHECK_CASES = [
+    (5, 3, (3,), 2),  # r = 1, q >= d, a line
+    (3, 3, (4,), 2),  # r = 1, q < d, a line
+    (3, 3, (3,), 1),  # r = 1, q >= d, a plane
+    (2, 4, (2, 2), 3),  # r = 2, q >= d, a line
+    (2, 4, (2, 3), 2),  # r = 2, q < d, a plane
+    (2, 4, (2, 2), 2),  # r = 2, q >= d, a plane
+    (3, 3, (2,), 0),  # a random quadric surface
+]
+
+
+@pytest.mark.parametrize("q,n,degrees,k", CROSS_CHECK_CASES)
+def test_census_matches_restriction_of_every_line(rng, q, n, degrees, k):
+    field = prime_field(q)
+    ring = ambient_ring(field, n)
+    for _ in range(3):
+        linears = [random_homogeneous(rng, ring, 1, n_terms=3) for _ in range(k)]
+        forms = [
+            _ideal_form(rng, ring, linears, d) if k else random_homogeneous(rng, ring, d)
+            for d in degrees
+        ]
+        if any(f.is_zero for f in forms):
+            continue
+        x = CompleteIntersection(CIType(n, degrees), tuple(forms))
+        expected = restriction_census(x)
+        assert enumerate_lines_fq(x) == expected
+        if k:
+            assert expected, "the forms vanish on a common line or plane"
+
+
+def test_census_restricts_when_every_point_is_on_x():
+    """S^3 T - S T^3 vanishes at every F_3-point, so every line passes
+    the point lookups; only restriction rejects the lines off X, which
+    are those outside the four planes S = 0, T = 0, S = T, S = -T."""
+    x = make_ci(prime_field(3), 3, (4,), ["S^3*T - S*T^3"])
+    lines = enumerate_lines_fq(x)
+    assert lines == restriction_census(x)
+    assert len(lines) == 4 * 12 + 1 < gaussian_binomial_lines(3, 3)
 
 
 def test_move_line_to_chart_preserves_containment():

@@ -1,6 +1,7 @@
 import json
 import os
 import pathlib
+import time
 
 import pytest
 
@@ -128,6 +129,15 @@ def test_enumerate_lines_over_q_exits_2(capsys, tmp_path):
     code, out = run(capsys, "enumerate-lines", path)
     assert code == 2
     assert json.loads(out)["error"] == "InfiniteField"
+
+
+def test_enumerate_lines_over_budget_exits_2_at_once(capsys, tmp_path):
+    path = write_problem(tmp_path, "big.ci", QUADRIC_F3.replace("field: F:3", "field: F:1000003"))
+    started = time.perf_counter()
+    code, out = run(capsys, "enumerate-lines", path)
+    assert time.perf_counter() - started < 0.5
+    assert code == 2
+    assert json.loads(out)["error"] == "BudgetExceeded"
 
 
 def test_curve_check_quintic(capsys, tmp_path):
