@@ -46,7 +46,6 @@ from .geometry import (
     CompleteIntersection,
     LineChartPoint,
     RationalCurve,
-    restrict_to_curve,
 )
 from .multipoly import BinaryForm, MultiPoly, PolyRing, binary_gcd
 from .nonfree import (

@@ -26,7 +26,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Literal, Sequence
 
-from .chart import delta_forms, line_param, membership_system, smooth_along_components
+from .chart import (
+    line_param,
+    membership_system,
+    restricted_jacobian,
+    smooth_along_components,
+)
 from .errors import (
     BasePointedCover,
     ConstraintViolated,
@@ -95,6 +100,25 @@ def _check_on_x(x: CompleteIntersection, comps: Sequence[BinaryForm]) -> None:
             raise CurveNotOnX(f"{form} does not vanish along the curve")
 
 
+def _section_kernel_dim(phi: Sequence[Sequence[BinaryForm]], dom: int) -> int:
+    """Kernel dimension of the map H^0(O(dom-1))^{columns} -> (+)_i
+    H^0(O(deg phi_i + dom - 1)) given by a grid of binary forms, one row
+    phi_i of equal-degree forms per target summand."""
+    ring = phi[0][0].ring
+    rows = []
+    for forms in phi:
+        deg = forms[0].degree
+        for l in range(deg + dom):
+            rows.append(
+                [
+                    f.coeffs[l - k] if 0 <= l - k <= deg else ring.zero()
+                    for f in forms
+                    for k in range(dom)
+                ]
+            )
+    return len(kernel_basis(ExactMatrix.from_rows(ring, rows)))
+
+
 def tangent_cohomology(
     x: CompleteIntersection, mu: RationalCurve, m: int
 ) -> tuple[int, int]:
@@ -107,18 +131,14 @@ def tangent_cohomology(
     if len(comps) != x.n + 1:
         raise ConstraintViolated(f"curve has {len(comps)} components, expected {x.n + 1}")
     _check_on_x(x, comps)
-    if not smooth_along_components(x, comps):
+    phi = restricted_jacobian(x, comps)
+    if not smooth_along_components(x, phi):
         raise SingularAlongCurve("X is singular somewhere along the curve")
 
     b = mu.degree
     n, r = x.n, x.ci_type.r
     degrees = x.ci_type.degrees
-    phi = [
-        [restrict_along(f.differentiate(w), comps, form_degree=d - 1) for w in x.ring.variables]
-        for f, d in zip(x.forms, degrees)
-    ]
     # the component tuple is always in the kernel of psi(0)
-    field = x.field
     for i in range(r):
         acc = BinaryForm.zero(x.coeff_ring, b * degrees[i])
         for j in range(n + 1):
@@ -126,27 +146,7 @@ def tangent_cohomology(
         if not acc.is_zero:
             raise InvariantViolated("Euler section escaped the kernel")
 
-    dom = b + m + 1  # h^0(O(b+m)) per component
-    rows = []
-    for i in range(r):
-        target = b * degrees[i] + m
-        for l in range(target + 1):
-            row = []
-            for j in range(n + 1):
-                for k in range(dom):
-                    q = l - k
-                    deg = b * (degrees[i] - 1)
-                    row.append(
-                        phi[i][j].coeffs[q] if 0 <= q <= deg else x.coeff_ring.zero()
-                    )
-            rows.append(row)
-    cols = (n + 1) * dom
-    matrix = (
-        ExactMatrix.from_rows(x.coeff_ring, rows)
-        if rows
-        else ExactMatrix(x.coeff_ring, 0, cols, ())
-    )
-    kernel_dim = len(kernel_basis(matrix)) if rows else cols
+    kernel_dim = _section_kernel_dim(phi, b + m + 1)  # h^0(O(b+m)) per component
     h0_line = m + 1 if m >= 0 else 0
     h0 = kernel_dim - h0_line
     chi = b * (n + 1 - x.ci_type.total_degree) + (n - r) * (m + 1)
@@ -157,31 +157,6 @@ def tangent_cohomology(
 
 
 # -- splitting types of lines -------------------------------------------------
-
-
-def _normal_h0(dforms: list[list[BinaryForm]], degrees: tuple[int, ...], m: int) -> int:
-    """h^0 of the normal-bundle kernel sheaf twisted by m, where the
-    presenting map is O(1+m)^{N-1} -> (+)_i O(d^i + m)."""
-    ring = dforms[0][0].ring
-    dom = m + 2
-    if dom <= 0:
-        return 0
-    n_minus_1 = len(dforms)
-    rows = []
-    for i, d in enumerate(degrees):
-        target = d + m
-        for l in range(target + 1):
-            row = []
-            for j in range(n_minus_1):
-                for k in range(dom):
-                    q = l - k
-                    row.append(dforms[j][i].coeffs[q] if 0 <= q <= d - 1 else ring.zero())
-            rows.append(row)
-    cols = n_minus_1 * dom
-    if not rows:
-        return cols
-    matrix = ExactMatrix.from_rows(ring, rows)
-    return len(kernel_basis(matrix))
 
 
 def normal_splitting_line(
@@ -196,22 +171,22 @@ def normal_splitting_line(
         raise ParameterPresent("splitting types need parameter-free forms")
     if not membership_system(x).contains(point):
         raise LineNotContained("the chart line is not on X")
-    curve = line_param(point, x.coeff_ring)
-    if not smooth_along_components(x, curve.components):
+    jac = restricted_jacobian(x, line_param(point, x.coeff_ring).components)
+    if not smooth_along_components(x, jac):
         raise SingularAlongLine("X is singular somewhere along the line")
 
-    degrees = x.ci_type.degrees
     n, r = x.n, x.ci_type.r
     rank = n - r - 1
     total = n - 1 - x.ci_type.total_degree
-    dforms = delta_forms(x, point)
+    partials = [row[2:] for row in jac]  # (dh^i/dZ_j)|_L
 
     floor = total - (rank - 1)  # all other entries are at most 1
     h_at = {2: 0}  # h^0(E(-k)); entries never exceed 1
     counts: dict[int, int] = {2: 0}
     k = 1
     while True:
-        h_at[k] = _normal_h0(dforms, degrees, -k)
+        # the presenting map is O(1-k)^{N-1} -> (+)_i O(d^i - k)
+        h_at[k] = _section_kernel_dim(partials, 2 - k)
         counts[k] = h_at[k] - h_at[k + 1]
         if counts[k] == rank:
             break

@@ -199,20 +199,6 @@ def nonfree_matrix(
     return NonFreeMatrix(x.ci_type, entries, None, matrix)
 
 
-def delta_forms(x: CompleteIntersection, at: LineChartPoint) -> list[list[BinaryForm]]:
-    """The restricted partials (dh^i/dZ_j)|_L as binary forms of degree
-    d^i - 1; rows indexed by j, columns by i."""
-    nf = nonfree_matrix(x, at=at)
-    vals = nf.value_rows()
-    out = []
-    for row in vals:
-        forms_row = []
-        for (lo, hi), d in zip(nf.col_blocks, x.ci_type.degrees):
-            forms_row.append(BinaryForm(x.coeff_ring, d - 1, tuple(row[lo:hi])))
-        out.append(forms_row)
-    return out
-
-
 # -- smoothness along a line or curve -----------------------------------------
 
 
@@ -246,13 +232,12 @@ def restricted_jacobian(
 
 
 def smooth_along_components(
-    x: CompleteIntersection, components: Sequence[BinaryForm]
+    x: CompleteIntersection, jac: Sequence[Sequence[BinaryForm]]
 ) -> bool:
-    """True when the r x r minors of the restricted Jacobian have no
-    common projective zero on the curve."""
+    """True when the r x r minors of the restricted Jacobian, as returned
+    by restricted_jacobian, have no common projective zero on the curve."""
     if not x.is_parameter_free:
         raise ParameterPresent("smoothness checks need parameter-free forms")
-    jac = restricted_jacobian(x, components)
     r = x.ci_type.r
     minors = []
     for cols in itertools.combinations(range(x.n + 1), r):
@@ -269,7 +254,7 @@ def is_smooth_along_line(x: CompleteIntersection, point: LineChartPoint) -> bool
     if not membership_system(x).contains(point):
         raise LineNotContained("the chart line is not on X")
     curve = line_param(point, x.coeff_ring)
-    return smooth_along_components(x, curve.components)
+    return smooth_along_components(x, restricted_jacobian(x, curve.components))
 
 
 # -- exhaustive line enumeration over finite fields ------------------------------

@@ -41,10 +41,11 @@ from .bundles import (
 from .chart import (
     enumerate_lines_fq,
     is_smooth_along_line,
+    line_param,
     move_line_to_chart,
     nonfree_matrix,
 )
-from .errors import ParseError, ToolkitError
+from .errors import LineNotContained, ParseError, ToolkitError
 from .exactmatrix import rank_exact
 from .families import FamilySpec, family_report, hypothesis_gates, parse_family_spec
 from .fields import Field, RATIONALS, field_from_str, prime_field
@@ -56,7 +57,7 @@ from .geometry import (
     ambient_variables,
 )
 from .multipoly import BinaryForm, PolyRing
-from .nonfree import expected_pair_report
+from .nonfree import SmoothnessReport, expected_pair_report
 from .params import ParamRing
 from .polytext import parse_poly
 
@@ -171,7 +172,7 @@ def load_problem(path: str) -> ProblemFile:
 # -- report assembly -------------------------------------------------------------
 
 
-def _report_from(x: CompleteIntersection, point: LineChartPoint, rep) -> dict:
+def _report_from(rep: SmoothnessReport) -> dict:
     out = {
         "contained": rep.contained,
         "in_nonfree_locus": rep.in_nonfree_locus,
@@ -187,7 +188,7 @@ def _report_from(x: CompleteIntersection, point: LineChartPoint, rep) -> dict:
         else [],
     }
     if rep.contained:
-        out["matrix"] = nonfree_matrix(x, at=point).matrix.str_rows()
+        out["matrix"] = rep.matrix.str_rows()
     if rep.equations is not None:
         out["pivot_rows"] = list(rep.equations.pivot_rows)
         out["pivot_cols"] = list(rep.equations.pivot_cols)
@@ -216,7 +217,7 @@ def _cmd_verify_example(args) -> dict:
         },
         "notes": list(built.notes),
     }
-    out.update(_report_from(built.x, built.line, rep))
+    out.update(_report_from(rep))
     return out
 
 
@@ -227,12 +228,9 @@ def _cmd_classify_line(args) -> dict:
     x, point = problem.x, problem.line
     rep = expected_pair_report(x, point)
     if not rep.contained:
-        from .errors import LineNotContained
-
         raise LineNotContained("the given line is not on X")
     out = {"command": "classify-line", "problem": problem.echo}
-    out.update(_report_from(x, point, rep))
-    total = x.ci_type.total_degree
+    out.update(_report_from(rep))
     out["free"] = rep.corank == 0
     if x.is_parameter_free:
         smooth = is_smooth_along_line(x, point)
@@ -241,8 +239,6 @@ def _cmd_classify_line(args) -> dict:
             normal = normal_splitting_line(x, point)
             out["normal_splitting"] = list(normal.entries)
             out["tangent_splitting"] = list(tangent_splitting_line(x, point).entries)
-            from .chart import line_param
-
             mu = line_param(point, x.coeff_ring)
             h0m1 = tangent_cohomology(x, mu, -1)
             h00 = tangent_cohomology(x, mu, 0)

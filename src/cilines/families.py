@@ -95,10 +95,6 @@ def parse_family_spec(text: str) -> FamilySpec:
         seed = int(opts.get("seed", "0"))
     except ValueError as exc:
         raise ParseError(f"bad family option value: {exc}") from None
-    if name == "hyp-4-6":
-        n, degrees = 6, (4,)
-    if name == "ci-4-3-P9":
-        n, degrees = 9, (4, 3)
     return FamilySpec(name, n, degrees, c_mode, seed)  # type: ignore[arg-type]
 
 
@@ -183,12 +179,9 @@ def build_family(spec: FamilySpec, field: Field, force: bool = False) -> BuiltFa
     """
     notes: list[str] = []
     if spec.name in ("hyp-4-6", "hyp-general", "hyp-char-not-2"):
-        if spec.name == "hyp-4-6":
-            n, d = 6, 4
-        else:
-            if spec.n is None or spec.degrees is None:
-                raise ConstraintViolated("hyp-general needs N and d")
-            n, d = spec.n, spec.degrees[0]
+        if spec.n is None or spec.degrees is None:
+            raise ConstraintViolated("hyp-general needs N and d")
+        n, d = spec.n, spec.degrees[0]
         _require(3 <= d, "3 <= d")
         _require(d <= n - 2, "d <= N-2")
         coeffs, values = _coeff_ring(field, spec, d - 1)
@@ -209,16 +202,14 @@ def build_family(spec: FamilySpec, field: Field, force: bool = False) -> BuiltFa
 
     elif spec.name in ("mixed-general", "ci-4-3-P9"):
         if spec.name == "ci-4-3-P9":
-            n, degrees = 9, (4, 3)
             notes.append(
                 "the published middle term of h^2 reads T*Z7, which is not "
                 "homogeneous of degree 3; the builder uses S*T*Z7, the form "
                 "whose derivative rows match the published ones"
             )
-        else:
-            if spec.n is None or spec.degrees is None:
-                raise ConstraintViolated("mixed-general needs N and degrees")
-            n, degrees = spec.n, spec.degrees
+        if spec.n is None or spec.degrees is None:
+            raise ConstraintViolated("mixed-general needs N and degrees")
+        n, degrees = spec.n, spec.degrees
         d1 = degrees[0]
         _require(d1 >= 3, "d^1 >= 3")
         _require(all(d >= 2 for d in degrees), "all d^i >= 2")

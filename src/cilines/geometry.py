@@ -204,10 +204,6 @@ class RationalCurve:
     def ring(self) -> ParamRing:
         return self.components[0].ring
 
-    @property
-    def n_components(self) -> int:
-        return len(self.components)
-
 
 def restrict_along(
     form: MultiPoly, components: Sequence[BinaryForm], form_degree: int | None = None
@@ -241,7 +237,3 @@ def restrict_along(
                 piece = piece * comp ** x
         out = out + piece.scale(c)
     return out
-
-
-def restrict_to_curve(form: MultiPoly, curve: RationalCurve) -> BinaryForm:
-    return restrict_along(form, curve.components)

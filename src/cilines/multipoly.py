@@ -14,7 +14,7 @@ curves, and all the one-variable cohomology bookkeeping, live here.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from .errors import (
     AllZero,
@@ -285,35 +285,37 @@ class MultiPoly:
     # -- printing ---------------------------------------------------------------
 
     def __str__(self) -> str:
-        if not self.terms:
-            return "0"
-        pieces: list[str] = []
-        for e, c in self.terms:
-            mono = "*".join(
-                f"{n}^{x}" if x > 1 else n
-                for n, x in zip(self.ring.variables, e)
-                if x > 0
-            )
-            cs = str(c)
-            neg = False
-            if len(c.terms) == 1:
-                if cs.startswith("-"):
-                    neg = True
-                    cs = cs[1:]
-            if mono:
-                if cs == "1":
-                    body = mono
-                elif len(c.terms) > 1:
-                    body = f"({cs})*{mono}"
-                else:
-                    body = f"{cs}*{mono}"
-            else:
-                body = cs if len(c.terms) == 1 else f"({cs})"
-            if not pieces:
-                pieces.append(f"-{body}" if neg else body)
-            else:
-                pieces.append(f"- {body}" if neg else f"+ {body}")
-        return " ".join(pieces)
+        return _print_sum(
+            (_monomial(self.ring.variables, e), c) for e, c in self.terms
+        )
+
+
+# -- printing -------------------------------------------------------------------
+
+
+def _monomial(names: Sequence[str], exps: Sequence[int]) -> str:
+    return "*".join(f"{n}^{x}" if x > 1 else n for n, x in zip(names, exps) if x > 0)
+
+
+def _print_sum(terms: Iterable[tuple[str, ParamScalar]]) -> str:
+    """Print a sum from (monomial, nonzero coefficient) pairs; an empty
+    monomial is a constant term, a coefficient of several terms is
+    parenthesised, and a one-term negative coefficient moves its sign
+    into the joiner."""
+    pieces: list[str] = []
+    for mono, c in terms:
+        cs = str(c)
+        neg = len(c.terms) == 1 and cs.startswith("-")
+        if neg:
+            cs = cs[1:]
+        elif len(c.terms) > 1:
+            cs = f"({cs})"
+        body = cs if not mono else mono if cs == "1" else f"{cs}*{mono}"
+        if pieces:
+            pieces.append(f"- {body}" if neg else f"+ {body}")
+        else:
+            pieces.append(f"-{body}" if neg else body)
+    return " ".join(pieces) or "0"
 
 
 # -- bridging to the flat parameter ring ------------------------------------
@@ -461,35 +463,11 @@ class BinaryForm:
         return out
 
     def __str__(self) -> str:
-        if self.is_zero:
-            return "0"
-        pieces = []
-        for k, c in enumerate(self.coeffs):
-            if c.is_zero:
-                continue
-            se, te = self.degree - k, k
-            mono = "*".join(
-                ([f"s^{se}"] if se > 1 else ["s"] if se == 1 else [])
-                + ([f"t^{te}"] if te > 1 else ["t"] if te == 1 else [])
-            )
-            cs = str(c)
-            neg = len(c.terms) == 1 and cs.startswith("-")
-            if neg:
-                cs = cs[1:]
-            if mono:
-                if cs == "1":
-                    body = mono
-                elif len(c.terms) > 1:
-                    body = f"({cs})*{mono}"
-                else:
-                    body = f"{cs}*{mono}"
-            else:
-                body = cs if len(c.terms) <= 1 else f"({cs})"
-            if not pieces:
-                pieces.append(f"-{body}" if neg else body)
-            else:
-                pieces.append(f"- {body}" if neg else f"+ {body}")
-        return " ".join(pieces)
+        return _print_sum(
+            (_monomial(("s", "t"), (self.degree - k, k)), c)
+            for k, c in enumerate(self.coeffs)
+            if not c.is_zero
+        )
 
 
 # -- gcd of binary forms -----------------------------------------------------------

@@ -36,7 +36,6 @@ from .chart import (
 )
 from .errors import InvariantViolated, NotCorankOne
 from .exactmatrix import ExactMatrix, det, rank_exact
-from .fields import Scalar
 from .geometry import CompleteIntersection, LineChartPoint
 from .multipoly import MultiPoly, flatten, flatten_ring, unflatten
 from .params import ParamScalar
@@ -63,7 +62,6 @@ class GenericityCertificate:
     nonvanishing guarantees the ranks of the enclosing report."""
 
     conditions: tuple[ParamScalar, ...]
-    witness: dict[str, Scalar] | None = None
 
 
 Verdict = Literal["SmoothExpectedDim", "NotSmoothOrExcess", "NotInJ", "NotContained"]
@@ -71,17 +69,31 @@ Verdict = Literal["SmoothExpectedDim", "NotSmoothOrExcess", "NotInJ", "NotContai
 
 @dataclass(frozen=True)
 class SmoothnessReport:
-    contained: bool
-    in_nonfree_locus: bool
-    matrix_rank: int | None
-    corank: int | None
-    equations: LocalEquations | None
-    jacobian_rank: int | None
-    required_rank: int | None
+    """Verdict on a pair (line, X) and what it rests on.
+
+    `matrix` is M(h) evaluated at the line, with rank `matrix_rank`; it
+    is None when the line is not on X. The local equations, the Jacobian
+    rank and the local dimension are filled in at corank 1 only.
+    """
+
     verdict: Verdict
-    local_dimension: int | None
-    certificate: ParamScalar | None
-    genericity: GenericityCertificate | None
+    required_rank: int
+    matrix: ExactMatrix | None = None
+    matrix_rank: int | None = None
+    corank: int | None = None
+    equations: LocalEquations | None = None
+    jacobian_rank: int | None = None
+    local_dimension: int | None = None
+    certificate: ParamScalar | None = None
+    genericity: GenericityCertificate | None = None
+
+    @property
+    def contained(self) -> bool:
+        return self.verdict != "NotContained"
+
+    @property
+    def in_nonfree_locus(self) -> bool:
+        return bool(self.corank)
 
 
 def _lex_first_independent(matrix: ExactMatrix, target: int) -> tuple[int, ...]:
@@ -113,13 +125,11 @@ def local_equations(x: CompleteIntersection, point: LineChartPoint) -> LocalEqua
     Raises NotCorankOne when the line is free (corank 0) or the drop is
     deeper than one (corank >= 2, unsupported).
     """
-    nf = nonfree_matrix(x, at=point)
-    return _local_equations_from(x, point, nf)
+    return _local_equations_from(x, nonfree_matrix(x, at=point))
 
 
-def _local_equations_from(
-    x: CompleteIntersection, point: LineChartPoint, nf: NonFreeMatrix
-) -> LocalEquations:
+def _local_equations_from(x: CompleteIntersection, nf: NonFreeMatrix) -> LocalEquations:
+    point = nf.at
     total = x.ci_type.total_degree
     rank = rank_exact(nf.matrix).rank
     corank = total - rank
@@ -152,23 +162,21 @@ def _local_equations_from(
 
 
 def jacobian_def_matrix(
-    x: CompleteIntersection,
-    point: LineChartPoint,
-    equations: LocalEquations | None = None,
+    x: CompleteIntersection, nf: NonFreeMatrix
 ) -> tuple[ExactMatrix, LocalEquations]:
-    """The (|d|+r+m) x 2(N-1) derivative matrix at the chart point.
+    """The (|d|+r+m) x 2(N-1) derivative matrix at the chart line of the
+    evaluated M(h) `nf`, as nonfree_matrix(x, at=point) returns it, and
+    the local equations whose rows it holds.
 
     Rows come in the order f^1_0, ..., f^r_{d^r}, g_1, ..., g_m; the
-    f-rows are assembled from the evaluated M(h) by the coefficient
-    shift, the g-rows by differentiating the bordered minors.
+    f-rows are assembled from `nf` by the coefficient shift, the g-rows
+    by differentiating the bordered minors.
     """
-    nf = nonfree_matrix(x, at=point)
-    if equations is None:
-        equations = _local_equations_from(x, point, nf)
+    vals = nf.value_rows()  # vals[j][block i offset + k]
+    equations = _local_equations_from(x, nf)
     n = x.n
     degrees = x.ci_type.degrees
     ring = x.coeff_ring
-    vals = nf.value_rows()  # vals[j][block i offset + k]
     blocks = nf.col_blocks
     zero = ring.zero()
 
@@ -181,7 +189,7 @@ def jacobian_def_matrix(
             rows.append(da + db)
 
     avars, bvars = chart_variables(n)
-    pt = point.values(n)
+    pt = nf.at.values(n)
     for g in equations.minors:
         da = [g.differentiate(v).evaluate(pt) for v in avars]
         db = [g.differentiate(v).evaluate(pt) for v in bvars]
@@ -200,53 +208,25 @@ def expected_pair_report(
     required = n + r
 
     if not membership_system(x).contains(point):
-        return SmoothnessReport(
-            contained=False,
-            in_nonfree_locus=False,
-            matrix_rank=None,
-            corank=None,
-            equations=None,
-            jacobian_rank=None,
-            required_rank=required,
-            verdict="NotContained",
-            local_dimension=None,
-            certificate=None,
-            genericity=None,
-        )
+        return SmoothnessReport("NotContained", required)
 
     nf = nonfree_matrix(x, at=point)
     rk = rank_exact(nf.matrix)
     corank = total - rk.rank
     if corank == 0:
         return SmoothnessReport(
-            contained=True,
-            in_nonfree_locus=False,
-            matrix_rank=rk.rank,
+            "NotInJ",
+            required,
+            nf.matrix,
+            rk.rank,
             corank=0,
-            equations=None,
-            jacobian_rank=None,
-            required_rank=required,
-            verdict="NotInJ",
-            local_dimension=None,
             certificate=rk.certificate,
             genericity=_genericity([rk.certificate]),
         )
     if corank >= 2:
-        return SmoothnessReport(
-            contained=True,
-            in_nonfree_locus=True,
-            matrix_rank=rk.rank,
-            corank=corank,
-            equations=None,
-            jacobian_rank=None,
-            required_rank=required,
-            verdict="NotSmoothOrExcess",
-            local_dimension=None,
-            certificate=None,
-            genericity=None,
-        )
+        return SmoothnessReport("NotSmoothOrExcess", required, nf.matrix, rk.rank, corank)
 
-    jac, eqs = jacobian_def_matrix(x, point)
+    jac, eqs = jacobian_def_matrix(x, nf)
     jrk = rank_exact(jac)
     smooth = jrk.rank == required
     # |d|+r+m with m = N-|d| collapses to N+r; expected local dimension
@@ -255,14 +235,13 @@ def expected_pair_report(
     if local_dim != n - r - 2:
         raise InvariantViolated(f"local dimension {local_dim} differs from N - r - 2")
     return SmoothnessReport(
-        contained=True,
-        in_nonfree_locus=True,
-        matrix_rank=rk.rank,
+        "SmoothExpectedDim" if smooth else "NotSmoothOrExcess",
+        required,
+        nf.matrix,
+        rk.rank,
         corank=1,
         equations=eqs,
         jacobian_rank=jrk.rank,
-        required_rank=required,
-        verdict="SmoothExpectedDim" if smooth else "NotSmoothOrExcess",
         local_dimension=local_dim if smooth else None,
         certificate=jrk.certificate,
         genericity=_genericity([rk.certificate, eqs.pivot_det, jrk.certificate]),

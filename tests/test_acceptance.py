@@ -81,7 +81,7 @@ def test_criterion_3_example_2_2_p7():
     # independent brute-force row reduction of the derivative matrix
     from cilines.nonfree import jacobian_def_matrix
 
-    jac, _ = jacobian_def_matrix(built.x, built.line)
+    jac, _ = jacobian_def_matrix(built.x, nonfree_matrix(built.x, at=built.line))
     raw = [[e.constant_value() for e in jac.row(i)] for i in range(jac.rows)]
     oracle_rank = gaussian_rank_oracle(RATIONALS, raw)
     assert oracle_rank == 9 == rep.jacobian_rank

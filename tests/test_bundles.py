@@ -114,7 +114,7 @@ def test_splitting_recovery_stops_at_the_degree_floor(monkeypatch):
     so it must be a raised error that python -O keeps, not an assert."""
     import cilines.bundles as bundles
 
-    monkeypatch.setattr(bundles, "_normal_h0", lambda dforms, degrees, m: 0)
+    monkeypatch.setattr(bundles, "_section_kernel_dim", lambda phi, dom: 0)
     x = make_ci(RATIONALS, 3, (2,), ["S*Z1 + T*Z2"])
     with pytest.raises(InvariantViolated, match="degree floor"):
         normal_splitting_line(x, LineChartPoint.standard(RATIONALS, 3))

@@ -12,6 +12,7 @@ from cilines.chart import (
     membership_system,
     move_line_to_chart,
     nonfree_matrix,
+    restricted_jacobian,
 )
 from cilines.errors import BudgetExceeded, InfiniteField, LineNotContained
 from cilines.exactmatrix import ExactMatrix, kernel_basis, rank_exact
@@ -202,6 +203,31 @@ def test_z_permutation_equivariance():
     assert membership_system(x2).contains(point2)
     assert rank_exact(nonfree_matrix(x2, at=point2).matrix).rank == base_rank
     assert is_smooth_along_line(x2, point2) == is_smooth_along_line(x, point)
+
+
+def test_restricted_jacobian_z_columns_are_the_blocks_of_m_h(rng):
+    """The bundle route reads the restricted partials (dh^i/dZ_j)|_L off
+    the restricted Jacobian; on every line they must be the rows of M(h)
+    at that line, block i holding form i."""
+    xs = [
+        make_ci(prime_field(3), 3, (2,), ["S*Z1 + T*Z2"]),
+        make_ci(prime_field(7), 3, (3,), ["S^3 + T^3 + Z1^3 + Z2^3"]),
+        make_ci(prime_field(7), 3, (5,), ["S^5 + T^5 + Z1^5 + Z2^5"]),
+    ]
+    ring = ambient_ring(prime_field(2), 4)
+    linears = [random_homogeneous(rng, ring, 1, n_terms=3) for _ in range(2)]
+    forms = tuple(_ideal_form(rng, ring, linears, d) for d in (2, 3))
+    xs.append(CompleteIntersection(CIType(4, (2, 3)), forms))
+    for x in xs:
+        lines = enumerate_lines_fq(x)
+        assert lines
+        for ln in lines:
+            x2, point, _ = move_line_to_chart(x, ln)
+            jac = restricted_jacobian(x2, line_param(point, x2.coeff_ring).components)
+            nf = nonfree_matrix(x2, at=point)
+            for j, row in enumerate(nf.value_rows()):
+                for i, (lo, hi) in enumerate(nf.col_blocks):
+                    assert list(jac[i][2 + j].coeffs) == row[lo:hi]
 
 
 # -- smoothness along lines ----------------------------------------------------------

@@ -30,6 +30,14 @@ form: S*Z1 + T*Z2
 line: 0, 0 | 0, 0
 """
 
+CUBIC_F7_CORANK_1 = """
+field: F:7
+N: 3
+degrees: 3
+form: S^3 + T^3 + Z1^3 + Z2^3
+line: 6, 0 | 0, 6
+"""
+
 QUINTIC_F7 = """
 field: F:7
 N: 3
@@ -98,6 +106,31 @@ def test_classify_line_quadric(capsys, tmp_path):
     assert report["normal_splitting"] == [0]
     assert report["tangent_splitting"] == [2, 0]
     assert report["routes_agree"] is True
+
+
+def test_one_report_builds_m_h_once(capsys, tmp_path, monkeypatch):
+    """M(h) is built once per report and passed on: the Jacobian
+    matrix, the printed matrix and the bundle route all reuse it."""
+    import cilines.chart as chart
+
+    calls = []
+    build = chart._nonfree_entries
+
+    def counted(x):
+        calls.append(x)
+        return build(x)
+
+    monkeypatch.setattr(chart, "_nonfree_entries", counted)
+
+    code, _ = run(capsys, "verify-example", "hyp-4-6")
+    assert code == 0 and len(calls) == 1
+
+    calls.clear()
+    path = write_problem(tmp_path, "cubic.ci", CUBIC_F7_CORANK_1)
+    code, out = run(capsys, "classify-line", path)
+    report = json.loads(out)
+    assert code == 0 and report["corank"] == 1 and "normal_splitting" in report
+    assert len(calls) == 1
 
 
 def test_classify_line_not_contained_exits_2(capsys, tmp_path):

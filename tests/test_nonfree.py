@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import pytest
 
-from cilines.chart import chart_ring, membership_system
+from cilines.chart import chart_ring, membership_system, nonfree_matrix
 from cilines.errors import LineNotContained, NotCorankOne
 from cilines.exactmatrix import rank_exact
 from cilines.families import FamilySpec, build_family, family_report
@@ -80,14 +80,14 @@ def test_local_equations_rejects_off_line():
 
 def test_jacobian_rank_4_6_is_7():
     built = built_4_6()
-    jac, _ = jacobian_def_matrix(built.x, built.line)
+    jac, _ = jacobian_def_matrix(built.x, nonfree_matrix(built.x, at=built.line))
     assert jac.rows == 7 and jac.cols == 10
     assert rank_exact(jac).rank == 7
 
 
 def test_jacobian_rank_ci_4_3_p9_is_11():
     built = build_family(FamilySpec("ci-4-3-P9"), RATIONALS)
-    jac, _ = jacobian_def_matrix(built.x, built.line)
+    jac, _ = jacobian_def_matrix(built.x, nonfree_matrix(built.x, at=built.line))
     assert rank_exact(jac).rank == 11
 
 
@@ -96,7 +96,7 @@ def test_jacobian_rank_general_family_odd_gap(n, d):
     # with N - d odd the derivative matrix reaches the full N + 1
     assert (n - d) % 2 == 1
     built = build_family(FamilySpec("hyp-general", n, (d,)), RATIONALS)
-    jac, _ = jacobian_def_matrix(built.x, built.line)
+    jac, _ = jacobian_def_matrix(built.x, nonfree_matrix(built.x, at=built.line))
     assert rank_exact(jac).rank == n + 1
 
 
@@ -105,7 +105,7 @@ def test_jacobian_f_rows_match_direct_differentiation():
     differentiating the membership polynomials."""
     built = build_family(FamilySpec("quadrics-general", 7, (2, 2)), RATIONALS)
     x, point = built.x, built.line
-    jac, _ = jacobian_def_matrix(x, point)
+    jac, _ = jacobian_def_matrix(x, nonfree_matrix(x, at=point))
     ms = membership_system(x)
     vals = point.values(x.n)
     avars = [f"a{j}" for j in range(1, x.n)]
@@ -126,7 +126,7 @@ def test_quadrics_p7_rank_9_against_independent_oracle():
     required |d|+r+m), checked with a plain Gaussian elimination that
     shares no code with the fraction-free path."""
     built = build_family(FamilySpec("quadrics-general", 7, (2, 2)), RATIONALS)
-    jac, eqs = jacobian_def_matrix(built.x, built.line)
+    jac, eqs = jacobian_def_matrix(built.x, nonfree_matrix(built.x, at=built.line))
     assert eqs.count == 3
     raw = [[e.constant_value() for e in jac.row(i)] for i in range(jac.rows)]
     assert gaussian_rank_oracle(RATIONALS, raw) == 9
