@@ -15,6 +15,7 @@ from .bundles import (
     normal_splitting_line,
     precompose,
     tangent_cohomology,
+    tangent_splitting_from_normal,
     tangent_splitting_line,
 )
 from .chart import (

@@ -203,15 +203,18 @@ def normal_splitting_line(
     return st
 
 
+def tangent_splitting_from_normal(normal: SplittingType) -> SplittingType:
+    """Splitting type of T_X along a line from that of its normal bundle:
+    the tangent direction of the line splits off as a degree-2 summand
+    and the complement is the normal bundle."""
+    return SplittingType(tuple(sorted((2,) + normal.entries, reverse=True)))
+
+
 def tangent_splitting_line(
     x: CompleteIntersection, point: LineChartPoint
 ) -> SplittingType:
-    """Splitting type of T_X restricted to a chart line: the tangent
-    direction of the line splits off as a degree-2 summand and the
-    complement is the normal bundle."""
-    normal = normal_splitting_line(x, point)
-    merged = tuple(sorted((2,) + normal.entries, reverse=True))
-    return SplittingType(merged)
+    """Splitting type of T_X restricted to a chart line."""
+    return tangent_splitting_from_normal(normal_splitting_line(x, point))
 
 
 # -- covers and the degree gate ---------------------------------------------------

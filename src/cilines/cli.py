@@ -36,7 +36,7 @@ from .bundles import (
     normal_splitting_line,
     precompose,
     tangent_cohomology,
-    tangent_splitting_line,
+    tangent_splitting_from_normal,
 )
 from .chart import (
     enumerate_lines_fq,
@@ -238,7 +238,7 @@ def _cmd_classify_line(args) -> dict:
         if smooth:
             normal = normal_splitting_line(x, point)
             out["normal_splitting"] = list(normal.entries)
-            out["tangent_splitting"] = list(tangent_splitting_line(x, point).entries)
+            out["tangent_splitting"] = list(tangent_splitting_from_normal(normal).entries)
             mu = line_param(point, x.coeff_ring)
             h0m1 = tangent_cohomology(x, mu, -1)
             h00 = tangent_cohomology(x, mu, 0)

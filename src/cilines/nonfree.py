@@ -98,15 +98,32 @@ class SmoothnessReport:
 
 def _lex_first_independent(matrix: ExactMatrix, target: int) -> tuple[int, ...]:
     """Lexicographically first row subset of the given size with full
-    rank, found greedily (valid by the matroid exchange property)."""
+    rank (the greedy choice, unique by the matroid exchange property).
+
+    One fraction-free (Bareiss) elimination takes the rows in their
+    order: a row whose free entries have all been eliminated lies in the
+    span of the rows chosen before it and is dropped, any other row is
+    chosen and pivots on its first nonzero free column. Every entry stays
+    a minor of the input, so each division is exact.
+    """
+    work = matrix.to_lists()
+    free = list(range(matrix.cols))
     chosen: list[int] = []
-    all_cols = tuple(range(matrix.cols))
-    for i in range(matrix.rows):
-        cand = chosen + [i]
-        if rank_exact(matrix.submatrix(cand, all_cols)).rank == len(cand):
-            chosen = cand
-            if len(chosen) == target:
-                return tuple(chosen)
+    prev = matrix.ring.one()
+    for i, row in enumerate(work):
+        j = next((j for j in free if not row[j].is_zero), None)
+        if j is None:
+            continue
+        chosen.append(i)
+        if len(chosen) == target:
+            return tuple(chosen)
+        free.remove(j)
+        piv = row[j]
+        for later in work[i + 1 :]:
+            head = later[j]
+            for c in free:
+                later[c] = (piv * later[c] - head * row[c]).exact_div(prev)
+        prev = piv
     raise NotCorankOne(f"matrix rank is below {target}")
 
 
@@ -125,13 +142,17 @@ def local_equations(x: CompleteIntersection, point: LineChartPoint) -> LocalEqua
     Raises NotCorankOne when the line is free (corank 0) or the drop is
     deeper than one (corank >= 2, unsupported).
     """
-    return _local_equations_from(x, nonfree_matrix(x, at=point))
+    nf = nonfree_matrix(x, at=point)
+    return _local_equations_from(x, nf, rank_exact(nf.matrix).rank)
 
 
-def _local_equations_from(x: CompleteIntersection, nf: NonFreeMatrix) -> LocalEquations:
+def _local_equations_from(
+    x: CompleteIntersection, nf: NonFreeMatrix, rank: int
+) -> LocalEquations:
+    """local_equations at the line of the evaluated M(h) `nf`, whose rank
+    is `rank`."""
     point = nf.at
     total = x.ci_type.total_degree
-    rank = rank_exact(nf.matrix).rank
     corank = total - rank
     if corank != 1:
         raise NotCorankOne(
@@ -162,18 +183,19 @@ def _local_equations_from(x: CompleteIntersection, nf: NonFreeMatrix) -> LocalEq
 
 
 def jacobian_def_matrix(
-    x: CompleteIntersection, nf: NonFreeMatrix
+    x: CompleteIntersection, nf: NonFreeMatrix, rank: int
 ) -> tuple[ExactMatrix, LocalEquations]:
     """The (|d|+r+m) x 2(N-1) derivative matrix at the chart line of the
     evaluated M(h) `nf`, as nonfree_matrix(x, at=point) returns it, and
-    the local equations whose rows it holds.
+    the local equations whose rows it holds; `rank` is the rank of
+    `nf.matrix`.
 
     Rows come in the order f^1_0, ..., f^r_{d^r}, g_1, ..., g_m; the
     f-rows are assembled from `nf` by the coefficient shift, the g-rows
     by differentiating the bordered minors.
     """
     vals = nf.value_rows()  # vals[j][block i offset + k]
-    equations = _local_equations_from(x, nf)
+    equations = _local_equations_from(x, nf, rank)
     n = x.n
     degrees = x.ci_type.degrees
     ring = x.coeff_ring
@@ -226,7 +248,7 @@ def expected_pair_report(
     if corank >= 2:
         return SmoothnessReport("NotSmoothOrExcess", required, nf.matrix, rk.rank, corank)
 
-    jac, eqs = jacobian_def_matrix(x, nf)
+    jac, eqs = jacobian_def_matrix(x, nf, rk.rank)
     jrk = rank_exact(jac)
     smooth = jrk.rank == required
     # |d|+r+m with m = N-|d| collapses to N+r; expected local dimension

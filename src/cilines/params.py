@@ -13,6 +13,8 @@ the exponent vector), which fixes printing, equality and leading terms.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from heapq import heappop, heappush
+from operator import add, neg, sub
 from typing import Iterable, Mapping
 
 from .errors import InexactDivision, ParameterPresent, RingMismatch, UnknownVariable
@@ -23,6 +25,16 @@ Exps = tuple[int, ...]
 
 def grlex_key(exps: Exps) -> tuple[int, Exps]:
     return (sum(exps), exps)
+
+
+def _term_key(term: tuple[Exps, Scalar]) -> tuple[int, Exps]:
+    exps = term[0]
+    return (sum(exps), exps)
+
+
+def _heap_key(exps: Exps) -> tuple[int, Exps, Exps]:
+    """Min-heap key that pops exponents in descending grlex order."""
+    return (-sum(exps), tuple(map(neg, exps)), exps)
 
 
 @dataclass(frozen=True)
@@ -44,7 +56,7 @@ class ParamRing:
         return ParamScalar(self, ())
 
     def one(self) -> "ParamScalar":
-        return self.const(self.field.one)
+        return ParamScalar(self, (((0,) * self.k, self.field.one),))
 
     def const(self, value: int | Scalar) -> "ParamScalar":
         v = self.field.make(value)
@@ -61,9 +73,10 @@ class ParamRing:
         return ParamScalar(self, ((exps, self.field.one),))
 
     def from_terms(self, terms: Mapping[Exps, Scalar]) -> "ParamScalar":
-        clean = {e: c for e, c in terms.items() if not self.field.is_zero(c)}
-        ordered = tuple(sorted(clean.items(), key=lambda t: grlex_key(t[0]), reverse=True))
-        return ParamScalar(self, ordered)
+        clean = [t for t in terms.items() if t[1]]  # field zeros are falsy
+        if len(clean) > 1:
+            clean.sort(key=_term_key, reverse=True)
+        return ParamScalar(self, tuple(clean))
 
     def __str__(self) -> str:
         return f"{self.field}[{', '.join(self.names)}]"
@@ -103,6 +116,11 @@ class ParamScalar:
         return self.terms[0]
 
     # -- ring operations -------------------------------------------------
+    #
+    # An operand that is a ParamScalar of the very same ring object skips
+    # _coerce; anything else goes through it and its RingMismatch check.
+    # Over a ring with no parameters (k = 0) a scalar has at most the one
+    # term ((), v), so the constant fast paths work on that term directly.
 
     def _coerce(self, other) -> "ParamScalar":
         if isinstance(other, ParamScalar):
@@ -114,41 +132,81 @@ class ParamScalar:
         return NotImplemented  # type: ignore[return-value]
 
     def __add__(self, other) -> "ParamScalar":
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        f = self.ring.field
-        acc = dict(self.terms)
-        for e, c in other.terms:
-            acc[e] = f.add(acc.get(e, f.zero), c)
-        return self.ring.from_terms(acc)
+        if other.__class__ is not ParamScalar or other.ring is not self.ring:
+            other = self._coerce(other)
+            if other is NotImplemented:
+                return NotImplemented
+        return self._merge(other, False)
 
     __radd__ = __add__
 
     def __neg__(self) -> "ParamScalar":
         f = self.ring.field
+        if not self.ring.names:
+            return ParamScalar(self.ring, (((), f.neg(self.terms[0][1])),) if self.terms else ())
         return ParamScalar(self.ring, tuple((e, f.neg(c)) for e, c in self.terms))
 
     def __sub__(self, other) -> "ParamScalar":
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self + (-other)
+        if other.__class__ is not ParamScalar or other.ring is not self.ring:
+            other = self._coerce(other)
+            if other is NotImplemented:
+                return NotImplemented
+        return self._merge(other, True)
+
+    def _merge(self, other: "ParamScalar", negate: bool) -> "ParamScalar":
+        """self + other, or self - other when negate is set."""
+        if not other.terms:
+            return self
+        if not self.terms:
+            return -other if negate else other
+        ring = self.ring
+        f = ring.field
+        op = f.sub if negate else f.add
+        if not ring.names:
+            c = op(self.terms[0][1], other.terms[0][1])
+            return ParamScalar(ring, (((), c),) if c else ())
+        acc = dict(self.terms)
+        for e, c in other.terms:
+            if e in acc:
+                acc[e] = op(acc[e], c)
+            else:
+                acc[e] = f.neg(c) if negate else c
+        return ring.from_terms(acc)
 
     def __rsub__(self, other) -> "ParamScalar":
         return (-self) + other
 
     def __mul__(self, other) -> "ParamScalar":
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        f = self.ring.field
+        ring = self.ring
+        if other.__class__ is not ParamScalar or other.ring is not ring:
+            other = self._coerce(other)
+            if other is NotImplemented:
+                return NotImplemented
+        if not self.terms:
+            return self
+        if not other.terms:
+            return other
+        f = ring.field
+        if not ring.names:
+            # a field has no zero divisors, so the product term is nonzero
+            return ParamScalar(ring, (((), f.mul(self.terms[0][1], other.terms[0][1])),))
+        if len(self.terms) > len(other.terms):
+            self, other = other, self
+        fmul = f.mul
+        if len(self.terms) == 1:
+            # a monomial factor keeps the order of the other factor's terms
+            e1, c1 = self.terms[0]
+            return ParamScalar(
+                ring, tuple((tuple(map(add, e1, e2)), fmul(c1, c2)) for e2, c2 in other.terms)
+            )
+        fadd = f.add
         acc: dict[Exps, Scalar] = {}
         for e1, c1 in self.terms:
             for e2, c2 in other.terms:
-                e = tuple(x + y for x, y in zip(e1, e2))
-                acc[e] = f.add(acc.get(e, f.zero), f.mul(c1, c2))
-        return self.ring.from_terms(acc)
+                e = tuple(map(add, e1, e2))
+                c = fmul(c1, c2)
+                acc[e] = fadd(acc[e], c) if e in acc else c
+        return ring.from_terms(acc)
 
     __rmul__ = __mul__
 
@@ -171,33 +229,50 @@ class ParamScalar:
 
         Leading-term elimination in graded-lex order; raises
         InexactDivision whenever the division would leave a remainder.
+        The exponents of the remainder wait in a heap, so each step pops
+        the leading term; an exponent whose coefficient cancelled stays
+        in the heap and is skipped when it comes up.
         """
-        divisor = self._coerce(divisor)
-        if divisor.is_zero:
+        ring = self.ring
+        if divisor.__class__ is not ParamScalar or divisor.ring is not ring:
+            divisor = self._coerce(divisor)
+        if not divisor.terms:
             raise ZeroDivisionError("division by zero polynomial")
-        f = self.ring.field
-        if divisor.is_constant:
-            inv = f.inv(divisor.constant_value())
-            return ParamScalar(self.ring, tuple((e, f.mul(c, inv)) for e, c in self.terms))
-        de, dc = divisor.leading()
+        f = ring.field
+        fmul = f.mul
+        (de, dc), *rest = divisor.terms
+        inv = f.inv(dc)
+        if not ring.names:
+            return ParamScalar(ring, (((), fmul(self.terms[0][1], inv)),) if self.terms else ())
+        if not rest and not any(de):  # a constant divisor
+            return ParamScalar(ring, tuple((e, fmul(c, inv)) for e, c in self.terms))
+        tail = [(e, f.neg(c)) for e, c in rest]
+        fadd = f.add
         num = dict(self.terms)
-        quo: dict[Exps, Scalar] = {}
-        while num:
-            le = max(num, key=grlex_key)
-            lc = num[le]
-            qe = tuple(a - b for a, b in zip(le, de))
-            if any(x < 0 for x in qe):
+        heap = [_heap_key(e) for e, _ in self.terms]  # sorted, hence a heap
+        quo: list[tuple[Exps, Scalar]] = []  # comes out in descending order
+        while heap:
+            le = heappop(heap)[2]
+            lc = num.pop(le, None)
+            if lc is None:
+                continue
+            qe = tuple(map(sub, le, de))
+            if min(qe) < 0:
                 raise InexactDivision(f"{divisor} does not divide exactly")
-            qc = f.div(lc, dc)
-            quo[qe] = f.add(quo.get(qe, f.zero), qc)
-            for e2, c2 in divisor.terms:
-                e = tuple(a + b for a, b in zip(qe, e2))
-                v = f.sub(num.get(e, f.zero), f.mul(qc, c2))
-                if f.is_zero(v):
-                    num.pop(e, None)
+            qc = fmul(lc, inv)
+            quo.append((qe, qc))
+            for e2, c2 in tail:
+                e = tuple(map(add, qe, e2))
+                if e in num:
+                    v = fadd(num[e], fmul(qc, c2))
+                    if v:
+                        num[e] = v
+                    else:
+                        del num[e]
                 else:
-                    num[e] = v
-        return self.ring.from_terms(quo)
+                    num[e] = fmul(qc, c2)
+                    heappush(heap, _heap_key(e))
+        return ParamScalar(ring, tuple(quo))
 
     # -- evaluation ---------------------------------------------------------
 

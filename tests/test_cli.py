@@ -133,6 +133,27 @@ def test_one_report_builds_m_h_once(capsys, tmp_path, monkeypatch):
     assert len(calls) == 1
 
 
+def test_classify_line_takes_the_normal_splitting_once(capsys, tmp_path, monkeypatch):
+    """The tangent splitting is read off the printed normal splitting."""
+    import cilines.bundles as bundles
+    import cilines.cli as cli
+
+    calls = []
+    split = bundles.normal_splitting_line
+
+    def counted(x, point):
+        calls.append(point)
+        return split(x, point)
+
+    monkeypatch.setattr(bundles, "normal_splitting_line", counted)
+    monkeypatch.setattr(cli, "normal_splitting_line", counted)
+    path = write_problem(tmp_path, "cubic.ci", CUBIC_F7_CORANK_1)
+    code, out = run(capsys, "classify-line", path)
+    report = json.loads(out)
+    assert code == 0 and len(calls) == 1
+    assert report["tangent_splitting"] == sorted([2] + report["normal_splitting"], reverse=True)
+
+
 def test_classify_line_not_contained_exits_2(capsys, tmp_path):
     text = QUADRIC_F3.replace("line: 0, 0 | 0, 0", "line: 1, 0 | 0, 0")
     path = write_problem(tmp_path, "off.ci", text)

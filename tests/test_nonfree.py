@@ -4,11 +4,13 @@ import pytest
 
 from cilines.chart import chart_ring, membership_system, nonfree_matrix
 from cilines.errors import LineNotContained, NotCorankOne
-from cilines.exactmatrix import rank_exact
+from cilines.exactmatrix import ExactMatrix, rank_exact
 from cilines.families import FamilySpec, build_family, family_report
 from cilines.fields import RATIONALS, prime_field
 from cilines.geometry import LineChartPoint
+from cilines.params import ParamRing
 from cilines.nonfree import (
+    _lex_first_independent,
     expected_pair_report,
     jacobian_def_matrix,
     local_equations,
@@ -16,8 +18,14 @@ from cilines.nonfree import (
 )
 from cilines.polytext import parse_poly
 
+from conftest import random_scalar
 from test_chart import make_ci
 from test_exactmatrix import gaussian_rank_oracle
+
+
+def jacobian_at(x, point):
+    nf = nonfree_matrix(x, at=point)
+    return jacobian_def_matrix(x, nf, rank_exact(nf.matrix).rank)
 
 
 def built_4_6():
@@ -80,14 +88,14 @@ def test_local_equations_rejects_off_line():
 
 def test_jacobian_rank_4_6_is_7():
     built = built_4_6()
-    jac, _ = jacobian_def_matrix(built.x, nonfree_matrix(built.x, at=built.line))
+    jac, _ = jacobian_at(built.x, built.line)
     assert jac.rows == 7 and jac.cols == 10
     assert rank_exact(jac).rank == 7
 
 
 def test_jacobian_rank_ci_4_3_p9_is_11():
     built = build_family(FamilySpec("ci-4-3-P9"), RATIONALS)
-    jac, _ = jacobian_def_matrix(built.x, nonfree_matrix(built.x, at=built.line))
+    jac, _ = jacobian_at(built.x, built.line)
     assert rank_exact(jac).rank == 11
 
 
@@ -96,7 +104,7 @@ def test_jacobian_rank_general_family_odd_gap(n, d):
     # with N - d odd the derivative matrix reaches the full N + 1
     assert (n - d) % 2 == 1
     built = build_family(FamilySpec("hyp-general", n, (d,)), RATIONALS)
-    jac, _ = jacobian_def_matrix(built.x, nonfree_matrix(built.x, at=built.line))
+    jac, _ = jacobian_at(built.x, built.line)
     assert rank_exact(jac).rank == n + 1
 
 
@@ -105,7 +113,7 @@ def test_jacobian_f_rows_match_direct_differentiation():
     differentiating the membership polynomials."""
     built = build_family(FamilySpec("quadrics-general", 7, (2, 2)), RATIONALS)
     x, point = built.x, built.line
-    jac, _ = jacobian_def_matrix(x, nonfree_matrix(x, at=point))
+    jac, _ = jacobian_at(x, point)
     ms = membership_system(x)
     vals = point.values(x.n)
     avars = [f"a{j}" for j in range(1, x.n)]
@@ -126,7 +134,7 @@ def test_quadrics_p7_rank_9_against_independent_oracle():
     required |d|+r+m), checked with a plain Gaussian elimination that
     shares no code with the fraction-free path."""
     built = build_family(FamilySpec("quadrics-general", 7, (2, 2)), RATIONALS)
-    jac, eqs = jacobian_def_matrix(built.x, nonfree_matrix(built.x, at=built.line))
+    jac, eqs = jacobian_at(built.x, built.line)
     assert eqs.count == 3
     raw = [[e.constant_value() for e in jac.row(i)] for i in range(jac.rows)]
     assert gaussian_rank_oracle(RATIONALS, raw) == 9
@@ -214,3 +222,57 @@ def test_sampled_mode_report():
     built, rep = family_report(FamilySpec("hyp-4-6", c_mode="sampled", seed=1), RATIONALS)
     assert rep.verdict == "SmoothExpectedDim"
     assert built.x.coeff_ring.k == 0  # parameters are baked in
+
+
+def greedy_independent_rows(matrix, target):
+    """Reference: add row i when it raises the rank of the rows chosen so far."""
+    chosen = []
+    for i in range(matrix.rows):
+        cand = chosen + [i]
+        if rank_exact(matrix.submatrix(cand, range(matrix.cols))).rank == len(cand):
+            chosen = cand
+            if len(chosen) == target:
+                return tuple(chosen)
+    return None
+
+
+def test_lex_first_rows_match_the_greedy_rank_test(rng):
+    for field in (RATIONALS, prime_field(2), prime_field(3)):
+        for names in ((), ("c1", "c2")):
+            ring = ParamRing(field, names)
+            for _ in range(30):
+                rows, cols, inner = rng.randint(1, 6), rng.randint(1, 5), rng.randint(1, 4)
+                a = [[random_scalar(rng, ring, 1, 2) for _ in range(inner)] for _ in range(rows)]
+                b = [[random_scalar(rng, ring, 1, 2) for _ in range(cols)] for _ in range(inner)]
+                zero = ring.zero()
+                grid = [
+                    [sum((a[i][l] * b[l][j] for l in range(inner)), zero) for j in range(cols)]
+                    for i in range(rows)
+                ]
+                grid.insert(rng.randint(0, rows), grid[rng.randrange(rows)])  # a repeated row
+                m = ExactMatrix.from_rows(ring, grid)
+                for target in range(1, min(m.rows, m.cols) + 1):
+                    want = greedy_independent_rows(m, target)
+                    if want is None:
+                        with pytest.raises(NotCorankOne):
+                            _lex_first_independent(m, target)
+                    else:
+                        assert _lex_first_independent(m, target) == want
+
+
+def test_corank_one_report_takes_two_ranks(monkeypatch):
+    """One rank of M(h) and one of the Jacobian; the pivot search and the
+    local equations take none of their own."""
+    import cilines.nonfree as nonfree
+
+    calls = []
+
+    def counted(m):
+        calls.append((m.rows, m.cols))
+        return rank_exact(m)
+
+    monkeypatch.setattr(nonfree, "rank_exact", counted)
+    built = built_4_6()
+    rep = expected_pair_report(built.x, built.line)
+    assert rep.corank == 1 and rep.equations.pivot_rows == (0, 1, 2)
+    assert len(calls) == 2

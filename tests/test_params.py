@@ -1,7 +1,12 @@
 import pytest
 
+from cilines.chart import nonfree_matrix
 from cilines.errors import InexactDivision, ParameterPresent, RingMismatch
+from cilines.exactmatrix import ExactMatrix, det
+from cilines.families import FamilySpec, build_family
 from cilines.fields import RATIONALS, prime_field
+from cilines.multipoly import flatten, flatten_ring
+from cilines.nonfree import local_equations
 from cilines.params import ParamRing
 
 from conftest import random_scalar
@@ -79,3 +84,159 @@ def test_str_is_deterministic_and_readable():
     assert str(p) == "c1^2*c2 - 3*c2 + 1"
     assert str(r.zero()) == "0"
     assert str(-r.one()) == "-1"
+
+
+# -- the scalar kernel against a naive dict-and-sort reference -------------------
+
+KERNEL_FIELDS = (RATIONALS, prime_field(2), prime_field(7))
+
+
+def naive_terms(field, acc):
+    """Canonical terms of an exponent -> coefficient dict, the plain way."""
+    kept = [(e, c) for e, c in acc.items() if not field.is_zero(c)]
+    return tuple(sorted(kept, key=lambda t: (sum(t[0]), t[0]), reverse=True))
+
+
+def naive_add(a, b, sign=1):
+    f = a.ring.field
+    acc = dict(a.terms)
+    for e, c in b.terms:
+        acc[e] = f.add(acc.get(e, f.zero), c if sign > 0 else f.neg(c))
+    return naive_terms(f, acc)
+
+
+def naive_mul(a, b):
+    f = a.ring.field
+    acc = {}
+    for e1, c1 in a.terms:
+        for e2, c2 in b.terms:
+            e = tuple(x + y for x, y in zip(e1, e2))
+            acc[e] = f.add(acc.get(e, f.zero), f.mul(c1, c2))
+    return naive_terms(f, acc)
+
+
+def kernel_rings():
+    for field in KERNEL_FIELDS:
+        for names in ((), ("c1",), ("c1", "c2", "c3")):
+            yield ParamRing(field, names)
+
+
+def test_kernel_matches_naive_reference(rng):
+    for r in kernel_rings():
+        for _ in range(60):
+            a = random_scalar(rng, r, n_terms=rng.randint(0, 6))
+            b = random_scalar(rng, r, n_terms=rng.randint(0, 6))
+            if rng.random() < 0.25:
+                b = random_scalar(rng, r, n_terms=2) - a  # a + b cancels a's terms
+            assert (a + b).terms == naive_add(a, b)
+            assert (a - b).terms == naive_add(a, b, -1)
+            assert (a - a).terms == ()
+            assert (a * b).terms == naive_mul(a, b)
+            assert (-a).terms == naive_add(r.zero(), a, -1)
+            n = rng.randint(-9, 9)
+            assert (a * n).terms == (n * a).terms == naive_mul(a, r.const(n))
+            assert (a + n).terms == (n + a).terms == naive_add(a, r.const(n))
+            assert (n - a).terms == naive_add(r.const(n), a, -1)
+
+
+def test_exact_division_by_many_term_divisors(rng):
+    for r in kernel_rings():
+        for _ in range(25):
+            a = random_scalar(rng, r, max_deg=4, n_terms=rng.randint(1, 8))
+            b = random_scalar(rng, r, max_deg=4, n_terms=rng.randint(4, 9))
+            if b.is_zero:
+                continue
+            assert (a * b).exact_div(b) == a
+            if not a.is_zero:
+                assert (a * b).exact_div(a) == b
+
+
+def test_inexact_division_raises_when_a_remainder_is_left(rng):
+    for field in KERNEL_FIELDS:
+        r = ParamRing(field, ("c1", "c2", "c3"))
+        c1, c2 = r.var("c1"), r.var("c2")
+        # c1^2 + c1 + 1 = c1 (c1 + 1) + 1: the leading term divides, 1 is left
+        with pytest.raises(InexactDivision):
+            (c1 * c1 + c1 + 1).exact_div(c1 + 1)
+        for _ in range(20):
+            a = random_scalar(rng, r, n_terms=4)
+            b = random_scalar(rng, r, n_terms=4)
+            if a.is_zero or b.is_constant:
+                continue
+            # the leading term of a*b + 1 is divisible by b's, but a
+            # non-constant b cannot divide the unit left over
+            with pytest.raises(InexactDivision):
+                (a * b + 1).exact_div(b)
+
+
+def test_ring_mismatch_on_fast_and_slow_paths():
+    pairs = [
+        (ParamRing(RATIONALS), ParamRing(prime_field(7))),  # constant fast path
+        (ParamRing(prime_field(7), ("c1",)), ParamRing(prime_field(7), ("c2",))),
+        (ring_q("c1"), ring_q("c1", "c2")),
+    ]
+    for r1, r2 in pairs:
+        a, b = r1.const(3), r2.const(5)
+        for op in (
+            lambda: a + b,
+            lambda: a - b,
+            lambda: a * b,
+            lambda: a.exact_div(b),
+            lambda: r1.zero() * b,
+            lambda: r1.zero() + r2.zero(),
+        ):
+            with pytest.raises(RingMismatch):
+                op()
+
+
+def test_equal_but_distinct_rings_are_accepted():
+    for field in KERNEL_FIELDS:
+        for names in ((), ("c1", "c2")):
+            r1, r2 = ParamRing(field, names), ParamRing(field, names)
+            assert r1 is not r2 and r1 == r2
+            a, b = r1.const(3), r2.const(5)  # nonzero in every field
+            assert (a + b) == r1.const(8)
+            assert (a - b) == r1.const(-2)
+            assert (a * b) == r1.const(15)
+            assert (a * b).exact_div(b) == a
+            if names:
+                c1 = r1.var("c1")
+                p = c1 * r2.var("c1") + r2.var("c2")
+                assert p.exact_div(r2.const(1)) == p
+                assert (p * (c1 + 1)).exact_div(r2.var("c1") + 1) == p
+
+
+def to_sympy(sympy, p, symbols):
+    out = sympy.Integer(0)
+    for e, c in p.terms:
+        mono = sympy.Rational(c.numerator, c.denominator)
+        for sym, x in zip(symbols, e):
+            mono *= sym**x
+        out += mono
+    return out
+
+
+def test_bordered_minor_det_matches_sympy(rng):
+    sympy = pytest.importorskip("sympy")
+    built = build_family(FamilySpec("hyp-general", n=6, degrees=(3,)), RATIONALS)
+    x = built.x
+    nf = nonfree_matrix(x)
+    flat = flatten_ring(nf.entries_ab[0][0].ring)
+    symbols = sympy.symbols(flat.names)
+    sym_rows = [[flatten(e, flat) for e in row] for row in nf.entries_ab]
+    eqs = local_equations(x, built.line)
+    checked = 0
+    for extra in range(x.n - 1):
+        if extra in eqs.pivot_rows:
+            continue
+        rows = [sym_rows[i] for i in sorted((*eqs.pivot_rows, extra))]
+        assert len(rows) == len(rows[0]) == 3
+        # scaled by random factors too, so Bareiss divides by many-term pivots
+        scaled = [[e * random_scalar(rng, flat, n_terms=3) for e in row] for row in rows]
+        for grid in (rows, scaled):
+            ours = det(ExactMatrix.from_rows(flat, grid))
+            assert not ours.is_zero
+            theirs = sympy.Matrix([[to_sympy(sympy, e, symbols) for e in row] for row in grid])
+            assert sympy.expand(to_sympy(sympy, ours, symbols) - theirs.det()) == 0
+            checked += 1
+    assert checked == 6
