@@ -96,9 +96,10 @@ class SmoothnessReport:
         return bool(self.corank)
 
 
-def _lex_first_independent(matrix: ExactMatrix, target: int) -> tuple[int, ...]:
-    """Lexicographically first row subset of the given size with full
-    rank (the greedy choice, unique by the matroid exchange property).
+def _lex_first_basis(matrix: ExactMatrix) -> tuple[int, ...]:
+    """The lexicographically first rows that form a basis of the row
+    space (the greedy choice, unique by the matroid exchange property);
+    their number is the rank.
 
     One fraction-free (Bareiss) elimination takes the rows in their
     order: a row whose free entries have all been eliminated lies in the
@@ -115,8 +116,6 @@ def _lex_first_independent(matrix: ExactMatrix, target: int) -> tuple[int, ...]:
         if j is None:
             continue
         chosen.append(i)
-        if len(chosen) == target:
-            return tuple(chosen)
         free.remove(j)
         piv = row[j]
         for later in work[i + 1 :]:
@@ -124,13 +123,7 @@ def _lex_first_independent(matrix: ExactMatrix, target: int) -> tuple[int, ...]:
             for c in free:
                 later[c] = (piv * later[c] - head * row[c]).exact_div(prev)
         prev = piv
-    raise NotCorankOne(f"matrix rank is below {target}")
-
-
-def _lex_first_pivot(matrix: ExactMatrix, size: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    rows = _lex_first_independent(matrix, size)
-    cols = _lex_first_independent(matrix.submatrix(rows, range(matrix.cols)).transpose(), size)
-    return rows, cols
+    return tuple(chosen)
 
 
 def local_equations(x: CompleteIntersection, point: LineChartPoint) -> LocalEquations:
@@ -142,25 +135,24 @@ def local_equations(x: CompleteIntersection, point: LineChartPoint) -> LocalEqua
     Raises NotCorankOne when the line is free (corank 0) or the drop is
     deeper than one (corank >= 2, unsupported).
     """
-    nf = nonfree_matrix(x, at=point)
-    return _local_equations_from(x, nf, rank_exact(nf.matrix).rank)
+    return _local_equations_from(x, nonfree_matrix(x, at=point))
 
 
-def _local_equations_from(
-    x: CompleteIntersection, nf: NonFreeMatrix, rank: int
-) -> LocalEquations:
-    """local_equations at the line of the evaluated M(h) `nf`, whose rank
-    is `rank`."""
+def _local_equations_from(x: CompleteIntersection, nf: NonFreeMatrix) -> LocalEquations:
+    """local_equations at the line of the evaluated M(h) `nf`; the rank
+    of M(h) is the size of its lex-first row basis."""
     point = nf.at
     total = x.ci_type.total_degree
-    corank = total - rank
+    pivot_rows = _lex_first_basis(nf.matrix)
+    corank = total - len(pivot_rows)
     if corank != 1:
         raise NotCorankOne(
             f"corank is {corank}, not 1 "
             + ("(the line is free)" if corank == 0 else "(deeper drops are unsupported)")
         )
-    size = total - 1
-    pivot_rows, pivot_cols = _lex_first_pivot(nf.matrix, size)
+    pivot_cols = _lex_first_basis(
+        nf.matrix.submatrix(pivot_rows, range(nf.matrix.cols)).transpose()
+    )
     pivot_det = det(nf.matrix.submatrix(pivot_rows, pivot_cols))
 
     ab = chart_ring(x.coeff_ring, x.n)
@@ -183,19 +175,18 @@ def _local_equations_from(
 
 
 def jacobian_def_matrix(
-    x: CompleteIntersection, nf: NonFreeMatrix, rank: int
+    x: CompleteIntersection, nf: NonFreeMatrix
 ) -> tuple[ExactMatrix, LocalEquations]:
     """The (|d|+r+m) x 2(N-1) derivative matrix at the chart line of the
     evaluated M(h) `nf`, as nonfree_matrix(x, at=point) returns it, and
-    the local equations whose rows it holds; `rank` is the rank of
-    `nf.matrix`.
+    the local equations whose rows it holds.
 
     Rows come in the order f^1_0, ..., f^r_{d^r}, g_1, ..., g_m; the
     f-rows are assembled from `nf` by the coefficient shift, the g-rows
     by differentiating the bordered minors.
     """
     vals = nf.value_rows()  # vals[j][block i offset + k]
-    equations = _local_equations_from(x, nf, rank)
+    equations = _local_equations_from(x, nf)
     n = x.n
     degrees = x.ci_type.degrees
     ring = x.coeff_ring
@@ -248,7 +239,7 @@ def expected_pair_report(
     if corank >= 2:
         return SmoothnessReport("NotSmoothOrExcess", required, nf.matrix, rk.rank, corank)
 
-    jac, eqs = jacobian_def_matrix(x, nf, rk.rank)
+    jac, eqs = jacobian_def_matrix(x, nf)
     jrk = rank_exact(jac)
     smooth = jrk.rank == required
     # |d|+r+m with m = N-|d| collapses to N+r; expected local dimension

@@ -117,12 +117,14 @@ class ParamScalar:
 
     # -- ring operations -------------------------------------------------
     #
-    # An operand that is a ParamScalar of the very same ring object skips
-    # _coerce; anything else goes through it and its RingMismatch check.
-    # Over a ring with no parameters (k = 0) a scalar has at most the one
+    # _coerce returns an operand that is a ParamScalar of the very same
+    # ring object as it is; anything else is converted or checked there
+    # (RingMismatch). Over a ring with no parameters (k = 0) a scalar has at most the one
     # term ((), v), so the constant fast paths work on that term directly.
 
     def _coerce(self, other) -> "ParamScalar":
+        if other.__class__ is ParamScalar and other.ring is self.ring:
+            return other
         if isinstance(other, ParamScalar):
             if other.ring != self.ring:
                 raise RingMismatch(f"mixed rings {self.ring} and {other.ring}")
@@ -132,10 +134,9 @@ class ParamScalar:
         return NotImplemented  # type: ignore[return-value]
 
     def __add__(self, other) -> "ParamScalar":
-        if other.__class__ is not ParamScalar or other.ring is not self.ring:
-            other = self._coerce(other)
-            if other is NotImplemented:
-                return NotImplemented
+        other = self._coerce(other)
+        if other is NotImplemented:
+            return NotImplemented
         return self._merge(other, False)
 
     __radd__ = __add__
@@ -147,10 +148,9 @@ class ParamScalar:
         return ParamScalar(self.ring, tuple((e, f.neg(c)) for e, c in self.terms))
 
     def __sub__(self, other) -> "ParamScalar":
-        if other.__class__ is not ParamScalar or other.ring is not self.ring:
-            other = self._coerce(other)
-            if other is NotImplemented:
-                return NotImplemented
+        other = self._coerce(other)
+        if other is NotImplemented:
+            return NotImplemented
         return self._merge(other, True)
 
     def _merge(self, other: "ParamScalar", negate: bool) -> "ParamScalar":
@@ -177,28 +177,19 @@ class ParamScalar:
         return (-self) + other
 
     def __mul__(self, other) -> "ParamScalar":
-        ring = self.ring
-        if other.__class__ is not ParamScalar or other.ring is not ring:
-            other = self._coerce(other)
-            if other is NotImplemented:
-                return NotImplemented
+        other = self._coerce(other)
+        if other is NotImplemented:
+            return NotImplemented
         if not self.terms:
             return self
         if not other.terms:
             return other
+        ring = self.ring
         f = ring.field
         if not ring.names:
             # a field has no zero divisors, so the product term is nonzero
             return ParamScalar(ring, (((), f.mul(self.terms[0][1], other.terms[0][1])),))
-        if len(self.terms) > len(other.terms):
-            self, other = other, self
         fmul = f.mul
-        if len(self.terms) == 1:
-            # a monomial factor keeps the order of the other factor's terms
-            e1, c1 = self.terms[0]
-            return ParamScalar(
-                ring, tuple((tuple(map(add, e1, e2)), fmul(c1, c2)) for e2, c2 in other.terms)
-            )
         fadd = f.add
         acc: dict[Exps, Scalar] = {}
         for e1, c1 in self.terms:
@@ -234,8 +225,7 @@ class ParamScalar:
         in the heap and is skipped when it comes up.
         """
         ring = self.ring
-        if divisor.__class__ is not ParamScalar or divisor.ring is not ring:
-            divisor = self._coerce(divisor)
+        divisor = self._coerce(divisor)
         if not divisor.terms:
             raise ZeroDivisionError("division by zero polynomial")
         f = ring.field

@@ -10,7 +10,7 @@ from cilines.fields import RATIONALS, prime_field
 from cilines.geometry import LineChartPoint
 from cilines.params import ParamRing
 from cilines.nonfree import (
-    _lex_first_independent,
+    _lex_first_basis,
     expected_pair_report,
     jacobian_def_matrix,
     local_equations,
@@ -21,11 +21,6 @@ from cilines.polytext import parse_poly
 from conftest import random_scalar
 from test_chart import make_ci
 from test_exactmatrix import gaussian_rank_oracle
-
-
-def jacobian_at(x, point):
-    nf = nonfree_matrix(x, at=point)
-    return jacobian_def_matrix(x, nf, rank_exact(nf.matrix).rank)
 
 
 def built_4_6():
@@ -88,14 +83,14 @@ def test_local_equations_rejects_off_line():
 
 def test_jacobian_rank_4_6_is_7():
     built = built_4_6()
-    jac, _ = jacobian_at(built.x, built.line)
+    jac, _ = jacobian_def_matrix(built.x, nonfree_matrix(built.x, at=built.line))
     assert jac.rows == 7 and jac.cols == 10
     assert rank_exact(jac).rank == 7
 
 
 def test_jacobian_rank_ci_4_3_p9_is_11():
     built = build_family(FamilySpec("ci-4-3-P9"), RATIONALS)
-    jac, _ = jacobian_at(built.x, built.line)
+    jac, _ = jacobian_def_matrix(built.x, nonfree_matrix(built.x, at=built.line))
     assert rank_exact(jac).rank == 11
 
 
@@ -104,7 +99,7 @@ def test_jacobian_rank_general_family_odd_gap(n, d):
     # with N - d odd the derivative matrix reaches the full N + 1
     assert (n - d) % 2 == 1
     built = build_family(FamilySpec("hyp-general", n, (d,)), RATIONALS)
-    jac, _ = jacobian_at(built.x, built.line)
+    jac, _ = jacobian_def_matrix(built.x, nonfree_matrix(built.x, at=built.line))
     assert rank_exact(jac).rank == n + 1
 
 
@@ -113,7 +108,7 @@ def test_jacobian_f_rows_match_direct_differentiation():
     differentiating the membership polynomials."""
     built = build_family(FamilySpec("quadrics-general", 7, (2, 2)), RATIONALS)
     x, point = built.x, built.line
-    jac, _ = jacobian_at(x, point)
+    jac, _ = jacobian_def_matrix(x, nonfree_matrix(x, at=point))
     ms = membership_system(x)
     vals = point.values(x.n)
     avars = [f"a{j}" for j in range(1, x.n)]
@@ -134,7 +129,7 @@ def test_quadrics_p7_rank_9_against_independent_oracle():
     required |d|+r+m), checked with a plain Gaussian elimination that
     shares no code with the fraction-free path."""
     built = build_family(FamilySpec("quadrics-general", 7, (2, 2)), RATIONALS)
-    jac, eqs = jacobian_at(built.x, built.line)
+    jac, eqs = jacobian_def_matrix(built.x, nonfree_matrix(built.x, at=built.line))
     assert eqs.count == 3
     raw = [[e.constant_value() for e in jac.row(i)] for i in range(jac.rows)]
     assert gaussian_rank_oracle(RATIONALS, raw) == 9
@@ -224,16 +219,14 @@ def test_sampled_mode_report():
     assert built.x.coeff_ring.k == 0  # parameters are baked in
 
 
-def greedy_independent_rows(matrix, target):
+def greedy_independent_rows(matrix):
     """Reference: add row i when it raises the rank of the rows chosen so far."""
     chosen = []
     for i in range(matrix.rows):
         cand = chosen + [i]
         if rank_exact(matrix.submatrix(cand, range(matrix.cols))).rank == len(cand):
             chosen = cand
-            if len(chosen) == target:
-                return tuple(chosen)
-    return None
+    return tuple(chosen)
 
 
 def test_lex_first_rows_match_the_greedy_rank_test(rng):
@@ -251,13 +244,9 @@ def test_lex_first_rows_match_the_greedy_rank_test(rng):
                 ]
                 grid.insert(rng.randint(0, rows), grid[rng.randrange(rows)])  # a repeated row
                 m = ExactMatrix.from_rows(ring, grid)
-                for target in range(1, min(m.rows, m.cols) + 1):
-                    want = greedy_independent_rows(m, target)
-                    if want is None:
-                        with pytest.raises(NotCorankOne):
-                            _lex_first_independent(m, target)
-                    else:
-                        assert _lex_first_independent(m, target) == want
+                basis = _lex_first_basis(m)
+                assert basis == greedy_independent_rows(m)
+                assert len(basis) == rank_exact(m).rank
 
 
 def test_corank_one_report_takes_two_ranks(monkeypatch):
