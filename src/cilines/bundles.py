@@ -33,6 +33,7 @@ from .chart import (
     smooth_along_components,
 )
 from .errors import (
+    AllZero,
     BasePointedCover,
     ConstraintViolated,
     CurveNotOnX,
@@ -230,7 +231,7 @@ def precompose(
         raise BasePointedCover("cover components must share one positive degree")
     try:
         g = binary_gcd([u, w])
-    except Exception as exc:  # AllZero and parameter errors both disqualify
+    except (AllZero, ParameterPresent) as exc:  # both disqualify the cover
         raise BasePointedCover(f"degenerate cover: {exc}") from None
     if g.degree != 0:
         raise BasePointedCover(f"cover has the base locus of {g}")

@@ -157,35 +157,26 @@ class NonFreeMatrix:
         return self.matrix.to_lists()
 
 
-def _nonfree_entries(x: CompleteIntersection) -> tuple[tuple[MultiPoly, ...], ...]:
-    n = x.n
-    ab = chart_ring(x.coeff_ring, n)
-    rows = []
-    for j in range(1, n):
-        row: list[MultiPoly] = []
-        for form, d in zip(x.forms, x.ci_type.degrees):
-            partial = form.differentiate(f"Z{j}")
-            image = chart_image(partial, n)
-            pieces = image.split(("s", "t"))
-            vec = [ab.zero()] * d
-            for (es, et), poly in pieces.items():
-                if es + et != d - 1:
-                    raise NotHomogeneous(f"restricted partial of {form} has mixed degree")
-                vec[et] = poly
-            row.extend(vec)
-        rows.append(tuple(row))
-    return tuple(rows)
+def _nonfree_entries(ms: MembershipSystem) -> tuple[tuple[MultiPoly, ...], ...]:
+    """M(h) read off the membership system: by the chain rule
+    d(h^i o xi)/da_j = s (h^i_{Z_j} o xi), so row j, block i is the
+    a_j-derivative of (f^i_0, ..., f^i_{d^i - 1})."""
+    avars, _ = chart_variables(ms.ci_type.ambient_dim)
+    return tuple(
+        tuple(f.differentiate(a) for sys in ms.systems for f in sys[:-1]) for a in avars
+    )
 
 
 def nonfree_matrix(
     x: CompleteIntersection, at: LineChartPoint | None = None
 ) -> NonFreeMatrix:
     """Build M(h); when a chart point is given the line must lie on X."""
-    entries = _nonfree_entries(x)
+    ms = membership_system(x)
+    if at is not None and not ms.contains(at):
+        raise LineNotContained("the chart line is not on X")
+    entries = _nonfree_entries(ms)
     n = x.n
     if at is not None:
-        if not membership_system(x).contains(at):
-            raise LineNotContained(f"the chart line is not on X")
         vals = at.values(n)
         grid = [[e.evaluate(vals) for e in row] for row in entries]
         matrix = ExactMatrix.from_rows(x.coeff_ring, grid) if grid else ExactMatrix(

@@ -40,12 +40,11 @@ from .bundles import (
 )
 from .chart import (
     enumerate_lines_fq,
-    is_smooth_along_line,
     line_param,
     move_line_to_chart,
     nonfree_matrix,
 )
-from .errors import LineNotContained, ParseError, ToolkitError
+from .errors import LineNotContained, ParseError, SingularAlongLine, ToolkitError
 from .exactmatrix import rank_exact
 from .families import FamilySpec, family_report, hypothesis_gates, parse_family_spec
 from .fields import Field, RATIONALS, field_from_str, prime_field
@@ -233,10 +232,12 @@ def _cmd_classify_line(args) -> dict:
     out.update(_report_from(rep))
     out["free"] = rep.corank == 0
     if x.is_parameter_free:
-        smooth = is_smooth_along_line(x, point)
-        out["smooth_along_line"] = smooth
-        if smooth:
+        try:
             normal = normal_splitting_line(x, point)
+        except SingularAlongLine:
+            normal = None
+        out["smooth_along_line"] = normal is not None
+        if normal is not None:
             out["normal_splitting"] = list(normal.entries)
             out["tangent_splitting"] = list(tangent_splitting_from_normal(normal).entries)
             mu = line_param(point, x.coeff_ring)
@@ -272,8 +273,10 @@ def _cmd_enumerate_lines(args) -> dict:
                 "free": rank == x.ci_type.total_degree,
                 "matrix_rank": rank,
             }
-            if is_smooth_along_line(x2, point):
+            try:
                 entry["normal_splitting"] = list(normal_splitting_line(x2, point).entries)
+            except SingularAlongLine:
+                pass  # X is singular along the line: no splitting type
             detail.append(entry)
         out["classified"] = detail
     return out

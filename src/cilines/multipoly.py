@@ -14,7 +14,7 @@ curves, and all the one-variable cohomology bookkeeping, live here.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 from .errors import (
     AllZero,
@@ -24,7 +24,7 @@ from .errors import (
     UnknownVariable,
 )
 from .fields import Scalar
-from .params import Exps, ParamRing, ParamScalar, grlex_key
+from .params import Exps, ParamRing, ParamScalar, _monomial, _print_sum, grlex_key
 
 
 @dataclass(frozen=True)
@@ -88,10 +88,6 @@ class MultiPoly:
     @property
     def is_zero(self) -> bool:
         return not self.terms
-
-    @property
-    def total_degree(self) -> int:
-        return max((sum(e) for e, _ in self.terms), default=0)
 
     def homogeneous_degree(self) -> int | None:
         """The common degree of all terms, or None if mixed. Zero counts
@@ -218,7 +214,7 @@ class MultiPoly:
         target = targets.pop() if targets else self.ring
         if target.coeffs != self.ring.coeffs:
             raise RingMismatch("assignment changes the coefficient ring")
-        out = target.zero()
+        acc: dict[Exps, ParamScalar] = {}
         cache: dict[tuple[str, int], MultiPoly] = {}
         for e, c in self.terms:
             term = target.const(c)
@@ -229,8 +225,10 @@ class MultiPoly:
                 if key not in cache:
                     cache[key] = assignment[name] ** x
                 term = term * cache[key]
-            out = out + term
-        return out
+            for te, tc in term.terms:
+                prev = acc.get(te)
+                acc[te] = tc if prev is None else prev + tc
+        return target.from_terms(acc)
 
     def evaluate(self, values: Mapping[str, Scalar]) -> ParamScalar:
         """Evaluate every variable at a field element; coefficients
@@ -286,36 +284,22 @@ class MultiPoly:
 
     def __str__(self) -> str:
         return _print_sum(
-            (_monomial(self.ring.variables, e), c) for e, c in self.terms
+            (_monomial(self.ring.variables, e), *_coefficient(c)) for e, c in self.terms
         )
 
 
 # -- printing -------------------------------------------------------------------
 
 
-def _monomial(names: Sequence[str], exps: Sequence[int]) -> str:
-    return "*".join(f"{n}^{x}" if x > 1 else n for n, x in zip(names, exps) if x > 0)
-
-
-def _print_sum(terms: Iterable[tuple[str, ParamScalar]]) -> str:
-    """Print a sum from (monomial, nonzero coefficient) pairs; an empty
-    monomial is a constant term, a coefficient of several terms is
-    parenthesised, and a one-term negative coefficient moves its sign
-    into the joiner."""
-    pieces: list[str] = []
-    for mono, c in terms:
-        cs = str(c)
-        neg = len(c.terms) == 1 and cs.startswith("-")
-        if neg:
-            cs = cs[1:]
-        elif len(c.terms) > 1:
-            cs = f"({cs})"
-        body = cs if not mono else mono if cs == "1" else f"{cs}*{mono}"
-        if pieces:
-            pieces.append(f"- {body}" if neg else f"+ {body}")
-        else:
-            pieces.append(f"-{body}" if neg else body)
-    return " ".join(pieces) or "0"
+def _coefficient(c: ParamScalar) -> tuple[str, bool]:
+    """Text and sign of a nonzero term coefficient: a coefficient of
+    several terms is parenthesised, a one-term negative one gives its
+    sign to the joiner."""
+    cs = str(c)
+    if len(c.terms) > 1:
+        return f"({cs})", False
+    neg = cs.startswith("-")
+    return (cs[1:] if neg else cs), neg
 
 
 # -- bridging to the flat parameter ring ------------------------------------
@@ -464,7 +448,7 @@ class BinaryForm:
 
     def __str__(self) -> str:
         return _print_sum(
-            (_monomial(("s", "t"), (self.degree - k, k)), c)
+            (_monomial(("s", "t"), (self.degree - k, k)), *_coefficient(c))
             for k, c in enumerate(self.coeffs)
             if not c.is_zero
         )

@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from heapq import heappop, heappush
 from operator import add, neg, sub
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, Sequence
 
 from .errors import InexactDivision, ParameterPresent, RingMismatch, UnknownVariable
 from .fields import Field, Scalar
@@ -105,15 +105,6 @@ class ParamScalar:
         if not self.is_constant:
             raise ParameterPresent(f"{self} carries parameters")
         return self.terms[0][1]
-
-    @property
-    def total_degree(self) -> int:
-        return max((sum(e) for e, _ in self.terms), default=0)
-
-    def leading(self) -> tuple[Exps, Scalar]:
-        if not self.terms:
-            raise ZeroDivisionError("leading term of zero")
-        return self.terms[0]
 
     # -- ring operations -------------------------------------------------
     #
@@ -292,27 +283,35 @@ class ParamScalar:
     # -- printing -------------------------------------------------------------
 
     def __str__(self) -> str:
-        if not self.terms:
-            return "0"
         field = self.ring.field
-        pieces: list[str] = []
-        for e, c in self.terms:
-            mono = "*".join(
-                f"{n}^{x}" if x > 1 else n
-                for n, x in zip(self.ring.names, e)
-                if x > 0
-            )
-            neg = (c < 0) if self.ring.field.p is None else False
-            mag = field.to_str(-c if neg else c)
-            if mono:
-                body = mono if mag == "1" else f"{mag}*{mono}"
-            else:
-                body = mag
-            if not pieces:
-                pieces.append(f"-{body}" if neg else body)
-            else:
-                pieces.append(f"- {body}" if neg else f"+ {body}")
-        return " ".join(pieces)
+
+        def term(e: Exps, c: Scalar) -> tuple[str, str, bool]:
+            neg = field.p is None and c < 0  # only rationals carry a sign
+            return _monomial(self.ring.names, e), field.to_str(-c if neg else c), neg
+
+        return _print_sum(term(e, c) for e, c in self.terms)
+
+
+# -- printing -------------------------------------------------------------------
+
+
+def _monomial(names: Sequence[str], exps: Sequence[int]) -> str:
+    return "*".join(f"{n}^{x}" if x > 1 else n for n, x in zip(names, exps) if x > 0)
+
+
+def _print_sum(terms: Iterable[tuple[str, str, bool]]) -> str:
+    """Print a sum from (monomial, coefficient text, negative) triples:
+    an empty monomial is a constant term, a coefficient "1" before a
+    monomial is left out, and a negative term puts its sign in the
+    joiner."""
+    pieces: list[str] = []
+    for mono, cs, neg in terms:
+        body = cs if not mono else mono if cs == "1" else f"{cs}*{mono}"
+        if pieces:
+            pieces.append(f"- {body}" if neg else f"+ {body}")
+        else:
+            pieces.append(f"-{body}" if neg else body)
+    return " ".join(pieces) or "0"
 
 
 def require_constant(values: Iterable[ParamScalar]) -> list[Scalar]:

@@ -23,6 +23,7 @@ from cilines.families import FamilySpec, build_family
 from cilines.fields import RATIONALS, prime_field
 from cilines.geometry import CIType, LineChartPoint, RationalCurve
 from cilines.multipoly import BinaryForm
+from cilines.params import ParamRing
 
 from conftest import random_homogeneous
 from test_chart import make_ci
@@ -187,6 +188,11 @@ def test_precompose_rejects_basepointed_cover():
     r = mu.ring
     with pytest.raises(BasePointedCover):
         precompose(mu, (bform(r, 1, 0, 0), bform(r, 0, 1, 0)))  # s^2, st share s = 0
+    with pytest.raises(BasePointedCover):
+        precompose(mu, (bform(r, 0, 0), bform(r, 0, 0)))  # the zero cover
+    c = ParamRing(RATIONALS, ("c1",))
+    with pytest.raises(BasePointedCover):
+        precompose(mu, (bform(c, 1, c.var("c1")), bform(c, 0, 1)))  # s + c1*t, t
 
 
 def test_quintic_double_cover_breaks_convexity():

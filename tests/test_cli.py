@@ -38,6 +38,23 @@ form: S^3 + T^3 + Z1^3 + Z2^3
 line: 6, 0 | 0, 6
 """
 
+# X is singular along every point of the line (Z1 = Z2 = 0)
+DOUBLE_PLANE_Q = """
+field: Q
+N: 3
+degrees: 2
+form: Z1^2
+line: 0, 0 | 0, 0
+"""
+
+# a cubic surface over F_5 with five lines, singular along two of them
+CUBIC_F5_SINGULAR = """
+field: F:5
+N: 3
+degrees: 3
+form: Z2*S*T - Z2*Z1^2 + S^3 + T^3
+"""
+
 QUINTIC_F7 = """
 field: F:7
 N: 3
@@ -110,20 +127,30 @@ def test_classify_line_quadric(capsys, tmp_path):
 
 def test_one_report_builds_m_h_once(capsys, tmp_path, monkeypatch):
     """M(h) is built once per report and passed on: the Jacobian
-    matrix, the printed matrix and the bundle route all reuse it."""
+    matrix, the printed matrix and the bundle route all reuse it. It is
+    read off the membership system, so a verify-example report makes
+    one chart substitution per form."""
     import cilines.chart as chart
 
     calls = []
     build = chart._nonfree_entries
+    images = []
+    image = chart.chart_image
 
-    def counted(x):
-        calls.append(x)
-        return build(x)
+    def counted(ms):
+        calls.append(ms)
+        return build(ms)
+
+    def counted_image(form, n):
+        images.append(form)
+        return image(form, n)
 
     monkeypatch.setattr(chart, "_nonfree_entries", counted)
+    monkeypatch.setattr(chart, "chart_image", counted_image)
 
     code, _ = run(capsys, "verify-example", "hyp-4-6")
     assert code == 0 and len(calls) == 1
+    assert len(images) == 1
 
     calls.clear()
     path = write_problem(tmp_path, "cubic.ci", CUBIC_F7_CORANK_1)
@@ -176,6 +203,33 @@ def test_enumerate_lines_classified(capsys, tmp_path):
     assert code == 0
     report = json.loads(out)
     assert all(d["free"] and d["normal_splitting"] == [0] for d in report["classified"])
+
+
+def test_singular_lines_get_no_splitting_type(capsys, tmp_path):
+    """Along a line where X is singular the bundle routes are skipped:
+    classify-line says so and prints no splitting or cohomology, and
+    enumerate-lines --classify leaves the splitting type out."""
+    path = write_problem(tmp_path, "double.ci", DOUBLE_PLANE_Q)
+    code, out = run(capsys, "classify-line", path)
+    assert code == 0
+    report = json.loads(out)
+    assert report["smooth_along_line"] is False
+    assert report["verdict"] == "NotSmoothOrExcess" and report["corank"] == 2
+    assert not {
+        "normal_splitting",
+        "tangent_splitting",
+        "tangent_h0_h1_twist_minus1",
+        "tangent_h0_h1_twist_0",
+        "routes_agree",
+    } & set(report)
+
+    path = write_problem(tmp_path, "cubic.ci", CUBIC_F5_SINGULAR)
+    code, out = run(capsys, "enumerate-lines", path, "--classify")
+    assert code == 0
+    report = json.loads(out)
+    assert report["count"] == 5
+    split = [d.get("normal_splitting") for d in report["classified"]]
+    assert split == [[-1], [-1], [-1], None, None]
 
 
 def test_enumerate_lines_over_q_exits_2(capsys, tmp_path):
