@@ -55,6 +55,18 @@ degrees: 3
 form: Z2*S*T - Z2*Z1^2 + S^3 + T^3
 """
 
+# two quadrics in P^4 over F_5 through the chart line a = (1, 3, 0),
+# b = (2, 0, 1): M(h) has two column blocks and the S, T columns of the
+# restricted Jacobian are nonzero
+TWO_QUADRICS_F5 = """
+field: F:5
+N: 4
+degrees: 2, 2
+form: 3*S^2 + S*T + S*Z1 + 3*S*Z2 + 3*S*Z3 + 4*T*Z2 + 3*Z2^2 + 4*Z2*Z3
+form: 3*S^2 + 4*S*T + 3*S*Z1 + S*Z2 + 2*S*Z3 + 2*T*Z1 + T*Z2 + 4*T*Z3 + Z1^2 + Z1*Z2 + 2*Z1*Z3 + 3*Z2^2 + 2*Z2*Z3 + 4*Z3^2
+line: 1, 3, 0 | 2, 0, 1
+"""
+
 QUINTIC_F7 = """
 field: F:7
 N: 3
@@ -102,6 +114,27 @@ def test_gates_golden(capsys):
     assert code == 0
     assert json.loads(out)["case"] == "NonFreeLineViaJ"
     check_golden("gates_N6_d4.json", out)
+
+
+@pytest.mark.parametrize(
+    "name, text, golden",
+    [
+        ("cubic.ci", CUBIC_F7_CORANK_1, "classify_cubic_F7_corank1.json"),
+        ("double.ci", DOUBLE_PLANE_Q, "classify_double_plane_Q.json"),
+        ("two.ci", TWO_QUADRICS_F5, "classify_two_quadrics_F5.json"),
+    ],
+)
+def test_classify_line_golden(capsys, tmp_path, name, text, golden):
+    code, out = run(capsys, "classify-line", write_problem(tmp_path, name, text))
+    assert code == 0
+    check_golden(golden, out)
+
+
+def test_enumerate_lines_classify_golden(capsys, tmp_path):
+    path = write_problem(tmp_path, "quadric.ci", QUADRIC_F3)
+    code, out = run(capsys, "enumerate-lines", path, "--classify")
+    assert code == 0
+    check_golden("enumerate_quadric_F3_classify.json", out)
 
 
 def test_byte_determinism(capsys):
