@@ -19,6 +19,13 @@ For a line, the analogous kernel presentation of the normal bundle
 N_{L/X} inside O(1)^{N-1} is exact at every twist, so the full splitting
 type is recovered from consecutive section counts:
 #{a_i >= k} = h^0(E(-k)) - h^0(E(-k-1)).
+
+Both presentations are built from the Jacobian of X restricted to the
+curve. Along a chart line it is read off the evaluated M(h)
+(chart.line_jacobian), whose rows are the restricted Z-partials and
+which gives the S- and T-partials because h o xi vanishes identically;
+callers that already hold M(h) pass that Jacobian in. Along a general
+curve (curve-check) it is composed by chart.restricted_jacobian.
 """
 
 from __future__ import annotations
@@ -27,8 +34,9 @@ from dataclasses import dataclass
 from typing import Literal, Sequence
 
 from .chart import (
-    line_param,
-    membership_system,
+    line_jacobian,
+    membership_system,  # not called here; perfbench's tracer test reads it
+    nonfree_matrix,
     restricted_jacobian,
     smooth_along_components,
 )
@@ -38,7 +46,6 @@ from .errors import (
     ConstraintViolated,
     CurveNotOnX,
     InvariantViolated,
-    LineNotContained,
     ParameterPresent,
     RingMismatch,
     SingularAlongCurve,
@@ -74,10 +81,6 @@ class SplittingType:
     def min_entry(self) -> int:
         return min(self.entries)
 
-    @property
-    def is_nef(self) -> bool:
-        return all(e >= 0 for e in self.entries)
-
 
 def _coerce_components(
     ring: ParamRing, comps: Sequence[BinaryForm]
@@ -101,6 +104,22 @@ def _check_on_x(x: CompleteIntersection, comps: Sequence[BinaryForm]) -> None:
             raise CurveNotOnX(f"{form} does not vanish along the curve")
 
 
+def _check_jacobian(
+    x: CompleteIntersection, jac: Sequence[Sequence[BinaryForm]], b: int
+) -> None:
+    """A restricted Jacobian along a degree-b curve has r rows of N+1
+    entries, those of row i of degree b(d^i - 1)."""
+    degrees = x.ci_type.degrees
+    if len(jac) != len(degrees) or any(
+        len(row) != x.n + 1 or any(f.degree != b * (d - 1) for f in row)
+        for row, d in zip(jac, degrees)
+    ):
+        raise ConstraintViolated(
+            f"Jacobian does not have {len(degrees)} rows of {x.n + 1} forms "
+            f"of degrees {[b * (d - 1) for d in degrees]}"
+        )
+
+
 def _section_kernel_dim(phi: Sequence[Sequence[BinaryForm]], dom: int) -> int:
     """Kernel dimension of the map H^0(O(dom-1))^{columns} -> (+)_i
     H^0(O(deg phi_i + dom - 1)) given by a grid of binary forms, one row
@@ -121,9 +140,17 @@ def _section_kernel_dim(phi: Sequence[Sequence[BinaryForm]], dom: int) -> int:
 
 
 def tangent_cohomology(
-    x: CompleteIntersection, mu: RationalCurve, m: int
+    x: CompleteIntersection,
+    mu: RationalCurve,
+    m: int,
+    jac: Sequence[Sequence[BinaryForm]] | None = None,
 ) -> tuple[int, int]:
-    """(h^0, h^1) of mu^* T_X twisted by m, for m >= -1."""
+    """(h^0, h^1) of mu^* T_X twisted by m, for m >= -1.
+
+    jac, when given, is the Jacobian of X restricted along mu, from a
+    caller that has already settled that mu lies on X (line_jacobian of
+    an evaluated M(h)); otherwise containment is checked and the
+    Jacobian composed here."""
     if m <= -2:
         raise TwistTooNegative(f"twist {m} is below -1")
     if not x.is_parameter_free:
@@ -131,9 +158,12 @@ def tangent_cohomology(
     comps = _coerce_components(x.coeff_ring, mu.components)
     if len(comps) != x.n + 1:
         raise ConstraintViolated(f"curve has {len(comps)} components, expected {x.n + 1}")
-    _check_on_x(x, comps)
-    phi = restricted_jacobian(x, comps)
-    if not smooth_along_components(x, phi):
+    if jac is None:
+        _check_on_x(x, comps)
+        jac = restricted_jacobian(x, comps)
+    else:
+        _check_jacobian(x, jac, mu.degree)
+    if not smooth_along_components(x, jac):
         raise SingularAlongCurve("X is singular somewhere along the curve")
 
     b = mu.degree
@@ -143,11 +173,11 @@ def tangent_cohomology(
     for i in range(r):
         acc = BinaryForm.zero(x.coeff_ring, b * degrees[i])
         for j in range(n + 1):
-            acc = acc + phi[i][j] * comps[j]
+            acc = acc + jac[i][j] * comps[j]
         if not acc.is_zero:
             raise InvariantViolated("Euler section escaped the kernel")
 
-    kernel_dim = _section_kernel_dim(phi, b + m + 1)  # h^0(O(b+m)) per component
+    kernel_dim = _section_kernel_dim(jac, b + m + 1)  # h^0(O(b+m)) per component
     h0_line = m + 1 if m >= 0 else 0
     h0 = kernel_dim - h0_line
     chi = b * (n + 1 - x.ci_type.total_degree) + (n - r) * (m + 1)
@@ -161,18 +191,23 @@ def tangent_cohomology(
 
 
 def normal_splitting_line(
-    x: CompleteIntersection, point: LineChartPoint
+    x: CompleteIntersection,
+    point: LineChartPoint,
+    jac: Sequence[Sequence[BinaryForm]] | None = None,
 ) -> SplittingType:
     """Splitting type of the normal bundle of a chart line inside X.
 
     Requires the line on X and X smooth along it; the result has rank
     N - r - 1, every entry at most 1, and total degree N - 1 - |d|.
+    jac is the line's restricted Jacobian, line_jacobian of M(h) at the
+    point; without it M(h) is built here, which checks containment.
     """
     if not x.is_parameter_free:
         raise ParameterPresent("splitting types need parameter-free forms")
-    if not membership_system(x).contains(point):
-        raise LineNotContained("the chart line is not on X")
-    jac = restricted_jacobian(x, line_param(point, x.coeff_ring).components)
+    if jac is None:
+        jac = line_jacobian(x, point, nonfree_matrix(x, at=point).matrix)
+    else:
+        _check_jacobian(x, jac, 1)
     if not smooth_along_components(x, jac):
         raise SingularAlongLine("X is singular somewhere along the line")
 

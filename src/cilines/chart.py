@@ -16,6 +16,14 @@ block i is the coefficient vector of the restricted partial derivative
 s^{d^i-1}, ..., t^{d^i-1}. For a line on X along which X is smooth, the
 line is free exactly when M(h) evaluated at the chart point has full
 column rank |d|.
+
+Along a chart line on X, M(h) evaluated at the point also carries the
+whole restricted Jacobian (dh^i/dW)|_L: its Z_j entries are the rows of
+M(h), and since h^i o xi vanishes identically, its s- and t-derivatives
+give h^i_S|_L = -sum_j a_j h^i_{Z_j}|_L and h^i_T|_L = -sum_j b_j
+h^i_{Z_j}|_L. line_jacobian reads it off that way; restricted_jacobian
+composes every partial with an arbitrary curve and serves general
+rational curves.
 """
 
 from __future__ import annotations
@@ -222,6 +230,39 @@ def restricted_jacobian(
     return rows
 
 
+def line_jacobian(
+    x: CompleteIntersection, point: LineChartPoint, m_h: ExactMatrix
+) -> list[list[BinaryForm]]:
+    """The Jacobian restricted along a chart line on X, as restricted_jacobian
+    returns it (row i: N+1 entries of degree d^i - 1 in the order S, T,
+    Z_1, ...), read off M(h) evaluated at the line: the Z_j entry of row i
+    is row j of column block i, and the S and T entries are
+    -sum_j a_j h^i_{Z_j}|_L and -sum_j b_j h^i_{Z_j}|_L."""
+    n, ring = x.n, x.coeff_ring
+    if point.width != n - 1 or (m_h.rows, m_h.cols) != (n - 1, x.ci_type.total_degree):
+        raise ConstraintViolated(
+            f"M(h) is {m_h.rows} x {m_h.cols} at a chart point of width {point.width}; "
+            f"expected {n - 1} x {x.ci_type.total_degree} at width {n - 1}"
+        )
+    a = [ring.const(v) for v in point.a]
+    b = [ring.const(v) for v in point.b]
+    rows = []
+    start = 0
+    for d in x.ci_type.degrees:
+        z = [m_h.row(j)[start : start + d] for j in range(n - 1)]
+        start += d
+        s_col, t_col = (
+            BinaryForm(
+                ring,
+                d - 1,
+                tuple(-sum((wj * zj[k] for wj, zj in zip(w, z)), ring.zero()) for k in range(d)),
+            )
+            for w in (a, b)
+        )
+        rows.append([s_col, t_col] + [BinaryForm(ring, d - 1, zj) for zj in z])
+    return rows
+
+
 def smooth_along_components(
     x: CompleteIntersection, jac: Sequence[Sequence[BinaryForm]]
 ) -> bool:
@@ -242,10 +283,7 @@ def smooth_along_components(
 
 
 def is_smooth_along_line(x: CompleteIntersection, point: LineChartPoint) -> bool:
-    if not membership_system(x).contains(point):
-        raise LineNotContained("the chart line is not on X")
-    curve = line_param(point, x.coeff_ring)
-    return smooth_along_components(x, restricted_jacobian(x, curve.components))
+    return smooth_along_components(x, line_jacobian(x, point, nonfree_matrix(x, at=point).matrix))
 
 
 # -- exhaustive line enumeration over finite fields ------------------------------

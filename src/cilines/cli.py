@@ -40,6 +40,7 @@ from .bundles import (
 )
 from .chart import (
     enumerate_lines_fq,
+    line_jacobian,
     line_param,
     move_line_to_chart,
     nonfree_matrix,
@@ -232,8 +233,9 @@ def _cmd_classify_line(args) -> dict:
     out.update(_report_from(rep))
     out["free"] = rep.corank == 0
     if x.is_parameter_free:
+        jac = line_jacobian(x, point, rep.matrix)
         try:
-            normal = normal_splitting_line(x, point)
+            normal = normal_splitting_line(x, point, jac)
         except SingularAlongLine:
             normal = None
         out["smooth_along_line"] = normal is not None
@@ -241,8 +243,8 @@ def _cmd_classify_line(args) -> dict:
             out["normal_splitting"] = list(normal.entries)
             out["tangent_splitting"] = list(tangent_splitting_from_normal(normal).entries)
             mu = line_param(point, x.coeff_ring)
-            h0m1 = tangent_cohomology(x, mu, -1)
-            h00 = tangent_cohomology(x, mu, 0)
+            h0m1 = tangent_cohomology(x, mu, -1, jac)
+            h00 = tangent_cohomology(x, mu, 0, jac)
             out["tangent_h0_h1_twist_minus1"] = list(h0m1)
             out["tangent_h0_h1_twist_0"] = list(h00)
             out["routes_agree"] = (
@@ -268,13 +270,15 @@ def _cmd_enumerate_lines(args) -> dict:
         detail = []
         for ln in lines:
             x2, point, _ = move_line_to_chart(x, ln)
-            rank = rank_exact(nonfree_matrix(x2, at=point).matrix).rank
+            nf = nonfree_matrix(x2, at=point)
+            rank = rank_exact(nf.matrix).rank
             entry = {
                 "free": rank == x.ci_type.total_degree,
                 "matrix_rank": rank,
             }
+            jac = line_jacobian(x2, point, nf.matrix)
             try:
-                entry["normal_splitting"] = list(normal_splitting_line(x2, point).entries)
+                entry["normal_splitting"] = list(normal_splitting_line(x2, point, jac).entries)
             except SingularAlongLine:
                 pass  # X is singular along the line: no splitting type
             detail.append(entry)

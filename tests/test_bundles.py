@@ -8,7 +8,14 @@ from cilines.bundles import (
     tangent_cohomology,
     tangent_splitting_line,
 )
-from cilines.chart import enumerate_lines_fq, is_smooth_along_line, line_param, move_line_to_chart, nonfree_matrix
+from cilines.chart import (
+    enumerate_lines_fq,
+    is_smooth_along_line,
+    line_jacobian,
+    line_param,
+    move_line_to_chart,
+    nonfree_matrix,
+)
 from cilines.errors import (
     BasePointedCover,
     ConstraintViolated,
@@ -26,7 +33,7 @@ from cilines.multipoly import BinaryForm
 from cilines.params import ParamRing
 
 from conftest import random_homogeneous
-from test_chart import make_ci
+from test_chart import census_chart_lines, make_ci
 
 
 def bform(ring, *coeffs):
@@ -98,6 +105,64 @@ def test_chi_bookkeeping(rng):
             h0, h1 = tangent_cohomology(x, mu, m)
             chi = mu.degree * (t.ambient_dim + 1 - t.total_degree) + t.variety_dim * (m + 1)
             assert h0 - h1 == chi
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except (SingularAlongCurve, SingularAlongLine) as exc:
+        return type(exc)
+
+
+def test_line_jacobian_route_agrees_with_restriction(rng):
+    """On every census line the bundle routes give the same splitting
+    type and tangent cohomology, or the same refusal, whether they are
+    handed the Jacobian read off M(h) or restrict the partials
+    themselves."""
+    for x, point in census_chart_lines(rng):
+        jac = line_jacobian(x, point, nonfree_matrix(x, at=point).matrix)
+        mu = line_param(point, x.coeff_ring)
+        assert _outcome(normal_splitting_line, x, point, jac) == _outcome(
+            normal_splitting_line, x, point
+        )
+        for m in (-1, 0):
+            assert _outcome(tangent_cohomology, x, mu, m, jac) == _outcome(
+                tangent_cohomology, x, mu, m
+            )
+
+
+def test_tangent_cohomology_rejects_a_misshapen_jacobian():
+    x = make_ci(RATIONALS, 3, (2,), ["S*Z1 + T*Z2"])
+    point = LineChartPoint.standard(RATIONALS, 3)
+    mu = line_param(point, x.coeff_ring)
+    jac = line_jacobian(x, point, nonfree_matrix(x, at=point).matrix)
+    r = x.coeff_ring
+    assert tangent_cohomology(x, mu, 0, jac) == (4, 0)  # T_X|_L = O(2) + O
+    for bad in (
+        [],  # no row for the form
+        jac + jac,  # a row too many
+        [jac[0][:-1]],  # an entry short
+        [jac[0][:-1] + [bform(r, 0, 0, 1)]],  # an entry of degree 2 on a line
+    ):
+        with pytest.raises(ConstraintViolated):
+            tangent_cohomology(x, mu, 0, bad)
+    # a degree-2 curve needs entries of degree 2
+    double = precompose(mu, (bform(r, 1, 0, 0), bform(r, 0, 0, 1)))
+    with pytest.raises(ConstraintViolated):
+        tangent_cohomology(x, double, 0, jac)
+
+
+def test_tangent_cohomology_checks_the_euler_section_of_a_given_jacobian():
+    """A handed-in Jacobian skips the containment check but not the
+    invariant: along L = (s : t : 0 : 0) on S Z1 + T Z2 the S-column
+    is 0, and a Jacobian claiming s there breaks the Euler relation."""
+    x = make_ci(RATIONALS, 3, (2,), ["S*Z1 + T*Z2"])
+    point = LineChartPoint.standard(RATIONALS, 3)
+    mu = line_param(point, x.coeff_ring)
+    jac = line_jacobian(x, point, nonfree_matrix(x, at=point).matrix)
+    bad = [[bform(x.coeff_ring, 1, 0)] + jac[0][1:]]
+    with pytest.raises(InvariantViolated, match="Euler"):
+        tangent_cohomology(x, mu, 0, bad)
 
 
 # -- splitting types of lines ------------------------------------------------------------

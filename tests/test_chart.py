@@ -8,13 +8,14 @@ from cilines.chart import (
     chart_image,
     enumerate_lines_fq,
     is_smooth_along_line,
+    line_jacobian,
     line_param,
     membership_system,
     move_line_to_chart,
     nonfree_matrix,
     restricted_jacobian,
 )
-from cilines.errors import BudgetExceeded, InfiniteField, LineNotContained
+from cilines.errors import BudgetExceeded, ConstraintViolated, InfiniteField, LineNotContained
 from cilines.exactmatrix import ExactMatrix, kernel_basis, rank_exact
 from cilines.families import FamilySpec, build_family
 from cilines.fields import RATIONALS, prime_field
@@ -205,10 +206,10 @@ def test_z_permutation_equivariance():
     assert is_smooth_along_line(x2, point2) == is_smooth_along_line(x, point)
 
 
-def test_restricted_jacobian_z_columns_are_the_blocks_of_m_h(rng):
-    """The bundle route reads the restricted partials (dh^i/dZ_j)|_L off
-    the restricted Jacobian; on every line they must be the rows of M(h)
-    at that line, block i holding form i."""
+def census_chart_lines(rng):
+    """(X, chart point) for every census line, moved into the chart, of
+    the F_3 quadric, the F_7 Fermat cubic and quintic surfaces and a
+    seeded (2,3) complete intersection in P^4 over F_2."""
     xs = [
         make_ci(prime_field(3), 3, (2,), ["S*Z1 + T*Z2"]),
         make_ci(prime_field(7), 3, (3,), ["S^3 + T^3 + Z1^3 + Z2^3"]),
@@ -218,16 +219,85 @@ def test_restricted_jacobian_z_columns_are_the_blocks_of_m_h(rng):
     linears = [random_homogeneous(rng, ring, 1, n_terms=3) for _ in range(2)]
     forms = tuple(_ideal_form(rng, ring, linears, d) for d in (2, 3))
     xs.append(CompleteIntersection(CIType(4, (2, 3)), forms))
+    out = []
     for x in xs:
         lines = enumerate_lines_fq(x)
         assert lines
-        for ln in lines:
-            x2, point, _ = move_line_to_chart(x, ln)
-            jac = restricted_jacobian(x2, line_param(point, x2.coeff_ring).components)
-            nf = nonfree_matrix(x2, at=point)
-            for j, row in enumerate(nf.value_rows()):
-                for i, (lo, hi) in enumerate(nf.col_blocks):
-                    assert list(jac[i][2 + j].coeffs) == row[lo:hi]
+        out.extend(move_line_to_chart(x, ln)[:2] for ln in lines)
+    return out
+
+
+def test_restricted_jacobian_z_columns_are_the_blocks_of_m_h(rng):
+    """The Z-columns of the restricted Jacobian are the rows of M(h) at
+    the line, block i holding form i, and line_jacobian, which reads the
+    S- and T-columns off them too, equals restricted_jacobian in all
+    N+1 columns (in characteristic 2 as well)."""
+    for x2, point in census_chart_lines(rng):
+        jac = restricted_jacobian(x2, line_param(point, x2.coeff_ring).components)
+        nf = nonfree_matrix(x2, at=point)
+        for j, row in enumerate(nf.value_rows()):
+            for i, (lo, hi) in enumerate(nf.col_blocks):
+                assert list(jac[i][2 + j].coeffs) == row[lo:hi]
+        assert line_jacobian(x2, point, nf.matrix) == jac
+
+
+def test_line_jacobian_rejects_a_matrix_of_the_wrong_shape():
+    x = make_ci(RATIONALS, 3, (2,), ["S*Z1 + T*Z2"])
+    point = LineChartPoint.standard(RATIONALS, 3)
+    m_h = nonfree_matrix(x, at=point).matrix
+    with pytest.raises(ConstraintViolated):
+        line_jacobian(x, point, m_h.submatrix([0], [0, 1]))
+    with pytest.raises(ConstraintViolated):
+        line_jacobian(x, LineChartPoint.standard(RATIONALS, 4), m_h)
+
+
+def _rational(sympy, c):
+    v = c.constant_value()
+    return sympy.Rational(v.numerator, v.denominator)
+
+
+def _to_sympy(sympy, form, symbols):
+    out = sympy.Integer(0)
+    for e, c in form.terms:
+        mono = _rational(sympy, c)
+        for sym, k in zip(symbols, e):
+            mono *= sym**k
+        out += mono
+    return out
+
+
+def test_line_jacobian_matches_sympy(rng):
+    """Oracle for the S/T identity: over Q, forms h = sum_j (Z_j - a_j S
+    - b_j T) g_j contain the chart line (a, b); sympy differentiates h,
+    substitutes the line and must get line_jacobian column by column."""
+    sympy = pytest.importorskip("sympy")
+    s, t = sympy.symbols("s t")
+    for n, degrees in ((3, (3,)), (4, (2, 3)), (5, (2, 2, 2))):
+        ring = ambient_ring(RATIONALS, n)
+        symbols = sympy.symbols(ambient_variables(n))
+        for _ in range(3):
+            a = [rng.randint(-3, 3) for _ in range(n - 1)]
+            b = [rng.randint(-3, 3) for _ in range(n - 1)]
+            point = LineChartPoint(RATIONALS, tuple(a), tuple(b))
+            linears = [
+                ring.var(f"Z{j}") - ring.var("S") * ring.const(a[j - 1])
+                - ring.var("T") * ring.const(b[j - 1])
+                for j in range(1, n)
+            ]
+            forms = tuple(_ideal_form(rng, ring, linears, d) for d in degrees)
+            x = CompleteIntersection(CIType(n, degrees), forms)
+            jac = line_jacobian(x, point, nonfree_matrix(x, at=point).matrix)
+            line = {symbols[0]: s, symbols[1]: t}
+            line.update({symbols[2 + j]: a[j] * s + b[j] * t for j in range(n - 1)})
+            for i, (form, d) in enumerate(zip(forms, degrees)):
+                h = _to_sympy(sympy, form, symbols)
+                for w, entry in zip(symbols, jac[i]):
+                    theirs = sympy.expand(sympy.diff(h, w).subs(line, simultaneous=True))
+                    ours = sum(
+                        _rational(sympy, c) * s ** (d - 1 - k) * t**k
+                        for k, c in enumerate(entry.coeffs)
+                    )
+                    assert sympy.expand(ours - theirs) == 0
 
 
 # -- smoothness along lines ----------------------------------------------------------

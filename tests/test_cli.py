@@ -123,6 +123,7 @@ def test_gates_golden(capsys):
         ("double.ci", DOUBLE_PLANE_Q, "classify_double_plane_Q.json"),
         ("two.ci", TWO_QUADRICS_F5, "classify_two_quadrics_F5.json"),
     ],
+    ids=["corank-1", "singular-along-line", "two-quadrics"],
 )
 def test_classify_line_golden(capsys, tmp_path, name, text, golden):
     code, out = run(capsys, "classify-line", write_problem(tmp_path, name, text))
@@ -201,9 +202,9 @@ def test_classify_line_takes_the_normal_splitting_once(capsys, tmp_path, monkeyp
     calls = []
     split = bundles.normal_splitting_line
 
-    def counted(x, point):
+    def counted(x, point, jac=None):
         calls.append(point)
-        return split(x, point)
+        return split(x, point, jac)
 
     monkeypatch.setattr(bundles, "normal_splitting_line", counted)
     monkeypatch.setattr(cli, "normal_splitting_line", counted)
@@ -212,6 +213,32 @@ def test_classify_line_takes_the_normal_splitting_once(capsys, tmp_path, monkeyp
     report = json.loads(out)
     assert code == 0 and len(calls) == 1
     assert report["tangent_splitting"] == sorted([2] + report["normal_splitting"], reverse=True)
+
+
+def test_classify_line_restricts_nothing(capsys, tmp_path, monkeypatch):
+    """classify-line reads the restricted Jacobian off M(h) and hands
+    it to the bundle routes, so no form is ever restricted along the
+    line; curve-check, along a general curve, still restricts."""
+    import cilines.bundles as bundles
+    import cilines.chart as chart
+    import cilines.geometry as geometry
+
+    calls = []
+    restrict = geometry.restrict_along
+
+    def counted(*args, **kwargs):
+        calls.append(args[0])
+        return restrict(*args, **kwargs)
+
+    for module in (geometry, chart, bundles):
+        monkeypatch.setattr(module, "restrict_along", counted)
+    for name, text in (("cubic.ci", CUBIC_F7_CORANK_1), ("two.ci", TWO_QUADRICS_F5)):
+        code, out = run(capsys, "classify-line", write_problem(tmp_path, name, text))
+        assert code == 0 and "tangent_h0_h1_twist_0" in json.loads(out)
+    assert calls == []
+
+    code, _ = run(capsys, "curve-check", write_problem(tmp_path, "quintic.ci", QUINTIC_F7))
+    assert code == 0 and calls
 
 
 def test_classify_line_not_contained_exits_2(capsys, tmp_path):
