@@ -105,6 +105,10 @@ class Field:
     def neg(self, a: Scalar) -> Scalar:
         return -a if self.p is None else (-a) % self.p
 
+    def pow(self, a: Scalar, n: int) -> Scalar:
+        """a^n for an integer n >= 0, by square-and-multiply."""
+        return a**n if self.p is None else pow(a, n, self.p)
+
     def inv(self, a: Scalar) -> Scalar:
         if self.is_zero(a):
             raise ZeroDivisionError("inverse of zero")

@@ -6,7 +6,11 @@ non-free lines is cut out, inside the locus of lines on X, by the
 maximal minors of M(h). A minimal such set is obtained by bordering: fix
 a nonsingular (|d|-1) x (|d|-1) submatrix at the point and adjoin one
 extra row at a time, giving m = N - |d| determinants g_1, ..., g_m, each
-vanishing at the point.
+vanishing at the point. Each g_l is expanded along its extra row, so
+it is a dot product of that row with the signed maximal minors
+(cofactors) of the (|d|-1) x |d| block of pivot rows of the symbolic
+M(h); the cofactors are shared by all m equations and taken once per
+report.
 
 The locus is then smooth of the expected local dimension N - r - 2 at
 the line exactly when the (|d|+r+m) x 2(N-1) matrix of first derivatives
@@ -14,7 +18,9 @@ of the containment polynomials f^i_k and of the g_l, evaluated at the
 point, has full rank |d| + r + m = N + r. Derivative rows for the f^i_k
 are read off M(h) itself: differentiating the composite with the chart
 parameterization by a_j (resp. b_j) multiplies the restricted partial by
-s (resp. t), which shifts its coefficient vector by one slot.
+s (resp. t), which shifts its coefficient vector by one slot. Rows
+for the g_l are their gradients at the point (MultiPoly.gradient_at),
+taken in one pass over the terms without building the derivatives.
 
 With symbolic parameters the ranks are taken over the fraction field,
 and certificates (explicit nonzero polynomials in the parameters whose
@@ -38,7 +44,7 @@ from .errors import InvariantViolated, LineNotContained, NotCorankOne
 from .exactmatrix import ExactMatrix, det, rank_exact
 from .geometry import CompleteIntersection, LineChartPoint
 from .multipoly import MultiPoly, flatten, flatten_ring, unflatten
-from .params import ParamScalar
+from .params import ParamRing, ParamScalar
 
 
 @dataclass(frozen=True)
@@ -162,16 +168,43 @@ def _local_equations_from(x: CompleteIntersection, nf: NonFreeMatrix) -> LocalEq
     ]
     minors: list[MultiPoly] = []
     vals = point.values(x.n)
-    for extra in range(x.n - 1):
-        if extra in pivot_rows:
-            continue
-        rows_idx = sorted((*pivot_rows, extra))
-        sub = ExactMatrix.from_rows(flat, [sym_rows[i] for i in rows_idx])
-        g = unflatten(det(sub), ab)
+    for g_flat in bordered_minors(flat, sym_rows, pivot_rows):
+        g = unflatten(g_flat, ab)
         if not g.evaluate(vals).is_zero:
             raise InvariantViolated("bordered minor fails to vanish at the base point")
         minors.append(g)
     return LocalEquations(point, pivot_rows, pivot_cols, pivot_det, tuple(minors))
+
+
+def bordered_minors(
+    ring: ParamRing, rows: list[list[ParamScalar]], pivot_rows: tuple[int, ...]
+) -> list[ParamScalar]:
+    """The determinants of the rows `pivot_rows` (|d| - 1 of them, sorted)
+    of the |d|-column grid `rows` together with each other row, in the
+    order of that other row.
+
+    Each is expanded along its extra row e: with pos the place of e among
+    the sorted rows of the minor, g = sum_c (-1)^(pos+c) e_c C_c, where C_c
+    is the determinant of the pivot rows without column c. The cofactors
+    C_c do not depend on e, so each is taken once, and only for a column
+    where some extra row has a nonzero entry.
+    """
+    cols = range(len(rows[0]))
+    extras = [i for i in range(len(rows)) if i not in pivot_rows]
+    cofactors: dict[int, ParamScalar] = {}
+    for c in cols:
+        if any(not rows[i][c].is_zero for i in extras):
+            block = [[rows[i][k] for k in cols if k != c] for i in pivot_rows]
+            cofactors[c] = det(ExactMatrix.from_rows(ring, block))
+    out = []
+    for extra in extras:
+        pos = sum(1 for i in pivot_rows if i < extra)
+        g = ring.zero()
+        for c, cof in cofactors.items():
+            term = rows[extra][c] * cof
+            g = g - term if (pos + c) % 2 else g + term
+        out.append(g)
+    return out
 
 
 def jacobian_def_matrix(
@@ -183,7 +216,7 @@ def jacobian_def_matrix(
 
     Rows come in the order f^1_0, ..., f^r_{d^r}, g_1, ..., g_m; the
     f-rows are assembled from `nf` by the coefficient shift, the g-rows
-    by differentiating the bordered minors.
+    are the gradients of the bordered minors (differential_span_matrix).
     """
     vals = nf.value_rows()  # vals[j][block i offset + k]
     equations = _local_equations_from(x, nf)
@@ -201,12 +234,7 @@ def jacobian_def_matrix(
             db = [vals[j][lo + k - 1] if k >= 1 else zero for j in range(n - 1)]
             rows.append(da + db)
 
-    avars, bvars = chart_variables(n)
-    pt = nf.at.values(n)
-    for g in equations.minors:
-        da = [g.differentiate(v).evaluate(pt) for v in avars]
-        db = [g.differentiate(v).evaluate(pt) for v in bvars]
-        rows.append(da + db)
+    rows.extend(differential_span_matrix(x, list(equations.minors), nf.at).to_lists())
     return ExactMatrix.from_rows(ring, rows), equations
 
 
@@ -275,16 +303,9 @@ def differential_span_matrix(
 ) -> ExactMatrix:
     """Rows of first derivatives (d/da_1..d/db_{N-1}) of chart
     polynomials at a point; used to compare spans of local equations."""
-    n = x.n
-    avars, bvars = chart_variables(n)
-    pt = point.values(n)
-    rows = []
-    for g in polys:
-        rows.append(
-            [g.differentiate(v).evaluate(pt) for v in avars]
-            + [g.differentiate(v).evaluate(pt) for v in bvars]
-        )
-    return ExactMatrix.from_rows(x.coeff_ring, rows)
+    avars, bvars = chart_variables(x.n)
+    pt = point.values(x.n)
+    return ExactMatrix.from_rows(x.coeff_ring, [g.gradient_at(avars + bvars, pt) for g in polys])
 
 
 def same_differential_span(

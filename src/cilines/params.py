@@ -195,6 +195,9 @@ class ParamScalar:
     def __pow__(self, n: int) -> "ParamScalar":
         if n < 0:
             raise ValueError("negative power of a polynomial")
+        if len(self.terms) == 1:  # a monomial: (c x^e)^n = c^n x^(n e)
+            ((e, c),) = self.terms
+            return ParamScalar(self.ring, ((tuple(n * x for x in e), self.ring.field.pow(c, n)),))
         out = self.ring.one()
         for _ in range(n):
             out = out * self

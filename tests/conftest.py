@@ -1,11 +1,12 @@
 import random
+from fractions import Fraction
 
 import pytest
 
 from cilines.fields import Field, RATIONALS, prime_field
 from cilines.geometry import ambient_variables
 from cilines.multipoly import MultiPoly, PolyRing
-from cilines.params import ParamRing
+from cilines.params import ParamRing, ParamScalar
 
 
 @pytest.fixture
@@ -47,3 +48,47 @@ def random_homogeneous(
             exps[rng.randrange(n)] += 1
         terms[tuple(exps)] = ring.coeffs.const(field.random_nonzero(rng))
     return ring.from_terms(terms)
+
+
+def random_poly(rng: random.Random, ring: PolyRing, max_deg: int = 4, n_terms: int = 5) -> MultiPoly:
+    """A polynomial of mixed degree whose coefficients carry the ring's
+    parameters; powers of one variable recur across terms."""
+    terms = {}
+    for _ in range(n_terms):
+        exps = [0] * ring.n
+        for _ in range(rng.randint(0, max_deg)):
+            exps[rng.randrange(ring.n)] += 1
+        terms[tuple(exps)] = random_scalar(rng, ring.coeffs, 2, 3)
+    return ring.from_terms(terms)
+
+
+def random_point(rng: random.Random, field: Field, names) -> dict:
+    """Values for `names`, zeros and ones among them; proper fractions
+    over Q."""
+    out = {}
+    for name in names:
+        pick = rng.random()
+        if pick < 0.15:
+            out[name] = 0
+        elif pick < 0.3:
+            out[name] = 1
+        elif field.p is None:
+            out[name] = Fraction(rng.randint(-7, 7), rng.randint(1, 4))
+        else:
+            out[name] = rng.randrange(field.p)
+    return out
+
+
+def naive_evaluate(p: MultiPoly, values) -> ParamScalar:
+    """Test-only reference for MultiPoly.evaluate: each variable power by
+    repeated multiplication, and the terms added one at a time."""
+    coeffs = p.ring.coeffs
+    field = coeffs.field
+    out = coeffs.zero()
+    for e, c in p.terms:
+        scale = field.one
+        for name, x in zip(p.ring.variables, e):
+            for _ in range(x):
+                scale = field.mul(scale, field.make(values[name]))
+        out = out + c * coeffs.const(scale)
+    return out

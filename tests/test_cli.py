@@ -67,6 +67,16 @@ form: 3*S^2 + 4*S*T + 3*S*Z1 + S*Z2 + 2*S*Z3 + 2*T*Z1 + T*Z2 + 4*T*Z3 + Z1^2 + Z
 line: 1, 3, 0 | 2, 0, 1
 """
 
+# the Fermat cubic threefold over F_5 and the line Z1 = -S, Z2 = -T, Z3 = 0,
+# where M(h) has corank 1: one bordered 3 x 3 minor
+CUBIC_THREEFOLD_F5 = """
+field: F:5
+N: 4
+degrees: 3
+form: S^3 + T^3 + Z1^3 + Z2^3 + Z3^3
+line: 4, 0, 0 | 0, 4, 0
+"""
+
 QUINTIC_F7 = """
 field: F:7
 N: 3
@@ -239,6 +249,37 @@ def test_classify_line_restricts_nothing(capsys, tmp_path, monkeypatch):
 
     code, _ = run(capsys, "curve-check", write_problem(tmp_path, "quintic.ci", QUINTIC_F7))
     assert code == 0 and calls
+
+
+def test_corank_one_line_takes_no_determinant_of_full_size(capsys, tmp_path, monkeypatch):
+    """The bordered minor is expanded along its extra row: the only
+    determinants are the evaluated pivot minor and the 2 x 2 cofactors,
+    none of size |d| = 3."""
+    import cilines.nonfree as nonfree
+
+    sizes = []
+    det = nonfree.det
+
+    def counted(m):
+        sizes.append(m.rows)
+        return det(m)
+
+    monkeypatch.setattr(nonfree, "det", counted)
+    code, out = run(capsys, "classify-line", write_problem(tmp_path, "c3.ci", CUBIC_THREEFOLD_F5))
+    report = json.loads(out)
+    assert code == 0 and report["corank"] == 1 and report["num_local_equations"] == 1
+    assert sizes and max(sizes) == 2
+
+
+def test_huge_monomial_power_exits_2_at_once(capsys, tmp_path):
+    """A one-term power is raised in one step, so the form fails the
+    degree check at once instead of multiplying S by itself 10^8 times."""
+    text = QUADRIC_F3.replace("form: S*Z1 + T*Z2", "form: S^99999999")
+    started = time.perf_counter()
+    code, out = run(capsys, "classify-line", write_problem(tmp_path, "huge.ci", text))
+    assert time.perf_counter() - started < 1.0
+    assert code == 2
+    assert json.loads(out)["error"] == "NotHomogeneous"
 
 
 def test_classify_line_not_contained_exits_2(capsys, tmp_path):

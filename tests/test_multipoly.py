@@ -6,7 +6,14 @@ from cilines.multipoly import BinaryForm, PolyRing, binary_gcd, flatten, unflatt
 from cilines.params import ParamRing
 from cilines.polytext import parse_poly
 
-from conftest import ambient_ring, field_of_char, random_homogeneous
+from conftest import (
+    ambient_ring,
+    field_of_char,
+    naive_evaluate,
+    random_homogeneous,
+    random_point,
+    random_poly,
+)
 
 
 def test_differentiate_examples():
@@ -24,6 +31,90 @@ def test_differentiate_examples():
 
     with pytest.raises(UnknownVariable):
         p.differentiate("Z9")
+
+
+CHART_VARIABLES = ("a1", "a2", "a3", "b1", "b2", "b3")
+
+
+def test_evaluate_matches_a_naive_reference(rng):
+    for char in (0, 2, 3, 7):
+        field = field_of_char(char)
+        for names in ((), ("c1", "c2")):
+            ring = PolyRing(ParamRing(field, names), CHART_VARIABLES)
+            for _ in range(15):
+                p = random_poly(rng, ring)
+                vals = random_point(rng, field, CHART_VARIABLES)
+                assert p.evaluate(vals) == naive_evaluate(p, vals)
+    # one variable at three powers in three terms
+    ring = PolyRing(ParamRing(RATIONALS, ()), ("x", "y"))
+    p = parse_poly("x^3 + x^2*y + x + y^2", ring)
+    assert p.evaluate({"x": 2, "y": 3}) == ring.coeffs.const(8 + 12 + 2 + 9)
+
+
+def test_gradient_at_is_differentiate_then_evaluate(rng):
+    for char in (0, 2, 3, 7):
+        field = field_of_char(char)
+        for names in ((), ("c1", "c2")):
+            ring = PolyRing(ParamRing(field, names), CHART_VARIABLES)
+            for _ in range(15):
+                p = random_poly(rng, ring)
+                vals = random_point(rng, field, CHART_VARIABLES)
+                order = list(CHART_VARIABLES) + [rng.choice(CHART_VARIABLES)]
+                rng.shuffle(order)
+                assert p.gradient_at(order, vals) == [
+                    p.differentiate(v).evaluate(vals) for v in order
+                ]
+    ring = PolyRing(ParamRing(RATIONALS, ()), ("x", "y"))
+    p = parse_poly("x^3*y + 5*x^2", ring)
+    const = ring.coeffs.const
+    assert p.gradient_at(("x", "y"), {"x": 2, "y": 3}) == [const(3 * 4 * 3 + 10 * 2), const(8)]
+    assert p.gradient_at((), {}) == []
+
+
+def test_gradient_at_annihilates_and_names_what_is_missing():
+    f3 = PolyRing(ParamRing(prime_field(3), ()), ("a1", "b1"))
+    p = parse_poly("a1^3 + 2*b1", f3)
+    zero, two = f3.coeffs.zero(), f3.coeffs.const(2)
+    # 3*a1^2 vanishes in F_3, so a1 needs no value
+    assert p.gradient_at(("a1", "b1"), {"b1": 1}) == [zero, two]
+    assert p.gradient_at(("a1",), {"a1": 2, "b1": 1}) == [zero]
+
+    q_ring = PolyRing(ParamRing(RATIONALS, ()), ("a1", "b1"))
+    q = parse_poly("a1^2*b1 + b1", q_ring)
+    # d/db1 = a1^2 + 1 needs a1; d/da1 = 2*a1*b1 needs both
+    for names, vals in ((("b1",), {"b1": 3}), (("b1", "a1"), {"a1": 1}), (("a1",), {})):
+        with pytest.raises(UnknownVariable) as ours:
+            q.gradient_at(names, vals)
+        with pytest.raises(UnknownVariable) as theirs:
+            [q.differentiate(v).evaluate(vals) for v in names]
+        assert str(ours.value) == str(theirs.value)
+    # the variable differentiated away needs no value
+    r = parse_poly("a1*b1", q_ring)
+    assert r.gradient_at(("a1",), {"b1": 5}) == [q_ring.coeffs.const(5)]
+    with pytest.raises(UnknownVariable, match="not in ring"):
+        r.gradient_at(("a1", "Z9"), {"a1": 1, "b1": 1})
+
+
+def test_monomial_power_is_repeated_multiplication():
+    for field in (RATIONALS, prime_field(5)):
+        coeffs = ParamRing(field, ("c1", "c2"))
+        c = coeffs.const(-2) * coeffs.var("c1") ** 2 * coeffs.var("c2")
+        ring = PolyRing(coeffs, ("S", "T", "Z1"))
+        for base in (
+            c,
+            coeffs.const(3),
+            ring.const(c) * ring.var("S") ** 2 * ring.var("Z1"),
+            ring.const(coeffs.var("c1") + coeffs.var("c2")) * ring.var("T"),
+            ring.const(7),
+        ):
+            one = base.ring.one()
+            for n in (0, 1, 2, 5):
+                product = one
+                for _ in range(n):
+                    product = product * base
+                assert base**n == product
+    with pytest.raises(ValueError):
+        ring.var("S") ** -1
 
 
 def test_substitute_chart_parameterization():

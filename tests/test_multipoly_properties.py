@@ -1,0 +1,57 @@
+"""Property tests of MultiPoly evaluation against test-only references;
+they skip when hypothesis is not installed."""
+
+import pytest
+
+pytest.importorskip("hypothesis")
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from cilines.fields import RATIONALS, prime_field
+from cilines.multipoly import PolyRing
+from cilines.params import ParamRing
+
+from conftest import naive_evaluate
+
+VARIABLES = ("a1", "a2", "b1", "b2")
+FIELDS = (RATIONALS, prime_field(2), prime_field(3), prime_field(7))
+
+
+@st.composite
+def poly_and_point(draw):
+    field = draw(st.sampled_from(FIELDS))
+    coeffs = ParamRing(field, draw(st.sampled_from(((), ("c1",), ("c1", "c2")))))
+    ring = PolyRing(coeffs, VARIABLES)
+    exps = st.tuples(*(st.integers(0, 4) for _ in VARIABLES))
+    pexps = st.tuples(*(st.integers(0, 2) for _ in coeffs.names))
+    small = st.integers(-6, 6)
+    terms = draw(
+        st.dictionaries(
+            exps,
+            st.dictionaries(pexps, small.map(field.make), min_size=1, max_size=3),
+            max_size=6,
+        )
+    )
+    p = ring.from_terms({e: coeffs.from_terms(c) for e, c in terms.items()})
+    if field.p is None:
+        value = st.fractions(min_value=-5, max_value=5, max_denominator=5)
+    else:
+        value = st.integers(0, field.p - 1)
+    point = draw(st.fixed_dictionaries({v: value for v in VARIABLES}))
+    names = draw(st.lists(st.sampled_from(VARIABLES), max_size=6))
+    return p, point, names
+
+
+@settings(max_examples=150, deadline=None)
+@given(poly_and_point())
+def test_evaluate_agrees_with_the_naive_reference(case):
+    p, point, _ = case
+    assert p.evaluate(point) == naive_evaluate(p, point)
+
+
+@settings(max_examples=150, deadline=None)
+@given(poly_and_point())
+def test_gradient_at_agrees_with_differentiating_first(case):
+    p, point, names = case
+    assert p.gradient_at(names, point) == [naive_evaluate(p.differentiate(v), point) for v in names]

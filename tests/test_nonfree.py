@@ -4,13 +4,14 @@ import pytest
 
 from cilines.chart import chart_ring, membership_system, nonfree_matrix
 from cilines.errors import LineNotContained, NotCorankOne
-from cilines.exactmatrix import ExactMatrix, rank_exact
+from cilines.exactmatrix import ExactMatrix, det, rank_exact
 from cilines.families import FamilySpec, build_family, family_report
 from cilines.fields import RATIONALS, prime_field
 from cilines.geometry import LineChartPoint
 from cilines.params import ParamRing
 from cilines.nonfree import (
     _lex_first_basis,
+    bordered_minors,
     expected_pair_report,
     jacobian_def_matrix,
     local_equations,
@@ -79,6 +80,37 @@ def test_local_equations_rejects_off_line():
     x = make_ci(RATIONALS, 3, (2,), ["S*Z1 + T*Z2"])
     with pytest.raises(LineNotContained):
         local_equations(x, LineChartPoint(RATIONALS, (1, 0), (0, 0)))
+
+
+def test_bordered_minors_match_the_bordered_det(rng):
+    """Each bordered minor, expanded along its extra row with shared
+    cofactors, is the determinant of the pivot rows plus that row; the
+    pivot block need not be nonsingular, and the bordering rows have
+    zeros, in column 0 too, so a skipped column shows."""
+    for field in (RATIONALS, prime_field(2), prime_field(7)):
+        for names in ((), ("c1", "c2")):
+            ring = ParamRing(field, names)
+            for size in range(2, 7):
+                for _ in range(3 if size < 5 else 1):
+                    height = size - 1 + rng.randint(1, 3)
+                    grid = [
+                        [
+                            ring.zero() if rng.random() < 0.3 else random_scalar(rng, ring, 1, 2)
+                            for _ in range(size)
+                        ]
+                        for _ in range(height)
+                    ]
+                    pivots = tuple(sorted(rng.sample(range(height), size - 1)))
+                    extras = [i for i in range(height) if i not in pivots]
+                    grid[extras[0]][0] = ring.zero()
+                    while grid[extras[-1]][0].is_zero:
+                        grid[extras[-1]][0] = random_scalar(rng, ring, 1, 2)
+                    got = bordered_minors(ring, grid, pivots)
+                    want = [
+                        det(ExactMatrix.from_rows(ring, [grid[i] for i in sorted((*pivots, e))]))
+                        for e in extras
+                    ]
+                    assert got == want
 
 
 def test_jacobian_rank_4_6_is_7():

@@ -226,11 +226,14 @@ def test_bordered_minor_det_matches_sympy(rng):
     sym_rows = [[flatten(e, flat) for e in row] for row in nf.entries_ab]
     eqs = local_equations(x, built.line)
     checked = 0
-    for extra in range(x.n - 1):
-        if extra in eqs.pivot_rows:
-            continue
+    extras = [i for i in range(x.n - 1) if i not in eqs.pivot_rows]
+    assert len(extras) == eqs.count
+    for extra, minor in zip(extras, eqs.minors):
         rows = [sym_rows[i] for i in sorted((*eqs.pivot_rows, extra))]
         assert len(rows) == len(rows[0]) == 3
+        # the emitted equation is this bordered minor, however it is expanded
+        theirs = sympy.Matrix([[to_sympy(sympy, e, symbols) for e in row] for row in rows])
+        assert sympy.expand(to_sympy(sympy, flatten(minor, flat), symbols) - theirs.det()) == 0
         # scaled by random factors too, so Bareiss divides by many-term pivots
         scaled = [[e * random_scalar(rng, flat, n_terms=3) for e in row] for row in rows]
         for grid in (rows, scaled):
