@@ -14,7 +14,7 @@ curves, and all the one-variable cohomology bookkeeping, live here.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Callable, Mapping, Sequence
 
 from .errors import (
     AllZero,
@@ -342,7 +342,7 @@ class MultiPoly:
         )
 
 
-def _power_table(ring: PolyRing, values: Mapping[str, Scalar]):
+def _power_table(ring: PolyRing, values: Mapping[str, Scalar]) -> Callable[[int, int], Scalar]:
     """power(i, x): the value of the i-th variable of `ring` raised to x,
     each (variable, exponent) computed once."""
     field = ring.coeffs.field

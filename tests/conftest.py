@@ -50,7 +50,9 @@ def random_homogeneous(
     return ring.from_terms(terms)
 
 
-def random_poly(rng: random.Random, ring: PolyRing, max_deg: int = 4, n_terms: int = 5) -> MultiPoly:
+def random_poly(
+    rng: random.Random, ring: PolyRing, max_deg: int = 4, n_terms: int = 5
+) -> MultiPoly:
     """A polynomial of mixed degree whose coefficients carry the ring's
     parameters; powers of one variable recur across terms."""
     terms = {}
