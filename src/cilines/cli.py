@@ -26,6 +26,7 @@ Problem files are UTF-8 text, one 'key: value' per line, '#' comments:
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 import time
@@ -338,6 +339,7 @@ def _cmd_gates(args) -> dict:
     }
 
 
+@functools.cache  # one parser per process; parse_args keeps no state in it
 def build_parser() -> _Parser:
     parser = _Parser(prog="cilines", description=__doc__)
     sub = parser.add_subparsers(dest="cmd", required=True)

@@ -18,7 +18,7 @@ from typing import Sequence
 
 from .errors import AllZero, ConstraintViolated, NotHomogeneous, RingMismatch
 from .fields import Field, Scalar
-from .multipoly import BinaryForm, MultiPoly, PolyRing, binary_gcd
+from .multipoly import BinaryForm, MultiPoly, PolyRing, _compose_terms, binary_gcd
 from .params import ParamRing
 
 
@@ -228,12 +228,4 @@ def restrict_along(
         raise ConstraintViolated(
             f"{len(components)} components for {form.ring.n} coordinates"
         )
-    ring = components[0].ring
-    out = BinaryForm.zero(ring, b * d)
-    for e, c in form.terms:
-        piece = BinaryForm.from_scalars(ring, [ring.one()])
-        for comp, x in zip(components, e):
-            if x:
-                piece = piece * comp ** x
-        out = out + piece.scale(c)
-    return out
+    return _compose_terms(form.terms, components, b * d)

@@ -14,7 +14,7 @@ curves, and all the one-variable cohomology bookkeeping, live here.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
 from .errors import (
     AllZero,
@@ -486,36 +486,13 @@ class BinaryForm:
             c = self.ring.const(c)
         return BinaryForm(self.ring, self.degree, tuple(x * c for x in self.coeffs))
 
-    def __pow__(self, n: int) -> "BinaryForm":
-        out = BinaryForm.from_scalars(self.ring, [self.ring.one()])
-        for _ in range(n):
-            out = out * self
-        return out
-
     def compose(self, u: "BinaryForm", w: "BinaryForm") -> "BinaryForm":
         """Substitute s -> u, t -> w for forms u, w of one common degree."""
         if u.degree != w.degree or u.ring != self.ring or w.ring != self.ring:
             raise RingMismatch("cover components must share degree and ring")
         d = self.degree
-        acc = BinaryForm.zero(self.ring, d * u.degree)
-        for k, c in enumerate(self.coeffs):
-            if c.is_zero:
-                continue
-            acc = acc + ((u ** (d - k)) * (w ** k)).scale(c)
-        return acc
-
-    def evaluate(self, s0: Scalar, t0: Scalar) -> ParamScalar:
-        field = self.ring.field
-        s0, t0 = field.make(s0), field.make(t0)
-        out = self.ring.zero()
-        for k, c in enumerate(self.coeffs):
-            v = field.one
-            for _ in range(self.degree - k):
-                v = field.mul(v, s0)
-            for _ in range(k):
-                v = field.mul(v, t0)
-            out = out + c * self.ring.const(v)
-        return out
+        terms = (((d - k, k), c) for k, c in enumerate(self.coeffs) if not c.is_zero)
+        return _compose_terms(terms, (u, w), d * u.degree)
 
     def __str__(self) -> str:
         return _print_sum(
@@ -523,6 +500,25 @@ class BinaryForm:
             for k, c in enumerate(self.coeffs)
             if not c.is_zero
         )
+
+
+def _compose_terms(
+    terms: Iterable[tuple[Exps, ParamScalar]], components: Sequence[BinaryForm], degree: int
+) -> BinaryForm:
+    """The form sum c * prod_i components[i]^e_i over the terms (e, c), of
+    the given degree; each power components[i]^x is built once."""
+    ring = components[0].ring
+    ladders = [[comp] for comp in components]  # ladders[i][x - 1] = components[i]^x
+    out = BinaryForm.zero(ring, degree)
+    for e, c in terms:
+        piece = BinaryForm.from_scalars(ring, [c])
+        for ladder, x in zip(ladders, e):
+            if x:
+                while len(ladder) < x:
+                    ladder.append(ladder[-1] * ladder[0])
+                piece = piece * ladder[x - 1]
+        out = out + piece
+    return out
 
 
 # -- gcd of binary forms -----------------------------------------------------------

@@ -1,115 +1,74 @@
-"""Text grammar for polynomials.
+"""Text grammar for polynomials, read term by term.
 
-Terms over the ring's variables and parameters with integer
-coefficients; operators + - * ^; juxtaposition is not multiplication.
-Examples: "c1*S^3 - S^2*T", "S*Z1 + T*Z2", "-s^2*t".
+    poly := ["-"] term (("+" | "-") term)*     term := factor ("*" factor)*
+    factor := (integer | name) ["^" integer]   name: a variable or parameter
+
+Whitespace may stand between tokens; juxtaposition is not multiplication
+and there are no parentheses. Examples: "c1*S^3 - S^2*T", "-s^2*t".
+
+The text is split at + and - into signed terms, each term at * into
+factors. An integer factor multiplies the term's coefficient in the
+field (F_p reduces its powers modularly), a name adds to the term's
+exponent vector, and like terms are summed in one dict. Over Q an
+integer power of more than MAX_INT_BITS bits is refused unbuilt.
 """
 
 from __future__ import annotations
 
 import re
 
-from .errors import ParseError, UnknownVariable
+from .errors import ParseError
+from .fields import Field, Scalar
 from .multipoly import MultiPoly, PolyRing
+from .params import Exps
 
-_TOKEN = re.compile(r"\s*(?:(\d+)|([A-Za-z][A-Za-z0-9]*)|([+\-*^]))")
+#: over Q, the most bits an integer factor b^e may have
+MAX_INT_BITS = 4096
 
-
-def _tokenize(text: str) -> list[tuple[str, str]]:
-    out = []
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN.match(text, pos)
-        if not m:
-            if text[pos:].strip():
-                raise ParseError(f"unexpected character {text[pos]!r} in {text!r}")
-            break
-        if m.group(1):
-            out.append(("int", m.group(1)))
-        elif m.group(2):
-            out.append(("name", m.group(2)))
-        else:
-            out.append(("op", m.group(3)))
-        pos = m.end()
-    return out
-
-
-class _Parser:
-    def __init__(self, tokens: list[tuple[str, str]], ring: PolyRing):
-        self.tokens = tokens
-        self.pos = 0
-        self.ring = ring
-
-    def peek(self):
-        return self.tokens[self.pos] if self.pos < len(self.tokens) else None
-
-    def take(self):
-        tok = self.peek()
-        if tok is None:
-            raise ParseError("unexpected end of polynomial")
-        self.pos += 1
-        return tok
-
-    def atom(self) -> MultiPoly:
-        kind, value = self.take()
-        if kind == "int":
-            return self.ring.const(int(value))
-        if kind == "name":
-            if value in self.ring.variables:
-                return self.ring.var(value)
-            if value in self.ring.coeffs.names:
-                return self.ring.param(value)
-            raise ParseError(f"unknown name {value!r} (not a variable or parameter)")
-        raise ParseError(f"expected a number or name, got {value!r}")
-
-    def factor(self) -> MultiPoly:
-        base = self.atom()
-        tok = self.peek()
-        if tok == ("op", "^"):
-            self.take()
-            kind, value = self.take()
-            if kind != "int":
-                raise ParseError(f"exponent must be an integer, got {value!r}")
-            return base ** int(value)
-        return base
-
-    def term(self) -> MultiPoly:
-        acc = self.factor()
-        while self.peek() == ("op", "*"):
-            self.take()
-            acc = acc * self.factor()
-        return acc
-
-    def expression(self) -> MultiPoly:
-        negate = False
-        if self.peek() == ("op", "-"):
-            self.take()
-            negate = True
-        acc = self.term()
-        if negate:
-            acc = -acc
-        while True:
-            tok = self.peek()
-            if tok == ("op", "+"):
-                self.take()
-                acc = acc + self.term()
-            elif tok == ("op", "-"):
-                self.take()
-                acc = acc - self.term()
-            else:
-                break
-        return acc
+_SIGN = re.compile(r"([+-])")
+_FACTOR = re.compile(r"\s*(?:(\d+)|([A-Za-z][A-Za-z0-9]*))\s*(?:\^\s*(\d+)\s*)?")
 
 
 def parse_poly(text: str, ring: PolyRing) -> MultiPoly:
-    tokens = _tokenize(text)
-    if not tokens:
-        raise ParseError("empty polynomial")
-    parser = _Parser(tokens, ring)
-    try:
-        poly = parser.expression()
-    except UnknownVariable as exc:
-        raise ParseError(str(exc)) from None
-    if parser.peek() is not None:
-        raise ParseError(f"trailing input after polynomial: {parser.tokens[parser.pos:]}")
-    return poly
+    coeffs = ring.coeffs
+    field = coeffs.field
+    slots = {name: i for i, name in enumerate(coeffs.names + ring.variables)}
+    pieces = ["+"] + _SIGN.split(text)  # sign, term, sign, term, ...
+    if len(pieces) > 3 and not pieces[1].strip() and pieces[2] == "-":
+        del pieces[:2]  # only the first term may carry a leading minus
+    acc: dict[Exps, dict[Exps, Scalar]] = {}
+    for sign, term in zip(pieces[::2], pieces[1::2]):
+        coeff = field.one if sign == "+" else field.neg(field.one)
+        exps = [0] * len(slots)
+        for factor in term.split("*"):
+            m = _FACTOR.fullmatch(factor)
+            if m is None:
+                raise ParseError(f"bad term {term.strip()!r} in {text!r}")
+            base, name, power = m.groups()
+            try:
+                e = int(power) if power else 1
+                b = None if base is None else int(base)
+            except ValueError:  # more digits than int() converts
+                raise ParseError(f"too many digits in {factor.strip()[:40]!r}...") from None
+            if b is not None:
+                coeff = field.mul(coeff, _int_power(field, b, e, factor))
+            elif name in slots:
+                exps[slots[name]] += e
+            else:
+                raise ParseError(f"unknown name {name!r} (not a variable or parameter)")
+        inner = acc.setdefault(tuple(exps[coeffs.k :]), {})
+        pe = tuple(exps[: coeffs.k])
+        inner[pe] = field.add(inner[pe], coeff) if pe in inner else coeff
+    return ring.from_terms({ve: coeffs.from_terms(c) for ve, c in acc.items()})
+
+
+def _int_power(field: Field, b: int, e: int, factor: str) -> Scalar:
+    """b^e in the field. Over Q a power of b > 1 has at least
+    (bit_length(b) - 1) * e + 1 bits, so a large one is refused unbuilt."""
+    if field.p is not None or b < 2:
+        return field.pow(field.make(b), e)
+    if (b.bit_length() - 1) * e < MAX_INT_BITS:
+        v = b**e
+        if v.bit_length() <= MAX_INT_BITS:
+            return field.make(v)
+    raise ParseError(f"{factor.strip()!r} has more than MAX_INT_BITS = {MAX_INT_BITS} bits")

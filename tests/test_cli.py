@@ -5,7 +5,7 @@ import time
 
 import pytest
 
-from cilines.cli import main
+from cilines.cli import build_parser, main
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
 
@@ -280,6 +280,45 @@ def test_huge_monomial_power_exits_2_at_once(capsys, tmp_path):
     assert time.perf_counter() - started < 1.0
     assert code == 2
     assert json.loads(out)["error"] == "NotHomogeneous"
+
+
+def test_huge_integer_power_over_q_exits_1_at_once(capsys, tmp_path):
+    """Over Q an integer power past MAX_INT_BITS bits is a parse error,
+    refused before the power is computed."""
+    text = QUADRIC_F3.replace("field: F:3", "field: Q").replace(
+        "form: S*Z1", "form: 7^99999999*S*Z1"
+    )
+    started = time.perf_counter()
+    code, out = run(capsys, "classify-line", write_problem(tmp_path, "huge.ci", text))
+    assert time.perf_counter() - started < 1.0
+    assert code == 1
+    report = json.loads(out)
+    assert report["error"] == "ParseError" and "MAX_INT_BITS" in report["message"]
+
+
+def test_huge_integer_power_over_f5_is_reduced_at_once(capsys, tmp_path):
+    """Over F_5, 7^99999999 = 2^3 = 3: the report is that of coefficient 3."""
+    text = QUADRIC_F3.replace("field: F:3", "field: F:5")
+    huge_path = write_problem(tmp_path, "huge.ci", text.replace("S*Z1", "7^99999999*S*Z1"))
+    three_path = write_problem(tmp_path, "three.ci", text.replace("S*Z1", "3*S*Z1"))
+    started = time.perf_counter()
+    huge = run(capsys, "classify-line", huge_path)
+    assert time.perf_counter() - started < 1.0
+    assert huge == run(capsys, "classify-line", three_path) and huge[0] == 0
+
+
+def test_a_reused_parser_prints_what_a_fresh_one_does(capsys, tmp_path):
+    calls = [
+        ("gates", "--N", "5", "--degrees", "2,2"),
+        ("classify-line", write_problem(tmp_path, "quadric.ci", QUADRIC_F3)),
+        ("nonsense-command",),
+    ]
+    fresh = []
+    for argv in calls:
+        build_parser.cache_clear()
+        fresh.append(run(capsys, *argv))
+    assert build_parser() is build_parser()
+    assert [run(capsys, *argv) for argv in calls] == fresh
 
 
 def test_classify_line_not_contained_exits_2(capsys, tmp_path):

@@ -2,6 +2,7 @@ import pytest
 
 from cilines.errors import AllZero, ParameterPresent, UnknownVariable
 from cilines.fields import RATIONALS, prime_field
+from cilines.geometry import restrict_along
 from cilines.multipoly import BinaryForm, PolyRing, binary_gcd, flatten, unflatten
 from cilines.params import ParamRing
 from cilines.polytext import parse_poly
@@ -270,22 +271,62 @@ def test_binary_gcd_divides_and_is_divided(rng):
             assert divides(common, gcd)
 
 
-def test_compose_and_evaluate():
+def test_compose():
     ring = ParamRing(RATIONALS, ())
     f = binform(ring, 1, 0, -1)        # s^2 - t^2
     u = binform(ring, 1, 0, 0)         # s^2
     w = binform(ring, 0, 0, 1)         # t^2
     assert f.compose(u, w).coeffs == binform(ring, 1, 0, 0, 0, -1).coeffs  # s^4 - t^4
-    assert f.evaluate(3, 2) == ring.const(5)
+
+
+def test_restrict_along_and_compose_match_substitution(rng):
+    """Both compose through one power ladder per component; a form whose
+    variables recur with several exponents checks it against
+    MultiPoly.substitute into the ring of (s, t)."""
+    field = prime_field(7)
+    coeffs = ParamRing(field, ())
+    st_ring = PolyRing(coeffs, ("s", "t"))
+
+    def as_poly(form):
+        d = form.degree
+        return st_ring.from_terms({(d - k, k): c for k, c in enumerate(form.coeffs)})
+
+    def random_form(d):
+        return BinaryForm.from_scalars(coeffs, [field.random(rng) for _ in range(d + 1)])
+
+    ring = ambient_ring(field, 3)
+    for _ in range(10):
+        form = random_homogeneous(rng, ring, 4, n_terms=10)
+        comps = [random_form(2) for _ in ring.variables]
+        want = form.substitute({v: as_poly(c) for v, c in zip(ring.variables, comps)})
+        assert as_poly(restrict_along(form, comps)) == want
+
+        f = random_form(3)
+        u, w = random_form(2), random_form(2)
+        want = as_poly(f).substitute({"s": as_poly(u), "t": as_poly(w)})
+        assert as_poly(f.compose(u, w)) == want
 
 
 def test_parser_rejects_garbage():
     from cilines.errors import ParseError
 
     ring = ambient_ring(RATIONALS, 3)
-    for bad in ("", "S +", "2S", "S^x", "W + T", "S ? T"):
+    for bad in (
+        *("", "S +", "2S", "S^x", "W + T", "S ? T", "+S", "S - -T", "2 3", "S^2^3"),
+        *("S^-1", "S T", "S*", "*S", "S**2", "-S+-T"),
+    ):
         with pytest.raises(ParseError):
             parse_poly(bad, ring)
+
+
+def test_parser_reads_spaces_signs_and_zeroth_powers():
+    ring = ambient_ring(RATIONALS, 3)
+    S = ring.var("S")
+    assert parse_poly("S^ 2", ring) == S * S
+    assert parse_poly("- S", ring) == -S
+    assert parse_poly("0^0*S", ring) == S
+    assert parse_poly("S^0", ring) == ring.one()
+    assert parse_poly("S + S - 3*T + T", ring) == 2 * S - 2 * ring.var("T")
 
 
 def test_parser_str_roundtrip(rng):

@@ -1,25 +1,27 @@
-"""Property tests of MultiPoly evaluation against test-only references;
-they skip when hypothesis is not installed."""
+"""Property tests of MultiPoly evaluation and of polytext against
+test-only references; they skip when hypothesis is not installed."""
 
 import pytest
 
 pytest.importorskip("hypothesis")
 
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from cilines.fields import RATIONALS, prime_field
 from cilines.multipoly import PolyRing
 from cilines.params import ParamRing
+from cilines.polytext import parse_poly
 
 from conftest import naive_evaluate
+from test_polytext import ALPHABET, FIELDS as PARSE_FIELDS, LONG_EXPONENT, assert_agree
 
 VARIABLES = ("a1", "a2", "b1", "b2")
 FIELDS = (RATIONALS, prime_field(2), prime_field(3), prime_field(7))
 
 
 @st.composite
-def poly_and_point(draw):
+def poly_and_point(draw, coeff_terms=3):
     field = draw(st.sampled_from(FIELDS))
     coeffs = ParamRing(field, draw(st.sampled_from(((), ("c1",), ("c1", "c2")))))
     ring = PolyRing(coeffs, VARIABLES)
@@ -29,7 +31,7 @@ def poly_and_point(draw):
     terms = draw(
         st.dictionaries(
             exps,
-            st.dictionaries(pexps, small.map(field.make), min_size=1, max_size=3),
+            st.dictionaries(pexps, small.map(field.make), min_size=1, max_size=coeff_terms),
             max_size=6,
         )
     )
@@ -55,3 +57,19 @@ def test_evaluate_agrees_with_the_naive_reference(case):
 def test_gradient_at_agrees_with_differentiating_first(case):
     p, point, names = case
     assert p.gradient_at(names, point) == [naive_evaluate(p.differentiate(v), point) for v in names]
+
+
+@settings(max_examples=150, deadline=None)
+@given(poly_and_point(coeff_terms=1))
+def test_parse_poly_reads_back_what_str_prints(case):
+    # a coefficient of several terms prints in parentheses, which the
+    # grammar lacks, so each coefficient here is one term
+    p, _, _ = case
+    assert parse_poly(str(p), p.ring) == p
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.sampled_from(ALPHABET), max_size=12).map("".join), st.sampled_from(PARSE_FIELDS))
+def test_parse_poly_agrees_with_the_arithmetic_parser(text, field):
+    assume(not LONG_EXPONENT.search(text))
+    assert_agree(text, field)

@@ -1,0 +1,108 @@
+"""The term reader of polytext against the arithmetic parser it replaced
+(polytext_reference.py, test-only) on seeded random strings, and the
+guards of the reader."""
+
+import random
+import re
+
+import pytest
+
+from cilines.errors import ParseError
+from cilines.fields import RATIONALS, prime_field
+from cilines.multipoly import MultiPoly, PolyRing
+from cilines.params import ParamRing, ParamScalar
+from cilines.polytext import MAX_INT_BITS, parse_poly
+
+import polytext_reference
+
+ALPHABET = (
+    *("S", "T", "Z1", "c1", "W", "0", "2", "13"),
+    *("+", "-", "*", "^", "^0", "^2", "?", "2S", " "),
+)
+FIELDS = (RATIONALS, prime_field(7), prime_field(2))
+# The reference multiplies a zero base by itself e times and builds b^e
+# over Q in full, so strings with an exponent of four or more digits are
+# not given to it; test_integer_powers_over_q_stop_at_the_cap and
+# test_cli pin the reader on those.
+LONG_EXPONENT = re.compile(r"\^\s*\d{4}")
+
+
+def ring_over(field) -> PolyRing:
+    return PolyRing(ParamRing(field, ("c1",)), ("S", "T", "Z1"))
+
+
+def random_text(rng: random.Random) -> str:
+    return "".join(rng.choice(ALPHABET) for _ in range(rng.randint(0, 9)))
+
+
+def outcome(parse, text: str, ring: PolyRing):
+    try:
+        return parse(text, ring)
+    except ParseError:
+        return ParseError
+
+
+def assert_agree(text: str, field) -> bool:
+    """Both parsers refuse text, or both give one polynomial; over Q the
+    reader may also refuse an integer power past MAX_INT_BITS, of a text
+    the reference reads. Returns whether the reader accepted."""
+    ring = ring_over(field)
+    reference = polytext_reference.parse_poly
+    try:
+        got = parse_poly(text, ring)
+    except ParseError as exc:
+        if "MAX_INT_BITS" in str(exc):
+            assert field.p is None, text
+            assert outcome(reference, text, ring_over(FIELDS[1])) is not ParseError
+            return False
+        got = ParseError
+    assert got == outcome(reference, text, ring), text
+    return got is not ParseError
+
+
+def test_term_reader_agrees_with_the_arithmetic_parser():
+    rng = random.Random(20261018)
+    texts = []
+    while len(texts) < 20_000:
+        text = random_text(rng)
+        if not LONG_EXPONENT.search(text):
+            texts.append(text)
+    accepted = sum(assert_agree(text, field) for text in texts for field in FIELDS)
+    assert accepted > 3_000
+
+
+def test_parse_poly_uses_no_polynomial_arithmetic(monkeypatch):
+    ring = PolyRing(ParamRing(RATIONALS, ("c1", "c2")), ("S", "T", "Z1"))
+    text = "-2*c1^2*S^3 + 3^2*S * T^2 - S^3*c1^2 + c2 + 0^0 - 13*Z1^0*c2"
+
+    def forbidden(*args):
+        raise AssertionError("parse_poly used polynomial arithmetic")
+
+    for cls in (MultiPoly, ParamScalar):
+        for op in ("add", "radd", "sub", "rsub", "neg", "mul", "rmul", "pow"):
+            monkeypatch.setattr(cls, f"__{op}__", forbidden)
+    got = parse_poly(text, ring)
+    monkeypatch.undo()
+    assert got == polytext_reference.parse_poly(text, ring)
+    assert str(got) == "-3*c1^2*S^3 + 9*S*T^2 + (-12*c2 + 1)"
+
+
+def test_integer_powers_over_q_stop_at_the_cap():
+    ring = ring_over(RATIONALS)
+    for text, value in ((f"2^{MAX_INT_BITS - 1}", 2 ** (MAX_INT_BITS - 1)), ("3^2584", 3**2584)):
+        assert value.bit_length() == MAX_INT_BITS
+        assert parse_poly(f"{text}*S", ring) == ring.const(value) * ring.var("S")
+    for text in (f"2^{MAX_INT_BITS}", "3^2585", "7^99999999*S"):
+        with pytest.raises(ParseError, match="MAX_INT_BITS"):
+            parse_poly(text, ring)
+    # bases 0 and 1 are never refused; over F_p every power is reduced
+    assert parse_poly("0^99999999 + 1^99999999*S", ring) == ring.var("S")
+    f7 = ring_over(prime_field(7))
+    assert parse_poly("3^99999999*S", f7) == parse_poly(f"{pow(3, 99999999, 7)}*S", f7)
+
+
+def test_an_overlong_integer_is_a_parse_error():
+    for text in ("1" * 5000, "S^" + "1" * 5000):
+        for field in (RATIONALS, prime_field(7)):
+            with pytest.raises(ParseError, match="too many digits"):
+                parse_poly(text, ring_over(field))
