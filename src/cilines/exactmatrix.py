@@ -11,7 +11,7 @@ whose nonvanishing witnesses the rank over the fraction field.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from .errors import ConstraintViolated, RingMismatch
 from .fields import Scalar
@@ -91,12 +91,37 @@ def _perm_sign(seq: Sequence[int]) -> int:
     return sign
 
 
+def eliminate(
+    row: list[ParamScalar],
+    pivot_row: Sequence[ParamScalar],
+    piv: ParamScalar,
+    prev: ParamScalar,
+    head: ParamScalar,
+    cols: Iterable[int],
+) -> None:
+    """One fraction-free (Bareiss) step on `row`, in place: for each c in
+    `cols`, row[c] = (piv*row[c] - head*pivot_row[c]) / prev, the division
+    exact. Where head or pivot_row[c] is zero the second product vanishes
+    and is not formed: the entry is only rescaled, and a zero entry stays
+    zero. Every entry is a minor of the input, so each quotient is exact.
+    """
+    scale_only = head.is_zero
+    for c in cols:
+        a = row[c]
+        if scale_only or pivot_row[c].is_zero:
+            if not a.is_zero:
+                row[c] = (piv * a).exact_div(prev)
+        else:
+            row[c] = (piv * a - head * pivot_row[c]).exact_div(prev)
+
+
 def _bareiss(m: ExactMatrix) -> tuple[int, list[list[ParamScalar]], list[int], list[int]]:
     """Full-pivot Bareiss; returns (rank, worked grid, row ids, col ids)."""
     work = m.to_lists()
     row_ids = list(range(m.rows))
     col_ids = list(range(m.cols))
     prev = m.ring.one()
+    zero = m.ring.zero()
     k = 0
     limit = min(m.rows, m.cols)
     while k < limit:
@@ -119,11 +144,10 @@ def _bareiss(m: ExactMatrix) -> tuple[int, list[list[ParamScalar]], list[int], l
                 row[k], row[pj] = row[pj], row[k]
             col_ids[k], col_ids[pj] = col_ids[pj], col_ids[k]
         piv = work[k][k]
+        cols = range(k + 1, m.cols)
         for i in range(k + 1, m.rows):
-            head = work[i][k]
-            for j in range(k + 1, m.cols):
-                work[i][j] = (piv * work[i][j] - head * work[k][j]).exact_div(prev)
-            work[i][k] = m.ring.zero()
+            eliminate(work[i], work[k], piv, prev, work[i][k], cols)
+            work[i][k] = zero
         prev = piv
         k += 1
     return k, work, row_ids, col_ids

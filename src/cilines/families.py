@@ -18,7 +18,7 @@ import random
 from dataclasses import dataclass
 from typing import Literal
 
-from .errors import CharTwoForbidden, ConstraintViolated, ParseError
+from .errors import BudgetExceeded, CharTwoForbidden, ConstraintViolated, ParseError
 from .fields import Field, Scalar
 from .geometry import CIType, CompleteIntersection, LineChartPoint, ambient_variables
 from .multipoly import MultiPoly, PolyRing
@@ -34,6 +34,12 @@ FAMILY_NAMES = (
 )
 
 CMode = Literal["symbolic", "sampled"]
+
+#: largest N a family is built for; every degree is at most N - 2, so N
+#: bounds the whole build. Measured on one core (Python 3.11), a
+#: verify-example report at N = 64 takes up to 1.0 s (hyp-general, d=62)
+#: and at N = 128 up to 6.7 s (d=126)
+MAX_FAMILY_N = 64
 
 
 @dataclass(frozen=True)
@@ -53,6 +59,8 @@ class FamilySpec:
         if self.name == "ci-4-3-P9":
             object.__setattr__(self, "n", 9)
             object.__setattr__(self, "degrees", (4, 3))
+        if self.n is not None and self.n > MAX_FAMILY_N:
+            raise BudgetExceeded(f"N = {self.n} exceeds MAX_FAMILY_N = {MAX_FAMILY_N}")
 
     def __str__(self) -> str:
         opts = []
@@ -88,7 +96,10 @@ def parse_family_spec(text: str) -> FamilySpec:
         if "degrees" in opts:
             degrees = tuple(int(x) for x in opts["degrees"].split("+"))
         if "r" in opts:
-            degrees = (2,) * int(opts["r"])
+            r = int(opts["r"])
+            if r > MAX_FAMILY_N:  # refused before the tuple is built
+                raise BudgetExceeded(f"r = {r} exceeds MAX_FAMILY_N = {MAX_FAMILY_N}")
+            degrees = (2,) * r
         c_mode = opts.get("c", "symbolic")
         if c_mode not in ("symbolic", "sampled"):
             raise ParseError(f"bad c mode {c_mode!r}")

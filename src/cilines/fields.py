@@ -1,8 +1,11 @@
 """Exact base fields: the rationals and prime fields F_p.
 
-Field elements are plain Python values (fractions.Fraction for Q, ints in
-[0, p) for F_p); a Field instance supplies the arithmetic. Keeping
-elements primitive makes equality, hashing and serialization free.
+Field elements are plain Python values: over Q an int when integral and
+a fractions.Fraction otherwise (int arithmetic is several times faster,
+and most rationals met here are integers), over F_p an int in [0, p). A
+Field instance supplies the arithmetic. Keeping elements primitive makes
+equality, hashing and serialization free; an int and the Fraction of the
+same value compare, hash and print alike.
 """
 
 from __future__ import annotations
@@ -11,7 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Union
 
-from .errors import ConstraintViolated, ParseError
+from .errors import BudgetExceeded, ConstraintViolated, ParseError
 
 Scalar = Union[Fraction, int]
 
@@ -19,6 +22,11 @@ Scalar = Union[Fraction, int]
 MAX_MODULUS = 1 << 61
 
 _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+
+
+def _rational(x: Scalar) -> Scalar:
+    """A rational as an int when it is integral."""
+    return x if x.__class__ is int or x.denominator != 1 else x.numerator
 
 
 def is_prime(n: int) -> bool:
@@ -76,7 +84,7 @@ class Field:
     def make(self, x: int | Fraction) -> Scalar:
         """Normalize a Python int or Fraction into this field."""
         if self.p is None:
-            return Fraction(x)
+            return _rational(x)
         if isinstance(x, Fraction):
             if x.denominator % self.p == 0:
                 raise ConstraintViolated(f"denominator of {x} vanishes mod {self.p}")
@@ -85,35 +93,35 @@ class Field:
 
     @property
     def zero(self) -> Scalar:
-        return Fraction(0) if self.p is None else 0
+        return 0
 
     @property
     def one(self) -> Scalar:
-        return Fraction(1) if self.p is None else 1
+        return 1
 
     # -- arithmetic ----------------------------------------------------
 
     def add(self, a: Scalar, b: Scalar) -> Scalar:
-        return a + b if self.p is None else (a + b) % self.p
+        return _rational(a + b) if self.p is None else (a + b) % self.p
 
     def sub(self, a: Scalar, b: Scalar) -> Scalar:
-        return a - b if self.p is None else (a - b) % self.p
+        return _rational(a - b) if self.p is None else (a - b) % self.p
 
     def mul(self, a: Scalar, b: Scalar) -> Scalar:
-        return a * b if self.p is None else (a * b) % self.p
+        return _rational(a * b) if self.p is None else (a * b) % self.p
 
     def neg(self, a: Scalar) -> Scalar:
         return -a if self.p is None else (-a) % self.p
 
     def pow(self, a: Scalar, n: int) -> Scalar:
         """a^n for an integer n >= 0, by square-and-multiply."""
-        return a**n if self.p is None else pow(a, n, self.p)
+        return _rational(a**n) if self.p is None else pow(a, n, self.p)
 
     def inv(self, a: Scalar) -> Scalar:
         if self.is_zero(a):
             raise ZeroDivisionError("inverse of zero")
         if self.p is None:
-            return 1 / a
+            return _rational(Fraction(1, a) if a.__class__ is int else 1 / a)
         return pow(a, -1, self.p)
 
     def div(self, a: Scalar, b: Scalar) -> Scalar:
@@ -125,7 +133,12 @@ class Field:
     # -- parsing / printing -------------------------------------------
 
     def to_str(self, a: Scalar) -> str:
-        return str(a)
+        try:
+            return str(a)
+        except ValueError:  # Python refuses str() of an int this long
+            raise BudgetExceeded(
+                "a rational has more digits than Python converts to text"
+            ) from None
 
     def parse(self, text: str) -> Scalar:
         """Parse an integer, or a '/'-separated fraction over Q."""
@@ -140,13 +153,13 @@ class Field:
 
     def random(self, rng) -> Scalar:
         if self.p is None:
-            return Fraction(rng.randint(-50, 50))
+            return rng.randint(-50, 50)
         return rng.randrange(self.p)
 
     def random_nonzero(self, rng) -> Scalar:
         if self.p is None:
             n = rng.randint(1, 50)
-            return Fraction(n if rng.random() < 0.5 else -n)
+            return n if rng.random() < 0.5 else -n
         return rng.randint(1, self.p - 1)
 
 

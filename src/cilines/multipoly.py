@@ -344,16 +344,21 @@ class MultiPoly:
 
 def _power_table(ring: PolyRing, values: Mapping[str, Scalar]) -> Callable[[int, int], Scalar]:
     """power(i, x): the value of the i-th variable of `ring` raised to x,
-    each (variable, exponent) computed once."""
+    each (variable, exponent) computed once. A value is brought into the
+    field when a power of it is first asked for, so the value of a
+    variable that no term uses is never checked."""
     field = ring.coeffs.field
-    made = {i: field.make(values[v]) for i, v in enumerate(ring.variables) if v in values}
+    variables = ring.variables
     cache: dict[tuple[int, int], Scalar] = {}
 
     def power(i: int, x: int) -> Scalar:
         key = (i, x)
         got = cache.get(key)
         if got is None:
-            got = cache[key] = field.pow(made[i], x)
+            base = cache.get((i, 1))
+            if base is None:
+                base = cache[(i, 1)] = field.make(values[variables[i]])
+            got = cache[key] = field.pow(base, x)
         return got
 
     return power

@@ -41,7 +41,7 @@ from .chart import (
     nonfree_matrix,
 )
 from .errors import InvariantViolated, LineNotContained, NotCorankOne
-from .exactmatrix import ExactMatrix, det, rank_exact
+from .exactmatrix import ExactMatrix, det, eliminate, rank_exact
 from .geometry import CompleteIntersection, LineChartPoint
 from .multipoly import MultiPoly, flatten, flatten_ring, unflatten
 from .params import ParamRing, ParamScalar
@@ -125,9 +125,7 @@ def _lex_first_basis(matrix: ExactMatrix) -> tuple[int, ...]:
         free.remove(j)
         piv = row[j]
         for later in work[i + 1 :]:
-            head = later[j]
-            for c in free:
-                later[c] = (piv * later[c] - head * row[c]).exact_div(prev)
+            eliminate(later, row, piv, prev, later[j], free)
         prev = piv
     return tuple(chosen)
 

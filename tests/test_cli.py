@@ -1,6 +1,7 @@
 import json
 import os
 import pathlib
+import sys
 import time
 
 import pytest
@@ -294,6 +295,35 @@ def test_huge_integer_power_over_q_exits_1_at_once(capsys, tmp_path):
     assert code == 1
     report = json.loads(out)
     assert report["error"] == "ParseError" and "MAX_INT_BITS" in report["message"]
+
+
+@pytest.mark.skipif(
+    not getattr(sys, "get_int_max_str_digits", lambda: 0)(),
+    reason="this interpreter prints an int of any length",
+)
+def test_rational_too_long_to_print_exits_2_at_once(capsys, tmp_path):
+    """Each factor is under MAX_INT_BITS, but the coefficient, 4,932 digits,
+    is past the 4,300 digits Python converts to text."""
+    n = "9" * 1233
+    text = QUADRIC_F3.replace("field: F:3", "field: Q").replace(
+        "form: S*Z1", f"form: {n}*{n}*{n}*{n}*S*Z1"
+    )
+    started = time.perf_counter()
+    code, out = run(capsys, "classify-line", write_problem(tmp_path, "long.ci", text))
+    assert time.perf_counter() - started < 1.0
+    assert code == 2
+    assert json.loads(out)["error"] == "BudgetExceeded"
+
+
+def test_family_past_the_size_budget_exits_2_at_once(capsys):
+    started = time.perf_counter()
+    for spec in ("hyp-general:N=65,d=3", "quadrics-general:N=7,r=1000000"):
+        code, out = run(capsys, "verify-example", spec)
+        assert code == 2
+        assert json.loads(out)["error"] == "BudgetExceeded"
+    assert time.perf_counter() - started < 1.0
+    code, _ = run(capsys, "verify-example", "hyp-general:N=64,d=3", "--char", "3")
+    assert code == 0
 
 
 def test_huge_integer_power_over_f5_is_reduced_at_once(capsys, tmp_path):

@@ -1,0 +1,80 @@
+"""The shared sparse Bareiss step (exactmatrix.eliminate) against the
+dense loops it replaced (elimination_reference.py, test-only), on seeded
+random sparse matrices; and det/rank against sympy on integer matrices."""
+
+import random
+
+import pytest
+
+from cilines.exactmatrix import ExactMatrix, det, rank_exact
+from cilines.fields import RATIONALS, prime_field
+from cilines.nonfree import _lex_first_basis
+from cilines.params import ParamRing
+
+import elimination_reference as reference
+
+FIELDS = (RATIONALS, prime_field(2), prime_field(3))
+RINGS = tuple(ParamRing(f, names) for f in FIELDS for names in ((), ("c1", "c2")))
+
+
+def sparse_entry(rng, ring, density):
+    """Zero with probability 1 - density; else a small nonzero constant,
+    or over a parameter ring a sum of up to two terms of degree <= 1."""
+    if rng.random() >= density:
+        return ring.zero()
+    if not ring.k or rng.random() < 0.4:
+        return ring.const(ring.field.random_nonzero(rng))
+    terms = {}
+    for _ in range(rng.randint(1, 2)):
+        exps = [0] * ring.k
+        if rng.random() < 0.7:
+            exps[rng.randrange(ring.k)] = 1
+        terms[tuple(exps)] = ring.field.random_nonzero(rng)
+    return ring.from_terms(terms)
+
+
+def sparse_matrix(rng, ring, rows, cols, density):
+    """A random sparse matrix; sometimes a row is made the sum of two
+    earlier rows, so that ranks drop over every field."""
+    grid = [[sparse_entry(rng, ring, density) for _ in range(cols)] for _ in range(rows)]
+    for i in range(2, rows):
+        if rng.random() < 0.25:
+            j, k = rng.sample(range(i), 2)
+            grid[i] = [a + b for a, b in zip(grid[j], grid[k])]
+    return ExactMatrix.from_rows(ring, grid)
+
+
+def assert_matches_reference(m):
+    assert rank_exact(m) == reference.rank_exact(m)
+    assert _lex_first_basis(m) == reference.lex_first_basis(m)
+    assert _lex_first_basis(m.transpose()) == reference.lex_first_basis(m.transpose())
+    if m.rows == m.cols:
+        assert det(m) == reference.det(m)
+
+
+@pytest.mark.parametrize("ring", RINGS, ids=str)
+def test_sparse_step_agrees_with_the_dense_loops(ring):
+    rng = random.Random(f"elimination {ring}")
+    for _ in range(40):
+        rows = rng.randint(1, 8)
+        cols = rows if rng.random() < 0.4 else rng.randint(1, 10)
+        assert_matches_reference(sparse_matrix(rng, ring, rows, cols, rng.uniform(0.1, 0.6)))
+
+
+def test_det_and_rank_agree_with_sympy():
+    sympy = pytest.importorskip("sympy")
+    rng = random.Random(20261018)
+    ring = ParamRing(RATIONALS, ())
+    for _ in range(60):
+        n = rng.randint(1, 7)
+        cols = n if rng.random() < 0.5 else rng.randint(1, 9)
+        density = rng.uniform(0.1, 0.6)
+        grid = [
+            [rng.randint(-9, 9) if rng.random() < density else 0 for _ in range(cols)]
+            for _ in range(n)
+        ]
+        m = ExactMatrix.from_rows(ring, [[ring.const(v) for v in row] for row in grid])
+        oracle = sympy.Matrix(grid)
+        assert rank_exact(m).rank == oracle.rank()
+        if n == cols:
+            assert det(m) == ring.const(int(oracle.det()))

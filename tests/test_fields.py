@@ -1,8 +1,10 @@
+import random
+import sys
 from fractions import Fraction
 
 import pytest
 
-from cilines.errors import ConstraintViolated, ParseError
+from cilines.errors import BudgetExceeded, ConstraintViolated, ParseError
 from cilines.fields import RATIONALS, field_from_str, is_prime, prime_field
 
 
@@ -50,3 +52,43 @@ def test_parse_and_str_roundtrip():
     assert f.parse("7/2") == f.div(f.make(7), f.make(2))
     with pytest.raises(ParseError):
         f.parse("x")
+
+
+def test_integral_rationals_are_ints():
+    f = RATIONALS
+    half = f.inv(2)
+    assert half == Fraction(1, 2) and type(half) is Fraction
+    assert type(f.mul(half, 4)) is int and f.mul(half, 4) == 2
+    assert type(f.add(half, half)) is int and f.add(half, half) == 1
+    assert type(f.sub(Fraction(3, 2), half)) is int and f.sub(Fraction(3, 2), half) == 1
+    assert type(f.make(Fraction(6, 3))) is int and type(f.make(5)) is int
+    assert type(f.pow(half, 0)) is int
+    assert type(f.zero) is int and type(f.one) is int
+    assert f.inv(-1) == -1 and type(f.inv(-1)) is int
+    assert f.to_str(3) == "3" and f.to_str(f.make(Fraction(-3, 7))) == "-3/7"
+    rng = random.Random(7)
+    assert all(type(f.random(rng)) is int and type(f.random_nonzero(rng)) is int for _ in range(20))
+
+
+@pytest.mark.parametrize(
+    "a", [1, -1, 2, -2, Fraction(3, 7), Fraction(-3, 7), 10**40 + 1, -(2**200)]
+)
+def test_rational_inverse_and_quotient_are_exact(a):
+    f = RATIONALS
+    inv = f.inv(a)
+    assert type(inv) in (int, Fraction)  # never a float
+    assert f.mul(a, inv) == 1 and type(f.mul(a, inv)) is int
+    for b in (1, -2, Fraction(3, 7), 10**40 + 1):
+        q = f.div(b, a)
+        assert type(q) in (int, Fraction) and q == Fraction(b) / Fraction(a)
+        assert type(q) is int or q.denominator != 1
+
+
+@pytest.mark.skipif(
+    not getattr(sys, "get_int_max_str_digits", lambda: 0)(),
+    reason="this interpreter prints an int of any length",
+)
+@pytest.mark.parametrize("a", [10**5000, Fraction(1, 10**5000)], ids=["int", "fraction"])
+def test_printing_a_rational_too_long_for_str_is_a_named_error(a):
+    with pytest.raises(BudgetExceeded):
+        RATIONALS.to_str(a)

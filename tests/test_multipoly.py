@@ -1,6 +1,8 @@
+from fractions import Fraction
+
 import pytest
 
-from cilines.errors import AllZero, ParameterPresent, UnknownVariable
+from cilines.errors import AllZero, ConstraintViolated, ParameterPresent, UnknownVariable
 from cilines.fields import RATIONALS, prime_field
 from cilines.geometry import restrict_along
 from cilines.multipoly import BinaryForm, PolyRing, binary_gcd, flatten, unflatten
@@ -70,6 +72,19 @@ def test_gradient_at_is_differentiate_then_evaluate(rng):
     const = ring.coeffs.const
     assert p.gradient_at(("x", "y"), {"x": 2, "y": 3}) == [const(3 * 4 * 3 + 10 * 2), const(8)]
     assert p.gradient_at((), {}) == []
+
+
+def test_a_value_the_field_cannot_hold_is_refused_where_it_is_used():
+    f7 = PolyRing(ParamRing(prime_field(7), ()), ("x", "y"))
+    p = parse_poly("x^2 + 3*x", f7)
+    bad = {"x": 1, "y": Fraction(1, 7)}  # 1/7 has no image in F_7
+    with pytest.raises(ConstraintViolated):
+        p.evaluate({"x": Fraction(1, 7), "y": 1})
+    with pytest.raises(ConstraintViolated):
+        p.gradient_at(("x",), {"x": Fraction(1, 7)})
+    # the value of a variable that no term uses is not brought into the field
+    assert p.evaluate(bad) == f7.coeffs.const(4)
+    assert p.gradient_at(("x", "y"), bad) == [f7.coeffs.const(5), f7.coeffs.zero()]
 
 
 def test_gradient_at_annihilates_and_names_what_is_missing():
