@@ -40,7 +40,7 @@ from .errors import (
     NotHomogeneous,
     ParameterPresent,
 )
-from .exactmatrix import ExactMatrix
+from .exactmatrix import ExactMatrix, RankResult, rank_exact
 from .fields import Field, Scalar
 from .geometry import (
     CIType,
@@ -140,14 +140,16 @@ class NonFreeMatrix:
 
     entries_ab is the (N-1) x |d| grid of chart polynomials; matrix is the
     same data as an ExactMatrix, over the coefficient parameter ring when
-    evaluated at a point, otherwise over the flattened ring that adjoins
-    the chart coordinates as extra parameters.
+    evaluated at a point, otherwise flat_matrix of the grid. Evaluated,
+    rank is rank_exact of matrix, whose pivot rows are the lex-first row
+    basis; it is None otherwise.
     """
 
     ci_type: CIType
     entries_ab: tuple[tuple[MultiPoly, ...], ...]
     at: LineChartPoint | None
     matrix: ExactMatrix
+    rank: RankResult | None = None
 
     @property
     def col_blocks(self) -> tuple[tuple[int, int], ...]:
@@ -175,27 +177,29 @@ def _nonfree_entries(ms: MembershipSystem) -> tuple[tuple[MultiPoly, ...], ...]:
     )
 
 
+def flat_matrix(ab: PolyRing, grid: Sequence[Sequence[MultiPoly]]) -> ExactMatrix:
+    """A grid of polynomials over `ab` as an ExactMatrix over flatten_ring(ab),
+    the coefficient ring with the variables of ab adjoined as parameters."""
+    flat = flatten_ring(ab)
+    return ExactMatrix.from_rows(flat, [[flatten(e, flat) for e in row] for row in grid])
+
+
 def nonfree_matrix(
     x: CompleteIntersection, at: LineChartPoint | None = None
 ) -> NonFreeMatrix:
-    """Build M(h); when a chart point is given the line must lie on X."""
+    """Build M(h); when a chart point is given the line must lie on X, and
+    the evaluated matrix comes with its rank."""
     ms = membership_system(x)
     if at is not None and not ms.contains(at):
         raise LineNotContained("the chart line is not on X")
     entries = _nonfree_entries(ms)
-    n = x.n
-    if at is not None:
-        vals = at.values(n)
-        grid = [[e.evaluate(vals) for e in row] for row in entries]
-        matrix = ExactMatrix.from_rows(x.coeff_ring, grid) if grid else ExactMatrix(
-            x.coeff_ring, 0, 0, ()
-        )
-        return NonFreeMatrix(x.ci_type, entries, at, matrix)
-    ab = chart_ring(x.coeff_ring, n)
-    flat = flatten_ring(ab)
-    grid = [[flatten(e, flat) for e in row] for row in entries]
-    matrix = ExactMatrix.from_rows(flat, grid)
-    return NonFreeMatrix(x.ci_type, entries, None, matrix)
+    if at is None:
+        ab = chart_ring(x.coeff_ring, x.n)
+        return NonFreeMatrix(x.ci_type, entries, None, flat_matrix(ab, entries))
+    vals = at.values(x.n)
+    grid = [[e.evaluate(vals) for e in row] for row in entries]
+    matrix = ExactMatrix.from_rows(x.coeff_ring, grid)
+    return NonFreeMatrix(x.ci_type, entries, at, matrix, rank_exact(matrix))
 
 
 # -- smoothness along a line or curve -----------------------------------------

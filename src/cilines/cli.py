@@ -33,6 +33,7 @@ import time
 from dataclasses import dataclass
 
 from .bundles import (
+    SplittingType,
     degree_nonfree_gate,
     normal_splitting_line,
     precompose,
@@ -47,7 +48,7 @@ from .chart import (
     nonfree_matrix,
 )
 from .errors import LineNotContained, ParseError, SingularAlongLine, ToolkitError
-from .exactmatrix import rank_exact
+from .exactmatrix import ExactMatrix
 from .families import FamilySpec, family_report, hypothesis_gates, parse_family_spec
 from .fields import Field, RATIONALS, field_from_str, prime_field
 from .geometry import (
@@ -199,6 +200,19 @@ def _report_from(rep: SmoothnessReport) -> dict:
     return out
 
 
+def _line_splitting(
+    x: CompleteIntersection, point: LineChartPoint, m_h: ExactMatrix
+) -> tuple[list[list[BinaryForm]], SplittingType | None]:
+    """The restricted Jacobian along a chart line on X, read off M(h) at the
+    line, and the normal splitting type; None when X is singular along the
+    line, which then has no splitting type."""
+    jac = line_jacobian(x, point, m_h)
+    try:
+        return jac, normal_splitting_line(x, point, jac)
+    except SingularAlongLine:
+        return jac, None
+
+
 def _cmd_verify_example(args) -> dict:
     spec = parse_family_spec(args.family)
     if args.seed is not None:
@@ -234,11 +248,7 @@ def _cmd_classify_line(args) -> dict:
     out.update(_report_from(rep))
     out["free"] = rep.corank == 0
     if x.is_parameter_free:
-        jac = line_jacobian(x, point, rep.matrix)
-        try:
-            normal = normal_splitting_line(x, point, jac)
-        except SingularAlongLine:
-            normal = None
+        jac, normal = _line_splitting(x, point, rep.matrix)
         out["smooth_along_line"] = normal is not None
         if normal is not None:
             out["normal_splitting"] = list(normal.entries)
@@ -272,16 +282,14 @@ def _cmd_enumerate_lines(args) -> dict:
         for ln in lines:
             x2, point, _ = move_line_to_chart(x, ln)
             nf = nonfree_matrix(x2, at=point)
-            rank = rank_exact(nf.matrix).rank
+            rank = nf.rank.rank
             entry = {
                 "free": rank == x.ci_type.total_degree,
                 "matrix_rank": rank,
             }
-            jac = line_jacobian(x2, point, nf.matrix)
-            try:
-                entry["normal_splitting"] = list(normal_splitting_line(x2, point, jac).entries)
-            except SingularAlongLine:
-                pass  # X is singular along the line: no splitting type
+            _, normal = _line_splitting(x2, point, nf.matrix)
+            if normal is not None:
+                entry["normal_splitting"] = list(normal.entries)
             detail.append(entry)
         out["classified"] = detail
     return out

@@ -11,7 +11,7 @@ whose nonvanishing witnesses the rank over the fraction field.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from .errors import ConstraintViolated, RingMismatch
 from .fields import Scalar
@@ -91,30 +91,6 @@ def _perm_sign(seq: Sequence[int]) -> int:
     return sign
 
 
-def eliminate(
-    row: list[ParamScalar],
-    pivot_row: Sequence[ParamScalar],
-    piv: ParamScalar,
-    prev: ParamScalar,
-    head: ParamScalar,
-    cols: Iterable[int],
-) -> None:
-    """One fraction-free (Bareiss) step on `row`, in place: for each c in
-    `cols`, row[c] = (piv*row[c] - head*pivot_row[c]) / prev, the division
-    exact. Where head or pivot_row[c] is zero the second product vanishes
-    and is not formed: the entry is only rescaled, and a zero entry stays
-    zero. Every entry is a minor of the input, so each quotient is exact.
-    """
-    scale_only = head.is_zero
-    for c in cols:
-        a = row[c]
-        if scale_only or pivot_row[c].is_zero:
-            if not a.is_zero:
-                row[c] = (piv * a).exact_div(prev)
-        else:
-            row[c] = (piv * a - head * pivot_row[c]).exact_div(prev)
-
-
 def _bareiss(m: ExactMatrix) -> tuple[int, list[list[ParamScalar]], list[int], list[int]]:
     """Full-pivot Bareiss; returns (rank, worked grid, row ids, col ids)."""
     work = m.to_lists()
@@ -143,11 +119,22 @@ def _bareiss(m: ExactMatrix) -> tuple[int, list[list[ParamScalar]], list[int], l
             for row in work:
                 row[k], row[pj] = row[pj], row[k]
             col_ids[k], col_ids[pj] = col_ids[pj], col_ids[k]
-        piv = work[k][k]
-        cols = range(k + 1, m.cols)
-        for i in range(k + 1, m.rows):
-            eliminate(work[i], work[k], piv, prev, work[i][k], cols)
-            work[i][k] = zero
+        pivot_row = work[k]
+        piv = pivot_row[k]
+        for row in work[k + 1 :]:
+            # row[c] = (piv*row[c] - head*pivot_row[c]) / prev, exactly, as
+            # each entry is a minor of the input; where head or pivot_row[c]
+            # is zero the second product is not formed, and zeros stay zero
+            head = row[k]
+            scale_only = head.is_zero
+            for c in range(k + 1, m.cols):
+                a = row[c]
+                if scale_only or pivot_row[c].is_zero:
+                    if not a.is_zero:
+                        row[c] = (piv * a).exact_div(prev)
+                else:
+                    row[c] = (piv * a - head * pivot_row[c]).exact_div(prev)
+            row[k] = zero
         prev = piv
         k += 1
     return k, work, row_ids, col_ids
@@ -159,6 +146,13 @@ def rank_exact(m: ExactMatrix) -> RankResult:
     The certificate is the determinant of the rank x rank submatrix on the
     returned pivot rows and columns (taken in increasing order); for an
     empty matrix or rank 0 it is the constant 1.
+
+    The pivot rows are the lexicographically first rows that form a basis
+    of the row space. Each pivot is taken in the first remaining row with a
+    nonzero entry, a swap moves only rows already reduced to zero, and a
+    row reduces to zero exactly when it lies in the span of the rows
+    chosen before it. The local equations print these rows, and the pivot
+    rows of the transposed pivot-row block as their columns.
     """
     if m.rows == 0 or m.cols == 0:
         return RankResult(0, m.ring.one(), (), ())

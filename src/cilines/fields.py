@@ -125,6 +125,8 @@ class Field:
         return pow(a, -1, self.p)
 
     def div(self, a: Scalar, b: Scalar) -> Scalar:
+        if self.p is None and a.__class__ is int and b.__class__ is int and not a % b:
+            return a // b  # an integral quotient over Q needs no Fraction
         return self.mul(a, self.inv(b))
 
     def is_zero(self, a: Scalar) -> bool:

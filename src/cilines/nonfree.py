@@ -37,13 +37,14 @@ from .chart import (
     NonFreeMatrix,
     chart_ring,
     chart_variables,
+    flat_matrix,
     membership_system,  # not called here; perfbench's tracer test reads it
     nonfree_matrix,
 )
 from .errors import InvariantViolated, LineNotContained, NotCorankOne
-from .exactmatrix import ExactMatrix, det, eliminate, rank_exact
+from .exactmatrix import ExactMatrix, det, rank_exact
 from .geometry import CompleteIntersection, LineChartPoint
-from .multipoly import MultiPoly, flatten, flatten_ring, unflatten
+from .multipoly import MultiPoly, unflatten
 from .params import ParamRing, ParamScalar
 
 
@@ -102,34 +103,6 @@ class SmoothnessReport:
         return bool(self.corank)
 
 
-def _lex_first_basis(matrix: ExactMatrix) -> tuple[int, ...]:
-    """The lexicographically first rows that form a basis of the row
-    space (the greedy choice, unique by the matroid exchange property);
-    their number is the rank.
-
-    One fraction-free (Bareiss) elimination takes the rows in their
-    order: a row whose free entries have all been eliminated lies in the
-    span of the rows chosen before it and is dropped, any other row is
-    chosen and pivots on its first nonzero free column. Every entry stays
-    a minor of the input, so each division is exact.
-    """
-    work = matrix.to_lists()
-    free = list(range(matrix.cols))
-    chosen: list[int] = []
-    prev = matrix.ring.one()
-    for i, row in enumerate(work):
-        j = next((j for j in free if not row[j].is_zero), None)
-        if j is None:
-            continue
-        chosen.append(i)
-        free.remove(j)
-        piv = row[j]
-        for later in work[i + 1 :]:
-            eliminate(later, row, piv, prev, later[j], free)
-        prev = piv
-    return tuple(chosen)
-
-
 def local_equations(x: CompleteIntersection, point: LineChartPoint) -> LocalEquations:
     """Emit the N - |d| bordered minors at a corank-1 chart line.
 
@@ -143,35 +116,30 @@ def local_equations(x: CompleteIntersection, point: LineChartPoint) -> LocalEqua
 
 
 def _local_equations_from(x: CompleteIntersection, nf: NonFreeMatrix) -> LocalEquations:
-    """local_equations at the line of the evaluated M(h) `nf`; the rank
-    of M(h) is the size of its lex-first row basis."""
+    """local_equations at the line of the evaluated M(h) `nf`; the pivot
+    rows are the lex-first row basis that nf.rank reports. One more
+    elimination, of the transposed pivot rows, gives the lex-first
+    columns as its pivot rows and the pivot minor as its certificate."""
     point = nf.at
-    total = x.ci_type.total_degree
-    pivot_rows = _lex_first_basis(nf.matrix)
-    corank = total - len(pivot_rows)
+    pivot_rows = nf.rank.pivot_rows
+    corank = x.ci_type.total_degree - nf.rank.rank
     if corank != 1:
         raise NotCorankOne(
             f"corank is {corank}, not 1 "
             + ("(the line is free)" if corank == 0 else "(deeper drops are unsupported)")
         )
-    pivot_cols = _lex_first_basis(
-        nf.matrix.submatrix(pivot_rows, range(nf.matrix.cols)).transpose()
-    )
-    pivot_det = det(nf.matrix.submatrix(pivot_rows, pivot_cols))
+    pivot = rank_exact(nf.matrix.submatrix(pivot_rows, range(nf.matrix.cols)).transpose())
 
     ab = chart_ring(x.coeff_ring, x.n)
-    flat = flatten_ring(ab)
-    sym_rows = [
-        [flatten(e, flat) for e in row] for row in nf.entries_ab
-    ]
+    sym = flat_matrix(ab, nf.entries_ab)
     minors: list[MultiPoly] = []
     vals = point.values(x.n)
-    for g_flat in bordered_minors(flat, sym_rows, pivot_rows):
+    for g_flat in bordered_minors(sym.ring, sym.to_lists(), pivot_rows):
         g = unflatten(g_flat, ab)
         if not g.evaluate(vals).is_zero:
             raise InvariantViolated("bordered minor fails to vanish at the base point")
         minors.append(g)
-    return LocalEquations(point, pivot_rows, pivot_cols, pivot_det, tuple(minors))
+    return LocalEquations(point, pivot_rows, pivot.pivot_rows, pivot.certificate, tuple(minors))
 
 
 def bordered_minors(
@@ -250,7 +218,7 @@ def expected_pair_report(
         nf = nonfree_matrix(x, at=point)
     except LineNotContained:
         return SmoothnessReport("NotContained", required)
-    rk = rank_exact(nf.matrix)
+    rk = nf.rank
     corank = total - rk.rank
     if corank == 0:
         return SmoothnessReport(

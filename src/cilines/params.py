@@ -225,9 +225,9 @@ class ParamScalar:
         f = ring.field
         fmul = f.mul
         (de, dc), *rest = divisor.terms
-        inv = f.inv(dc)
         if not ring.names:
-            return ParamScalar(ring, (((), fmul(self.terms[0][1], inv)),) if self.terms else ())
+            return ParamScalar(ring, (((), f.div(self.terms[0][1], dc)),) if self.terms else ())
+        inv = f.inv(dc)
         if not rest and not any(de):  # a constant divisor
             return ParamScalar(ring, tuple((e, fmul(c, inv)) for e, c in self.terms))
         tail = [(e, f.neg(c)) for e, c in rest]

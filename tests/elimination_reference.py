@@ -1,7 +1,11 @@
-"""Test-only reference: the dense fraction-free loops that exactmatrix and
-nonfree ran before their shared sparse step (exactmatrix.eliminate), kept
-verbatim to cross-check it. Every entry is updated as
-(piv*a - head*b) / prev, zero products included.
+"""Test-only reference: the dense fraction-free loops kept verbatim to
+cross-check the sparse Bareiss elimination of exactmatrix. Every entry is
+updated as (piv*a - head*b) / prev, zero products included.
+
+_bareiss, rank_exact and det are the full-pivot loops as exactmatrix
+ran them before its step skipped vanishing products. lex_first_basis is
+the greedy row-by-row elimination that once chose the pivot rows of the
+local equations on its own; rank_exact's pivot rows must equal it.
 """
 
 from __future__ import annotations

@@ -1,6 +1,8 @@
-"""The shared sparse Bareiss step (exactmatrix.eliminate) against the
-dense loops it replaced (elimination_reference.py, test-only), on seeded
-random sparse matrices; and det/rank against sympy on integer matrices."""
+"""The sparse Bareiss elimination of exactmatrix against the dense loops
+it replaced (elimination_reference.py, test-only), on seeded random
+sparse matrices: ranks, certificates, determinants, and the lex-first
+pivot rows and columns that the local equations print; and det/rank
+against sympy on integer matrices."""
 
 import random
 
@@ -8,7 +10,6 @@ import pytest
 
 from cilines.exactmatrix import ExactMatrix, det, rank_exact
 from cilines.fields import RATIONALS, prime_field
-from cilines.nonfree import _lex_first_basis
 from cilines.params import ParamRing
 
 import elimination_reference as reference
@@ -45,9 +46,16 @@ def sparse_matrix(rng, ring, rows, cols, density):
 
 
 def assert_matches_reference(m):
-    assert rank_exact(m) == reference.rank_exact(m)
-    assert _lex_first_basis(m) == reference.lex_first_basis(m)
-    assert _lex_first_basis(m.transpose()) == reference.lex_first_basis(m.transpose())
+    res = rank_exact(m)
+    assert res == reference.rank_exact(m)
+    assert res.pivot_rows == reference.lex_first_basis(m)
+    assert rank_exact(m.transpose()).pivot_rows == reference.lex_first_basis(m.transpose())
+    # the pivot of the local equations: lex-first columns of the pivot rows
+    # and their minor, from one elimination of the transposed block
+    block = m.submatrix(res.pivot_rows, range(m.cols)).transpose()
+    pivot = rank_exact(block)
+    assert pivot.pivot_rows == reference.lex_first_basis(block)
+    assert pivot.certificate == det(m.submatrix(res.pivot_rows, pivot.pivot_rows))
     if m.rows == m.cols:
         assert det(m) == reference.det(m)
 

@@ -5,7 +5,8 @@ from fractions import Fraction
 import pytest
 
 from cilines.errors import BudgetExceeded, ConstraintViolated, ParseError
-from cilines.fields import RATIONALS, field_from_str, is_prime, prime_field
+from cilines.fields import RATIONALS, Field, field_from_str, is_prime, prime_field
+from cilines.params import ParamRing
 
 
 def test_primality_small():
@@ -40,6 +41,25 @@ def test_arithmetic_rationals():
     assert f.inv(Fraction(2, 5)) == Fraction(5, 2)
     with pytest.raises(ZeroDivisionError):
         f.inv(f.zero)
+
+
+def test_integral_quotient_over_q_forms_no_inverse(monkeypatch):
+    """Over Q an int divided by an int that divides it is the int quotient,
+    with no Fraction inverse formed, also through exact_div on a ring with
+    no parameters; any other quotient, and every one over F_p, inverts."""
+    inverted = []
+    inv = Field.inv
+    monkeypatch.setattr(Field, "inv", lambda self, a: inverted.append(a) or inv(self, a))
+    for a, b, q in ((6, 3, 2), (-6, 3, -2), (6, -3, -2), (0, 5, 0)):
+        assert RATIONALS.div(a, b) == q and type(RATIONALS.div(a, b)) is int
+    ring = ParamRing(RATIONALS, ())
+    q = ring.const(6).exact_div(ring.const(3))
+    assert q == ring.const(2) and type(q.constant_value()) is int
+    assert inverted == []
+    third = RATIONALS.div(1, 3)
+    assert third == Fraction(1, 3) and type(third) is Fraction and inverted == [3]
+    f = prime_field(7)
+    assert (f.div(6, 3), f.div(1, 3)) == (2, 5) and inverted == [3, 3, 3]
 
 
 def test_parse_and_str_roundtrip():

@@ -10,7 +10,6 @@ from cilines.fields import RATIONALS, prime_field
 from cilines.geometry import LineChartPoint
 from cilines.params import ParamRing
 from cilines.nonfree import (
-    _lex_first_basis,
     bordered_minors,
     expected_pair_report,
     jacobian_def_matrix,
@@ -276,24 +275,38 @@ def test_lex_first_rows_match_the_greedy_rank_test(rng):
                 ]
                 grid.insert(rng.randint(0, rows), grid[rng.randrange(rows)])  # a repeated row
                 m = ExactMatrix.from_rows(ring, grid)
-                basis = _lex_first_basis(m)
-                assert basis == greedy_independent_rows(m)
-                assert len(basis) == rank_exact(m).rank
+                assert rank_exact(m).pivot_rows == greedy_independent_rows(m)
+                t = m.transpose()
+                assert rank_exact(t).pivot_rows == greedy_independent_rows(t)
 
 
-def test_corank_one_report_takes_two_ranks(monkeypatch):
-    """One rank of M(h) and one of the Jacobian; the pivot search and the
-    local equations take none of their own."""
+def test_corank_one_report_eliminates_each_matrix_once(monkeypatch):
+    """M(h), the transposed pivot block and the Jacobian are each eliminated
+    once over the coefficient ring: M(h) where nonfree_matrix evaluates it,
+    the other two where the report needs them. The pivot rows, the pivot
+    columns and the pivot minor take no elimination of their own."""
+    import cilines.chart as chart
+    import cilines.exactmatrix as exactmatrix
     import cilines.nonfree as nonfree
 
-    calls = []
+    built = built_4_6()
+    ranks, eliminations = [], []
 
-    def counted(m):
-        calls.append((m.rows, m.cols))
+    def counted_rank(m):
+        ranks.append((m.rows, m.cols))
         return rank_exact(m)
 
-    monkeypatch.setattr(nonfree, "rank_exact", counted)
-    built = built_4_6()
+    bareiss = exactmatrix._bareiss
+
+    def counted_bareiss(m):
+        if m.ring == built.x.coeff_ring:
+            eliminations.append((m.rows, m.cols))
+        return bareiss(m)
+
+    monkeypatch.setattr(chart, "rank_exact", counted_rank)
+    monkeypatch.setattr(nonfree, "rank_exact", counted_rank)
+    monkeypatch.setattr(exactmatrix, "_bareiss", counted_bareiss)
     rep = expected_pair_report(built.x, built.line)
     assert rep.corank == 1 and rep.equations.pivot_rows == (0, 1, 2)
-    assert len(calls) == 2
+    # M(h) is 5 x 4; its pivot rows, transposed, 4 x 3; the Jacobian 7 x 10
+    assert ranks == eliminations == [(5, 4), (4, 3), (7, 10)]
