@@ -85,6 +85,8 @@ class Field:
         """Normalize a Python int or Fraction into this field."""
         if self.p is None:
             return _rational(x)
+        if x.__class__ is int:  # before the slower ABC check of isinstance
+            return x % self.p
         if isinstance(x, Fraction):
             if x.denominator % self.p == 0:
                 raise ConstraintViolated(f"denominator of {x} vanishes mod {self.p}")

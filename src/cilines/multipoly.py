@@ -14,6 +14,7 @@ curves, and all the one-variable cohomology bookkeeping, live here.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import add
 from typing import Callable, Iterable, Mapping, Sequence
 
 from .errors import (
@@ -24,7 +25,17 @@ from .errors import (
     UnknownVariable,
 )
 from .fields import Scalar
-from .params import Exps, ParamRing, ParamScalar, _monomial, _print_sum, grlex_key
+from .params import (
+    Exps,
+    ParamRing,
+    ParamScalar,
+    _monomial,
+    _pack,
+    _print_sum,
+    _signed,
+    _unpack,
+    grlex_key,
+)
 
 
 @dataclass(frozen=True)
@@ -158,14 +169,26 @@ class MultiPoly:
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        acc: dict[Exps, ParamScalar] = {}
-        for e1, c1 in self.terms:
-            for e2, c2 in other.terms:
-                e = tuple(x + y for x, y in zip(e1, e2))
-                prod = c1 * c2
-                prev = acc.get(e)
-                acc[e] = prod if prev is None else prev + prod
-        return self.ring.from_terms(acc)
+        a, b = self.terms, other.terms
+        if not a or not b:
+            return self.ring.zero()
+        if len(a) == 1:
+            a, b = b, a
+        if len(b) == 1:  # as in ParamScalar.__mul__: a shift keeps the order
+            ((e0, c0),) = b
+            return MultiPoly(self.ring, tuple((tuple(map(add, e, e0)), c * c0) for e, c in a))
+        base = 1 + sum(a[0][0]) + sum(b[0][0])
+        pb = _pack(b, base)
+        acc: dict[int, ParamScalar] = {}
+        get = acc.get
+        for k1, c1 in _pack(a, base):
+            for k2, c2 in pb:
+                k = k1 + k2
+                prev = get(k)
+                acc[k] = c1 * c2 if prev is None else prev + c1 * c2
+        keys = [k for k in sorted(acc, reverse=True) if acc[k].terms]
+        exps = _unpack(keys, base, self.ring.n)
+        return MultiPoly(self.ring, tuple(zip(exps, map(acc.__getitem__, keys))))
 
     __rmul__ = __mul__
 
@@ -368,9 +391,11 @@ def _power_table(ring: PolyRing, values: Mapping[str, Scalar]) -> Callable[[int,
 
 
 def _coefficient(c: ParamScalar) -> tuple[str, bool]:
-    """Text and sign of a nonzero term coefficient: a coefficient of
-    several terms is parenthesised, a one-term negative one gives its
-    sign to the joiner."""
+    """Text and sign of a nonzero term coefficient: a constant prints from
+    its value, a coefficient of several terms is parenthesised, and a
+    negative one-term coefficient gives its sign to the joiner."""
+    if c.is_constant:
+        return _signed(c.ring.field, c.terms[0][1])
     cs = str(c)
     if len(c.terms) > 1:
         return f"({cs})", False

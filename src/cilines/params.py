@@ -15,12 +15,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from heapq import heappop, heappush
 from operator import add, neg, sub
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, Sequence, TypeVar
 
 from .errors import InexactDivision, ParameterPresent, RingMismatch, UnknownVariable
 from .fields import Field, Scalar
 
 Exps = tuple[int, ...]
+C = TypeVar("C")
 
 
 def grlex_key(exps: Exps) -> tuple[int, Exps]:
@@ -30,6 +31,26 @@ def grlex_key(exps: Exps) -> tuple[int, Exps]:
 def _term_key(term: tuple[Exps, Scalar]) -> tuple[int, Exps]:
     exps = term[0]
     return (sum(exps), exps)
+
+
+def _pack(terms: Iterable[tuple[Exps, C]], base: int) -> list[tuple[int, C]]:
+    """(key, coefficient) pairs, the key holding the total degree and then
+    the exponents as digits in `base`. While base exceeds the total degree
+    of every product formed, adding keys multiplies monomials, and
+    descending keys are descending grlex."""
+    out = []
+    for e, c in terms:
+        key = sum(e)
+        for x in e:
+            key = key * base + x
+        out.append((key, c))
+    return out
+
+
+def _unpack(keys: Sequence[int], base: int, k: int) -> list[Exps]:
+    """The k exponents packed in each key, in the order of `keys`."""
+    weights = [base**i for i in range(k - 1, -1, -1)]
+    return list(zip(*[[key // w % base for key in keys] for w in weights]))
 
 
 def _heap_key(exps: Exps) -> tuple[int, Exps, Exps]:
@@ -171,24 +192,36 @@ class ParamScalar:
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        if not self.terms:
+        a, b = self.terms, other.terms
+        if not a:
             return self
-        if not other.terms:
+        if not b:
             return other
         ring = self.ring
         f = ring.field
         if not ring.names:
             # a field has no zero divisors, so the product term is nonzero
-            return ParamScalar(ring, (((), f.mul(self.terms[0][1], other.terms[0][1])),))
-        fmul = f.mul
-        fadd = f.add
-        acc: dict[Exps, Scalar] = {}
-        for e1, c1 in self.terms:
-            for e2, c2 in other.terms:
-                e = tuple(map(add, e1, e2))
-                c = fmul(c1, c2)
-                acc[e] = fadd(acc[e], c) if e in acc else c
-        return ring.from_terms(acc)
+            return ParamScalar(ring, (((), f.mul(a[0][1], b[0][1])),))
+        if len(a) == 1:
+            a, b = b, a
+        if len(b) == 1:  # shifting every exponent by e0 keeps their order
+            ((e0, c0),) = b
+            fmul = f.mul
+            return ParamScalar(ring, tuple((tuple(map(add, e, e0)), fmul(c, c0)) for e, c in a))
+        # packed keys: adding two keys multiplies the monomials, and the
+        # raw coefficient sums are brought into the field once per term
+        base = 1 + sum(a[0][0]) + sum(b[0][0])
+        pb = _pack(b, base)
+        acc: dict[int, Scalar] = {}
+        get = acc.get
+        for k1, c1 in _pack(a, base):
+            for k2, c2 in pb:
+                k = k1 + k2
+                acc[k] = get(k, 0) + c1 * c2
+        keys = sorted(acc, reverse=True)
+        coeffs = map(f.make, map(acc.__getitem__, keys))
+        terms = zip(_unpack(keys, base, ring.k), coeffs)
+        return ParamScalar(ring, tuple(t for t in terms if t[1]))  # field zeros are falsy
 
     __rmul__ = __mul__
 
@@ -286,13 +319,8 @@ class ParamScalar:
     # -- printing -------------------------------------------------------------
 
     def __str__(self) -> str:
-        field = self.ring.field
-
-        def term(e: Exps, c: Scalar) -> tuple[str, str, bool]:
-            neg = field.p is None and c < 0  # only rationals carry a sign
-            return _monomial(self.ring.names, e), field.to_str(-c if neg else c), neg
-
-        return _print_sum(term(e, c) for e, c in self.terms)
+        field, names = self.ring.field, self.ring.names
+        return _print_sum((_monomial(names, e), *_signed(field, c)) for e, c in self.terms)
 
 
 # -- printing -------------------------------------------------------------------
@@ -300,6 +328,12 @@ class ParamScalar:
 
 def _monomial(names: Sequence[str], exps: Sequence[int]) -> str:
     return "*".join(f"{n}^{x}" if x > 1 else n for n, x in zip(names, exps) if x > 0)
+
+
+def _signed(field: Field, c: Scalar) -> tuple[str, bool]:
+    """Text of |c| and whether c is negative; only rationals carry a sign."""
+    neg = field.p is None and c < 0
+    return field.to_str(-c if neg else c), neg
 
 
 def _print_sum(terms: Iterable[tuple[str, str, bool]]) -> str:

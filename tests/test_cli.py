@@ -6,7 +6,7 @@ import time
 
 import pytest
 
-from cilines.cli import build_parser, main
+from cilines.cli import MAX_CURVE_DEGREE, build_parser, main
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
 
@@ -324,6 +324,32 @@ def test_family_past_the_size_budget_exits_2_at_once(capsys):
     assert time.perf_counter() - started < 1.0
     code, _ = run(capsys, "verify-example", "hyp-general:N=64,d=3", "--char", "3")
     assert code == 0
+
+
+def test_cover_past_the_curve_degree_budget_exits_2_at_once(capsys, tmp_path):
+    """The cover is refused before its K + 1 coefficients are built."""
+    path = write_problem(tmp_path, "quintic.ci", QUINTIC_F7)
+    started = time.perf_counter()
+    code, out = run(capsys, "curve-check", path, "--cover", "1000000000")
+    assert time.perf_counter() - started < 1.0
+    assert code == 2
+    report = json.loads(out)
+    assert report["error"] == "BudgetExceeded" and "MAX_CURVE_DEGREE" in report["message"]
+    code, _ = run(capsys, "curve-check", path, "--cover", str(MAX_CURVE_DEGREE + 1))
+    assert code == 2
+
+
+def test_huge_parameter_power_is_multiplied_at_once(capsys, tmp_path):
+    """Packed product keys hold an exponent of 99999999 as one digit."""
+    text = QUADRIC_F3.replace("field: F:3", "field: Q\nparams: c1").replace(
+        "form: S*Z1", "form: c1^99999999*S*Z1"
+    )
+    started = time.perf_counter()
+    code, out = run(capsys, "classify-line", write_problem(tmp_path, "huge.ci", text))
+    assert time.perf_counter() - started < 1.0
+    assert code == 0
+    report = json.loads(out)
+    assert report["verdict"] == "NotInJ" and report["certificate"] == "c1^99999999"
 
 
 def test_huge_integer_power_over_f5_is_reduced_at_once(capsys, tmp_path):

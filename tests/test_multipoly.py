@@ -133,6 +133,56 @@ def test_monomial_power_is_repeated_multiplication():
         ring.var("S") ** -1
 
 
+def naive_poly_mul(p, q):
+    """Test-only reference for MultiPoly.__mul__: every pair of terms
+    multiplied with exponent tuples, summed in a dict, zeros dropped and
+    the rest sorted the plain way."""
+    acc = {}
+    for e1, c1 in p.terms:
+        for e2, c2 in q.terms:
+            e = tuple(x + y for x, y in zip(e1, e2))
+            acc[e] = acc[e] + c1 * c2 if e in acc else c1 * c2
+    kept = [(e, c) for e, c in acc.items() if not c.is_zero]
+    return tuple(sorted(kept, key=lambda t: (sum(t[0]), t[0]), reverse=True))
+
+
+def typed_poly(terms):
+    """Terms with the class of every base-field coefficient, since an int
+    and the Fraction of the same value compare equal."""
+    return tuple((e, tuple((pe, v, v.__class__) for pe, v in c.terms)) for e, c in terms)
+
+
+def assert_poly_product_is_naive(p, q):
+    want = typed_poly(naive_poly_mul(p, q))
+    assert typed_poly((p * q).terms) == want
+    assert typed_poly((q * p).terms) == want
+
+
+def test_packed_poly_products_match_naive(rng):
+    for field in (RATIONALS, prime_field(2), prime_field(7)):
+        for n in (1, 3, 12):
+            ring = PolyRing(ParamRing(field, ("c1",)), tuple(f"x{i}" for i in range(1, n + 1)))
+            for _ in range(8):
+                p = random_poly(rng, ring, max_deg=5, n_terms=rng.randint(2, 20))
+                q = random_poly(rng, ring, max_deg=5, n_terms=rng.randint(2, 20))
+                if field.p is None and rng.random() < 0.5:
+                    q = q * ring.const(ring.coeffs.const(Fraction(rng.randint(1, 9), 2)))
+                assert_poly_product_is_naive(p, q)
+                assert_poly_product_is_naive(p, random_poly(rng, ring, n_terms=1))
+                assert_poly_product_is_naive(p, ring.zero())
+        ring = PolyRing(ParamRing(field, ("c1",)), ("x", "y", "z"))
+        x, y, z = (ring.var(v) for v in ring.variables)
+        c1 = ring.param("c1")
+        assert_poly_product_is_naive(x + c1 * y, x - c1 * y)  # the x*y terms cancel
+        assert (x + c1 * y) * (x - c1 * y) == x * x - c1 * c1 * y * y
+        a, b = x**5 + y * z + c1, x**3 + z + 1  # x^8 fills the top digit of its slot
+        assert_poly_product_is_naive(a, b)
+        assert (a * b).terms[0][0] == (8, 0, 0)
+        huge = x**99999999 * y + c1 * z
+        assert_poly_product_is_naive(huge, x + y * y + 1)
+        assert (huge * huge).terms[0][0] == (199999998, 2, 0)
+
+
 def test_substitute_chart_parameterization():
     # T^2 Z4 Z5 composed with the chart line, coefficients against s^4..t^4
     ring = ambient_ring(RATIONALS, 6)

@@ -1,5 +1,6 @@
-"""Property tests of MultiPoly evaluation and of polytext against
-test-only references; they skip when hypothesis is not installed."""
+"""Property tests of MultiPoly evaluation, of the ParamScalar and
+MultiPoly products and of polytext against test-only references; they
+skip when hypothesis is not installed."""
 
 import pytest
 
@@ -14,6 +15,8 @@ from cilines.params import ParamRing
 from cilines.polytext import parse_poly
 
 from conftest import naive_evaluate
+from test_multipoly import naive_poly_mul, typed_poly
+from test_params import naive_mul, typed
 from test_polytext import ALPHABET, FIELDS as PARSE_FIELDS, LONG_EXPONENT, assert_agree
 
 VARIABLES = ("a1", "a2", "b1", "b2")
@@ -57,6 +60,52 @@ def test_evaluate_agrees_with_the_naive_reference(case):
 def test_gradient_at_agrees_with_differentiating_first(case):
     p, point, names = case
     assert p.gradient_at(names, point) == [naive_evaluate(p.differentiate(v), point) for v in names]
+
+
+PRODUCT_NAMES = (("x1",), ("x1", "x2", "x3"), tuple(f"x{i}" for i in range(1, 13)))
+
+
+def coefficients(field):
+    if field.p is None:
+        values = st.fractions(min_value=-5, max_value=5, max_denominator=4)
+    else:
+        values = st.integers(0, field.p - 1)
+    return values.map(field.make)
+
+
+def scalars(coeffs, max_terms=12):
+    exps = st.tuples(*(st.integers(0, 5) | st.just(99999999) for _ in coeffs.names))
+    terms = st.dictionaries(exps, coefficients(coeffs.field), max_size=max_terms)
+    return terms.map(coeffs.from_terms)
+
+
+@st.composite
+def scalar_pair(draw):
+    coeffs = ParamRing(draw(st.sampled_from(FIELDS)), draw(st.sampled_from(PRODUCT_NAMES)))
+    return draw(scalars(coeffs)), draw(scalars(coeffs))
+
+
+@st.composite
+def poly_pair(draw):
+    coeffs = ParamRing(draw(st.sampled_from(FIELDS)), ("c1",))
+    ring = PolyRing(coeffs, draw(st.sampled_from(PRODUCT_NAMES)))
+    exps = st.tuples(*(st.integers(0, 5) | st.just(99999999) for _ in ring.variables))
+    polys = st.dictionaries(exps, scalars(coeffs, 3), max_size=8).map(ring.from_terms)
+    return draw(polys), draw(polys)
+
+
+@settings(max_examples=200, deadline=None)
+@given(scalar_pair())
+def test_scalar_product_agrees_with_the_naive_reference(pair):
+    a, b = pair
+    assert typed((a * b).terms) == typed(naive_mul(a, b))
+
+
+@settings(max_examples=150, deadline=None)
+@given(poly_pair())
+def test_poly_product_agrees_with_the_naive_reference(pair):
+    p, q = pair
+    assert typed_poly((p * q).terms) == typed_poly(naive_poly_mul(p, q))
 
 
 @settings(max_examples=150, deadline=None)

@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import pytest
 
 from cilines.chart import nonfree_matrix
@@ -137,6 +139,79 @@ def test_kernel_matches_naive_reference(rng):
             assert (a * n).terms == (n * a).terms == naive_mul(a, r.const(n))
             assert (a + n).terms == (n + a).terms == naive_add(a, r.const(n))
             assert (n - a).terms == naive_add(r.const(n), a, -1)
+
+
+def typed(terms):
+    """Terms with the class of each coefficient, since an int and the
+    Fraction of the same value compare equal."""
+    return tuple((e, c, c.__class__) for e, c in terms)
+
+
+def assert_product_is_naive(a, b):
+    want = typed(naive_mul(a, b))
+    assert typed((a * b).terms) == want
+    assert typed((b * a).terms) == want
+
+
+def random_large(rng, ring, n_terms, max_deg=5, fractions=False):
+    """Up to n_terms terms of degree up to max_deg; over Q, with proper
+    fractions among the coefficients when asked."""
+    terms = {}
+    for _ in range(n_terms):
+        exps = [0] * ring.k
+        for _ in range(rng.randrange(max_deg + 1)):
+            exps[rng.randrange(ring.k)] += 1
+        c = Fraction(rng.randint(-9, 9), rng.randint(1, 4)) if fractions else rng.randint(-9, 9)
+        terms[tuple(exps)] = ring.field.make(c)
+    return ring.from_terms(terms)
+
+
+def test_packed_products_match_naive_on_large_operands(rng):
+    for field in KERNEL_FIELDS:
+        for k in (1, 3, 12):
+            r = ParamRing(field, tuple(f"c{i}" for i in range(1, k + 1)))
+            for _ in range(10):
+                fractions = field.p is None and rng.random() < 0.5
+                a = random_large(rng, r, rng.randint(2, 40), fractions=fractions)
+                b = random_large(rng, r, rng.randint(2, 40), fractions=fractions)
+                assert_product_is_naive(a, b)
+                assert_product_is_naive(a, random_large(rng, r, 1, fractions=fractions))
+                assert_product_is_naive(a, r.zero())
+
+
+def test_packed_products_drop_the_terms_that_cancel():
+    for field in KERNEL_FIELDS:
+        r = ParamRing(field, ("c1", "c2", "c3"))
+        c1, c2, c3 = (r.var(n) for n in r.names)
+        assert_product_is_naive(c1 + c2, c1 - c2)
+        assert (c1 + c2) * (c1 - c2) == c1 * c1 - c2 * c2
+        assert_product_is_naive(c1 * c3 + c2 + 1, c1 * c3 - c2 - 1)
+        if field.p:  # (c1 + c2)^p = c1^p + c2^p
+            assert_product_is_naive(c1 + c2, (c1 + c2) ** (field.p - 1))
+            assert (c1 + c2) ** field.p == c1**field.p + c2**field.p
+    r = ring_q("c1", "c2")
+    c1, c2 = r.var("c1"), r.var("c2")
+    half = r.const(Fraction(1, 2))
+    p, q = half * c1 + half, 2 * c2 + 2
+    assert_product_is_naive(p, q)
+    # Fraction products that sum to integers come out as int
+    assert [c.__class__ for _, c in (p * q).terms] == [int] * 4
+    assert_product_is_naive(p, c1 + 1)
+
+
+def test_packed_products_at_the_edge_of_the_base():
+    for field in KERNEL_FIELDS:
+        r = ParamRing(field, ("c1", "c2", "c3"))
+        c1, c2, c3 = (r.var(n) for n in r.names)
+        # base = 1 + 5 + 3: c1^8 fills the top digit of its slot
+        a, b = c1**5 + c2 * c3 + 1, c1**3 + c3 + 1
+        assert_product_is_naive(a, b)
+        assert (a * b).terms[0][0] == (8, 0, 0)
+        huge = c1**99999999 * c2 + c3
+        assert_product_is_naive(huge, c1 + c2 * c2 + 1)
+        assert_product_is_naive(huge, huge)
+        assert (huge * (c1 + 1)).terms[0][0] == (100000000, 1, 0)
+        assert (huge * huge).terms[0][0] == (199999998, 2, 0)
 
 
 def test_exact_division_by_many_term_divisors(rng):
