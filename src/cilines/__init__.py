@@ -16,7 +16,6 @@ from .bundles import (
     precompose,
     tangent_cohomology,
     tangent_splitting_from_normal,
-    tangent_splitting_line,
 )
 from .chart import (
     FqLine,
@@ -24,7 +23,6 @@ from .chart import (
     NonFreeMatrix,
     all_lines_fq,
     enumerate_lines_fq,
-    is_smooth_along_line,
     line_param,
     membership_system,
     move_line_to_chart,

@@ -82,22 +82,6 @@ class SplittingType:
         return min(self.entries)
 
 
-def _coerce_components(
-    ring: ParamRing, comps: Sequence[BinaryForm]
-) -> tuple[BinaryForm, ...]:
-    out = []
-    for c in comps:
-        if c.ring == ring:
-            out.append(c)
-        else:
-            if c.ring.field != ring.field:
-                raise RingMismatch("curve and variety live over different fields")
-            out.append(
-                BinaryForm(ring, c.degree, tuple(ring.const(v.constant_value()) for v in c.coeffs))
-            )
-    return tuple(out)
-
-
 def _check_on_x(x: CompleteIntersection, comps: Sequence[BinaryForm]) -> None:
     for form in x.forms:
         if not restrict_along(form, comps).is_zero:
@@ -120,23 +104,37 @@ def _check_jacobian(
         )
 
 
-def _section_kernel_dim(phi: Sequence[Sequence[BinaryForm]], dom: int) -> int:
-    """Kernel dimension of the map H^0(O(dom-1))^{columns} -> (+)_i
-    H^0(O(deg phi_i + dom - 1)) given by a grid of binary forms, one row
-    phi_i of equal-degree forms per target summand."""
-    ring = phi[0][0].ring
+def _section_kernel_dims(phi: Sequence[Sequence[BinaryForm]], top: int) -> list[int]:
+    """dims[dom] for 0 <= dom <= top: the kernel dimension of the map
+    H^0(O(dom-1))^{columns} -> (+)_i H^0(O(deg phi_i + dom - 1)) given by a
+    grid of binary forms, one row phi_i of equal-degree forms per target
+    summand.
+
+    Coefficients are indexed by their power of t, so the column of form c
+    times the k-th basis monomial is the same vector at every dom > k. One
+    matrix is built, at dom = top, with its columns power-major (k, then
+    c): the matrix at a smaller dom is its first dom * columns columns,
+    which vanish outside that matrix's rows. Gauss-Jordan by columns
+    pivots within each prefix of columns as it would on the prefix alone,
+    so the kernel at dom has one basis vector per free column below
+    dom * columns; a basis vector's free column is its last nonzero entry.
+    """
+    ring = ParamRing(phi[0][0].field)
+    zero = ring.zero()
     rows = []
     for forms in phi:
         deg = forms[0].degree
-        for l in range(deg + dom):
+        wrapped = [[ring.const(v) if v else zero for v in f.coeffs] for f in forms]
+        for l in range(deg + top):
             rows.append(
-                [
-                    f.coeffs[l - k] if 0 <= l - k <= deg else ring.zero()
-                    for f in forms
-                    for k in range(dom)
-                ]
+                [w[l - k] if 0 <= l - k <= deg else zero for k in range(top) for w in wrapped]
             )
-    return len(kernel_basis(ExactMatrix.from_rows(ring, rows)))
+    width = len(phi[0])
+    free = [
+        max(j for j, v in enumerate(vec) if v)
+        for vec in kernel_basis(ExactMatrix.from_rows(ring, rows))
+    ]
+    return [sum(j < dom * width for j in free) for dom in range(top + 1)]
 
 
 def tangent_cohomology(
@@ -155,7 +153,9 @@ def tangent_cohomology(
         raise TwistTooNegative(f"twist {m} is below -1")
     if not x.is_parameter_free:
         raise ParameterPresent("tangent cohomology needs parameter-free forms")
-    comps = _coerce_components(x.coeff_ring, mu.components)
+    if mu.field != x.field:
+        raise RingMismatch("curve and variety live over different fields")
+    comps = mu.components
     if len(comps) != x.n + 1:
         raise ConstraintViolated(f"curve has {len(comps)} components, expected {x.n + 1}")
     if jac is None:
@@ -171,13 +171,13 @@ def tangent_cohomology(
     degrees = x.ci_type.degrees
     # the component tuple is always in the kernel of psi(0)
     for i in range(r):
-        acc = BinaryForm.zero(x.coeff_ring, b * degrees[i])
+        acc = BinaryForm.zero(x.field, b * degrees[i])
         for j in range(n + 1):
             acc = acc + jac[i][j] * comps[j]
         if not acc.is_zero:
             raise InvariantViolated("Euler section escaped the kernel")
 
-    kernel_dim = _section_kernel_dim(jac, b + m + 1)  # h^0(O(b+m)) per component
+    kernel_dim = _section_kernel_dims(jac, b + m + 1)[-1]  # h^0(O(b+m)) per component
     h0_line = m + 1 if m >= 0 else 0
     h0 = kernel_dim - h0_line
     chi = b * (n + 1 - x.ci_type.total_degree) + (n - r) * (m + 1)
@@ -216,23 +216,17 @@ def normal_splitting_line(
     total = n - 1 - x.ci_type.total_degree
     partials = [row[2:] for row in jac]  # (dh^i/dZ_j)|_L
 
-    floor = total - (rank - 1)  # all other entries are at most 1
-    h_at = {2: 0}  # h^0(E(-k)); entries never exceed 1
-    counts: dict[int, int] = {2: 0}
-    k = 1
-    while True:
-        # the presenting map is O(1-k)^{N-1} -> (+)_i O(d^i - k)
-        h_at[k] = _section_kernel_dim(partials, 2 - k)
-        counts[k] = h_at[k] - h_at[k + 1]
-        if counts[k] == rank:
-            break
-        k -= 1
-        if k < floor - 1:
-            raise InvariantViolated("splitting recovery descended past the degree floor")
-
+    # every entry lies in [floor, 1], so the twists k = 1 down to floor tell
+    # them all; h^0(E(-k)) is the kernel of the presenting map
+    # O(1-k)^{N-1} -> (+)_i O(d^i - k), at dom = 2 - k
+    floor = total - (rank - 1)
+    h = _section_kernel_dims(partials, 2 - floor)
     entries: list[int] = []
-    for v in range(1, k - 1, -1):
-        entries.extend([v] * (counts[v] - counts[v + 1]))
+    above = 0  # #{a_i > k}
+    for k in range(1, floor - 1, -1):
+        at_least = h[2 - k] - h[1 - k]  # #{a_i >= k}
+        entries.extend([k] * (at_least - above))
+        above = at_least
     st = SplittingType(tuple(entries))
     if st.rank != rank or st.degree != total or max(st.entries) > 1:
         raise InvariantViolated(f"splitting bookkeeping failed: {st.entries}")
@@ -244,13 +238,6 @@ def tangent_splitting_from_normal(normal: SplittingType) -> SplittingType:
     the tangent direction of the line splits off as a degree-2 summand
     and the complement is the normal bundle."""
     return SplittingType(tuple(sorted((2,) + normal.entries, reverse=True)))
-
-
-def tangent_splitting_line(
-    x: CompleteIntersection, point: LineChartPoint
-) -> SplittingType:
-    """Splitting type of T_X restricted to a chart line."""
-    return tangent_splitting_from_normal(normal_splitting_line(x, point))
 
 
 # -- covers and the degree gate ---------------------------------------------------
@@ -266,7 +253,7 @@ def precompose(
         raise BasePointedCover("cover components must share one positive degree")
     try:
         g = binary_gcd([u, w])
-    except (AllZero, ParameterPresent) as exc:  # both disqualify the cover
+    except AllZero as exc:
         raise BasePointedCover(f"degenerate cover: {exc}") from None
     if g.degree != 0:
         raise BasePointedCover(f"cover has the base locus of {g}")

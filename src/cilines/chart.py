@@ -51,7 +51,7 @@ from .geometry import (
     restrict_along,
 )
 from .multipoly import BinaryForm, MultiPoly, PolyRing, binary_gcd, flatten, flatten_ring
-from .params import ParamRing, ParamScalar
+from .params import ParamRing, ParamScalar, require_constant
 
 
 def chart_variables(n: int) -> tuple[tuple[str, ...], tuple[str, ...]]:
@@ -81,16 +81,11 @@ def chart_image(form: MultiPoly, n: int) -> MultiPoly:
     return form.substitute(assign)
 
 
-def line_param(point: LineChartPoint, coeffs: ParamRing | None = None) -> RationalCurve:
+def line_param(point: LineChartPoint) -> RationalCurve:
     """The degree-1 curve (s, t, a_1 s + b_1 t, ...) through a chart point."""
-    ring = coeffs if coeffs is not None else ParamRing(point.field, ())
-    one, zero = ring.one(), ring.zero()
-    comps = [
-        BinaryForm(ring, 1, (one, zero)),
-        BinaryForm(ring, 1, (zero, one)),
-    ]
-    for aj, bj in zip(point.a, point.b):
-        comps.append(BinaryForm(ring, 1, (ring.const(aj), ring.const(bj))))
+    field = point.field
+    comps = [BinaryForm(field, 1, (1, 0)), BinaryForm(field, 1, (0, 1))]
+    comps += [BinaryForm(field, 1, ab) for ab in zip(point.a, point.b)]
     return RationalCurve(tuple(comps))
 
 
@@ -209,9 +204,8 @@ def _bf_det(grid: list[list[BinaryForm]]) -> BinaryForm:
     k = len(grid)
     if k == 1:
         return grid[0][0]
-    ring = grid[0][0].ring
     total = sum(row[0].degree for row in grid)
-    acc = BinaryForm.zero(ring, total)
+    acc = BinaryForm.zero(grid[0][0].field, total)
     for j in range(k):
         minor = [[row[c] for c in range(k) if c != j] for row in grid[1:]]
         term = grid[0][j] * _bf_det(minor)
@@ -241,29 +235,29 @@ def line_jacobian(
     returns it (row i: N+1 entries of degree d^i - 1 in the order S, T,
     Z_1, ...), read off M(h) evaluated at the line: the Z_j entry of row i
     is row j of column block i, and the S and T entries are
-    -sum_j a_j h^i_{Z_j}|_L and -sum_j b_j h^i_{Z_j}|_L."""
-    n, ring = x.n, x.coeff_ring
+    -sum_j a_j h^i_{Z_j}|_L and -sum_j b_j h^i_{Z_j}|_L. The entries of
+    M(h) must be constants (ParameterPresent)."""
+    n, field = x.n, x.field
     if point.width != n - 1 or (m_h.rows, m_h.cols) != (n - 1, x.ci_type.total_degree):
         raise ConstraintViolated(
             f"M(h) is {m_h.rows} x {m_h.cols} at a chart point of width {point.width}; "
             f"expected {n - 1} x {x.ci_type.total_degree} at width {n - 1}"
         )
-    a = [ring.const(v) for v in point.a]
-    b = [ring.const(v) for v in point.b]
+    values = [require_constant(m_h.row(j)) for j in range(n - 1)]  # M(h) over the field
     rows = []
     start = 0
     for d in x.ci_type.degrees:
-        z = [m_h.row(j)[start : start + d] for j in range(n - 1)]
+        z = [row[start : start + d] for row in values]
         start += d
         s_col, t_col = (
             BinaryForm(
-                ring,
+                field,
                 d - 1,
-                tuple(-sum((wj * zj[k] for wj, zj in zip(w, z)), ring.zero()) for k in range(d)),
+                tuple(field.make(-sum(wj * zj[k] for wj, zj in zip(w, z))) for k in range(d)),
             )
-            for w in (a, b)
+            for w in (point.a, point.b)
         )
-        rows.append([s_col, t_col] + [BinaryForm(ring, d - 1, zj) for zj in z])
+        rows.append([s_col, t_col] + [BinaryForm(field, d - 1, tuple(zj)) for zj in z])
     return rows
 
 
@@ -286,10 +280,6 @@ def smooth_along_components(
     return binary_gcd(minors).degree == 0
 
 
-def is_smooth_along_line(x: CompleteIntersection, point: LineChartPoint) -> bool:
-    return smooth_along_components(x, line_jacobian(x, point, nonfree_matrix(x, at=point).matrix))
-
-
 # -- exhaustive line enumeration over finite fields ------------------------------
 
 
@@ -305,27 +295,14 @@ class FqLine:
     def sort_key(self):
         return (self.pivots, self.rows)
 
-    def components(self, coeffs: ParamRing | None = None) -> tuple[BinaryForm, ...]:
-        ring = coeffs if coeffs is not None else ParamRing(self.field, ())
-        out = []
-        for l in range(len(self.rows[0])):
-            out.append(
-                BinaryForm(
-                    ring, 1, (ring.const(self.rows[0][l]), ring.const(self.rows[1][l]))
-                )
-            )
-        return tuple(out)
+    def components(self) -> tuple[BinaryForm, ...]:
+        return tuple(BinaryForm(self.field, 1, ab) for ab in zip(*self.rows))
 
-    def parameterization(self, coeffs: ParamRing | None = None) -> RationalCurve:
-        return RationalCurve(self.components(coeffs))
+    def parameterization(self) -> RationalCurve:
+        return RationalCurve(self.components())
 
     def in_standard_chart(self) -> bool:
         return self.pivots == (0, 1)
-
-    def chart_point(self) -> LineChartPoint:
-        if not self.in_standard_chart():
-            raise ConstraintViolated("line meets (S = T = 0); move it into the chart first")
-        return LineChartPoint(self.field, self.rows[0][2:], self.rows[1][2:])
 
 
 def all_lines_fq(field: Field, n: int) -> Iterator[FqLine]:
@@ -429,7 +406,7 @@ def enumerate_lines_fq(x: CompleteIntersection) -> list[FqLine]:
                     continue
                 line = FqLine(x.field, (r1, r2), (r1.index(1), j2))
                 if not exact:
-                    comps = line.components(x.coeff_ring)
+                    comps = line.components()
                     if not all(restrict_along(f, comps).is_zero for f in x.forms):
                         continue
                 found.append(line)

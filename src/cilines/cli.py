@@ -64,15 +64,31 @@ from .params import ParamRing
 from .polytext import parse_poly
 
 
-#: curve-check refuses a cover whose curve degree b * K is larger; at
-#: degree 400 a Fermat cubic surface over F_7 takes about 1.8 s, and the
-#: time grows about as the cube of the degree (11.7 s at 1000)
+#: the largest curve degree: of a problem file's curve, and b * K of its
+#: cover in curve-check. At degree 400 curve-check on a Fermat cubic
+#: surface over F_7 takes about 2 s, and the time grows about as the cube
+#: of the degree (11.7 s at 1000)
 MAX_CURVE_DEGREE = 400
+#: the largest degree a problem file declares for a form. classify-line on
+#: Z1*S^(d-1) + Z2*T^(d-1) over F_7 takes 0.6 s at d = 400 and 3.2 s at 800;
+#: a dense form is slow far below this bound, in proportion to its terms
+MAX_FORM_DEGREE = 400
 
 
 class _Parser(argparse.ArgumentParser):
     def error(self, message):  # argparse would exit(2); parse errors are exit 1
         raise ParseError(message)
+
+
+def _positive_int(text: str) -> int:
+    """argparse type of --cover: a cover (s^k, t^k) needs k >= 1."""
+    try:
+        k = int(text)
+    except ValueError:
+        k = 0
+    if k < 1:
+        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
+    return k
 
 
 @dataclass
@@ -92,10 +108,15 @@ def _parse_curve_texts(texts: list[str], coeffs: ParamRing) -> RationalCurve:
     if len(degs) != 1:
         raise ParseError(f"curve components must share one degree, got {sorted(degs)}")
     b = degs.pop()
+    if b > MAX_CURVE_DEGREE:  # refused before its coefficient vectors are built
+        raise BudgetExceeded(
+            f"a curve of degree {b}; a problem file's curve has degree at most "
+            f"MAX_CURVE_DEGREE = {MAX_CURVE_DEGREE}"
+        )
     comps = []
     for p in polys:
         if p.is_zero:
-            comps.append(BinaryForm.zero(coeffs, b))
+            comps.append(BinaryForm.zero(coeffs.field, b))
         else:
             comps.append(BinaryForm.from_poly(p))
     return RationalCurve(tuple(comps))
@@ -133,6 +154,11 @@ def load_problem(path: str) -> ProblemFile:
         degrees = tuple(int(d) for d in data["degrees"].split(","))
     except ValueError as exc:
         raise ParseError(f"bad N or degrees: {exc}") from None
+    if max(degrees) > MAX_FORM_DEGREE:  # refused before any form is read
+        raise BudgetExceeded(
+            f"a form of degree {max(degrees)}; a problem file declares degrees of at most "
+            f"MAX_FORM_DEGREE = {MAX_FORM_DEGREE}"
+        )
     params = tuple(data.get("params", "").split()) if data.get("params") else ()
     if len(forms) != len(degrees):
         raise ParseError(f"{len(degrees)} degrees but {len(forms)} forms")
@@ -259,7 +285,7 @@ def _cmd_classify_line(args) -> dict:
         if normal is not None:
             out["normal_splitting"] = list(normal.entries)
             out["tangent_splitting"] = list(tangent_splitting_from_normal(normal).entries)
-            mu = line_param(point, x.coeff_ring)
+            mu = line_param(point)
             h0m1 = tangent_cohomology(x, mu, -1, jac)
             h00 = tangent_cohomology(x, mu, 0, jac)
             out["tangent_h0_h1_twist_minus1"] = list(h0m1)
@@ -314,9 +340,9 @@ def _cmd_curve_check(args) -> dict:
                 f"{mu.degree * cover_k}; curve-check takes at most "
                 f"MAX_CURVE_DEGREE = {MAX_CURVE_DEGREE}"
             )
-        ring = x.coeff_ring
-        u = BinaryForm(ring, cover_k, tuple([ring.one()] + [ring.zero()] * cover_k))
-        w = BinaryForm(ring, cover_k, tuple([ring.zero()] * cover_k + [ring.one()]))
+        zeros = (0,) * cover_k
+        u = BinaryForm(x.field, cover_k, (1,) + zeros)
+        w = BinaryForm(x.field, cover_k, zeros + (1,))
         mu = precompose(mu, (u, w))
     h0, h1 = tangent_cohomology(x, mu, args.twist)
     t = x.ci_type
@@ -382,7 +408,9 @@ def build_parser() -> _Parser:
     p = sub.add_parser("curve-check", help="tangent cohomology along a given curve")
     p.add_argument("problem")
     p.add_argument("--twist", type=int, choices=(-1, 0), default=-1)
-    p.add_argument("--cover", type=int, default=None, help="precompose with (s^k, t^k)")
+    p.add_argument(
+        "--cover", type=_positive_int, default=None, help="precompose with (s^k, t^k), k >= 1"
+    )
     p.set_defaults(run=_cmd_curve_check)
 
     p = sub.add_parser("gates", help="numeric hypothesis gates on (N, degrees)")

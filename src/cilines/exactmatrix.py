@@ -42,11 +42,6 @@ class ExactMatrix:
             raise ConstraintViolated("ragged rows")
         return cls(ring, r, c, tuple(x for row in rows for x in row))
 
-    @classmethod
-    def identity(cls, ring: ParamRing, n: int) -> "ExactMatrix":
-        one, zero = ring.one(), ring.zero()
-        return cls(ring, n, n, tuple(one if i == j else zero for i in range(n) for j in range(n)))
-
     def entry(self, i: int, j: int) -> ParamScalar:
         return self.entries[i * self.cols + j]
 
@@ -63,11 +58,6 @@ class ExactMatrix:
     def transpose(self) -> "ExactMatrix":
         ents = tuple(self.entry(i, j) for j in range(self.cols) for i in range(self.rows))
         return ExactMatrix(self.ring, self.cols, self.rows, ents)
-
-    def stack(self, other: "ExactMatrix") -> "ExactMatrix":
-        if other.cols != self.cols or other.ring != self.ring:
-            raise RingMismatch("stack shape/ring mismatch")
-        return ExactMatrix(self.ring, self.rows + other.rows, self.cols, self.entries + other.entries)
 
     def str_rows(self) -> list[list[str]]:
         return [[str(self.entry(i, j)) for j in range(self.cols)] for i in range(self.rows)]

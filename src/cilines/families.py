@@ -277,18 +277,6 @@ def build_family(spec: FamilySpec, field: Field, force: bool = False) -> BuiltFa
     return BuiltFamily(spec, x, line, tuple(notes), values)
 
 
-def ci_4_3_p9_literal_forms(field: Field) -> tuple[MultiPoly, MultiPoly]:
-    """The two forms with the published middle term T*Z7 taken literally;
-    the second is not homogeneous and is rejected by the variety
-    constructor. Kept for the record and for tests."""
-    coeffs = ParamRing(field, ("c1", "c2", "c3"))
-    ring = PolyRing(coeffs, ambient_variables(9))
-    s, t = ring.var("S"), ring.var("T")
-    h1 = _hyp_head(ring, None, 4) + t ** 2 * ring.var("Z4") * ring.var("Z5")
-    h2 = s ** 2 * ring.var("Z6") + t * ring.var("Z7") + t ** 2 * ring.var("Z8")
-    return h1, h2
-
-
 # -- hypothesis gates ---------------------------------------------------------
 
 

@@ -160,12 +160,6 @@ class Field:
             return rng.randint(-50, 50)
         return rng.randrange(self.p)
 
-    def random_nonzero(self, rng) -> Scalar:
-        if self.p is None:
-            n = rng.randint(1, 50)
-            return n if rng.random() < 0.5 else -n
-        return rng.randint(1, self.p - 1)
-
 
 #: shared instance of the rationals
 RATIONALS = Field(None)

@@ -112,24 +112,6 @@ class CompleteIntersection:
     def is_parameter_free(self) -> bool:
         return all(f.is_parameter_free for f in self.forms)
 
-    def scaled(self, factors: Sequence[Scalar]) -> "CompleteIntersection":
-        """Replace each form h^i by lambda_i h^i (all lambda_i nonzero)."""
-        field = self.field
-        new_forms = []
-        for f, lam in zip(self.forms, factors):
-            lam = field.make(lam)
-            if field.is_zero(lam):
-                raise ConstraintViolated("scaling factor is zero")
-            new_forms.append(f * self.coeff_ring.const(lam))
-        return CompleteIntersection(self.ci_type, tuple(new_forms))
-
-    def permuted_z(self, perm: dict[str, str]) -> "CompleteIntersection":
-        """Apply a permutation of Z1..Z{N-1} (S, T fixed) to every form."""
-        full = {"S": "S", "T": "T", **perm}
-        return CompleteIntersection(
-            self.ci_type, tuple(f.permute_variables(full) for f in self.forms)
-        )
-
 
 @dataclass(frozen=True)
 class LineChartPoint:
@@ -165,12 +147,6 @@ class LineChartPoint:
             out[f"b{j}"] = self.b[j - 1]
         return out
 
-    def permuted(self, z_perm: Sequence[int]) -> "LineChartPoint":
-        """Reorder columns by the permutation sending slot j to z_perm[j]."""
-        a = tuple(self.a[z_perm[j]] for j in range(self.width))
-        b = tuple(self.b[z_perm[j]] for j in range(self.width))
-        return LineChartPoint(self.field, a, b)
-
 
 @dataclass(frozen=True)
 class RationalCurve:
@@ -186,9 +162,9 @@ class RationalCurve:
             raise ConstraintViolated(f"components of mixed degrees {sorted(degs)}")
         if self.degree < 1:
             raise ConstraintViolated("curve degree must be >= 1")
-        rings = {c.ring for c in self.components}
-        if len(rings) != 1:
-            raise RingMismatch("components over different rings")
+        fields = {c.field for c in self.components}
+        if len(fields) != 1:
+            raise RingMismatch("components over different fields")
         try:
             g = binary_gcd(self.components)
         except AllZero:
@@ -201,8 +177,8 @@ class RationalCurve:
         return self.components[0].degree
 
     @property
-    def ring(self) -> ParamRing:
-        return self.components[0].ring
+    def field(self) -> Field:
+        return self.components[0].field
 
 
 def restrict_along(
@@ -213,7 +189,8 @@ def restrict_along(
 
     form_degree pins the degree when the form may be identically zero
     (a vanishing partial derivative still occupies a fixed-degree slot in
-    Jacobian matrices).
+    Jacobian matrices). The coefficients of the form must be constants
+    (ParameterPresent) of the components' field.
     """
     d = form.homogeneous_degree()
     if d is None:
@@ -228,4 +205,8 @@ def restrict_along(
         raise ConstraintViolated(
             f"{len(components)} components for {form.ring.n} coordinates"
         )
-    return _compose_terms(form.terms, components, b * d)
+    field = components[0].field
+    if form.ring.coeffs.field != field:
+        raise RingMismatch("form and components live over different fields")
+    terms = [(e, c.constant_value()) for e, c in form.terms]
+    return _compose_terms(terms, components, b * d)

@@ -6,8 +6,8 @@ Its coefficients are ParamScalar values, so a single form can depend on
 symbolic parameters c_1..c_k while the geometric variables stay separate.
 
 BinaryForm is the dense degree-d form in the line coordinates (s:t),
-stored as its coefficient vector against the monomial basis
-s^d, s^{d-1} t, ..., t^d. Restrictions of forms to lines and rational
+stored as its vector of base-field coefficients against the monomial
+basis s^d, s^{d-1} t, ..., t^d. Restrictions of forms to lines and rational
 curves, and all the one-variable cohomology bookkeeping, live here.
 """
 
@@ -20,11 +20,10 @@ from typing import Callable, Iterable, Mapping, Sequence
 from .errors import (
     AllZero,
     NotHomogeneous,
-    ParameterPresent,
     RingMismatch,
     UnknownVariable,
 )
-from .fields import Scalar
+from .fields import Field, Scalar
 from .params import (
     Exps,
     ParamRing,
@@ -439,13 +438,17 @@ def unflatten(ps: ParamScalar, ring: PolyRing) -> MultiPoly:
 class BinaryForm:
     """Degree-d form in (s:t) as coefficients against s^d, ..., t^d.
 
-    The zero form is permitted at every degree; `coeffs` always has
-    length degree + 1.
+    The coefficients are elements of the base field. Every consumer of a
+    binary form (gcds, smoothness minors, section ranks) needs them free of
+    parameters, so a parameter is refused where a form is built: by
+    from_scalars, from_poly and restrict_along, with ParameterPresent. The
+    zero form is permitted at every degree; `coeffs` always has length
+    degree + 1.
     """
 
-    ring: ParamRing
+    field: Field
     degree: int
-    coeffs: tuple[ParamScalar, ...]
+    coeffs: tuple[Scalar, ...]
 
     def __post_init__(self) -> None:
         if self.degree < 0 or len(self.coeffs) != self.degree + 1:
@@ -454,13 +457,21 @@ class BinaryForm:
             )
 
     @classmethod
-    def zero(cls, ring: ParamRing, degree: int) -> "BinaryForm":
-        return cls(ring, degree, tuple(ring.zero() for _ in range(degree + 1)))
+    def zero(cls, field: Field, degree: int) -> "BinaryForm":
+        return cls(field, degree, (field.zero,) * (degree + 1))
 
     @classmethod
-    def from_scalars(cls, ring: ParamRing, values: Sequence[ParamScalar | int]) -> "BinaryForm":
-        coeffs = tuple(ring.const(v) if isinstance(v, int) else v for v in values)
-        return cls(ring, len(coeffs) - 1, coeffs)
+    def from_scalars(cls, field: Field, values: Sequence[ParamScalar | Scalar]) -> "BinaryForm":
+        """The form with these coefficients: an int or Fraction is brought
+        into the field, and a ParamScalar must be a constant over it."""
+        coeffs = []
+        for v in values:
+            if isinstance(v, ParamScalar):
+                if v.ring.field != field:
+                    raise RingMismatch(f"a scalar over {v.ring.field} in a form over {field}")
+                v = v.constant_value()
+            coeffs.append(field.make(v))
+        return cls(field, len(coeffs) - 1, tuple(coeffs))
 
     @classmethod
     def from_poly(cls, p: MultiPoly, s: str = "s", t: str = "t") -> "BinaryForm":
@@ -470,100 +481,93 @@ class BinaryForm:
         d = p.homogeneous_degree()
         if d is None:
             raise NotHomogeneous(f"{p} is not homogeneous")
-        coeffs = [p.ring.coeffs.zero()] * (d + 1)
+        field = p.ring.coeffs.field
+        coeffs = [field.zero] * (d + 1)
         si = p.ring.variables.index(s)
         for e, c in p.terms:
-            coeffs[d - e[si]] = c
-        return cls(p.ring.coeffs, d, tuple(coeffs))
+            coeffs[d - e[si]] = c.constant_value()
+        return cls(field, d, tuple(coeffs))
 
     @property
     def is_zero(self) -> bool:
-        return all(c.is_zero for c in self.coeffs)
-
-    @property
-    def is_parameter_free(self) -> bool:
-        return all(c.is_constant for c in self.coeffs)
+        return not any(self.coeffs)  # field zeros are falsy
 
     def __add__(self, other: "BinaryForm") -> "BinaryForm":
-        if other.degree != self.degree or other.ring != self.ring:
-            raise RingMismatch("binary form addition needs equal degree and ring")
-        return BinaryForm(
-            self.ring, self.degree, tuple(a + b for a, b in zip(self.coeffs, other.coeffs))
-        )
+        if other.degree != self.degree or other.field != self.field:
+            raise RingMismatch("binary form addition needs equal degree and field")
+        add = self.field.add
+        return BinaryForm(self.field, self.degree, tuple(map(add, self.coeffs, other.coeffs)))
 
     def __neg__(self) -> "BinaryForm":
-        return BinaryForm(self.ring, self.degree, tuple(-c for c in self.coeffs))
+        return BinaryForm(self.field, self.degree, tuple(map(self.field.neg, self.coeffs)))
 
     def __sub__(self, other: "BinaryForm") -> "BinaryForm":
         return self + (-other)
 
     def __mul__(self, other: "BinaryForm") -> "BinaryForm":
-        if other.ring != self.ring:
-            raise RingMismatch("mixed rings")
-        d = self.degree + other.degree
-        out = [self.ring.zero()] * (d + 1)
+        """The raw products are summed, and each coefficient of the result
+        is brought into the field once."""
+        if other.field != self.field:
+            raise RingMismatch("mixed fields")
+        acc = [0] * (self.degree + other.degree + 1)
+        nonzero = [(j, b) for j, b in enumerate(other.coeffs) if b]
         for i, a in enumerate(self.coeffs):
-            if a.is_zero:
-                continue
-            for j, b in enumerate(other.coeffs):
-                if b.is_zero:
-                    continue
-                out[i + j] = out[i + j] + a * b
-        return BinaryForm(self.ring, d, tuple(out))
-
-    def scale(self, c: ParamScalar | int) -> "BinaryForm":
-        if isinstance(c, int):
-            c = self.ring.const(c)
-        return BinaryForm(self.ring, self.degree, tuple(x * c for x in self.coeffs))
+            if a:
+                for j, b in nonzero:
+                    acc[i + j] += a * b
+        return BinaryForm(self.field, len(acc) - 1, tuple(map(self.field.make, acc)))
 
     def compose(self, u: "BinaryForm", w: "BinaryForm") -> "BinaryForm":
         """Substitute s -> u, t -> w for forms u, w of one common degree."""
-        if u.degree != w.degree or u.ring != self.ring or w.ring != self.ring:
-            raise RingMismatch("cover components must share degree and ring")
+        if u.degree != w.degree or u.field != self.field or w.field != self.field:
+            raise RingMismatch("cover components must share degree and field")
         d = self.degree
-        terms = (((d - k, k), c) for k, c in enumerate(self.coeffs) if not c.is_zero)
+        terms = (((d - k, k), c) for k, c in enumerate(self.coeffs) if c)
         return _compose_terms(terms, (u, w), d * u.degree)
 
     def __str__(self) -> str:
         return _print_sum(
-            (_monomial(("s", "t"), (self.degree - k, k)), *_coefficient(c))
+            (_monomial(("s", "t"), (self.degree - k, k)), *_signed(self.field, c))
             for k, c in enumerate(self.coeffs)
-            if not c.is_zero
+            if c
         )
 
 
 def _compose_terms(
-    terms: Iterable[tuple[Exps, ParamScalar]], components: Sequence[BinaryForm], degree: int
+    terms: Iterable[tuple[Exps, Scalar]], components: Sequence[BinaryForm], degree: int
 ) -> BinaryForm:
-    """The form sum c * prod_i components[i]^e_i over the terms (e, c), of
-    the given degree; each power components[i]^x is built once."""
-    ring = components[0].ring
+    """The form sum c * prod_i components[i]^e_i over the terms (e, c), c in
+    the components' field, of the given degree. Each power components[i]^x
+    is built once; the sum is taken raw and brought into the field once per
+    coefficient."""
+    field = components[0].field
     ladders = [[comp] for comp in components]  # ladders[i][x - 1] = components[i]^x
-    out = BinaryForm.zero(ring, degree)
+    acc = [0] * (degree + 1)
     for e, c in terms:
-        piece = BinaryForm.from_scalars(ring, [c])
+        piece = None
         for ladder, x in zip(ladders, e):
             if x:
                 while len(ladder) < x:
                     ladder.append(ladder[-1] * ladder[0])
-                piece = piece * ladder[x - 1]
-        out = out + piece
-    return out
+                piece = ladder[x - 1] if piece is None else piece * ladder[x - 1]
+        if piece is None:  # the constant term of a degree-0 form
+            acc[0] += c
+            continue
+        for k, v in enumerate(piece.coeffs):
+            if v:
+                acc[k] += c * v
+    return BinaryForm(field, degree, tuple(map(field.make, acc)))
 
 
 # -- gcd of binary forms -----------------------------------------------------------
 
 
 def _strip_st(f: BinaryForm) -> tuple[int, int, list[Scalar]]:
-    """Split off s^vs * t^vt and return the parameter-free core as a dense
-    univariate coefficient list, highest s-power first."""
-    vals = [c.constant_value() for c in f.coeffs]
-    field = f.ring.field
-    nz = [k for k, v in enumerate(vals) if not field.is_zero(v)]
+    """Split off s^vs * t^vt and return the core as a dense univariate
+    coefficient list, highest s-power first."""
+    nz = [k for k, v in enumerate(f.coeffs) if v]
     k0, k1 = nz[0], nz[-1]
-    vs = f.degree - k1
-    vt = k0
-    return vs, vt, vals[k0 : k1 + 1]
+    return f.degree - k1, k0, list(f.coeffs[k0 : k1 + 1])
 
 
 def _euclid_gcd(a: list[Scalar], b: list[Scalar], field) -> list[Scalar]:
@@ -605,26 +609,17 @@ def binary_gcd(forms: Sequence[BinaryForm]) -> BinaryForm:
     nonzero = [f for f in forms if not f.is_zero]
     if not nonzero:
         raise AllZero("gcd of all-zero binary forms")
-    for f in nonzero:
-        if not f.is_parameter_free:
-            raise ParameterPresent("binary gcd needs parameter-free coefficients")
-    ring = nonzero[0].ring
-    field = ring.field
+    field = nonzero[0].field
     vs, vt, core = _strip_st(nonzero[0])
     for f in nonzero[1:]:
-        if f.ring != ring:
-            raise RingMismatch("mixed rings in gcd")
+        if f.field != field:
+            raise RingMismatch("mixed fields in gcd")
         fvs, fvt, fcore = _strip_st(f)
         vs, vt = min(vs, fvs), min(vt, fvt)
         core = _euclid_gcd(core, fcore, field)
         if len(core) == 1 and vs == 0 and vt == 0:
             break
-    # rehomogenize: core (highest s-power first) times s^vs t^vt
-    g = BinaryForm.from_scalars(ring, [ring.const(field.make(c)) for c in core])
-    if vs:
-        g = g * BinaryForm(ring, vs, tuple([ring.one()] + [ring.zero()] * vs))
-    if vt:
-        g = g * BinaryForm(ring, vt, tuple([ring.zero()] * vt + [ring.one()]))
-    # normalize on the highest nonzero s-power
-    lead = next(c for c in g.coeffs if not c.is_zero)
-    return g.scale(ring.const(field.inv(lead.constant_value())))
+    # rehomogenize: the normalized core (highest s-power first) times s^vs t^vt
+    inv = field.inv(core[0])
+    coeffs = [field.zero] * vt + [field.mul(c, inv) for c in core] + [field.zero] * vs
+    return BinaryForm(field, len(coeffs) - 1, tuple(coeffs))

@@ -273,18 +273,3 @@ def differential_span_matrix(
     pt = point.values(x.n)
     return ExactMatrix.from_rows(x.coeff_ring, [g.gradient_at(avars + bvars, pt) for g in polys])
 
-
-def same_differential_span(
-    x: CompleteIntersection,
-    ours: list[MultiPoly],
-    reference: list[MultiPoly],
-    point: LineChartPoint,
-) -> bool:
-    """Whether two sets of chart polynomials have equal differential span
-    at the point, over the fraction field of the parameters."""
-    a = differential_span_matrix(x, ours, point)
-    b = differential_span_matrix(x, reference, point)
-    ra = rank_exact(a).rank
-    rb = rank_exact(b).rank
-    rab = rank_exact(a.stack(b)).rank
-    return ra == rb == rab

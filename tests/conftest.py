@@ -22,6 +22,14 @@ def ambient_ring(field: Field, n: int, params: tuple[str, ...] = ()) -> PolyRing
     return PolyRing(ParamRing(field, params), ambient_variables(n))
 
 
+def random_nonzero(field: Field, rng) -> int:
+    """A small nonzero element of the field, an int over Q as well."""
+    if field.p is None:
+        n = rng.randint(1, 50)
+        return n if rng.random() < 0.5 else -n
+    return rng.randint(1, field.p - 1)
+
+
 def random_scalar(rng, ring: ParamRing, max_deg: int = 3, n_terms: int = 4):
     """Random ParamScalar with small integer coefficients."""
     terms = {}
@@ -46,7 +54,7 @@ def random_homogeneous(
         exps = [0] * n
         for _ in range(degree):
             exps[rng.randrange(n)] += 1
-        terms[tuple(exps)] = ring.coeffs.const(field.random_nonzero(rng))
+        terms[tuple(exps)] = ring.coeffs.const(random_nonzero(field, rng))
     return ring.from_terms(terms)
 
 

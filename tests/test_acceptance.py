@@ -20,7 +20,6 @@ from cilines.chart import (
     chart_image,
     chart_ring,
     enumerate_lines_fq,
-    is_smooth_along_line,
     line_param,
     move_line_to_chart,
     nonfree_matrix,
@@ -30,10 +29,11 @@ from cilines.families import FamilySpec, build_family
 from cilines.fields import RATIONALS, prime_field
 from cilines.geometry import CIType, RationalCurve
 from cilines.multipoly import BinaryForm
-from cilines.nonfree import expected_pair_report, same_differential_span
+from cilines.nonfree import expected_pair_report
 from cilines.polytext import parse_poly
 
 from conftest import ambient_ring, field_of_char, random_homogeneous
+from support import is_smooth_along_line, same_differential_span
 from test_chart import make_ci
 from test_exactmatrix import gaussian_rank_oracle
 
@@ -161,7 +161,7 @@ def test_criterion_6_finite_field_censuses():
         x2, point, _ = move_line_to_chart(fermat, ln)
         assert normal_splitting_line(x2, point).entries == (-1,)
         rank_route_nonfree = rank_exact(nonfree_matrix(x2, at=point).matrix).rank < 3
-        mu = line_param(point, x2.coeff_ring)
+        mu = line_param(point)
         _, h1 = tangent_cohomology(x2, mu, -1)
         assert rank_route_nonfree and h1 > 0
     elapsed = time.perf_counter() - started
@@ -211,7 +211,7 @@ def test_criterion_7_property_suites():
             if not is_smooth_along_line(x2, point):
                 continue
             rank = rank_exact(nonfree_matrix(x2, at=point).matrix).rank
-            mu = line_param(point, x2.coeff_ring)
+            mu = line_param(point)
             h0, h1 = tangent_cohomology(x2, mu, -1)
             split = normal_splitting_line(x2, point)
             assert (rank == 3) == (h1 == 0) == (split.min_entry >= 0)
@@ -254,10 +254,8 @@ def test_criterion_7_property_suites():
 def test_criterion_8_nonfree_curve_pipeline():
     field = prime_field(7)
     x = make_ci(field, 3, (5,), ["S^5 + T^5 + Z1^5 + Z2^5"])
-    r = x.coeff_ring
-
     def bf(*cs):
-        return BinaryForm.from_scalars(r, list(cs))
+        return BinaryForm.from_scalars(field, list(cs))
 
     mu = RationalCurve((bf(1, 0), bf(-1, 0), bf(0, 1), bf(0, -1)))
     h0, h1 = tangent_cohomology(x, mu, -1)

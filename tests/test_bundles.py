@@ -1,16 +1,17 @@
+from fractions import Fraction
+
 import pytest
 
 from cilines.bundles import (
+    _section_kernel_dims,
     SplittingType,
     degree_nonfree_gate,
     normal_splitting_line,
     precompose,
     tangent_cohomology,
-    tangent_splitting_line,
 )
 from cilines.chart import (
     enumerate_lines_fq,
-    is_smooth_along_line,
     line_jacobian,
     line_param,
     move_line_to_chart,
@@ -21,6 +22,7 @@ from cilines.errors import (
     ConstraintViolated,
     CurveNotOnX,
     InvariantViolated,
+    ParameterPresent,
     SingularAlongCurve,
     SingularAlongLine,
     TwistTooNegative,
@@ -33,18 +35,25 @@ from cilines.multipoly import BinaryForm
 from cilines.params import ParamRing
 
 from conftest import random_homogeneous
+from support import (
+    chart_point,
+    is_smooth_along_line,
+    section_kernel_dim,
+    tangent_splitting_line,
+)
 from test_chart import census_chart_lines, make_ci
 
 
-def bform(ring, *coeffs):
-    return BinaryForm.from_scalars(ring, list(coeffs))
+def bform(field, *coeffs):
+    return BinaryForm.from_scalars(field, list(coeffs))
 
 
 def fermat_quintic_line():
     field = prime_field(7)
     x = make_ci(field, 3, (5,), ["S^5 + T^5 + Z1^5 + Z2^5"])
-    r = x.coeff_ring
-    mu = RationalCurve((bform(r, 1, 0), bform(r, -1, 0), bform(r, 0, 1), bform(r, 0, -1)))
+    mu = RationalCurve(
+        (bform(field, 1, 0), bform(field, -1, 0), bform(field, 0, 1), bform(field, 0, -1))
+    )
     return x, mu
 
 
@@ -60,7 +69,7 @@ def test_splitting_type_validation():
 
 def test_quadric_line_is_free():
     x = make_ci(RATIONALS, 3, (2,), ["S*Z1 + T*Z2"])
-    mu = line_param(LineChartPoint.standard(RATIONALS, 3), x.coeff_ring)
+    mu = line_param(LineChartPoint.standard(RATIONALS, 3))
     assert tangent_cohomology(x, mu, -1) == (2, 0)
 
 
@@ -78,7 +87,7 @@ def test_twist_below_minus_one_rejected():
 
 def test_curve_not_on_x_rejected():
     x = make_ci(RATIONALS, 3, (2,), ["S*Z1 + T*Z2"])
-    r = x.coeff_ring
+    r = x.field
     mu = RationalCurve((bform(r, 1, 0), bform(r, 0, 1), bform(r, 1, 0), bform(r, 1, 1)))
     with pytest.raises(CurveNotOnX):
         tangent_cohomology(x, mu, -1)
@@ -86,7 +95,7 @@ def test_curve_not_on_x_rejected():
 
 def test_singular_along_curve_rejected():
     x = make_ci(RATIONALS, 3, (2,), ["Z1^2"])
-    mu = line_param(LineChartPoint.standard(RATIONALS, 3), x.coeff_ring)
+    mu = line_param(LineChartPoint.standard(RATIONALS, 3))
     with pytest.raises(SingularAlongCurve):
         tangent_cohomology(x, mu, 0)
 
@@ -95,10 +104,10 @@ def test_chi_bookkeeping(rng):
     """h0 - h1 = b(N+1-|d|) + (N-r)(m+1) on every computed instance."""
     cases = []
     x1 = make_ci(RATIONALS, 3, (2,), ["S*Z1 + T*Z2"])
-    cases.append((x1, line_param(LineChartPoint.standard(RATIONALS, 3), x1.coeff_ring)))
+    cases.append((x1, line_param(LineChartPoint.standard(RATIONALS, 3))))
     xq, muq = fermat_quintic_line()
     cases.append((xq, muq))
-    cases.append((xq, precompose(muq, (bform(xq.coeff_ring, 1, 0, 0), bform(xq.coeff_ring, 0, 0, 1)))))
+    cases.append((xq, precompose(muq, (bform(xq.field, 1, 0, 0), bform(xq.field, 0, 0, 1)))))
     for x, mu in cases:
         t = x.ci_type
         for m in (-1, 0):
@@ -121,7 +130,7 @@ def test_line_jacobian_route_agrees_with_restriction(rng):
     themselves."""
     for x, point in census_chart_lines(rng):
         jac = line_jacobian(x, point, nonfree_matrix(x, at=point).matrix)
-        mu = line_param(point, x.coeff_ring)
+        mu = line_param(point)
         assert _outcome(normal_splitting_line, x, point, jac) == _outcome(
             normal_splitting_line, x, point
         )
@@ -134,9 +143,9 @@ def test_line_jacobian_route_agrees_with_restriction(rng):
 def test_tangent_cohomology_rejects_a_misshapen_jacobian():
     x = make_ci(RATIONALS, 3, (2,), ["S*Z1 + T*Z2"])
     point = LineChartPoint.standard(RATIONALS, 3)
-    mu = line_param(point, x.coeff_ring)
+    mu = line_param(point)
     jac = line_jacobian(x, point, nonfree_matrix(x, at=point).matrix)
-    r = x.coeff_ring
+    r = x.field
     assert tangent_cohomology(x, mu, 0, jac) == (4, 0)  # T_X|_L = O(2) + O
     for bad in (
         [],  # no row for the form
@@ -158,11 +167,59 @@ def test_tangent_cohomology_checks_the_euler_section_of_a_given_jacobian():
     is 0, and a Jacobian claiming s there breaks the Euler relation."""
     x = make_ci(RATIONALS, 3, (2,), ["S*Z1 + T*Z2"])
     point = LineChartPoint.standard(RATIONALS, 3)
-    mu = line_param(point, x.coeff_ring)
+    mu = line_param(point)
     jac = line_jacobian(x, point, nonfree_matrix(x, at=point).matrix)
-    bad = [[bform(x.coeff_ring, 1, 0)] + jac[0][1:]]
+    bad = [[bform(x.field, 1, 0)] + jac[0][1:]]
     with pytest.raises(InvariantViolated, match="Euler"):
         tangent_cohomology(x, mu, 0, bad)
+
+
+# -- section kernels ----------------------------------------------------------------
+
+SECTION_FIELDS = (RATIONALS, prime_field(2), prime_field(3), prime_field(7))
+
+
+def random_grid(rng, field, rows, cols, max_deg, zero_form=0.2, zero_coeff=0.3):
+    """rows x cols binary forms, each row of one random degree; whole zero
+    forms and zero coefficients among them, rationals with denominators."""
+
+    def value():
+        if rng.random() < zero_coeff:
+            return 0
+        if field.p is None:
+            return field.make(Fraction(rng.randint(-5, 5), rng.randint(1, 3)))
+        return rng.randrange(field.p)
+
+    grid = []
+    for _ in range(rows):
+        deg = rng.randint(0, max_deg)
+        grid.append(
+            [
+                BinaryForm.zero(field, deg)
+                if rng.random() < zero_form
+                else BinaryForm.from_scalars(field, [value() for _ in range(deg + 1)])
+                for _ in range(cols)
+            ]
+        )
+    return grid
+
+
+def assert_one_pass_matches_per_dom(phi, top):
+    want = [section_kernel_dim(phi, dom) for dom in range(top + 1)]
+    assert _section_kernel_dims(phi, top) == want
+
+
+@pytest.mark.parametrize("field", SECTION_FIELDS, ids=str)
+def test_one_pass_section_kernels_match_the_per_dom_reference(rng, field):
+    """The kernel dimension at every dom <= top, read from one elimination
+    at top, against a matrix built and eliminated at each dom; rows of
+    different degrees, zero forms and zero coefficients included."""
+    for _ in range(60):
+        phi = random_grid(rng, field, rng.randint(1, 3), rng.randint(1, 4), 4)
+        assert_one_pass_matches_per_dom(phi, rng.randint(1, 6))
+    # an all-zero grid: every section is in the kernel
+    zero = [[BinaryForm.zero(field, 2)] * 3, [BinaryForm.zero(field, 0)] * 3]
+    assert _section_kernel_dims(zero, 4) == [0, 3, 6, 9, 12]
 
 
 # -- splitting types of lines ------------------------------------------------------------
@@ -176,21 +233,28 @@ def test_quadric_line_splittings():
 
 
 def test_splitting_recovery_stops_at_the_degree_floor(monkeypatch):
-    """The floor check is the only exit of the descent besides success,
-    so it must be a raised error that python -O keeps, not an assert."""
+    """The splitting type is read from the section counts at every twist
+    from 1 down to the degree floor; counts that do not add up to the rank
+    and degree of N_{L/X} are refused by a raised error that python -O
+    keeps, not an assert."""
     import cilines.bundles as bundles
 
-    monkeypatch.setattr(bundles, "_section_kernel_dim", lambda phi, dom: 0)
     x = make_ci(RATIONALS, 3, (2,), ["S*Z1 + T*Z2"])
-    with pytest.raises(InvariantViolated, match="degree floor"):
-        normal_splitting_line(x, LineChartPoint.standard(RATIONALS, 3))
+    point = LineChartPoint.standard(RATIONALS, 3)
+    s, t = bform(RATIONALS, 1, 0), bform(RATIONALS, 0, 1)
+    assert bundles._section_kernel_dims([[s, t]], 2) == [0, 0, 1]  # N_{L/X} = O
+    assert normal_splitting_line(x, point).entries == (0,)
+    for dims in ([0, 0, 0], [0, 1, 1], [0, 0, 2], [0, 1, 3, 4]):
+        monkeypatch.setattr(bundles, "_section_kernel_dims", lambda phi, top, d=dims: d)
+        with pytest.raises(InvariantViolated, match="bookkeeping"):
+            normal_splitting_line(x, point)
 
 
 def test_quintic_line_splittings():
     x, _ = fermat_quintic_line()
     lines = enumerate_lines_fq(x)
     ln = next(l for l in lines if l.rows == ((1, 0, 6, 0), (0, 1, 0, 6)))
-    point = ln.chart_point()
+    point = chart_point(ln)
     assert normal_splitting_line(x, point).entries == (-3,)
     assert tangent_splitting_line(x, point).entries == (2, -3)
 
@@ -216,8 +280,6 @@ def test_cubic_threefold_free_line_splitting():
 def test_splitting_constraints_various(rng):
     built = build_family(FamilySpec("mixed-general", 9, (4, 3)), RATIONALS)
     # parameters present: splittings need parameter-free forms
-    from cilines.errors import ParameterPresent
-
     with pytest.raises(ParameterPresent):
         normal_splitting_line(built.x, built.line)
 
@@ -234,7 +296,7 @@ def test_singular_along_line_rejected_for_splitting():
 def test_precompose_standard_line_squares():
     point = LineChartPoint.standard(RATIONALS, 6)
     mu = line_param(point)
-    r = mu.ring
+    r = mu.field
     mu2 = precompose(mu, (bform(r, 1, 0, 0), bform(r, 0, 0, 1)))
     assert [str(c) for c in mu2.components] == ["s^2", "t^2"] + ["0"] * 5
     assert mu2.degree == 2
@@ -243,26 +305,27 @@ def test_precompose_standard_line_squares():
 def test_precompose_identity_cover():
     point = LineChartPoint(RATIONALS, (1, 2), (3, 4))
     mu = line_param(point)
-    r = mu.ring
+    r = mu.field
     mu1 = precompose(mu, (bform(r, 1, 0), bform(r, 0, 1)))
     assert mu1 == mu
 
 
 def test_precompose_rejects_basepointed_cover():
     mu = line_param(LineChartPoint.standard(RATIONALS, 3))
-    r = mu.ring
+    r = mu.field
     with pytest.raises(BasePointedCover):
         precompose(mu, (bform(r, 1, 0, 0), bform(r, 0, 1, 0)))  # s^2, st share s = 0
     with pytest.raises(BasePointedCover):
         precompose(mu, (bform(r, 0, 0), bform(r, 0, 0)))  # the zero cover
+    # a cover with a parameter, s + c1*t, is refused where the form is built
     c = ParamRing(RATIONALS, ("c1",))
-    with pytest.raises(BasePointedCover):
-        precompose(mu, (bform(c, 1, c.var("c1")), bform(c, 0, 1)))  # s + c1*t, t
+    with pytest.raises(ParameterPresent):
+        bform(r, 1, c.var("c1"))
 
 
 def test_quintic_double_cover_breaks_convexity():
     x, mu = fermat_quintic_line()
-    r = x.coeff_ring
+    r = x.field
     mu2 = precompose(mu, (bform(r, 1, 0, 0), bform(r, 0, 0, 1)))
     h0, h1 = tangent_cohomology(x, mu2, 0)
     assert (h0, h1) == (5, 5)
@@ -273,7 +336,7 @@ def test_precompose_doubles_splitting_counts():
     """Along a line with known splitting, the degree-2 cover doubles
     every entry; check through h^0/h^1 at twists -1 and 0."""
     x, mu = fermat_quintic_line()
-    r = x.coeff_ring
+    r = x.field
     mu2 = precompose(mu, (bform(r, 1, 0, 0), bform(r, 0, 0, 1)))
     # T_X restricted to the line splits as (2, -3); pullback is (4, -6)
     for m in (-1, 0):
@@ -331,7 +394,7 @@ def test_two_route_freeness_agreement(rng):
                 seen_lines += 1
                 rank = rank_exact(nonfree_matrix(x2, at=point).matrix).rank
                 free_by_rank = rank == x.ci_type.total_degree
-                mu = line_param(point, x2.coeff_ring)
+                mu = line_param(point)
                 _, h1 = tangent_cohomology(x2, mu, -1)
                 free_by_h1 = h1 == 0
                 free_by_split = normal_splitting_line(x2, point).min_entry >= 0

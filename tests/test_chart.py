@@ -7,7 +7,6 @@ from cilines.chart import (
     all_lines_fq,
     chart_image,
     enumerate_lines_fq,
-    is_smooth_along_line,
     line_jacobian,
     line_param,
     membership_system,
@@ -31,6 +30,7 @@ from cilines.params import ParamRing
 from cilines.polytext import parse_poly
 
 from conftest import ambient_ring, field_of_char, random_homogeneous
+from support import chart_point, is_smooth_along_line, permuted, permuted_z, scaled
 
 
 def make_ci(field, n, degrees, texts, params=()):
@@ -59,8 +59,7 @@ def test_line_param_roundtrip():
     point = LineChartPoint(RATIONALS, (2, -3), (5, 7))
     mu = line_param(point)
     for j, comp in enumerate(mu.components[2:]):
-        assert comp.coeffs[0].constant_value() == point.a[j]
-        assert comp.coeffs[1].constant_value() == point.b[j]
+        assert comp.coeffs == (point.a[j], point.b[j])
 
 
 # -- membership systems -----------------------------------------------------------
@@ -187,10 +186,10 @@ def test_scaling_invariance(rng):
     built = build_family(FamilySpec("quadrics-general", 7, (2, 2)), RATIONALS)
     x, point = built.x, built.line
     base_rank = rank_exact(nonfree_matrix(x, at=point).matrix).rank
-    scaled = x.scaled((3, -7))
-    assert membership_system(scaled).contains(point)
-    assert rank_exact(nonfree_matrix(scaled, at=point).matrix).rank == base_rank
-    assert is_smooth_along_line(scaled, point) == is_smooth_along_line(x, point)
+    x2 = scaled(x, (3, -7))
+    assert membership_system(x2).contains(point)
+    assert rank_exact(nonfree_matrix(x2, at=point).matrix).rank == base_rank
+    assert is_smooth_along_line(x2, point) == is_smooth_along_line(x, point)
 
 
 def test_z_permutation_equivariance():
@@ -199,8 +198,8 @@ def test_z_permutation_equivariance():
     base_rank = rank_exact(nonfree_matrix(x, at=point).matrix).rank
     # swap Z1 <-> Z3 in both the forms and the chart columns
     perm = {"Z1": "Z3", "Z2": "Z2", "Z3": "Z1"}
-    x2 = x.permuted_z(perm)
-    point2 = point.permuted((2, 1, 0))
+    x2 = permuted_z(x, perm)
+    point2 = permuted(point, (2, 1, 0))
     assert membership_system(x2).contains(point2)
     assert rank_exact(nonfree_matrix(x2, at=point2).matrix).rank == base_rank
     assert is_smooth_along_line(x2, point2) == is_smooth_along_line(x, point)
@@ -233,11 +232,11 @@ def test_restricted_jacobian_z_columns_are_the_blocks_of_m_h(rng):
     S- and T-columns off them too, equals restricted_jacobian in all
     N+1 columns (in characteristic 2 as well)."""
     for x2, point in census_chart_lines(rng):
-        jac = restricted_jacobian(x2, line_param(point, x2.coeff_ring).components)
+        jac = restricted_jacobian(x2, line_param(point).components)
         nf = nonfree_matrix(x2, at=point)
         for j, row in enumerate(nf.value_rows()):
             for i, (lo, hi) in enumerate(nf.col_blocks):
-                assert list(jac[i][2 + j].coeffs) == row[lo:hi]
+                assert list(jac[i][2 + j].coeffs) == [c.constant_value() for c in row[lo:hi]]
         assert line_jacobian(x2, point, nf.matrix) == jac
 
 
@@ -251,15 +250,14 @@ def test_line_jacobian_rejects_a_matrix_of_the_wrong_shape():
         line_jacobian(x, LineChartPoint.standard(RATIONALS, 4), m_h)
 
 
-def _rational(sympy, c):
-    v = c.constant_value()
+def _rational(sympy, v):
     return sympy.Rational(v.numerator, v.denominator)
 
 
 def _to_sympy(sympy, form, symbols):
     out = sympy.Integer(0)
     for e, c in form.terms:
-        mono = _rational(sympy, c)
+        mono = _rational(sympy, c.constant_value())
         for sym, k in zip(symbols, e):
             mono *= sym**k
         out += mono
@@ -323,7 +321,7 @@ def test_fermat_quintic_line_smooth_after_swap():
             target = ln
     # (s : t : -s : -t) sits in the chart already
     assert target is not None
-    assert is_smooth_along_line(x, target.chart_point())
+    assert is_smooth_along_line(x, chart_point(target))
 
 
 # -- enumeration over finite fields -----------------------------------------------------
@@ -385,7 +383,7 @@ def restriction_census(x):
     return [
         ln
         for ln in all_lines_fq(x.field, x.n)
-        if all(restrict_along(f, ln.components(x.coeff_ring)).is_zero for f in x.forms)
+        if all(restrict_along(f, ln.components()).is_zero for f in x.forms)
     ]
 
 

@@ -6,7 +6,7 @@ import time
 
 import pytest
 
-from cilines.cli import MAX_CURVE_DEGREE, build_parser, main
+from cilines.cli import MAX_CURVE_DEGREE, MAX_FORM_DEGREE, build_parser, main
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
 
@@ -337,6 +337,68 @@ def test_cover_past_the_curve_degree_budget_exits_2_at_once(capsys, tmp_path):
     assert report["error"] == "BudgetExceeded" and "MAX_CURVE_DEGREE" in report["message"]
     code, _ = run(capsys, "curve-check", path, "--cover", str(MAX_CURVE_DEGREE + 1))
     assert code == 2
+
+
+@pytest.mark.parametrize("cover", ["0", "-1"])
+def test_non_positive_cover_is_a_parse_error(capsys, tmp_path, cover):
+    path = write_problem(tmp_path, "quintic.ci", QUINTIC_F7)
+    code, out = run(capsys, "curve-check", path, "--cover", cover)
+    assert code == 1
+    report = json.loads(out)
+    assert report["error"] == "ParseError" and "--cover" in report["message"]
+
+
+@pytest.mark.parametrize("b", [MAX_CURVE_DEGREE + 1, 1000000000])
+def test_curve_past_the_degree_budget_exits_2_at_once(capsys, tmp_path, b):
+    """An uncovered curve is refused too, before its coefficient vectors
+    are built."""
+    text = QUINTIC_F7.replace("s ; -1*s ; t ; -1*t", f"s^{b} ; -1*s^{b} ; t^{b} ; -1*t^{b}")
+    path = write_problem(tmp_path, "curve.ci", text)
+    started = time.perf_counter()
+    code, out = run(capsys, "curve-check", path)
+    assert time.perf_counter() - started < 1.0
+    assert code == 2
+    report = json.loads(out)
+    assert report["error"] == "BudgetExceeded" and "MAX_CURVE_DEGREE" in report["message"]
+
+
+BINOMIAL_F7 = """
+field: F:7
+N: 3
+degrees: {d}
+form: Z1*S^{e} + Z2*T^{e}
+line: 0, 0 | 0, 0
+"""
+
+
+def binomial_problem(d: int) -> str:
+    """Z1*S^(d-1) + Z2*T^(d-1) over F_7 and the line Z1 = Z2 = 0, whose
+    normal bundle is O(2 - d)."""
+    return BINOMIAL_F7.format(d=d, e=d - 1)
+
+
+@pytest.mark.parametrize("d", [MAX_FORM_DEGREE + 1, 1000000000])
+def test_form_past_the_degree_budget_exits_2_at_once(capsys, tmp_path, d):
+    path = write_problem(tmp_path, "binomial.ci", binomial_problem(d))
+    started = time.perf_counter()
+    code, out = run(capsys, "classify-line", path)
+    assert time.perf_counter() - started < 1.0
+    assert code == 2
+    report = json.loads(out)
+    assert report["error"] == "BudgetExceeded" and "MAX_FORM_DEGREE" in report["message"]
+
+
+def test_classify_line_reads_every_twist_of_a_degree_200_form_at_once(capsys, tmp_path):
+    """The normal splitting O(-198) needs the section counts at 200 twists;
+    one elimination gives them all (a descent of one elimination per twist
+    took about 20 s)."""
+    path = write_problem(tmp_path, "binomial.ci", binomial_problem(200))
+    started = time.perf_counter()
+    code, out = run(capsys, "classify-line", path)
+    assert time.perf_counter() - started < 5.0
+    assert code == 0
+    report = json.loads(out)
+    assert report["normal_splitting"] == [-198] and report["tangent_splitting"] == [2, -198]
 
 
 def test_huge_parameter_power_is_multiplied_at_once(capsys, tmp_path):

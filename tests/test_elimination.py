@@ -13,6 +13,7 @@ from cilines.fields import RATIONALS, prime_field
 from cilines.params import ParamRing
 
 import elimination_reference as reference
+from conftest import random_nonzero
 
 FIELDS = (RATIONALS, prime_field(2), prime_field(3))
 RINGS = tuple(ParamRing(f, names) for f in FIELDS for names in ((), ("c1", "c2")))
@@ -24,13 +25,13 @@ def sparse_entry(rng, ring, density):
     if rng.random() >= density:
         return ring.zero()
     if not ring.k or rng.random() < 0.4:
-        return ring.const(ring.field.random_nonzero(rng))
+        return ring.const(random_nonzero(ring.field, rng))
     terms = {}
     for _ in range(rng.randint(1, 2)):
         exps = [0] * ring.k
         if rng.random() < 0.7:
             exps[rng.randrange(ring.k)] = 1
-        terms[tuple(exps)] = ring.field.random_nonzero(rng)
+        terms[tuple(exps)] = random_nonzero(ring.field, rng)
     return ring.from_terms(terms)
 
 

@@ -9,6 +9,7 @@ from cilines.fields import RATIONALS, prime_field
 from cilines.params import ParamRing
 
 from conftest import random_scalar
+from support import identity
 
 
 def matrix_of_ints(ring, rows):
@@ -61,7 +62,7 @@ def gaussian_rank_oracle(field, rows):
 
 def test_identity_over_f5():
     ring = ParamRing(prime_field(5), ())
-    res = rank_exact(ExactMatrix.identity(ring, 3))
+    res = rank_exact(identity(ring, 3))
     assert (res.rank, res.certificate) == (3, ring.one())
 
 
@@ -159,7 +160,7 @@ def test_rank_plus_kernel_is_cols(rng):
 
 def test_kernel_examples():
     ring = ParamRing(RATIONALS, ())
-    assert kernel_basis(ExactMatrix.identity(ring, 2)) == []
+    assert kernel_basis(identity(ring, 2)) == []
     m = matrix_of_ints(ring, [[1, 0]])
     assert kernel_basis(m) == [(Fraction(0), Fraction(1))]
 

@@ -4,12 +4,13 @@ from cilines.errors import CharTwoForbidden, ConstraintViolated, NotHomogeneous,
 from cilines.families import (
     FamilySpec,
     build_family,
-    ci_4_3_p9_literal_forms,
     hypothesis_gates,
     parse_family_spec,
 )
 from cilines.fields import RATIONALS, prime_field
 from cilines.geometry import CIType, CompleteIntersection
+
+from support import ci_4_3_p9_literal_forms
 
 
 def test_hyp_4_6_is_the_worked_example():

@@ -2,7 +2,13 @@ from fractions import Fraction
 
 import pytest
 
-from cilines.errors import AllZero, ConstraintViolated, ParameterPresent, UnknownVariable
+from cilines.errors import (
+    AllZero,
+    ConstraintViolated,
+    ParameterPresent,
+    RingMismatch,
+    UnknownVariable,
+)
 from cilines.fields import RATIONALS, prime_field
 from cilines.geometry import restrict_along
 from cilines.multipoly import BinaryForm, PolyRing, binary_gcd, flatten, unflatten
@@ -270,38 +276,37 @@ def test_flatten_roundtrip(rng):
     assert unflatten(flatten(p), ring) == p
 
 
-def binform(ring, *coeffs):
-    return BinaryForm.from_scalars(ring, list(coeffs))
+def binform(field, *coeffs):
+    return BinaryForm.from_scalars(field, list(coeffs))
 
 
 def test_binary_gcd_examples():
-    ring = ParamRing(RATIONALS, ())
-    s2t = binform(ring, 0, 1, 0, 0)  # s^2 t
-    st2 = binform(ring, 0, 0, 1, 0)  # s t^2
-    assert binary_gcd([s2t, st2]).coeffs == binform(ring, 0, 1, 0).coeffs  # s t
+    s2t = binform(RATIONALS, 0, 1, 0, 0)  # s^2 t
+    st2 = binform(RATIONALS, 0, 0, 1, 0)  # s t^2
+    assert binary_gcd([s2t, st2]).coeffs == binform(RATIONALS, 0, 1, 0).coeffs  # s t
 
-    s = binform(ring, 1, 0)
-    t = binform(ring, 0, 1)
+    s = binform(RATIONALS, 1, 0)
+    t = binform(RATIONALS, 0, 1)
     assert binary_gcd([s, t]).degree == 0
 
     with pytest.raises(AllZero):
-        binary_gcd([BinaryForm.zero(ring, 2)])
+        binary_gcd([BinaryForm.zero(RATIONALS, 2)])
 
+    # a parameter never reaches the gcd: the form is refused where it is built
     pring = ParamRing(RATIONALS, ("c1",))
     with pytest.raises(ParameterPresent):
-        binary_gcd([BinaryForm.from_scalars(pring, [pring.var("c1"), pring.one()])])
+        BinaryForm.from_scalars(RATIONALS, [pring.var("c1"), pring.one()])
 
 
 def test_binary_gcd_divides_and_is_divided(rng):
     field = prime_field(7)
-    ring = ParamRing(field, ())
 
     def random_form(d):
-        return BinaryForm.from_scalars(ring, [field.random(rng) for _ in range(d + 1)])
+        return BinaryForm.from_scalars(field, [field.random(rng) for _ in range(d + 1)])
 
     def strip(form):
         # (s-power, t-power, core as dense x-polynomial, highest first)
-        vals = [c.constant_value() for c in form.coeffs]
+        vals = list(form.coeffs)
         nz = [k for k, v in enumerate(vals) if not field.is_zero(v)]
         k0, k1 = nz[0], nz[-1]
         return form.degree - k1, k0, vals[k0 : k1 + 1]
@@ -337,11 +342,10 @@ def test_binary_gcd_divides_and_is_divided(rng):
 
 
 def test_compose():
-    ring = ParamRing(RATIONALS, ())
-    f = binform(ring, 1, 0, -1)        # s^2 - t^2
-    u = binform(ring, 1, 0, 0)         # s^2
-    w = binform(ring, 0, 0, 1)         # t^2
-    assert f.compose(u, w).coeffs == binform(ring, 1, 0, 0, 0, -1).coeffs  # s^4 - t^4
+    f = binform(RATIONALS, 1, 0, -1)  # s^2 - t^2
+    u = binform(RATIONALS, 1, 0, 0)  # s^2
+    w = binform(RATIONALS, 0, 0, 1)  # t^2
+    assert f.compose(u, w).coeffs == binform(RATIONALS, 1, 0, 0, 0, -1).coeffs  # s^4 - t^4
 
 
 def test_restrict_along_and_compose_match_substitution(rng):
@@ -354,10 +358,11 @@ def test_restrict_along_and_compose_match_substitution(rng):
 
     def as_poly(form):
         d = form.degree
-        return st_ring.from_terms({(d - k, k): c for k, c in enumerate(form.coeffs)})
+        terms = {(d - k, k): coeffs.const(c) for k, c in enumerate(form.coeffs)}
+        return st_ring.from_terms(terms)
 
     def random_form(d):
-        return BinaryForm.from_scalars(coeffs, [field.random(rng) for _ in range(d + 1)])
+        return BinaryForm.from_scalars(field, [field.random(rng) for _ in range(d + 1)])
 
     ring = ambient_ring(field, 3)
     for _ in range(10):
@@ -370,6 +375,116 @@ def test_restrict_along_and_compose_match_substitution(rng):
         u, w = random_form(2), random_form(2)
         want = as_poly(f).substitute({"s": as_poly(u), "t": as_poly(w)})
         assert as_poly(f.compose(u, w)) == want
+
+
+# -- binary forms against naive references ------------------------------------------
+
+
+def naive_mul(field, f, g):
+    """Test-only reference for BinaryForm.__mul__: every product formed and
+    added with the field's own operations, zeros included."""
+    out = [field.zero] * (len(f) + len(g) - 1)
+    for i, a in enumerate(f):
+        for j, b in enumerate(g):
+            out[i + j] = field.add(out[i + j], field.mul(a, b))
+    return out
+
+
+def naive_power(field, f, x):
+    out = [field.one]
+    for _ in range(x):
+        out = naive_mul(field, out, f)
+    return out
+
+
+def naive_compose_terms(field, terms, comps, degree):
+    """sum c * prod comps[i]^e_i, each power by repeated naive_mul."""
+    out = [field.zero] * (degree + 1)
+    for e, c in terms:
+        piece = [c]
+        for comp, x in zip(comps, e):
+            piece = naive_mul(field, piece, naive_power(field, list(comp), x))
+        out = [field.add(a, b) for a, b in zip(out, piece)]
+    return out
+
+
+def random_values(rng, field, k, zeros=0.3):
+    """k field values, a share of them zero; over Q proper fractions and
+    integers, so products and sums both cancel denominators."""
+    out = []
+    for _ in range(k):
+        if rng.random() < zeros:
+            out.append(field.zero)
+        elif field.p is None:
+            out.append(field.make(Fraction(rng.randint(-9, 9), rng.choice((1, 1, 2, 3, 4)))))
+        else:
+            out.append(rng.randrange(field.p))
+    return out
+
+
+def same_values(got, want):
+    """Equal values of the same class: an integral rational is an int."""
+    assert list(got) == list(want)
+    assert [type(v) for v in got] == [type(v) for v in want]
+
+
+@pytest.mark.parametrize("char", [0, 2, 7])
+def test_binary_form_product_and_compose_match_naive_references(rng, char):
+    field = field_of_char(char)
+    for _ in range(40):
+        f = BinaryForm.from_scalars(field, random_values(rng, field, rng.randint(1, 6)))
+        g = BinaryForm.from_scalars(field, random_values(rng, field, rng.randint(1, 6)))
+        same_values((f * g).coeffs, naive_mul(field, f.coeffs, g.coeffs))
+        k = rng.randint(0, 3)
+        u = BinaryForm.from_scalars(field, random_values(rng, field, k + 1))
+        w = BinaryForm.from_scalars(field, random_values(rng, field, k + 1))
+        d = f.degree
+        terms = [((d - i, i), c) for i, c in enumerate(f.coeffs)]
+        want = naive_compose_terms(field, terms, (u.coeffs, w.coeffs), d * k)
+        same_values(f.compose(u, w).coeffs, want)
+    # (s/2) * (2 t) = s t, an int coefficient over Q
+    half = BinaryForm.from_scalars(field, [Fraction(1, 2) if char != 2 else 1, 0])
+    two_t = BinaryForm.from_scalars(field, [0, 2 if char != 2 else 1])
+    same_values((half * two_t).coeffs, [0, 1, 0])
+
+
+@pytest.mark.parametrize("char", [0, 2, 7])
+def test_restrict_along_matches_the_naive_reference(rng, char):
+    field = field_of_char(char)
+    ring = ambient_ring(field, 3)
+    for _ in range(15):
+        d = rng.randint(1, 4)
+        form = random_homogeneous(rng, ring, d, n_terms=8)
+        if field.p is None:  # proper fractions among the coefficients
+            form = ring.from_terms(
+                {
+                    e: ring.coeffs.const(Fraction(c.constant_value(), rng.randint(1, 3)))
+                    for e, c in form.terms
+                }
+            )
+        b = rng.randint(1, 3)
+        comps = [BinaryForm.from_scalars(field, random_values(rng, field, b + 1)) for _ in range(4)]
+        terms = [(e, c.constant_value()) for e, c in form.terms]
+        want = naive_compose_terms(field, terms, [c.coeffs for c in comps], b * d)
+        same_values(restrict_along(form, comps).coeffs, want)
+
+
+def test_binary_forms_refuse_parameters_where_they_are_built():
+    coeffs = ParamRing(RATIONALS, ("c1",))
+    c1 = coeffs.var("c1")
+    with pytest.raises(ParameterPresent):
+        BinaryForm.from_scalars(RATIONALS, [1, c1])
+    st_ring = PolyRing(coeffs, ("s", "t"))
+    with pytest.raises(ParameterPresent):
+        BinaryForm.from_poly(st_ring.var("s") * st_ring.param("c1"))
+    ring = PolyRing(coeffs, ("S", "T"))
+    line = (binform(RATIONALS, 1, 0), binform(RATIONALS, 0, 1))
+    with pytest.raises(ParameterPresent):
+        restrict_along(ring.var("S") * ring.param("c1"), line)
+    # a constant ParamScalar is read as its value, over its own field only
+    assert BinaryForm.from_scalars(RATIONALS, [coeffs.const(3), 0]).coeffs == (3, 0)
+    with pytest.raises(RingMismatch):
+        BinaryForm.from_scalars(prime_field(7), [coeffs.const(3)])
 
 
 def test_parser_rejects_garbage():

@@ -14,11 +14,11 @@ from cilines.nonfree import (
     expected_pair_report,
     jacobian_def_matrix,
     local_equations,
-    same_differential_span,
 )
 from cilines.polytext import parse_poly
 
 from conftest import random_scalar
+from support import permuted, permuted_z, same_differential_span, scaled
 from test_chart import make_ci
 from test_exactmatrix import gaussian_rank_oracle
 
@@ -202,8 +202,8 @@ def test_report_scaling_and_permutation_invariance():
     built = build_family(FamilySpec("quadrics-general", 7, (2, 2)), RATIONALS)
     x, point = built.x, built.line
     base = expected_pair_report(x, point)
-    scaled = expected_pair_report(x.scaled((5, -2)), point)
-    assert (scaled.verdict, scaled.corank, scaled.jacobian_rank) == (
+    rep = expected_pair_report(scaled(x, (5, -2)), point)
+    assert (rep.verdict, rep.corank, rep.jacobian_rank) == (
         base.verdict,
         base.corank,
         base.jacobian_rank,
@@ -212,10 +212,10 @@ def test_report_scaling_and_permutation_invariance():
     names = [f"Z{j}" for j in range(1, 7)]
     perm = {z: z for z in names}
     perm["Z4"], perm["Z6"] = "Z6", "Z4"
-    x2 = x.permuted_z(perm)
-    point2 = point.permuted((0, 1, 2, 5, 4, 3))
-    permuted = expected_pair_report(x2, point2)
-    assert (permuted.verdict, permuted.corank, permuted.jacobian_rank) == (
+    x2 = permuted_z(x, perm)
+    point2 = permuted(point, (0, 1, 2, 5, 4, 3))
+    rep = expected_pair_report(x2, point2)
+    assert (rep.verdict, rep.corank, rep.jacobian_rank) == (
         base.verdict,
         base.corank,
         base.jacobian_rank,
