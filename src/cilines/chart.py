@@ -50,7 +50,7 @@ from .geometry import (
     ambient_variables,
     restrict_along,
 )
-from .multipoly import BinaryForm, MultiPoly, PolyRing, binary_gcd, flatten, flatten_ring
+from .multipoly import BinaryForm, MultiPoly, PolyRing, binary_gcd
 from .params import ParamRing, ParamScalar, require_constant
 
 
@@ -131,20 +131,19 @@ def membership_system(x: CompleteIntersection) -> MembershipSystem:
 
 @dataclass(frozen=True)
 class NonFreeMatrix:
-    """M(h), symbolically in the chart coordinates or evaluated at a line.
+    """M(h) at a chart line on X.
 
     entries_ab is the (N-1) x |d| grid of chart polynomials; matrix is the
-    same data as an ExactMatrix, over the coefficient parameter ring when
-    evaluated at a point, otherwise flat_matrix of the grid. Evaluated,
-    rank is rank_exact of matrix, whose pivot rows are the lex-first row
-    basis; it is None otherwise.
+    grid evaluated at the line `at`, over the coefficient parameter ring,
+    and rank is rank_exact of matrix, whose pivot rows are the lex-first
+    row basis.
     """
 
     ci_type: CIType
     entries_ab: tuple[tuple[MultiPoly, ...], ...]
-    at: LineChartPoint | None
+    at: LineChartPoint
     matrix: ExactMatrix
-    rank: RankResult | None = None
+    rank: RankResult
 
     @property
     def col_blocks(self) -> tuple[tuple[int, int], ...]:
@@ -157,8 +156,6 @@ class NonFreeMatrix:
         return tuple(out)
 
     def value_rows(self) -> list[list[ParamScalar]]:
-        if self.at is None:
-            raise ConstraintViolated("matrix was not evaluated at a line")
         return self.matrix.to_lists()
 
 
@@ -172,25 +169,13 @@ def _nonfree_entries(ms: MembershipSystem) -> tuple[tuple[MultiPoly, ...], ...]:
     )
 
 
-def flat_matrix(ab: PolyRing, grid: Sequence[Sequence[MultiPoly]]) -> ExactMatrix:
-    """A grid of polynomials over `ab` as an ExactMatrix over flatten_ring(ab),
-    the coefficient ring with the variables of ab adjoined as parameters."""
-    flat = flatten_ring(ab)
-    return ExactMatrix.from_rows(flat, [[flatten(e, flat) for e in row] for row in grid])
-
-
-def nonfree_matrix(
-    x: CompleteIntersection, at: LineChartPoint | None = None
-) -> NonFreeMatrix:
-    """Build M(h); when a chart point is given the line must lie on X, and
-    the evaluated matrix comes with its rank."""
+def nonfree_matrix(x: CompleteIntersection, at: LineChartPoint) -> NonFreeMatrix:
+    """Build M(h) at a chart line, which must lie on X, with the rank of
+    the evaluated matrix."""
     ms = membership_system(x)
-    if at is not None and not ms.contains(at):
+    if not ms.contains(at):
         raise LineNotContained("the chart line is not on X")
     entries = _nonfree_entries(ms)
-    if at is None:
-        ab = chart_ring(x.coeff_ring, x.n)
-        return NonFreeMatrix(x.ci_type, entries, None, flat_matrix(ab, entries))
     vals = at.values(x.n)
     grid = [[e.evaluate(vals) for e in row] for row in entries]
     matrix = ExactMatrix.from_rows(x.coeff_ring, grid)
@@ -298,9 +283,6 @@ class FqLine:
     def components(self) -> tuple[BinaryForm, ...]:
         return tuple(BinaryForm(self.field, 1, ab) for ab in zip(*self.rows))
 
-    def parameterization(self) -> RationalCurve:
-        return RationalCurve(self.components())
-
     def in_standard_chart(self) -> bool:
         return self.pivots == (0, 1)
 
@@ -374,10 +356,7 @@ def enumerate_lines_fq(x: CompleteIntersection) -> list[FqLine]:
             f"at most {MAX_CENSUS_POINTS}"
         )
     forms = [
-        [
-            ([(i, k) for i, k in enumerate(e) if k], c.constant_value())
-            for e, c in f.terms
-        ]
+        [([(i, k) for i, k in enumerate(e) if k], c) for e, c in f.field_terms()]
         for f in x.forms
     ]
     on_x = {pt for pt in _points_fq(q, n) if all(_vanishes_at(t, pt, q) for t in forms)}

@@ -345,9 +345,7 @@ def _cmd_curve_check(args) -> dict:
         w = BinaryForm(x.field, cover_k, zeros + (1,))
         mu = precompose(mu, (u, w))
     h0, h1 = tangent_cohomology(x, mu, args.twist)
-    t = x.ci_type
-    chi = mu.degree * (t.ambient_dim + 1 - t.total_degree) + t.variety_dim * (args.twist + 1)
-    gate = degree_nonfree_gate(t, mu.degree)
+    gate = degree_nonfree_gate(x.ci_type, mu.degree)
     return {
         "command": "curve-check",
         "problem": problem.echo,
@@ -356,7 +354,7 @@ def _cmd_curve_check(args) -> dict:
         "curve_degree": mu.degree,
         "h0": h0,
         "h1": h1,
-        "chi": chi,
+        "chi": h0 - h1,
         "free": h1 == 0 if args.twist == -1 else None,
         "convex_here": h1 == 0 if args.twist == 0 else None,
         "degree_gate": gate.verdict,

@@ -208,5 +208,4 @@ def restrict_along(
     field = components[0].field
     if form.ring.coeffs.field != field:
         raise RingMismatch("form and components live over different fields")
-    terms = [(e, c.constant_value()) for e, c in form.terms]
-    return _compose_terms(terms, components, b * d)
+    return _compose_terms(form.field_terms(), components, b * d)

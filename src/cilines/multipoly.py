@@ -2,8 +2,13 @@
 
 MultiPoly carries the geometric objects: homogeneous forms in the ambient
 coordinates S, T, Z1..Z{N-1}, chart polynomials in a_j, b_j, and so on.
-Its coefficients are ParamScalar values, so a single form can depend on
-symbolic parameters c_1..c_k while the geometric variables stay separate.
+A polynomial may depend on symbolic parameters c_1..c_k. It is stored
+flat, as one ParamScalar over ring.flat: the parameter ring with the
+ring's variables adjoined after the parameters, so an exponent vector
+holds the parameter exponents and then the variable exponents. Sums,
+products and powers are those of ParamScalar. `terms` groups the flat
+terms by their variable exponents, each coefficient a ParamScalar in the
+parameters alone, which is how a polynomial prints.
 
 BinaryForm is the dense degree-d form in the line coordinates (s:t),
 stored as its vector of base-field coefficients against the monomial
@@ -13,13 +18,14 @@ curves, and all the one-variable cohomology bookkeeping, live here.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from operator import add
+from dataclasses import dataclass, field as dataclass_field
+from functools import lru_cache
 from typing import Callable, Iterable, Mapping, Sequence
 
 from .errors import (
     AllZero,
     NotHomogeneous,
+    ParameterPresent,
     RingMismatch,
     UnknownVariable,
 )
@@ -29,60 +35,66 @@ from .params import (
     ParamRing,
     ParamScalar,
     _monomial,
-    _pack,
     _print_sum,
     _signed,
-    _unpack,
     grlex_key,
 )
 
 
+@lru_cache(maxsize=256)
+def _flat_ring(coeffs: ParamRing, variables: tuple[str, ...]) -> ParamRing:
+    """The parameter ring on (parameters + variables). Equal PolyRings get
+    one object, so their polynomials pass ParamScalar's same-ring test by
+    identity."""
+    return ParamRing(coeffs.field, coeffs.names + variables)
+
+
 @dataclass(frozen=True)
 class PolyRing:
-    """Polynomial ring in named variables over a parameter ring."""
+    """Polynomial ring in named variables over a parameter ring; `flat`
+    is the parameter ring on (parameters + variables) that holds its
+    polynomials."""
 
     coeffs: ParamRing
     variables: tuple[str, ...]
+    flat: ParamRing = dataclass_field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         seen = set(self.variables) | set(self.coeffs.names)
         if len(seen) != len(self.variables) + len(self.coeffs.names):
             raise RingMismatch("variable and parameter names must be disjoint")
+        object.__setattr__(self, "flat", _flat_ring(self.coeffs, self.variables))
 
     @property
     def n(self) -> int:
         return len(self.variables)
 
     def zero(self) -> "MultiPoly":
-        return MultiPoly(self, ())
+        return MultiPoly(self, self.flat.zero())
 
     def one(self) -> "MultiPoly":
-        return self.const(self.coeffs.one())
+        return MultiPoly(self, self.flat.one())
 
     def const(self, c: ParamScalar | int) -> "MultiPoly":
         if isinstance(c, int):
-            c = self.coeffs.const(c)
+            return MultiPoly(self, self.flat.const(c))
         if c.ring != self.coeffs:
             raise RingMismatch("constant from a different parameter ring")
-        if c.is_zero:
-            return self.zero()
-        return MultiPoly(self, (((0,) * self.n, c),))
+        pad = (0,) * self.n  # appending zeros keeps the terms' order
+        return MultiPoly(self, ParamScalar(self.flat, tuple((e + pad, v) for e, v in c.terms)))
 
     def var(self, name: str) -> "MultiPoly":
-        try:
-            i = self.variables.index(name)
-        except ValueError:
-            raise UnknownVariable(f"variable {name!r} not in ring {self.variables}") from None
-        exps = tuple(1 if j == i else 0 for j in range(self.n))
-        return MultiPoly(self, ((exps, self.coeffs.one()),))
+        if name not in self.variables:
+            raise UnknownVariable(f"variable {name!r} not in ring {self.variables}")
+        return MultiPoly(self, self.flat.var(name))
 
     def param(self, name: str) -> "MultiPoly":
         return self.const(self.coeffs.var(name))
 
     def from_terms(self, terms: Mapping[Exps, ParamScalar]) -> "MultiPoly":
-        clean = {e: c for e, c in terms.items() if not c.is_zero}
-        ordered = tuple(sorted(clean.items(), key=lambda t: grlex_key(t[0]), reverse=True))
-        return MultiPoly(self, ordered)
+        """The polynomial with these (variable exponents, coefficient) terms."""
+        acc = {pe + e: v for e, c in terms.items() for pe, v in c.terms}
+        return MultiPoly(self, self.flat.from_terms(acc))
 
     def __str__(self) -> str:
         return f"{self.coeffs}[{', '.join(self.variables)}]"
@@ -90,19 +102,57 @@ class PolyRing:
 
 @dataclass(frozen=True)
 class MultiPoly:
+    """A polynomial of `ring`, held as `flat`, a ParamScalar over ring.flat."""
+
     ring: PolyRing
-    terms: tuple[tuple[Exps, ParamScalar], ...]
+    flat: ParamScalar
+
+    def __post_init__(self) -> None:
+        if self.flat.ring is not self.ring.flat and self.flat.ring != self.ring.flat:
+            raise RingMismatch(f"a scalar over {self.flat.ring} in {self.ring}")
 
     # -- queries ---------------------------------------------------------
 
     @property
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self.flat.terms
+
+    def _groups(self) -> dict[Exps, list[tuple[Exps, Scalar]]]:
+        """The flat terms by their variable exponents, as (parameter
+        exponents, coefficient) lists. Within a group the flat order is
+        graded-lex on the parameter exponents, the canonical order of a
+        ParamScalar."""
+        k = self.ring.coeffs.k
+        groups: dict[Exps, list[tuple[Exps, Scalar]]] = {}
+        for e, c in self.flat.terms:
+            groups.setdefault(e[k:], []).append((e[:k], c))
+        return groups
+
+    @property
+    def terms(self) -> tuple[tuple[Exps, ParamScalar], ...]:
+        """(variable exponents, coefficient in the parameters) per monomial
+        of the variables, in descending graded-lex order of the exponents."""
+        coeffs = self.ring.coeffs
+        groups = self._groups()
+        return tuple(
+            (e, ParamScalar(coeffs, tuple(groups[e])))
+            for e in sorted(groups, key=grlex_key, reverse=True)
+        )
+
+    def field_terms(self) -> list[tuple[Exps, Scalar]]:
+        """(variable exponents, base-field coefficient) per term, in the
+        order of `terms`; ParameterPresent when a coefficient carries a
+        parameter."""
+        if not self.is_parameter_free:
+            raise ParameterPresent(f"{self} carries parameters")
+        k = self.ring.coeffs.k
+        return [(e[k:], c) for e, c in self.flat.terms]
 
     def homogeneous_degree(self) -> int | None:
         """The common degree of all terms, or None if mixed. Zero counts
         as homogeneous of every degree and reports None."""
-        degs = {sum(e) for e, _ in self.terms}
+        k = self.ring.coeffs.k
+        degs = {sum(e[k:]) for e, _ in self.flat.terms}
         if len(degs) == 1:
             return degs.pop()
         return None
@@ -117,90 +167,60 @@ class MultiPoly:
 
     @property
     def is_parameter_free(self) -> bool:
-        return all(c.is_constant for _, c in self.terms)
+        k = self.ring.coeffs.k
+        return not k or not any(any(e[:k]) for e, _ in self.flat.terms)
 
     def variables_present(self) -> set[str]:
-        out = set()
-        for e, _ in self.terms:
-            for name, x in zip(self.ring.variables, e):
-                if x:
-                    out.add(name)
-        return out
+        k = self.ring.coeffs.k
+        variables = self.ring.variables
+        return {variables[i] for e, _ in self.flat.terms for i, x in enumerate(e[k:]) if x}
 
     # -- arithmetic --------------------------------------------------------
 
-    def _coerce(self, other) -> "MultiPoly":
+    def _coerce(self, other) -> ParamScalar:
+        """The flat form of an operand: a MultiPoly of this ring, an int or
+        a ParamScalar of the parameter ring."""
         if isinstance(other, MultiPoly):
-            if other.ring != self.ring:
+            if other.ring is not self.ring and other.ring != self.ring:
                 raise RingMismatch(f"mixed rings {self.ring} and {other.ring}")
-            return other
-        if isinstance(other, int):
-            return self.ring.const(other)
-        if isinstance(other, ParamScalar):
-            return self.ring.const(other)
+            return other.flat
+        if isinstance(other, (int, ParamScalar)):
+            return self.ring.const(other).flat
         return NotImplemented  # type: ignore[return-value]
 
     def __add__(self, other) -> "MultiPoly":
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        acc = dict(self.terms)
-        for e, c in other.terms:
-            prev = acc.get(e)
-            acc[e] = c if prev is None else prev + c
-        return self.ring.from_terms(acc)
+        return MultiPoly(self.ring, self.flat + other)
 
     __radd__ = __add__
 
     def __neg__(self) -> "MultiPoly":
-        return MultiPoly(self.ring, tuple((e, -c) for e, c in self.terms))
+        return MultiPoly(self.ring, -self.flat)
 
     def __sub__(self, other) -> "MultiPoly":
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        return self + (-other)
+        return MultiPoly(self.ring, self.flat - other)
 
     def __rsub__(self, other) -> "MultiPoly":
-        return (-self) + other
+        other = self._coerce(other)
+        if other is NotImplemented:
+            return NotImplemented
+        return MultiPoly(self.ring, other - self.flat)
 
     def __mul__(self, other) -> "MultiPoly":
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        a, b = self.terms, other.terms
-        if not a or not b:
-            return self.ring.zero()
-        if len(a) == 1:
-            a, b = b, a
-        if len(b) == 1:  # as in ParamScalar.__mul__: a shift keeps the order
-            ((e0, c0),) = b
-            return MultiPoly(self.ring, tuple((tuple(map(add, e, e0)), c * c0) for e, c in a))
-        base = 1 + sum(a[0][0]) + sum(b[0][0])
-        pb = _pack(b, base)
-        acc: dict[int, ParamScalar] = {}
-        get = acc.get
-        for k1, c1 in _pack(a, base):
-            for k2, c2 in pb:
-                k = k1 + k2
-                prev = get(k)
-                acc[k] = c1 * c2 if prev is None else prev + c1 * c2
-        keys = [k for k in sorted(acc, reverse=True) if acc[k].terms]
-        exps = _unpack(keys, base, self.ring.n)
-        return MultiPoly(self.ring, tuple(zip(exps, map(acc.__getitem__, keys))))
+        return MultiPoly(self.ring, self.flat * other)
 
     __rmul__ = __mul__
 
     def __pow__(self, n: int) -> "MultiPoly":
-        if n < 0:
-            raise ValueError("negative power of a polynomial")
-        if len(self.terms) == 1:  # a monomial: (c X^e)^n = c^n X^(n e)
-            ((e, c),) = self.terms
-            return MultiPoly(self.ring, ((tuple(n * x for x in e), c**n),))
-        out = self.ring.one()
-        for _ in range(n):
-            out = out * self
-        return out
+        return MultiPoly(self.ring, self.flat**n)
 
     # -- calculus -----------------------------------------------------------
 
@@ -209,18 +229,19 @@ class MultiPoly:
         characteristic annihilate because the exponent is reduced into
         the base field."""
         try:
-            i = self.ring.variables.index(v)
+            i = self.ring.coeffs.k + self.ring.variables.index(v)  # its place in a flat key
         except ValueError:
             raise UnknownVariable(f"variable {v!r} not in ring {self.ring.variables}") from None
-        acc: dict[Exps, ParamScalar] = {}
-        for e, c in self.terms:
-            if e[i] == 0:
-                continue
-            ne = tuple(x - 1 if j == i else x for j, x in enumerate(e))
-            coeff = c.scale_int(e[i])
-            prev = acc.get(ne)
-            acc[ne] = coeff if prev is None else prev + coeff
-        return self.ring.from_terms(acc)
+        field = self.ring.coeffs.field
+        terms = []
+        for e, c in self.flat.terms:
+            x = e[i]
+            if x:
+                c = field.mul(c, field.make(x))
+                if c:  # field zeros are falsy
+                    terms.append((e[:i] + (x - 1,) + e[i + 1 :], c))
+        # lowering one exponent of every term keeps their graded-lex order
+        return MultiPoly(self.ring, ParamScalar(self.ring.flat, tuple(terms)))
 
     def substitute(self, assignment: Mapping[str, "MultiPoly"]) -> "MultiPoly":
         """Simultaneous substitution; every occurring variable must be
@@ -239,21 +260,23 @@ class MultiPoly:
         target = targets.pop() if targets else self.ring
         if target.coeffs != self.ring.coeffs:
             raise RingMismatch("assignment changes the coefficient ring")
-        acc: dict[Exps, ParamScalar] = {}
-        cache: dict[tuple[str, int], MultiPoly] = {}
-        for e, c in self.terms:
-            term = target.const(c)
+        flat = target.flat
+        fadd = flat.field.add
+        pad = (0,) * target.n
+        acc: dict[Exps, Scalar] = {}
+        cache: dict[tuple[str, int], ParamScalar] = {}
+        for e, coeff in self._groups().items():
+            term = ParamScalar(flat, tuple((pe + pad, c) for pe, c in coeff))
             for name, x in zip(self.ring.variables, e):
                 if x == 0:
                     continue
                 key = (name, x)
                 if key not in cache:
-                    cache[key] = assignment[name] ** x
+                    cache[key] = assignment[name].flat ** x
                 term = term * cache[key]
             for te, tc in term.terms:
-                prev = acc.get(te)
-                acc[te] = tc if prev is None else prev + tc
-        return target.from_terms(acc)
+                acc[te] = fadd(acc[te], tc) if te in acc else tc
+        return MultiPoly(target, flat.from_terms(acc))
 
     def evaluate(self, values: Mapping[str, Scalar]) -> ParamScalar:
         """Evaluate every variable at a field element; coefficients
@@ -263,18 +286,16 @@ class MultiPoly:
         if missing:
             raise UnknownVariable(f"no value for {sorted(missing)}")
         coeffs = self.ring.coeffs
-        field = coeffs.field
-        fmul, fadd = field.mul, field.add
+        k = coeffs.k
+        fmul, fadd = coeffs.field.mul, coeffs.field.add
         power = _power_table(self.ring, values)
         acc: dict[Exps, Scalar] = {}
-        for e, c in self.terms:
-            scale = field.one
-            for i, x in enumerate(e):
+        for e, c in self.flat.terms:
+            for i, x in enumerate(e[k:]):
                 if x:
-                    scale = fmul(scale, power(i, x))
-            for pe, pc in c.terms:
-                v = fmul(pc, scale)
-                acc[pe] = fadd(acc[pe], v) if pe in acc else v
+                    c = fmul(c, power(i, x))
+            pe = e[:k]
+            acc[pe] = fadd(acc[pe], c) if pe in acc else c
         return coeffs.from_terms(acc)
 
     def gradient_at(
@@ -291,12 +312,14 @@ class MultiPoly:
         variables = self.ring.variables
         slots = [variables.index(v) if v in variables else None for v in names]
         coeffs = self.ring.coeffs
+        k = coeffs.k
         field = coeffs.field
         fmul, fadd = field.mul, field.add
         power = _power_table(self.ring, values)
         accs: list[dict[Exps, Scalar]] = [{} for _ in names]
         lacking: list[set[str]] = [set() for _ in names]
-        for e, c in self.terms:
+        for fe, c in self.flat.terms:
+            pe, e = fe[:k], fe[k:]
             factors = [(j, x) for j, x in enumerate(e) if x]
             absent = {j for j, _ in factors if variables[j] not in values}
             for acc, lack, i in zip(accs, lacking, slots):
@@ -314,9 +337,8 @@ class MultiPoly:
                         x -= 1
                     if x:
                         scale = fmul(scale, power(j, x))
-                for pe, pc in c.terms:
-                    v = fmul(pc, scale)
-                    acc[pe] = fadd(acc[pe], v) if pe in acc else v
+                v = fmul(c, scale)
+                acc[pe] = fadd(acc[pe], v) if pe in acc else v
         for v, i, lack in zip(names, slots, lacking):
             if i is None:
                 raise UnknownVariable(f"variable {v!r} not in ring {variables}")
@@ -328,33 +350,29 @@ class MultiPoly:
         """Collect terms by their exponents in `front`, returning
         polynomials in the remaining variables."""
         front = tuple(front)
-        idx = [self.ring.variables.index(v) for v in front]
-        rest = tuple(v for v in self.ring.variables if v not in front)
-        rest_idx = [self.ring.variables.index(v) for v in rest]
+        variables = self.ring.variables
+        k = self.ring.coeffs.k
+        idx = [k + variables.index(v) for v in front]
+        rest = tuple(v for v in variables if v not in front)
+        keep = [*range(k), *(k + variables.index(v) for v in rest)]
         sub = PolyRing(self.ring.coeffs, rest)
-        buckets: dict[Exps, dict[Exps, ParamScalar]] = {}
-        for e, c in self.terms:
+        buckets: dict[Exps, list[tuple[Exps, Scalar]]] = {}
+        for e, c in self.flat.terms:
             fe = tuple(e[i] for i in idx)
-            re = tuple(e[i] for i in rest_idx)
-            bucket = buckets.setdefault(fe, {})
-            prev = bucket.get(re)
-            bucket[re] = c if prev is None else prev + c
-        return {fe: sub.from_terms(b) for fe, b in buckets.items()}
+            buckets.setdefault(fe, []).append((tuple(e[i] for i in keep), c))
+        # dropping the exponents that a bucket's terms share keeps their order
+        return {fe: MultiPoly(sub, ParamScalar(sub.flat, tuple(b))) for fe, b in buckets.items()}
 
     def permute_variables(self, mapping: Mapping[str, str]) -> "MultiPoly":
         """Rename variables by a bijection of the ring's variable set."""
-        if set(mapping) != set(self.ring.variables) or set(mapping.values()) != set(
-            self.ring.variables
-        ):
+        variables = self.ring.variables
+        if set(mapping) != set(variables) or set(mapping.values()) != set(variables):
             raise UnknownVariable("variable permutation must be a bijection of the ring")
-        pos = {v: i for i, v in enumerate(self.ring.variables)}
-        acc: dict[Exps, ParamScalar] = {}
-        for e, c in self.terms:
-            ne = [0] * self.ring.n
-            for name, x in zip(self.ring.variables, e):
-                ne[pos[mapping[name]]] = x
-            acc[tuple(ne)] = c
-        return self.ring.from_terms(acc)
+        k = self.ring.coeffs.k
+        source = {variables.index(mapping[v]): j for j, v in enumerate(variables)}
+        order = [*range(k), *(k + source[i] for i in range(self.ring.n))]
+        acc = {tuple(e[i] for i in order): c for e, c in self.flat.terms}
+        return MultiPoly(self.ring, self.ring.flat.from_terms(acc))
 
     # -- printing ---------------------------------------------------------------
 
@@ -400,35 +418,6 @@ def _coefficient(c: ParamScalar) -> tuple[str, bool]:
         return f"({cs})", False
     neg = cs.startswith("-")
     return (cs[1:] if neg else cs), neg
-
-
-# -- bridging to the flat parameter ring ------------------------------------
-
-
-def flatten_ring(ring: PolyRing) -> ParamRing:
-    """Parameter ring on (parameters + variables), parameters first."""
-    return ParamRing(ring.coeffs.field, ring.coeffs.names + ring.variables)
-
-
-def flatten(p: MultiPoly, flat: ParamRing | None = None) -> ParamScalar:
-    """View a MultiPoly as a flat ParamScalar in parameters + variables."""
-    flat = flat or flatten_ring(p.ring)
-    acc: dict[Exps, Scalar] = {}
-    for e, c in p.terms:
-        for pe, coeff in c.terms:
-            acc[tuple(pe) + tuple(e)] = coeff
-    return flat.from_terms(acc)
-
-
-def unflatten(ps: ParamScalar, ring: PolyRing) -> MultiPoly:
-    """Inverse of flatten for the ring's own flat parameter ring."""
-    k = ring.coeffs.k
-    acc: dict[Exps, dict[Exps, Scalar]] = {}
-    for e, coeff in ps.terms:
-        pe, ve = tuple(e[:k]), tuple(e[k:])
-        acc.setdefault(ve, {})[pe] = coeff
-    terms = {ve: ring.coeffs.from_terms(pterms) for ve, pterms in acc.items()}
-    return ring.from_terms(terms)
 
 
 # -- binary forms ---------------------------------------------------------------
@@ -484,8 +473,8 @@ class BinaryForm:
         field = p.ring.coeffs.field
         coeffs = [field.zero] * (d + 1)
         si = p.ring.variables.index(s)
-        for e, c in p.terms:
-            coeffs[d - e[si]] = c.constant_value()
+        for e, c in p.field_terms():
+            coeffs[d - e[si]] = c
         return cls(field, d, tuple(coeffs))
 
     @property

@@ -37,14 +37,13 @@ from .chart import (
     NonFreeMatrix,
     chart_ring,
     chart_variables,
-    flat_matrix,
     membership_system,  # not called here; perfbench's tracer test reads it
     nonfree_matrix,
 )
 from .errors import InvariantViolated, LineNotContained, NotCorankOne
 from .exactmatrix import ExactMatrix, det, rank_exact
 from .geometry import CompleteIntersection, LineChartPoint
-from .multipoly import MultiPoly, unflatten
+from .multipoly import MultiPoly
 from .params import ParamRing, ParamScalar
 
 
@@ -131,11 +130,11 @@ def _local_equations_from(x: CompleteIntersection, nf: NonFreeMatrix) -> LocalEq
     pivot = rank_exact(nf.matrix.submatrix(pivot_rows, range(nf.matrix.cols)).transpose())
 
     ab = chart_ring(x.coeff_ring, x.n)
-    sym = flat_matrix(ab, nf.entries_ab)
+    sym = [[e.flat for e in row] for row in nf.entries_ab]
     minors: list[MultiPoly] = []
     vals = point.values(x.n)
-    for g_flat in bordered_minors(sym.ring, sym.to_lists(), pivot_rows):
-        g = unflatten(g_flat, ab)
+    for g_flat in bordered_minors(ab.flat, sym, pivot_rows):
+        g = MultiPoly(ab, g_flat)
         if not g.evaluate(vals).is_zero:
             raise InvariantViolated("bordered minor fails to vanish at the base point")
         minors.append(g)

@@ -30,13 +30,12 @@ _FACTOR = re.compile(r"\s*(?:(\d+)|([A-Za-z][A-Za-z0-9]*))\s*(?:\^\s*(\d+)\s*)?"
 
 
 def parse_poly(text: str, ring: PolyRing) -> MultiPoly:
-    coeffs = ring.coeffs
-    field = coeffs.field
-    slots = {name: i for i, name in enumerate(coeffs.names + ring.variables)}
+    field = ring.flat.field
+    slots = {name: i for i, name in enumerate(ring.flat.names)}
     pieces = ["+"] + _SIGN.split(text)  # sign, term, sign, term, ...
     if len(pieces) > 3 and not pieces[1].strip() and pieces[2] == "-":
         del pieces[:2]  # only the first term may carry a leading minus
-    acc: dict[Exps, dict[Exps, Scalar]] = {}
+    acc: dict[Exps, Scalar] = {}  # flat exponents: the parameters', then the variables'
     for sign, term in zip(pieces[::2], pieces[1::2]):
         coeff = field.one if sign == "+" else field.neg(field.one)
         exps = [0] * len(slots)
@@ -56,10 +55,9 @@ def parse_poly(text: str, ring: PolyRing) -> MultiPoly:
                 exps[slots[name]] += e
             else:
                 raise ParseError(f"unknown name {name!r} (not a variable or parameter)")
-        inner = acc.setdefault(tuple(exps[coeffs.k :]), {})
-        pe = tuple(exps[: coeffs.k])
-        inner[pe] = field.add(inner[pe], coeff) if pe in inner else coeff
-    return ring.from_terms({ve: coeffs.from_terms(c) for ve, c in acc.items()})
+        key = tuple(exps)
+        acc[key] = field.add(acc[key], coeff) if key in acc else coeff
+    return MultiPoly(ring, ring.flat.from_terms(acc))
 
 
 def _int_power(field: Field, b: int, e: int, factor: str) -> Scalar:

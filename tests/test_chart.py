@@ -1,3 +1,4 @@
+from fractions import Fraction
 import itertools
 import math
 
@@ -126,7 +127,7 @@ def test_membership_rejects_wrong_width():
 
 def test_nonfree_matrix_4_6_symbolic_display():
     built = build_family(FamilySpec("hyp-4-6"), RATIONALS)
-    nf = nonfree_matrix(built.x)
+    nf = nonfree_matrix(built.x, at=built.line)
     grid = [[str(e) for e in row] for row in nf.entries_ab]
     assert grid == [
         ["c1", "-1", "0", "0"],
@@ -139,7 +140,7 @@ def test_nonfree_matrix_4_6_symbolic_display():
 
 def test_nonfree_matrix_quadrics_p7_symbolic_display():
     built = build_family(FamilySpec("quadrics-general", 7, (2, 2)), RATIONALS)
-    nf = nonfree_matrix(built.x)
+    nf = nonfree_matrix(built.x, at=built.line)
     grid = [[str(e) for e in row] for row in nf.entries_ab]
     assert grid == [
         ["1", "0", "0", "0"],
@@ -255,9 +256,11 @@ def _rational(sympy, v):
 
 
 def _to_sympy(sympy, form, symbols):
+    """The form with one symbol per name of form.ring.flat: parameters,
+    then variables."""
     out = sympy.Integer(0)
-    for e, c in form.terms:
-        mono = _rational(sympy, c.constant_value())
+    for e, c in form.flat.terms:
+        mono = _rational(sympy, c)
         for sym, k in zip(symbols, e):
             mono *= sym**k
         out += mono
@@ -296,6 +299,72 @@ def test_line_jacobian_matches_sympy(rng):
                         for k, c in enumerate(entry.coeffs)
                     )
                     assert sympy.expand(ours - theirs) == 0
+
+
+def _form_on_the_standard_line(rng, ring, d):
+    """A random form of degree d with a Z in every monomial, so that it
+    contains the line Z = 0; its coefficients carry the ring's parameters,
+    and over Q some are proper fractions."""
+    field, k = ring.coeffs.field, ring.coeffs.k
+    terms = {}
+    for _ in range(rng.randint(1, 6)):
+        exps = [0] * ring.n
+        exps[rng.randrange(2, ring.n)] = 1
+        for _ in range(d - 1):
+            exps[rng.randrange(ring.n)] += 1
+        coeff = {}
+        for _ in range(rng.randint(1, 3) if k else 1):
+            pe = tuple(rng.randint(0, 2) for _ in range(k))
+            v = rng.randint(-4, 4)
+            coeff[pe] = field.make(Fraction(v, rng.randint(1, 3)) if field.p is None else v)
+        terms[tuple(exps)] = ring.coeffs.from_terms(coeff)
+    form = ring.from_terms(terms)
+    return form if not form.is_zero else ring.var("Z1") ** d
+
+
+@pytest.mark.parametrize("char", [0, 3])
+@pytest.mark.parametrize("params", [(), ("c1", "c2")])
+def test_membership_system_and_m_h_match_sympy(rng, char, params):
+    """Oracle for the chart layer: sympy expands h(s, t, s*a + t*b); its
+    s,t-coefficients must be the f^i_k of membership_system, and their
+    a_j-derivatives the entries of M(h). Over F_3 the differences must
+    vanish mod 3."""
+    sympy = pytest.importorskip("sympy")
+    field = field_of_char(char)
+    s, t = sympy.symbols("s t")
+
+    def same(ours, theirs):
+        diff = sympy.expand(ours - theirs)
+        if char == 0 or diff == 0:
+            return diff == 0
+        return all(c % char == 0 for c in sympy.Poly(diff, *diff.free_symbols).coeffs())
+
+    for n, degrees in ((3, (2,)), (3, (3,)), (4, (2, 2))):
+        ring = ambient_ring(field, n, params)
+        x = CompleteIntersection(
+            CIType(n, degrees), tuple(_form_on_the_standard_line(rng, ring, d) for d in degrees)
+        )
+        ms = membership_system(x)
+        nf = nonfree_matrix(x, at=LineChartPoint.standard(field, n))
+        ab = nf.entries_ab[0][0].ring
+        symbols = sympy.symbols(ab.flat.names)
+        by_name = dict(zip(ab.flat.names, symbols))
+        avars = [by_name[f"a{j}"] for j in range(1, n)]
+        line = {sympy.Symbol("S"): s, sympy.Symbol("T"): t}
+        for j in range(1, n):
+            line[sympy.Symbol(f"Z{j}")] = s * by_name[f"a{j}"] + t * by_name[f"b{j}"]
+        start = 0
+        for i, (form, d) in enumerate(zip(x.forms, degrees)):
+            h = _to_sympy(sympy, form, sympy.symbols(ring.flat.names))
+            composite = sympy.Poly(sympy.expand(h.subs(line, simultaneous=True)), s, t)
+            for k in range(d + 1):
+                theirs = composite.coeff_monomial(s ** (d - k) * t**k)
+                assert same(_to_sympy(sympy, ms.systems[i][k], symbols), theirs)
+                if k < d:
+                    for j, a in enumerate(avars):
+                        ours = _to_sympy(sympy, nf.entries_ab[j][start + k], symbols)
+                        assert same(ours, sympy.diff(theirs, a))
+            start += d
 
 
 # -- smoothness along lines ----------------------------------------------------------

@@ -78,6 +78,17 @@ form: S^3 + T^3 + Z1^3 + Z2^3 + Z3^3
 line: 4, 0, 0 | 0, 4, 0
 """
 
+# parameters c1, c2, c3 over Q: M(h) has the entry (c1 + c2), and the local
+# equations print coefficients of several terms such as (c1*c2 + c2)*a5
+PARAMETRIC_Q = """
+field: Q
+N: 6
+degrees: 4
+params: c1 c2 c3
+form: c1*S^3*Z1 + c2*S^3*Z1 + c2*S^3*Z2 + c3*S^3*Z3 - S^2*T*Z1 - S*T^2*Z2 - T^3*Z3 + T^2*Z4*Z5 + c1*T^2*Z4*Z5
+line: 0, 0, 0, 0, 0 | 0, 0, 0, 0, 0
+"""
+
 QUINTIC_F7 = """
 field: F:7
 N: 3
@@ -133,8 +144,9 @@ def test_gates_golden(capsys):
         ("cubic.ci", CUBIC_F7_CORANK_1, "classify_cubic_F7_corank1.json"),
         ("double.ci", DOUBLE_PLANE_Q, "classify_double_plane_Q.json"),
         ("two.ci", TWO_QUADRICS_F5, "classify_two_quadrics_F5.json"),
+        ("parametric.ci", PARAMETRIC_Q, "classify_parametric_Q.json"),
     ],
-    ids=["corank-1", "singular-along-line", "two-quadrics"],
+    ids=["corank-1", "singular-along-line", "two-quadrics", "parametric"],
 )
 def test_classify_line_golden(capsys, tmp_path, name, text, golden):
     code, out = run(capsys, "classify-line", write_problem(tmp_path, name, text))

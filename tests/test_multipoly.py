@@ -11,7 +11,7 @@ from cilines.errors import (
 )
 from cilines.fields import RATIONALS, prime_field
 from cilines.geometry import restrict_along
-from cilines.multipoly import BinaryForm, PolyRing, binary_gcd, flatten, unflatten
+from cilines.multipoly import BinaryForm, PolyRing, binary_gcd
 from cilines.params import ParamRing
 from cilines.polytext import parse_poly
 
@@ -23,6 +23,7 @@ from conftest import (
     random_point,
     random_poly,
 )
+from multipoly_reference import NestedPoly
 
 
 def test_differentiate_examples():
@@ -269,13 +270,6 @@ def test_homogeneity_predicate():
     assert ring.zero().is_homogeneous(7)
 
 
-def test_flatten_roundtrip(rng):
-    ring = PolyRing(ParamRing(RATIONALS, ("c1", "c2")), ("x", "y"))
-    c1 = ring.param("c1")
-    p = c1 * ring.var("x") ** 2 - ring.var("y") + ring.param("c2") ** 3
-    assert unflatten(flatten(p), ring) == p
-
-
 def binform(field, *coeffs):
     return BinaryForm.from_scalars(field, list(coeffs))
 
@@ -514,3 +508,55 @@ def test_parser_str_roundtrip(rng):
     for _ in range(15):
         p = random_homogeneous(rng, ring, rng.randint(1, 4))
         assert parse_poly(str(p), ring) == p
+
+
+def _random_pair(rng, ring, n_terms):
+    """A random polynomial as a MultiPoly and as a NestedPoly, from one
+    dict of integer coefficients."""
+    field, k = ring.coeffs.field, ring.coeffs.k
+    terms = {}
+    for _ in range(n_terms):
+        e = tuple(rng.randint(0, 2) for _ in range(ring.n))
+        coeff = terms.setdefault(e, {})
+        for _ in range(rng.randint(1, 3) if k else 1):
+            coeff[tuple(rng.randint(0, 2) for _ in range(k))] = field.make(rng.randint(-3, 3))
+    mine = ring.from_terms({e: ring.coeffs.from_terms(c) for e, c in terms.items()})
+    return mine, NestedPoly(ring, terms)
+
+
+@pytest.mark.parametrize("char", [0, 3])
+@pytest.mark.parametrize("params", [(), ("c1", "c2")])
+def test_flat_storage_agrees_with_a_nested_reference(rng, char, params):
+    """terms, str and == of MultiPolys built by sums, differences and
+    products agree with the nested reference, and parse_poly reads back
+    the expanded text of each and, when every coefficient has one term,
+    what str prints."""
+    ring = PolyRing(ParamRing(field_of_char(char), params), ("x", "y", "z"))
+    mine, theirs = [], []
+    for _ in range(40):
+        if len(mine) < 4 or rng.random() < 0.3:
+            p, q = _random_pair(rng, ring, rng.randint(0, 5))
+        else:
+            i, j = rng.randrange(len(mine)), rng.randrange(len(mine))
+            op = rng.choice(("add", "sub", "mul"))
+            p = getattr(mine[i], f"__{op}__")(mine[j])
+            q = getattr(theirs[i], f"__{op}__")(theirs[j])
+        mine.append(p)
+        theirs.append(q)
+    mine.append(mine[0] - mine[0])
+    theirs.append(theirs[0] - theirs[0])
+    for p, q in zip(mine, theirs):
+        assert tuple((e, c.terms) for e, c in p.terms) == q.sorted_terms()
+        assert str(p) == str(q)
+        assert parse_poly(q.expanded_text(), ring) == p
+        if all(len(c.terms) == 1 for _, c in p.terms):
+            assert parse_poly(str(p), ring) == p
+    for i in range(len(mine)):
+        for j in range(i, len(mine)):
+            assert (mine[i] == mine[j]) == (theirs[i] == theirs[j])
+    if char == 0:  # proper fractions print as such, in str and in terms
+        half = ring.const(ring.coeffs.const(Fraction(1, 2)))
+        twin = NestedPoly(ring, {(0, 0, 0): {(0,) * len(params): Fraction(1, 2)}})
+        for p, q in zip(mine, theirs):
+            assert str(p * half) == str(q * twin)
+            assert tuple((e, c.terms) for e, c in (p * half).terms) == (q * twin).sorted_terms()

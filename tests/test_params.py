@@ -7,7 +7,6 @@ from cilines.errors import InexactDivision, ParameterPresent, RingMismatch
 from cilines.exactmatrix import ExactMatrix, det
 from cilines.families import FamilySpec, build_family
 from cilines.fields import RATIONALS, prime_field
-from cilines.multipoly import flatten, flatten_ring
 from cilines.nonfree import local_equations
 from cilines.params import ParamRing
 
@@ -295,10 +294,10 @@ def test_bordered_minor_det_matches_sympy(rng):
     sympy = pytest.importorskip("sympy")
     built = build_family(FamilySpec("hyp-general", n=6, degrees=(3,)), RATIONALS)
     x = built.x
-    nf = nonfree_matrix(x)
-    flat = flatten_ring(nf.entries_ab[0][0].ring)
+    nf = nonfree_matrix(x, at=built.line)
+    flat = nf.entries_ab[0][0].ring.flat
     symbols = sympy.symbols(flat.names)
-    sym_rows = [[flatten(e, flat) for e in row] for row in nf.entries_ab]
+    sym_rows = [[e.flat for e in row] for row in nf.entries_ab]
     eqs = local_equations(x, built.line)
     checked = 0
     extras = [i for i in range(x.n - 1) if i not in eqs.pivot_rows]
@@ -308,7 +307,7 @@ def test_bordered_minor_det_matches_sympy(rng):
         assert len(rows) == len(rows[0]) == 3
         # the emitted equation is this bordered minor, however it is expanded
         theirs = sympy.Matrix([[to_sympy(sympy, e, symbols) for e in row] for row in rows])
-        assert sympy.expand(to_sympy(sympy, flatten(minor, flat), symbols) - theirs.det()) == 0
+        assert sympy.expand(to_sympy(sympy, minor.flat, symbols) - theirs.det()) == 0
         # scaled by random factors too, so Bareiss divides by many-term pivots
         scaled = [[e * random_scalar(rng, flat, n_terms=3) for e in row] for row in rows]
         for grid in (rows, scaled):
