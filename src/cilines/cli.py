@@ -71,8 +71,13 @@ from .polytext import parse_poly
 MAX_CURVE_DEGREE = 400
 #: the largest degree a problem file declares for a form. classify-line on
 #: Z1*S^(d-1) + Z2*T^(d-1) over F_7 takes 0.6 s at d = 400 and 3.2 s at 800;
-#: a dense form is slow far below this bound, in proportion to its terms
+#: a dense form is slow far below this bound, so MAX_FORM_TERMS bounds it
 MAX_FORM_DEGREE = 400
+#: the most terms a problem file's form may have. classify-line on
+#: Z1*A + Z2*B over F_7, with A and B dense of degree d - 1 in S, T, Z1, Z2,
+#: takes 1.9 s at d = 30 (9,920 terms) and 4.0 s at d = 35 (15,540 terms)
+#: on one Xeon core (Python 3.11)
+MAX_FORM_TERMS = 10000
 
 
 class _Parser(argparse.ArgumentParser):
@@ -166,6 +171,12 @@ def load_problem(path: str) -> ProblemFile:
     coeffs = ParamRing(field, params)
     ring = PolyRing(coeffs, ambient_variables(n))
     polys = tuple(parse_poly(t, ring) for t in forms)
+    for p in polys:
+        if len(p.flat.terms) > MAX_FORM_TERMS:
+            raise BudgetExceeded(
+                f"a form of {len(p.flat.terms)} terms; a problem file's form has at most "
+                f"MAX_FORM_TERMS = {MAX_FORM_TERMS}"
+            )
     x = CompleteIntersection(CIType(n, degrees), polys)
 
     line = None

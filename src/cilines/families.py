@@ -40,6 +40,9 @@ CMode = Literal["symbolic", "sampled"]
 #: verify-example report at N = 64 takes up to 1.0 s (hyp-general, d=62)
 #: and at N = 128 up to 6.7 s (d=126)
 MAX_FAMILY_N = 64
+#: seeds a sampled-mode report tries before it keeps a verdict other than
+#: SmoothExpectedDim
+SAMPLED_ATTEMPTS = 3
 
 
 @dataclass(frozen=True)
@@ -321,13 +324,13 @@ def hypothesis_gates(n: int, degrees: tuple[int, ...]) -> HypothesisReport:
     )
 
 
-def family_report(spec: FamilySpec, field: Field, max_attempts: int = 3):
+def family_report(spec: FamilySpec, field: Field):
     """Build the family and run the expected-pair verdict; in sampled
     mode retry with successive seeds when the draw hits the certificate's
-    zero set (up to max_attempts attempts)."""
+    zero set (up to SAMPLED_ATTEMPTS attempts)."""
     from .nonfree import expected_pair_report
 
-    attempts = 1 if spec.c_mode == "symbolic" else max_attempts
+    attempts = 1 if spec.c_mode == "symbolic" else SAMPLED_ATTEMPTS
     last = None
     for k in range(attempts):
         trial = FamilySpec(spec.name, spec.n, spec.degrees, spec.c_mode, spec.seed + k)

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field as dataclass_field
 from functools import lru_cache
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from .errors import (
     AllZero,
@@ -37,6 +37,7 @@ from .params import (
     _monomial,
     _print_sum,
     _signed,
+    evaluate_from,
     grlex_key,
 )
 
@@ -281,70 +282,14 @@ class MultiPoly:
     def evaluate(self, values: Mapping[str, Scalar]) -> ParamScalar:
         """Evaluate every variable at a field element; coefficients
         (hence parameters) survive untouched."""
-        needed = self.variables_present()
-        missing = needed - set(values)
-        if missing:
-            raise UnknownVariable(f"no value for {sorted(missing)}")
         coeffs = self.ring.coeffs
-        k = coeffs.k
-        fmul, fadd = coeffs.field.mul, coeffs.field.add
-        power = _power_table(self.ring, values)
-        acc: dict[Exps, Scalar] = {}
-        for e, c in self.flat.terms:
-            for i, x in enumerate(e[k:]):
-                if x:
-                    c = fmul(c, power(i, x))
-            pe = e[:k]
-            acc[pe] = fadd(acc[pe], c) if pe in acc else c
-        return coeffs.from_terms(acc)
+        return coeffs.from_terms(evaluate_from(self.flat, coeffs.k, values))
 
     def gradient_at(
         self, names: Sequence[str], values: Mapping[str, Scalar]
     ) -> list[ParamScalar]:
-        """[self.differentiate(v).evaluate(values) for v in names], in one
-        pass over the terms and without building the derivatives.
-
-        As in differentiate, a term whose exponent in v vanishes in the
-        field drops out of the v-derivative, so a variable that occurs
-        only in such terms needs no value. The errors are those of the
-        first name that has one.
-        """
-        variables = self.ring.variables
-        slots = [variables.index(v) if v in variables else None for v in names]
-        coeffs = self.ring.coeffs
-        k = coeffs.k
-        field = coeffs.field
-        fmul, fadd = field.mul, field.add
-        power = _power_table(self.ring, values)
-        accs: list[dict[Exps, Scalar]] = [{} for _ in names]
-        lacking: list[set[str]] = [set() for _ in names]
-        for fe, c in self.flat.terms:
-            pe, e = fe[:k], fe[k:]
-            factors = [(j, x) for j, x in enumerate(e) if x]
-            absent = {j for j, _ in factors if variables[j] not in values}
-            for acc, lack, i in zip(accs, lacking, slots):
-                if i is None or not e[i]:
-                    continue
-                scale = field.make(e[i])
-                if field.is_zero(scale):
-                    continue
-                gone = absent - {i} if e[i] == 1 else absent
-                if gone:
-                    lack.update(variables[j] for j in gone)
-                    continue
-                for j, x in factors:
-                    if j == i:
-                        x -= 1
-                    if x:
-                        scale = fmul(scale, power(j, x))
-                v = fmul(c, scale)
-                acc[pe] = fadd(acc[pe], v) if pe in acc else v
-        for v, i, lack in zip(names, slots, lacking):
-            if i is None:
-                raise UnknownVariable(f"variable {v!r} not in ring {variables}")
-            if lack:
-                raise UnknownVariable(f"no value for {sorted(lack)}")
-        return [coeffs.from_terms(acc) for acc in accs]
+        """The derivatives by `names`, each evaluated at `values`."""
+        return [self.differentiate(v).evaluate(values) for v in names]
 
     def split(self, front: Sequence[str]) -> dict[Exps, "MultiPoly"]:
         """Collect terms by their exponents in `front`, returning
@@ -380,28 +325,6 @@ class MultiPoly:
         return _print_sum(
             (_monomial(self.ring.variables, e), *_coefficient(c)) for e, c in self.terms
         )
-
-
-def _power_table(ring: PolyRing, values: Mapping[str, Scalar]) -> Callable[[int, int], Scalar]:
-    """power(i, x): the value of the i-th variable of `ring` raised to x,
-    each (variable, exponent) computed once. A value is brought into the
-    field when a power of it is first asked for, so the value of a
-    variable that no term uses is never checked."""
-    field = ring.coeffs.field
-    variables = ring.variables
-    cache: dict[tuple[int, int], Scalar] = {}
-
-    def power(i: int, x: int) -> Scalar:
-        key = (i, x)
-        got = cache.get(key)
-        if got is None:
-            base = cache.get((i, 1))
-            if base is None:
-                base = cache[(i, 1)] = field.make(values[variables[i]])
-            got = cache[key] = field.pow(base, x)
-        return got
-
-    return power
 
 
 # -- printing -------------------------------------------------------------------
@@ -463,16 +386,16 @@ class BinaryForm:
         return cls(field, len(coeffs) - 1, tuple(coeffs))
 
     @classmethod
-    def from_poly(cls, p: MultiPoly, s: str = "s", t: str = "t") -> "BinaryForm":
-        """Read a homogeneous polynomial in two variables as a form."""
-        if set(p.ring.variables) != {s, t}:
-            raise UnknownVariable(f"expected a ring in ({s}, {t})")
+    def from_poly(cls, p: MultiPoly) -> "BinaryForm":
+        """Read a homogeneous polynomial in s and t as a form."""
+        if set(p.ring.variables) != {"s", "t"}:
+            raise UnknownVariable("expected a ring in (s, t)")
         d = p.homogeneous_degree()
         if d is None:
             raise NotHomogeneous(f"{p} is not homogeneous")
         field = p.ring.coeffs.field
         coeffs = [field.zero] * (d + 1)
-        si = p.ring.variables.index(s)
+        si = p.ring.variables.index("s")
         for e, c in p.field_terms():
             coeffs[d - e[si]] = c
         return cls(field, d, tuple(coeffs))

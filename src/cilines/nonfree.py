@@ -19,8 +19,8 @@ point, has full rank |d| + r + m = N + r. Derivative rows for the f^i_k
 are read off M(h) itself: differentiating the composite with the chart
 parameterization by a_j (resp. b_j) multiplies the restricted partial by
 s (resp. t), which shifts its coefficient vector by one slot. Rows
-for the g_l are their gradients at the point (MultiPoly.gradient_at),
-taken in one pass over the terms without building the derivatives.
+for the g_l are their first partials, each differentiated and then
+evaluated at the point (MultiPoly.gradient_at).
 
 With symbolic parameters the ranks are taken over the fraction field,
 and certificates (explicit nonzero polynomials in the parameters whose

@@ -236,10 +236,6 @@ class ParamScalar:
             out = out * self
         return out
 
-    def scale_int(self, n: int) -> "ParamScalar":
-        """Multiply by the image of the integer n in the base field."""
-        return self * self.ring.const(n)
-
     # -- division ---------------------------------------------------------
 
     def exact_div(self, divisor: "ParamScalar") -> "ParamScalar":
@@ -295,32 +291,46 @@ class ParamScalar:
 
     def evaluate(self, values: Mapping[str, Scalar]) -> Scalar:
         """Evaluate at field values; every occurring parameter must be set."""
-        f = self.ring.field
-        idx: list[tuple[int, Scalar]] = []
-        for i, name in enumerate(self.ring.names):
-            if name in values:
-                idx.append((i, f.make(values[name])))
-        assigned = {i for i, _ in idx}
-        out = f.zero
-        for e, c in self.terms:
-            term = c
-            for i, x in enumerate(e):
-                if x == 0:
-                    continue
-                if i not in assigned:
-                    raise UnknownVariable(f"no value for parameter {self.ring.names[i]!r}")
-            for i, v in idx:
-                if e[i]:
-                    for _ in range(e[i]):
-                        term = f.mul(term, v)
-            out = f.add(out, term)
-        return out
+        return evaluate_from(self, 0, values).get((), self.ring.field.zero)
 
     # -- printing -------------------------------------------------------------
 
     def __str__(self) -> str:
         field, names = self.ring.field, self.ring.names
         return _print_sum((_monomial(names, e), *_signed(field, c)) for e, c in self.terms)
+
+
+def evaluate_from(p: ParamScalar, keep: int, values: Mapping[str, Scalar]) -> dict[Exps, Scalar]:
+    """Set every exponent slot of p from `keep` on to the value of its
+    name, and sum the terms by their exponents in the slots before it.
+    Each value is brought into the field, and each power of it taken,
+    once, when a term first uses it, so an unused value is never checked.
+    When a used slot has no value the error is UnknownVariable naming
+    every such slot, even if another value failed first."""
+    names, f = p.ring.names, p.ring.field
+    fmul, fadd = f.mul, f.add
+    powers: dict[tuple[int, int], Scalar] = {}
+    acc: dict[Exps, Scalar] = {}
+    try:
+        for e, c in p.terms:
+            for i, x in enumerate(e[keep:], keep):
+                if x:
+                    v = powers.get((i, x))
+                    if v is None:
+                        base = powers.get((i, 1))
+                        if base is None:
+                            base = powers[(i, 1)] = f.make(values[names[i]])
+                        v = powers[(i, x)] = f.pow(base, x)
+                    c = fmul(c, v)
+            key = e[:keep]
+            acc[key] = fadd(acc[key], c) if key in acc else c
+    except Exception:
+        used = {i for e, _ in p.terms for i, x in enumerate(e[keep:], keep) if x}
+        missing = sorted(names[i] for i in used if names[i] not in values)
+        if missing:
+            raise UnknownVariable(f"no value for {missing}") from None
+        raise
+    return acc
 
 
 # -- printing -------------------------------------------------------------------

@@ -6,7 +6,17 @@ import time
 
 import pytest
 
-from cilines.cli import MAX_CURVE_DEGREE, MAX_FORM_DEGREE, build_parser, main
+from cilines.cli import (
+    MAX_CURVE_DEGREE,
+    MAX_FORM_DEGREE,
+    MAX_FORM_TERMS,
+    build_parser,
+    load_problem,
+    main,
+)
+from cilines.fields import prime_field
+
+from conftest import ambient_ring, random_homogeneous
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
 
@@ -400,6 +410,37 @@ def test_form_past_the_degree_budget_exits_2_at_once(capsys, tmp_path, d):
     assert report["error"] == "BudgetExceeded" and "MAX_FORM_DEGREE" in report["message"]
 
 
+def dense_problem(terms: int) -> str:
+    """A surface over F_7 whose form is the sum of the first `terms`
+    monomials in S, T, Z1, Z2 of the least degree that has that many."""
+    d = 0
+    while (d + 1) * (d + 2) * (d + 3) // 6 < terms:
+        d += 1
+    monomials = [
+        f"S^{d - i - j - k}*T^{i}*Z1^{j}*Z2^{k}"
+        for i in range(d + 1)
+        for j in range(d + 1 - i)
+        for k in range(d + 1 - i - j)
+    ]
+    form = " + ".join(monomials[:terms])
+    return f"field: F:7\nN: 3\ndegrees: {d}\nform: {form}\nline: 0, 0 | 0, 0\n"
+
+
+def test_form_past_the_term_budget_exits_2_at_once(capsys, tmp_path):
+    path = write_problem(tmp_path, "dense.ci", dense_problem(MAX_FORM_TERMS + 1))
+    started = time.perf_counter()
+    code, out = run(capsys, "classify-line", path)
+    assert time.perf_counter() - started < 1.0
+    assert code == 2
+    report = json.loads(out)
+    assert report["error"] == "BudgetExceeded" and "MAX_FORM_TERMS" in report["message"]
+
+
+def test_form_at_the_term_budget_is_read(tmp_path):
+    problem = load_problem(write_problem(tmp_path, "dense.ci", dense_problem(MAX_FORM_TERMS)))
+    assert len(problem.x.forms[0].flat.terms) == MAX_FORM_TERMS
+
+
 def test_classify_line_reads_every_twist_of_a_degree_200_form_at_once(capsys, tmp_path):
     """The normal splitting O(-198) needs the section counts at 200 twists;
     one elimination gives them all (a descent of one elimination per twist
@@ -571,3 +612,32 @@ def test_report_echo_refeeds_to_same_verdict(capsys, tmp_path):
     _, out2 = run(capsys, "classify-line", path2)
     a, b = json.loads(out), json.loads(out2)
     assert a["verdict"] == b["verdict"] and a["free"] == b["free"]
+
+
+def test_census_free_agrees_with_the_normal_splitting(capsys, tmp_path, rng):
+    """On random small varieties through the line Z1 = ... = Z_{N-1} = 0,
+    every line enumerate-lines --classify gives a normal splitting is free
+    (M(h) of full rank) exactly when every entry of the splitting is >= 0."""
+    seen = set()
+    for q in (2, 3, 5):
+        field = prime_field(q)
+        for _ in range(2):
+            for n, degrees in ((3, (2,)), (3, (3,)), (4, (3,)), (4, (2, 2))):
+                ring = ambient_ring(field, n)
+                forms = []
+                for d in degrees:
+                    form = ring.zero()
+                    while form.is_zero:  # keep the terms that vanish on the line
+                        g = random_homogeneous(rng, ring, d, 8)
+                        form = ring.from_terms({e: c for e, c in g.terms if any(e[2:])})
+                    forms.append(f"form: {form}\n")
+                text = f"field: F:{q}\nN: {n}\ndegrees: {','.join(map(str, degrees))}\n"
+                path = write_problem(tmp_path, "random.ci", text + "".join(forms))
+                code, out = run(capsys, "enumerate-lines", path, "--classify")
+                assert code == 0
+                for entry in json.loads(out)["classified"]:
+                    if "normal_splitting" in entry:
+                        nonneg = min(entry["normal_splitting"]) >= 0
+                        assert entry["free"] == nonneg, (text, entry)
+                        seen.add(nonneg)
+    assert seen == {True, False}

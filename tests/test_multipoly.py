@@ -1,3 +1,4 @@
+import re
 from fractions import Fraction
 
 import pytest
@@ -11,7 +12,7 @@ from cilines.errors import (
 )
 from cilines.fields import RATIONALS, prime_field
 from cilines.geometry import restrict_along
-from cilines.multipoly import BinaryForm, PolyRing, binary_gcd
+from cilines.multipoly import BinaryForm, MultiPoly, PolyRing, binary_gcd
 from cilines.params import ParamRing
 from cilines.polytext import parse_poly
 
@@ -22,6 +23,7 @@ from conftest import (
     random_homogeneous,
     random_point,
     random_poly,
+    random_scalar,
 )
 from multipoly_reference import NestedPoly
 
@@ -116,6 +118,54 @@ def test_gradient_at_annihilates_and_names_what_is_missing():
     assert r.gradient_at(("a1",), {"b1": 5}) == [q_ring.coeffs.const(5)]
     with pytest.raises(UnknownVariable, match="not in ring"):
         r.gradient_at(("a1", "Z9"), {"a1": 1, "b1": 1})
+
+
+def test_param_scalar_evaluate_matches_a_naive_reference(rng):
+    for char in (0, 2, 3, 7):
+        field = field_of_char(char)
+        names = ("c1", "c2", "c3")
+        # the scalars of ParamRing(field, names) are the polynomials of this ring
+        ring = PolyRing(ParamRing(field, ()), names)
+        for _ in range(15):
+            a = random_scalar(rng, ring.flat)
+            vals = random_point(rng, field, names)
+            assert a.evaluate(vals) == naive_evaluate(MultiPoly(ring, a), vals).constant_value()
+
+
+def evaluators():
+    """x^2 + w + v over F_7 as a ParamScalar in the parameters x, w, v, u
+    and as a MultiPoly in the variables x, w, v, u, each with the map from
+    a field value to the type its evaluate returns."""
+    f7 = prime_field(7)
+    scalars = ParamRing(f7, ("x", "w", "v", "u"))
+    polys = PolyRing(ParamRing(f7, ("c1",)), ("x", "w", "v", "u"))
+    return [
+        (scalars.var("x") ** 2 + scalars.var("w") + scalars.var("v"), f7.make),
+        (parse_poly("x^2 + w + v", polys), polys.coeffs.const),
+    ]
+
+
+def test_a_missing_value_wins_over_one_the_field_cannot_hold():
+    for p, _ in evaluators():
+        # x, the first name the walk meets, has no image in F_7
+        with pytest.raises(UnknownVariable, match=re.escape("no value for ['v', 'w']")):
+            p.evaluate({"x": Fraction(1, 7)})
+        with pytest.raises(ConstraintViolated):
+            p.evaluate({"x": Fraction(1, 7), "w": 1, "v": 2})
+
+
+def test_an_unused_value_the_field_cannot_hold_is_ignored():
+    for p, const in evaluators():
+        # u is a name of the ring that no term uses
+        assert p.evaluate({"x": 3, "w": 1, "v": 2, "u": Fraction(1, 7)}) == const(12 % 7)
+
+
+def test_a_missing_parameter_is_named():
+    coeffs = ParamRing(RATIONALS, ("c1", "c2"))
+    p = coeffs.var("c1") * coeffs.var("c2") + 1
+    with pytest.raises(UnknownVariable, match=re.escape("no value for ['c2']")):
+        p.evaluate({"c1": 2})
+    assert p.evaluate({"c1": 2, "c2": Fraction(1, 4)}) == Fraction(3, 2)
 
 
 def test_monomial_power_is_repeated_multiplication():
