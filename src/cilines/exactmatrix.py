@@ -30,8 +30,9 @@ class ExactMatrix:
             raise ConstraintViolated(
                 f"entry count {len(self.entries)} != {self.rows}x{self.cols}"
             )
+        ring = self.ring
         for e in self.entries:
-            if e.ring != self.ring:
+            if e.ring is not ring and e.ring != ring:
                 raise RingMismatch("entry ring differs from matrix ring")
 
     @classmethod
@@ -82,12 +83,19 @@ def _perm_sign(seq: Sequence[int]) -> int:
 
 
 def _bareiss(m: ExactMatrix) -> tuple[int, list[list[ParamScalar]], list[int], list[int]]:
-    """Full-pivot Bareiss; returns (rank, worked grid, row ids, col ids)."""
+    """Full-pivot Bareiss; returns (rank, worked grid, row ids, col ids).
+
+    A row whose head is zero at a step is left alone: its true entries
+    are its stored ones times prev / div[i], where div[i] is the pivot it
+    was last reduced by (one before that), which keeps its zero pattern.
+    The row is brought up to date only when it becomes the pivot row.
+    """
     work = m.to_lists()
     row_ids = list(range(m.rows))
     col_ids = list(range(m.cols))
-    prev = m.ring.one()
+    one = prev = m.ring.one()
     zero = m.ring.zero()
+    div = [one] * m.rows
     k = 0
     limit = min(m.rows, m.cols)
     while k < limit:
@@ -105,26 +113,42 @@ def _bareiss(m: ExactMatrix) -> tuple[int, list[list[ParamScalar]], list[int], l
         if pi != k:
             work[k], work[pi] = work[pi], work[k]
             row_ids[k], row_ids[pi] = row_ids[pi], row_ids[k]
+            div[k], div[pi] = div[pi], div[k]
         if pj != k:
             for row in work:
                 row[k], row[pj] = row[pj], row[k]
             col_ids[k], col_ids[pj] = col_ids[pj], col_ids[k]
         pivot_row = work[k]
+        d = div[k]
+        if d is not prev:  # a lagging pivot row: (prev*a) / d
+            for c in range(k, m.cols):
+                a = pivot_row[c]
+                if not a.is_zero:
+                    a = prev * a
+                    pivot_row[c] = a if d is one else a.exact_div(d)
         piv = pivot_row[k]
-        for row in work[k + 1 :]:
-            # row[c] = (piv*row[c] - head*pivot_row[c]) / prev, exactly, as
-            # each entry is a minor of the input; where head or pivot_row[c]
-            # is zero the second product is not formed, and zeros stay zero
+        for i in range(k + 1, m.rows):
+            # row[c] = (piv*row[c] - head*pivot_row[c]) / div[i], exactly,
+            # as each entry is a minor of the input (Sylvester's identity);
+            # where pivot_row[c] is zero the second product is not formed,
+            # and where div[i] is one there is nothing to divide by
+            row = work[i]
             head = row[k]
-            scale_only = head.is_zero
+            if head.is_zero:
+                continue
+            d = div[i]
             for c in range(k + 1, m.cols):
                 a = row[c]
-                if scale_only or pivot_row[c].is_zero:
-                    if not a.is_zero:
-                        row[c] = (piv * a).exact_div(prev)
+                b = pivot_row[c]
+                if b.is_zero:
+                    if a.is_zero:
+                        continue
+                    a = piv * a
                 else:
-                    row[c] = (piv * a - head * pivot_row[c]).exact_div(prev)
+                    a = piv * a - head * b
+                row[c] = a if d is one else a.exact_div(d)
             row[k] = zero
+            div[i] = piv
         prev = piv
         k += 1
     return k, work, row_ids, col_ids

@@ -193,7 +193,7 @@ def build_family(spec: FamilySpec, field: Field, force: bool = False) -> BuiltFa
     """
     notes: list[str] = []
     if spec.name in ("hyp-4-6", "hyp-general", "hyp-char-not-2"):
-        if spec.n is None or spec.degrees is None:
+        if spec.n is None or not spec.degrees:  # r=0 leaves no degree
             raise ConstraintViolated("hyp-general needs N and d")
         n, d = spec.n, spec.degrees[0]
         _require(3 <= d, "3 <= d")
@@ -221,7 +221,7 @@ def build_family(spec: FamilySpec, field: Field, force: bool = False) -> BuiltFa
                 "homogeneous of degree 3; the builder uses S*T*Z7, the form "
                 "whose derivative rows match the published ones"
             )
-        if spec.n is None or spec.degrees is None:
+        if spec.n is None or not spec.degrees:  # r=0 leaves no degree
             raise ConstraintViolated("mixed-general needs N and degrees")
         n, degrees = spec.n, spec.degrees
         d1 = degrees[0]

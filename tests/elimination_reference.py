@@ -1,6 +1,8 @@
 """Test-only reference: the dense fraction-free loops kept verbatim to
-cross-check the sparse Bareiss elimination of exactmatrix. Every entry is
-updated as (piv*a - head*b) / prev, zero products included.
+cross-check the Bareiss elimination of exactmatrix, which skips vanishing
+products and defers the scaling of rows whose head is zero. Here every
+entry of every row below the pivot is updated at every step as
+(piv*a - head*b) / prev, zero products included.
 
 _bareiss, rank_exact and det are the full-pivot loops as exactmatrix
 ran them before its step skipped vanishing products. lex_first_basis is

@@ -1,8 +1,10 @@
-"""The sparse Bareiss elimination of exactmatrix against the dense loops
-it replaced (elimination_reference.py, test-only), on seeded random
-sparse matrices: ranks, certificates, determinants, and the lex-first
-pivot rows and columns that the local equations print; and det/rank
-against sympy on integer matrices."""
+"""The Bareiss elimination of exactmatrix, which skips vanishing products
+and leaves a row whose head is zero untouched until it is reduced or
+becomes the pivot row, against the dense loops it replaced
+(elimination_reference.py, test-only), on seeded random sparse matrices:
+ranks, certificates, determinants, and the lex-first pivot rows and
+columns that the local equations print; and det/rank against sympy on
+integer matrices."""
 
 import random
 
@@ -68,6 +70,11 @@ def test_sparse_step_agrees_with_the_dense_loops(ring):
         rows = rng.randint(1, 8)
         cols = rows if rng.random() < 0.4 else rng.randint(1, 10)
         assert_matches_reference(sparse_matrix(rng, ring, rows, cols, rng.uniform(0.1, 0.6)))
+    # shaped like the family Jacobians: a pivot row is often brought up
+    # from an older step, and a row is often reduced after skipping several
+    for _ in range(6):
+        rows, cols = rng.randint(10, 14), rng.randint(16, 24)
+        assert_matches_reference(sparse_matrix(rng, ring, rows, cols, rng.uniform(0.05, 0.15)))
 
 
 def test_det_and_rank_agree_with_sympy():

@@ -1,4 +1,4 @@
-"""Property twin of test_elimination: the shared sparse Bareiss step
+"""Property twin of test_elimination: the one Bareiss driver
 against the dense reference loops on hypothesis-drawn sparse matrices;
 it skips when hypothesis is not installed."""
 

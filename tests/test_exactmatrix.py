@@ -3,10 +3,10 @@ from fractions import Fraction
 
 import pytest
 
-from cilines.errors import ParameterPresent
+from cilines.errors import ParameterPresent, RingMismatch
 from cilines.exactmatrix import ExactMatrix, det, kernel_basis, rank_exact
 from cilines.fields import RATIONALS, prime_field
-from cilines.params import ParamRing
+from cilines.params import ParamRing, ParamScalar
 
 from conftest import random_scalar
 from support import identity
@@ -91,6 +91,43 @@ def test_rank3_of_the_4_6_matrix_at_origin():
         ],
     )
     assert rank_exact(m).rank == 3
+
+
+def test_entry_ring_is_checked_by_value():
+    ring = ParamRing(RATIONALS, ("c1",))
+    twin = ParamRing(RATIONALS, ("c1",))  # equal, but another object
+    assert twin is not ring
+    m = ExactMatrix.from_rows(ring, [[ring.var("c1"), twin.one()]])
+    assert m.entry(0, 1) == ring.one()
+    with pytest.raises(RingMismatch):
+        ExactMatrix.from_rows(ring, [[ring.var("c1"), ParamRing(RATIONALS, ("c2",)).one()]])
+
+
+def test_a_row_with_a_zero_head_is_left_alone(monkeypatch):
+    """On a diagonal matrix no row is ever reduced, so the only divisions
+    are those bringing a pivot row up to date: at most n - 1 of them,
+    where rescaling every row at every step would make n(n-1)/2."""
+    n = 6
+    ring = ParamRing(RATIONALS, tuple(f"c{i}" for i in range(n)))
+    c = [ring.var(name) for name in ring.names]
+    m = ExactMatrix.from_rows(
+        ring, [[c[i] if i == j else ring.zero() for j in range(n)] for i in range(n)]
+    )
+    calls = []
+    exact_div = ParamScalar.exact_div
+
+    def counted(self, divisor):
+        calls.append(divisor)
+        return exact_div(self, divisor)
+
+    monkeypatch.setattr(ParamScalar, "exact_div", counted)
+    res = rank_exact(m)
+    assert len(calls) <= n - 1
+    product = ring.one()
+    for x in c:
+        product = product * x
+    assert (res.rank, res.certificate) == (n, product)
+    assert det(m) == product
 
 
 def test_empty_matrix():

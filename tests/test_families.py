@@ -87,6 +87,10 @@ def test_constraint_violations_are_named():
         build_family(FamilySpec("quadrics-general", 7, (2,)), RATIONALS)
     with pytest.raises(ConstraintViolated, match="2r <= N-2"):
         build_family(FamilySpec("quadrics-general", 5, (2, 2)), RATIONALS)
+    # r=0 leaves an empty degree list, which once escaped as an IndexError
+    for name in ("hyp-general", "mixed-general"):
+        with pytest.raises(ConstraintViolated, match="needs N and d"):
+            build_family(parse_family_spec(f"{name}:N=8,r=0"), RATIONALS)
 
 
 def test_char_two_gate():
