@@ -74,10 +74,19 @@ def _full_ring(coeffs: ParamRing, n: int) -> PolyRing:
 def chart_image(form: MultiPoly, n: int) -> MultiPoly:
     """Substitute S -> s, T -> t, Z_j -> s a_j + t b_j."""
     full = _full_ring(form.ring.coeffs, n)
-    s, t = full.var("s"), full.var("t")
-    assign = {"S": s, "T": t}
-    for j in range(1, n):
-        assign[f"Z{j}"] = s * full.var(f"a{j}") + t * full.var(f"b{j}")
+    flat = full.flat
+    k, one = form.ring.coeffs.k, flat.field.one
+
+    def monomial(*slots: int) -> MultiPoly:
+        """The monomial with exponent 1 at these places of (s, t, a..., b...)."""
+        exps = [0] * flat.k
+        for i in slots:
+            exps[k + i] = 1
+        return MultiPoly(full, ParamScalar(flat, ((tuple(exps), one),)))
+
+    assign = {"S": monomial(0), "T": monomial(1)}
+    for j in range(1, n):  # a_j sits at place 1 + j and b_j at n + j
+        assign[f"Z{j}"] = monomial(0, 1 + j) + monomial(1, n + j)
     return form.substitute(assign)
 
 

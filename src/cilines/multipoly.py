@@ -37,6 +37,8 @@ from .params import (
     _monomial,
     _print_sum,
     _signed,
+    _sum_text,
+    _term_text,
     evaluate_from,
     grlex_key,
 )
@@ -322,25 +324,27 @@ class MultiPoly:
     # -- printing ---------------------------------------------------------------
 
     def __str__(self) -> str:
+        coeffs = self.ring.coeffs
+        groups = self._groups()
         return _print_sum(
-            (_monomial(self.ring.variables, e), *_coefficient(c)) for e, c in self.terms
+            (_monomial(self.ring.variables, e), *_coefficient(coeffs, groups[e]))
+            for e in sorted(groups, key=grlex_key, reverse=True)
         )
 
 
 # -- printing -------------------------------------------------------------------
 
 
-def _coefficient(c: ParamScalar) -> tuple[str, bool]:
-    """Text and sign of a nonzero term coefficient: a constant prints from
-    its value, a coefficient of several terms is parenthesised, and a
-    negative one-term coefficient gives its sign to the joiner."""
-    if c.is_constant:
-        return _signed(c.ring.field, c.terms[0][1])
-    cs = str(c)
-    if len(c.terms) > 1:
-        return f"({cs})", False
-    neg = cs.startswith("-")
-    return (cs[1:] if neg else cs), neg
+def _coefficient(coeffs: ParamRing, terms: list[tuple[Exps, Scalar]]) -> tuple[str, bool]:
+    """Text and sign of a nonzero term coefficient, given as its
+    (parameter exponents, value) terms: a one-term coefficient prints as
+    that term and gives its sign to the joiner, and a coefficient of
+    several terms is parenthesised."""
+    if len(terms) > 1:
+        return f"({_sum_text(coeffs.names, coeffs.field, terms)})", False
+    ((e, c),) = terms
+    cs, neg = _signed(coeffs.field, c)
+    return _term_text(_monomial(coeffs.names, e), cs), neg
 
 
 # -- binary forms ---------------------------------------------------------------

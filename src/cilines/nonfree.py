@@ -44,7 +44,7 @@ from .errors import InvariantViolated, LineNotContained, NotCorankOne
 from .exactmatrix import ExactMatrix, det, rank_exact
 from .geometry import CompleteIntersection, LineChartPoint
 from .multipoly import MultiPoly
-from .params import ParamRing, ParamScalar
+from .params import ParamRing, ParamScalar, sum_of_products
 
 
 @dataclass(frozen=True)
@@ -152,7 +152,8 @@ def bordered_minors(
     the sorted rows of the minor, g = sum_c (-1)^(pos+c) e_c C_c, where C_c
     is the determinant of the pivot rows without column c. The cofactors
     C_c do not depend on e, so each is taken once, and only for a column
-    where some extra row has a nonzero entry.
+    where some extra row has a nonzero entry. Each g is one
+    sum_of_products over its columns.
     """
     cols = range(len(rows[0]))
     extras = [i for i in range(len(rows)) if i not in pivot_rows]
@@ -164,11 +165,8 @@ def bordered_minors(
     out = []
     for extra in extras:
         pos = sum(1 for i in pivot_rows if i < extra)
-        g = ring.zero()
-        for c, cof in cofactors.items():
-            term = rows[extra][c] * cof
-            g = g - term if (pos + c) % 2 else g + term
-        out.append(g)
+        pairs = [(rows[extra][c], cof) for c, cof in cofactors.items()]
+        out.append(sum_of_products(ring, pairs, [(pos + c) % 2 == 1 for c in cofactors]))
     return out
 
 

@@ -208,20 +208,7 @@ class ParamScalar:
             ((e0, c0),) = b
             fmul = f.mul
             return ParamScalar(ring, tuple((tuple(map(add, e, e0)), fmul(c, c0)) for e, c in a))
-        # packed keys: adding two keys multiplies the monomials, and the
-        # raw coefficient sums are brought into the field once per term
-        base = 1 + sum(a[0][0]) + sum(b[0][0])
-        pb = _pack(b, base)
-        acc: dict[int, Scalar] = {}
-        get = acc.get
-        for k1, c1 in _pack(a, base):
-            for k2, c2 in pb:
-                k = k1 + k2
-                acc[k] = get(k, 0) + c1 * c2
-        keys = sorted(acc, reverse=True)
-        coeffs = map(f.make, map(acc.__getitem__, keys))
-        terms = zip(_unpack(keys, base, ring.k), coeffs)
-        return ParamScalar(ring, tuple(t for t in terms if t[1]))  # field zeros are falsy
+        return sum_of_products(ring, ((self, other),))
 
     __rmul__ = __mul__
 
@@ -296,41 +283,103 @@ class ParamScalar:
     # -- printing -------------------------------------------------------------
 
     def __str__(self) -> str:
-        field, names = self.ring.field, self.ring.names
-        return _print_sum((_monomial(names, e), *_signed(field, c)) for e, c in self.terms)
+        return _sum_text(self.ring.names, self.ring.field, self.terms)
+
+
+def sum_of_products(
+    ring: ParamRing,
+    pairs: Sequence[tuple[ParamScalar, ParamScalar]],
+    signs: Sequence[bool] = (),
+) -> ParamScalar:
+    """The sum of x * y over the pairs (x, y) of `ring`, with the product
+    of pair i subtracted where signs[i] is true; empty signs add every
+    product.
+
+    All the products share one accumulator keyed by packed exponents in
+    base 1 + max(deg x + deg y), read from the leading terms, so adding
+    two keys multiplies the monomials. The raw coefficient sums are
+    brought into the field once per key, and the keys are sorted and
+    unpacked once. Over a ring with no parameters the constants are
+    summed raw.
+    """
+    live = []
+    for (x, y), neg in zip(pairs, signs or (False,) * len(pairs), strict=True):
+        for v in (x, y):
+            if v.ring is not ring and v.ring != ring:
+                raise RingMismatch(f"a scalar over {v.ring} in a sum over {ring}")
+        if x.terms and y.terms:
+            live.append((x.terms, y.terms, neg))
+    if not ring.names:
+        total = sum(-a[0][1] * b[0][1] if neg else a[0][1] * b[0][1] for a, b, neg in live)
+        return ring.const(total)
+    if not live:
+        return ring.zero()
+    base = 1 + max(sum(a[0][0]) + sum(b[0][0]) for a, b, _ in live)
+    acc: dict[int, Scalar] = {}
+    get = acc.get
+    for a, b, neg in live:
+        pb = _pack(b, base)
+        for k1, c1 in _pack(a, base):
+            if neg:
+                c1 = -c1
+            for k2, c2 in pb:
+                k = k1 + k2
+                acc[k] = get(k, 0) + c1 * c2
+    keys = sorted(acc, reverse=True)
+    coeffs = map(ring.field.make, map(acc.__getitem__, keys))
+    terms = zip(_unpack(keys, base, ring.k), coeffs)
+    return ParamScalar(ring, tuple(t for t in terms if t[1]))  # field zeros are falsy
 
 
 def evaluate_from(p: ParamScalar, keep: int, values: Mapping[str, Scalar]) -> dict[Exps, Scalar]:
     """Set every exponent slot of p from `keep` on to the value of its
     name, and sum the terms by their exponents in the slots before it.
-    Each value is brought into the field, and each power of it taken,
-    once, when a term first uses it, so an unused value is never checked.
-    When a used slot has no value the error is UnknownVariable naming
-    every such slot, even if another value failed first."""
+    Each value is brought into the field when a term first uses it, so an
+    unused value is never checked, and its powers are kept in a list per
+    slot (_power). A term's product and the sum under each key are taken
+    raw, and each sum is brought into the field once at the end. When a used slot has no value the error is UnknownVariable
+    naming every such slot, even if another value failed first."""
     names, f = p.ring.names, p.ring.field
-    fmul, fadd = f.mul, f.add
-    powers: dict[tuple[int, int], Scalar] = {}
+    powers: list[list[Scalar] | None] = [None] * len(names)  # powers[i][x] = value_i^x
     acc: dict[Exps, Scalar] = {}
+    get = acc.get
     try:
         for e, c in p.terms:
             for i, x in enumerate(e[keep:], keep):
                 if x:
-                    v = powers.get((i, x))
-                    if v is None:
-                        base = powers.get((i, 1))
-                        if base is None:
-                            base = powers[(i, 1)] = f.make(values[names[i]])
-                        v = powers[(i, x)] = f.pow(base, x)
-                    c = fmul(c, v)
+                    row = powers[i]
+                    if row is None:
+                        row = powers[i] = [f.one, f.make(values[names[i]])]
+                    try:
+                        c *= row[x]
+                    except IndexError:
+                        c *= _power(f, row, x)
             key = e[:keep]
-            acc[key] = fadd(acc[key], c) if key in acc else c
+            acc[key] = get(key, 0) + c
     except Exception:
         used = {i for e, _ in p.terms for i, x in enumerate(e[keep:], keep) if x}
         missing = sorted(names[i] for i in used if names[i] not in values)
         if missing:
             raise UnknownVariable(f"no value for {missing}") from None
         raise
-    return acc
+    make = f.make
+    return {key: make(v) for key, v in acc.items()}
+
+
+#: furthest past the end of a power list that _power extends it
+_POWER_STEP = 64
+
+
+def _power(f: Field, row: list[Scalar], x: int) -> Scalar:
+    """row[1]^x for a power list row = [1, v, v^2, ...] that ends before
+    x. The list is extended by products up to x, unless x is more than
+    _POWER_STEP past its end: such a power, c^99999999 say, is taken by
+    square-and-multiply and not kept."""
+    if x >= len(row) + _POWER_STEP:
+        return f.pow(row[1], x)
+    while len(row) <= x:
+        row.append(f.mul(row[-1], row[1]))
+    return row[x]
 
 
 # -- printing -------------------------------------------------------------------
@@ -346,19 +395,29 @@ def _signed(field: Field, c: Scalar) -> tuple[str, bool]:
     return field.to_str(-c if neg else c), neg
 
 
+def _term_text(mono: str, cs: str) -> str:
+    """A term without its sign: an empty monomial is a constant term, and
+    a coefficient "1" before a monomial is left out."""
+    return cs if not mono else mono if cs == "1" else f"{cs}*{mono}"
+
+
 def _print_sum(terms: Iterable[tuple[str, str, bool]]) -> str:
-    """Print a sum from (monomial, coefficient text, negative) triples:
-    an empty monomial is a constant term, a coefficient "1" before a
-    monomial is left out, and a negative term puts its sign in the
-    joiner."""
+    """Print a sum from (monomial, coefficient text, negative) triples,
+    each term as _term_text gives it; a negative term puts its sign in
+    the joiner."""
     pieces: list[str] = []
     for mono, cs, neg in terms:
-        body = cs if not mono else mono if cs == "1" else f"{cs}*{mono}"
+        body = _term_text(mono, cs)
         if pieces:
             pieces.append(f"- {body}" if neg else f"+ {body}")
         else:
             pieces.append(f"-{body}" if neg else body)
     return " ".join(pieces) or "0"
+
+
+def _sum_text(names: Sequence[str], field: Field, terms: Iterable[tuple[Exps, Scalar]]) -> str:
+    """The text of a ParamScalar in `names` with these terms."""
+    return _print_sum((_monomial(names, e), *_signed(field, c)) for e, c in terms)
 
 
 def require_constant(values: Iterable[ParamScalar]) -> list[Scalar]:

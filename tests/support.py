@@ -60,6 +60,17 @@ def scaled(x: CompleteIntersection, factors: Sequence[Scalar]) -> CompleteInters
     return CompleteIntersection(x.ci_type, tuple(new_forms))
 
 
+def specialized(x: CompleteIntersection, values: dict[str, Scalar]) -> CompleteIntersection:
+    """x with every parameter set to its value: the same forms over the
+    base field, with no parameters left."""
+    ring = PolyRing(ParamRing(x.field, ()), x.ring.variables)
+    forms = (
+        ring.from_terms({e: ring.coeffs.const(c.evaluate(values)) for e, c in f.terms})
+        for f in x.forms
+    )
+    return CompleteIntersection(x.ci_type, tuple(forms))
+
+
 def permuted_z(x: CompleteIntersection, perm: dict[str, str]) -> CompleteIntersection:
     """Apply a permutation of Z1..Z{N-1} (S, T fixed) to every form."""
     full = {"S": "S", "T": "T", **perm}

@@ -7,7 +7,8 @@ from cilines.errors import LineNotContained, NotCorankOne
 from cilines.exactmatrix import ExactMatrix, det, rank_exact
 from cilines.families import FamilySpec, build_family, family_report
 from cilines.fields import RATIONALS, prime_field
-from cilines.geometry import LineChartPoint
+from cilines.geometry import CIType, CompleteIntersection, LineChartPoint, ambient_variables
+from cilines.multipoly import PolyRing
 from cilines.params import ParamRing
 from cilines.nonfree import (
     bordered_minors,
@@ -18,7 +19,7 @@ from cilines.nonfree import (
 from cilines.polytext import parse_poly
 
 from conftest import random_scalar
-from support import permuted, permuted_z, same_differential_span, scaled
+from support import permuted, permuted_z, same_differential_span, scaled, specialized
 from test_chart import make_ci
 from test_exactmatrix import gaussian_rank_oracle
 
@@ -242,6 +243,83 @@ def test_certificate_survives_specialization(rng):
         assert rep2.jacobian_rank == rep.jacobian_rank == 7
         assert rep2.verdict == "SmoothExpectedDim"
         checked += 1
+
+
+# -- the genericity claim of a symbolic report, end to end -------------------------
+
+BIG = prime_field(1_000_003)
+
+
+def random_parametric_ci(rng, ring, degrees):
+    """Forms in the ideal (Z1, ..., Z{N-1}), so the standard line is on X,
+    with a parameter in about half of their coefficients."""
+    n, names = len(ring.variables) - 1, ring.coeffs.names
+    forms = []
+    for d in degrees:
+        terms = {}
+        for _ in range(rng.randint(2, 5)):
+            e = [0] * (n + 1)
+            e[rng.randrange(2, n + 1)] += 1
+            for _ in range(d - 1):
+                e[rng.randrange(n + 1) if rng.random() < 0.7 else rng.randrange(2)] += 1
+            c = ring.coeffs.const(rng.randint(1, 5))
+            if rng.random() < 0.5:
+                c = c * ring.coeffs.var(rng.choice(names))
+            terms[tuple(e)] = c
+        forms.append(ring.from_terms(terms))
+    return CompleteIntersection(CIType(n, degrees), tuple(forms))
+
+
+def oracle_cases(rng):
+    for spec in (
+        FamilySpec("hyp-4-6"),
+        FamilySpec("hyp-general", 6, (3,)),
+        FamilySpec("hyp-general", 7, (4,)),
+        FamilySpec("hyp-char-not-2", 6, (3,)),
+        FamilySpec("mixed-general", 8, (3, 2)),
+    ):
+        built = build_family(spec, BIG)
+        yield built.x, built.line
+    while True:
+        n = rng.randint(4, 6)
+        degrees = tuple(sorted((rng.randint(2, 3) for _ in range(rng.randint(1, 2))), reverse=True))
+        if len(degrees) + 2 <= n:
+            ring = PolyRing(ParamRing(BIG, ("c1", "c2")), ambient_variables(n))
+            yield random_parametric_ci(rng, ring, degrees), LineChartPoint.standard(BIG, n)
+
+
+def test_a_symbolic_report_holds_wherever_its_genericity_conditions_do(rng):
+    """A report with symbolic parameters claims its verdict and ranks for
+    every c off the zero set of its genericity conditions. At values of c
+    where each condition is nonzero, the report on the forms with c
+    substituted must agree, over a large prime field, at small N."""
+    seen = set()
+    cases = oracle_cases(rng)
+    for _ in range(65):
+        x, line = next(cases)
+        rep = expected_pair_report(x, line)
+        if rep.corank is not None and rep.corank >= 2:
+            continue  # such a report states no genericity conditions
+        conditions = rep.genericity.conditions
+        while True:
+            values = {name: rng.randrange(BIG.p) for name in x.coeff_ring.names}
+            if all(not BIG.is_zero(c.evaluate(values)) for c in conditions):
+                break
+        rep_c = expected_pair_report(specialized(x, values), line)
+        assert (rep_c.verdict, rep_c.matrix_rank, rep_c.jacobian_rank, rep_c.local_dimension) == (
+            rep.verdict,
+            rep.matrix_rank,
+            rep.jacobian_rank,
+            rep.local_dimension,
+        )
+        seen.add((rep.verdict, rep.corank, bool(conditions)))
+    # the cases reach every verdict a line on X gets at corank <= 1, each
+    # with conditions to avoid
+    assert {
+        ("SmoothExpectedDim", 1, True),
+        ("NotSmoothOrExcess", 1, True),
+        ("NotInJ", 0, True),
+    } <= seen
 
 
 def test_sampled_mode_report():

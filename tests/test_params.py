@@ -8,7 +8,7 @@ from cilines.exactmatrix import ExactMatrix, det
 from cilines.families import FamilySpec, build_family
 from cilines.fields import RATIONALS, prime_field
 from cilines.nonfree import local_equations
-from cilines.params import ParamRing
+from cilines.params import ParamRing, evaluate_from, sum_of_products
 
 from conftest import random_scalar
 
@@ -278,6 +278,124 @@ def test_equal_but_distinct_rings_are_accepted():
                 p = c1 * r2.var("c1") + r2.var("c2")
                 assert p.exact_div(r2.const(1)) == p
                 assert (p * (c1 + 1)).exact_div(r2.var("c1") + 1) == p
+
+
+# -- sum_of_products against sums of products --------------------------------------
+
+SUM_FIELDS = (RATIONALS, prime_field(2), prime_field(3), prime_field(7))
+
+
+def naive_sum_of_products(ring, pairs, signs):
+    """Test-only reference: every product by naive_mul, added or
+    subtracted term by term."""
+    f = ring.field
+    acc = {}
+    for (x, y), neg in zip(pairs, signs):
+        for e, c in naive_mul(x, y):
+            acc[e] = f.add(acc.get(e, f.zero), f.neg(c) if neg else c)
+    return naive_terms(f, acc)
+
+
+def assert_sum_of_products_is_naive(ring, pairs, signs):
+    got = sum_of_products(ring, pairs, signs)
+    assert typed(got.terms) == typed(naive_sum_of_products(ring, pairs, signs))
+    total = ring.zero()
+    for (x, y), neg in zip(pairs, signs):
+        total = total - x * y if neg else total + x * y
+    assert got == total
+    if not any(signs):
+        assert sum_of_products(ring, pairs) == got
+    return got
+
+
+def random_factor(rng, ring, fractions):
+    """Zero now and then, else up to 8 terms of degree up to 0..6."""
+    if rng.random() < 0.15:
+        return ring.zero()
+    max_deg = rng.randint(0, 6) if ring.k else 0
+    return random_large(rng, ring, rng.randint(1, 8), max_deg=max_deg, fractions=fractions)
+
+
+def test_sum_of_products_matches_sums_of_products(rng):
+    for field in SUM_FIELDS:
+        for names in ((), ("c1",), ("c1", "c2", "c3")):
+            r = ParamRing(field, names)
+            for _ in range(30):
+                fractions = field.p is None and rng.random() < 0.5
+                pairs = [
+                    (random_factor(rng, r, fractions), random_factor(rng, r, fractions))
+                    for _ in range(rng.randint(0, 5))
+                ]
+                signs = [rng.random() < 0.4 for _ in pairs]
+                got = assert_sum_of_products_is_naive(r, pairs, signs)
+                # each product once more with the other sign: the total is zero
+                flipped = [not neg for neg in signs]
+                total = assert_sum_of_products_is_naive(r, pairs + pairs, signs + flipped)
+                assert total.is_zero and total.terms == ()
+                # and added to -got it cancels as well
+                assert sum_of_products(r, pairs + [(got, r.const(-1))], signs + [False]).is_zero
+
+
+def test_sum_of_products_takes_its_base_from_the_largest_pair():
+    for field in SUM_FIELDS:
+        r = ParamRing(field, ("c1", "c2", "c3"))
+        c1, c2, c3 = (r.var(n) for n in r.names)
+        small = (c1 + 1, c2 + c3)  # degree 2
+        large = (c1**5 + c2 * c3 + 1, c1**3 * c3 + c3 + 1)  # degree 9: c1^8*c3 fills a digit
+        for pairs in ([small, large], [large, small], [small, large, small]):
+            for signs in ([False] * len(pairs), [True] + [False] * (len(pairs) - 1)):
+                got = assert_sum_of_products_is_naive(r, pairs, signs)
+                assert got.terms[0][0] == (8, 0, 1)
+        huge = c1**99999999 * c2 + c3
+        got = assert_sum_of_products_is_naive(r, [small, (huge, huge), (huge, c1)], [True, False, True])
+        assert got.terms[0][0] == (199999998, 2, 0)
+
+
+def test_sum_of_products_without_pairs_and_with_a_foreign_ring():
+    for field in SUM_FIELDS:
+        for names in ((), ("c1",)):
+            r = ParamRing(field, names)
+            assert sum_of_products(r, []) == r.zero()
+            assert sum_of_products(r, [(r.zero(), r.one())], [True]).terms == ()
+            other = ParamRing(field, names + ("c9",))
+            with pytest.raises(RingMismatch):
+                sum_of_products(r, [(r.one(), other.one())])
+            with pytest.raises(ValueError):  # one sign per pair
+                sum_of_products(r, [(r.one(), r.one())], [True, False])
+
+
+def test_evaluate_from_reduces_raw_products_once_at_the_end():
+    """Over F_7 the raw product of a term and the raw sum of the terms
+    exceed 7; the value under each key is brought into the field once."""
+    f7 = prime_field(7)
+    r = ParamRing(f7, ("x", "y", "c"))
+    x, y, c = (r.var(n) for n in r.names)
+    p = 6 * x**3 * y**2 + 6 * x**2 * y * c + 5 * c + 6 * x**2 * y
+    values = {"x": 6, "y": 5, "c": 13}  # c = 13 comes into F_7 as 6
+    raw = 6 * 6**3 * 5**2 + 6 * 6**2 * 5 * 13 + 5 * 13 + 6 * 6**2 * 5
+    assert raw > 7
+    assert evaluate_from(p, 0, values) == {(): raw % 7}
+    assert p.evaluate(values) == raw % 7
+    # keeping the first slot sums the terms by their x exponent
+    assert evaluate_from(p, 1, values) == {
+        (3,): 6 * 5**2 % 7,
+        (2,): (6 * 5 * 6 + 6 * 5) % 7,
+        (0,): 5 * 6 % 7,
+    }
+
+
+def test_evaluate_from_takes_far_powers_by_squaring():
+    """Powers near the end of a slot's power list extend it, and far ones,
+    such as c1^99999999, are taken by square-and-multiply."""
+    exponents = (99999999, 200, 70, 40, 3, 1)
+    for field in (RATIONALS, prime_field(7)):
+        r = ParamRing(field, ("c1", "c2"))
+        c1, c2 = r.var("c1"), r.var("c2")
+        p = c2 * c1 ** exponents[0] + sum((c1**x for x in exponents[1:]), r.zero())
+        for v in (-1, 1, 3) if field.p else (-1, 1):
+            powers = [pow(v, x, field.p) if field.p else v**x for x in exponents]
+            want = field.make(5 * powers[0] + sum(powers[1:]))
+            assert p.evaluate({"c1": v, "c2": 5}) == want
 
 
 def to_sympy(sympy, p, symbols):
