@@ -22,10 +22,10 @@ type is recovered from consecutive section counts:
 
 Both presentations are built from the Jacobian of X restricted to the
 curve. Along a chart line it is read off the evaluated M(h)
-(chart.line_jacobian), whose rows are the restricted Z-partials and
-which gives the S- and T-partials because h o xi vanishes identically;
-callers that already hold M(h) pass that Jacobian in. Along a general
-curve (curve-check) it is composed by chart.restricted_jacobian.
+(chart.line_jacobian), which callers that hold M(h) pass in, and X is
+smooth along the line exactly when the normal splitting's section count
+says so. Along a general curve (curve-check) it is composed by
+chart.restricted_jacobian, and smoothness is decided by its minors.
 """
 
 from __future__ import annotations
@@ -80,12 +80,6 @@ class SplittingType:
     @property
     def min_entry(self) -> int:
         return min(self.entries)
-
-
-def _check_on_x(x: CompleteIntersection, comps: Sequence[BinaryForm]) -> None:
-    for form in x.forms:
-        if not restrict_along(form, comps).is_zero:
-            raise CurveNotOnX(f"{form} does not vanish along the curve")
 
 
 def _check_jacobian(
@@ -145,10 +139,9 @@ def tangent_cohomology(
 ) -> tuple[int, int]:
     """(h^0, h^1) of mu^* T_X twisted by m, for m >= -1.
 
-    jac, when given, is the Jacobian of X restricted along mu, from a
-    caller that has already settled that mu lies on X (line_jacobian of
-    an evaluated M(h)); otherwise containment is checked and the
-    Jacobian composed here."""
+    jac, when given, is the Jacobian of X restricted along mu from a caller
+    that has settled that mu lies on X and X is smooth along it (a chart
+    line's, after normal_splitting_line); else both are checked here."""
     if m <= -2:
         raise TwistTooNegative(f"twist {m} is below -1")
     if not x.is_parameter_free:
@@ -159,22 +152,20 @@ def tangent_cohomology(
     if len(comps) != x.n + 1:
         raise ConstraintViolated(f"curve has {len(comps)} components, expected {x.n + 1}")
     if jac is None:
-        _check_on_x(x, comps)
+        for form in x.forms:
+            if not restrict_along(form, comps).is_zero:
+                raise CurveNotOnX(f"{form} does not vanish along the curve")
         jac = restricted_jacobian(x, comps)
+        if not smooth_along_components(x, jac):
+            raise SingularAlongCurve("X is singular somewhere along the curve")
     else:
         _check_jacobian(x, jac, mu.degree)
-    if not smooth_along_components(x, jac):
-        raise SingularAlongCurve("X is singular somewhere along the curve")
 
-    b = mu.degree
-    n, r = x.n, x.ci_type.r
-    degrees = x.ci_type.degrees
+    b, n, r = mu.degree, x.n, x.ci_type.r
     # the component tuple is always in the kernel of psi(0)
-    for i in range(r):
-        acc = BinaryForm.zero(x.field, b * degrees[i])
-        for j in range(n + 1):
-            acc = acc + jac[i][j] * comps[j]
-        if not acc.is_zero:
+    for row, d in zip(jac, x.ci_type.degrees):
+        euler = sum((f * c for f, c in zip(row, comps)), BinaryForm.zero(x.field, b * d))
+        if not euler.is_zero:
             raise InvariantViolated("Euler section escaped the kernel")
 
     kernel_dim = _section_kernel_dims(jac, b + m + 1)[-1]  # h^0(O(b+m)) per component
@@ -197,10 +188,18 @@ def normal_splitting_line(
 ) -> SplittingType:
     """Splitting type of the normal bundle of a chart line inside X.
 
-    Requires the line on X and X smooth along it; the result has rank
-    N - r - 1, every entry at most 1, and total degree N - 1 - |d|.
-    jac is the line's restricted Jacobian, line_jacobian of M(h) at the
-    point; without it M(h) is built here, which checks containment.
+    Requires the line on X; the result has rank N - r - 1, every entry
+    at most 1, and total degree N - 1 - |d|. jac is the line's restricted
+    Jacobian, line_jacobian of M(h) at the point; without it M(h) is
+    built here, which checks containment.
+
+    X is smooth along L exactly when the Z-partials, of which the S- and
+    T-partials are combinations along L, map O(1)^{N-1} onto (+)_i O(d^i)
+    with kernel E = N_{L/X}. If so, every entry of E is at least floor,
+    H^1(E(-floor)) = 0 and the map is onto on sections at twist -floor.
+    If not, its cokernel is a nonzero quotient of the globally generated
+    (+)_i O(d^i - floor), and it is not. So X is singular along L exactly
+    when h[top] > (N-1) top - sum_i (d^i - 1 + top), by rank-nullity.
     """
     if not x.is_parameter_free:
         raise ParameterPresent("splitting types need parameter-free forms")
@@ -208,8 +207,6 @@ def normal_splitting_line(
         jac = line_jacobian(x, point, nonfree_matrix(x, at=point).matrix)
     else:
         _check_jacobian(x, jac, 1)
-    if not smooth_along_components(x, jac):
-        raise SingularAlongLine("X is singular somewhere along the line")
 
     n, r = x.n, x.ci_type.r
     rank = n - r - 1
@@ -220,7 +217,10 @@ def normal_splitting_line(
     # them all; h^0(E(-k)) is the kernel of the presenting map
     # O(1-k)^{N-1} -> (+)_i O(d^i - k), at dom = 2 - k
     floor = total - (rank - 1)
-    h = _section_kernel_dims(partials, 2 - floor)
+    top = 2 - floor
+    h = _section_kernel_dims(partials, top)
+    if h[top] > (n - 1) * top - sum(d - 1 + top for d in x.ci_type.degrees):
+        raise SingularAlongLine("X is singular somewhere along the line")
     entries: list[int] = []
     above = 0  # #{a_i > k}
     for k in range(1, floor - 1, -1):

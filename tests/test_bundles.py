@@ -30,18 +30,18 @@ from cilines.errors import (
 from cilines.exactmatrix import rank_exact
 from cilines.families import FamilySpec, build_family
 from cilines.fields import RATIONALS, prime_field
-from cilines.geometry import CIType, LineChartPoint, RationalCurve
+from cilines.geometry import CIType, CompleteIntersection, LineChartPoint, RationalCurve
 from cilines.multipoly import BinaryForm
 from cilines.params import ParamRing
 
-from conftest import random_homogeneous
+from conftest import ambient_ring, random_homogeneous
 from support import (
     chart_point,
     is_smooth_along_line,
     section_kernel_dim,
     tangent_splitting_line,
 )
-from test_chart import census_chart_lines, make_ci
+from test_chart import _ideal_form, census_chart_lines, make_ci
 
 
 def bform(field, *coeffs):
@@ -124,20 +124,27 @@ def _outcome(fn, *args):
 
 
 def test_line_jacobian_route_agrees_with_restriction(rng):
-    """On every census line the bundle routes give the same splitting
-    type and tangent cohomology, or the same refusal, whether they are
-    handed the Jacobian read off M(h) or restrict the partials
-    themselves."""
+    """On every census line the normal splitting routes give the same
+    splitting type, or the same refusal, whether they are handed the
+    Jacobian read off M(h) or build it themselves. Where the splitting
+    exists, so does the same tangent cohomology by both routes. Where X
+    is singular along the line, the restriction route of
+    tangent_cohomology refuses too; the Jacobian route is not asked,
+    since a Jacobian handed in promises smoothness."""
+    singular = 0
     for x, point in census_chart_lines(rng):
         jac = line_jacobian(x, point, nonfree_matrix(x, at=point).matrix)
         mu = line_param(point)
-        assert _outcome(normal_splitting_line, x, point, jac) == _outcome(
-            normal_splitting_line, x, point
-        )
+        normal = _outcome(normal_splitting_line, x, point, jac)
+        assert normal == _outcome(normal_splitting_line, x, point)
         for m in (-1, 0):
-            assert _outcome(tangent_cohomology, x, mu, m, jac) == _outcome(
-                tangent_cohomology, x, mu, m
-            )
+            if normal is SingularAlongLine:
+                with pytest.raises(SingularAlongCurve):
+                    tangent_cohomology(x, mu, m)
+            else:
+                assert tangent_cohomology(x, mu, m, jac) == tangent_cohomology(x, mu, m)
+        singular += normal is SingularAlongLine
+    assert singular >= 1
 
 
 def test_tangent_cohomology_rejects_a_misshapen_jacobian():
@@ -236,7 +243,9 @@ def test_splitting_recovery_stops_at_the_degree_floor(monkeypatch):
     """The splitting type is read from the section counts at every twist
     from 1 down to the degree floor; counts that do not add up to the rank
     and degree of N_{L/X} are refused by a raised error that python -O
-    keeps, not an assert."""
+    keeps, not an assert. A count at the floor above the onto count,
+    (N-1) top - sum_i (d^i - 1 + top) = 1 here, means X is singular
+    along the line."""
     import cilines.bundles as bundles
 
     x = make_ci(RATIONALS, 3, (2,), ["S*Z1 + T*Z2"])
@@ -244,9 +253,14 @@ def test_splitting_recovery_stops_at_the_degree_floor(monkeypatch):
     s, t = bform(RATIONALS, 1, 0), bform(RATIONALS, 0, 1)
     assert bundles._section_kernel_dims([[s, t]], 2) == [0, 0, 1]  # N_{L/X} = O
     assert normal_splitting_line(x, point).entries == (0,)
-    for dims in ([0, 0, 0], [0, 1, 1], [0, 0, 2], [0, 1, 3, 4]):
+    for dims, error, match in (
+        ([0, 0, 0], InvariantViolated, "bookkeeping"),
+        ([0, 1, 1], InvariantViolated, "bookkeeping"),
+        ([0, 0, 2], SingularAlongLine, "singular"),
+        ([0, 1, 3, 4], SingularAlongLine, "singular"),
+    ):
         monkeypatch.setattr(bundles, "_section_kernel_dims", lambda phi, top, d=dims: d)
-        with pytest.raises(InvariantViolated, match="bookkeeping"):
+        with pytest.raises(error, match=match):
             normal_splitting_line(x, point)
 
 
@@ -288,6 +302,58 @@ def test_singular_along_line_rejected_for_splitting():
     x = make_ci(RATIONALS, 3, (2,), ["Z1^2"])
     with pytest.raises(SingularAlongLine):
         normal_splitting_line(x, LineChartPoint.standard(RATIONALS, 3))
+
+
+def through_a_chart_line(rng, field, n, degrees):
+    """A random chart line over F_q and an X of the given degrees on it,
+    or None when a form comes out zero. Each form lies in the ideal of a
+    random nonempty subset of the line's linear forms Z_j - a_j S - b_j T,
+    so small subsets leave X singular along the line."""
+    ring = ambient_ring(field, n)
+    a = tuple(rng.randrange(field.p) for _ in range(n - 1))
+    b = tuple(rng.randrange(field.p) for _ in range(n - 1))
+    s, t = ring.var("S"), ring.var("T")
+    linears = [
+        ring.var(f"Z{j + 1}") - s * ring.const(a[j]) - t * ring.const(b[j]) for j in range(n - 1)
+    ]
+    forms = tuple(
+        _ideal_form(rng, ring, rng.sample(linears, rng.randint(1, n - 1)), d) for d in degrees
+    )
+    if any(f.is_zero for f in forms):
+        return None
+    return CompleteIntersection(CIType(n, degrees), forms), LineChartPoint(field, a, b)
+
+
+def assert_count_decides_smoothness(x, point):
+    """normal_splitting_line refuses with SingularAlongLine exactly when
+    the maximal minors of the restricted Jacobian share a zero on L."""
+    smooth = is_smooth_along_line(x, point)
+    try:
+        normal_splitting_line(x, point)
+    except SingularAlongLine:
+        assert not smooth
+    else:
+        assert smooth
+    return smooth
+
+
+PIN_FIELDS = tuple(prime_field(q) for q in (2, 3, 5, 7))
+
+
+@pytest.mark.parametrize("field", PIN_FIELDS, ids=str)
+def test_section_count_decides_smoothness_as_the_minors_do(rng, field):
+    """The normal splitting's one section count against the minors route,
+    N from 3 to 5, r of 1 or 2, degrees 1 to 3; both verdicts occur."""
+    verdicts = []
+    for n in (3, 4, 5):
+        for r in range(1, min(2, n - 2) + 1):
+            for _ in range(4):
+                drawn = through_a_chart_line(
+                    rng, field, n, tuple(rng.randint(1, 3) for _ in range(r))
+                )
+                if drawn is not None:
+                    verdicts.append(assert_count_decides_smoothness(*drawn))
+    assert any(verdicts) and not all(verdicts)
 
 
 # -- covers --------------------------------------------------------------------------

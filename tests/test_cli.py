@@ -107,6 +107,15 @@ form: S^5 + T^5 + Z1^5 + Z2^5
 curve: s ; -1*s ; t ; -1*t
 """
 
+# Z1 = ... = Z6 = 0 in P^12 over F_7, with the standard line as line and
+# as curve: the Jacobian has C(13, 6) = 1,716 maximal minors of 6! terms
+LINEAR_SECTION_P12 = (
+    "field: F:7\nN: 12\ndegrees: 1, 1, 1, 1, 1, 1\n"
+    + "".join(f"form: Z{j}\n" for j in range(1, 7))
+    + "line: " + ", ".join(["0"] * 11) + " | " + ", ".join(["0"] * 11) + "\n"
+    + "curve: s ; t" + " ; 0" * 11 + "\n"
+)
+
 
 def check_golden(name: str, got: str):
     path = GOLDEN / name
@@ -272,6 +281,64 @@ def test_classify_line_restricts_nothing(capsys, tmp_path, monkeypatch):
 
     code, _ = run(capsys, "curve-check", write_problem(tmp_path, "quintic.ci", QUINTIC_F7))
     assert code == 0 and calls
+
+
+def test_smoothness_minors_serve_curve_check_only(capsys, tmp_path, monkeypatch):
+    """Along a chart line smoothness is read off the normal splitting's
+    section count, so classify-line and enumerate-lines --classify, on
+    smooth and singular lines, expand no minors; curve-check takes them
+    once."""
+    import cilines.bundles as bundles
+    import cilines.chart as chart
+
+    calls = []
+    smooth = chart.smooth_along_components
+
+    def counted(x, jac):
+        calls.append(x)
+        return smooth(x, jac)
+
+    for module in (chart, bundles):
+        monkeypatch.setattr(module, "smooth_along_components", counted)
+    for name, text in (("cubic.ci", CUBIC_F7_CORANK_1), ("two.ci", TWO_QUADRICS_F5)):
+        code, _ = run(capsys, "classify-line", write_problem(tmp_path, name, text))
+        assert code == 0
+    path = write_problem(tmp_path, "c5.ci", CUBIC_F5_SINGULAR)
+    code, out = run(capsys, "enumerate-lines", path, "--classify")
+    classified = json.loads(out)["classified"]
+    assert code == 0 and sum("normal_splitting" not in e for e in classified) == 2
+    assert calls == []
+
+    code, _ = run(capsys, "curve-check", write_problem(tmp_path, "quintic.ci", QUINTIC_F7))
+    assert code == 0 and len(calls) == 1
+
+
+def test_classify_line_on_a_large_linear_section_forms_no_minor(capsys, tmp_path):
+    """The 1,716 minors of 720 terms took more than a minute; the section
+    count takes a fraction of a second and prints the same report."""
+    path = write_problem(tmp_path, "lin12.ci", LINEAR_SECTION_P12)
+    started = time.perf_counter()
+    code, out = run(capsys, "classify-line", path)
+    assert time.perf_counter() - started < 1.0
+    report = json.loads(out)
+    assert code == 0 and report["smooth_along_line"]
+    assert report["normal_splitting"] == [1, 1, 1, 1, 1]
+    assert report["tangent_h0_h1_twist_minus1"] == [7, 0]
+    assert report["tangent_h0_h1_twist_0"] == [13, 0]
+    assert (report["matrix_rank"], report["required_rank"]) == (6, 18)
+    assert report["verdict"] == "NotInJ"
+
+
+def test_curve_check_past_the_minor_budget_exits_2_at_once(capsys, tmp_path):
+    """curve-check refuses the 1,235,520 Laplace terms of the linear
+    section's minors before forming any."""
+    path = write_problem(tmp_path, "lin12.ci", LINEAR_SECTION_P12)
+    started = time.perf_counter()
+    code, out = run(capsys, "curve-check", path)
+    assert time.perf_counter() - started < 1.0
+    assert code == 2
+    report = json.loads(out)
+    assert report["error"] == "BudgetExceeded" and "MAX_MINOR_TERMS" in report["message"]
 
 
 def test_corank_one_line_takes_no_determinant_of_full_size(capsys, tmp_path, monkeypatch):
