@@ -21,11 +21,12 @@ type is recovered from consecutive section counts:
 #{a_i >= k} = h^0(E(-k)) - h^0(E(-k-1)).
 
 Both presentations are built from the Jacobian of X restricted to the
-curve. Along a chart line it is read off the evaluated M(h)
-(chart.line_jacobian), which callers that hold M(h) pass in, and X is
-smooth along the line exactly when the normal splitting's section count
-says so. Along a general curve (curve-check) it is composed by
-chart.restricted_jacobian, and smoothness is decided by its minors.
+curve, and each is eliminated once, at its largest twist. The normal
+splitting takes a chart line's Jacobian from its caller (classify-line
+reads it off the evaluated M(h)), and X is smooth along the line exactly
+when its section count says so. Tangent cohomology takes that Jacobian
+too, or along a general curve (curve-check) composes it by
+chart.restricted_jacobian and decides smoothness by its minors.
 """
 
 from __future__ import annotations
@@ -34,9 +35,7 @@ from dataclasses import dataclass
 from typing import Literal, Sequence
 
 from .chart import (
-    line_jacobian,
     membership_system,  # not called here; perfbench's tracer test reads it
-    nonfree_matrix,
     restricted_jacobian,
     smooth_along_components,
 )
@@ -53,7 +52,7 @@ from .errors import (
     TwistTooNegative,
 )
 from .exactmatrix import ExactMatrix, kernel_basis
-from .geometry import CIType, CompleteIntersection, LineChartPoint, RationalCurve, restrict_along
+from .geometry import CIType, CompleteIntersection, RationalCurve, restrict_along
 from .multipoly import BinaryForm, binary_gcd
 from .params import ParamRing
 
@@ -136,8 +135,8 @@ def tangent_cohomology(
     mu: RationalCurve,
     m: int,
     jac: Sequence[Sequence[BinaryForm]] | None = None,
-) -> tuple[int, int]:
-    """(h^0, h^1) of mu^* T_X twisted by m, for m >= -1.
+) -> tuple[tuple[int, int], ...]:
+    """(h^0, h^1) of mu^* T_X twisted by k, for each k = -1, ..., m.
 
     jac, when given, is the Jacobian of X restricted along mu from a caller
     that has settled that mu lies on X and X is smooth along it (a chart
@@ -168,30 +167,28 @@ def tangent_cohomology(
         if not euler.is_zero:
             raise InvariantViolated("Euler section escaped the kernel")
 
-    kernel_dim = _section_kernel_dims(jac, b + m + 1)[-1]  # h^0(O(b+m)) per component
-    h0_line = m + 1 if m >= 0 else 0
-    h0 = kernel_dim - h0_line
-    chi = b * (n + 1 - x.ci_type.total_degree) + (n - r) * (m + 1)
-    h1 = h0 - chi
-    if h1 < 0:
-        raise InvariantViolated("negative h^1; kernel presentation violated")
-    return h0, h1
+    dims = _section_kernel_dims(jac, b + m + 1)
+    pairs = []
+    for k in range(-1, m + 1):
+        h0 = dims[b + k + 1] - (k + 1)  # h^0(O(b+k)) per component, less h^0(O(k))
+        chi = b * (n + 1 - x.ci_type.total_degree) + (n - r) * (k + 1)
+        h1 = h0 - chi
+        if h1 < 0:
+            raise InvariantViolated("negative h^1; kernel presentation violated")
+        pairs.append((h0, h1))
+    return tuple(pairs)
 
 
 # -- splitting types of lines -------------------------------------------------
 
 
 def normal_splitting_line(
-    x: CompleteIntersection,
-    point: LineChartPoint,
-    jac: Sequence[Sequence[BinaryForm]] | None = None,
+    x: CompleteIntersection, jac: Sequence[Sequence[BinaryForm]]
 ) -> SplittingType:
-    """Splitting type of the normal bundle of a chart line inside X.
-
-    Requires the line on X; the result has rank N - r - 1, every entry
-    at most 1, and total degree N - 1 - |d|. jac is the line's restricted
-    Jacobian, line_jacobian of M(h) at the point; without it M(h) is
-    built here, which checks containment.
+    """Splitting type of the normal bundle of a chart line L on X, from
+    jac, the Jacobian of X restricted along L (chart.line_jacobian reads
+    it off M(h) at the line). The result has rank N - r - 1, every entry
+    at most 1, and total degree N - 1 - |d|.
 
     X is smooth along L exactly when the Z-partials, of which the S- and
     T-partials are combinations along L, map O(1)^{N-1} onto (+)_i O(d^i)
@@ -203,10 +200,7 @@ def normal_splitting_line(
     """
     if not x.is_parameter_free:
         raise ParameterPresent("splitting types need parameter-free forms")
-    if jac is None:
-        jac = line_jacobian(x, point, nonfree_matrix(x, at=point).matrix)
-    else:
-        _check_jacobian(x, jac, 1)
+    _check_jacobian(x, jac, 1)
 
     n, r = x.n, x.ci_type.r
     rank = n - r - 1

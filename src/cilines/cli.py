@@ -251,7 +251,7 @@ def _line_splitting(
     line, which then has no splitting type."""
     jac = line_jacobian(x, point, m_h)
     try:
-        return jac, normal_splitting_line(x, point, jac)
+        return jac, normal_splitting_line(x, jac)
     except SingularAlongLine:
         return jac, None
 
@@ -296,9 +296,7 @@ def _cmd_classify_line(args) -> dict:
         if normal is not None:
             out["normal_splitting"] = list(normal.entries)
             out["tangent_splitting"] = list(tangent_splitting_from_normal(normal).entries)
-            mu = line_param(point)
-            h0m1 = tangent_cohomology(x, mu, -1, jac)
-            h00 = tangent_cohomology(x, mu, 0, jac)
+            h0m1, h00 = tangent_cohomology(x, line_param(point), 0, jac)
             out["tangent_h0_h1_twist_minus1"] = list(h0m1)
             out["tangent_h0_h1_twist_0"] = list(h00)
             out["routes_agree"] = (
@@ -355,7 +353,7 @@ def _cmd_curve_check(args) -> dict:
         u = BinaryForm(x.field, cover_k, (1,) + zeros)
         w = BinaryForm(x.field, cover_k, zeros + (1,))
         mu = precompose(mu, (u, w))
-    h0, h1 = tangent_cohomology(x, mu, args.twist)
+    h0, h1 = tangent_cohomology(x, mu, args.twist)[-1]
     gate = degree_nonfree_gate(x.ci_type, mu.degree)
     return {
         "command": "curve-check",

@@ -217,18 +217,16 @@ def expected_pair_report(
         return SmoothnessReport("NotContained", required)
     rk = nf.rank
     corank = total - rk.rank
-    if corank == 0:
+    if corank != 1:  # the rank of M(h) decides, off the zero set of its certificate
         return SmoothnessReport(
-            "NotInJ",
+            "NotSmoothOrExcess" if corank else "NotInJ",
             required,
             nf.matrix,
             rk.rank,
-            corank=0,
-            certificate=rk.certificate,
+            corank,
+            certificate=None if corank else rk.certificate,
             genericity=_genericity([rk.certificate]),
         )
-    if corank >= 2:
-        return SmoothnessReport("NotSmoothOrExcess", required, nf.matrix, rk.rank, corank)
 
     jac, eqs = jacobian_def_matrix(x, nf)
     jrk = rank_exact(jac)

@@ -18,8 +18,14 @@ from cilines.nonfree import differential_span_matrix
 from cilines.params import ParamRing
 
 
+def chart_line_jacobian(x: CompleteIntersection, point: LineChartPoint) -> list[list[BinaryForm]]:
+    """The Jacobian of X restricted along a chart line on X, read off M(h)
+    at the line, as classify-line hands it to the bundle routes."""
+    return line_jacobian(x, point, nonfree_matrix(x, at=point).matrix)
+
+
 def is_smooth_along_line(x: CompleteIntersection, point: LineChartPoint) -> bool:
-    return smooth_along_components(x, line_jacobian(x, point, nonfree_matrix(x, at=point).matrix))
+    return smooth_along_components(x, chart_line_jacobian(x, point))
 
 
 def chart_point(line: FqLine) -> LineChartPoint:
@@ -31,7 +37,7 @@ def chart_point(line: FqLine) -> LineChartPoint:
 
 def tangent_splitting_line(x: CompleteIntersection, point: LineChartPoint) -> SplittingType:
     """Splitting type of T_X restricted to a chart line."""
-    return tangent_splitting_from_normal(normal_splitting_line(x, point))
+    return tangent_splitting_from_normal(normal_splitting_line(x, chart_line_jacobian(x, point)))
 
 
 def same_differential_span(

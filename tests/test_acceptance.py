@@ -33,7 +33,7 @@ from cilines.nonfree import expected_pair_report
 from cilines.polytext import parse_poly
 
 from conftest import ambient_ring, field_of_char, random_homogeneous
-from support import is_smooth_along_line, same_differential_span
+from support import chart_line_jacobian, is_smooth_along_line, same_differential_span
 from test_chart import make_ci
 from test_exactmatrix import gaussian_rank_oracle
 
@@ -152,17 +152,17 @@ def test_criterion_6_finite_field_censuses():
     for ln in qlines:
         x2, point, _ = move_line_to_chart(quadric, ln)
         assert rank_exact(nonfree_matrix(x2, at=point).matrix).rank == 2  # free
-        assert normal_splitting_line(x2, point).entries == (0,)
+        assert normal_splitting_line(x2, chart_line_jacobian(x2, point)).entries == (0,)
 
     fermat = make_ci(prime_field(7), 3, (3,), ["S^3 + T^3 + Z1^3 + Z2^3"])
     flines = enumerate_lines_fq(fermat)
     assert len(flines) == 27
     for ln in flines:
         x2, point, _ = move_line_to_chart(fermat, ln)
-        assert normal_splitting_line(x2, point).entries == (-1,)
+        assert normal_splitting_line(x2, chart_line_jacobian(x2, point)).entries == (-1,)
         rank_route_nonfree = rank_exact(nonfree_matrix(x2, at=point).matrix).rank < 3
         mu = line_param(point)
-        _, h1 = tangent_cohomology(x2, mu, -1)
+        _, h1 = tangent_cohomology(x2, mu, -1)[-1]
         assert rank_route_nonfree and h1 > 0
     elapsed = time.perf_counter() - started
     assert elapsed < 10.0
@@ -212,12 +212,12 @@ def test_criterion_7_property_suites():
                 continue
             rank = rank_exact(nonfree_matrix(x2, at=point).matrix).rank
             mu = line_param(point)
-            h0, h1 = tangent_cohomology(x2, mu, -1)
-            split = normal_splitting_line(x2, point)
+            twists = tangent_cohomology(x2, mu, 0)
+            _, h1 = twists[0]
+            split = normal_splitting_line(x2, chart_line_jacobian(x2, point))
             assert (rank == 3) == (h1 == 0) == (split.min_entry >= 0)
             # chi bookkeeping at both twists
-            for m in (-1, 0):
-                a0, a1 = tangent_cohomology(x2, mu, m)
+            for m, (a0, a1) in zip((-1, 0), twists):
                 assert a0 - a1 == (5 - 3) + 3 * (m + 1)
             checked_lines += 1
     assert checked_lines >= 5
@@ -258,10 +258,10 @@ def test_criterion_8_nonfree_curve_pipeline():
         return BinaryForm.from_scalars(field, list(cs))
 
     mu = RationalCurve((bf(1, 0), bf(-1, 0), bf(0, 1), bf(0, -1)))
-    h0, h1 = tangent_cohomology(x, mu, -1)
+    h0, h1 = tangent_cohomology(x, mu, -1)[-1]
     assert h1 == 3  # non-free
     mu2 = precompose(mu, (bf(1, 0, 0), bf(0, 0, 1)))
-    h0, h1 = tangent_cohomology(x, mu2, 0)
+    h0, h1 = tangent_cohomology(x, mu2, 0)[-1]
     assert h1 == 5  # convexity violated after the double cover
     gate = degree_nonfree_gate(CIType(3, (5,)), 1)
     assert gate.verdict == "AllImmersionsNonFree"

@@ -9,13 +9,15 @@ from cilines.bundles import (
     normal_splitting_line,
     precompose,
     tangent_cohomology,
+    tangent_splitting_from_normal,
 )
 from cilines.chart import (
     enumerate_lines_fq,
-    line_jacobian,
     line_param,
     move_line_to_chart,
     nonfree_matrix,
+    restricted_jacobian,
+    smooth_along_components,
 )
 from cilines.errors import (
     BasePointedCover,
@@ -36,9 +38,11 @@ from cilines.params import ParamRing
 
 from conftest import ambient_ring, random_homogeneous
 from support import (
+    chart_line_jacobian,
     chart_point,
     is_smooth_along_line,
     section_kernel_dim,
+    specialized,
     tangent_splitting_line,
 )
 from test_chart import _ideal_form, census_chart_lines, make_ci
@@ -70,13 +74,12 @@ def test_splitting_type_validation():
 def test_quadric_line_is_free():
     x = make_ci(RATIONALS, 3, (2,), ["S*Z1 + T*Z2"])
     mu = line_param(LineChartPoint.standard(RATIONALS, 3))
-    assert tangent_cohomology(x, mu, -1) == (2, 0)
+    assert tangent_cohomology(x, mu, -1) == ((2, 0),)
 
 
 def test_quintic_line_nonfree_and_nonconvex():
     x, mu = fermat_quintic_line()
-    assert tangent_cohomology(x, mu, -1) == (2, 3)
-    assert tangent_cohomology(x, mu, 0) == (3, 2)
+    assert tangent_cohomology(x, mu, 0) == ((2, 3), (3, 2))
 
 
 def test_twist_below_minus_one_rejected():
@@ -110,8 +113,7 @@ def test_chi_bookkeeping(rng):
     cases.append((xq, precompose(muq, (bform(xq.field, 1, 0, 0), bform(xq.field, 0, 0, 1)))))
     for x, mu in cases:
         t = x.ci_type
-        for m in (-1, 0):
-            h0, h1 = tangent_cohomology(x, mu, m)
+        for m, (h0, h1) in zip((-1, 0), tangent_cohomology(x, mu, 0)):
             chi = mu.degree * (t.ambient_dim + 1 - t.total_degree) + t.variety_dim * (m + 1)
             assert h0 - h1 == chi
 
@@ -124,36 +126,58 @@ def _outcome(fn, *args):
 
 
 def test_line_jacobian_route_agrees_with_restriction(rng):
-    """On every census line the normal splitting routes give the same
-    splitting type, or the same refusal, whether they are handed the
-    Jacobian read off M(h) or build it themselves. Where the splitting
-    exists, so does the same tangent cohomology by both routes. Where X
+    """On every census line the normal splitting gives the same splitting
+    type, or the same refusal, whether it is handed the Jacobian read off
+    M(h) or the one composed by restriction along the line. Where the
+    splitting exists, tangent_cohomology gives the same counts from the
+    Jacobian read off M(h) as from the one it composes itself. Where X
     is singular along the line, the restriction route of
     tangent_cohomology refuses too; the Jacobian route is not asked,
     since a Jacobian handed in promises smoothness."""
     singular = 0
     for x, point in census_chart_lines(rng):
-        jac = line_jacobian(x, point, nonfree_matrix(x, at=point).matrix)
+        jac = chart_line_jacobian(x, point)
         mu = line_param(point)
-        normal = _outcome(normal_splitting_line, x, point, jac)
-        assert normal == _outcome(normal_splitting_line, x, point)
-        for m in (-1, 0):
-            if normal is SingularAlongLine:
-                with pytest.raises(SingularAlongCurve):
-                    tangent_cohomology(x, mu, m)
-            else:
-                assert tangent_cohomology(x, mu, m, jac) == tangent_cohomology(x, mu, m)
+        normal = _outcome(normal_splitting_line, x, jac)
+        assert normal == _outcome(normal_splitting_line, x, restricted_jacobian(x, mu.components))
+        if normal is SingularAlongLine:
+            with pytest.raises(SingularAlongCurve):
+                tangent_cohomology(x, mu, 0)
+        else:
+            assert tangent_cohomology(x, mu, 0, jac) == tangent_cohomology(x, mu, 0)
         singular += normal is SingularAlongLine
     assert singular >= 1
+
+
+def test_every_twist_of_one_pass_matches_the_splitting_type(rng):
+    """On every census line along which X is smooth, one pass to twist 2
+    gives at each twist k the h^0 of the tangent splitting type twisted
+    by k, and the pair that a pass stopping at k gives last."""
+    smooth = 0
+    for x, point in census_chart_lines(rng):
+        jac = chart_line_jacobian(x, point)
+        try:
+            normal = normal_splitting_line(x, jac)
+        except SingularAlongLine:
+            continue
+        smooth += 1
+        tangent = tangent_splitting_from_normal(normal).entries
+        mu = line_param(point)
+        twists = tangent_cohomology(x, mu, 2, jac)
+        assert len(twists) == 4
+        for k, pair in zip(range(-1, 3), twists):
+            assert pair[0] == sum(max(0, a + k + 1) for a in tangent)
+            assert tangent_cohomology(x, mu, k, jac)[-1] == pair
+    assert smooth >= 10
 
 
 def test_tangent_cohomology_rejects_a_misshapen_jacobian():
     x = make_ci(RATIONALS, 3, (2,), ["S*Z1 + T*Z2"])
     point = LineChartPoint.standard(RATIONALS, 3)
     mu = line_param(point)
-    jac = line_jacobian(x, point, nonfree_matrix(x, at=point).matrix)
+    jac = chart_line_jacobian(x, point)
     r = x.field
-    assert tangent_cohomology(x, mu, 0, jac) == (4, 0)  # T_X|_L = O(2) + O
+    assert tangent_cohomology(x, mu, 0, jac)[-1] == (4, 0)  # T_X|_L = O(2) + O
     for bad in (
         [],  # no row for the form
         jac + jac,  # a row too many
@@ -175,7 +199,7 @@ def test_tangent_cohomology_checks_the_euler_section_of_a_given_jacobian():
     x = make_ci(RATIONALS, 3, (2,), ["S*Z1 + T*Z2"])
     point = LineChartPoint.standard(RATIONALS, 3)
     mu = line_param(point)
-    jac = line_jacobian(x, point, nonfree_matrix(x, at=point).matrix)
+    jac = chart_line_jacobian(x, point)
     bad = [[bform(x.field, 1, 0)] + jac[0][1:]]
     with pytest.raises(InvariantViolated, match="Euler"):
         tangent_cohomology(x, mu, 0, bad)
@@ -235,7 +259,7 @@ def test_one_pass_section_kernels_match_the_per_dom_reference(rng, field):
 def test_quadric_line_splittings():
     x = make_ci(RATIONALS, 3, (2,), ["S*Z1 + T*Z2"])
     point = LineChartPoint.standard(RATIONALS, 3)
-    assert normal_splitting_line(x, point).entries == (0,)
+    assert normal_splitting_line(x, chart_line_jacobian(x, point)).entries == (0,)
     assert tangent_splitting_line(x, point).entries == (2, 0)
 
 
@@ -251,8 +275,9 @@ def test_splitting_recovery_stops_at_the_degree_floor(monkeypatch):
     x = make_ci(RATIONALS, 3, (2,), ["S*Z1 + T*Z2"])
     point = LineChartPoint.standard(RATIONALS, 3)
     s, t = bform(RATIONALS, 1, 0), bform(RATIONALS, 0, 1)
+    jac = chart_line_jacobian(x, point)
     assert bundles._section_kernel_dims([[s, t]], 2) == [0, 0, 1]  # N_{L/X} = O
-    assert normal_splitting_line(x, point).entries == (0,)
+    assert normal_splitting_line(x, jac).entries == (0,)
     for dims, error, match in (
         ([0, 0, 0], InvariantViolated, "bookkeeping"),
         ([0, 1, 1], InvariantViolated, "bookkeeping"),
@@ -261,7 +286,7 @@ def test_splitting_recovery_stops_at_the_degree_floor(monkeypatch):
     ):
         monkeypatch.setattr(bundles, "_section_kernel_dims", lambda phi, top, d=dims: d)
         with pytest.raises(error, match=match):
-            normal_splitting_line(x, point)
+            normal_splitting_line(x, jac)
 
 
 def test_quintic_line_splittings():
@@ -269,13 +294,13 @@ def test_quintic_line_splittings():
     lines = enumerate_lines_fq(x)
     ln = next(l for l in lines if l.rows == ((1, 0, 6, 0), (0, 1, 0, 6)))
     point = chart_point(ln)
-    assert normal_splitting_line(x, point).entries == (-3,)
+    assert normal_splitting_line(x, chart_line_jacobian(x, point)).entries == (-3,)
     assert tangent_splitting_line(x, point).entries == (2, -3)
 
 
 def test_quadrics_p7_standard_line_splitting():
     built = build_family(FamilySpec("quadrics-general", 7, (2, 2)), RATIONALS)
-    st = normal_splitting_line(built.x, built.line)
+    st = normal_splitting_line(built.x, chart_line_jacobian(built.x, built.line))
     assert st.rank == 4 and st.degree == 2
     assert st.min_entry <= -1  # the pair sits in the non-free locus
     assert st.entries == (1, 1, 1, -1)
@@ -287,21 +312,25 @@ def test_cubic_threefold_free_line_splitting():
     point = LineChartPoint.standard(RATIONALS, 4)
     nf = nonfree_matrix(x, at=point)
     assert rank_exact(nf.matrix).rank == 3  # free
-    assert normal_splitting_line(x, point).entries == (0, 0)
+    assert normal_splitting_line(x, chart_line_jacobian(x, point)).entries == (0, 0)
     assert tangent_splitting_line(x, point).entries == (2, 0, 0)
 
 
 def test_splitting_constraints_various(rng):
     built = build_family(FamilySpec("mixed-general", 9, (4, 3)), RATIONALS)
-    # parameters present: splittings need parameter-free forms
+    # parameters present: splittings need parameter-free forms, even when
+    # handed the Jacobian of a specialization
+    plain = specialized(built.x, dict.fromkeys(built.x.coeff_ring.names, 1))
+    jac = restricted_jacobian(plain, line_param(built.line).components)
     with pytest.raises(ParameterPresent):
-        normal_splitting_line(built.x, built.line)
+        normal_splitting_line(built.x, jac)
 
 
 def test_singular_along_line_rejected_for_splitting():
     x = make_ci(RATIONALS, 3, (2,), ["Z1^2"])
+    jac = chart_line_jacobian(x, LineChartPoint.standard(RATIONALS, 3))
     with pytest.raises(SingularAlongLine):
-        normal_splitting_line(x, LineChartPoint.standard(RATIONALS, 3))
+        normal_splitting_line(x, jac)
 
 
 def through_a_chart_line(rng, field, n, degrees):
@@ -327,9 +356,10 @@ def through_a_chart_line(rng, field, n, degrees):
 def assert_count_decides_smoothness(x, point):
     """normal_splitting_line refuses with SingularAlongLine exactly when
     the maximal minors of the restricted Jacobian share a zero on L."""
-    smooth = is_smooth_along_line(x, point)
+    jac = chart_line_jacobian(x, point)
+    smooth = smooth_along_components(x, jac)
     try:
-        normal_splitting_line(x, point)
+        normal_splitting_line(x, jac)
     except SingularAlongLine:
         assert not smooth
     else:
@@ -393,7 +423,7 @@ def test_quintic_double_cover_breaks_convexity():
     x, mu = fermat_quintic_line()
     r = x.field
     mu2 = precompose(mu, (bform(r, 1, 0, 0), bform(r, 0, 0, 1)))
-    h0, h1 = tangent_cohomology(x, mu2, 0)
+    h0, h1 = tangent_cohomology(x, mu2, 0)[-1]
     assert (h0, h1) == (5, 5)
     assert h1 != 0  # convexity obstruction realized
 
@@ -405,8 +435,7 @@ def test_precompose_doubles_splitting_counts():
     r = x.field
     mu2 = precompose(mu, (bform(r, 1, 0, 0), bform(r, 0, 0, 1)))
     # T_X restricted to the line splits as (2, -3); pullback is (4, -6)
-    for m in (-1, 0):
-        h0, h1 = tangent_cohomology(x, mu2, m)
+    for m, (h0, h1) in zip((-1, 0), tangent_cohomology(x, mu2, 0)):
         expect_h0 = sum(max(0, a + m + 1) for a in (4, -6))
         assert h0 == expect_h0
 
@@ -461,8 +490,9 @@ def test_two_route_freeness_agreement(rng):
                 rank = rank_exact(nonfree_matrix(x2, at=point).matrix).rank
                 free_by_rank = rank == x.ci_type.total_degree
                 mu = line_param(point)
-                _, h1 = tangent_cohomology(x2, mu, -1)
+                _, h1 = tangent_cohomology(x2, mu, -1)[-1]
                 free_by_h1 = h1 == 0
-                free_by_split = normal_splitting_line(x2, point).min_entry >= 0
+                normal = normal_splitting_line(x2, chart_line_jacobian(x2, point))
+                free_by_split = normal.min_entry >= 0
                 assert free_by_rank == free_by_h1 == free_by_split
     assert seen_lines >= 10

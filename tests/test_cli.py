@@ -3,6 +3,7 @@ import os
 import pathlib
 import sys
 import time
+from collections import Counter
 
 import pytest
 
@@ -237,23 +238,39 @@ def test_one_report_builds_m_h_once(capsys, tmp_path, monkeypatch):
 
 
 def test_classify_line_takes_the_normal_splitting_once(capsys, tmp_path, monkeypatch):
-    """The tangent splitting is read off the printed normal splitting."""
+    """The tangent splitting is read off the printed normal splitting, and
+    both tangent twists come from one tangent_cohomology pass: one
+    section-kernel elimination per presentation."""
     import cilines.bundles as bundles
     import cilines.cli as cli
 
     calls = []
-    split = bundles.normal_splitting_line
 
-    def counted(x, point, jac=None):
-        calls.append(point)
-        return split(x, point, jac)
+    def counting(module, name):
+        original = getattr(module, name)
 
-    monkeypatch.setattr(bundles, "normal_splitting_line", counted)
-    monkeypatch.setattr(cli, "normal_splitting_line", counted)
+        def counted(*args):
+            calls.append(name)
+            return original(*args)
+
+        return counted
+
+    for name in ("normal_splitting_line", "tangent_cohomology"):
+        counted = counting(bundles, name)
+        monkeypatch.setattr(bundles, name, counted)
+        monkeypatch.setattr(cli, name, counted)
+    monkeypatch.setattr(
+        bundles, "_section_kernel_dims", counting(bundles, "_section_kernel_dims")
+    )
     path = write_problem(tmp_path, "cubic.ci", CUBIC_F7_CORANK_1)
     code, out = run(capsys, "classify-line", path)
     report = json.loads(out)
-    assert code == 0 and len(calls) == 1
+    assert code == 0
+    assert Counter(calls) == {
+        "normal_splitting_line": 1,
+        "tangent_cohomology": 1,
+        "_section_kernel_dims": 2,
+    }
     assert report["tangent_splitting"] == sorted([2] + report["normal_splitting"], reverse=True)
 
 

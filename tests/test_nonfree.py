@@ -298,8 +298,6 @@ def test_a_symbolic_report_holds_wherever_its_genericity_conditions_do(rng):
     for _ in range(65):
         x, line = next(cases)
         rep = expected_pair_report(x, line)
-        if rep.corank is not None and rep.corank >= 2:
-            continue  # such a report states no genericity conditions
         conditions = rep.genericity.conditions
         while True:
             values = {name: rng.randrange(BIG.p) for name in x.coeff_ring.names}
@@ -313,13 +311,29 @@ def test_a_symbolic_report_holds_wherever_its_genericity_conditions_do(rng):
             rep.local_dimension,
         )
         seen.add((rep.verdict, rep.corank, bool(conditions)))
-    # the cases reach every verdict a line on X gets at corank <= 1, each
-    # with conditions to avoid
+    # the cases reach every verdict a line on X gets, at corank 0, 1 and
+    # 2, each with conditions to avoid
     assert {
         ("SmoothExpectedDim", 1, True),
         ("NotSmoothOrExcess", 1, True),
+        ("NotSmoothOrExcess", 2, True),
         ("NotInJ", 0, True),
     } <= seen
+
+
+def test_a_corank_two_report_states_its_rank_certificate():
+    """At corank >= 2 the matrix rank holds off the zero set of the M(h)
+    rank certificate, and the report states that certificate as its
+    genericity condition: here the rank is 2 for generic c and 1 at
+    c1 = 0, c2 = 5."""
+    forms = ["3*c1*S*Z1 + 5*Z1*Z2 + Z2*Z3", "3*c2*T*Z1 + 5*c2*T*Z3 + c1*Z1*Z2"]
+    x = make_ci(BIG, 4, (2, 2), forms, params=("c1", "c2"))
+    line = LineChartPoint.standard(BIG, 4)
+    rep = expected_pair_report(x, line)
+    assert (rep.verdict, rep.corank, rep.matrix_rank) == ("NotSmoothOrExcess", 2, 2)
+    assert rep.certificate is None
+    assert [str(c) for c in rep.genericity.conditions] == ["15*c1*c2"]
+    assert expected_pair_report(specialized(x, {"c1": 0, "c2": 5}), line).matrix_rank == 1
 
 
 def test_sampled_mode_report():
