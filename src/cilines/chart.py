@@ -195,17 +195,20 @@ def nonfree_matrix(x: CompleteIntersection, at: LineChartPoint) -> NonFreeMatrix
 # -- smoothness along a curve -------------------------------------------------
 
 
-def _bf_det(grid: list[list[BinaryForm]]) -> BinaryForm:
-    k = len(grid)
-    if k == 1:
-        return grid[0][0]
-    total = sum(row[0].degree for row in grid)
-    acc = BinaryForm.zero(grid[0][0].field, total)
-    for j in range(k):
-        minor = [[row[c] for c in range(k) if c != j] for row in grid[1:]]
-        term = grid[0][j] * _bf_det(minor)
-        acc = acc + (term if j % 2 == 0 else -term)
-    return acc
+def _maximal_minors(jac: Sequence[Sequence[BinaryForm]]) -> dict[tuple[int, ...], BinaryForm]:
+    """The r x r minors of an r-row grid, keyed by their column tuple. Level
+    k + 1 expands each minor along row k over the minors of level k,
+    sum_p (-1)^(k+p) jac[k][c_p] * M_k(cols without c_p): each is formed once."""
+    minors = {(c,): e for c, e in enumerate(jac[0])}
+    for k in range(1, len(jac)):
+        level = {}
+        for cols in itertools.combinations(range(len(jac[k])), k + 1):
+            for p, c in enumerate(cols):
+                term = jac[k][c] * minors[cols[:p] + cols[p + 1 :]]
+                term = -term if (k + p) % 2 else term
+                level[cols] = level[cols] + term if p else term
+        minors = level
+    return minors
 
 
 def restricted_jacobian(
@@ -256,10 +259,10 @@ def line_jacobian(
     return rows
 
 
-#: most Laplace terms, C(N+1, r) * r!, in the maximal minors of a smoothness
-#: check along a curve: on one Xeon core (Python 3.11) 17,160 (N = 12, r = 4)
-#: take 0.4 s along a line, 2.6 s at curve degree 100 and 9.7 s at 400, and
-#: 55,440 (N = 10, r = 5) about 1.1 s along a line
+#: most terms, C(N+1, r) * r!, in the maximal minors of a smoothness check
+#: along a curve (r! signed products per minor). On one Xeon core (Python
+#: 3.11) the 17,160 of four quadrics in P^12 take 0.04 s along a line, 0.5 s
+#: at curve degree 100 and 2.0 s at 400
 MAX_MINOR_TERMS = 20_000
 
 
@@ -274,16 +277,11 @@ def smooth_along_components(
     terms = math.comb(x.n + 1, r) * math.factorial(r)
     if terms > MAX_MINOR_TERMS:  # refused before any minor is formed
         raise BudgetExceeded(
-            f"the {r} x {r} minors of the Jacobian along the curve have {terms} "
-            f"Laplace terms; a smoothness check expands at most "
+            f"the {r} x {r} minors of the Jacobian along the curve have "
+            f"C(N+1, r) * r! = {terms} terms; a smoothness check takes at most "
             f"MAX_MINOR_TERMS = {MAX_MINOR_TERMS}"
         )
-    minors = []
-    for cols in itertools.combinations(range(x.n + 1), r):
-        sub = [[jac[i][c] for c in cols] for i in range(r)]
-        m = _bf_det(sub)
-        if not m.is_zero:
-            minors.append(m)
+    minors = [m for m in _maximal_minors(jac).values() if not m.is_zero]
     if not minors:
         return False
     return binary_gcd(minors).degree == 0

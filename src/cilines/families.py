@@ -62,6 +62,8 @@ class FamilySpec:
         if self.name == "ci-4-3-P9":
             object.__setattr__(self, "n", 9)
             object.__setattr__(self, "degrees", (4, 3))
+        if self.name.startswith("hyp-") and self.degrees is not None and len(self.degrees) != 1:
+            raise ConstraintViolated(f"{self.name} needs N and d: one degree, not {len(self.degrees)}")
         if self.n is not None and self.n > MAX_FAMILY_N:
             raise BudgetExceeded(f"N = {self.n} exceeds MAX_FAMILY_N = {MAX_FAMILY_N}")
 
@@ -81,24 +83,34 @@ class FamilySpec:
 
 def parse_family_spec(text: str) -> FamilySpec:
     """Parse 'name' or 'name:key=value,...' with keys N, d, degrees
-    ('+'-separated), r, c (symbolic|sampled), seed."""
+    ('+'-separated), r, c (symbolic|sampled), seed. A key given twice, more
+    than one of d, degrees and r, a size key on a fixed family and any
+    other key are refused (ParseError)."""
     text = text.strip()
     name, _, tail = text.partition(":")
+    fixed = name in ("hyp-4-6", "ci-4-3-P9")
+    known = ("c", "seed") if fixed else ("N", "d", "degrees", "r", "c", "seed")
     opts: dict[str, str] = {}
     if tail:
         for piece in tail.split(","):
             if "=" not in piece:
                 raise ParseError(f"bad family option {piece!r}")
-            key, val = piece.split("=", 1)
-            opts[key.strip()] = val.strip()
+            key, val = (part.strip() for part in piece.split("=", 1))
+            if key in opts:
+                raise ParseError(f"family option {key!r} given twice")
+            if key not in known:
+                raise ParseError(f"{name} reads the keys {', '.join(known)}, not {key!r}")
+            opts[key] = val
+    if sum(key in opts for key in ("d", "degrees", "r")) > 1:
+        raise ParseError("a family spec takes at most one of d, degrees and r")
     try:
         n = int(opts["N"]) if "N" in opts else None
         degrees: tuple[int, ...] | None = None
         if "d" in opts:
             degrees = (int(opts["d"]),)
-        if "degrees" in opts:
+        elif "degrees" in opts:
             degrees = tuple(int(x) for x in opts["degrees"].split("+"))
-        if "r" in opts:
+        elif "r" in opts:
             r = int(opts["r"])
             if r > MAX_FAMILY_N:  # refused before the tuple is built
                 raise BudgetExceeded(f"r = {r} exceeds MAX_FAMILY_N = {MAX_FAMILY_N}")
@@ -169,7 +181,7 @@ def _pair_sum(ring: PolyRing, lo: int, hi: int) -> MultiPoly:
     return acc
 
 
-def _hyp_tail(ring: PolyRing, n: int, d: int, top: int) -> MultiPoly:
+def _hyp_tail(ring: PolyRing, d: int, top: int) -> MultiPoly:
     """Quadric-in-Z tail occupying Z_d..Z_top, branching on the parity of
     the number of slots so that no coordinate is wasted."""
     s, t = ring.var("S"), ring.var("T")
@@ -181,10 +193,6 @@ def _hyp_tail(ring: PolyRing, n: int, d: int, top: int) -> MultiPoly:
     return head + t ** (d - 2) * _pair_sum(ring, d + 1, top)
 
 
-def _sum_tail(degrees: tuple[int, ...], i0: int) -> int:
-    return sum(degrees[i0 - 1 :])
-
-
 def build_family(spec: FamilySpec, field: Field, force: bool = False) -> BuiltFamily:
     """Construct the named family over the given field.
 
@@ -192,58 +200,7 @@ def build_family(spec: FamilySpec, field: Field, force: bool = False) -> BuiltFa
     characteristic 2, where the construction observably fails.
     """
     notes: list[str] = []
-    if spec.name in ("hyp-4-6", "hyp-general", "hyp-char-not-2"):
-        if spec.n is None or not spec.degrees:  # r=0 leaves no degree
-            raise ConstraintViolated("hyp-general needs N and d")
-        n, d = spec.n, spec.degrees[0]
-        _require(3 <= d, "3 <= d")
-        _require(d <= n - 2, "d <= N-2")
-        coeffs, values = _coeff_ring(field, spec, d - 1)
-        ring = PolyRing(coeffs, ambient_variables(n))
-        if spec.name == "hyp-char-not-2":
-            if field.characteristic == 2 and not force:
-                raise CharTwoForbidden("this tail squares coordinates; use hyp-general in characteristic 2")
-            if field.characteristic == 2:
-                notes.append("forced build in characteristic 2; expected to fail the smoothness criterion")
-            t = ring.var("T")
-            tail = t ** (d - 2) * sum(
-                (ring.var(f"Z{j}") * ring.var(f"Z{j}") for j in range(d, n)), ring.zero()
-            )
-        else:
-            tail = _hyp_tail(ring, n, d, n - 1)
-        h = _hyp_head(ring, values, d) + tail
-        x = CompleteIntersection(CIType(n, (d,)), (h,))
-
-    elif spec.name in ("mixed-general", "ci-4-3-P9"):
-        if spec.name == "ci-4-3-P9":
-            notes.append(
-                "the published middle term of h^2 reads T*Z7, which is not "
-                "homogeneous of degree 3; the builder uses S*T*Z7, the form "
-                "whose derivative rows match the published ones"
-            )
-        if spec.n is None or not spec.degrees:  # r=0 leaves no degree
-            raise ConstraintViolated("mixed-general needs N and degrees")
-        n, degrees = spec.n, spec.degrees
-        d1 = degrees[0]
-        _require(d1 >= 3, "d^1 >= 3")
-        _require(all(d >= 2 for d in degrees), "all d^i >= 2")
-        _require(sum(degrees) <= n - 2, "|d| <= N-2")
-        coeffs, values = _coeff_ring(field, spec, d1 - 1)
-        ring = PolyRing(coeffs, ambient_variables(n))
-        s, t = ring.var("S"), ring.var("T")
-        top1 = n - 1 - _sum_tail(degrees, 2)
-        h1 = _hyp_head(ring, values, d1) + _hyp_tail(ring, n, d1, top1)
-        forms = [h1]
-        for i in range(2, len(degrees) + 1):
-            di = degrees[i - 1]
-            start = n - _sum_tail(degrees, i)
-            acc = ring.zero()
-            for k in range(di):
-                acc = acc + s ** (di - 1 - k) * t ** k * ring.var(f"Z{start + k}")
-            forms.append(acc)
-        x = CompleteIntersection(CIType(n, degrees), tuple(forms))
-
-    elif spec.name == "quadrics-general":
+    if spec.name == "quadrics-general":
         if spec.n is None or spec.degrees is None:
             raise ConstraintViolated("quadrics-general needs N and r")
         n, r = spec.n, len(spec.degrees)
@@ -273,8 +230,42 @@ def build_family(spec: FamilySpec, field: Field, force: bool = False) -> BuiltFa
                 "independent row reduction of the nine derivative rows gives 9"
             )
 
-    else:  # pragma: no cover - names are validated in FamilySpec
-        raise ParseError(f"unknown family {spec.name!r}")
+    else:  # the head-form families; a hyp-* family has one degree
+        if spec.name == "ci-4-3-P9":
+            notes.append(
+                "the published middle term of h^2 reads T*Z7, which is not "
+                "homogeneous of degree 3; the builder uses S*T*Z7, the form "
+                "whose derivative rows match the published ones"
+            )
+        if spec.n is None or not spec.degrees:  # r=0 leaves no degree
+            raise ConstraintViolated(f"{spec.name} needs N and degrees")
+        n, degrees = spec.n, spec.degrees
+        d1 = degrees[0]
+        _require(d1 >= 3, "d^1 >= 3")
+        _require(all(d >= 2 for d in degrees), "all d^i >= 2")
+        _require(sum(degrees) <= n - 2, "|d| <= N-2")
+        coeffs, values = _coeff_ring(field, spec, d1 - 1)
+        ring = PolyRing(coeffs, ambient_variables(n))
+        s, t = ring.var("S"), ring.var("T")
+        top1 = n - 1 - sum(degrees[1:])
+        if spec.name == "hyp-char-not-2":
+            if field.characteristic == 2 and not force:
+                raise CharTwoForbidden("this tail squares coordinates; use hyp-general in characteristic 2")
+            if field.characteristic == 2:
+                notes.append("forced build in characteristic 2; expected to fail the smoothness criterion")
+            squares = (ring.var(f"Z{j}") * ring.var(f"Z{j}") for j in range(d1, top1 + 1))
+            tail = t ** (d1 - 2) * sum(squares, ring.zero())
+        else:
+            tail = _hyp_tail(ring, d1, top1)
+        forms = [_hyp_head(ring, values, d1) + tail]
+        for i in range(2, len(degrees) + 1):
+            di = degrees[i - 1]
+            start = n - sum(degrees[i - 1 :])
+            acc = ring.zero()
+            for k in range(di):
+                acc = acc + s ** (di - 1 - k) * t ** k * ring.var(f"Z{start + k}")
+            forms.append(acc)
+        x = CompleteIntersection(CIType(n, degrees), tuple(forms))
 
     line = LineChartPoint.standard(field, x.n)
     return BuiltFamily(spec, x, line, tuple(notes), values)

@@ -5,6 +5,7 @@ import math
 import pytest
 
 from cilines.chart import (
+    _maximal_minors,
     all_lines_fq,
     chart_image,
     enumerate_lines_fq,
@@ -14,9 +15,10 @@ from cilines.chart import (
     move_line_to_chart,
     nonfree_matrix,
     restricted_jacobian,
+    smooth_along_components,
 )
 from cilines.errors import BudgetExceeded, ConstraintViolated, InfiniteField, LineNotContained
-from cilines.exactmatrix import ExactMatrix, kernel_basis, rank_exact
+from cilines.exactmatrix import ExactMatrix, det, kernel_basis, rank_exact
 from cilines.families import FamilySpec, build_family
 from cilines.fields import RATIONALS, prime_field
 from cilines.geometry import (
@@ -26,7 +28,7 @@ from cilines.geometry import (
     ambient_variables,
     restrict_along,
 )
-from cilines.multipoly import PolyRing
+from cilines.multipoly import BinaryForm, PolyRing
 from cilines.params import ParamRing
 from cilines.polytext import parse_poly
 
@@ -391,6 +393,47 @@ def test_fermat_quintic_line_smooth_after_swap():
     # (s : t : -s : -t) sits in the chart already
     assert target is not None
     assert is_smooth_along_line(x, chart_point(target))
+
+
+def _det_at(grid, t, field):
+    """det of the grid of binary forms evaluated at (1 : t), by Bareiss."""
+    ring = ParamRing(field, ())
+    rows = [[ring.const(sum(c * t**k for k, c in enumerate(f.coeffs))) for f in row] for row in grid]
+    return det(ExactMatrix.from_rows(ring, rows)).constant_value()
+
+
+def test_maximal_minors_match_determinants_at_enough_points(rng):
+    """Each minor of degree D, evaluated at (1 : t) for t = 0..D, equals
+    the determinant of the evaluated submatrix; over F_101 D + 1 < 101
+    points fix a form of degree D, so this checks every minor exactly."""
+    field = prime_field(101)
+    for r in range(1, 5):
+        for width in range(r + 1, r + 4):
+            degrees = [rng.randint(0, 3) for _ in range(r)]
+            jac = [
+                [BinaryForm(field, d, tuple(rng.randrange(101) for _ in range(d + 1))) for _ in range(width)]
+                for d in degrees
+            ]
+            minors = _maximal_minors(jac)
+            assert list(minors) == list(itertools.combinations(range(width), r))
+            for cols, m in minors.items():
+                assert m.degree == sum(degrees)
+                sub = [[row[c] for c in cols] for row in jac]
+                for t in range(m.degree + 1):
+                    value = sum(c * t**k for k, c in enumerate(m.coeffs))
+                    assert field.make(value) == _det_at(sub, t, field)
+
+
+def test_proportional_jacobian_rows_have_only_zero_minors(rng):
+    """Two forms h and 3h: the rows of the restricted Jacobian are
+    proportional, every 2 x 2 minor vanishes, and X is not smooth along
+    the line."""
+    field = prime_field(101)
+    h = random_homogeneous(rng, ambient_ring(field, 4), 2)
+    x = CompleteIntersection(CIType(4, (2, 2)), (h, 3 * h))
+    jac = restricted_jacobian(x, line_param(LineChartPoint.standard(field, 4)).components)
+    assert all(m.is_zero for m in _maximal_minors(jac).values())
+    assert not smooth_along_components(x, jac)
 
 
 # -- enumeration over finite fields -----------------------------------------------------

@@ -15,7 +15,10 @@ from cilines.cli import (
     load_problem,
     main,
 )
+from cilines.errors import ConstraintViolated
+from cilines.families import FamilySpec
 from cilines.fields import prime_field
+from cilines.multipoly import BinaryForm
 
 from conftest import ambient_ring, random_homogeneous
 
@@ -115,6 +118,16 @@ LINEAR_SECTION_P12 = (
     + "".join(f"form: Z{j}\n" for j in range(1, 7))
     + "line: " + ", ".join(["0"] * 11) + " | " + ", ".join(["0"] * 11) + "\n"
     + "curve: s ; t" + " ; 0" * 11 + "\n"
+)
+
+# four quadrics in P^12 over F_7 through the standard line: C(13, 4) = 715
+# maximal minors, 17,160 terms in all, under chart.MAX_MINOR_TERMS
+FOUR_QUADRICS_P12 = (
+    "field: F:7\nN: 12\ndegrees: 2, 2, 2, 2\n"
+    "form: S*Z1 + T*Z2 + Z5^2\nform: S*Z3 + T*Z4 + Z6^2\n"
+    "form: S*Z5 + T*Z6 + Z7^2\nform: S*Z7 + T*Z8 + Z9^2\n"
+    "line: " + ", ".join(["0"] * 11) + " | " + ", ".join(["0"] * 11) + "\n"
+    "curve: s ; t" + " ; 0" * 11 + "\n"
 )
 
 
@@ -356,6 +369,37 @@ def test_curve_check_past_the_minor_budget_exits_2_at_once(capsys, tmp_path):
     assert code == 2
     report = json.loads(out)
     assert report["error"] == "BudgetExceeded" and "MAX_MINOR_TERMS" in report["message"]
+
+
+def test_curve_check_forms_each_subminor_once(capsys, tmp_path, monkeypatch):
+    """Row by row, each k x k minor on the first k rows is formed once from
+    k products: sum_{k=2..4} k * C(13, k) = 3,874 products for the 715
+    maximal minors of the four quadrics, where expanding each minor on its
+    own took 28,600."""
+    import cilines.bundles as bundles
+    import cilines.chart as chart
+
+    inside, products = [], []
+    mul, smooth = BinaryForm.__mul__, chart.smooth_along_components
+
+    def counted_mul(a, b):
+        products.extend(inside)
+        return mul(a, b)
+
+    def counted_smooth(x, jac):
+        inside.append(1)
+        try:
+            return smooth(x, jac)
+        finally:
+            inside.pop()
+
+    monkeypatch.setattr(BinaryForm, "__mul__", counted_mul)
+    for module in (chart, bundles):
+        monkeypatch.setattr(module, "smooth_along_components", counted_smooth)
+    code, out = run(capsys, "curve-check", write_problem(tmp_path, "q4.ci", FOUR_QUADRICS_P12))
+    report = json.loads(out)
+    assert code == 0 and (report["h0"], report["h1"], report["free"]) == (5, 0, True)
+    assert len(products) == 3874
 
 
 def test_corank_one_line_takes_no_determinant_of_full_size(capsys, tmp_path, monkeypatch):
@@ -662,6 +706,30 @@ def test_verify_example_char2_forbidden_exits_2(capsys):
     code, out = run(capsys, "verify-example", "hyp-char-not-2:N=6,d=4", "--char", "2")
     assert code == 2
     assert json.loads(out)["error"] == "CharTwoForbidden"
+
+
+def test_a_hypersurface_family_with_two_degrees_exits_2(capsys):
+    """It once reported the hypersurface of the first degree alone."""
+    code, out = run(capsys, "verify-example", "hyp-general:N=9,degrees=3+2")
+    assert code == 2
+    report = json.loads(out)
+    assert report["error"] == "ConstraintViolated" and "one degree" in report["message"]
+    with pytest.raises(ConstraintViolated, match="one degree"):
+        FamilySpec("hyp-general", 9, (3, 2))
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [
+        "hyp-4-6:N=9,d=5",  # once built N = 6, d = 4
+        "quadrics-general:N=8,r=3,d=3",  # once dropped d
+        "hyp-general:N=9,d=4,d=5",  # once kept the last d
+    ],
+    ids=["size-of-a-fixed-family", "second-size-key", "repeated-key"],
+)
+def test_a_family_spec_key_that_would_be_dropped_exits_1(capsys, spec):
+    code, out = run(capsys, "verify-example", spec)
+    assert code == 1 and json.loads(out)["error"] == "ParseError"
 
 
 def test_parse_errors_exit_1(capsys, tmp_path):

@@ -3,7 +3,8 @@
 degree lists, c modes, seeds) and a characteristic. Every spec must end,
 within the deadline, in a JSON report (exit 0), a ParseError (exit 1) or
 another named error (exit 2) other than InvariantViolated, which marks a
-bug; nothing may escape main. It skips when hypothesis is not installed."""
+bug; nothing may escape main. A report names the family it built, which
+must parse to the one asked for. It skips when hypothesis is not installed."""
 
 import contextlib
 import io
@@ -18,7 +19,7 @@ from hypothesis import strategies as st
 
 from cilines import errors
 from cilines.cli import main
-from cilines.families import FAMILY_NAMES
+from cilines.families import FAMILY_NAMES, parse_family_spec
 
 NAMED_ERRORS = {
     name
@@ -48,6 +49,7 @@ specs = st.builds(
 @settings(max_examples=60, deadline=2000)
 @given(specs, st.sampled_from((0, 2, 3, 5)), st.none() | st.integers(-3, 2**31))
 @example("hyp-general:N=0,r=0", 0, None)  # once an IndexError in build_family
+@example("hyp-general:N=9,degrees=3+2", 0, None)  # once reported as d=3
 def test_verify_example_gives_a_report_or_a_named_error(spec, char, seed):
     argv = ["verify-example", spec, "--char", str(char)]
     if seed is not None:
@@ -59,6 +61,10 @@ def test_verify_example_gives_a_report_or_a_named_error(spec, char, seed):
     if code == 0:
         assert report["command"] == "verify-example"
         assert "verdict" in report
+        asked, built = parse_family_spec(spec), parse_family_spec(report["family"])
+        assert (built.name, built.n, built.degrees, built.c_mode) == (
+            asked.name, asked.n, asked.degrees, asked.c_mode
+        )
     elif code == 1:
         assert report["error"] == "ParseError"
     else:

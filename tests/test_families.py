@@ -29,6 +29,15 @@ def test_hyp_4_6_equals_hyp_general_6_4():
     assert a.x.forms == b.x.forms
 
 
+def test_hyp_char_not_2_squares_its_tail():
+    built = build_family(FamilySpec("hyp-char-not-2", 9, (5,)), RATIONALS)
+    assert [str(f) for f in built.x.forms] == [
+        "c1*S^4*Z1 + c2*S^4*Z2 + c3*S^4*Z3 + c4*S^4*Z4 - S^3*T*Z1 - S^2*T^2*Z2"
+        " - S*T^3*Z3 - T^4*Z4 + T^3*Z5^2 + T^3*Z6^2 + T^3*Z7^2 + T^3*Z8^2"
+    ]
+    assert built.x.ci_type == CIType(9, (5,)) and built.notes == ()
+
+
 def test_quadrics_7_2_is_the_worked_example():
     built = build_family(FamilySpec("quadrics-general", 7, (2, 2)), RATIONALS)
     assert [str(f) for f in built.x.forms] == [
@@ -75,9 +84,9 @@ def test_parity_branches_of_hyp_general():
 
 
 def test_constraint_violations_are_named():
-    with pytest.raises(ConstraintViolated, match="3 <= d"):
+    with pytest.raises(ConstraintViolated, match="d\\^1 >= 3"):
         build_family(FamilySpec("hyp-general", 6, (2,)), RATIONALS)
-    with pytest.raises(ConstraintViolated, match="d <= N-2"):
+    with pytest.raises(ConstraintViolated, match="\\|d\\| <= N-2"):
         build_family(FamilySpec("hyp-general", 5, (4,)), RATIONALS)
     with pytest.raises(ConstraintViolated, match="d\\^1 >= 3"):
         build_family(FamilySpec("mixed-general", 9, (2, 2)), RATIONALS)
