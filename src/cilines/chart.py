@@ -113,15 +113,6 @@ class MembershipSystem:
     def all_polys(self) -> tuple[MultiPoly, ...]:
         return tuple(f for sys in self.systems for f in sys)
 
-    def evaluate(self, point: LineChartPoint) -> tuple[ParamScalar, ...]:
-        vals = point.values(self.ci_type.ambient_dim)
-        return tuple(f.evaluate(vals) for f in self.all_polys())
-
-    def contains(self, point: LineChartPoint) -> bool:
-        """Line containment; with symbolic parameters this asks for
-        vanishing identically in the parameters."""
-        return all(v.is_zero for v in self.evaluate(point))
-
 
 def membership_system(x: CompleteIntersection) -> MembershipSystem:
     n = x.n
@@ -181,15 +172,22 @@ def _nonfree_entries(ms: MembershipSystem) -> tuple[tuple[MultiPoly, ...], ...]:
 
 def nonfree_matrix(x: CompleteIntersection, at: LineChartPoint) -> NonFreeMatrix:
     """Build M(h) at a chart line, which must lie on X, with the rank of
-    the evaluated matrix."""
+    the evaluated matrix. One jet per f^i_k at the line gives its value,
+    for the containment check, and its a_j-partials, the evaluated column
+    of M(h)."""
     ms = membership_system(x)
-    if not ms.contains(at):
-        raise LineNotContained("the chart line is not on X")
-    entries = _nonfree_entries(ms)
+    avars, _ = chart_variables(x.n)
     vals = at.values(x.n)
-    grid = [[e.evaluate(vals) for e in row] for row in entries]
-    matrix = ExactMatrix.from_rows(x.coeff_ring, grid)
-    return NonFreeMatrix(x.ci_type, entries, at, matrix, rank_exact(matrix))
+    columns = []
+    for sys in ms.systems:
+        for k, f in enumerate(sys):
+            value, partials = f.jet_at(avars if k < len(sys) - 1 else (), vals)
+            if not value.is_zero:
+                raise LineNotContained("the chart line is not on X")
+            if partials:
+                columns.append(partials)
+    matrix = ExactMatrix.from_rows(x.coeff_ring, [list(row) for row in zip(*columns)])
+    return NonFreeMatrix(x.ci_type, _nonfree_entries(ms), at, matrix, rank_exact(matrix))
 
 
 # -- smoothness along a curve -------------------------------------------------

@@ -259,6 +259,8 @@ def _line_splitting(
 def _cmd_verify_example(args) -> dict:
     spec = parse_family_spec(args.family)
     if args.seed is not None:
+        if spec.c_mode != "sampled":
+            raise ParseError("--seed is read only with c=sampled")
         spec = FamilySpec(spec.name, spec.n, spec.degrees, spec.c_mode, args.seed)
     field = RATIONALS if args.char == 0 else prime_field(args.char)
     built, rep = family_report(spec, field)
@@ -400,7 +402,7 @@ def build_parser() -> _Parser:
     p = sub.add_parser("verify-example", help="rebuild a named family and verify the expected pair")
     p.add_argument("family", help="family spec, e.g. hyp-4-6 or quadrics-general:N=7,r=2")
     p.add_argument("--char", type=int, default=0, help="field characteristic (0 for Q)")
-    p.add_argument("--seed", type=int, default=None, help="seed for sampled parameter mode")
+    p.add_argument("--seed", type=int, default=None, help="seed for c=sampled; refused otherwise")
     p.set_defaults(run=_cmd_verify_example)
 
     p = sub.add_parser("classify-line", help="freeness and splitting data of a given line")

@@ -84,8 +84,8 @@ class FamilySpec:
 def parse_family_spec(text: str) -> FamilySpec:
     """Parse 'name' or 'name:key=value,...' with keys N, d, degrees
     ('+'-separated), r, c (symbolic|sampled), seed. A key given twice, more
-    than one of d, degrees and r, a size key on a fixed family and any
-    other key are refused (ParseError)."""
+    than one of d, degrees and r, a size key on a fixed family, a seed
+    without c=sampled and any other key are refused (ParseError)."""
     text = text.strip()
     name, _, tail = text.partition(":")
     fixed = name in ("hyp-4-6", "ci-4-3-P9")
@@ -118,6 +118,8 @@ def parse_family_spec(text: str) -> FamilySpec:
         c_mode = opts.get("c", "symbolic")
         if c_mode not in ("symbolic", "sampled"):
             raise ParseError(f"bad c mode {c_mode!r}")
+        if "seed" in opts and c_mode != "sampled":
+            raise ParseError("a family spec reads seed only with c=sampled")
         seed = int(opts.get("seed", "0"))
     except ValueError as exc:
         raise ParseError(f"bad family option value: {exc}") from None

@@ -8,7 +8,9 @@ ring's variables adjoined after the parameters, so an exponent vector
 holds the parameter exponents and then the variable exponents. Sums,
 products and powers are those of ParamScalar. `terms` groups the flat
 terms by their variable exponents, each coefficient a ParamScalar in the
-parameters alone, which is how a polynomial prints.
+parameters alone, which is how a polynomial prints. `jet_at` reads a
+polynomial's value and first partials at a point from one walk over the
+flat terms.
 
 BinaryForm is the dense degree-d form in the line coordinates (s:t),
 stored as its vector of base-field coefficients against the monomial
@@ -41,6 +43,7 @@ from .params import (
     _term_text,
     evaluate_from,
     grlex_key,
+    jet_from,
 )
 
 
@@ -227,14 +230,18 @@ class MultiPoly:
 
     # -- calculus -----------------------------------------------------------
 
+    def _slot(self, v: str) -> int:
+        """The place of variable v in a flat exponent vector."""
+        try:
+            return self.ring.coeffs.k + self.ring.variables.index(v)
+        except ValueError:
+            raise UnknownVariable(f"variable {v!r} not in ring {self.ring.variables}") from None
+
     def differentiate(self, v: str) -> "MultiPoly":
         """Formal partial derivative; exponent multiples of the
         characteristic annihilate because the exponent is reduced into
         the base field."""
-        try:
-            i = self.ring.coeffs.k + self.ring.variables.index(v)  # its place in a flat key
-        except ValueError:
-            raise UnknownVariable(f"variable {v!r} not in ring {self.ring.variables}") from None
+        i = self._slot(v)
         field = self.ring.coeffs.field
         terms = []
         for e, c in self.flat.terms:
@@ -287,11 +294,27 @@ class MultiPoly:
         coeffs = self.ring.coeffs
         return coeffs.from_terms(evaluate_from(self.flat, coeffs.k, values))
 
+    def jet_at(
+        self, names: Sequence[str], values: Mapping[str, Scalar]
+    ) -> tuple[ParamScalar | None, list[ParamScalar]]:
+        """The value at `values` and the partials by `names` there, from one
+        walk over the flat terms (params.jet_from); no derivative is formed.
+        A value is read only where a term uses it: the value is None when a
+        term uses one that is missing or not in the field, and a partial
+        that reads one raises."""
+        coeffs = self.ring.coeffs
+        slots = [self._slot(v) for v in names]
+        value, partials = jet_from(self.flat, coeffs.k, slots, values)
+        return (
+            None if value is None else coeffs.from_terms(value),
+            [coeffs.from_terms(d) for d in partials],
+        )
+
     def gradient_at(
         self, names: Sequence[str], values: Mapping[str, Scalar]
     ) -> list[ParamScalar]:
-        """The derivatives by `names`, each evaluated at `values`."""
-        return [self.differentiate(v).evaluate(values) for v in names]
+        """The partials by `names` at `values` (jet_at)."""
+        return self.jet_at(names, values)[1]
 
     def split(self, front: Sequence[str]) -> dict[Exps, "MultiPoly"]:
         """Collect terms by their exponents in `front`, returning
@@ -324,15 +347,50 @@ class MultiPoly:
     # -- printing ---------------------------------------------------------------
 
     def __str__(self) -> str:
+        """One pass over the terms in descending graded-lex order of their
+        variable exponents. With no parameters that is the flat order, and
+        each flat term prints as it stands; with parameters the flat terms
+        are grouped by their variable exponents first. The text of each
+        variable power is formed once (_power_texts)."""
         coeffs = self.ring.coeffs
-        groups = self._groups()
+        k, field = coeffs.k, coeffs.field
+        terms = self.flat.terms
+        if k:
+            groups: dict[Exps, list[tuple[Exps, Scalar]]] = {}
+            for e, c in terms:
+                groups.setdefault(e[k:], []).append((e[:k], c))
+            terms = sorted(groups.items(), key=lambda t: grlex_key(t[0]), reverse=True)
+        powers = _power_texts(self.ring.variables)
         return _print_sum(
-            (_monomial(self.ring.variables, e), *_coefficient(coeffs, groups[e]))
-            for e in sorted(groups, key=grlex_key, reverse=True)
+            (
+                "*".join([p[x] for p, x in zip(powers, e) if x]),
+                *(_coefficient(coeffs, c) if k else _signed(field, c)),
+            )
+            for e, c in terms
         )
 
 
 # -- printing -------------------------------------------------------------------
+
+
+class _Powers(dict):
+    """The text of one variable to the power x, under the key x, formed
+    when it is first asked for."""
+
+    def __init__(self, name: str) -> None:
+        super().__init__()
+        self.name = name
+
+    def __missing__(self, x: int) -> str:
+        text = self[x] = f"{self.name}^{x}" if x > 1 else self.name
+        return text
+
+
+@lru_cache(maxsize=256)
+def _power_texts(names: tuple[str, ...]) -> tuple[_Powers, ...]:
+    """The power texts of these variables, shared by every polynomial
+    printed in them."""
+    return tuple(map(_Powers, names))
 
 
 def _coefficient(coeffs: ParamRing, terms: list[tuple[Exps, Scalar]]) -> tuple[str, bool]:

@@ -19,8 +19,9 @@ point, has full rank |d| + r + m = N + r. Derivative rows for the f^i_k
 are read off M(h) itself: differentiating the composite with the chart
 parameterization by a_j (resp. b_j) multiplies the restricted partial by
 s (resp. t), which shifts its coefficient vector by one slot. Rows
-for the g_l are their first partials, each differentiated and then
-evaluated at the point (MultiPoly.gradient_at).
+for the g_l are their first partials at the point. Each comes with the
+value that checks g_l vanishes there from one walk over the terms of
+g_l (MultiPoly.jet_at), and no derivative polynomial is formed.
 
 With symbolic parameters the ranks are taken over the fraction field,
 and certificates (explicit nonzero polynomials in the parameters whose
@@ -111,14 +112,18 @@ def local_equations(x: CompleteIntersection, point: LineChartPoint) -> LocalEqua
     Raises NotCorankOne when the line is free (corank 0) or the drop is
     deeper than one (corank >= 2, unsupported).
     """
-    return _local_equations_from(x, nonfree_matrix(x, at=point))
+    return _local_equations_from(x, nonfree_matrix(x, at=point))[0]
 
 
-def _local_equations_from(x: CompleteIntersection, nf: NonFreeMatrix) -> LocalEquations:
-    """local_equations at the line of the evaluated M(h) `nf`; the pivot
-    rows are the lex-first row basis that nf.rank reports. One more
-    elimination, of the transposed pivot rows, gives the lex-first
-    columns as its pivot rows and the pivot minor as its certificate."""
+def _local_equations_from(
+    x: CompleteIntersection, nf: NonFreeMatrix
+) -> tuple[LocalEquations, list[list[ParamScalar]]]:
+    """local_equations at the line of the evaluated M(h) `nf`, and the
+    Jacobian rows of its minors there; the pivot rows are the lex-first
+    row basis that nf.rank reports. One more elimination, of the
+    transposed pivot rows, gives the lex-first columns as its pivot rows
+    and the pivot minor as its certificate. One jet per minor at the
+    line gives its vanishing check and its row."""
     point = nf.at
     pivot_rows = nf.rank.pivot_rows
     corank = x.ci_type.total_degree - nf.rank.rank
@@ -130,15 +135,20 @@ def _local_equations_from(x: CompleteIntersection, nf: NonFreeMatrix) -> LocalEq
     pivot = rank_exact(nf.matrix.submatrix(pivot_rows, range(nf.matrix.cols)).transpose())
 
     ab = chart_ring(x.coeff_ring, x.n)
+    avars, bvars = chart_variables(x.n)
     sym = [[e.flat for e in row] for row in nf.entries_ab]
     minors: list[MultiPoly] = []
+    rows: list[list[ParamScalar]] = []
     vals = point.values(x.n)
     for g_flat in bordered_minors(ab.flat, sym, pivot_rows):
         g = MultiPoly(ab, g_flat)
-        if not g.evaluate(vals).is_zero:
+        value, row = g.jet_at(avars + bvars, vals)
+        if not value.is_zero:
             raise InvariantViolated("bordered minor fails to vanish at the base point")
         minors.append(g)
-    return LocalEquations(point, pivot_rows, pivot.pivot_rows, pivot.certificate, tuple(minors))
+        rows.append(row)
+    pivot_cols, pivot_det = pivot.pivot_rows, pivot.certificate
+    return LocalEquations(point, pivot_rows, pivot_cols, pivot_det, tuple(minors)), rows
 
 
 def bordered_minors(
@@ -179,10 +189,11 @@ def jacobian_def_matrix(
 
     Rows come in the order f^1_0, ..., f^r_{d^r}, g_1, ..., g_m; the
     f-rows are assembled from `nf` by the coefficient shift, the g-rows
-    are the gradients of the bordered minors (differential_span_matrix).
+    are the gradients of the bordered minors at the line, read from the
+    jets that check their vanishing.
     """
     vals = nf.value_rows()  # vals[j][block i offset + k]
-    equations = _local_equations_from(x, nf)
+    equations, g_rows = _local_equations_from(x, nf)
     n = x.n
     degrees = x.ci_type.degrees
     ring = x.coeff_ring
@@ -197,7 +208,7 @@ def jacobian_def_matrix(
             db = [vals[j][lo + k - 1] if k >= 1 else zero for j in range(n - 1)]
             rows.append(da + db)
 
-    rows.extend(differential_span_matrix(x, list(equations.minors), nf.at).to_lists())
+    rows.extend(g_rows)
     return ExactMatrix.from_rows(ring, rows), equations
 
 

@@ -332,38 +332,112 @@ def sum_of_products(
 
 
 def evaluate_from(p: ParamScalar, keep: int, values: Mapping[str, Scalar]) -> dict[Exps, Scalar]:
-    """Set every exponent slot of p from `keep` on to the value of its
-    name, and sum the terms by their exponents in the slots before it.
-    Each value is brought into the field when a term first uses it, so an
-    unused value is never checked, and its powers are kept in a list per
-    slot (_power). A term's product and the sum under each key are taken
-    raw, and each sum is brought into the field once at the end. When a used slot has no value the error is UnknownVariable
-    naming every such slot, even if another value failed first."""
+    """The value part of jet_from: every exponent slot of p from `keep` on
+    set to the value of its name, summed by the exponents in the slots
+    before it. A value that a term uses and that is missing or not in the
+    field raises (_check_reads)."""
+    value, _ = jet_from(p, keep, (), values)
+    if value is None:
+        _check_reads(p, keep, None, values)
+    return value  # type: ignore[return-value]
+
+
+def jet_from(
+    p: ParamScalar, keep: int, slots: Sequence[int], values: Mapping[str, Scalar]
+) -> tuple[dict[Exps, Scalar] | None, list[dict[Exps, Scalar]]]:
+    """The value of p and its partials by `slots` (each `keep` or later),
+    with every slot from `keep` on set to the value of its name and the
+    terms summed by their exponents in the slots before it: one walk over
+    the terms, and no derivative is formed.
+
+    A term's product is taken raw, with a list of powers per slot
+    (_power), and it adds that product times x / v_z to the partial by
+    each slot z of exponent x, with 1 / v_z taken once per call. A term
+    with two or more slots at 0 adds nothing; with one, z, it adds its
+    product over the other slots to the partial by z when x = 1. An
+    exponent that is 0 mod p adds 0, as in a formal derivative. Each sum
+    is raw per key and brought into the field once.
+
+    A value is brought into the field when a term first uses it, so an
+    unused value is never checked. When a used value is missing or not in
+    the field, the value is None and a partial that reads one raises
+    (_check_reads).
+    """
     names, f = p.ring.names, p.ring.field
-    powers: list[list[Scalar] | None] = [None] * len(names)  # powers[i][x] = value_i^x
-    acc: dict[Exps, Scalar] = {}
-    get = acc.get
-    try:
-        for e, c in p.terms:
-            for i, x in enumerate(e[keep:], keep):
-                if x:
-                    row = powers[i]
-                    if row is None:
-                        row = powers[i] = [f.one, f.make(values[names[i]])]
-                    try:
-                        c *= row[x]
-                    except IndexError:
-                        c *= _power(f, row, x)
-            key = e[:keep]
-            acc[key] = get(key, 0) + c
-    except Exception:
-        used = {i for e, _ in p.terms for i, x in enumerate(e[keep:], keep) if x}
-        missing = sorted(names[i] for i in used if names[i] not in values)
-        if missing:
-            raise UnknownVariable(f"no value for {missing}") from None
-        raise
+    rows: list = [None] * len(names)  # rows[i][x] = v_i^x, or _UNREAD
+    invs: list = [None] * len(names)  # 1 / v_i, for a partial by i
+    parts: list = [None] * len(names)
+    for i in slots:
+        parts[i] = {}
+    value: dict[Exps, Scalar] = {}
+    unread = False
+    for e, c in p.terms:
+        key = e[:keep]
+        used = [(i, x) for i, x in enumerate(e[keep:], keep) if x]
+        odd = None  # the one used slot at 0 or unread, -1 for more
+        for i, x in used:
+            row = rows[i]
+            if row is None:
+                row = rows[i] = _read(f, values, names[i])
+                if row[1] and parts[i] is not None:
+                    invs[i] = f.inv(row[1])
+                unread = unread or row is _UNREAD
+            if row[1]:
+                try:
+                    c *= row[x]
+                except IndexError:
+                    c *= _power(f, row, x)
+            else:
+                odd = i if odd is None else -1
+        if odd is None:
+            value[key] = value.get(key, 0) + c
+            for i, x in used:
+                acc = parts[i]
+                if acc is not None:
+                    acc[key] = acc.get(key, 0) + c * x * invs[i]
+        elif odd >= 0 and e[odd] == 1 and parts[odd] is not None:
+            acc = parts[odd]
+            acc[key] = acc.get(key, 0) + c
     make = f.make
-    return {key: make(v) for key, v in acc.items()}
+    if unread:
+        for i in slots:
+            _check_reads(p, keep, i, values)
+    partials = [{key: make(v) for key, v in parts[i].items()} for i in slots]
+    return (None if unread else {key: make(v) for key, v in value.items()}), partials
+
+
+#: the power list of a slot whose value is missing or not in the field;
+#: its entry at 1 is falsy, as that of a slot at 0 is
+_UNREAD: list = [None, None]
+
+
+def _read(f: Field, values: Mapping[str, Scalar], name: str) -> list:
+    """The power list [1, v] of the value of `name`, or _UNREAD. Any
+    failure is deferred to _check_reads, which names a missing value even
+    when another value fails first, and raises only for what is read."""
+    try:
+        return [f.one, f.make(values[name])]
+    except Exception:
+        return _UNREAD
+
+
+def _check_reads(p: ParamScalar, keep: int, z: int | None, values: Mapping[str, Scalar]) -> None:
+    """Raise when an output of jet_from reads a value that is missing or
+    not in the field: the partial by slot z, or the value when z is None.
+    The error is UnknownVariable naming every missing value it reads, or
+    else the field's error on the first such value."""
+    names, f = p.ring.names, p.ring.field
+    char = f.characteristic
+    reads = set()
+    for e, _ in p.terms:
+        x = 0 if z is None else e[z]
+        if z is None or (x and (not char or x % char)):
+            reads.update(i for i, y in enumerate(e[keep:], keep) if y and (i != z or x > 1))
+    missing = sorted(names[i] for i in reads if names[i] not in values)
+    if missing:
+        raise UnknownVariable(f"no value for {missing}")
+    for i in sorted(reads):
+        f.make(values[names[i]])
 
 
 #: furthest past the end of a power list that _power extends it

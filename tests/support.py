@@ -7,7 +7,13 @@ from __future__ import annotations
 from typing import Sequence
 
 from cilines.bundles import SplittingType, normal_splitting_line, tangent_splitting_from_normal
-from cilines.chart import FqLine, line_jacobian, nonfree_matrix, smooth_along_components
+from cilines.chart import (
+    FqLine,
+    line_jacobian,
+    membership_system,
+    nonfree_matrix,
+    smooth_along_components,
+)
 from cilines.errors import ConstraintViolated
 from cilines.exactmatrix import ExactMatrix, kernel_basis, rank_exact
 from cilines.families import _hyp_head
@@ -22,6 +28,13 @@ def chart_line_jacobian(x: CompleteIntersection, point: LineChartPoint) -> list[
     """The Jacobian of X restricted along a chart line on X, read off M(h)
     at the line, as classify-line hands it to the bundle routes."""
     return line_jacobian(x, point, nonfree_matrix(x, at=point).matrix)
+
+
+def on_x(x: CompleteIntersection, point: LineChartPoint) -> bool:
+    """Whether the chart line lies on X: every membership polynomial
+    evaluated at it vanishes, identically in the parameters."""
+    vals = point.values(x.n)
+    return all(f.evaluate(vals).is_zero for f in membership_system(x).all_polys())
 
 
 def is_smooth_along_line(x: CompleteIntersection, point: LineChartPoint) -> bool:

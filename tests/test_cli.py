@@ -18,7 +18,7 @@ from cilines.cli import (
 from cilines.errors import ConstraintViolated
 from cilines.families import FamilySpec
 from cilines.fields import prime_field
-from cilines.multipoly import BinaryForm
+from cilines.multipoly import BinaryForm, MultiPoly
 
 from conftest import ambient_ring, random_homogeneous
 
@@ -248,6 +248,33 @@ def test_one_report_builds_m_h_once(capsys, tmp_path, monkeypatch):
     report = json.loads(out)
     assert code == 0 and report["corank"] == 1 and "normal_splitting" in report
     assert len(calls) == 1
+
+
+@pytest.mark.parametrize(
+    "text,n,total", [(CUBIC_THREEFOLD_F5, 4, 3), (PARAMETRIC_Q, 6, 4)], ids=["F5", "params"]
+)
+def test_classify_line_walks_each_polynomial_once_at_the_line(
+    capsys, tmp_path, monkeypatch, text, n, total
+):
+    """A classify-line report at a corank-1 line evaluates no polynomial
+    and differentiates only to build the symbolic M(h): the values and
+    partials at the line come from one jet per polynomial."""
+    calls = []
+    for name in ("evaluate", "differentiate"):
+        original = getattr(MultiPoly, name)
+
+        def counted(self, *args, _name=name, _original=original):
+            caller = sys._getframe(1)
+            while caller.f_code.co_name.startswith("<"):  # a generator expression
+                caller = caller.f_back
+            calls.append((_name, caller.f_code.co_name))
+            return _original(self, *args)
+
+        monkeypatch.setattr(MultiPoly, name, counted)
+    code, out = run(capsys, "classify-line", write_problem(tmp_path, "p.ci", text))
+    report = json.loads(out)
+    assert code == 0 and report["corank"] == 1 and report["num_local_equations"] >= 1
+    assert calls == [("differentiate", "_nonfree_entries")] * ((n - 1) * total)
 
 
 def test_classify_line_takes_the_normal_splitting_once(capsys, tmp_path, monkeypatch):
@@ -724,12 +751,22 @@ def test_a_hypersurface_family_with_two_degrees_exits_2(capsys):
         "hyp-4-6:N=9,d=5",  # once built N = 6, d = 4
         "quadrics-general:N=8,r=3,d=3",  # once dropped d
         "hyp-general:N=9,d=4,d=5",  # once kept the last d
+        "hyp-general:N=6,d=4,seed=3",  # once built the symbolic family
     ],
-    ids=["size-of-a-fixed-family", "second-size-key", "repeated-key"],
+    ids=["size-of-a-fixed-family", "second-size-key", "repeated-key", "seed-in-symbolic-mode"],
 )
 def test_a_family_spec_key_that_would_be_dropped_exits_1(capsys, spec):
     code, out = run(capsys, "verify-example", spec)
     assert code == 1 and json.loads(out)["error"] == "ParseError"
+
+
+def test_seed_option_on_a_symbolic_spec_exits_1(capsys):
+    """--seed is read in sampled mode only; a symbolic spec once dropped it."""
+    for spec in ("hyp-general:N=6,d=4", "hyp-4-6:c=symbolic"):
+        code, out = run(capsys, "verify-example", spec, "--seed", "3")
+        assert code == 1 and json.loads(out)["error"] == "ParseError"
+    code, out = run(capsys, "verify-example", "hyp-4-6:c=sampled", "--seed", "3")
+    assert code == 0 and json.loads(out)["family"] == "hyp-4-6:c=sampled,seed=3"
 
 
 def test_parse_errors_exit_1(capsys, tmp_path):

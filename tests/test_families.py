@@ -143,6 +143,21 @@ def test_family_spec_text_roundtrip():
 
 
 @pytest.mark.parametrize(
+    "text,sampled",
+    [
+        ("hyp-general:N=6,d=4,seed=3", "hyp-general:N=6,d=4,c=sampled,seed=3"),
+        ("hyp-4-6:seed=0", "hyp-4-6:seed=0,c=sampled"),
+        ("ci-4-3-P9:c=symbolic,seed=2", "ci-4-3-P9:c=sampled,seed=2"),
+    ],
+)
+def test_a_seed_without_sampled_mode_is_refused(text, sampled):
+    """A symbolic family draws nothing, so a seed given to it would be dropped."""
+    with pytest.raises(ParseError, match="seed only with c=sampled"):
+        parse_family_spec(text)
+    assert parse_family_spec(sampled).c_mode == "sampled"
+
+
+@pytest.mark.parametrize(
     "n,degrees,fano,iv,jei,prod,case",
     [
         (6, (4,), True, True, False, True, "NonFreeLineViaJ"),

@@ -83,6 +83,46 @@ def test_gradient_at_is_differentiate_then_evaluate(rng):
     assert p.gradient_at((), {}) == []
 
 
+@pytest.mark.parametrize("char", [0, 2, 3, 7])
+@pytest.mark.parametrize("params", [(), ("c1", "c2")])
+def test_jet_at_is_the_value_and_the_evaluated_derivatives(rng, char, params):
+    """jet_at against evaluate and differentiate-then-evaluate, with terms
+    whose exponents are multiples of p, at points with no, one, two or
+    every coordinate at 0."""
+    field = field_of_char(char)
+    ring = PolyRing(ParamRing(field, params), CHART_VARIABLES)
+    n = len(CHART_VARIABLES)
+    for trial in range(40):
+        p = random_poly(rng, ring)
+        for _ in range(2):  # x_i^(m p) * x_j, an annihilated exponent over F_p
+            exps = [0] * n
+            exps[rng.randrange(n)] += (char or 5) * rng.randint(1, 3)
+            exps[rng.randrange(n)] += 1
+            p = p + ring.from_terms({tuple(exps): random_scalar(rng, ring.coeffs, 2, 2)})
+        vals = random_point(rng, field, CHART_VARIABLES)
+        zeros = (0, 1, 2, n)[trial % 4]
+        for v in rng.sample(CHART_VARIABLES, zeros):
+            vals[v] = 0
+        names = list(CHART_VARIABLES) + [rng.choice(CHART_VARIABLES)]
+        rng.shuffle(names)
+        value, partials = p.jet_at(names, vals)
+        assert value == p.evaluate(vals)
+        assert partials == [p.differentiate(v).evaluate(vals) for v in names]
+    zero = ring.coeffs.zero()
+    assert ring.zero().jet_at(CHART_VARIABLES[:2], {}) == (zero, [zero, zero])
+
+
+def test_jet_at_reads_no_value_for_the_value_it_cannot_give():
+    """A partial that needs no missing value is returned while the value,
+    which needs one, is None."""
+    ring = PolyRing(ParamRing(RATIONALS, ()), ("a1", "b1"))
+    p = parse_poly("a1*b1 + 3*b1", ring)
+    value, partials = p.jet_at(("a1",), {"b1": 5})
+    assert value is None and partials == [ring.coeffs.const(5)]
+    with pytest.raises(UnknownVariable, match=r"\['a1'\]"):
+        p.jet_at(("b1",), {"b1": 5})
+
+
 def test_a_value_the_field_cannot_hold_is_refused_where_it_is_used():
     f7 = PolyRing(ParamRing(prime_field(7), ()), ("x", "y"))
     p = parse_poly("x^2 + 3*x", f7)
@@ -566,7 +606,7 @@ def _random_pair(rng, ring, n_terms):
     field, k = ring.coeffs.field, ring.coeffs.k
     terms = {}
     for _ in range(n_terms):
-        e = tuple(rng.randint(0, 2) for _ in range(ring.n))
+        e = tuple(rng.choice((0, 0, 0, 1, 1, 2, 10, 13)) for _ in range(ring.n))
         coeff = terms.setdefault(e, {})
         for _ in range(rng.randint(1, 3) if k else 1):
             coeff[tuple(rng.randint(0, 2) for _ in range(k))] = field.make(rng.randint(-3, 3))
@@ -574,11 +614,12 @@ def _random_pair(rng, ring, n_terms):
     return mine, NestedPoly(ring, terms)
 
 
-@pytest.mark.parametrize("char", [0, 3])
+@pytest.mark.parametrize("char", [0, 2, 3, 7])
 @pytest.mark.parametrize("params", [(), ("c1", "c2")])
 def test_flat_storage_agrees_with_a_nested_reference(rng, char, params):
     """terms, str and == of MultiPolys built by sums, differences and
-    products agree with the nested reference, and parse_poly reads back
+    products, with exponents of 10 and more among them, agree with the
+    nested reference, and parse_poly reads back
     the expanded text of each and, when every coefficient has one term,
     what str prints."""
     ring = PolyRing(ParamRing(field_of_char(char), params), ("x", "y", "z"))
