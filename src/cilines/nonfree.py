@@ -270,12 +270,3 @@ def _genericity(conditions: list[ParamScalar]) -> GenericityCertificate:
     return GenericityCertificate(tuple(seen.values()))
 
 
-def differential_span_matrix(
-    x: CompleteIntersection, polys: list[MultiPoly], point: LineChartPoint
-) -> ExactMatrix:
-    """Rows of first derivatives (d/da_1..d/db_{N-1}) of chart
-    polynomials at a point; used to compare spans of local equations."""
-    avars, bvars = chart_variables(x.n)
-    pt = point.values(x.n)
-    return ExactMatrix.from_rows(x.coeff_ring, [g.gradient_at(avars + bvars, pt) for g in polys])
-

@@ -5,16 +5,25 @@ over the fraction field K(c_1, ..., c_k) of this ring, so genericity
 certificates come out as explicit nonzero polynomials in the parameters.
 A ring with no names degenerates to the base field itself.
 
-Canonical form: zero is the empty term tuple; terms are kept sorted in
-descending graded-lexicographic order (total degree first, ties broken on
-the exponent vector), which fixes printing, equality and leading terms.
+Stored form: a scalar keeps its terms as (key, coefficient) pairs. A key
+is one int holding the total degree and then each exponent, one field of
+`width` bytes each, big-endian. Adding two keys multiplies the
+monomials, and descending keys are descending graded-lexicographic order
+(total degree first, ties broken on the exponent vector), which fixes
+printing, equality and leading terms. The top bit of every field is a
+guard: no key sets it, so a difference of keys that sets one had a
+negative exponent. The width is the least of 1, 2, 4, ... bytes whose
+field holds the total degree below the guard; it follows from the value,
+and an operation whose result needs a wider field repacks its operands
+first. Zero is the empty term tuple. `terms` is the unpacked view, the
+(exponent tuple, coefficient) pairs in the same order.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import FrozenInstanceError, dataclass, field as dataclass_field
+from functools import lru_cache
 from heapq import heappop, heappush
-from operator import add, neg, sub
 from typing import Iterable, Mapping, Sequence, TypeVar
 
 from .errors import InexactDivision, ParameterPresent, RingMismatch, UnknownVariable
@@ -28,34 +37,70 @@ def grlex_key(exps: Exps) -> tuple[int, Exps]:
     return (sum(exps), exps)
 
 
-def _term_key(term: tuple[Exps, Scalar]) -> tuple[int, Exps]:
-    exps = term[0]
-    return (sum(exps), exps)
+def _width(degree: int) -> int:
+    """The least of 1, 2, 4, ... bytes whose field holds `degree` below
+    its guard bit."""
+    w = 1
+    while degree >> (8 * w - 1):
+        w *= 2
+    return w
 
 
-def _pack(terms: Iterable[tuple[Exps, C]], base: int) -> list[tuple[int, C]]:
-    """(key, coefficient) pairs, the key holding the total degree and then
-    the exponents as digits in `base`. While base exceeds the total degree
-    of every product formed, adding keys multiplies monomials, and
-    descending keys are descending grlex."""
-    out = []
-    for e, c in terms:
-        key = sum(e)
-        for x in e:
-            key = key * base + x
-        out.append((key, c))
-    return out
+@lru_cache(maxsize=256)
+def _guards(k: int, w: int) -> int:
+    """The guard bits of the k + 1 fields of a key at width w."""
+    return sum(1 << 8 * w * i + 8 * w - 1 for i in range(k + 1))
 
 
-def _unpack(keys: Sequence[int], base: int, k: int) -> list[Exps]:
-    """The k exponents packed in each key, in the order of `keys`."""
-    weights = [base**i for i in range(k - 1, -1, -1)]
-    return list(zip(*[[key // w % base for key in keys] for w in weights]))
+def _pack(exps: Sequence[int], w: int) -> int:
+    """The key of an exponent vector at width w."""
+    fields = (sum(exps), *exps)
+    if w == 1:
+        return int.from_bytes(bytes(fields), "big")
+    return int.from_bytes(b"".join(x.to_bytes(w, "big") for x in fields), "big")
 
 
-def _heap_key(exps: Exps) -> tuple[int, Exps, Exps]:
-    """Min-heap key that pops exponents in descending grlex order."""
-    return (-sum(exps), tuple(map(neg, exps)), exps)
+def _exps(key: int, k: int, w: int) -> Sequence[int]:
+    """The k exponents packed in a key at width w: the bytes after the
+    degree at width 1, and a tuple at a wider width."""
+    raw = key.to_bytes(w * (k + 1), "big")
+    if w == 1:
+        return raw[1:]
+    return tuple(int.from_bytes(raw[i : i + w], "big") for i in range(w, len(raw), w))
+
+
+def _repack(packed: Sequence[tuple[int, C]], k: int, w: int, to: int) -> tuple[tuple[int, C], ...]:
+    """Terms of k exponents at width w, packed at width `to`."""
+    return tuple((_pack(_exps(key, k, w), to), c) for key, c in packed)
+
+
+def _at(x: "ParamScalar", w: int) -> tuple[tuple[int, Scalar], ...]:
+    """The terms of x packed at width w, no narrower than x's own."""
+    return x.packed if x.width == w else _repack(x.packed, x.ring.k, x.width, w)
+
+
+def _degree(x: "ParamScalar") -> int:
+    """The total degree of a nonzero x, read off its leading key."""
+    return x.packed[0][0] >> 8 * x.width * x.ring.k
+
+
+def _unpacked(x: "ParamScalar") -> list[tuple[Sequence[int], Scalar]]:
+    """The terms of x as (exponents, coefficient) pairs, the exponents as
+    _exps reads them."""
+    k, w = x.ring.k, x.width
+    if w == 1:
+        return [(key.to_bytes(k + 1, "big")[1:], c) for key, c in x.packed]
+    return [(_exps(key, k, w), c) for key, c in x.packed]
+
+
+def _scalar(ring: "ParamRing", packed: tuple[tuple[int, Scalar], ...], w: int) -> "ParamScalar":
+    """The scalar with these sorted terms at width w, repacked at the
+    width of its own degree when a cancellation lowered that degree."""
+    if w > 1:
+        narrow = _width(packed[0][0] >> 8 * w * ring.k) if packed else 1
+        if narrow < w:
+            packed, w = _repack(packed, ring.k, w, narrow), narrow
+    return ParamScalar(ring, packed, w)
 
 
 @dataclass(frozen=True)
@@ -65,74 +110,119 @@ class ParamRing:
     field: Field
     names: tuple[str, ...] = ()
 
+    # len(names), and the ring's zero and one, shared by every caller
+    k: int = dataclass_field(init=False, repr=False, compare=False)
+    _zero: "ParamScalar" = dataclass_field(init=False, repr=False, compare=False)
+    _one: "ParamScalar" = dataclass_field(init=False, repr=False, compare=False)
+
     def __post_init__(self) -> None:
         if len(set(self.names)) != len(self.names):
             raise RingMismatch(f"duplicate parameter names in {self.names}")
-
-    @property
-    def k(self) -> int:
-        return len(self.names)
+        object.__setattr__(self, "k", len(self.names))
+        object.__setattr__(self, "_zero", ParamScalar(self, (), 1))
+        object.__setattr__(self, "_one", ParamScalar(self, ((0, self.field.one),), 1))
 
     def zero(self) -> "ParamScalar":
-        return ParamScalar(self, ())
+        return self._zero
 
     def one(self) -> "ParamScalar":
-        return ParamScalar(self, (((0,) * self.k, self.field.one),))
+        return self._one
 
     def const(self, value: int | Scalar) -> "ParamScalar":
         v = self.field.make(value)
         if self.field.is_zero(v):
             return self.zero()
-        return ParamScalar(self, (((0,) * self.k, v),))
+        return ParamScalar(self, ((0, v),), 1)
 
     def var(self, name: str) -> "ParamScalar":
         try:
             i = self.names.index(name)
         except ValueError:
             raise UnknownVariable(f"parameter {name!r} not in ring {self.names}") from None
-        exps = tuple(1 if j == i else 0 for j in range(self.k))
-        return ParamScalar(self, ((exps, self.field.one),))
+        key = 1 << 8 * self.k | 1 << 8 * (self.k - 1 - i)  # degree 1, exponent 1 at slot i
+        return ParamScalar(self, ((key, self.field.one),), 1)
 
     def from_terms(self, terms: Mapping[Exps, Scalar]) -> "ParamScalar":
         clean = [t for t in terms.items() if t[1]]  # field zeros are falsy
-        if len(clean) > 1:
-            clean.sort(key=_term_key, reverse=True)
-        return ParamScalar(self, tuple(clean))
+        if not clean:
+            return self.zero()
+        if not self.names:  # the one term ((), v)
+            return ParamScalar(self, ((0, clean[0][1]),), 1)
+        w = _width(max(sum(e) for e, _ in clean))
+        packed = [(_pack(e, w), c) for e, c in clean]
+        packed.sort(reverse=True)  # the keys differ, so no coefficient is compared
+        return ParamScalar(self, tuple(packed), w)
 
     def __str__(self) -> str:
         return f"{self.field}[{', '.join(self.names)}]"
 
 
-@dataclass(frozen=True)
 class ParamScalar:
-    """A polynomial in the ring's parameters with field coefficients."""
+    """A polynomial in the ring's parameters with field coefficients:
+    (key, coefficient) terms at `width` bytes per field (module
+    docstring). The width follows from the value, so equality and
+    hashing read the ring and the terms alone. Immutable: a class with
+    slots whose __init__ writes them past the refusing __setattr__, as a
+    frozen dataclass takes two to three times as long to build one
+    (Python 3.11)."""
+
+    __slots__ = ("ring", "packed", "width")
 
     ring: ParamRing
-    terms: tuple[tuple[Exps, Scalar], ...]
+    packed: tuple[tuple[int, Scalar], ...]
+    width: int
+
+    def __init__(self, ring: ParamRing, packed: tuple[tuple[int, Scalar], ...], width: int) -> None:
+        _set_ring(self, ring)
+        _set_packed(self, packed)
+        _set_width(self, width)
+
+    def __setattr__(self, name: str, value=None) -> None:
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    __delattr__ = __setattr__
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not ParamScalar:
+            return NotImplemented
+        return self.packed == other.packed and (self.ring is other.ring or self.ring == other.ring)
+
+    def __hash__(self) -> int:
+        return hash((self.ring, self.packed))
+
+    def __repr__(self) -> str:
+        return f"ParamScalar({self.ring!r}, {self.packed!r}, {self.width!r})"
 
     # -- queries --------------------------------------------------------
 
     @property
+    def terms(self) -> tuple[tuple[Exps, Scalar], ...]:
+        """(exponent tuple, coefficient) per term, in descending
+        graded-lex order."""
+        return tuple((tuple(e), c) for e, c in _unpacked(self))
+
+    @property
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self.packed
 
     @property
     def is_constant(self) -> bool:
-        return not self.terms or (len(self.terms) == 1 and sum(self.terms[0][0]) == 0)
+        p = self.packed
+        return not p or (len(p) == 1 and not p[0][0])
 
     def constant_value(self) -> Scalar:
-        if not self.terms:
+        if not self.packed:
             return self.ring.field.zero
         if not self.is_constant:
             raise ParameterPresent(f"{self} carries parameters")
-        return self.terms[0][1]
+        return self.packed[0][1]
 
     # -- ring operations -------------------------------------------------
     #
     # _coerce returns an operand that is a ParamScalar of the very same
     # ring object as it is; anything else is converted or checked there
     # (RingMismatch). Over a ring with no parameters (k = 0) a scalar has at most the one
-    # term ((), v), so the constant fast paths work on that term directly.
+    # term (0, v), so the constant fast paths work on that term directly.
 
     def _coerce(self, other) -> "ParamScalar":
         if other.__class__ is ParamScalar and other.ring is self.ring:
@@ -154,10 +244,8 @@ class ParamScalar:
     __radd__ = __add__
 
     def __neg__(self) -> "ParamScalar":
-        f = self.ring.field
-        if not self.ring.names:
-            return ParamScalar(self.ring, (((), f.neg(self.terms[0][1])),) if self.terms else ())
-        return ParamScalar(self.ring, tuple((e, f.neg(c)) for e, c in self.terms))
+        fneg = self.ring.field.neg
+        return ParamScalar(self.ring, tuple((e, fneg(c)) for e, c in self.packed), self.width)
 
     def __sub__(self, other) -> "ParamScalar":
         other = self._coerce(other)
@@ -167,32 +255,34 @@ class ParamScalar:
 
     def _merge(self, other: "ParamScalar", negate: bool) -> "ParamScalar":
         """self + other, or self - other when negate is set."""
-        if not other.terms:
+        if not other.packed:
             return self
-        if not self.terms:
+        if not self.packed:
             return -other if negate else other
         ring = self.ring
         f = ring.field
         op = f.sub if negate else f.add
         if not ring.names:
-            c = op(self.terms[0][1], other.terms[0][1])
-            return ParamScalar(ring, (((), c),) if c else ())
-        acc = dict(self.terms)
-        for e, c in other.terms:
+            c = op(self.packed[0][1], other.packed[0][1])
+            return ParamScalar(ring, ((0, c),) if c else (), 1)
+        w = max(self.width, other.width)
+        acc = dict(_at(self, w))
+        for e, c in _at(other, w):
             if e in acc:
                 acc[e] = op(acc[e], c)
             else:
                 acc[e] = f.neg(c) if negate else c
-        return ring.from_terms(acc)
+        return _scalar(ring, tuple(sorted([t for t in acc.items() if t[1]], reverse=True)), w)
 
     def __rsub__(self, other) -> "ParamScalar":
         return (-self) + other
 
     def __mul__(self, other) -> "ParamScalar":
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        a, b = self.terms, other.terms
+        if other.__class__ is not ParamScalar or other.ring is not self.ring:
+            other = self._coerce(other)
+            if other is NotImplemented:
+                return NotImplemented
+        a, b = self.packed, other.packed
         if not a:
             return self
         if not b:
@@ -201,23 +291,28 @@ class ParamScalar:
         f = ring.field
         if not ring.names:
             # a field has no zero divisors, so the product term is nonzero
-            return ParamScalar(ring, (((), f.mul(a[0][1], b[0][1])),))
+            return ParamScalar(ring, ((0, f.mul(a[0][1], b[0][1])),), 1)
+        if len(a) > 1 and len(b) > 1:
+            return sum_of_products(ring, ((self, other),))
+        w = self.width
+        if other.width != w or a[0][0] + b[0][0] >> 8 * w * (ring.k + 1) - 1:  # a guard bit
+            w = _width(_degree(self) + _degree(other))
+            a, b = _at(self, w), _at(other, w)
         if len(a) == 1:
             a, b = b, a
-        if len(b) == 1:  # shifting every exponent by e0 keeps their order
-            ((e0, c0),) = b
-            fmul = f.mul
-            return ParamScalar(ring, tuple((tuple(map(add, e, e0)), fmul(c, c0)) for e, c in a))
-        return sum_of_products(ring, ((self, other),))
+        ((e0, c0),) = b  # adding e0 to every key keeps their order
+        fmul = f.mul
+        return ParamScalar(ring, tuple((e + e0, fmul(c, c0)) for e, c in a), w)
 
     __rmul__ = __mul__
 
     def __pow__(self, n: int) -> "ParamScalar":
         if n < 0:
             raise ValueError("negative power of a polynomial")
-        if len(self.terms) == 1:  # a monomial: (c x^e)^n = c^n x^(n e)
-            ((e, c),) = self.terms
-            return ParamScalar(self.ring, ((tuple(n * x for x in e), self.ring.field.pow(c, n)),))
+        if n and len(self.packed) == 1:  # a monomial: (c x^e)^n = c^n x^(n e)
+            w = _width(n * _degree(self))
+            ((e, c),) = _at(self, w)
+            return ParamScalar(self.ring, ((n * e, self.ring.field.pow(c, n)),), w)
         out = self.ring.one()
         for _ in range(n):
             out = out * self
@@ -230,39 +325,43 @@ class ParamScalar:
 
         Leading-term elimination in graded-lex order; raises
         InexactDivision whenever the division would leave a remainder.
-        The exponents of the remainder wait in a heap, so each step pops
-        the leading term; an exponent whose coefficient cancelled stays
-        in the heap and is skipped when it comes up.
+        The keys of the remainder wait in a heap, negated, so each step
+        pops the leading term; a key whose coefficient cancelled stays in
+        the heap and is skipped when it comes up. A quotient key with a
+        guard bit set had a negative exponent.
         """
         ring = self.ring
         divisor = self._coerce(divisor)
-        if not divisor.terms:
+        if not divisor.packed:
             raise ZeroDivisionError("division by zero polynomial")
         f = ring.field
         fmul = f.mul
-        (de, dc), *rest = divisor.terms
         if not ring.names:
-            return ParamScalar(ring, (((), f.div(self.terms[0][1], dc)),) if self.terms else ())
+            dc = divisor.packed[0][1]
+            return ParamScalar(ring, ((0, f.div(self.packed[0][1], dc)),) if self.packed else (), 1)
+        w = max(self.width, divisor.width)
+        (de, dc), *rest = _at(divisor, w)
         inv = f.inv(dc)
-        if not rest and not any(de):  # a constant divisor
-            return ParamScalar(ring, tuple((e, fmul(c, inv)) for e, c in self.terms))
+        if not rest and not de:  # a constant divisor
+            return ParamScalar(ring, tuple((e, fmul(c, inv)) for e, c in self.packed), self.width)
+        guards = _guards(ring.k, w)
         tail = [(e, f.neg(c)) for e, c in rest]
         fadd = f.add
-        num = dict(self.terms)
-        heap = [_heap_key(e) for e, _ in self.terms]  # sorted, hence a heap
-        quo: list[tuple[Exps, Scalar]] = []  # comes out in descending order
+        num = dict(_at(self, w))
+        heap = [-e for e in num]  # ascending, hence a heap
+        quo: list[tuple[int, Scalar]] = []  # comes out in descending order
         while heap:
-            le = heappop(heap)[2]
+            le = -heappop(heap)
             lc = num.pop(le, None)
             if lc is None:
                 continue
-            qe = tuple(map(sub, le, de))
-            if min(qe) < 0:
+            qe = le - de
+            if qe & guards:
                 raise InexactDivision(f"{divisor} does not divide exactly")
             qc = fmul(lc, inv)
             quo.append((qe, qc))
             for e2, c2 in tail:
-                e = tuple(map(add, qe, e2))
+                e = qe + e2
                 if e in num:
                     v = fadd(num[e], fmul(qc, c2))
                     if v:
@@ -271,8 +370,8 @@ class ParamScalar:
                         del num[e]
                 else:
                     num[e] = fmul(qc, c2)
-                    heappush(heap, _heap_key(e))
-        return ParamScalar(ring, tuple(quo))
+                    heappush(heap, -e)
+        return _scalar(ring, tuple(quo), w)
 
     # -- evaluation ---------------------------------------------------------
 
@@ -283,7 +382,12 @@ class ParamScalar:
     # -- printing -------------------------------------------------------------
 
     def __str__(self) -> str:
-        return _sum_text(self.ring.names, self.ring.field, self.terms)
+        return _sum_text(self.ring.names, self.ring.field, _unpacked(self))
+
+
+_set_ring = ParamScalar.ring.__set__  # type: ignore[attr-defined]
+_set_packed = ParamScalar.packed.__set__  # type: ignore[attr-defined]
+_set_width = ParamScalar.width.__set__  # type: ignore[attr-defined]
 
 
 def sum_of_products(
@@ -295,40 +399,41 @@ def sum_of_products(
     of pair i subtracted where signs[i] is true; empty signs add every
     product.
 
-    All the products share one accumulator keyed by packed exponents in
-    base 1 + max(deg x + deg y), read from the leading terms, so adding
-    two keys multiplies the monomials. The raw coefficient sums are
-    brought into the field once per key, and the keys are sorted and
-    unpacked once. Over a ring with no parameters the constants are
-    summed raw.
+    All the products share one accumulator keyed by their keys, at the
+    width of the largest deg x + deg y, so adding two keys multiplies the
+    monomials. The raw coefficient sums are brought into the field once
+    per key, and the keys are sorted once. Over a ring with no parameters
+    the constants are summed raw.
     """
     live = []
     for (x, y), neg in zip(pairs, signs or (False,) * len(pairs), strict=True):
         for v in (x, y):
             if v.ring is not ring and v.ring != ring:
                 raise RingMismatch(f"a scalar over {v.ring} in a sum over {ring}")
-        if x.terms and y.terms:
-            live.append((x.terms, y.terms, neg))
+        if x.packed and y.packed:
+            live.append((x, y, neg))
     if not ring.names:
-        total = sum(-a[0][1] * b[0][1] if neg else a[0][1] * b[0][1] for a, b, neg in live)
+        total = sum(
+            -x.packed[0][1] * y.packed[0][1] if neg else x.packed[0][1] * y.packed[0][1]
+            for x, y, neg in live
+        )
         return ring.const(total)
     if not live:
         return ring.zero()
-    base = 1 + max(sum(a[0][0]) + sum(b[0][0]) for a, b, _ in live)
+    w = _width(max(_degree(x) + _degree(y) for x, y, _ in live))
     acc: dict[int, Scalar] = {}
     get = acc.get
-    for a, b, neg in live:
-        pb = _pack(b, base)
-        for k1, c1 in _pack(a, base):
+    for x, y, neg in live:
+        b = _at(y, w)
+        for k1, c1 in _at(x, w):
             if neg:
                 c1 = -c1
-            for k2, c2 in pb:
-                k = k1 + k2
-                acc[k] = get(k, 0) + c1 * c2
+            for k2, c2 in b:
+                key = k1 + k2
+                acc[key] = get(key, 0) + c1 * c2
     keys = sorted(acc, reverse=True)
-    coeffs = map(ring.field.make, map(acc.__getitem__, keys))
-    terms = zip(_unpack(keys, base, ring.k), coeffs)
-    return ParamScalar(ring, tuple(t for t in terms if t[1]))  # field zeros are falsy
+    terms = zip(keys, map(ring.field.make, map(acc.__getitem__, keys)))
+    return _scalar(ring, tuple(t for t in terms if t[1]), w)  # field zeros are falsy
 
 
 def evaluate_from(p: ParamScalar, keep: int, values: Mapping[str, Scalar]) -> dict[Exps, Scalar]:
@@ -369,9 +474,9 @@ def jet_from(
     parts: list = [None] * len(names)
     for i in slots:
         parts[i] = {}
-    value: dict[Exps, Scalar] = {}
+    value: dict = {}  # keyed, as the partials are, by e[:keep] until the end
     unread = False
-    for e, c in p.terms:
+    for e, c in _unpacked(p):
         key = e[:keep]
         used = [(i, x) for i, x in enumerate(e[keep:], keep) if x]
         odd = None  # the one used slot at 0 or unread, -1 for more
@@ -402,8 +507,8 @@ def jet_from(
     if unread:
         for i in slots:
             _check_reads(p, keep, i, values)
-    partials = [{key: make(v) for key, v in parts[i].items()} for i in slots]
-    return (None if unread else {key: make(v) for key, v in value.items()}), partials
+    partials = [{tuple(key): make(v) for key, v in parts[i].items()} for i in slots]
+    return (None if unread else {tuple(key): make(v) for key, v in value.items()}), partials
 
 
 #: the power list of a slot whose value is missing or not in the field;

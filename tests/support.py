@@ -9,6 +9,7 @@ from typing import Sequence
 from cilines.bundles import SplittingType, normal_splitting_line, tangent_splitting_from_normal
 from cilines.chart import (
     FqLine,
+    chart_variables,
     line_jacobian,
     membership_system,
     nonfree_matrix,
@@ -20,7 +21,6 @@ from cilines.families import _hyp_head
 from cilines.fields import Field, Scalar
 from cilines.geometry import CompleteIntersection, LineChartPoint, ambient_variables
 from cilines.multipoly import BinaryForm, MultiPoly, PolyRing
-from cilines.nonfree import differential_span_matrix
 from cilines.params import ParamRing
 
 
@@ -34,7 +34,7 @@ def on_x(x: CompleteIntersection, point: LineChartPoint) -> bool:
     """Whether the chart line lies on X: every membership polynomial
     evaluated at it vanishes, identically in the parameters."""
     vals = point.values(x.n)
-    return all(f.evaluate(vals).is_zero for f in membership_system(x).all_polys())
+    return all(f.evaluate(vals).is_zero for sys in membership_system(x).systems for f in sys)
 
 
 def is_smooth_along_line(x: CompleteIntersection, point: LineChartPoint) -> bool:
@@ -43,7 +43,7 @@ def is_smooth_along_line(x: CompleteIntersection, point: LineChartPoint) -> bool
 
 def chart_point(line: FqLine) -> LineChartPoint:
     """The chart coordinates of a line in the standard chart."""
-    if not line.in_standard_chart():
+    if line.pivots != (0, 1):
         raise ConstraintViolated("line meets (S = T = 0); move it into the chart first")
     return LineChartPoint(line.field, line.rows[0][2:], line.rows[1][2:])
 
@@ -51,6 +51,16 @@ def chart_point(line: FqLine) -> LineChartPoint:
 def tangent_splitting_line(x: CompleteIntersection, point: LineChartPoint) -> SplittingType:
     """Splitting type of T_X restricted to a chart line."""
     return tangent_splitting_from_normal(normal_splitting_line(x, chart_line_jacobian(x, point)))
+
+
+def differential_span_matrix(
+    x: CompleteIntersection, polys: list[MultiPoly], point: LineChartPoint
+) -> ExactMatrix:
+    """Rows of first derivatives (d/da_1..d/db_{N-1}) of chart
+    polynomials at a point."""
+    avars, bvars = chart_variables(x.n)
+    pt = point.values(x.n)
+    return ExactMatrix.from_rows(x.coeff_ring, [g.gradient_at(avars + bvars, pt) for g in polys])
 
 
 def same_differential_span(

@@ -277,6 +277,24 @@ def test_classify_line_walks_each_polynomial_once_at_the_line(
     assert calls == [("differentiate", "_nonfree_entries")] * ((n - 1) * total)
 
 
+def test_enumerate_lines_classify_builds_no_symbolic_m_h(capsys, tmp_path, monkeypatch):
+    """enumerate-lines --classify reads no local equations, so no line
+    builds the symbolic M(h), NonFreeMatrix.entries_ab: the 27 lines of
+    the Fermat cubic surface over F_7 make no differentiate call."""
+    calls = []
+    differentiate = MultiPoly.differentiate
+
+    def counted(self, *args):
+        calls.append(args)
+        return differentiate(self, *args)
+
+    monkeypatch.setattr(MultiPoly, "differentiate", counted)
+    text = CUBIC_F7_CORANK_1.replace("line: 6, 0 | 0, 6\n", "")
+    code, out = run(capsys, "enumerate-lines", write_problem(tmp_path, "f.ci", text), "--classify")
+    assert code == 0 and json.loads(out)["count"] == 27
+    assert calls == []
+
+
 def test_classify_line_takes_the_normal_splitting_once(capsys, tmp_path, monkeypatch):
     """The tangent splitting is read off the printed normal splitting, and
     both tangent twists come from one tangent_cohomology pass: one

@@ -1,5 +1,7 @@
 """The runtime stays on the standard library: every absolute import in the
-package, lazy ones inside functions included, names a standard module."""
+package, lazy ones inside functions included, names a standard module.
+Every module-level import is read, and no check in the package is a bare
+assert, which python -O strips."""
 
 import ast
 import sys
@@ -62,3 +64,14 @@ def test_every_module_level_import_is_read():
                 if name not in read and (path.name, name) not in UNREAD_ON_PURPOSE
             ]
     assert unread == []
+
+
+def test_no_assert_statement_in_the_package():
+    """Invariants raise named errors; an assert would vanish under -O."""
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(PACKAGE.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), filename=str(path)))
+        if isinstance(node, ast.Assert)
+    ]
+    assert found == []
