@@ -6,11 +6,13 @@ A polynomial may depend on symbolic parameters c_1..c_k. It is stored
 flat, as one ParamScalar over ring.flat: the parameter ring with the
 ring's variables adjoined after the parameters, so an exponent vector
 holds the parameter exponents and then the variable exponents. Sums,
-products and powers are those of ParamScalar. `terms` groups the flat
-terms by their variable exponents, each coefficient a ParamScalar in the
-parameters alone, which is how a polynomial prints. `jet_at` reads a
-polynomial's value and first partials at a point from one walk over the
-flat terms.
+products and powers are those of ParamScalar. A polynomial prints from
+its flat keys: grouped by their variable fields, each group a
+coefficient in the parameters, each monomial's text looked up by key.
+`jet_at` reads a polynomial's value and first partials at a point from
+one walk over the flat keys, with outputs built from the keys of their
+parameter fields. `terms` alone is the unpacked view, each coefficient a
+ParamScalar in the parameters.
 
 BinaryForm is the dense degree-d form in the line coordinates (s:t),
 stored as its vector of base-field coefficients against the monomial
@@ -32,17 +34,15 @@ from .errors import (
     UnknownVariable,
 )
 from .fields import Field, Scalar
+from .monomials import _exps, _field_sum, _monomial, _monomial_texts
 from .params import (
     Exps,
     ParamRing,
     ParamScalar,
     _at,
-    _exps,
-    _monomial,
     _print_sum,
     _scalar,
     _signed,
-    _sum_text,
     _term_text,
     _unpacked,
     evaluate_from,
@@ -127,26 +127,18 @@ class MultiPoly:
     def is_zero(self) -> bool:
         return not self.flat.packed
 
-    def _groups(self) -> dict[Sequence[int], list[tuple[Sequence[int], Scalar]]]:
-        """The flat terms by their variable exponents, as (parameter
-        exponents, coefficient) lists, the exponents as params._exps reads
-        them. Within a group the flat order is graded-lex on the parameter
-        exponents, the canonical order of a ParamScalar."""
-        k = self.ring.coeffs.k
-        groups: dict[Sequence[int], list[tuple[Sequence[int], Scalar]]] = {}
-        for e, c in _unpacked(self.flat):
-            groups.setdefault(e[k:], []).append((e[:k], c))
-        return groups
-
     @property
     def terms(self) -> tuple[tuple[Exps, ParamScalar], ...]:
         """(variable exponents, coefficient in the parameters) per monomial
-        of the variables, in descending graded-lex order of the exponents."""
+        of the variables, in descending graded-lex order of the exponents:
+        the unpacked view."""
         coeffs = self.ring.coeffs
-        groups = self._groups()
+        k = coeffs.k
+        groups: dict[Exps, dict[Exps, Scalar]] = {}
+        for e, c in _unpacked(self.flat):
+            groups.setdefault(tuple(e[k:]), {})[tuple(e[:k])] = c
         return tuple(
-            (tuple(e), coeffs.from_terms({tuple(pe): c for pe, c in groups[e]}))
-            for e in sorted(groups, key=grlex_key, reverse=True)
+            (e, coeffs.from_terms(groups[e])) for e in sorted(groups, key=grlex_key, reverse=True)
         )
 
     def field_terms(self) -> list[tuple[Exps, Scalar]]:
@@ -321,8 +313,7 @@ class MultiPoly:
     def evaluate(self, values: Mapping[str, Scalar]) -> ParamScalar:
         """Evaluate every variable at a field element; coefficients
         (hence parameters) survive untouched."""
-        coeffs = self.ring.coeffs
-        return coeffs.from_terms(evaluate_from(self.flat, coeffs.k, values))
+        return evaluate_from(self.flat, self.ring.coeffs, values)
 
     def jet_at(
         self, names: Sequence[str], values: Mapping[str, Scalar]
@@ -332,19 +323,7 @@ class MultiPoly:
         A value is read only where a term uses it: the value is None when a
         term uses one that is missing or not in the field, and a partial
         that reads one raises."""
-        coeffs = self.ring.coeffs
-        slots = [self._slot(v) for v in names]
-        value, partials = jet_from(self.flat, coeffs.k, slots, values)
-        return (
-            None if value is None else coeffs.from_terms(value),
-            [coeffs.from_terms(d) for d in partials],
-        )
-
-    def gradient_at(
-        self, names: Sequence[str], values: Mapping[str, Scalar]
-    ) -> list[ParamScalar]:
-        """The partials by `names` at `values` (jet_at)."""
-        return self.jet_at(names, values)[1]
+        return jet_from(self.flat, self.ring.coeffs, [self._slot(v) for v in names], values)
 
     def split(self, front: Sequence[str]) -> dict[Exps, "MultiPoly"]:
         """Collect terms by their exponents in `front`, returning
@@ -380,60 +359,35 @@ class MultiPoly:
     # -- printing ---------------------------------------------------------------
 
     def __str__(self) -> str:
-        """One pass over the terms in descending graded-lex order of their
-        variable exponents. With no parameters that is the flat order, and
-        each flat term prints as it stands; with parameters the flat terms
-        are grouped by their variable exponents first. The text of each
-        variable power is formed once (_power_texts)."""
-        coeffs = self.ring.coeffs
-        k, field = coeffs.k, coeffs.field
-        if k:
-            terms = sorted(self._groups().items(), key=lambda t: grlex_key(t[0]), reverse=True)
-        else:
-            terms = _unpacked(self.flat)
-        powers = _power_texts(self.ring.variables)
-        return _print_sum(
-            (
-                "*".join([p[x] for p, x in zip(powers, e) if x]),
-                *(_coefficient(coeffs, c) if k else _signed(field, c)),
-            )
-            for e, c in terms
-        )
+        """The terms in descending graded-lex order of their variable
+        exponents, each monomial's text looked up by its key
+        (monomials._monomial_texts). With no parameters that is the flat
+        scalar's text. With parameters the flat terms are grouped by their
+        variable fields, `key & low`, and each coefficient prints from the
+        parameter fields of its keys: a one-term coefficient as that term,
+        giving its sign to the joiner, and one of several terms in
+        parentheses."""
+        coeffs, flat = self.ring.coeffs, self.flat
+        if not coeffs.k:
+            return str(flat)
+        field, w = coeffs.field, flat.width
+        vbits = 8 * w * self.ring.n
+        low, high = (1 << vbits) - 1, (1 << 8 * w * coeffs.k) - 1
+        groups: dict[int, list[tuple[int, Scalar]]] = {}
+        for key, c in flat.packed:  # within a group, graded-lex on the parameters
+            groups.setdefault(key & low, []).append((key >> vbits & high, c))
+        texts = _monomial_texts(coeffs.names, w)
 
+        def coefficient(terms: list[tuple[int, Scalar]]) -> tuple[str, bool]:
+            if len(terms) > 1:
+                return f"({_print_sum((texts[pk], *_signed(field, c)) for pk, c in terms)})", False
+            ((pk, c),) = terms
+            cs, neg = _signed(field, c)
+            return _term_text(texts[pk], cs), neg
 
-# -- printing -------------------------------------------------------------------
-
-
-class _Powers(dict):
-    """The text of one variable to the power x, under the key x, formed
-    when it is first asked for."""
-
-    def __init__(self, name: str) -> None:
-        super().__init__()
-        self.name = name
-
-    def __missing__(self, x: int) -> str:
-        text = self[x] = f"{self.name}^{x}" if x > 1 else self.name
-        return text
-
-
-@lru_cache(maxsize=256)
-def _power_texts(names: tuple[str, ...]) -> tuple[_Powers, ...]:
-    """The power texts of these variables, shared by every polynomial
-    printed in them."""
-    return tuple(map(_Powers, names))
-
-
-def _coefficient(coeffs: ParamRing, terms: list[tuple[Exps, Scalar]]) -> tuple[str, bool]:
-    """Text and sign of a nonzero term coefficient, given as its
-    (parameter exponents, value) terms: a one-term coefficient prints as
-    that term and gives its sign to the joiner, and a coefficient of
-    several terms is parenthesised."""
-    if len(terms) > 1:
-        return f"({_sum_text(coeffs.names, coeffs.field, terms)})", False
-    ((e, c),) = terms
-    cs, neg = _signed(coeffs.field, c)
-    return _term_text(_monomial(coeffs.names, e), cs), neg
+        order = sorted(groups, key=lambda vk: (_field_sum(vk, w), vk), reverse=True)
+        variables = _monomial_texts(self.ring.variables, w)
+        return _print_sum((variables[vk], *coefficient(groups[vk])) for vk in order)
 
 
 # -- binary forms ---------------------------------------------------------------

@@ -5,29 +5,25 @@ over the fraction field K(c_1, ..., c_k) of this ring, so genericity
 certificates come out as explicit nonzero polynomials in the parameters.
 A ring with no names degenerates to the base field itself.
 
-Stored form: a scalar keeps its terms as (key, coefficient) pairs. A key
-is one int holding the total degree and then each exponent, one field of
-`width` bytes each, big-endian. Adding two keys multiplies the
-monomials, and descending keys are descending graded-lexicographic order
-(total degree first, ties broken on the exponent vector), which fixes
-printing, equality and leading terms. The top bit of every field is a
-guard: no key sets it, so a difference of keys that sets one had a
-negative exponent. The width is the least of 1, 2, 4, ... bytes whose
-field holds the total degree below the guard; it follows from the value,
-and an operation whose result needs a wider field repacks its operands
-first. Zero is the empty term tuple. `terms` is the unpacked view, the
-(exponent tuple, coefficient) pairs in the same order.
+Stored form: a scalar keeps its terms as (key, coefficient) pairs, each
+key a packed monomial (cilines.monomials) at the scalar's `width`, the
+least that holds its total degree. Descending keys are descending
+graded-lex order, which fixes printing, equality and leading terms, and
+an operation whose result needs a wider field repacks its operands
+first. Zero is the empty term tuple. Arithmetic, the jet and printing
+read the keys; `terms` is the unpacked view, the (exponent tuple,
+coefficient) pairs in the same order.
 """
 
 from __future__ import annotations
 
 from dataclasses import FrozenInstanceError, dataclass, field as dataclass_field
-from functools import lru_cache
 from heapq import heappop, heappush
 from typing import Iterable, Mapping, Sequence, TypeVar
 
 from .errors import InexactDivision, ParameterPresent, RingMismatch, UnknownVariable
 from .fields import Field, Scalar
+from .monomials import _exps, _field_sum, _guards, _monomial_texts, _pack, _width
 
 Exps = tuple[int, ...]
 C = TypeVar("C")
@@ -35,38 +31,6 @@ C = TypeVar("C")
 
 def grlex_key(exps: Exps) -> tuple[int, Exps]:
     return (sum(exps), exps)
-
-
-def _width(degree: int) -> int:
-    """The least of 1, 2, 4, ... bytes whose field holds `degree` below
-    its guard bit."""
-    w = 1
-    while degree >> (8 * w - 1):
-        w *= 2
-    return w
-
-
-@lru_cache(maxsize=256)
-def _guards(k: int, w: int) -> int:
-    """The guard bits of the k + 1 fields of a key at width w."""
-    return sum(1 << 8 * w * i + 8 * w - 1 for i in range(k + 1))
-
-
-def _pack(exps: Sequence[int], w: int) -> int:
-    """The key of an exponent vector at width w."""
-    fields = (sum(exps), *exps)
-    if w == 1:
-        return int.from_bytes(bytes(fields), "big")
-    return int.from_bytes(b"".join(x.to_bytes(w, "big") for x in fields), "big")
-
-
-def _exps(key: int, k: int, w: int) -> Sequence[int]:
-    """The k exponents packed in a key at width w: the bytes after the
-    degree at width 1, and a tuple at a wider width."""
-    raw = key.to_bytes(w * (k + 1), "big")
-    if w == 1:
-        return raw[1:]
-    return tuple(int.from_bytes(raw[i : i + w], "big") for i in range(w, len(raw), w))
 
 
 def _repack(packed: Sequence[tuple[int, C]], k: int, w: int, to: int) -> tuple[tuple[int, C], ...]:
@@ -328,7 +292,11 @@ class ParamScalar:
         The keys of the remainder wait in a heap, negated, so each step
         pops the leading term; a key whose coefficient cancelled stays in
         the heap and is skipped when it comes up. A quotient key with a
-        guard bit set had a negative exponent.
+        guard bit set had a negative exponent. In any monomial order the
+        least term of a product is the product of the least terms, so an
+        exact quotient has the least key least(self) - least(divisor): a
+        guard bit set there refuses the division at once, and so does a
+        quotient key below it.
         """
         ring = self.ring
         divisor = self._coerce(divisor)
@@ -339,15 +307,21 @@ class ParamScalar:
         if not ring.names:
             dc = divisor.packed[0][1]
             return ParamScalar(ring, ((0, f.div(self.packed[0][1], dc)),) if self.packed else (), 1)
+        if not self.packed:
+            return self
         w = max(self.width, divisor.width)
-        (de, dc), *rest = _at(divisor, w)
+        dterms, nterms = _at(divisor, w), _at(self, w)
+        (de, dc), *rest = dterms
         inv = f.inv(dc)
         if not rest and not de:  # a constant divisor
             return ParamScalar(ring, tuple((e, fmul(c, inv)) for e, c in self.packed), self.width)
         guards = _guards(ring.k, w)
+        lo = nterms[-1][0] - dterms[-1][0]
+        if lo & guards:
+            raise InexactDivision(f"{divisor} does not divide exactly")
         tail = [(e, f.neg(c)) for e, c in rest]
         fadd = f.add
-        num = dict(_at(self, w))
+        num = dict(nterms)
         heap = [-e for e in num]  # ascending, hence a heap
         quo: list[tuple[int, Scalar]] = []  # comes out in descending order
         while heap:
@@ -356,7 +330,7 @@ class ParamScalar:
             if lc is None:
                 continue
             qe = le - de
-            if qe & guards:
+            if qe < lo or qe & guards:
                 raise InexactDivision(f"{divisor} does not divide exactly")
             qc = fmul(lc, inv)
             quo.append((qe, qc))
@@ -377,12 +351,13 @@ class ParamScalar:
 
     def evaluate(self, values: Mapping[str, Scalar]) -> Scalar:
         """Evaluate at field values; every occurring parameter must be set."""
-        return evaluate_from(self, 0, values).get((), self.ring.field.zero)
+        return evaluate_from(self, ParamRing(self.ring.field), values).constant_value()
 
     # -- printing -------------------------------------------------------------
 
     def __str__(self) -> str:
-        return _sum_text(self.ring.names, self.ring.field, _unpacked(self))
+        texts, field = _monomial_texts(self.ring.names, self.width), self.ring.field
+        return _print_sum((texts[key], *_signed(field, c)) for key, c in self.packed)
 
 
 _set_ring = ParamScalar.ring.__set__  # type: ignore[attr-defined]
@@ -436,55 +411,59 @@ def sum_of_products(
     return _scalar(ring, tuple(t for t in terms if t[1]), w)  # field zeros are falsy
 
 
-def evaluate_from(p: ParamScalar, keep: int, values: Mapping[str, Scalar]) -> dict[Exps, Scalar]:
-    """The value part of jet_from: every exponent slot of p from `keep` on
-    set to the value of its name, summed by the exponents in the slots
-    before it. A value that a term uses and that is missing or not in the
-    field raises (_check_reads)."""
-    value, _ = jet_from(p, keep, (), values)
+def evaluate_from(p: ParamScalar, out: ParamRing, values: Mapping[str, Scalar]) -> ParamScalar:
+    """The value part of jet_from: every exponent slot of p from out.k on
+    set to the value of its name, a scalar of `out`. A value that a term
+    uses and that is missing or not in the field raises (_check_reads)."""
+    value, _ = jet_from(p, out, (), values)
     if value is None:
-        _check_reads(p, keep, None, values)
+        _check_reads(p, out.k, None, values)
     return value  # type: ignore[return-value]
 
 
 def jet_from(
-    p: ParamScalar, keep: int, slots: Sequence[int], values: Mapping[str, Scalar]
-) -> tuple[dict[Exps, Scalar] | None, list[dict[Exps, Scalar]]]:
-    """The value of p and its partials by `slots` (each `keep` or later),
-    with every slot from `keep` on set to the value of its name and the
-    terms summed by their exponents in the slots before it: one walk over
-    the terms, and no derivative is formed.
+    p: ParamScalar, out: ParamRing, slots: Sequence[int], values: Mapping[str, Scalar]
+) -> tuple[ParamScalar | None, list[ParamScalar]]:
+    """The value of p and its partials by `slots` (each out.k or later),
+    every slot from out.k on set to the value of its name, as scalars of
+    `out`, the ring of p's first out.k names: one walk over the terms.
 
-    A term's product is taken raw, with a list of powers per slot
-    (_power), and it adds that product times x / v_z to the partial by
-    each slot z of exponent x, with 1 / v_z taken once per call. A term
-    with two or more slots at 0 adds nothing; with one, z, it adds its
-    product over the other slots to the partial by z when x = 1. An
-    exponent that is 0 mod p adds 0, as in a formal derivative. Each sum
-    is raw per key and brought into the field once.
+    A term's raw product (powers per slot, _power) adds itself times
+    x / v_z to the partial by each slot z of exponent x. A term with two
+    or more slots at 0 adds nothing; with one, z, it adds its product over
+    the others to the partial by z when x = 1. An exponent 0 mod p adds 0.
+    The sums go into one raw row [value, partial, ...] per parameter
+    prefix of the keys, one place per slot however often it is named, and
+    each is brought into the field once; the outputs' keys are the
+    prefixes under their own degree.
 
-    A value is brought into the field when a term first uses it, so an
-    unused value is never checked. When a used value is missing or not in
-    the field, the value is None and a partial that reads one raises
-    (_check_reads).
+    A value is brought into the field when a term first uses it. When a
+    used value is missing or not in the field, the value is None and a
+    partial that reads one raises (_check_reads).
     """
     names, f = p.ring.names, p.ring.field
-    rows: list = [None] * len(names)  # rows[i][x] = v_i^x, or _UNREAD
-    invs: list = [None] * len(names)  # 1 / v_i, for a partial by i
-    parts: list = [None] * len(names)
-    for i in slots:
-        parts[i] = {}
-    value: dict = {}  # keyed, as the partials are, by e[:keep] until the end
+    k, keep, w = p.ring.k, out.k, p.width
+    bits = 8 * w
+    cut, mask = bits * (k - keep), (1 << bits * keep) - 1
+    place = [0] * k  # place[i]: the row place of the partial by slot i, 0 for none
+    cols = dict.fromkeys(slots)
+    for j, i in enumerate(cols, 1):
+        place[i] = j
+    size = 1 + len(cols)
+    pows: list = [None] * k  # pows[i][x] = v_i^x, or _UNREAD
+    invs: list = [None] * k  # 1 / v_i, for a partial by i
+    rows: dict[int, list] = {}
     unread = False
-    for e, c in _unpacked(p):
-        key = e[:keep]
-        used = [(i, x) for i, x in enumerate(e[keep:], keep) if x]
-        odd = None  # the one used slot at 0 or unread, -1 for more
+    for key, c in p.packed:
+        # the exponents in the slots from keep on, one to_bytes per term
+        e = key.to_bytes(k + 1, "big")[keep + 1 :] if w == 1 else _exps(key, k, w)[keep:]
+        used = [(i, x) for i, x in enumerate(e, keep) if x]
+        odd, oddx = None, 0  # the one used slot at 0 or unread (-1 for more), and its exponent
         for i, x in used:
-            row = rows[i]
+            row = pows[i]
             if row is None:
-                row = rows[i] = _read(f, values, names[i])
-                if row[1] and parts[i] is not None:
+                row = pows[i] = _read(f, values, names[i])
+                if row[1] and place[i]:
                     invs[i] = f.inv(row[1])
                 unread = unread or row is _UNREAD
             if row[1]:
@@ -493,22 +472,33 @@ def jet_from(
                 except IndexError:
                     c *= _power(f, row, x)
             else:
-                odd = i if odd is None else -1
+                odd, oddx = (i, x) if odd is None else (-1, 0)
+        pk = key >> cut & mask
+        acc = rows.get(pk)
+        if acc is None:
+            acc = rows[pk] = [0] * size
         if odd is None:
-            value[key] = value.get(key, 0) + c
+            acc[0] += c
             for i, x in used:
-                acc = parts[i]
-                if acc is not None:
-                    acc[key] = acc.get(key, 0) + c * x * invs[i]
-        elif odd >= 0 and e[odd] == 1 and parts[odd] is not None:
-            acc = parts[odd]
-            acc[key] = acc.get(key, 0) + c
-    make = f.make
+                j = place[i]
+                if j:
+                    acc[j] += c * x * invs[i]
+        elif oddx == 1 and place[odd]:
+            acc[place[odd]] += c
     if unread:
         for i in slots:
             _check_reads(p, keep, i, values)
-    partials = [{tuple(key): make(v) for key, v in parts[i].items()} for i in slots]
-    return (None if unread else {tuple(key): make(v) for key, v in value.items()}), partials
+    top = bits * keep
+    keyed = sorted(((pk + (_field_sum(pk, w) << top), acc) for pk, acc in rows.items()), reverse=True)
+    make = f.make
+    terms: list = [[] for _ in range(size)]
+    for key, acc in keyed:
+        for t, v in zip(terms, map(make, acc)):
+            if v:  # field zeros are falsy
+                t.append((key, v))
+    zero = out.zero()
+    outs = [_scalar(out, tuple(t), w) if t else zero for t in terms]
+    return (None if unread else outs[0]), [outs[place[i]] for i in slots]
 
 
 #: the power list of a slot whose value is missing or not in the field;
@@ -564,10 +554,6 @@ def _power(f: Field, row: list[Scalar], x: int) -> Scalar:
 # -- printing -------------------------------------------------------------------
 
 
-def _monomial(names: Sequence[str], exps: Sequence[int]) -> str:
-    return "*".join(f"{n}^{x}" if x > 1 else n for n, x in zip(names, exps) if x > 0)
-
-
 def _signed(field: Field, c: Scalar) -> tuple[str, bool]:
     """Text of |c| and whether c is negative; only rationals carry a sign."""
     neg = field.p is None and c < 0
@@ -592,11 +578,6 @@ def _print_sum(terms: Iterable[tuple[str, str, bool]]) -> str:
         else:
             pieces.append(f"-{body}" if neg else body)
     return " ".join(pieces) or "0"
-
-
-def _sum_text(names: Sequence[str], field: Field, terms: Iterable[tuple[Exps, Scalar]]) -> str:
-    """The text of a ParamScalar in `names` with these terms."""
-    return _print_sum((_monomial(names, e), *_signed(field, c)) for e, c in terms)
 
 
 def require_constant(values: Iterable[ParamScalar]) -> list[Scalar]:

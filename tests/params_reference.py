@@ -5,10 +5,11 @@ graded-lex order; a one-term product adds exponent tuples slot by slot,
 sums merge in an exponent-keyed dict and sort on (degree, exponents), and
 exact division pops leading exponents from a heap of negated tuples.
 sum_of_products packs keys for the length of one call, in the base
-1 + max(deg x + deg y).
+1 + max(deg x + deg y). A scalar prints from its exponent tuples.
 
 The oracle tests run the program's kernel and this one on the same
-operands, and _bareiss of exactmatrix over both scalar classes.
+operands, _bareiss of exactmatrix over both scalar classes, and both
+printers.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from typing import Iterable, Sequence
 
 from cilines.errors import InexactDivision, RingMismatch
 from cilines.fields import Scalar
-from cilines.params import ParamRing, ParamScalar, _sum_text
+from cilines.params import ParamRing, ParamScalar
 
 Exps = tuple[int, ...]
 
@@ -172,7 +173,21 @@ class TupleScalar:
         return TupleScalar(self.ring, tuple(quo))
 
     def __str__(self) -> str:
-        return _sum_text(self.ring.names, self.ring.field, self.terms)
+        """Each term as its coefficient and monomial, a coefficient 1
+        left out before a monomial; over Q a negative term puts its sign
+        in the joiner."""
+        f = self.ring.field
+        pieces = []
+        for e, c in self.terms:
+            neg = f.p is None and c < 0
+            cs = f.to_str(-c if neg else c)
+            mono = "*".join(f"{n}^{x}" if x > 1 else n for n, x in zip(self.ring.names, e) if x)
+            body = cs if not mono else mono if cs == "1" else f"{cs}*{mono}"
+            if pieces:
+                pieces.append(f"- {body}" if neg else f"+ {body}")
+            else:
+                pieces.append(f"-{body}" if neg else body)
+        return " ".join(pieces) or "0"
 
 
 def sum_of_products(

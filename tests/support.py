@@ -21,7 +21,7 @@ from cilines.families import _hyp_head
 from cilines.fields import Field, Scalar
 from cilines.geometry import CompleteIntersection, LineChartPoint, ambient_variables
 from cilines.multipoly import BinaryForm, MultiPoly, PolyRing
-from cilines.params import ParamRing
+from cilines.params import ParamRing, ParamScalar
 
 
 def chart_line_jacobian(x: CompleteIntersection, point: LineChartPoint) -> list[list[BinaryForm]]:
@@ -60,7 +60,12 @@ def differential_span_matrix(
     polynomials at a point."""
     avars, bvars = chart_variables(x.n)
     pt = point.values(x.n)
-    return ExactMatrix.from_rows(x.coeff_ring, [g.gradient_at(avars + bvars, pt) for g in polys])
+    return ExactMatrix.from_rows(x.coeff_ring, [gradient_at(g, avars + bvars, pt) for g in polys])
+
+
+def gradient_at(p: MultiPoly, names: Sequence[str], values: dict[str, Scalar]) -> list[ParamScalar]:
+    """The partials of p by `names` at `values` (MultiPoly.jet_at)."""
+    return p.jet_at(names, values)[1]
 
 
 def same_differential_span(

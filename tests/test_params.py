@@ -374,14 +374,14 @@ def test_evaluate_from_reduces_raw_products_once_at_the_end():
     values = {"x": 6, "y": 5, "c": 13}  # c = 13 comes into F_7 as 6
     raw = 6 * 6**3 * 5**2 + 6 * 6**2 * 5 * 13 + 5 * 13 + 6 * 6**2 * 5
     assert raw > 7
-    assert evaluate_from(p, 0, values) == {(): raw % 7}
+    base = ParamRing(f7)
+    assert evaluate_from(p, base, values) == base.const(raw % 7)
     assert p.evaluate(values) == raw % 7
     # keeping the first slot sums the terms by their x exponent
-    assert evaluate_from(p, 1, values) == {
-        (3,): 6 * 5**2 % 7,
-        (2,): (6 * 5 * 6 + 6 * 5) % 7,
-        (0,): 5 * 6 % 7,
-    }
+    xs = ParamRing(f7, ("x",))
+    assert evaluate_from(p, xs, values) == xs.from_terms(
+        {(3,): 6 * 5**2 % 7, (2,): (6 * 5 * 6 + 6 * 5) % 7, (0,): 5 * 6 % 7}
+    )
 
 
 def test_evaluate_from_takes_far_powers_by_squaring():

@@ -170,6 +170,37 @@ def test_a_value_is_equal_and_hashes_alike_whatever_width_it_was_reached_at():
         assert (c1**99999999 * c1**99999999).terms == (((199999998, 0, 0), 1),)
 
 
+def test_a_division_with_a_remainder_is_refused_before_it_walks_the_monomials():
+    """Each division here leaves a remainder that long division would
+    reduce through every monomial of its degree first: minutes for the
+    31-parameter ones near degree 32767. The least keys refuse them at
+    once: either the divisor's least key does not divide self's, or the
+    first quotient key lies below least(self) - least(divisor)."""
+    f7 = prime_field(7)
+    r3 = ParamRing(f7, ("c1", "c2", "c3"))
+    c1, c2, c3 = (r3.var(n) for n in r3.names)
+    wide = ParamRing(f7, CHART_NAMES)
+    d1, d2, d3 = (wide.var(n) for n in CHART_NAMES[:3])
+    divisions = [
+        (c1**40000, c1 + c2),  # c2 does not divide c1^40000
+        (c1**400, c1 + c2 + c3),
+        (c1**40000, c1 + 1),  # the first quotient key c1^39999 is below c1^40000
+        (c1**400 + 1, c1 + c2 + c3),  # c1 does not divide 1
+        (d1**32767, d1 + d2 + d3),
+        (d1**32767 + 1, d1 + d2 + d3),
+        (d1**32766, d1 + d2 + d3 + 1),
+        (d1**32760 * d2**7, d1 + d3),
+    ]
+    for x, d in divisions:
+        with pytest.raises(InexactDivision):
+            x.exact_div(d)
+        assert (x * d).exact_div(d) == x
+    # the least keys alone allow these, and the quotients come out whole
+    assert ((d1 + 1) * d1**32000).exact_div(d1 + 1) == d1**32000
+    assert ((d1 + d2) * (d2 + d3) * d3**100).exact_div(d2 + d3) == (d1 + d2) * d3**100
+    assert r3.zero().exact_div(c1 + c2) == r3.zero()
+
+
 def test_exponent_views_are_tuples_at_every_width():
     for names in ((), ("c1",)):
         ring = PolyRing(ParamRing(prime_field(7), names), ("x", "y"))

@@ -75,3 +75,55 @@ def test_no_assert_statement_in_the_package():
         if isinstance(node, ast.Assert)
     ]
     assert found == []
+
+
+def _cache_names(tree: ast.Module) -> tuple[dict[str, str], set[str]]:
+    """The names a module binds to functools.cache and functools.lru_cache
+    (name -> which), and the names it binds to functools itself."""
+    names, modules = {}, set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "functools":
+            names.update(
+                (a.asname or a.name, a.name) for a in node.names if a.name in ("cache", "lru_cache")
+            )
+        elif isinstance(node, ast.Import):
+            modules.update(a.asname or a.name for a in node.names if a.name == "functools")
+    return names, modules
+
+
+def test_every_cache_is_bounded():
+    """A memo the package keeps lives as long as the process. So every
+    lru_cache gives a finite maxsize (the default, 128, counts), and
+    functools.cache, which never evicts, decorates only functions that take
+    no parameters, whose one entry it keeps."""
+    unbounded = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        names, modules = _cache_names(tree)
+
+        def which(expr: ast.expr) -> str | None:
+            if isinstance(expr, ast.Name):
+                return names.get(expr.id)
+            if isinstance(expr, ast.Attribute) and isinstance(expr.value, ast.Name):
+                if expr.value.id in modules and expr.attr in ("cache", "lru_cache"):
+                    return expr.attr
+            return None
+
+        allowed = set()  # the cache decorators of functions with no parameters
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                a = node.args
+                if not (a.posonlyargs or a.args or a.vararg or a.kwonlyargs or a.kwarg):
+                    allowed.update(id(d) for d in node.decorator_list if which(d) == "cache")
+        for node in ast.walk(tree):
+            where = f"{path.name}:{getattr(node, 'lineno', '?')}"
+            if isinstance(node, ast.Call) and which(node.func) == "lru_cache":
+                given = [*node.args[:1], *(k.value for k in node.keywords if k.arg == "maxsize")]
+                if any(
+                    not (isinstance(v, ast.Constant) and type(v.value) is int and v.value >= 0)
+                    for v in given
+                ):
+                    unbounded.append(f"{where} lru_cache without a finite maxsize")
+            elif isinstance(node, ast.expr) and which(node) == "cache" and id(node) not in allowed:
+                unbounded.append(f"{where} functools.cache on a function with parameters")
+    assert unbounded == []
