@@ -38,8 +38,8 @@ from .errors import (
     BudgetExceeded,
     ConstraintViolated,
     InfiniteField,
+    InvariantViolated,
     LineNotContained,
-    NotHomogeneous,
     ParameterPresent,
 )
 from .exactmatrix import ExactMatrix, RankResult, rank_exact
@@ -120,15 +120,13 @@ class MembershipSystem:
 
 def membership_system(x: CompleteIntersection) -> MembershipSystem:
     n = x.n
+    ab = chart_ring(x.coeff_ring, n)
     systems = []
     for form, d in zip(x.forms, x.ci_type.degrees):
-        image = chart_image(form, n)
-        pieces = image.split(("s", "t"))
-        ab = chart_ring(x.coeff_ring, n)
         coeffs = [ab.zero()] * (d + 1)
-        for (es, et), poly in pieces.items():
-            if es + et != d:
-                raise NotHomogeneous(f"composite of {form} is not homogeneous")
+        for (es, et), poly in chart_image(form, n).split(("s", "t")).items():
+            if es + et != d:  # a CompleteIntersection's forms are homogeneous of degree d
+                raise InvariantViolated(f"composite of {form} has (s, t)-degree {es + et}, not {d}")
             coeffs[et] = poly
         systems.append(tuple(coeffs))
     return MembershipSystem(x.ci_type, tuple(systems))

@@ -41,6 +41,7 @@ from .bundles import (
     tangent_splitting_from_normal,
 )
 from .chart import (
+    chart_variables,
     enumerate_lines_fq,
     line_jacobian,
     line_param,
@@ -49,7 +50,7 @@ from .chart import (
 )
 from .errors import BudgetExceeded, LineNotContained, ParseError, SingularAlongLine, ToolkitError
 from .exactmatrix import ExactMatrix
-from .families import FamilySpec, family_report, hypothesis_gates, parse_family_spec
+from .families import family_report, hypothesis_gates, parse_family_spec
 from .fields import Field, RATIONALS, field_from_str, prime_field
 from .geometry import (
     CIType,
@@ -165,6 +166,13 @@ def load_problem(path: str) -> ProblemFile:
             f"MAX_FORM_DEGREE = {MAX_FORM_DEGREE}"
         )
     params = tuple(data.get("params", "").split()) if data.get("params") else ()
+    avars, bvars = chart_variables(n)
+    clash = [c for c in params if c in ("s", "t", *ambient_variables(n), *avars, *bvars)]
+    if clash:
+        raise ParseError(
+            f"params {clash} are coordinate names: S, T, Z1..Z{n - 1}, s, t, "
+            f"a1..a{n - 1} and b1..b{n - 1} are reserved"
+        )
     if len(forms) != len(degrees):
         raise ParseError(f"{len(degrees)} degrees but {len(forms)} forms")
 
@@ -257,11 +265,7 @@ def _line_splitting(
 
 
 def _cmd_verify_example(args) -> dict:
-    spec = parse_family_spec(args.family)
-    if args.seed is not None:
-        if spec.c_mode != "sampled":
-            raise ParseError("--seed is read only with c=sampled")
-        spec = FamilySpec(spec.name, spec.n, spec.degrees, spec.c_mode, args.seed)
+    spec = parse_family_spec(args.family, args.seed)
     field = RATIONALS if args.char == 0 else prime_field(args.char)
     built, rep = family_report(spec, field)
     out = {

@@ -81,11 +81,12 @@ class FamilySpec:
         return self.name + ":" + ",".join(opts)
 
 
-def parse_family_spec(text: str) -> FamilySpec:
+def parse_family_spec(text: str, seed: int | None = None) -> FamilySpec:
     """Parse 'name' or 'name:key=value,...' with keys N, d, degrees
-    ('+'-separated), r, c (symbolic|sampled), seed. A key given twice, more
-    than one of d, degrees and r, a size key on a fixed family, a seed
-    without c=sampled and any other key are refused (ParseError)."""
+    ('+'-separated), r, c (symbolic|sampled), seed; `seed`, when given,
+    is one more seed key. A key given twice, more than one of d, degrees
+    and r, a size key on a fixed family, a seed without c=sampled and any
+    other key are refused (ParseError)."""
     text = text.strip()
     name, _, tail = text.partition(":")
     fixed = name in ("hyp-4-6", "ci-4-3-P9")
@@ -120,7 +121,12 @@ def parse_family_spec(text: str) -> FamilySpec:
             raise ParseError(f"bad c mode {c_mode!r}")
         if "seed" in opts and c_mode != "sampled":
             raise ParseError("a family spec reads seed only with c=sampled")
-        seed = int(opts.get("seed", "0"))
+        if seed is None:
+            seed = int(opts.get("seed", "0"))
+        elif c_mode != "sampled":
+            raise ParseError("--seed is read only with c=sampled")
+        elif "seed" in opts:
+            raise ParseError(f"seed={opts['seed']} in the family spec and --seed {seed} both")
     except ValueError as exc:
         raise ParseError(f"bad family option value: {exc}") from None
     return FamilySpec(name, n, degrees, c_mode, seed)  # type: ignore[arg-type]

@@ -45,7 +45,7 @@ from .params import (
     _signed,
     _term_text,
     _unpacked,
-    evaluate_from,
+    _used,
     grlex_key,
     jet_from,
 )
@@ -167,23 +167,10 @@ class MultiPoly:
             return False
         return d is None or got == d
 
-    def _used(self) -> Sequence[int]:
-        """Per flat slot, nonzero when some term has a positive exponent
-        there: the exponents of the OR of all keys, as no bit carries from
-        one field into the next."""
-        acc = 0
-        for key, _ in self.flat.packed:
-            acc |= key
-        return _exps(acc, self.flat.ring.k, self.flat.width)
-
     @property
     def is_parameter_free(self) -> bool:
         k = self.ring.coeffs.k
-        return not k or not any(self._used()[:k])
-
-    def variables_present(self) -> set[str]:
-        k = self.ring.coeffs.k
-        return {v for v, x in zip(self.ring.variables, self._used()[k:]) if x}
+        return not k or not any(_used(self.flat)[:k])
 
     # -- arithmetic --------------------------------------------------------
 
@@ -268,8 +255,8 @@ class MultiPoly:
         for key in assignment:
             if key not in self.ring.variables:
                 raise UnknownVariable(f"assignment for unknown variable {key!r}")
-        needed = self.variables_present()
-        missing = needed - set(assignment)
+        used = _used(self.flat)[self.ring.coeffs.k :]
+        missing = {v for v, x in zip(self.ring.variables, used) if x and v not in assignment}
         if missing:
             raise UnknownVariable(f"no assignment for {sorted(missing)}")
         targets = {v.ring for v in assignment.values()}
@@ -313,16 +300,15 @@ class MultiPoly:
     def evaluate(self, values: Mapping[str, Scalar]) -> ParamScalar:
         """Evaluate every variable at a field element; coefficients
         (hence parameters) survive untouched."""
-        return evaluate_from(self.flat, self.ring.coeffs, values)
+        return jet_from(self.flat, self.ring.coeffs, (), values)[0]
 
     def jet_at(
         self, names: Sequence[str], values: Mapping[str, Scalar]
-    ) -> tuple[ParamScalar | None, list[ParamScalar]]:
+    ) -> tuple[ParamScalar, list[ParamScalar]]:
         """The value at `values` and the partials by `names` there, from one
         walk over the flat terms (params.jet_from); no derivative is formed.
-        A value is read only where a term uses it: the value is None when a
-        term uses one that is missing or not in the field, and a partial
-        that reads one raises."""
+        Every variable that occurs needs a value (UnknownVariable names all
+        that have none), and a value that no term uses is not read."""
         return jet_from(self.flat, self.ring.coeffs, [self._slot(v) for v in names], values)
 
     def split(self, front: Sequence[str]) -> dict[Exps, "MultiPoly"]:

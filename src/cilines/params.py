@@ -296,7 +296,9 @@ class ParamScalar:
         least term of a product is the product of the least terms, so an
         exact quotient has the least key least(self) - least(divisor): a
         guard bit set there refuses the division at once, and so does a
-        quotient key below it.
+        quotient key below it. The degree in each parameter adds under
+        multiplication, so a divisor of two or more terms that uses a
+        parameter the dividend does not is refused at once too.
         """
         ring = self.ring
         divisor = self._coerce(divisor)
@@ -317,7 +319,7 @@ class ParamScalar:
             return ParamScalar(ring, tuple((e, fmul(c, inv)) for e, c in self.packed), self.width)
         guards = _guards(ring.k, w)
         lo = nterms[-1][0] - dterms[-1][0]
-        if lo & guards:
+        if lo & guards or (rest and any(d and not n for d, n in zip(_used(divisor), _used(self)))):
             raise InexactDivision(f"{divisor} does not divide exactly")
         tail = [(e, f.neg(c)) for e, c in rest]
         fadd = f.add
@@ -351,7 +353,7 @@ class ParamScalar:
 
     def evaluate(self, values: Mapping[str, Scalar]) -> Scalar:
         """Evaluate at field values; every occurring parameter must be set."""
-        return evaluate_from(self, ParamRing(self.ring.field), values).constant_value()
+        return jet_from(self, ParamRing(self.ring.field), (), values)[0].constant_value()
 
     # -- printing -------------------------------------------------------------
 
@@ -411,22 +413,27 @@ def sum_of_products(
     return _scalar(ring, tuple(t for t in terms if t[1]), w)  # field zeros are falsy
 
 
-def evaluate_from(p: ParamScalar, out: ParamRing, values: Mapping[str, Scalar]) -> ParamScalar:
-    """The value part of jet_from: every exponent slot of p from out.k on
-    set to the value of its name, a scalar of `out`. A value that a term
-    uses and that is missing or not in the field raises (_check_reads)."""
-    value, _ = jet_from(p, out, (), values)
-    if value is None:
-        _check_reads(p, out.k, None, values)
-    return value  # type: ignore[return-value]
+def _used(x: ParamScalar) -> Sequence[int]:
+    """Per slot of x's ring, nonzero when some term has a positive
+    exponent there: the exponents of the OR of all keys, as no bit carries
+    from one field into the next."""
+    acc = 0
+    for key, _ in x.packed:
+        acc |= key
+    return _exps(acc, x.ring.k, x.width)
 
 
 def jet_from(
     p: ParamScalar, out: ParamRing, slots: Sequence[int], values: Mapping[str, Scalar]
-) -> tuple[ParamScalar | None, list[ParamScalar]]:
+) -> tuple[ParamScalar, list[ParamScalar]]:
     """The value of p and its partials by `slots` (each out.k or later),
     every slot from out.k on set to the value of its name, as scalars of
     `out`, the ring of p's first out.k names: one walk over the terms.
+
+    Every name from out.k on that occurs in p needs a value, or
+    UnknownVariable names all that have none. A value is brought into the
+    field where a term first uses it, so one that no term uses is never
+    read.
 
     A term's raw product (powers per slot, _power) adds itself times
     x / v_z to the partial by each slot z of exponent x. A term with two
@@ -436,13 +443,14 @@ def jet_from(
     prefix of the keys, one place per slot however often it is named, and
     each is brought into the field once; the outputs' keys are the
     prefixes under their own degree.
-
-    A value is brought into the field when a term first uses it. When a
-    used value is missing or not in the field, the value is None and a
-    partial that reads one raises (_check_reads).
     """
     names, f = p.ring.names, p.ring.field
     k, keep, w = p.ring.k, out.k, p.width
+    if any(name not in values for name in names[keep:]):
+        occurs = _used(p)
+        missing = sorted(names[i] for i in range(keep, k) if occurs[i] and names[i] not in values)
+        if missing:
+            raise UnknownVariable(f"no value for {missing}")
     bits = 8 * w
     cut, mask = bits * (k - keep), (1 << bits * keep) - 1
     place = [0] * k  # place[i]: the row place of the partial by slot i, 0 for none
@@ -450,22 +458,21 @@ def jet_from(
     for j, i in enumerate(cols, 1):
         place[i] = j
     size = 1 + len(cols)
-    pows: list = [None] * k  # pows[i][x] = v_i^x, or _UNREAD
+    pows: list = [None] * k  # pows[i][x] = v_i^x
     invs: list = [None] * k  # 1 / v_i, for a partial by i
     rows: dict[int, list] = {}
-    unread = False
     for key, c in p.packed:
         # the exponents in the slots from keep on, one to_bytes per term
         e = key.to_bytes(k + 1, "big")[keep + 1 :] if w == 1 else _exps(key, k, w)[keep:]
         used = [(i, x) for i, x in enumerate(e, keep) if x]
-        odd, oddx = None, 0  # the one used slot at 0 or unread (-1 for more), and its exponent
+        odd, oddx = None, 0  # the one used slot at 0 (-1 for more), and its exponent
         for i, x in used:
             row = pows[i]
             if row is None:
-                row = pows[i] = _read(f, values, names[i])
-                if row[1] and place[i]:
-                    invs[i] = f.inv(row[1])
-                unread = unread or row is _UNREAD
+                v = f.make(values[names[i]])
+                row = pows[i] = [f.one, v]
+                if v and place[i]:
+                    invs[i] = f.inv(v)
             if row[1]:
                 try:
                     c *= row[x]
@@ -485,9 +492,6 @@ def jet_from(
                     acc[j] += c * x * invs[i]
         elif oddx == 1 and place[odd]:
             acc[place[odd]] += c
-    if unread:
-        for i in slots:
-            _check_reads(p, keep, i, values)
     top = bits * keep
     keyed = sorted(((pk + (_field_sum(pk, w) << top), acc) for pk, acc in rows.items()), reverse=True)
     make = f.make
@@ -498,41 +502,7 @@ def jet_from(
                 t.append((key, v))
     zero = out.zero()
     outs = [_scalar(out, tuple(t), w) if t else zero for t in terms]
-    return (None if unread else outs[0]), [outs[place[i]] for i in slots]
-
-
-#: the power list of a slot whose value is missing or not in the field;
-#: its entry at 1 is falsy, as that of a slot at 0 is
-_UNREAD: list = [None, None]
-
-
-def _read(f: Field, values: Mapping[str, Scalar], name: str) -> list:
-    """The power list [1, v] of the value of `name`, or _UNREAD. Any
-    failure is deferred to _check_reads, which names a missing value even
-    when another value fails first, and raises only for what is read."""
-    try:
-        return [f.one, f.make(values[name])]
-    except Exception:
-        return _UNREAD
-
-
-def _check_reads(p: ParamScalar, keep: int, z: int | None, values: Mapping[str, Scalar]) -> None:
-    """Raise when an output of jet_from reads a value that is missing or
-    not in the field: the partial by slot z, or the value when z is None.
-    The error is UnknownVariable naming every missing value it reads, or
-    else the field's error on the first such value."""
-    names, f = p.ring.names, p.ring.field
-    char = f.characteristic
-    reads = set()
-    for e, _ in p.terms:
-        x = 0 if z is None else e[z]
-        if z is None or (x and (not char or x % char)):
-            reads.update(i for i, y in enumerate(e[keep:], keep) if y and (i != z or x > 1))
-    missing = sorted(names[i] for i in reads if names[i] not in values)
-    if missing:
-        raise UnknownVariable(f"no value for {missing}")
-    for i in sorted(reads):
-        f.make(values[names[i]])
+    return outs[0], [outs[place[i]] for i in slots]
 
 
 #: furthest past the end of a power list that _power extends it
@@ -582,9 +552,4 @@ def _print_sum(terms: Iterable[tuple[str, str, bool]]) -> str:
 
 def require_constant(values: Iterable[ParamScalar]) -> list[Scalar]:
     """Collapse parameter-free scalars to field elements, or raise."""
-    out = []
-    for v in values:
-        if not v.is_constant:
-            raise ParameterPresent(f"{v} carries parameters")
-        out.append(v.constant_value())
-    return out
+    return [v.constant_value() for v in values]

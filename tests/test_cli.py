@@ -787,6 +787,35 @@ def test_seed_option_on_a_symbolic_spec_exits_1(capsys):
     assert code == 0 and json.loads(out)["family"] == "hyp-4-6:c=sampled,seed=3"
 
 
+def test_a_seed_in_the_spec_and_the_option_exits_1(capsys):
+    """--seed once replaced the spec's seed without a word."""
+    code, out = run(capsys, "verify-example", "hyp-4-6:c=sampled,seed=1", "--seed", "2")
+    report = json.loads(out)
+    assert code == 1 and report["error"] == "ParseError"
+    assert "seed=1" in report["message"] and "--seed 2" in report["message"]
+    code, out = run(capsys, "verify-example", "hyp-4-6:c=sampled,seed=1")
+    assert code == 0 and json.loads(out)["family"] == "hyp-4-6:c=sampled,seed=1"
+
+
+@pytest.mark.parametrize(
+    "command, problem, name",
+    [
+        ("classify-line", QUADRIC_F3, "a1"),
+        ("classify-line", QUADRIC_F3, "S"),
+        ("curve-check", QUINTIC_F7, "s"),
+    ],
+    ids=["classify-line-a1", "classify-line-S", "curve-check-s"],
+)
+def test_a_parameter_named_as_a_coordinate_exits_1(capsys, tmp_path, command, problem, name):
+    """Such a name once exited 2 with RingMismatch, naming neither the
+    parameter nor the coordinate."""
+    text = problem.replace("degrees:", f"params: c1 {name}\ndegrees:")
+    code, out = run(capsys, command, write_problem(tmp_path, "clash.ci", text))
+    report = json.loads(out)
+    assert code == 1 and report["error"] == "ParseError"
+    assert f"params ['{name}'] are coordinate names" in report["message"]
+
+
 def test_parse_errors_exit_1(capsys, tmp_path):
     code, out = run(capsys, "verify-example", "no-such-family")
     assert code == 1

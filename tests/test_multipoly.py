@@ -81,7 +81,9 @@ def test_gradient_at_is_differentiate_then_evaluate(rng):
     p = parse_poly("x^3*y + 5*x^2", ring)
     const = ring.coeffs.const
     assert gradient_at(p, ("x", "y"), {"x": 2, "y": 3}) == [const(3 * 4 * 3 + 10 * 2), const(8)]
-    assert gradient_at(p, (), {}) == []
+    assert gradient_at(p, (), {"x": 2, "y": 3}) == []
+    with pytest.raises(UnknownVariable, match=re.escape("no value for ['x', 'y']")):
+        gradient_at(p, (), {})
 
 
 @pytest.mark.parametrize("char", [0, 2, 3, 7])
@@ -114,14 +116,25 @@ def test_jet_at_is_the_value_and_the_evaluated_derivatives(rng, char, params):
 
 
 def test_jet_at_reads_no_value_for_the_value_it_cannot_give():
-    """A partial that needs no missing value is returned while the value,
-    which needs one, is None."""
-    ring = PolyRing(ParamRing(RATIONALS, ()), ("a1", "b1"))
-    p = parse_poly("a1*b1 + 3*b1", ring)
-    value, partials = p.jet_at(("a1",), {"b1": 5})
-    assert value is None and partials == [ring.coeffs.const(5)]
-    with pytest.raises(UnknownVariable, match=r"\['a1'\]"):
-        p.jet_at(("b1",), {"b1": 5})
+    """Every variable that occurs needs a value, whatever is asked: the
+    value and every partial, one that would not read the missing value
+    too, are refused with UnknownVariable naming every missing variable.
+    A variable that no term uses needs none. At key widths 1, 2 and 4."""
+    ring = PolyRing(ParamRing(RATIONALS, ()), ("a1", "b1", "z"))
+    const = ring.coeffs.const
+    for big in (1, 200, 40000):
+        p = parse_poly(f"a1*b1^{big} + 3*b1", ring)
+        assert p.flat.width == (1 if big == 1 else 2 if big == 200 else 4)
+        for asked in ((), ("a1",), ("b1",), ("z", "a1")):
+            with pytest.raises(UnknownVariable, match=re.escape("no value for ['a1']")):
+                p.jet_at(asked, {"b1": 5})
+            with pytest.raises(UnknownVariable, match=re.escape("no value for ['a1', 'b1']")):
+                p.jet_at(asked, {"z": 1})
+        # d/da1 = b1^big, d/db1 = big*a1*b1^(big-1) + 3
+        value, partials = p.jet_at(("a1", "b1", "z"), {"a1": 2, "b1": -1})
+        sign = (-1) ** big
+        assert value == const(2 * sign - 3)
+        assert partials == [const(sign), const(-2 * big * sign + 3), const(0)]
 
 
 def test_a_value_the_field_cannot_hold_is_refused_where_it_is_used():
@@ -138,27 +151,29 @@ def test_a_value_the_field_cannot_hold_is_refused_where_it_is_used():
 
 
 def test_gradient_at_annihilates_and_names_what_is_missing():
+    """An exponent 0 in the field annihilates its partial, yet every
+    variable that occurs needs a value, the one differentiated away too:
+    UnknownVariable names all that are missing, whatever is asked. At key
+    widths 1, 2 and 4."""
     f3 = PolyRing(ParamRing(prime_field(3), ()), ("a1", "b1"))
-    p = parse_poly("a1^3 + 2*b1", f3)
     zero, two = f3.coeffs.zero(), f3.coeffs.const(2)
-    # 3*a1^2 vanishes in F_3, so a1 needs no value
-    assert gradient_at(p, ("a1", "b1"), {"b1": 1}) == [zero, two]
-    assert gradient_at(p, ("a1",), {"a1": 2, "b1": 1}) == [zero]
-
-    q_ring = PolyRing(ParamRing(RATIONALS, ()), ("a1", "b1"))
-    q = parse_poly("a1^2*b1 + b1", q_ring)
-    # d/db1 = a1^2 + 1 needs a1; d/da1 = 2*a1*b1 needs both
-    for names, vals in ((("b1",), {"b1": 3}), (("b1", "a1"), {"a1": 1}), (("a1",), {})):
-        with pytest.raises(UnknownVariable) as ours:
-            gradient_at(q, names, vals)
-        with pytest.raises(UnknownVariable) as theirs:
-            [q.differentiate(v).evaluate(vals) for v in names]
-        assert str(ours.value) == str(theirs.value)
-    # the variable differentiated away needs no value
-    r = parse_poly("a1*b1", q_ring)
-    assert gradient_at(r, ("a1",), {"b1": 5}) == [q_ring.coeffs.const(5)]
-    with pytest.raises(UnknownVariable, match="not in ring"):
-        gradient_at(r, ("a1", "Z9"), {"a1": 1, "b1": 1})
+    for x in (3, 201, 40002):  # multiples of 3, so x*a1^(x-1) vanishes in F_3
+        p = parse_poly(f"a1^{x} + 2*b1", f3)
+        assert p.flat.width == (1 if x == 3 else 2 if x == 201 else 4)
+        assert gradient_at(p, ("a1", "b1"), {"a1": 2, "b1": 1}) == [zero, two]
+        assert gradient_at(p, ("a1",), {"a1": 0, "b1": 1}) == [zero]
+        for names in ((), ("a1",), ("b1",), ("b1", "a1")):
+            with pytest.raises(UnknownVariable, match=re.escape("no value for ['a1']")):
+                gradient_at(p, names, {"b1": 1})
+            with pytest.raises(UnknownVariable, match=re.escape("no value for ['a1', 'b1']")):
+                gradient_at(p, names, {})
+        # d/da1 of a1*b1^(x-1) reads b1 alone, but a1 occurs
+        r = parse_poly(f"a1*b1^{x - 1}", f3)
+        assert gradient_at(r, ("a1",), {"a1": 1, "b1": 2}) == [f3.coeffs.const(pow(2, x - 1, 3))]
+        with pytest.raises(UnknownVariable, match=re.escape("no value for ['a1']")):
+            gradient_at(r, ("a1",), {"b1": 2})
+        with pytest.raises(UnknownVariable, match="not in ring"):
+            gradient_at(r, ("a1", "Z9"), {"a1": 1, "b1": 1})
 
 
 def test_param_scalar_evaluate_matches_a_naive_reference(rng):

@@ -165,32 +165,30 @@ def test_jet_at_is_differentiate_then_evaluate_at_every_width(rng, field, names)
 
 @pytest.mark.parametrize("big", [1, 200, 40000])
 def test_jet_at_reads_and_refuses_values_as_differentiation_does(big):
-    """At each width: the value is None when a used value is missing, a
-    partial that reads a missing value or one the field cannot hold raises
-    what differentiate-then-evaluate raises, and one that reads neither is
-    returned."""
-    f7 = PolyRing(ParamRing(prime_field(7), ("c1",)), ("x", "y", "z"))
+    """At each width, whatever is asked: a missing value of a variable that
+    occurs raises UnknownVariable naming every missing one, even beside a
+    value the field cannot hold; a value the field cannot hold, for a
+    variable that occurs, raises the field's error; a value that no term
+    uses is not read. With every value set the jet is
+    differentiate-then-evaluate."""
+    f7 = PolyRing(ParamRing(prime_field(7), ("c1",)), ("x", "y", "z", "u"))
     x, y, z, c1 = f7.var("x"), f7.var("y"), f7.var("z"), f7.param("c1")
     p = c1**big * x * y + 3 * y**big + z
     assert p.flat.width == (1 if big < 128 else 2 if big < 32768 else 4)
-    coefficient = f7.coeffs.var("c1") ** big * 2
-    value, partials = p.jet_at(("x", "x", "z"), {"y": 2, "z": 9})
-    assert value is None
-    assert partials == [coefficient, coefficient, f7.coeffs.one()]
-    for asked, vals, missing in (
-        (("y",), {"y": 2, "z": 9}, "['x']"),
-        (("x", "y"), {"z": 1}, "['y']"),
-        (("y", "x"), {"z": 1}, "['x', 'y']" if big > 1 else "['x']"),
-    ):
-        with pytest.raises(UnknownVariable) as ours:
-            p.jet_at(asked, vals)
-        with pytest.raises(UnknownVariable) as theirs:
-            [p.differentiate(v).evaluate(vals) for v in asked]
-        assert str(ours.value) == str(theirs.value) == f"no value for {missing}"
-    bad = {"x": Fraction(1, 7), "y": 2, "z": 0}
-    with pytest.raises(ConstraintViolated):
-        p.jet_at(("y",), bad)
-    with pytest.raises(ConstraintViolated):
-        p.differentiate("y").evaluate(bad)
-    # d/dx reads y alone, so the x that F_7 cannot hold is not read
-    assert p.jet_at(("x",), bad) == (None, [coefficient])
+    for asked in ((), ("x",), ("y",), ("z",), ("x", "x", "z"), ("u",)):
+        for vals, missing in (
+            ({"y": 2, "z": 9}, "['x']"),
+            ({"z": 1, "u": 0}, "['x', 'y']"),
+            ({}, "['x', 'y', 'z']"),
+            ({"x": Fraction(1, 7), "z": 0}, "['y']"),  # missing wins over 1/7
+        ):
+            with pytest.raises(UnknownVariable) as err:
+                p.jet_at(asked, vals)
+            assert str(err.value) == f"no value for {missing}"
+        with pytest.raises(ConstraintViolated):
+            p.jet_at(asked, {"x": Fraction(1, 7), "y": 2, "z": 0})
+        # u occurs in no term, so the 1/7 that F_7 cannot hold is not read
+        vals = {"x": 3, "y": 2, "z": 9, "u": Fraction(1, 7)}
+        value, partials = p.jet_at(asked, vals)
+        assert value == p.evaluate(vals)
+        assert partials == [p.differentiate(v).evaluate(vals) for v in asked]

@@ -10,11 +10,13 @@ test does the same on drawn operands and skips when hypothesis is not
 installed."""
 
 from fractions import Fraction
+from heapq import heappop
 
 import pytest
 
 from cilines.errors import InexactDivision
 from cilines.exactmatrix import ExactMatrix, _bareiss
+from cilines import params
 from cilines.fields import RATIONALS, prime_field
 from cilines.multipoly import PolyRing
 from cilines.params import ParamRing, sum_of_products
@@ -199,6 +201,23 @@ def test_a_division_with_a_remainder_is_refused_before_it_walks_the_monomials():
     assert ((d1 + 1) * d1**32000).exact_div(d1 + 1) == d1**32000
     assert ((d1 + d2) * (d2 + d3) * d3**100).exact_div(d2 + d3) == (d1 + d2) * d3**100
     assert r3.zero().exact_div(c1 + c2) == r3.zero()
+
+
+def test_a_divisor_using_a_parameter_the_dividend_lacks_is_refused_at_once(monkeypatch):
+    """The degree in each parameter adds under multiplication, so c1 + c2 +
+    c3 divides nothing free of c2. Long division of c1^400 - c3^400 by it
+    passes the least-key checks and walks about 400^2 remainder terms
+    before it refuses; the supports refuse it with no step taken."""
+    r3 = ParamRing(prime_field(7), ("c1", "c2", "c3"))
+    c1, c2, c3 = (r3.var(n) for n in r3.names)
+    steps = []
+    monkeypatch.setattr(params, "heappop", lambda heap: steps.append(1) or heappop(heap))
+    with pytest.raises(InexactDivision):
+        (c1**400 - c3**400).exact_div(c1 + c2 + c3)
+    assert steps == []
+    # the same parameters on both sides still take the walk
+    assert (c1**400 - c3**400).exact_div(c1 - c3) * (c1 - c3) == c1**400 - c3**400
+    assert steps
 
 
 def test_exponent_views_are_tuples_at_every_width():

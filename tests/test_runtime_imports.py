@@ -1,7 +1,7 @@
 """The runtime stays on the standard library: every absolute import in the
 package, lazy ones inside functions included, names a standard module.
-Every module-level import is read, and no check in the package is a bare
-assert, which python -O strips."""
+Every module-level import is read, no check in the package is a bare
+assert, which python -O strips, and no handler catches every exception."""
 
 import ast
 import sys
@@ -73,6 +73,25 @@ def test_no_assert_statement_in_the_package():
         for path in sorted(PACKAGE.glob("*.py"))
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), filename=str(path)))
         if isinstance(node, ast.Assert)
+    ]
+    assert found == []
+
+
+def test_no_catch_all_except_in_the_package():
+    """Errors are named: no handler catches Exception, BaseException or
+    everything (a bare except), which would swallow a bug with the verdict."""
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(PACKAGE.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), filename=str(path)))
+        if isinstance(node, ast.ExceptHandler)
+        and (
+            node.type is None
+            or any(
+                isinstance(t, ast.Name) and t.id in ("Exception", "BaseException")
+                for t in (node.type.elts if isinstance(node.type, ast.Tuple) else [node.type])
+            )
+        )
     ]
     assert found == []
 
