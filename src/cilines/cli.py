@@ -28,6 +28,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import re
 import sys
 import time
 from dataclasses import dataclass
@@ -62,7 +63,7 @@ from .geometry import (
 from .multipoly import BinaryForm, PolyRing
 from .nonfree import SmoothnessReport, expected_pair_report
 from .params import ParamRing
-from .polytext import parse_poly
+from .polytext import _NAME, parse_poly
 
 
 #: the largest curve degree: of a problem file's curve, and b * K of its
@@ -165,7 +166,10 @@ def load_problem(path: str) -> ProblemFile:
             f"a form of degree {max(degrees)}; a problem file declares degrees of at most "
             f"MAX_FORM_DEGREE = {MAX_FORM_DEGREE}"
         )
-    params = tuple(data.get("params", "").split()) if data.get("params") else ()
+    params = tuple(data.get("params", "").split())
+    bad = [c for c in dict.fromkeys(params) if params.count(c) > 1 or not re.fullmatch(_NAME, c)]
+    if bad:
+        raise ParseError(f"params {bad} are not distinct names {_NAME}; separate names by whitespace")
     avars, bvars = chart_variables(n)
     clash = [c for c in params if c in ("s", "t", *ambient_variables(n), *avars, *bvars)]
     if clash:

@@ -6,6 +6,11 @@ exact, and the final pivot is, up to a tracked permutation sign, the
 determinant of the selected rank x rank submatrix. That determinant is
 returned as the certificate: a concrete minor, nonzero as a polynomial,
 whose nonvanishing witnesses the rank over the fraction field.
+
+rank_exact and det share that loop, _bareiss, but not its pivot search:
+rank_exact takes the first nonzero entry, which fixes its pivot rows (the
+lex-first row basis) and the minor it certifies; det, whose value no
+pivot order changes, takes the entry with the fewest terms.
 """
 
 from __future__ import annotations
@@ -15,7 +20,7 @@ from typing import Sequence
 
 from .errors import ConstraintViolated, RingMismatch
 from .fields import Scalar
-from .params import ParamRing, ParamScalar, require_constant
+from .params import ParamRing, ParamScalar, _degree, require_constant
 
 
 @dataclass(frozen=True)
@@ -82,8 +87,30 @@ def _perm_sign(seq: Sequence[int]) -> int:
     return sign
 
 
-def _bareiss(m: ExactMatrix) -> tuple[int, list[list[ParamScalar]], list[int], list[int]]:
+def _first_nonzero(work: list[list[ParamScalar]], k: int) -> tuple[int, int] | None:
+    """The first nonzero entry at or past (k, k), in row-major order."""
+    cells = ((i, j) for i in range(k, len(work)) for j in range(k, len(work[i])))
+    return next(((i, j) for i, j in cells if not work[i][j].is_zero), None)
+
+
+def _cheapest(work: list[list[ParamScalar]], k: int) -> tuple[int, int] | None:
+    """The nonzero entry at or past (k, k) with the fewest terms, then the
+    lowest total degree, then the first in row-major order."""
+    best = None
+    for i in range(k, len(work)):
+        for j, x in enumerate(work[i][k:], k):
+            if x.packed and (best is None or (len(x.packed), _degree(x)) < best[0]):
+                if not x.packed[0][0]:  # a constant: nothing is cheaper
+                    return i, j
+                best = (len(x.packed), _degree(x)), (i, j)
+    return best and best[1]
+
+
+def _bareiss(
+    m: ExactMatrix, search=_first_nonzero
+) -> tuple[int, list[list[ParamScalar]], list[int], list[int]]:
     """Full-pivot Bareiss; returns (rank, worked grid, row ids, col ids).
+    `search(work, k)` picks the pivot at step k, (row, col) or None.
 
     A row whose head is zero at a step is left alone: its true entries
     are its stored ones times prev / div[i], where div[i] is the pivot it
@@ -99,14 +126,7 @@ def _bareiss(m: ExactMatrix) -> tuple[int, list[list[ParamScalar]], list[int], l
     k = 0
     limit = min(m.rows, m.cols)
     while k < limit:
-        pivot = None
-        for i in range(k, m.rows):
-            for j in range(k, m.cols):
-                if not work[i][j].is_zero:
-                    pivot = (i, j)
-                    break
-            if pivot:
-                break
+        pivot = search(work, k)
         if pivot is None:
             break
         pi, pj = pivot
@@ -183,11 +203,14 @@ def rank_exact(m: ExactMatrix) -> RankResult:
 
 
 def det(m: ExactMatrix) -> ParamScalar:
+    """The determinant, pivoting on the entry with the fewest terms (then
+    the lowest degree, then row-major order): the value is the same under
+    any pivots, unlike rank_exact's certified minor (module docstring)."""
     if m.rows != m.cols:
         raise ConstraintViolated("determinant of a non-square matrix")
     if m.rows == 0:
         return m.ring.one()
-    rank, work, row_ids, col_ids = _bareiss(m)
+    rank, work, row_ids, col_ids = _bareiss(m, _cheapest)
     if rank < m.rows:
         return m.ring.zero()
     sign = _perm_sign(row_ids) * _perm_sign(col_ids)

@@ -6,7 +6,8 @@ hence the standard line lies on the variety by construction, and so that
 the matrix M(h) drops rank by exactly one there. The head of the leading
 form encodes a linear functional with coefficients 1, c_1, ..., c_{d-1}
 annihilating every restricted partial; the c_j stay symbolic by default
-and can be sampled instead.
+and can be sampled instead. Each form is written from its terms, one
+coefficient per monomial, and made in one PolyRing.from_terms call.
 
 Family names are frozen identifiers used by golden tests; new behaviour
 gets a new name.
@@ -16,13 +17,13 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Literal
+from typing import Literal, Mapping
 
 from .errors import BudgetExceeded, CharTwoForbidden, ConstraintViolated, ParseError
 from .fields import Field, Scalar
 from .geometry import CIType, CompleteIntersection, LineChartPoint, ambient_variables
 from .multipoly import MultiPoly, PolyRing
-from .params import ParamRing
+from .params import Exps, ParamRing, ParamScalar
 
 FAMILY_NAMES = (
     "hyp-4-6",
@@ -163,42 +164,46 @@ def _coeff_ring(field: Field, spec: FamilySpec, n_params: int):
     return ring, values
 
 
-def _c(ring: PolyRing, values: dict[str, Scalar] | None, j: int) -> MultiPoly:
-    if values is None:
-        return ring.param(f"c{j}")
-    return ring.const(ring.coeffs.const(values[f"c{j}"]))
+def _mono(ring: PolyRing, s: int, t: int, *zs: int) -> Exps:
+    """The exponents of S^s T^t Z_zs[0] Z_zs[1] ... in the ring's variables."""
+    e = [s, t] + [0] * (ring.n - 2)
+    for j in zs:
+        e[j + 1] += 1
+    return tuple(e)
 
 
-def _hyp_head(ring: PolyRing, values, d: int) -> MultiPoly:
-    """Sum over j of (c_j S^{d-1} - S^{d-1-j} T^j) Z_j."""
-    s, t = ring.var("S"), ring.var("T")
-    acc = ring.zero()
+def _hyp_head(ring: PolyRing, values, d: int, tail: Mapping[Exps, ParamScalar] = {}) -> MultiPoly:
+    """Sum over j of (c_j S^{d-1} - S^{d-1-j} T^j) Z_j, plus the terms `tail`."""
+    coeffs, terms = ring.coeffs, dict(tail)
+    minus = -coeffs.one()
     for j in range(1, d):
-        hj = _c(ring, values, j) * s ** (d - 1) - s ** (d - 1 - j) * t ** j
-        acc = acc + hj * ring.var(f"Z{j}")
-    return acc
+        c = coeffs.var(f"c{j}") if values is None else coeffs.const(values[f"c{j}"])
+        terms[_mono(ring, d - 1, 0, j)] = c
+        terms[_mono(ring, d - 1 - j, j, j)] = minus
+    return ring.from_terms(terms)
 
 
-def _pair_sum(ring: PolyRing, lo: int, hi: int) -> MultiPoly:
-    """Z_lo Z_{lo+1} + Z_{lo+2} Z_{lo+3} + ... ending at Z_{hi}."""
-    acc = ring.zero()
-    j = lo
-    while j < hi:
-        acc = acc + ring.var(f"Z{j}") * ring.var(f"Z{j+1}")
-        j += 2
-    return acc
+def _scroll(ring: PolyRing, d: int, start: int, tail: Mapping[Exps, ParamScalar] = {}) -> MultiPoly:
+    """Sum over k < d of S^{d-1-k} T^k Z_{start+k}, plus the terms `tail`."""
+    terms, one = dict(tail), ring.coeffs.one()
+    for k in range(d):
+        terms[_mono(ring, d - 1 - k, k, start + k)] = one
+    return ring.from_terms(terms)
 
 
-def _hyp_tail(ring: PolyRing, d: int, top: int) -> MultiPoly:
+def _pair_sum(ring: PolyRing, t: int, lo: int, hi: int) -> dict[Exps, ParamScalar]:
+    """T^t (Z_lo Z_{lo+1} + Z_{lo+2} Z_{lo+3} + ... ending at Z_{hi})."""
+    return {_mono(ring, 0, t, j, j + 1): ring.coeffs.one() for j in range(lo, hi, 2)}
+
+
+def _hyp_tail(ring: PolyRing, d: int, top: int) -> dict[Exps, ParamScalar]:
     """Quadric-in-Z tail occupying Z_d..Z_top, branching on the parity of
     the number of slots so that no coordinate is wasted."""
-    s, t = ring.var("S"), ring.var("T")
-    slots = top - d + 1
-    if slots % 2 == 0:
-        return t ** (d - 2) * _pair_sum(ring, d, top)
+    if (top - d + 1) % 2 == 0:
+        return _pair_sum(ring, d - 2, d, top)
     _require(d >= 3, "d >= 3")
-    head = s * t ** (d - 3) * ring.var(f"Z{d}") * ring.var(f"Z{d+1}")
-    return head + t ** (d - 2) * _pair_sum(ring, d + 1, top)
+    head = _mono(ring, 1, d - 3, d, d + 1)
+    return {head: ring.coeffs.one(), **_pair_sum(ring, d - 2, d + 1, top)}
 
 
 def build_family(spec: FamilySpec, field: Field, force: bool = False) -> BuiltFamily:
@@ -215,20 +220,12 @@ def build_family(spec: FamilySpec, field: Field, force: bool = False) -> BuiltFa
         _require(r >= 2, "r >= 2")
         _require(2 * r <= n - 2, "2r <= N-2")
         _require(all(d == 2 for d in spec.degrees), "all d^i = 2")
-        coeffs = ParamRing(field, ())
         values = None
-        ring = PolyRing(coeffs, ambient_variables(n))
-        s, t = ring.var("S"), ring.var("T")
-        z = lambda j: ring.var(f"Z{j}")
-        if (n - 2 * r) % 2 == 1:
-            tail1 = _pair_sum(ring, 2 * r + 1, n - 1)
-            tail2 = z(2 * r) * z(2 * r + 1)
-        else:
-            tail1 = _pair_sum(ring, 2 * r, n - 1)
-            tail2 = ring.zero()
-        forms = [s * z(1) + t * z(2) + tail1, s * z(2) + t * z(3) + tail2]
-        for i in range(3, r + 1):
-            forms.append(s * z(2 * i - 2) + t * z(2 * i - 1))
+        ring = PolyRing(ParamRing(field, ()), ambient_variables(n))
+        mid = 2 * r + (n - 2 * r) % 2  # Z_{2r} Z_{2r+1} goes to the second form when N is odd
+        tail1, tail2 = _pair_sum(ring, 0, mid, n - 1), _pair_sum(ring, 0, 2 * r, mid)
+        forms = [_scroll(ring, 2, 1, tail1), _scroll(ring, 2, 2, tail2)]
+        forms += [_scroll(ring, 2, 2 * i - 2) for i in range(3, r + 1)]
         x = CompleteIntersection(CIType(n, (2,) * r), tuple(forms))
         if (n, r) == (7, 2):
             notes.append(
@@ -254,25 +251,18 @@ def build_family(spec: FamilySpec, field: Field, force: bool = False) -> BuiltFa
         _require(sum(degrees) <= n - 2, "|d| <= N-2")
         coeffs, values = _coeff_ring(field, spec, d1 - 1)
         ring = PolyRing(coeffs, ambient_variables(n))
-        s, t = ring.var("S"), ring.var("T")
         top1 = n - 1 - sum(degrees[1:])
         if spec.name == "hyp-char-not-2":
             if field.characteristic == 2 and not force:
                 raise CharTwoForbidden("this tail squares coordinates; use hyp-general in characteristic 2")
             if field.characteristic == 2:
                 notes.append("forced build in characteristic 2; expected to fail the smoothness criterion")
-            squares = (ring.var(f"Z{j}") * ring.var(f"Z{j}") for j in range(d1, top1 + 1))
-            tail = t ** (d1 - 2) * sum(squares, ring.zero())
+            tail = {_mono(ring, 0, d1 - 2, j, j): coeffs.one() for j in range(d1, top1 + 1)}
         else:
             tail = _hyp_tail(ring, d1, top1)
-        forms = [_hyp_head(ring, values, d1) + tail]
+        forms = [_hyp_head(ring, values, d1, tail)]
         for i in range(2, len(degrees) + 1):
-            di = degrees[i - 1]
-            start = n - sum(degrees[i - 1 :])
-            acc = ring.zero()
-            for k in range(di):
-                acc = acc + s ** (di - 1 - k) * t ** k * ring.var(f"Z{start + k}")
-            forms.append(acc)
+            forms.append(_scroll(ring, degrees[i - 1], n - sum(degrees[i - 1 :])))
         x = CompleteIntersection(CIType(n, degrees), tuple(forms))
 
     line = LineChartPoint.standard(field, x.n)

@@ -26,7 +26,8 @@ from .params import Exps
 MAX_INT_BITS = 4096
 
 _SIGN = re.compile(r"([+-])")
-_FACTOR = re.compile(r"\s*(?:(\d+)|([A-Za-z][A-Za-z0-9]*))\s*(?:\^\s*(\d+)\s*)?")
+_NAME = "[A-Za-z][A-Za-z0-9]*"  # a variable or parameter name
+_FACTOR = re.compile(rf"\s*(?:(\d+)|({_NAME}))\s*(?:\^\s*(\d+)\s*)?")
 
 
 def parse_poly(text: str, ring: PolyRing) -> MultiPoly:

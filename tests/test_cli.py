@@ -467,6 +467,41 @@ def test_corank_one_line_takes_no_determinant_of_full_size(capsys, tmp_path, mon
     assert sizes and max(sizes) == 2
 
 
+def test_cofactors_of_a_long_head_pivot_on_its_constants(capsys, monkeypatch):
+    """The 13 x 13 cofactors of hyp-general at N=16, d=14 hold c_j in
+    column 0 and -1 on the superdiagonal. det pivots on the -1s, which
+    fill nothing: 46 products and no division over both cofactors, where
+    pivoting on c1 took 443 products and 242 exact divisions."""
+    import cilines.nonfree as nonfree
+    from cilines.params import ParamScalar
+
+    inside, sizes, products, divisions = [], [], [], []
+    mul, exact_div, det = ParamScalar.__mul__, ParamScalar.exact_div, nonfree.det
+
+    def counted_mul(a, b):
+        products.extend(inside)
+        return mul(a, b)
+
+    def counted_div(a, b):
+        divisions.extend(inside)
+        return exact_div(a, b)
+
+    def counted_det(m):
+        sizes.append(m.rows)
+        inside.append(1)
+        try:
+            return det(m)
+        finally:
+            inside.pop()
+
+    monkeypatch.setattr(ParamScalar, "__mul__", counted_mul)
+    monkeypatch.setattr(ParamScalar, "exact_div", counted_div)
+    monkeypatch.setattr(nonfree, "det", counted_det)
+    code, out = run(capsys, "verify-example", "hyp-general:N=16,d=14")
+    assert code == 0 and json.loads(out)["verdict"] == "SmoothExpectedDim"
+    assert (sizes, len(products), len(divisions)) == ([13, 13], 46, 0)
+
+
 def test_huge_monomial_power_exits_2_at_once(capsys, tmp_path):
     """A one-term power is raised in one step, so the form fails the
     degree check at once instead of multiplying S by itself 10^8 times."""
@@ -814,6 +849,23 @@ def test_a_parameter_named_as_a_coordinate_exits_1(capsys, tmp_path, command, pr
     report = json.loads(out)
     assert code == 1 and report["error"] == "ParseError"
     assert f"params ['{name}'] are coordinate names" in report["message"]
+
+
+@pytest.mark.parametrize(
+    "params, bad",
+    [("c1,c2", ["c1,c2"]), ("c1 2x", ["2x"]), ("c^1", ["c^1"]), ("c1 c2 c1", ["c1"])],
+    ids=["commas", "leading-digit", "caret", "duplicate"],
+)
+def test_a_parameter_the_grammar_cannot_write_exits_1(capsys, tmp_path, params, bad):
+    """Such an entry was once declared as given: 'c1,c2' as one name, so a
+    form using c1 failed on an unknown name and one using no parameter
+    passed; a duplicate exited 2 with RingMismatch."""
+    text = QUADRIC_F3.replace("degrees:", f"params: {params}\ndegrees:")
+    code, out = run(capsys, "classify-line", write_problem(tmp_path, "names.ci", text))
+    report = json.loads(out)
+    assert code == 1 and report["error"] == "ParseError"
+    assert f"params {bad} are not distinct names" in report["message"]
+    assert "separate names by whitespace" in report["message"]
 
 
 def test_parse_errors_exit_1(capsys, tmp_path):

@@ -4,11 +4,12 @@ from fractions import Fraction
 import pytest
 
 from cilines.errors import ParameterPresent, RingMismatch
-from cilines.exactmatrix import ExactMatrix, det, kernel_basis, rank_exact
+from cilines.exactmatrix import ExactMatrix, _bareiss, _cheapest, _perm_sign, det, kernel_basis, rank_exact
 from cilines.fields import RATIONALS, prime_field
 from cilines.params import ParamRing, ParamScalar
 
-from conftest import random_scalar
+import elimination_reference as reference
+from conftest import random_nonzero, random_scalar
 from support import identity
 
 
@@ -156,6 +157,69 @@ def test_det_matches_cofactor(rng):
         rows = [[random_scalar(rng, ring, 1, 2) for _ in range(3)] for _ in range(3)]
         m = ExactMatrix.from_rows(ring, rows)
         assert det(m) == cofactor_det(ring, rows)
+
+
+def _mixed_entry(rng, ring, costly: bool):
+    """Zero, a constant, a one-term parameter entry or one of two terms or
+    more; a costly entry is zero or of two terms or more. Without
+    parameters, every nonzero entry is a constant."""
+    kind = rng.choice(("zero", "multi") if costly else ("zero", "const", "one", "multi"))
+    if kind == "zero":
+        return ring.zero()
+    if kind == "const" or not ring.k:
+        return ring.const(random_nonzero(ring.field, rng))
+    c = [ring.var(name) for name in ring.names]
+    x = ring.const(random_nonzero(ring.field, rng)) * rng.choice(c) ** rng.randint(1, 3)
+    if kind == "multi":
+        x = x + ring.const(random_nonzero(ring.field, rng))
+        if rng.random() < 0.5:
+            x = x * (rng.choice(c) + 1)
+    return x
+
+
+def test_det_by_the_cheapest_pivot_matches_both_oracles(rng):
+    """det pivots on the entry with the fewest terms, then the lowest
+    degree, then the first in row-major order. With parameters, row 0 and
+    column 0 hold only zeros and entries of two terms or more, and a
+    constant is planted further in, so the first pivot swaps both a row
+    and a column; the last row of every third grid is a combination of
+    the others, so its determinant is zero."""
+    signs, swapped, singular = set(), 0, 0
+    for field in (RATIONALS, prime_field(2), prime_field(7)):
+        for names in ((), ("c1",), ("c1", "c2")):
+            ring = ParamRing(field, names)
+            for trial in range(12):
+                n = rng.randint(2, 4)
+                grid = [[_mixed_entry(rng, ring, 0 in (i, j)) for j in range(n)] for i in range(n)]
+                if ring.k:
+                    grid[rng.randint(1, n - 1)][rng.randint(1, n - 1)] = ring.const(random_nonzero(field, rng))
+                short = trial % 3 == 2
+                if short:
+                    a, b = (random_scalar(rng, ring, 1, 2) for _ in range(2))
+                    grid[-1] = [a * x + b * y for x, y in zip(grid[0], grid[-2])]
+                m = ExactMatrix.from_rows(ring, grid)
+                want = cofactor_det(ring, grid)
+                assert det(m) == reference.det(m) == want
+                rank, _, row_ids, col_ids = _bareiss(m, _cheapest)
+                if short:
+                    assert want.is_zero and rank < n
+                    singular += 1
+                elif ring.k:
+                    assert row_ids[0] != 0 and col_ids[0] != 0
+                    swapped += 1
+                if rank == n:
+                    signs.add(_perm_sign(row_ids) * _perm_sign(col_ids))
+    assert signs == {1, -1} and (swapped, singular) == (48, 36)
+
+
+def test_the_cheapest_pivot_ties_on_degree_then_row_major_order():
+    ring = ParamRing(prime_field(7), ("c1", "c2"))
+    c1, c2, z = ring.var("c1"), ring.var("c2"), ring.zero()
+    grid = [[c1 + c2, c1 * c2 + 1, z], [z, c2 * c2, c1], [c2, ring.const(3), z]]
+    assert _cheapest(grid, 0) == (2, 1)  # the constant, though later
+    grid[2][1] = c1 * c1
+    assert _cheapest(grid, 0) == (1, 2)  # one term and degree 1, first in row-major order
+    assert _cheapest(grid, 2) is None and _cheapest([[z, z], [z, c1 + 1]], 0) == (1, 1)
 
 
 def test_rank_invariance_under_permutation_and_scaling(rng):

@@ -10,6 +10,7 @@ from cilines.families import (
 from cilines.fields import RATIONALS, prime_field
 from cilines.geometry import CIType, CompleteIntersection
 
+import families_reference
 from support import ci_4_3_p9_literal_forms
 
 
@@ -185,3 +186,35 @@ def test_gates_flags_are_definitional_not_exclusive():
 def test_gates_reject_bad_degrees():
     with pytest.raises(ConstraintViolated):
         hypothesis_gates(4, (0, 2))
+
+
+def _specs_up_to_16():
+    """Every family at every N from its least to 16: each d for the hyp-*
+    families (both tail parities), each pair of degrees for mixed-general,
+    each r for quadrics-general (both parities of N - 2r)."""
+    yield FamilySpec("hyp-4-6")
+    yield FamilySpec("ci-4-3-P9")
+    for n in range(5, 17):
+        for d in range(3, n - 1):
+            yield FamilySpec("hyp-general", n, (d,))
+            yield FamilySpec("hyp-char-not-2", n, (d,))
+            for d2 in range(2, n - 1 - d):
+                yield FamilySpec("mixed-general", n, (d, d2))
+        for r in range(2, n // 2):
+            yield FamilySpec("quadrics-general", n, (2,) * r)
+
+
+def test_forms_built_from_terms_match_the_arithmetic_reference():
+    built = 0
+    for field in (RATIONALS, prime_field(2), prime_field(3)):
+        for spec in _specs_up_to_16():
+            for mode, seed in (("symbolic", 0), ("sampled", 1), ("sampled", 5), ("sampled", 9)):
+                trial = FamilySpec(spec.name, spec.n, spec.degrees, mode, seed)
+                force = field.characteristic == 2 and spec.name == "hyp-char-not-2"
+                got = build_family(trial, field, force=force)
+                want = families_reference.build_family(trial, field, force=force)
+                assert [f.flat.terms for f in got.x.forms] == [f.flat.terms for f in want.x.forms]
+                assert [str(f) for f in got.x.forms] == [str(f) for f in want.x.forms]
+                assert (got.x.ci_type, got.notes, got.c_values) == (want.x.ci_type, want.notes, want.c_values)
+                built += 1
+    assert built == 4968
