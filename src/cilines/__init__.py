@@ -48,7 +48,6 @@ from .geometry import (
 )
 from .multipoly import BinaryForm, MultiPoly, PolyRing, binary_gcd
 from .nonfree import (
-    GenericityCertificate,
     LocalEquations,
     SmoothnessReport,
     expected_pair_report,

@@ -113,10 +113,6 @@ class MembershipSystem:
     ci_type: CIType
     systems: tuple[tuple[MultiPoly, ...], ...]  # systems[i] = (f^i_0, ..., f^i_{d^i})
 
-    @property
-    def count(self) -> int:
-        return sum(len(s) for s in self.systems)
-
 
 def membership_system(x: CompleteIntersection) -> MembershipSystem:
     n = x.n
@@ -149,26 +145,9 @@ class NonFreeMatrix:
     matrix: ExactMatrix
     rank: RankResult
 
-    @property
-    def ci_type(self) -> CIType:
-        return self.system.ci_type
-
     @cached_property
     def entries_ab(self) -> tuple[tuple[MultiPoly, ...], ...]:
         return _nonfree_entries(self.system)
-
-    @property
-    def col_blocks(self) -> tuple[tuple[int, int], ...]:
-        """Half-open column ranges, one per defining form."""
-        out = []
-        start = 0
-        for d in self.ci_type.degrees:
-            out.append((start, start + d))
-            start += d
-        return tuple(out)
-
-    def value_rows(self) -> list[list[ParamScalar]]:
-        return self.matrix.to_lists()
 
 
 def _nonfree_entries(ms: MembershipSystem) -> tuple[tuple[MultiPoly, ...], ...]:

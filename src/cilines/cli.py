@@ -12,14 +12,15 @@ for a fixed invocation; wall-clock timing goes to standard error. Exit
 status: 0 for any definitive verdict (non-free is an answer, not an
 error), 1 for parse errors, 2 for named library preconditions.
 
-Problem files are UTF-8 text, one 'key: value' per line, '#' comments:
+Problem files are UTF-8 text, one 'key: value' per line, '#' comments.
+Any other key, or a second copy of a key but form, is a parse error:
 
     field: F:7            # or Q
     N: 3
     degrees: 3            # comma-separated, one per form
     params: c1 c2         # optional symbolic parameters
     form: S^3 + T^3 + Z1^3 + Z2^3
-    line: 0, 0 | 0, 0     # optional: a-row | b-row
+    line: -1, 0 | 0, -1   # optional: a-row | b-row
     curve: s ; -1*s ; t ; -1*t    # optional: N+1 binary forms in s, t
 """
 
@@ -140,17 +141,24 @@ def load_problem(path: str) -> ProblemFile:
                 if ":" not in stripped:
                     raise ParseError(f"bad problem line {raw.strip()!r}")
                 key, val = stripped.split(":", 1)
-                entries.append((key.strip().lower(), val.strip()))
+                entries.append((key.strip(), val.strip()))
     except OSError as exc:
         raise ParseError(f"cannot read problem file: {exc}") from None
 
     data: dict[str, str] = {}
     forms: list[str] = []
     for key, val in entries:
-        if key == "form":
+        name = key.lower()
+        if name == "form":
             forms.append(val)
+        elif name not in ("field", "n", "degrees", "params", "line", "curve"):
+            raise ParseError(
+                f"unknown problem key {key!r}; the keys are field, N, degrees, params, form, line, curve"
+            )
+        elif name in data:
+            raise ParseError(f"problem key {key!r} given twice; only form may repeat")
         else:
-            data[key] = val
+            data[name] = val
 
     missing = [k for k in ("field", "n", "degrees") if k not in data]
     if missing:
@@ -240,9 +248,7 @@ def _report_from(rep: SmoothnessReport) -> dict:
         "verdict": rep.verdict,
         "local_dimension": rep.local_dimension,
         "certificate": str(rep.certificate) if rep.certificate is not None else None,
-        "genericity_conditions": [str(c) for c in rep.genericity.conditions]
-        if rep.genericity
-        else [],
+        "genericity_conditions": [str(c) for c in rep.genericity],
     }
     if rep.contained:
         out["matrix"] = rep.matrix.str_rows()

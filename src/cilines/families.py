@@ -206,12 +206,8 @@ def _hyp_tail(ring: PolyRing, d: int, top: int) -> dict[Exps, ParamScalar]:
     return {head: ring.coeffs.one(), **_pair_sum(ring, d - 2, d + 1, top)}
 
 
-def build_family(spec: FamilySpec, field: Field, force: bool = False) -> BuiltFamily:
-    """Construct the named family over the given field.
-
-    `force` is a test hook: it builds hyp-char-not-2 even over a field of
-    characteristic 2, where the construction observably fails.
-    """
+def build_family(spec: FamilySpec, field: Field) -> BuiltFamily:
+    """Construct the named family over the given field."""
     notes: list[str] = []
     if spec.name == "quadrics-general":
         if spec.n is None or spec.degrees is None:
@@ -253,10 +249,8 @@ def build_family(spec: FamilySpec, field: Field, force: bool = False) -> BuiltFa
         ring = PolyRing(coeffs, ambient_variables(n))
         top1 = n - 1 - sum(degrees[1:])
         if spec.name == "hyp-char-not-2":
-            if field.characteristic == 2 and not force:
-                raise CharTwoForbidden("this tail squares coordinates; use hyp-general in characteristic 2")
             if field.characteristic == 2:
-                notes.append("forced build in characteristic 2; expected to fail the smoothness criterion")
+                raise CharTwoForbidden("this tail squares coordinates; use hyp-general in characteristic 2")
             tail = {_mono(ring, 0, d1 - 2, j, j): coeffs.one() for j in range(d1, top1 + 1)}
         else:
             tail = _hyp_tail(ring, d1, top1)

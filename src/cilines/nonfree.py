@@ -63,14 +63,6 @@ class LocalEquations:
         return len(self.minors)
 
 
-@dataclass(frozen=True)
-class GenericityCertificate:
-    """Nonzero polynomials in the parameters whose simultaneous
-    nonvanishing guarantees the ranks of the enclosing report."""
-
-    conditions: tuple[ParamScalar, ...]
-
-
 Verdict = Literal["SmoothExpectedDim", "NotSmoothOrExcess", "NotInJ", "NotContained"]
 
 
@@ -81,6 +73,8 @@ class SmoothnessReport:
     `matrix` is M(h) evaluated at the line, with rank `matrix_rank`; it
     is None when the line is not on X. The local equations, the Jacobian
     rank and the local dimension are filled in at corank 1 only.
+    `genericity` holds the nonconstant certificates of the ranks used,
+    each once: the verdict holds wherever none of them vanishes.
     """
 
     verdict: Verdict
@@ -92,7 +86,7 @@ class SmoothnessReport:
     jacobian_rank: int | None = None
     local_dimension: int | None = None
     certificate: ParamScalar | None = None
-    genericity: GenericityCertificate | None = None
+    genericity: tuple[ParamScalar, ...] = ()
 
     @property
     def contained(self) -> bool:
@@ -112,43 +106,7 @@ def local_equations(x: CompleteIntersection, point: LineChartPoint) -> LocalEqua
     Raises NotCorankOne when the line is free (corank 0) or the drop is
     deeper than one (corank >= 2, unsupported).
     """
-    return _local_equations_from(x, nonfree_matrix(x, at=point))[0]
-
-
-def _local_equations_from(
-    x: CompleteIntersection, nf: NonFreeMatrix
-) -> tuple[LocalEquations, list[list[ParamScalar]]]:
-    """local_equations at the line of the evaluated M(h) `nf`, and the
-    Jacobian rows of its minors there; the pivot rows are the lex-first
-    row basis that nf.rank reports. One more elimination, of the
-    transposed pivot rows, gives the lex-first columns as its pivot rows
-    and the pivot minor as its certificate. One jet per minor at the
-    line gives its vanishing check and its row."""
-    point = nf.at
-    pivot_rows = nf.rank.pivot_rows
-    corank = x.ci_type.total_degree - nf.rank.rank
-    if corank != 1:
-        raise NotCorankOne(
-            f"corank is {corank}, not 1 "
-            + ("(the line is free)" if corank == 0 else "(deeper drops are unsupported)")
-        )
-    pivot = rank_exact(nf.matrix.submatrix(pivot_rows, range(nf.matrix.cols)).transpose())
-
-    ab = chart_ring(x.coeff_ring, x.n)
-    avars, bvars = chart_variables(x.n)
-    sym = [[e.flat for e in row] for row in nf.entries_ab]
-    minors: list[MultiPoly] = []
-    rows: list[list[ParamScalar]] = []
-    vals = point.values(x.n)
-    for g_flat in bordered_minors(ab.flat, sym, pivot_rows):
-        g = MultiPoly(ab, g_flat)
-        value, row = g.jet_at(avars + bvars, vals)
-        if not value.is_zero:
-            raise InvariantViolated("bordered minor fails to vanish at the base point")
-        minors.append(g)
-        rows.append(row)
-    pivot_cols, pivot_det = pivot.pivot_rows, pivot.certificate
-    return LocalEquations(point, pivot_rows, pivot_cols, pivot_det, tuple(minors)), rows
+    return jacobian_def_matrix(x, nonfree_matrix(x, at=point))[1]
 
 
 def bordered_minors(
@@ -187,28 +145,50 @@ def jacobian_def_matrix(
     evaluated M(h) `nf`, as nonfree_matrix(x, at=point) returns it, and
     the local equations whose rows it holds.
 
+    The pivot rows are the lex-first row basis that nf.rank reports. One
+    more elimination, of the transposed pivot rows, gives the lex-first
+    columns as its pivot rows and the pivot minor as its certificate.
     Rows come in the order f^1_0, ..., f^r_{d^r}, g_1, ..., g_m; the
     f-rows are assembled from `nf` by the coefficient shift, the g-rows
     are the gradients of the bordered minors at the line, read from the
-    jets that check their vanishing.
+    jet that checks each one vanishes there. Raises NotCorankOne as
+    local_equations does.
     """
-    vals = nf.value_rows()  # vals[j][block i offset + k]
-    equations, g_rows = _local_equations_from(x, nf)
-    n = x.n
-    degrees = x.ci_type.degrees
-    ring = x.coeff_ring
-    blocks = nf.col_blocks
-    zero = ring.zero()
+    point = nf.at
+    pivot_rows = nf.rank.pivot_rows
+    corank = x.ci_type.total_degree - nf.rank.rank
+    if corank != 1:
+        raise NotCorankOne(
+            f"corank is {corank}, not 1 "
+            + ("(the line is free)" if corank == 0 else "(deeper drops are unsupported)")
+        )
+    pivot = rank_exact(nf.matrix.submatrix(pivot_rows, range(nf.matrix.cols)).transpose())
 
+    n, ring = x.n, x.coeff_ring
+    vals = nf.matrix.to_lists()  # vals[j][block i offset + k]
+    zero = ring.zero()
     rows: list[list[ParamScalar]] = []
-    for i, d in enumerate(degrees):
-        lo, _ = blocks[i]
+    lo = 0
+    for d in x.ci_type.degrees:
         for k in range(d + 1):
             da = [vals[j][lo + k] if k <= d - 1 else zero for j in range(n - 1)]
             db = [vals[j][lo + k - 1] if k >= 1 else zero for j in range(n - 1)]
             rows.append(da + db)
+        lo += d
 
-    rows.extend(g_rows)
+    ab = chart_ring(ring, n)
+    avars, bvars = chart_variables(n)
+    sym = [[e.flat for e in row] for row in nf.entries_ab]
+    point_vals = point.values(n)
+    minors: list[MultiPoly] = []
+    for g_flat in bordered_minors(ab.flat, sym, pivot_rows):
+        g = MultiPoly(ab, g_flat)
+        value, row = g.jet_at(avars + bvars, point_vals)
+        if not value.is_zero:
+            raise InvariantViolated("bordered minor fails to vanish at the base point")
+        minors.append(g)
+        rows.append(row)
+    equations = LocalEquations(point, pivot_rows, pivot.pivot_rows, pivot.certificate, tuple(minors))
     return ExactMatrix.from_rows(ring, rows), equations
 
 
@@ -261,12 +241,6 @@ def expected_pair_report(
     )
 
 
-def _genericity(conditions: list[ParamScalar]) -> GenericityCertificate:
-    seen: dict[str, ParamScalar] = {}
-    for c in conditions:
-        if c.is_constant:
-            continue
-        seen.setdefault(str(c), c)
-    return GenericityCertificate(tuple(seen.values()))
-
-
+def _genericity(conditions: list[ParamScalar]) -> tuple[ParamScalar, ...]:
+    """The nonconstant conditions, each once, in order of first occurrence."""
+    return tuple(dict.fromkeys(c for c in conditions if not c.is_constant))

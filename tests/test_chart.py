@@ -88,7 +88,7 @@ def test_membership_count_and_reconstruction(rng):
             forms = tuple(random_homogeneous(rng, ring, d) for d in degrees)
             x = CompleteIntersection(CIType(n, degrees), forms)
             ms = membership_system(x)
-            assert ms.count == sum(degrees) + len(degrees)
+            assert sum(len(sys) for sys in ms.systems) == sum(degrees) + len(degrees)
             # the coefficients reassemble the composite exactly
             full_vars = ("s", "t") + ms.systems[0][0].ring.variables
             full = PolyRing(x.coeff_ring, full_vars)
@@ -255,9 +255,11 @@ def test_restricted_jacobian_z_columns_are_the_blocks_of_m_h(rng):
     for x2, point in census_chart_lines(rng):
         jac = restricted_jacobian(x2, line_param(point).components)
         nf = nonfree_matrix(x2, at=point)
-        for j, row in enumerate(nf.value_rows()):
-            for i, (lo, hi) in enumerate(nf.col_blocks):
-                assert list(jac[i][2 + j].coeffs) == [c.constant_value() for c in row[lo:hi]]
+        degrees = x2.ci_type.degrees
+        for j, row in enumerate(nf.matrix.to_lists()):
+            for i, d in enumerate(degrees):
+                lo = sum(degrees[:i])
+                assert list(jac[i][2 + j].coeffs) == [c.constant_value() for c in row[lo : lo + d]]
         assert line_jacobian(x2, point, nf.matrix) == jac
 
 

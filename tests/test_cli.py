@@ -868,6 +868,36 @@ def test_a_parameter_the_grammar_cannot_write_exits_1(capsys, tmp_path, params, 
     assert "separate names by whitespace" in report["message"]
 
 
+@pytest.mark.parametrize(
+    "text, key, why",
+    [
+        (QUADRIC_F3 + "N: 4\n", "N", "given twice"),
+        (QUADRIC_F3.replace("field: F:3", "field: F:3\nField: F:5"), "Field", "given twice"),
+        (QUADRIC_F3.replace("line:", "lnie:"), "lnie", "unknown problem key"),
+    ],
+    ids=["second-N", "second-field-other-case", "misspelt-line"],
+)
+def test_a_problem_key_that_would_be_dropped_exits_1(capsys, tmp_path, text, key, why):
+    """A second N once replaced the first without a word, and a misspelt
+    key was dropped, so classify-line said the file had no line."""
+    code, out = run(capsys, "classify-line", write_problem(tmp_path, "keys.ci", text))
+    report = json.loads(out)
+    assert code == 1 and report["error"] == "ParseError"
+    assert why in report["message"] and repr(key) in report["message"]
+
+
+def test_readme_problem_file_runs_under_every_problem_command(capsys, tmp_path):
+    """The problem-file example in README.md once named a line off its
+    cubic, so classify-line exited 2 on it."""
+    readme = (pathlib.Path(__file__).parent.parent / "README.md").read_text(encoding="utf-8")
+    section = readme.split("### Problem files", 1)[1]
+    block = section.split("```text\n", 1)[1].split("```", 1)[0]
+    path = write_problem(tmp_path, "readme.ci", block)
+    for command in ("classify-line", "curve-check", "enumerate-lines"):
+        code, out = run(capsys, command, path)
+        assert code == 0, (command, out)
+
+
 def test_parse_errors_exit_1(capsys, tmp_path):
     code, out = run(capsys, "verify-example", "no-such-family")
     assert code == 1

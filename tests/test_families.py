@@ -107,7 +107,7 @@ def test_char_two_gate():
     f2 = prime_field(2)
     with pytest.raises(CharTwoForbidden):
         build_family(FamilySpec("hyp-char-not-2", 6, (4,)), f2)
-    forced = build_family(FamilySpec("hyp-char-not-2", 6, (4,)), f2, force=True)
+    forced = families_reference.build_family(FamilySpec("hyp-char-not-2", 6, (4,)), f2, force=True)
     assert any("characteristic 2" in n for n in forced.notes)
     # fine over other characteristics
     build_family(FamilySpec("hyp-char-not-2", 6, (4,)), prime_field(3))
@@ -205,16 +205,20 @@ def _specs_up_to_16():
 
 
 def test_forms_built_from_terms_match_the_arithmetic_reference():
-    built = 0
+    built = refused = 0
     for field in (RATIONALS, prime_field(2), prime_field(3)):
         for spec in _specs_up_to_16():
             for mode, seed in (("symbolic", 0), ("sampled", 1), ("sampled", 5), ("sampled", 9)):
                 trial = FamilySpec(spec.name, spec.n, spec.degrees, mode, seed)
-                force = field.characteristic == 2 and spec.name == "hyp-char-not-2"
-                got = build_family(trial, field, force=force)
-                want = families_reference.build_family(trial, field, force=force)
+                if field.characteristic == 2 and spec.name == "hyp-char-not-2":
+                    with pytest.raises(CharTwoForbidden):
+                        build_family(trial, field)
+                    refused += 1
+                    continue
+                got = build_family(trial, field)
+                want = families_reference.build_family(trial, field)
                 assert [f.flat.terms for f in got.x.forms] == [f.flat.terms for f in want.x.forms]
                 assert [str(f) for f in got.x.forms] == [str(f) for f in want.x.forms]
                 assert (got.x.ci_type, got.notes, got.c_values) == (want.x.ci_type, want.notes, want.c_values)
                 built += 1
-    assert built == 4968
+    assert (built, refused) == (4656, 312)  # 4968 specs; hyp-char-not-2 over F_2 is refused

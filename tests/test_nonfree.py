@@ -18,7 +18,8 @@ from cilines.nonfree import (
 )
 from cilines.polytext import parse_poly
 
-from conftest import random_scalar
+import families_reference
+from conftest import field_of_char, random_scalar
 from support import permuted, permuted_z, same_differential_span, scaled, specialized
 from test_chart import make_ci
 from test_exactmatrix import gaussian_rank_oracle
@@ -80,6 +81,23 @@ def test_local_equations_rejects_off_line():
     x = make_ci(RATIONALS, 3, (2,), ["S*Z1 + T*Z2"])
     with pytest.raises(LineNotContained):
         local_equations(x, LineChartPoint(RATIONALS, (1, 0), (0, 0)))
+
+
+def test_local_equations_are_those_of_the_jacobian_matrix():
+    """local_equations is the second half of jacobian_def_matrix at the
+    same line, and refuses a free line and a deeper drop by name (a line
+    off X: test_local_equations_rejects_off_line)."""
+    for spec in (FamilySpec("hyp-4-6"), FamilySpec("ci-4-3-P9"), FamilySpec("quadrics-general", 7, (2, 2))):
+        built = build_family(spec, RATIONALS)
+        nf = nonfree_matrix(built.x, at=built.line)
+        assert local_equations(built.x, built.line) == jacobian_def_matrix(built.x, nf)[1]
+    x = make_ci(RATIONALS, 3, (2,), ["S*Z1 + T*Z2"])
+    with pytest.raises(NotCorankOne, match=r"^corank is 0, not 1 \(the line is free\)$"):
+        local_equations(x, LineChartPoint.standard(RATIONALS, 3))
+    forms = ["3*c1*S*Z1 + 5*Z1*Z2 + Z2*Z3", "3*c2*T*Z1 + 5*c2*T*Z3 + c1*Z1*Z2"]
+    deep = make_ci(BIG, 4, (2, 2), forms, params=("c1", "c2"))
+    with pytest.raises(NotCorankOne, match=r"^corank is 2, not 1 \(deeper drops are unsupported\)$"):
+        local_equations(deep, LineChartPoint.standard(BIG, 4))
 
 
 def test_bordered_minors_match_the_bordered_det(rng):
@@ -176,7 +194,7 @@ def test_report_4_6_smooth_expected_dim():
     assert rep.jacobian_rank == rep.required_rank == 7
     assert rep.local_dimension == 3
     assert not rep.certificate.is_zero
-    conds = {str(c) for c in rep.genericity.conditions}
+    conds = {str(c) for c in rep.genericity}
     assert "c3" in conds
 
 
@@ -190,7 +208,7 @@ def test_report_not_contained_and_not_in_j():
 
 def test_report_char2_variant_fails_observably():
     f2 = prime_field(2)
-    built = build_family(FamilySpec("hyp-char-not-2", 6, (4,)), f2, force=True)
+    built = families_reference.build_family(FamilySpec("hyp-char-not-2", 6, (4,)), f2, force=True)
     rep = expected_pair_report(built.x, built.line)
     assert rep.verdict == "NotSmoothOrExcess"
     assert rep.corank == 1
@@ -298,7 +316,7 @@ def test_a_symbolic_report_holds_wherever_its_genericity_conditions_do(rng):
     for _ in range(65):
         x, line = next(cases)
         rep = expected_pair_report(x, line)
-        conditions = rep.genericity.conditions
+        conditions = rep.genericity
         while True:
             values = {name: rng.randrange(BIG.p) for name in x.coeff_ring.names}
             if all(not BIG.is_zero(c.evaluate(values)) for c in conditions):
@@ -332,8 +350,42 @@ def test_a_corank_two_report_states_its_rank_certificate():
     rep = expected_pair_report(x, line)
     assert (rep.verdict, rep.corank, rep.matrix_rank) == ("NotSmoothOrExcess", 2, 2)
     assert rep.certificate is None
-    assert [str(c) for c in rep.genericity.conditions] == ["15*c1*c2"]
+    assert [str(c) for c in rep.genericity] == ["15*c1*c2"]
     assert expected_pair_report(specialized(x, {"c1": 0, "c2": 5}), line).matrix_rank == 1
+
+
+SMALLEST_FAMILIES = [
+    FamilySpec("hyp-4-6"),
+    FamilySpec("hyp-general", 5, (3,)),
+    FamilySpec("hyp-char-not-2", 5, (3,)),
+    FamilySpec("mixed-general", 7, (3, 2)),
+    FamilySpec("ci-4-3-P9"),
+    FamilySpec("quadrics-general", 6, (2, 2)),
+]
+
+
+def test_genericity_is_each_nonconstant_condition_once_in_first_order():
+    """A report's genericity conditions are the nonconstant ones among the
+    rank certificate of M(h), the pivot minor and the Jacobian certificate,
+    each once by its text, in that order; the char-2 hyp-char-not-2 comes
+    from the reference builder, which still builds it."""
+    repeats = 0
+    for char in (0, 2, 3):
+        field = field_of_char(char)
+        for spec in SMALLEST_FAMILIES:
+            if char == 2 and spec.name == "hyp-char-not-2":
+                built = families_reference.build_family(spec, field, force=True)
+            else:
+                built = build_family(spec, field)
+            rep = expected_pair_report(built.x, built.line)
+            conditions = [rank_exact(rep.matrix).certificate, rep.equations.pivot_det, rep.certificate]
+            by_text: dict[str, object] = {}
+            for c in conditions:
+                if not c.is_constant:
+                    by_text.setdefault(str(c), c)
+            assert rep.genericity == tuple(by_text.values()), (spec, char)
+            repeats += len([c for c in conditions if not c.is_constant]) - len(by_text)
+    assert repeats > 0  # some report states one condition twice
 
 
 def test_sampled_mode_report():

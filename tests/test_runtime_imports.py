@@ -1,11 +1,16 @@
 """The runtime stays on the standard library: every absolute import in the
 package, lazy ones inside functions included, names a standard module.
 Every module-level import is read, no check in the package is a bare
-assert, which python -O strips, and no handler catches every exception."""
+assert, which python -O strips, no handler catches every exception, and
+every definition is named in code beyond the line that defines it."""
 
 import ast
+import io
+import re
 import sys
+import tokenize
 from pathlib import Path
+from typing import Iterator
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "cilines"
 
@@ -146,3 +151,43 @@ def test_every_cache_is_bounded():
             elif isinstance(node, ast.expr) and which(node) == "cache" and id(node) not in allowed:
                 unbounded.append(f"{where} functools.cache on a function with parameters")
     assert unbounded == []
+
+
+def _code_words(text: str) -> Iterator[tuple[str, int]]:
+    """(word, line) for each identifier of a source text and each word of
+    a string literal that is one dotted name ("chart.nonfree_matrix", as
+    a tracer or monkeypatch names its target); comments and prose strings
+    such as docstrings give none."""
+    for tok in tokenize.generate_tokens(io.StringIO(text).readline):
+        if tok.type == tokenize.NAME:
+            yield tok.string, tok.start[0]
+        elif tok.type == tokenize.STRING and re.fullmatch(r"[rbuRBU]?(\"|')[\w.]+\1", tok.string):
+            for word in re.findall(r"\w+", tok.string[1:]):
+                yield word, tok.start[0]
+
+
+def test_every_definition_in_the_package_is_named_elsewhere():
+    """Every function, class and non-dunder method the package defines is
+    named in code somewhere in src/, tests/ or perfbench/ beyond the line
+    that defines it: a definition nothing names is dead code. A mention in
+    prose, such as a docstring, does not count."""
+    root = PACKAGE.parent.parent
+    texts = {
+        path: path.read_text(encoding="utf-8")
+        for top in ("src", "tests", "perfbench")
+        for path in sorted((root / top).rglob("*.py"))
+    }
+    named: dict[str, set[tuple[Path, int]]] = {}
+    for path, text in texts.items():
+        for word, lineno in _code_words(text):
+            named.setdefault(word, set()).add((path, lineno))
+    unnamed = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(texts[path], filename=str(path))):
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                continue
+            if node.name.startswith("__") and node.name.endswith("__"):
+                continue
+            if not named.get(node.name, set()) - {(path, node.lineno)}:
+                unnamed.append(f"{path.name}:{node.lineno} defines {node.name}, named nowhere else")
+    assert unnamed == []
