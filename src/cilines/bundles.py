@@ -31,7 +31,6 @@ chart.restricted_jacobian and decides smoothness by its minors.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Literal, Sequence
 
 from .chart import (
@@ -52,21 +51,24 @@ from .errors import (
     TwistTooNegative,
 )
 from .exactmatrix import ExactMatrix, kernel_basis
+from .fields import Value, slot_setters
 from .geometry import CIType, CompleteIntersection, RationalCurve, restrict_along
 from .multipoly import BinaryForm, binary_gcd
 from .params import ParamRing
 
 
-@dataclass(frozen=True)
-class SplittingType:
+class SplittingType(Value):
     """Twists (a_1 >= a_2 >= ... >= a_n) of a direct sum of line bundles
     on the projective line."""
 
+    __slots__ = ("entries",)
+
     entries: tuple[int, ...]
 
-    def __post_init__(self) -> None:
-        if any(x < y for x, y in zip(self.entries, self.entries[1:])):
-            raise ConstraintViolated(f"entries must be non-increasing: {self.entries}")
+    def __init__(self, entries: tuple[int, ...]) -> None:
+        if any(x < y for x, y in zip(entries, entries[1:])):
+            raise ConstraintViolated(f"entries must be non-increasing: {entries}")
+        _set_entries(self, entries)
 
     @property
     def rank(self) -> int:
@@ -79,6 +81,9 @@ class SplittingType:
     @property
     def min_entry(self) -> int:
         return min(self.entries)
+
+
+(_set_entries,) = slot_setters(SplittingType)
 
 
 def _check_jacobian(
@@ -258,15 +263,27 @@ def precompose(
 GateVerdict = Literal["AllImmersionsNonFree", "NotTriggered"]
 
 
-@dataclass(frozen=True)
-class DegreeGateReport:
+class DegreeGateReport(Value):
     """Outcome of the degree-sum criterion for curves of degree b on a
     complete intersection of the given type."""
+
+    __slots__ = ("ci_type", "curve_degree", "degree_sum", "verdict")
 
     ci_type: CIType
     curve_degree: int
     degree_sum: int  # sum of the splitting entries of mu^* T_X
     verdict: GateVerdict
+
+    def __init__(
+        self, ci_type: CIType, curve_degree: int, degree_sum: int, verdict: GateVerdict
+    ) -> None:
+        _set_ci_type(self, ci_type)
+        _set_curve_degree(self, curve_degree)
+        _set_degree_sum(self, degree_sum)
+        _set_verdict(self, verdict)
+
+
+_set_ci_type, _set_curve_degree, _set_degree_sum, _set_verdict = slot_setters(DegreeGateReport)
 
 
 def degree_nonfree_gate(ci_type: CIType, b: int) -> DegreeGateReport:

@@ -30,8 +30,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from typing import Iterator, Sequence
 
 from .errors import (
@@ -43,7 +42,7 @@ from .errors import (
     ParameterPresent,
 )
 from .exactmatrix import ExactMatrix, RankResult, rank_exact
-from .fields import Field, Scalar
+from .fields import Field, Scalar, Value, slot_setters
 from .geometry import (
     CIType,
     CompleteIntersection,
@@ -106,12 +105,20 @@ def line_param(point: LineChartPoint) -> RationalCurve:
     return RationalCurve(tuple(comps))
 
 
-@dataclass(frozen=True)
-class MembershipSystem:
+class MembershipSystem(Value):
     """The s,t-coefficients of every h^i composed with the chart line."""
+
+    __slots__ = ("ci_type", "systems")
 
     ci_type: CIType
     systems: tuple[tuple[MultiPoly, ...], ...]  # systems[i] = (f^i_0, ..., f^i_{d^i})
+
+    def __init__(self, ci_type: CIType, systems: tuple[tuple[MultiPoly, ...], ...]) -> None:
+        _set_ci_type(self, ci_type)
+        _set_systems(self, systems)
+
+
+_set_ci_type, _set_systems = slot_setters(MembershipSystem)
 
 
 def membership_system(x: CompleteIntersection) -> MembershipSystem:
@@ -128,8 +135,7 @@ def membership_system(x: CompleteIntersection) -> MembershipSystem:
     return MembershipSystem(x.ci_type, tuple(systems))
 
 
-@dataclass(frozen=True)
-class NonFreeMatrix:
+class NonFreeMatrix(Value, compared=("system", "at", "matrix", "rank")):
     """M(h) at a chart line on X.
 
     system is the membership system of X that M(h) is read off. matrix is
@@ -140,14 +146,31 @@ class NonFreeMatrix:
     of a corank-1 line read it.
     """
 
+    __slots__ = ("system", "at", "matrix", "rank", "_entries_ab")
+
     system: MembershipSystem
     at: LineChartPoint
     matrix: ExactMatrix
     rank: RankResult
+    _entries_ab: tuple[tuple[MultiPoly, ...], ...] | None
 
-    @cached_property
+    def __init__(
+        self, system: MembershipSystem, at: LineChartPoint, matrix: ExactMatrix, rank: RankResult
+    ) -> None:
+        _set_system(self, system)
+        _set_at(self, at)
+        _set_matrix(self, matrix)
+        _set_rank(self, rank)
+        _set_entries_ab(self, None)
+
+    @property
     def entries_ab(self) -> tuple[tuple[MultiPoly, ...], ...]:
-        return _nonfree_entries(self.system)
+        if self._entries_ab is None:
+            _set_entries_ab(self, _nonfree_entries(self.system))
+        return self._entries_ab
+
+
+_set_system, _set_at, _set_matrix, _set_rank, _set_entries_ab = slot_setters(NonFreeMatrix)
 
 
 def _nonfree_entries(ms: MembershipSystem) -> tuple[tuple[MultiPoly, ...], ...]:
@@ -278,20 +301,34 @@ def smooth_along_components(
 # -- exhaustive line enumeration over finite fields ------------------------------
 
 
-@dataclass(frozen=True)
-class FqLine:
+class FqLine(Value):
     """A line in P^N over F_q as its canonical reduced row echelon
     representative, a full-rank 2 x (N+1) matrix."""
+
+    __slots__ = ("field", "rows", "pivots")
 
     field: Field
     rows: tuple[tuple[Scalar, ...], tuple[Scalar, ...]]
     pivots: tuple[int, int]
+
+    def __init__(
+        self,
+        field: Field,
+        rows: tuple[tuple[Scalar, ...], tuple[Scalar, ...]],
+        pivots: tuple[int, int],
+    ) -> None:
+        _set_field(self, field)
+        _set_rows(self, rows)
+        _set_pivots(self, pivots)
 
     def sort_key(self):
         return (self.pivots, self.rows)
 
     def components(self) -> tuple[BinaryForm, ...]:
         return tuple(BinaryForm(self.field, 1, ab) for ab in zip(*self.rows))
+
+
+_set_field, _set_rows, _set_pivots = slot_setters(FqLine)
 
 
 def all_lines_fq(field: Field, n: int) -> Iterator[FqLine]:

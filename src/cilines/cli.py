@@ -32,7 +32,6 @@ import json
 import re
 import sys
 import time
-from dataclasses import dataclass
 
 from .bundles import (
     SplittingType,
@@ -53,7 +52,7 @@ from .chart import (
 from .errors import BudgetExceeded, LineNotContained, ParseError, SingularAlongLine, ToolkitError
 from .exactmatrix import ExactMatrix
 from .families import family_report, hypothesis_gates, parse_family_spec
-from .fields import Field, RATIONALS, field_from_str, prime_field
+from .fields import Field, RATIONALS, Value, field_from_str, prime_field
 from .geometry import (
     CIType,
     CompleteIntersection,
@@ -99,13 +98,34 @@ def _positive_int(text: str) -> int:
     return k
 
 
-@dataclass
-class ProblemFile:
+class ProblemFile(Value):
+    """A problem file as read: the one value class whose fields may be
+    assigned; it has no hash."""
+
+    __slots__ = ("field", "x", "line", "curve", "echo")
+    __setattr__ = object.__setattr__
+    __delattr__ = object.__delattr__
+    __hash__ = None  # type: ignore[assignment]
+
     field: Field
     x: CompleteIntersection
     line: LineChartPoint | None
     curve: RationalCurve | None
     echo: dict
+
+    def __init__(
+        self,
+        field: Field,
+        x: CompleteIntersection,
+        line: LineChartPoint | None,
+        curve: RationalCurve | None,
+        echo: dict,
+    ) -> None:
+        self.field = field
+        self.x = x
+        self.line = line
+        self.curve = curve
+        self.echo = echo
 
 
 def _parse_curve_texts(texts: list[str], coeffs: ParamRing) -> RationalCurve:

@@ -15,30 +15,33 @@ pivot order changes, takes the entry with the fewest terms.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Sequence
 
 from .errors import ConstraintViolated, RingMismatch
-from .fields import Scalar
+from .fields import Scalar, Value, slot_setters
 from .params import ParamRing, ParamScalar, _degree, require_constant
 
 
-@dataclass(frozen=True)
-class ExactMatrix:
+class ExactMatrix(Value):
+    __slots__ = ("ring", "rows", "cols", "entries")
+
     ring: ParamRing
     rows: int
     cols: int
     entries: tuple[ParamScalar, ...]  # row-major
 
-    def __post_init__(self) -> None:
-        if len(self.entries) != self.rows * self.cols:
-            raise ConstraintViolated(
-                f"entry count {len(self.entries)} != {self.rows}x{self.cols}"
-            )
-        ring = self.ring
-        for e in self.entries:
+    def __init__(
+        self, ring: ParamRing, rows: int, cols: int, entries: tuple[ParamScalar, ...]
+    ) -> None:
+        if len(entries) != rows * cols:
+            raise ConstraintViolated(f"entry count {len(entries)} != {rows}x{cols}")
+        for e in entries:
             if e.ring is not ring and e.ring != ring:
                 raise RingMismatch("entry ring differs from matrix ring")
+        _set_ring(self, ring)
+        _set_rows(self, rows)
+        _set_cols(self, cols)
+        _set_entries(self, entries)
 
     @classmethod
     def from_rows(cls, ring: ParamRing, rows: Sequence[Sequence[ParamScalar]]) -> "ExactMatrix":
@@ -69,12 +72,29 @@ class ExactMatrix:
         return [[str(self.entry(i, j)) for j in range(self.cols)] for i in range(self.rows)]
 
 
-@dataclass(frozen=True)
-class RankResult:
+class RankResult(Value):
+    __slots__ = ("rank", "certificate", "pivot_rows", "pivot_cols")
+
     rank: int
     certificate: ParamScalar
     pivot_rows: tuple[int, ...]
     pivot_cols: tuple[int, ...]
+
+    def __init__(
+        self,
+        rank: int,
+        certificate: ParamScalar,
+        pivot_rows: tuple[int, ...],
+        pivot_cols: tuple[int, ...],
+    ) -> None:
+        _set_rank(self, rank)
+        _set_certificate(self, certificate)
+        _set_pivot_rows(self, pivot_rows)
+        _set_pivot_cols(self, pivot_cols)
+
+
+_set_ring, _set_rows, _set_cols, _set_entries = slot_setters(ExactMatrix)
+_set_rank, _set_certificate, _set_pivot_rows, _set_pivot_cols = slot_setters(RankResult)
 
 
 def _perm_sign(seq: Sequence[int]) -> int:

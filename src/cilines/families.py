@@ -16,11 +16,10 @@ gets a new name.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from typing import Literal, Mapping
 
 from .errors import BudgetExceeded, CharTwoForbidden, ConstraintViolated, ParseError
-from .fields import Field, Scalar
+from .fields import Field, Scalar, Value, slot_setters
 from .geometry import CIType, CompleteIntersection, LineChartPoint, ambient_variables
 from .multipoly import MultiPoly, PolyRing
 from .params import Exps, ParamRing, ParamScalar
@@ -46,27 +45,38 @@ MAX_FAMILY_N = 64
 SAMPLED_ATTEMPTS = 3
 
 
-@dataclass(frozen=True)
-class FamilySpec:
-    name: str
-    n: int | None = None
-    degrees: tuple[int, ...] | None = None
-    c_mode: CMode = "symbolic"
-    seed: int = 0
+class FamilySpec(Value):
+    __slots__ = ("name", "n", "degrees", "c_mode", "seed")
 
-    def __post_init__(self) -> None:
-        if self.name not in FAMILY_NAMES:
-            raise ParseError(f"unknown family {self.name!r}; known: {FAMILY_NAMES}")
-        if self.name == "hyp-4-6":
-            object.__setattr__(self, "n", 6)
-            object.__setattr__(self, "degrees", (4,))
-        if self.name == "ci-4-3-P9":
-            object.__setattr__(self, "n", 9)
-            object.__setattr__(self, "degrees", (4, 3))
-        if self.name.startswith("hyp-") and self.degrees is not None and len(self.degrees) != 1:
-            raise ConstraintViolated(f"{self.name} needs N and d: one degree, not {len(self.degrees)}")
-        if self.n is not None and self.n > MAX_FAMILY_N:
-            raise BudgetExceeded(f"N = {self.n} exceeds MAX_FAMILY_N = {MAX_FAMILY_N}")
+    name: str
+    n: int | None
+    degrees: tuple[int, ...] | None
+    c_mode: CMode
+    seed: int
+
+    def __init__(
+        self,
+        name: str,
+        n: int | None = None,
+        degrees: tuple[int, ...] | None = None,
+        c_mode: CMode = "symbolic",
+        seed: int = 0,
+    ) -> None:
+        if name not in FAMILY_NAMES:
+            raise ParseError(f"unknown family {name!r}; known: {FAMILY_NAMES}")
+        if name == "hyp-4-6":
+            n, degrees = 6, (4,)
+        if name == "ci-4-3-P9":
+            n, degrees = 9, (4, 3)
+        if name.startswith("hyp-") and degrees is not None and len(degrees) != 1:
+            raise ConstraintViolated(f"{name} needs N and d: one degree, not {len(degrees)}")
+        if n is not None and n > MAX_FAMILY_N:
+            raise BudgetExceeded(f"N = {n} exceeds MAX_FAMILY_N = {MAX_FAMILY_N}")
+        _set_name(self, name)
+        _set_n(self, n)
+        _set_degrees(self, degrees)
+        _set_c_mode(self, c_mode)
+        _set_seed(self, seed)
 
     def __str__(self) -> str:
         opts = []
@@ -80,6 +90,9 @@ class FamilySpec:
         if self.c_mode == "sampled":
             opts.append(f"seed={self.seed}")
         return self.name + ":" + ",".join(opts)
+
+
+_set_name, _set_n, _set_degrees, _set_c_mode, _set_seed = slot_setters(FamilySpec)
 
 
 def parse_family_spec(text: str, seed: int | None = None) -> FamilySpec:
@@ -133,13 +146,31 @@ def parse_family_spec(text: str, seed: int | None = None) -> FamilySpec:
     return FamilySpec(name, n, degrees, c_mode, seed)  # type: ignore[arg-type]
 
 
-@dataclass(frozen=True)
-class BuiltFamily:
+class BuiltFamily(Value):
+    __slots__ = ("spec", "x", "line", "notes", "c_values")
+
     spec: FamilySpec
     x: CompleteIntersection
     line: LineChartPoint
-    notes: tuple[str, ...] = ()
-    c_values: dict[str, Scalar] | None = None
+    notes: tuple[str, ...]
+    c_values: dict[str, Scalar] | None
+
+    def __init__(
+        self,
+        spec: FamilySpec,
+        x: CompleteIntersection,
+        line: LineChartPoint,
+        notes: tuple[str, ...] = (),
+        c_values: dict[str, Scalar] | None = None,
+    ) -> None:
+        _set_spec(self, spec)
+        _set_x(self, x)
+        _set_line(self, line)
+        _set_notes(self, notes)
+        _set_c_values(self, c_values)
+
+
+_set_spec, _set_x, _set_line, _set_notes, _set_c_values = slot_setters(BuiltFamily)
 
 
 def _require(cond: bool, inequality: str) -> None:
@@ -269,9 +300,10 @@ def build_family(spec: FamilySpec, field: Field) -> BuiltFamily:
 CaseLabel = Literal["DegreeLE2-Homogeneous", "NonFreeLineViaJ", "NonFreeByDegreeBound"]
 
 
-@dataclass(frozen=True)
-class HypothesisReport:
+class HypothesisReport(Value):
     """Pure numeric flags on (N, degrees) and the case split they select."""
+
+    __slots__ = ("n", "degrees", "fano", "line_exists_iv", "j_equals_i", "product_gt_2", "case")
 
     n: int
     degrees: tuple[int, ...]
@@ -280,6 +312,30 @@ class HypothesisReport:
     j_equals_i: bool          # N <= |d|: every line on X is non-free
     product_gt_2: bool        # deg X > 2
     case: CaseLabel
+
+    def __init__(
+        self,
+        n: int,
+        degrees: tuple[int, ...],
+        fano: bool,
+        line_exists_iv: bool,
+        j_equals_i: bool,
+        product_gt_2: bool,
+        case: CaseLabel,
+    ) -> None:
+        _set_gates_n(self, n)
+        _set_gates_degrees(self, degrees)
+        _set_fano(self, fano)
+        _set_line_exists_iv(self, line_exists_iv)
+        _set_j_equals_i(self, j_equals_i)
+        _set_product_gt_2(self, product_gt_2)
+        _set_case(self, case)
+
+
+(
+    _set_gates_n, _set_gates_degrees, _set_fano, _set_line_exists_iv, _set_j_equals_i,
+    _set_product_gt_2, _set_case,
+) = slot_setters(HypothesisReport)
 
 
 def hypothesis_gates(n: int, degrees: tuple[int, ...]) -> HypothesisReport:

@@ -13,11 +13,10 @@ Conventions, used everywhere downstream:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Sequence
 
 from .errors import AllZero, ConstraintViolated, NotHomogeneous, RingMismatch
-from .fields import Field, Scalar
+from .fields import Field, Scalar, Value, slot_setters
 from .multipoly import BinaryForm, MultiPoly, PolyRing, _compose_terms, binary_gcd
 from .params import ParamRing
 
@@ -26,20 +25,23 @@ def ambient_variables(n: int) -> tuple[str, ...]:
     return ("S", "T") + tuple(f"Z{j}" for j in range(1, n))
 
 
-@dataclass(frozen=True)
-class CIType:
+class CIType(Value):
     """Ambient dimension N and the degree vector (d^1, ..., d^r)."""
+
+    __slots__ = ("ambient_dim", "degrees")
 
     ambient_dim: int
     degrees: tuple[int, ...]
 
-    def __post_init__(self) -> None:
-        if len(self.degrees) < 1:
+    def __init__(self, ambient_dim: int, degrees: tuple[int, ...]) -> None:
+        if len(degrees) < 1:
             raise ConstraintViolated("r >= 1 fails: no degrees given")
-        if any(d < 1 for d in self.degrees):
-            raise ConstraintViolated(f"degrees must be positive, got {self.degrees}")
-        if self.ambient_dim < 1:
-            raise ConstraintViolated(f"ambient dimension must be positive, got {self.ambient_dim}")
+        if any(d < 1 for d in degrees):
+            raise ConstraintViolated(f"degrees must be positive, got {degrees}")
+        if ambient_dim < 1:
+            raise ConstraintViolated(f"ambient dimension must be positive, got {ambient_dim}")
+        _set_ambient_dim(self, ambient_dim)
+        _set_degrees(self, degrees)
 
     @property
     def r(self) -> int:
@@ -58,8 +60,7 @@ class CIType:
         return ambient_variables(self.ambient_dim)
 
 
-@dataclass(frozen=True)
-class CompleteIntersection:
+class CompleteIntersection(Value):
     """r homogeneous forms of the declared degrees in S, T, Z1..Z{N-1}.
 
     The parameter ring of the forms' coefficients may carry symbolic
@@ -67,19 +68,21 @@ class CompleteIntersection:
     then computed over the fraction field in those parameters.
     """
 
+    __slots__ = ("ci_type", "forms")
+
     ci_type: CIType
     forms: tuple[MultiPoly, ...]
 
-    def __post_init__(self) -> None:
-        t = self.ci_type
+    def __init__(self, ci_type: CIType, forms: tuple[MultiPoly, ...]) -> None:
+        t = ci_type
         if t.variety_dim < 2:
             raise ConstraintViolated(
                 f"N >= r+2 fails: N={t.ambient_dim}, r={t.r}"
             )
-        if len(self.forms) != t.r:
-            raise ConstraintViolated(f"expected {t.r} forms, got {len(self.forms)}")
+        if len(forms) != t.r:
+            raise ConstraintViolated(f"expected {t.r} forms, got {len(forms)}")
         expected_vars = t.variables()
-        for i, (form, d) in enumerate(zip(self.forms, t.degrees), start=1):
+        for i, (form, d) in enumerate(zip(forms, t.degrees), start=1):
             if form.ring.variables != expected_vars:
                 raise RingMismatch(
                     f"form {i} lives in variables {form.ring.variables}, expected {expected_vars}"
@@ -88,9 +91,11 @@ class CompleteIntersection:
                 raise ConstraintViolated(f"form {i} is zero")
             if not form.is_homogeneous(d):
                 raise NotHomogeneous(f"form {i} is not homogeneous of degree {d}: {form}")
-        rings = {f.ring for f in self.forms}
+        rings = {f.ring for f in forms}
         if len(rings) != 1:
             raise RingMismatch("forms live in different rings")
+        _set_ci_type(self, ci_type)
+        _set_forms(self, forms)
 
     @property
     def ring(self) -> PolyRing:
@@ -113,19 +118,21 @@ class CompleteIntersection:
         return all(f.is_parameter_free for f in self.forms)
 
 
-@dataclass(frozen=True)
-class LineChartPoint:
+class LineChartPoint(Value):
     """Chart coordinates of a line: row vectors a and b of length N-1."""
+
+    __slots__ = ("field", "a", "b")
 
     field: Field
     a: tuple[Scalar, ...]
     b: tuple[Scalar, ...]
 
-    def __post_init__(self) -> None:
-        if len(self.a) != len(self.b):
+    def __init__(self, field: Field, a: tuple[Scalar, ...], b: tuple[Scalar, ...]) -> None:
+        if len(a) != len(b):
             raise ConstraintViolated("a and b must have equal length")
-        object.__setattr__(self, "a", tuple(self.field.make(x) for x in self.a))
-        object.__setattr__(self, "b", tuple(self.field.make(x) for x in self.b))
+        _set_field(self, field)
+        _set_a(self, tuple(field.make(x) for x in a))
+        _set_b(self, tuple(field.make(x) for x in b))
 
     @classmethod
     def standard(cls, field: Field, n: int) -> "LineChartPoint":
@@ -148,29 +155,31 @@ class LineChartPoint:
         return out
 
 
-@dataclass(frozen=True)
-class RationalCurve:
+class RationalCurve(Value):
     """A basepoint-free (N+1)-tuple of degree-b binary forms."""
+
+    __slots__ = ("components",)
 
     components: tuple[BinaryForm, ...]
 
-    def __post_init__(self) -> None:
-        if not self.components:
+    def __init__(self, components: tuple[BinaryForm, ...]) -> None:
+        if not components:
             raise ConstraintViolated("curve needs at least one component")
-        degs = {c.degree for c in self.components}
+        degs = {c.degree for c in components}
         if len(degs) != 1:
             raise ConstraintViolated(f"components of mixed degrees {sorted(degs)}")
-        if self.degree < 1:
+        if components[0].degree < 1:
             raise ConstraintViolated("curve degree must be >= 1")
-        fields = {c.field for c in self.components}
+        fields = {c.field for c in components}
         if len(fields) != 1:
             raise RingMismatch("components over different fields")
         try:
-            g = binary_gcd(self.components)
+            g = binary_gcd(components)
         except AllZero:
             raise ConstraintViolated("all components are zero") from None
         if g.degree != 0:
             raise ConstraintViolated(f"components share the projective zero locus of {g}")
+        _set_components(self, components)
 
     @property
     def degree(self) -> int:
@@ -179,6 +188,12 @@ class RationalCurve:
     @property
     def field(self) -> Field:
         return self.components[0].field
+
+
+_set_ambient_dim, _set_degrees = slot_setters(CIType)
+_set_ci_type, _set_forms = slot_setters(CompleteIntersection)
+_set_field, _set_a, _set_b = slot_setters(LineChartPoint)
+(_set_components,) = slot_setters(RationalCurve)
 
 
 def restrict_along(

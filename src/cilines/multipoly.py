@@ -22,7 +22,6 @@ curves, and all the one-variable cohomology bookkeeping, live here.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dataclass_field
 from functools import lru_cache
 from typing import Iterable, Mapping, Sequence
 
@@ -33,7 +32,7 @@ from .errors import (
     RingMismatch,
     UnknownVariable,
 )
-from .fields import Field, Scalar
+from .fields import Field, Scalar, Value, slot_setters
 from .monomials import _exps, _field_sum, _monomial, _monomial_texts
 from .params import (
     Exps,
@@ -59,21 +58,24 @@ def _flat_ring(coeffs: ParamRing, variables: tuple[str, ...]) -> ParamRing:
     return ParamRing(coeffs.field, coeffs.names + variables)
 
 
-@dataclass(frozen=True)
-class PolyRing:
+class PolyRing(Value, compared=("coeffs", "variables")):
     """Polynomial ring in named variables over a parameter ring; `flat`
     is the parameter ring on (parameters + variables) that holds its
     polynomials."""
 
+    __slots__ = ("coeffs", "variables", "flat")
+
     coeffs: ParamRing
     variables: tuple[str, ...]
-    flat: ParamRing = dataclass_field(init=False, repr=False, compare=False)
+    flat: ParamRing
 
-    def __post_init__(self) -> None:
-        seen = set(self.variables) | set(self.coeffs.names)
-        if len(seen) != len(self.variables) + len(self.coeffs.names):
+    def __init__(self, coeffs: ParamRing, variables: tuple[str, ...]) -> None:
+        seen = set(variables) | set(coeffs.names)
+        if len(seen) != len(variables) + len(coeffs.names):
             raise RingMismatch("variable and parameter names must be disjoint")
-        object.__setattr__(self, "flat", _flat_ring(self.coeffs, self.variables))
+        _set_coeffs(self, coeffs)
+        _set_variables(self, variables)
+        _set_flat(self, _flat_ring(coeffs, variables))
 
     @property
     def n(self) -> int:
@@ -98,9 +100,6 @@ class PolyRing:
             raise UnknownVariable(f"variable {name!r} not in ring {self.variables}")
         return MultiPoly(self, self.flat.var(name))
 
-    def param(self, name: str) -> "MultiPoly":
-        return self.const(self.coeffs.var(name))
-
     def from_terms(self, terms: Mapping[Exps, ParamScalar]) -> "MultiPoly":
         """The polynomial with these (variable exponents, coefficient) terms."""
         acc = {pe + e: v for e, c in terms.items() for pe, v in c.terms}
@@ -110,16 +109,19 @@ class PolyRing:
         return f"{self.coeffs}[{', '.join(self.variables)}]"
 
 
-@dataclass(frozen=True)
-class MultiPoly:
+class MultiPoly(Value):
     """A polynomial of `ring`, held as `flat`, a ParamScalar over ring.flat."""
+
+    __slots__ = ("ring", "flat")
 
     ring: PolyRing
     flat: ParamScalar
 
-    def __post_init__(self) -> None:
-        if self.flat.ring is not self.ring.flat and self.flat.ring != self.ring.flat:
-            raise RingMismatch(f"a scalar over {self.flat.ring} in {self.ring}")
+    def __init__(self, ring: PolyRing, flat: ParamScalar) -> None:
+        if flat.ring is not ring.flat and flat.ring != ring.flat:
+            raise RingMismatch(f"a scalar over {flat.ring} in {ring}")
+        _set_ring(self, ring)
+        _set_poly_flat(self, flat)
 
     # -- queries ---------------------------------------------------------
 
@@ -297,11 +299,6 @@ class MultiPoly:
         terms = sorted([t for t in acc.items() if t[1]], reverse=True)  # field zeros are falsy
         return MultiPoly(target, _scalar(flat, tuple(terms), w))
 
-    def evaluate(self, values: Mapping[str, Scalar]) -> ParamScalar:
-        """Evaluate every variable at a field element; coefficients
-        (hence parameters) survive untouched."""
-        return jet_from(self.flat, self.ring.coeffs, (), values)[0]
-
     def jet_at(
         self, names: Sequence[str], values: Mapping[str, Scalar]
     ) -> tuple[ParamScalar, list[ParamScalar]]:
@@ -379,44 +376,32 @@ class MultiPoly:
 # -- binary forms ---------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class BinaryForm:
+class BinaryForm(Value):
     """Degree-d form in (s:t) as coefficients against s^d, ..., t^d.
 
     The coefficients are elements of the base field. Every consumer of a
     binary form (gcds, smoothness minors, section ranks) needs them free of
     parameters, so a parameter is refused where a form is built: by
-    from_scalars, from_poly and restrict_along, with ParameterPresent. The
-    zero form is permitted at every degree; `coeffs` always has length
-    degree + 1.
+    from_poly and restrict_along, with ParameterPresent. The zero form is
+    permitted at every degree; `coeffs` always has length degree + 1.
     """
+
+    __slots__ = ("field", "degree", "coeffs")
 
     field: Field
     degree: int
     coeffs: tuple[Scalar, ...]
 
-    def __post_init__(self) -> None:
-        if self.degree < 0 or len(self.coeffs) != self.degree + 1:
-            raise NotHomogeneous(
-                f"coefficient vector of length {len(self.coeffs)} for degree {self.degree}"
-            )
+    def __init__(self, field: Field, degree: int, coeffs: tuple[Scalar, ...]) -> None:
+        if degree < 0 or len(coeffs) != degree + 1:
+            raise NotHomogeneous(f"coefficient vector of length {len(coeffs)} for degree {degree}")
+        _set_field(self, field)
+        _set_degree(self, degree)
+        _set_form_coeffs(self, coeffs)
 
     @classmethod
     def zero(cls, field: Field, degree: int) -> "BinaryForm":
         return cls(field, degree, (field.zero,) * (degree + 1))
-
-    @classmethod
-    def from_scalars(cls, field: Field, values: Sequence[ParamScalar | Scalar]) -> "BinaryForm":
-        """The form with these coefficients: an int or Fraction is brought
-        into the field, and a ParamScalar must be a constant over it."""
-        coeffs = []
-        for v in values:
-            if isinstance(v, ParamScalar):
-                if v.ring.field != field:
-                    raise RingMismatch(f"a scalar over {v.ring.field} in a form over {field}")
-                v = v.constant_value()
-            coeffs.append(field.make(v))
-        return cls(field, len(coeffs) - 1, tuple(coeffs))
 
     @classmethod
     def from_poly(cls, p: MultiPoly) -> "BinaryForm":
@@ -476,6 +461,11 @@ class BinaryForm:
             for k, c in enumerate(self.coeffs)
             if c
         )
+
+
+_set_coeffs, _set_variables, _set_flat = slot_setters(PolyRing)
+_set_ring, _set_poly_flat = slot_setters(MultiPoly)
+_set_field, _set_degree, _set_form_coeffs = slot_setters(BinaryForm)
 
 
 def _compose_terms(

@@ -31,7 +31,6 @@ informal phrase "for general parameters".
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Literal
 
 from .chart import (
@@ -43,20 +42,36 @@ from .chart import (
 )
 from .errors import InvariantViolated, LineNotContained, NotCorankOne
 from .exactmatrix import ExactMatrix, det, rank_exact
+from .fields import Value, slot_setters
 from .geometry import CompleteIntersection, LineChartPoint
 from .multipoly import MultiPoly
 from .params import ParamRing, ParamScalar, sum_of_products
 
 
-@dataclass(frozen=True)
-class LocalEquations:
+class LocalEquations(Value):
     """Bordered-minor equations for the non-free locus at a corank-1 line."""
+
+    __slots__ = ("base", "pivot_rows", "pivot_cols", "pivot_det", "minors")
 
     base: LineChartPoint
     pivot_rows: tuple[int, ...]
     pivot_cols: tuple[int, ...]
     pivot_det: ParamScalar
     minors: tuple[MultiPoly, ...]
+
+    def __init__(
+        self,
+        base: LineChartPoint,
+        pivot_rows: tuple[int, ...],
+        pivot_cols: tuple[int, ...],
+        pivot_det: ParamScalar,
+        minors: tuple[MultiPoly, ...],
+    ) -> None:
+        _set_base(self, base)
+        _set_pivot_rows(self, pivot_rows)
+        _set_pivot_cols(self, pivot_cols)
+        _set_pivot_det(self, pivot_det)
+        _set_minors(self, minors)
 
     @property
     def count(self) -> int:
@@ -66,8 +81,7 @@ class LocalEquations:
 Verdict = Literal["SmoothExpectedDim", "NotSmoothOrExcess", "NotInJ", "NotContained"]
 
 
-@dataclass(frozen=True)
-class SmoothnessReport:
+class SmoothnessReport(Value):
     """Verdict on a pair (line, X) and what it rests on.
 
     `matrix` is M(h) evaluated at the line, with rank `matrix_rank`; it
@@ -77,16 +91,45 @@ class SmoothnessReport:
     each once: the verdict holds wherever none of them vanishes.
     """
 
+    __slots__ = (
+        "verdict", "required_rank", "matrix", "matrix_rank", "corank", "equations",
+        "jacobian_rank", "local_dimension", "certificate", "genericity",
+    )
+
     verdict: Verdict
     required_rank: int
-    matrix: ExactMatrix | None = None
-    matrix_rank: int | None = None
-    corank: int | None = None
-    equations: LocalEquations | None = None
-    jacobian_rank: int | None = None
-    local_dimension: int | None = None
-    certificate: ParamScalar | None = None
-    genericity: tuple[ParamScalar, ...] = ()
+    matrix: ExactMatrix | None
+    matrix_rank: int | None
+    corank: int | None
+    equations: LocalEquations | None
+    jacobian_rank: int | None
+    local_dimension: int | None
+    certificate: ParamScalar | None
+    genericity: tuple[ParamScalar, ...]
+
+    def __init__(
+        self,
+        verdict: Verdict,
+        required_rank: int,
+        matrix: ExactMatrix | None = None,
+        matrix_rank: int | None = None,
+        corank: int | None = None,
+        equations: LocalEquations | None = None,
+        jacobian_rank: int | None = None,
+        local_dimension: int | None = None,
+        certificate: ParamScalar | None = None,
+        genericity: tuple[ParamScalar, ...] = (),
+    ) -> None:
+        _set_verdict(self, verdict)
+        _set_required_rank(self, required_rank)
+        _set_matrix(self, matrix)
+        _set_matrix_rank(self, matrix_rank)
+        _set_corank(self, corank)
+        _set_equations(self, equations)
+        _set_jacobian_rank(self, jacobian_rank)
+        _set_local_dimension(self, local_dimension)
+        _set_certificate(self, certificate)
+        _set_genericity(self, genericity)
 
     @property
     def contained(self) -> bool:
@@ -95,6 +138,15 @@ class SmoothnessReport:
     @property
     def in_nonfree_locus(self) -> bool:
         return bool(self.corank)
+
+
+_set_base, _set_pivot_rows, _set_pivot_cols, _set_pivot_det, _set_minors = slot_setters(
+    LocalEquations
+)
+(
+    _set_verdict, _set_required_rank, _set_matrix, _set_matrix_rank, _set_corank, _set_equations,
+    _set_jacobian_rank, _set_local_dimension, _set_certificate, _set_genericity,
+) = slot_setters(SmoothnessReport)
 
 
 def local_equations(x: CompleteIntersection, point: LineChartPoint) -> LocalEquations:

@@ -17,12 +17,11 @@ coefficient) pairs in the same order.
 
 from __future__ import annotations
 
-from dataclasses import FrozenInstanceError, dataclass, field as dataclass_field
 from heapq import heappop, heappush
 from typing import Iterable, Mapping, Sequence, TypeVar
 
 from .errors import InexactDivision, ParameterPresent, RingMismatch, UnknownVariable
-from .fields import Field, Scalar
+from .fields import Field, Scalar, Value, slot_setters
 from .monomials import _exps, _field_sum, _guards, _monomial_texts, _pack, _width
 
 Exps = tuple[int, ...]
@@ -67,24 +66,26 @@ def _scalar(ring: "ParamRing", packed: tuple[tuple[int, Scalar], ...], w: int) -
     return ParamScalar(ring, packed, w)
 
 
-@dataclass(frozen=True)
-class ParamRing:
+class ParamRing(Value, compared=("field", "names")):
     """K[c_1, ..., c_k] for a base field K and ordered parameter names."""
 
+    __slots__ = ("field", "names", "k", "_zero", "_one")
+
     field: Field
-    names: tuple[str, ...] = ()
-
+    names: tuple[str, ...]
     # len(names), and the ring's zero and one, shared by every caller
-    k: int = dataclass_field(init=False, repr=False, compare=False)
-    _zero: "ParamScalar" = dataclass_field(init=False, repr=False, compare=False)
-    _one: "ParamScalar" = dataclass_field(init=False, repr=False, compare=False)
+    k: int
+    _zero: "ParamScalar"
+    _one: "ParamScalar"
 
-    def __post_init__(self) -> None:
-        if len(set(self.names)) != len(self.names):
-            raise RingMismatch(f"duplicate parameter names in {self.names}")
-        object.__setattr__(self, "k", len(self.names))
-        object.__setattr__(self, "_zero", ParamScalar(self, (), 1))
-        object.__setattr__(self, "_one", ParamScalar(self, ((0, self.field.one),), 1))
+    def __init__(self, field: Field, names: tuple[str, ...] = ()) -> None:
+        if len(set(names)) != len(names):
+            raise RingMismatch(f"duplicate parameter names in {names}")
+        _set_field(self, field)
+        _set_names(self, names)
+        _set_k(self, len(names))
+        _set_zero(self, ParamScalar(self, (), 1))
+        _set_one(self, ParamScalar(self, ((0, field.one),), 1))
 
     def zero(self) -> "ParamScalar":
         return self._zero
@@ -121,14 +122,12 @@ class ParamRing:
         return f"{self.field}[{', '.join(self.names)}]"
 
 
-class ParamScalar:
+class ParamScalar(Value):
     """A polynomial in the ring's parameters with field coefficients:
     (key, coefficient) terms at `width` bytes per field (module
     docstring). The width follows from the value, so equality and
-    hashing read the ring and the terms alone. Immutable: a class with
-    slots whose __init__ writes them past the refusing __setattr__, as a
-    frozen dataclass takes two to three times as long to build one
-    (Python 3.11)."""
+    hashing read the ring and the terms alone. Immutable, as every Value
+    is, with its own equality and hash, which are hot."""
 
     __slots__ = ("ring", "packed", "width")
 
@@ -140,11 +139,6 @@ class ParamScalar:
         _set_ring(self, ring)
         _set_packed(self, packed)
         _set_width(self, width)
-
-    def __setattr__(self, name: str, value=None) -> None:
-        raise FrozenInstanceError(f"cannot assign to field {name!r}")
-
-    __delattr__ = __setattr__
 
     def __eq__(self, other) -> bool:
         if other.__class__ is not ParamScalar:
@@ -349,12 +343,6 @@ class ParamScalar:
                     heappush(heap, -e)
         return _scalar(ring, tuple(quo), w)
 
-    # -- evaluation ---------------------------------------------------------
-
-    def evaluate(self, values: Mapping[str, Scalar]) -> Scalar:
-        """Evaluate at field values; every occurring parameter must be set."""
-        return jet_from(self, ParamRing(self.ring.field), (), values)[0].constant_value()
-
     # -- printing -------------------------------------------------------------
 
     def __str__(self) -> str:
@@ -362,9 +350,8 @@ class ParamScalar:
         return _print_sum((texts[key], *_signed(field, c)) for key, c in self.packed)
 
 
-_set_ring = ParamScalar.ring.__set__  # type: ignore[attr-defined]
-_set_packed = ParamScalar.packed.__set__  # type: ignore[attr-defined]
-_set_width = ParamScalar.width.__set__  # type: ignore[attr-defined]
+_set_field, _set_names, _set_k, _set_zero, _set_one = slot_setters(ParamRing)
+_set_ring, _set_packed, _set_width = slot_setters(ParamScalar)
 
 
 def sum_of_products(

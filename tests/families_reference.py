@@ -14,10 +14,12 @@ from cilines.geometry import CIType, CompleteIntersection, LineChartPoint, ambie
 from cilines.multipoly import MultiPoly, PolyRing
 from cilines.params import ParamRing
 
+from support import param
+
 
 def _c(ring: PolyRing, values: dict[str, Scalar] | None, j: int) -> MultiPoly:
     if values is None:
-        return ring.param(f"c{j}")
+        return param(ring, f"c{j}")
     return ring.const(ring.coeffs.const(values[f"c{j}"]))
 
 

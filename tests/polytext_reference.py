@@ -10,6 +10,8 @@ import re
 from cilines.errors import ParseError, UnknownVariable
 from cilines.multipoly import MultiPoly, PolyRing
 
+from support import param
+
 _TOKEN = re.compile(r"\s*(?:(\d+)|([A-Za-z][A-Za-z0-9]*)|([+\-*^]))")
 
 
@@ -56,7 +58,7 @@ class _Parser:
             if value in self.ring.variables:
                 return self.ring.var(value)
             if value in self.ring.coeffs.names:
-                return self.ring.param(value)
+                return param(self.ring, value)
             raise ParseError(f"unknown name {value!r} (not a variable or parameter)")
         raise ParseError(f"expected a number or name, got {value!r}")
 

@@ -1,10 +1,12 @@
 """Helpers that only the tests call: views and transforms of the
-program's objects that the program itself never needs, and the per-dom
-section kernel that bundles._section_kernel_dims reads in one pass."""
+program's objects that the program itself never needs (evaluation at a
+point, a parameter as a polynomial, a form from loose scalars among
+them), and the per-dom section kernel that bundles._section_kernel_dims
+reads in one pass."""
 
 from __future__ import annotations
 
-from typing import Sequence
+from typing import Mapping, Sequence
 
 from cilines.bundles import SplittingType, normal_splitting_line, tangent_splitting_from_normal
 from cilines.chart import (
@@ -15,13 +17,13 @@ from cilines.chart import (
     nonfree_matrix,
     smooth_along_components,
 )
-from cilines.errors import ConstraintViolated
+from cilines.errors import ConstraintViolated, RingMismatch
 from cilines.exactmatrix import ExactMatrix, kernel_basis, rank_exact
 from cilines.families import _hyp_head
 from cilines.fields import Field, Scalar
 from cilines.geometry import CompleteIntersection, LineChartPoint, ambient_variables
 from cilines.multipoly import BinaryForm, MultiPoly, PolyRing
-from cilines.params import ParamRing, ParamScalar
+from cilines.params import ParamRing, ParamScalar, jet_from
 
 
 def chart_line_jacobian(x: CompleteIntersection, point: LineChartPoint) -> list[list[BinaryForm]]:
@@ -34,7 +36,7 @@ def on_x(x: CompleteIntersection, point: LineChartPoint) -> bool:
     """Whether the chart line lies on X: every membership polynomial
     evaluated at it vanishes, identically in the parameters."""
     vals = point.values(x.n)
-    return all(f.evaluate(vals).is_zero for sys in membership_system(x).systems for f in sys)
+    return all(evaluate(f, vals).is_zero for sys in membership_system(x).systems for f in sys)
 
 
 def is_smooth_along_line(x: CompleteIntersection, point: LineChartPoint) -> bool:
@@ -61,6 +63,35 @@ def differential_span_matrix(
     avars, bvars = chart_variables(x.n)
     pt = point.values(x.n)
     return ExactMatrix.from_rows(x.coeff_ring, [gradient_at(g, avars + bvars, pt) for g in polys])
+
+
+def evaluate(p: MultiPoly | ParamScalar, values: Mapping[str, Scalar]):
+    """The value of p at field values of its variables, the value of the
+    jet (params.jet_from): a MultiPoly gives a ParamScalar in the
+    parameters, which survive untouched, and a ParamScalar a field
+    element. Every variable that occurs needs a value."""
+    if isinstance(p, MultiPoly):
+        return jet_from(p.flat, p.ring.coeffs, (), values)[0]
+    return jet_from(p, ParamRing(p.ring.field), (), values)[0].constant_value()
+
+
+def param(ring: PolyRing, name: str) -> MultiPoly:
+    """The parameter `name` of ring.coeffs as a polynomial of the ring."""
+    return ring.const(ring.coeffs.var(name))
+
+
+def form_from_scalars(field: Field, values: Sequence[ParamScalar | Scalar]) -> BinaryForm:
+    """The binary form with these coefficients: an int or Fraction is
+    brought into the field, and a ParamScalar must be a constant over it
+    (RingMismatch, ParameterPresent)."""
+    coeffs = []
+    for v in values:
+        if isinstance(v, ParamScalar):
+            if v.ring.field != field:
+                raise RingMismatch(f"a scalar over {v.ring.field} in a form over {field}")
+            v = v.constant_value()
+        coeffs.append(field.make(v))
+    return BinaryForm(field, len(coeffs) - 1, tuple(coeffs))
 
 
 def gradient_at(p: MultiPoly, names: Sequence[str], values: dict[str, Scalar]) -> list[ParamScalar]:
@@ -99,7 +130,7 @@ def specialized(x: CompleteIntersection, values: dict[str, Scalar]) -> CompleteI
     base field, with no parameters left."""
     ring = PolyRing(ParamRing(x.field, ()), x.ring.variables)
     forms = (
-        ring.from_terms({e: ring.coeffs.const(c.evaluate(values)) for e, c in f.terms})
+        ring.from_terms({e: ring.coeffs.const(evaluate(c, values)) for e, c in f.terms})
         for f in x.forms
     )
     return CompleteIntersection(x.ci_type, tuple(forms))

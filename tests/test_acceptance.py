@@ -28,13 +28,17 @@ from cilines.exactmatrix import rank_exact
 from cilines.families import FamilySpec, build_family
 from cilines.fields import RATIONALS, prime_field
 from cilines.geometry import CIType, RationalCurve
-from cilines.multipoly import BinaryForm
 from cilines.nonfree import expected_pair_report
 from cilines.polytext import parse_poly
 
 import families_reference
 from conftest import ambient_ring, field_of_char, random_homogeneous
-from support import chart_line_jacobian, is_smooth_along_line, same_differential_span
+from support import (
+    chart_line_jacobian,
+    form_from_scalars,
+    is_smooth_along_line,
+    same_differential_span,
+)
 from test_chart import make_ci
 from test_exactmatrix import gaussian_rank_oracle
 
@@ -256,7 +260,7 @@ def test_criterion_8_nonfree_curve_pipeline():
     field = prime_field(7)
     x = make_ci(field, 3, (5,), ["S^5 + T^5 + Z1^5 + Z2^5"])
     def bf(*cs):
-        return BinaryForm.from_scalars(field, list(cs))
+        return form_from_scalars(field, list(cs))
 
     mu = RationalCurve((bf(1, 0), bf(-1, 0), bf(0, 1), bf(0, -1)))
     h0, h1 = tangent_cohomology(x, mu, -1)[-1]

@@ -40,6 +40,7 @@ from conftest import ambient_ring, random_homogeneous
 from support import (
     chart_line_jacobian,
     chart_point,
+    form_from_scalars,
     is_smooth_along_line,
     section_kernel_dim,
     specialized,
@@ -49,7 +50,7 @@ from test_chart import _ideal_form, census_chart_lines, make_ci
 
 
 def bform(field, *coeffs):
-    return BinaryForm.from_scalars(field, list(coeffs))
+    return form_from_scalars(field, list(coeffs))
 
 
 def fermat_quintic_line():
@@ -228,7 +229,7 @@ def random_grid(rng, field, rows, cols, max_deg, zero_form=0.2, zero_coeff=0.3):
             [
                 BinaryForm.zero(field, deg)
                 if rng.random() < zero_form
-                else BinaryForm.from_scalars(field, [value() for _ in range(deg + 1)])
+                else form_from_scalars(field, [value() for _ in range(deg + 1)])
                 for _ in range(cols)
             ]
         )

@@ -33,7 +33,7 @@ from cilines.params import ParamRing
 from cilines.polytext import parse_poly
 
 from conftest import ambient_ring, field_of_char, random_homogeneous
-from support import chart_point, is_smooth_along_line, on_x, permuted, permuted_z, scaled
+from support import chart_point, evaluate, is_smooth_along_line, on_x, permuted, permuted_z, scaled
 
 
 def make_ci(field, n, degrees, texts, params=()):
@@ -244,7 +244,7 @@ def test_nonfree_matrix_is_its_entries_evaluated_at_the_line(rng):
     for x, point in cases:
         nf = nonfree_matrix(x, at=point)
         vals = point.values(x.n)
-        assert nf.matrix.to_lists() == [[e.evaluate(vals) for e in row] for row in nf.entries_ab]
+        assert nf.matrix.to_lists() == [[evaluate(e, vals) for e in row] for row in nf.entries_ab]
 
 
 def test_restricted_jacobian_z_columns_are_the_blocks_of_m_h(rng):

@@ -10,7 +10,7 @@ from cilines.params import ParamRing, ParamScalar
 
 import elimination_reference as reference
 from conftest import random_nonzero, random_scalar
-from support import identity
+from support import evaluate, identity
 
 
 def matrix_of_ints(ring, rows):
@@ -298,11 +298,11 @@ def test_schwartz_zippel_specialization(rng):
     checked = 0
     while checked < 20:
         point = {"c1": rng.randrange(big.p), "c2": rng.randrange(big.p)}
-        cert_val = big.make(res.certificate.evaluate({k: Fraction(v) for k, v in point.items()}))
+        cert_val = big.make(evaluate(res.certificate, {k: Fraction(v) for k, v in point.items()}))
         if big.is_zero(cert_val):
             continue
         raw = [
-            [big.make(e.evaluate({k: Fraction(v) for k, v in point.items()})) for e in row]
+            [big.make(evaluate(e, {k: Fraction(v) for k, v in point.items()})) for e in row]
             for row in rows
         ]
         assert gaussian_rank_oracle(big, raw) == res.rank

@@ -26,7 +26,7 @@ from conftest import (
     random_scalar,
 )
 from multipoly_reference import NestedPoly
-from support import gradient_at
+from support import evaluate, form_from_scalars, gradient_at, param
 
 
 def test_differentiate_examples():
@@ -57,11 +57,11 @@ def test_evaluate_matches_a_naive_reference(rng):
             for _ in range(15):
                 p = random_poly(rng, ring)
                 vals = random_point(rng, field, CHART_VARIABLES)
-                assert p.evaluate(vals) == naive_evaluate(p, vals)
+                assert evaluate(p, vals) == naive_evaluate(p, vals)
     # one variable at three powers in three terms
     ring = PolyRing(ParamRing(RATIONALS, ()), ("x", "y"))
     p = parse_poly("x^3 + x^2*y + x + y^2", ring)
-    assert p.evaluate({"x": 2, "y": 3}) == ring.coeffs.const(8 + 12 + 2 + 9)
+    assert evaluate(p, {"x": 2, "y": 3}) == ring.coeffs.const(8 + 12 + 2 + 9)
 
 
 def test_gradient_at_is_differentiate_then_evaluate(rng):
@@ -75,7 +75,7 @@ def test_gradient_at_is_differentiate_then_evaluate(rng):
                 order = list(CHART_VARIABLES) + [rng.choice(CHART_VARIABLES)]
                 rng.shuffle(order)
                 assert gradient_at(p, order, vals) == [
-                    p.differentiate(v).evaluate(vals) for v in order
+                    evaluate(p.differentiate(v), vals) for v in order
                 ]
     ring = PolyRing(ParamRing(RATIONALS, ()), ("x", "y"))
     p = parse_poly("x^3*y + 5*x^2", ring)
@@ -109,8 +109,8 @@ def test_jet_at_is_the_value_and_the_evaluated_derivatives(rng, char, params):
         names = list(CHART_VARIABLES) + [rng.choice(CHART_VARIABLES)]
         rng.shuffle(names)
         value, partials = p.jet_at(names, vals)
-        assert value == p.evaluate(vals)
-        assert partials == [p.differentiate(v).evaluate(vals) for v in names]
+        assert value == evaluate(p, vals)
+        assert partials == [evaluate(p.differentiate(v), vals) for v in names]
     zero = ring.coeffs.zero()
     assert ring.zero().jet_at(CHART_VARIABLES[:2], {}) == (zero, [zero, zero])
 
@@ -142,11 +142,11 @@ def test_a_value_the_field_cannot_hold_is_refused_where_it_is_used():
     p = parse_poly("x^2 + 3*x", f7)
     bad = {"x": 1, "y": Fraction(1, 7)}  # 1/7 has no image in F_7
     with pytest.raises(ConstraintViolated):
-        p.evaluate({"x": Fraction(1, 7), "y": 1})
+        evaluate(p, {"x": Fraction(1, 7), "y": 1})
     with pytest.raises(ConstraintViolated):
         gradient_at(p, ("x",), {"x": Fraction(1, 7)})
     # the value of a variable that no term uses is not brought into the field
-    assert p.evaluate(bad) == f7.coeffs.const(4)
+    assert evaluate(p, bad) == f7.coeffs.const(4)
     assert gradient_at(p, ("x", "y"), bad) == [f7.coeffs.const(5), f7.coeffs.zero()]
 
 
@@ -185,7 +185,7 @@ def test_param_scalar_evaluate_matches_a_naive_reference(rng):
         for _ in range(15):
             a = random_scalar(rng, ring.flat)
             vals = random_point(rng, field, names)
-            assert a.evaluate(vals) == naive_evaluate(MultiPoly(ring, a), vals).constant_value()
+            assert evaluate(a, vals) == naive_evaluate(MultiPoly(ring, a), vals).constant_value()
 
 
 def evaluators():
@@ -205,23 +205,23 @@ def test_a_missing_value_wins_over_one_the_field_cannot_hold():
     for p, _ in evaluators():
         # x, the first name the walk meets, has no image in F_7
         with pytest.raises(UnknownVariable, match=re.escape("no value for ['v', 'w']")):
-            p.evaluate({"x": Fraction(1, 7)})
+            evaluate(p, {"x": Fraction(1, 7)})
         with pytest.raises(ConstraintViolated):
-            p.evaluate({"x": Fraction(1, 7), "w": 1, "v": 2})
+            evaluate(p, {"x": Fraction(1, 7), "w": 1, "v": 2})
 
 
 def test_an_unused_value_the_field_cannot_hold_is_ignored():
     for p, const in evaluators():
         # u is a name of the ring that no term uses
-        assert p.evaluate({"x": 3, "w": 1, "v": 2, "u": Fraction(1, 7)}) == const(12 % 7)
+        assert evaluate(p, {"x": 3, "w": 1, "v": 2, "u": Fraction(1, 7)}) == const(12 % 7)
 
 
 def test_a_missing_parameter_is_named():
     coeffs = ParamRing(RATIONALS, ("c1", "c2"))
     p = coeffs.var("c1") * coeffs.var("c2") + 1
     with pytest.raises(UnknownVariable, match=re.escape("no value for ['c2']")):
-        p.evaluate({"c1": 2})
-    assert p.evaluate({"c1": 2, "c2": Fraction(1, 4)}) == Fraction(3, 2)
+        evaluate(p, {"c1": 2})
+    assert evaluate(p, {"c1": 2, "c2": Fraction(1, 4)}) == Fraction(3, 2)
 
 
 def test_monomial_power_is_repeated_multiplication():
@@ -285,7 +285,7 @@ def test_packed_poly_products_match_naive(rng):
                 assert_poly_product_is_naive(p, ring.zero())
         ring = PolyRing(ParamRing(field, ("c1",)), ("x", "y", "z"))
         x, y, z = (ring.var(v) for v in ring.variables)
-        c1 = ring.param("c1")
+        c1 = param(ring, "c1")
         assert_poly_product_is_naive(x + c1 * y, x - c1 * y)  # the x*y terms cancel
         assert (x + c1 * y) * (x - c1 * y) == x * x - c1 * c1 * y * y
         a, b = x**5 + y * z + c1, x**3 + z + 1  # x^8 fills the top digit of its slot
@@ -377,7 +377,7 @@ def test_homogeneity_predicate():
 
 
 def binform(field, *coeffs):
-    return BinaryForm.from_scalars(field, list(coeffs))
+    return form_from_scalars(field, list(coeffs))
 
 
 def test_binary_gcd_examples():
@@ -395,14 +395,14 @@ def test_binary_gcd_examples():
     # a parameter never reaches the gcd: the form is refused where it is built
     pring = ParamRing(RATIONALS, ("c1",))
     with pytest.raises(ParameterPresent):
-        BinaryForm.from_scalars(RATIONALS, [pring.var("c1"), pring.one()])
+        form_from_scalars(RATIONALS, [pring.var("c1"), pring.one()])
 
 
 def test_binary_gcd_divides_and_is_divided(rng):
     field = prime_field(7)
 
     def random_form(d):
-        return BinaryForm.from_scalars(field, [field.random(rng) for _ in range(d + 1)])
+        return form_from_scalars(field, [field.random(rng) for _ in range(d + 1)])
 
     def strip(form):
         # (s-power, t-power, core as dense x-polynomial, highest first)
@@ -462,7 +462,7 @@ def test_restrict_along_and_compose_match_substitution(rng):
         return st_ring.from_terms(terms)
 
     def random_form(d):
-        return BinaryForm.from_scalars(field, [field.random(rng) for _ in range(d + 1)])
+        return form_from_scalars(field, [field.random(rng) for _ in range(d + 1)])
 
     ring = ambient_ring(field, 3)
     for _ in range(10):
@@ -532,19 +532,19 @@ def same_values(got, want):
 def test_binary_form_product_and_compose_match_naive_references(rng, char):
     field = field_of_char(char)
     for _ in range(40):
-        f = BinaryForm.from_scalars(field, random_values(rng, field, rng.randint(1, 6)))
-        g = BinaryForm.from_scalars(field, random_values(rng, field, rng.randint(1, 6)))
+        f = form_from_scalars(field, random_values(rng, field, rng.randint(1, 6)))
+        g = form_from_scalars(field, random_values(rng, field, rng.randint(1, 6)))
         same_values((f * g).coeffs, naive_mul(field, f.coeffs, g.coeffs))
         k = rng.randint(0, 3)
-        u = BinaryForm.from_scalars(field, random_values(rng, field, k + 1))
-        w = BinaryForm.from_scalars(field, random_values(rng, field, k + 1))
+        u = form_from_scalars(field, random_values(rng, field, k + 1))
+        w = form_from_scalars(field, random_values(rng, field, k + 1))
         d = f.degree
         terms = [((d - i, i), c) for i, c in enumerate(f.coeffs)]
         want = naive_compose_terms(field, terms, (u.coeffs, w.coeffs), d * k)
         same_values(f.compose(u, w).coeffs, want)
     # (s/2) * (2 t) = s t, an int coefficient over Q
-    half = BinaryForm.from_scalars(field, [Fraction(1, 2) if char != 2 else 1, 0])
-    two_t = BinaryForm.from_scalars(field, [0, 2 if char != 2 else 1])
+    half = form_from_scalars(field, [Fraction(1, 2) if char != 2 else 1, 0])
+    two_t = form_from_scalars(field, [0, 2 if char != 2 else 1])
     same_values((half * two_t).coeffs, [0, 1, 0])
 
 
@@ -563,7 +563,7 @@ def test_restrict_along_matches_the_naive_reference(rng, char):
                 }
             )
         b = rng.randint(1, 3)
-        comps = [BinaryForm.from_scalars(field, random_values(rng, field, b + 1)) for _ in range(4)]
+        comps = [form_from_scalars(field, random_values(rng, field, b + 1)) for _ in range(4)]
         terms = [(e, c.constant_value()) for e, c in form.terms]
         want = naive_compose_terms(field, terms, [c.coeffs for c in comps], b * d)
         same_values(restrict_along(form, comps).coeffs, want)
@@ -573,18 +573,18 @@ def test_binary_forms_refuse_parameters_where_they_are_built():
     coeffs = ParamRing(RATIONALS, ("c1",))
     c1 = coeffs.var("c1")
     with pytest.raises(ParameterPresent):
-        BinaryForm.from_scalars(RATIONALS, [1, c1])
+        form_from_scalars(RATIONALS, [1, c1])
     st_ring = PolyRing(coeffs, ("s", "t"))
     with pytest.raises(ParameterPresent):
-        BinaryForm.from_poly(st_ring.var("s") * st_ring.param("c1"))
+        BinaryForm.from_poly(st_ring.var("s") * param(st_ring, "c1"))
     ring = PolyRing(coeffs, ("S", "T"))
     line = (binform(RATIONALS, 1, 0), binform(RATIONALS, 0, 1))
     with pytest.raises(ParameterPresent):
-        restrict_along(ring.var("S") * ring.param("c1"), line)
+        restrict_along(ring.var("S") * param(ring, "c1"), line)
     # a constant ParamScalar is read as its value, over its own field only
-    assert BinaryForm.from_scalars(RATIONALS, [coeffs.const(3), 0]).coeffs == (3, 0)
+    assert form_from_scalars(RATIONALS, [coeffs.const(3), 0]).coeffs == (3, 0)
     with pytest.raises(RingMismatch):
-        BinaryForm.from_scalars(prime_field(7), [coeffs.const(3)])
+        form_from_scalars(prime_field(7), [coeffs.const(3)])
 
 
 def test_parser_rejects_garbage():

@@ -15,7 +15,7 @@ from cilines.params import ParamRing
 from cilines.polytext import parse_poly
 
 from conftest import naive_evaluate
-from support import gradient_at
+from support import evaluate, gradient_at
 from test_multipoly import naive_poly_mul, typed_poly
 from test_params import naive_mul, typed
 from test_polytext import ALPHABET, FIELDS as PARSE_FIELDS, LONG_EXPONENT, assert_agree
@@ -53,7 +53,7 @@ def poly_and_point(draw, coeff_terms=3):
 @given(poly_and_point())
 def test_evaluate_agrees_with_the_naive_reference(case):
     p, point, _ = case
-    assert p.evaluate(point) == naive_evaluate(p, point)
+    assert evaluate(p, point) == naive_evaluate(p, point)
 
 
 @settings(max_examples=150, deadline=None)

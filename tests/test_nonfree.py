@@ -20,7 +20,7 @@ from cilines.polytext import parse_poly
 
 import families_reference
 from conftest import field_of_char, random_scalar
-from support import permuted, permuted_z, same_differential_span, scaled, specialized
+from support import evaluate, permuted, permuted_z, same_differential_span, scaled, specialized
 from test_chart import make_ci
 from test_exactmatrix import gaussian_rank_oracle
 
@@ -68,7 +68,7 @@ def test_local_equations_vanish_at_base():
         built = build_family(spec, RATIONALS)
         eqs = local_equations(built.x, built.line)
         vals = built.line.values(built.x.n)
-        assert all(g.evaluate(vals).is_zero for g in eqs.minors)
+        assert all(evaluate(g, vals).is_zero for g in eqs.minors)
 
 
 def test_local_equations_rejects_free_line():
@@ -167,8 +167,8 @@ def test_jacobian_f_rows_match_direct_differentiation():
     for sys in ms.systems:
         for f in sys:
             direct.append(
-                [f.differentiate(v).evaluate(vals) for v in avars]
-                + [f.differentiate(v).evaluate(vals) for v in bvars]
+                [evaluate(f.differentiate(v), vals) for v in avars]
+                + [evaluate(f.differentiate(v), vals) for v in bvars]
             )
     got = [list(jac.row(i)) for i in range(len(direct))]
     assert got == direct
@@ -254,7 +254,7 @@ def test_certificate_survives_specialization(rng):
         trial = FamilySpec("hyp-4-6", c_mode="sampled", seed=seed)
         b2 = build_family(trial, big)
         values = {k: Fraction(v) for k, v in b2.c_values.items()}
-        cert_at = rep.certificate.evaluate(values)
+        cert_at = evaluate(rep.certificate, values)
         if big.is_zero(big.make(cert_at)):
             continue
         rep2 = expected_pair_report(b2.x, b2.line)
@@ -319,7 +319,7 @@ def test_a_symbolic_report_holds_wherever_its_genericity_conditions_do(rng):
         conditions = rep.genericity
         while True:
             values = {name: rng.randrange(BIG.p) for name in x.coeff_ring.names}
-            if all(not BIG.is_zero(c.evaluate(values)) for c in conditions):
+            if all(not BIG.is_zero(evaluate(c, values)) for c in conditions):
                 break
         rep_c = expected_pair_report(specialized(x, values), line)
         assert (rep_c.verdict, rep_c.matrix_rank, rep_c.jacobian_rank, rep_c.local_dimension) == (

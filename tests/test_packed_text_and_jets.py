@@ -18,6 +18,7 @@ from cilines.params import ParamRing, ParamScalar
 import params_reference as ref
 from conftest import naive_evaluate
 from multipoly_reference import NestedPoly
+from support import evaluate, param
 
 FIELDS = (RATIONALS, prime_field(2), prime_field(7))
 PARAMS = ((), ("c1",), ("c1", "c2"))
@@ -108,7 +109,7 @@ def test_one_names_tuple_at_two_widths_prints_alike_cold_and_warm():
         narrow = ring.const(-2) * c1 * x + y**3 + 1
         values += [narrow, narrow * c1**200, narrow * x**40000]
     for ring in polys:
-        c1, x, y = ring.param("c1"), ring.var("x"), ring.var("y")
+        c1, x, y = param(ring, "c1"), ring.var("x"), ring.var("y")
         narrow = ring.const(-2) * c1 * x + y**3 + 1
         values += [narrow, narrow * c1**200, narrow * x**40000]
     want = []
@@ -154,8 +155,8 @@ def test_jet_at_is_differentiate_then_evaluate_at_every_width(rng, field, names)
         asked = list(VARIABLES) + [rng.choice(VARIABLES)]
         rng.shuffle(asked)
         value, partials = p.jet_at(asked, vals)
-        assert value == p.evaluate(vals) == naive_evaluate(p, vals)
-        assert partials == [p.differentiate(v).evaluate(vals) for v in asked]
+        assert value == evaluate(p, vals) == naive_evaluate(p, vals)
+        assert partials == [evaluate(p.differentiate(v), vals) for v in asked]
         assert partials == [naive_evaluate(p.differentiate(v), vals) for v in asked]
         assert all(d.ring is ring.coeffs for d in [value, *partials])
     assert widths == {1, 2, 4}
@@ -172,7 +173,7 @@ def test_jet_at_reads_and_refuses_values_as_differentiation_does(big):
     uses is not read. With every value set the jet is
     differentiate-then-evaluate."""
     f7 = PolyRing(ParamRing(prime_field(7), ("c1",)), ("x", "y", "z", "u"))
-    x, y, z, c1 = f7.var("x"), f7.var("y"), f7.var("z"), f7.param("c1")
+    x, y, z, c1 = f7.var("x"), f7.var("y"), f7.var("z"), param(f7, "c1")
     p = c1**big * x * y + 3 * y**big + z
     assert p.flat.width == (1 if big < 128 else 2 if big < 32768 else 4)
     for asked in ((), ("x",), ("y",), ("z",), ("x", "x", "z"), ("u",)):
@@ -190,5 +191,5 @@ def test_jet_at_reads_and_refuses_values_as_differentiation_does(big):
         # u occurs in no term, so the 1/7 that F_7 cannot hold is not read
         vals = {"x": 3, "y": 2, "z": 9, "u": Fraction(1, 7)}
         value, partials = p.jet_at(asked, vals)
-        assert value == p.evaluate(vals)
-        assert partials == [p.differentiate(v).evaluate(vals) for v in asked]
+        assert value == evaluate(p, vals)
+        assert partials == [evaluate(p.differentiate(v), vals) for v in asked]

@@ -1,12 +1,16 @@
 """The runtime stays on the standard library: every absolute import in the
-package, lazy ones inside functions included, names a standard module.
-Every module-level import is read, no check in the package is a bare
-assert, which python -O strips, no handler catches every exception, and
-every definition is named in code beyond the line that defines it."""
+package, lazy ones inside functions included, names a standard module,
+and none is dataclasses, whose import and generated methods would be most
+of a one-report process's start. Every module-level import is read, no
+check in the package is a bare assert, which python -O strips, no handler
+catches every exception, and every definition is named in code beyond the
+line that defines it."""
 
 import ast
 import io
+import os
 import re
+import subprocess
 import sys
 import tokenize
 from pathlib import Path
@@ -33,6 +37,31 @@ def test_runtime_imports_only_the_standard_library():
                 if name.split(".")[0] not in sys.stdlib_module_names
             ]
     assert foreign == []
+
+
+def test_no_module_imports_dataclasses():
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(PACKAGE.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), filename=str(path)))
+        if isinstance(node, ast.Import) and any(a.name == "dataclasses" for a in node.names)
+        or isinstance(node, ast.ImportFrom) and node.module == "dataclasses"
+    ]
+    assert found == []
+
+
+def test_importing_the_cli_loads_neither_dataclasses_nor_inspect():
+    """A fresh interpreter, as every command line run starts in."""
+    code = "import sys, cilines.cli; print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        env={**os.environ, "PYTHONPATH": str(PACKAGE.parent)},
+        capture_output=True,
+        text=True,
+        timeout=60,
+        check=True,
+    )
+    assert proc.stdout.strip() == "[]"
 
 
 #: imports a module keeps without reading them, each with its reason
