@@ -18,15 +18,16 @@ would need the H^1(O(m)) correction and are rejected.
 For a line, the analogous kernel presentation of the normal bundle
 N_{L/X} inside O(1)^{N-1} is exact at every twist, so the full splitting
 type is recovered from consecutive section counts:
-#{a_i >= k} = h^0(E(-k)) - h^0(E(-k-1)).
+#{a_i >= k} = h^0(E(-k)) - h^0(E(-k-1)). Its presenting map is the
+Z-partials of X along L, which are the columns of M(h) evaluated at the
+line, so the normal splitting takes that matrix from its caller
+(classify-line has it already) and X is smooth along L exactly when its
+section count says so. Since T_X|_L = O(2) (+) N_{L/X}, a line's tangent
+cohomology follows from its splitting type.
 
-Both presentations are built from the Jacobian of X restricted to the
-curve, and each is eliminated once, at its largest twist. The normal
-splitting takes a chart line's Jacobian from its caller (classify-line
-reads it off the evaluated M(h)), and X is smooth along the line exactly
-when its section count says so. Tangent cohomology takes that Jacobian
-too, or along a general curve (curve-check) composes it by
-chart.restricted_jacobian and decides smoothness by its minors.
+Tangent cohomology along a general curve (curve-check) composes the
+Jacobian with the curve by chart.restricted_jacobian, decides smoothness
+by its minors, and is eliminated once, at its largest twist.
 """
 
 from __future__ import annotations
@@ -54,7 +55,7 @@ from .exactmatrix import ExactMatrix, kernel_basis
 from .fields import Value, slot_setters
 from .geometry import CIType, CompleteIntersection, RationalCurve, restrict_along
 from .multipoly import BinaryForm, binary_gcd
-from .params import ParamRing
+from .params import ParamRing, require_constant
 
 
 class SplittingType(Value):
@@ -84,22 +85,6 @@ class SplittingType(Value):
 
 
 (_set_entries,) = slot_setters(SplittingType)
-
-
-def _check_jacobian(
-    x: CompleteIntersection, jac: Sequence[Sequence[BinaryForm]], b: int
-) -> None:
-    """A restricted Jacobian along a degree-b curve has r rows of N+1
-    entries, those of row i of degree b(d^i - 1)."""
-    degrees = x.ci_type.degrees
-    if len(jac) != len(degrees) or any(
-        len(row) != x.n + 1 or any(f.degree != b * (d - 1) for f in row)
-        for row, d in zip(jac, degrees)
-    ):
-        raise ConstraintViolated(
-            f"Jacobian does not have {len(degrees)} rows of {x.n + 1} forms "
-            f"of degrees {[b * (d - 1) for d in degrees]}"
-        )
 
 
 def _section_kernel_dims(phi: Sequence[Sequence[BinaryForm]], top: int) -> list[int]:
@@ -136,16 +121,10 @@ def _section_kernel_dims(phi: Sequence[Sequence[BinaryForm]], top: int) -> list[
 
 
 def tangent_cohomology(
-    x: CompleteIntersection,
-    mu: RationalCurve,
-    m: int,
-    jac: Sequence[Sequence[BinaryForm]] | None = None,
+    x: CompleteIntersection, mu: RationalCurve, m: int
 ) -> tuple[tuple[int, int], ...]:
-    """(h^0, h^1) of mu^* T_X twisted by k, for each k = -1, ..., m.
-
-    jac, when given, is the Jacobian of X restricted along mu from a caller
-    that has settled that mu lies on X and X is smooth along it (a chart
-    line's, after normal_splitting_line); else both are checked here."""
+    """(h^0, h^1) of mu^* T_X twisted by k, for each k = -1, ..., m, for a
+    curve mu on X along which X is smooth (CurveNotOnX, SingularAlongCurve)."""
     if m <= -2:
         raise TwistTooNegative(f"twist {m} is below -1")
     if not x.is_parameter_free:
@@ -155,15 +134,12 @@ def tangent_cohomology(
     comps = mu.components
     if len(comps) != x.n + 1:
         raise ConstraintViolated(f"curve has {len(comps)} components, expected {x.n + 1}")
-    if jac is None:
-        for form in x.forms:
-            if not restrict_along(form, comps).is_zero:
-                raise CurveNotOnX(f"{form} does not vanish along the curve")
-        jac = restricted_jacobian(x, comps)
-        if not smooth_along_components(x, jac):
-            raise SingularAlongCurve("X is singular somewhere along the curve")
-    else:
-        _check_jacobian(x, jac, mu.degree)
+    for form in x.forms:
+        if not restrict_along(form, comps).is_zero:
+            raise CurveNotOnX(f"{form} does not vanish along the curve")
+    jac = restricted_jacobian(x, comps)
+    if not smooth_along_components(x, jac):
+        raise SingularAlongCurve("X is singular somewhere along the curve")
 
     b, n, r = mu.degree, x.n, x.ci_type.r
     # the component tuple is always in the kernel of psi(0)
@@ -187,17 +163,15 @@ def tangent_cohomology(
 # -- splitting types of lines -------------------------------------------------
 
 
-def normal_splitting_line(
-    x: CompleteIntersection, jac: Sequence[Sequence[BinaryForm]]
-) -> SplittingType:
+def normal_splitting_line(x: CompleteIntersection, m_h: ExactMatrix) -> SplittingType:
     """Splitting type of the normal bundle of a chart line L on X, from
-    jac, the Jacobian of X restricted along L (chart.line_jacobian reads
-    it off M(h) at the line). The result has rank N - r - 1, every entry
-    at most 1, and total degree N - 1 - |d|.
+    m_h, M(h) evaluated at L (constant entries, else ParameterPresent).
+    The result has rank N - r - 1, every entry at most 1, and total degree
+    N - 1 - |d|.
 
-    X is smooth along L exactly when the Z-partials, of which the S- and
-    T-partials are combinations along L, map O(1)^{N-1} onto (+)_i O(d^i)
-    with kernel E = N_{L/X}. If so, every entry of E is at least floor,
+    Row j, block i of m_h is (dh^i/dZ_j)|_L. X is smooth along L exactly
+    when these Z-partials map O(1)^{N-1} onto (+)_i O(d^i) with kernel
+    E = N_{L/X}. If so, every entry of E is at least floor,
     H^1(E(-floor)) = 0 and the map is onto on sections at twist -floor.
     If not, its cokernel is a nonzero quotient of the globally generated
     (+)_i O(d^i - floor), and it is not. So X is singular along L exactly
@@ -205,12 +179,20 @@ def normal_splitting_line(
     """
     if not x.is_parameter_free:
         raise ParameterPresent("splitting types need parameter-free forms")
-    _check_jacobian(x, jac, 1)
+    if (m_h.rows, m_h.cols) != (x.n - 1, x.ci_type.total_degree):
+        raise ConstraintViolated(
+            f"M(h) is {m_h.rows} x {m_h.cols}; expected {x.n - 1} x {x.ci_type.total_degree}"
+        )
+    values = [require_constant(m_h.row(j)) for j in range(m_h.rows)]
+    partials = []  # row i: (dh^i/dZ_j)|_L for each j
+    start = 0
+    for d in x.ci_type.degrees:
+        partials.append([BinaryForm(x.field, d - 1, tuple(v[start : start + d])) for v in values])
+        start += d
 
     n, r = x.n, x.ci_type.r
     rank = n - r - 1
     total = n - 1 - x.ci_type.total_degree
-    partials = [row[2:] for row in jac]  # (dh^i/dZ_j)|_L
 
     # every entry lies in [floor, 1], so the twists k = 1 down to floor tell
     # them all; h^0(E(-k)) is the kernel of the presenting map

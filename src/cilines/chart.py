@@ -16,14 +16,6 @@ block i is the coefficient vector of the restricted partial derivative
 s^{d^i-1}, ..., t^{d^i-1}. For a line on X along which X is smooth, the
 line is free exactly when M(h) evaluated at the chart point has full
 column rank |d|.
-
-Along a chart line on X, M(h) evaluated at the point also carries the
-whole restricted Jacobian (dh^i/dW)|_L: its Z_j entries are the rows of
-M(h), and since h^i o xi vanishes identically, its s- and t-derivatives
-give h^i_S|_L = -sum_j a_j h^i_{Z_j}|_L and h^i_T|_L = -sum_j b_j
-h^i_{Z_j}|_L. line_jacobian reads it off that way; restricted_jacobian
-composes every partial with an arbitrary curve and serves general
-rational curves.
 """
 
 from __future__ import annotations
@@ -35,7 +27,6 @@ from typing import Iterator, Sequence
 
 from .errors import (
     BudgetExceeded,
-    ConstraintViolated,
     InfiniteField,
     InvariantViolated,
     LineNotContained,
@@ -52,7 +43,7 @@ from .geometry import (
     restrict_along,
 )
 from .multipoly import BinaryForm, MultiPoly, PolyRing, binary_gcd
-from .params import ParamRing, ParamScalar, require_constant
+from .params import ParamRing, ParamScalar
 
 
 def chart_variables(n: int) -> tuple[tuple[str, ...], tuple[str, ...]]:
@@ -234,39 +225,6 @@ def restricted_jacobian(
             for w in x.ring.variables
         ]
         rows.append(row)
-    return rows
-
-
-def line_jacobian(
-    x: CompleteIntersection, point: LineChartPoint, m_h: ExactMatrix
-) -> list[list[BinaryForm]]:
-    """The Jacobian restricted along a chart line on X, as restricted_jacobian
-    returns it (row i: N+1 entries of degree d^i - 1 in the order S, T,
-    Z_1, ...), read off M(h) evaluated at the line: the Z_j entry of row i
-    is row j of column block i, and the S and T entries are
-    -sum_j a_j h^i_{Z_j}|_L and -sum_j b_j h^i_{Z_j}|_L. The entries of
-    M(h) must be constants (ParameterPresent)."""
-    n, field = x.n, x.field
-    if point.width != n - 1 or (m_h.rows, m_h.cols) != (n - 1, x.ci_type.total_degree):
-        raise ConstraintViolated(
-            f"M(h) is {m_h.rows} x {m_h.cols} at a chart point of width {point.width}; "
-            f"expected {n - 1} x {x.ci_type.total_degree} at width {n - 1}"
-        )
-    values = [require_constant(m_h.row(j)) for j in range(n - 1)]  # M(h) over the field
-    rows = []
-    start = 0
-    for d in x.ci_type.degrees:
-        z = [row[start : start + d] for row in values]
-        start += d
-        s_col, t_col = (
-            BinaryForm(
-                field,
-                d - 1,
-                tuple(field.make(-sum(wj * zj[k] for wj, zj in zip(w, z))) for k in range(d)),
-            )
-            for w in (point.a, point.b)
-        )
-        rows.append([s_col, t_col] + [BinaryForm(field, d - 1, tuple(zj)) for zj in z])
     return rows
 
 

@@ -44,8 +44,6 @@ from .bundles import (
 from .chart import (
     chart_variables,
     enumerate_lines_fq,
-    line_jacobian,
-    line_param,
     move_line_to_chart,
     nonfree_matrix,
 )
@@ -281,17 +279,21 @@ def _report_from(rep: SmoothnessReport) -> dict:
     return out
 
 
-def _line_splitting(
-    x: CompleteIntersection, point: LineChartPoint, m_h: ExactMatrix
-) -> tuple[list[list[BinaryForm]], SplittingType | None]:
-    """The restricted Jacobian along a chart line on X, read off M(h) at the
-    line, and the normal splitting type; None when X is singular along the
-    line, which then has no splitting type."""
-    jac = line_jacobian(x, point, m_h)
+def _line_splitting(x: CompleteIntersection, m_h: ExactMatrix) -> SplittingType | None:
+    """The normal splitting type of a chart line on X, from M(h) at the
+    line; None when X is singular along the line, which then has none."""
     try:
-        return jac, normal_splitting_line(x, jac)
+        return normal_splitting_line(x, m_h)
     except SingularAlongLine:
-        return jac, None
+        return None
+
+
+def _tangent_pairs(tangent: SplittingType, k: int) -> list[int]:
+    """[h^0, h^1] of a split bundle on the line twisted by k."""
+    return [
+        sum(max(0, a + k + 1) for a in tangent.entries),
+        sum(max(0, -a - k - 1) for a in tangent.entries),
+    ]
 
 
 def _cmd_verify_example(args) -> dict:
@@ -327,17 +329,15 @@ def _cmd_classify_line(args) -> dict:
     out.update(_report_from(rep))
     out["free"] = rep.corank == 0
     if x.is_parameter_free:
-        jac, normal = _line_splitting(x, point, rep.matrix)
+        normal = _line_splitting(x, rep.matrix)
         out["smooth_along_line"] = normal is not None
         if normal is not None:
+            tangent = tangent_splitting_from_normal(normal)
             out["normal_splitting"] = list(normal.entries)
-            out["tangent_splitting"] = list(tangent_splitting_from_normal(normal).entries)
-            h0m1, h00 = tangent_cohomology(x, line_param(point), 0, jac)
-            out["tangent_h0_h1_twist_minus1"] = list(h0m1)
-            out["tangent_h0_h1_twist_0"] = list(h00)
-            out["routes_agree"] = (
-                (rep.corank == 0) == (h0m1[1] == 0) == (normal.min_entry >= 0)
-            )
+            out["tangent_splitting"] = list(tangent.entries)
+            out["tangent_h0_h1_twist_minus1"] = _tangent_pairs(tangent, -1)
+            out["tangent_h0_h1_twist_0"] = _tangent_pairs(tangent, 0)
+            out["routes_agree"] = (rep.corank == 0) == (normal.min_entry >= 0)
     return out
 
 
@@ -364,7 +364,7 @@ def _cmd_enumerate_lines(args) -> dict:
                 "free": rank == x.ci_type.total_degree,
                 "matrix_rank": rank,
             }
-            _, normal = _line_splitting(x2, point, nf.matrix)
+            normal = _line_splitting(x2, nf.matrix)
             if normal is not None:
                 entry["normal_splitting"] = list(normal.entries)
             detail.append(entry)

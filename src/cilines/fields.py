@@ -204,11 +204,6 @@ class Field(Value):
         except (ValueError, ZeroDivisionError) as exc:
             raise ParseError(f"bad scalar literal {text!r}: {exc}") from None
 
-    def random(self, rng) -> Scalar:
-        if self.p is None:
-            return rng.randint(-50, 50)
-        return rng.randrange(self.p)
-
 
 (_set_p,) = slot_setters(Field)
 

@@ -22,6 +22,13 @@ def ambient_ring(field: Field, n: int, params: tuple[str, ...] = ()) -> PolyRing
     return PolyRing(ParamRing(field, params), ambient_variables(n))
 
 
+def random_element(field: Field, rng) -> int:
+    """A small element of the field, zero included, an int over Q."""
+    if field.p is None:
+        return rng.randint(-50, 50)
+    return rng.randrange(field.p)
+
+
 def random_nonzero(field: Field, rng) -> int:
     """A small nonzero element of the field, an int over Q as well."""
     if field.p is None:

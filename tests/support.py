@@ -12,9 +12,10 @@ from cilines.bundles import SplittingType, normal_splitting_line, tangent_splitt
 from cilines.chart import (
     FqLine,
     chart_variables,
-    line_jacobian,
+    line_param,
     membership_system,
     nonfree_matrix,
+    restricted_jacobian,
     smooth_along_components,
 )
 from cilines.errors import ConstraintViolated, RingMismatch
@@ -26,12 +27,6 @@ from cilines.multipoly import BinaryForm, MultiPoly, PolyRing
 from cilines.params import ParamRing, ParamScalar, jet_from
 
 
-def chart_line_jacobian(x: CompleteIntersection, point: LineChartPoint) -> list[list[BinaryForm]]:
-    """The Jacobian of X restricted along a chart line on X, read off M(h)
-    at the line, as classify-line hands it to the bundle routes."""
-    return line_jacobian(x, point, nonfree_matrix(x, at=point).matrix)
-
-
 def on_x(x: CompleteIntersection, point: LineChartPoint) -> bool:
     """Whether the chart line lies on X: every membership polynomial
     evaluated at it vanishes, identically in the parameters."""
@@ -40,7 +35,7 @@ def on_x(x: CompleteIntersection, point: LineChartPoint) -> bool:
 
 
 def is_smooth_along_line(x: CompleteIntersection, point: LineChartPoint) -> bool:
-    return smooth_along_components(x, chart_line_jacobian(x, point))
+    return smooth_along_components(x, restricted_jacobian(x, line_param(point).components))
 
 
 def chart_point(line: FqLine) -> LineChartPoint:
@@ -52,7 +47,7 @@ def chart_point(line: FqLine) -> LineChartPoint:
 
 def tangent_splitting_line(x: CompleteIntersection, point: LineChartPoint) -> SplittingType:
     """Splitting type of T_X restricted to a chart line."""
-    return tangent_splitting_from_normal(normal_splitting_line(x, chart_line_jacobian(x, point)))
+    return tangent_splitting_from_normal(normal_splitting_line(x, nonfree_matrix(x, at=point).matrix))
 
 
 def differential_span_matrix(

@@ -34,7 +34,6 @@ from cilines.polytext import parse_poly
 import families_reference
 from conftest import ambient_ring, field_of_char, random_homogeneous
 from support import (
-    chart_line_jacobian,
     form_from_scalars,
     is_smooth_along_line,
     same_differential_span,
@@ -157,14 +156,14 @@ def test_criterion_6_finite_field_censuses():
     for ln in qlines:
         x2, point, _ = move_line_to_chart(quadric, ln)
         assert rank_exact(nonfree_matrix(x2, at=point).matrix).rank == 2  # free
-        assert normal_splitting_line(x2, chart_line_jacobian(x2, point)).entries == (0,)
+        assert normal_splitting_line(x2, nonfree_matrix(x2, at=point).matrix).entries == (0,)
 
     fermat = make_ci(prime_field(7), 3, (3,), ["S^3 + T^3 + Z1^3 + Z2^3"])
     flines = enumerate_lines_fq(fermat)
     assert len(flines) == 27
     for ln in flines:
         x2, point, _ = move_line_to_chart(fermat, ln)
-        assert normal_splitting_line(x2, chart_line_jacobian(x2, point)).entries == (-1,)
+        assert normal_splitting_line(x2, nonfree_matrix(x2, at=point).matrix).entries == (-1,)
         rank_route_nonfree = rank_exact(nonfree_matrix(x2, at=point).matrix).rank < 3
         mu = line_param(point)
         _, h1 = tangent_cohomology(x2, mu, -1)[-1]
@@ -219,7 +218,7 @@ def test_criterion_7_property_suites():
             mu = line_param(point)
             twists = tangent_cohomology(x2, mu, 0)
             _, h1 = twists[0]
-            split = normal_splitting_line(x2, chart_line_jacobian(x2, point))
+            split = normal_splitting_line(x2, nonfree_matrix(x2, at=point).matrix)
             assert (rank == 3) == (h1 == 0) == (split.min_entry >= 0)
             # chi bookkeeping at both twists
             for m, (a0, a1) in zip((-1, 0), twists):

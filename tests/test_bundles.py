@@ -29,7 +29,8 @@ from cilines.errors import (
     SingularAlongLine,
     TwistTooNegative,
 )
-from cilines.exactmatrix import rank_exact
+from cilines.cli import _tangent_pairs
+from cilines.exactmatrix import ExactMatrix, rank_exact
 from cilines.families import FamilySpec, build_family
 from cilines.fields import RATIONALS, prime_field
 from cilines.geometry import CIType, CompleteIntersection, LineChartPoint, RationalCurve
@@ -38,7 +39,6 @@ from cilines.params import ParamRing
 
 from conftest import ambient_ring, random_homogeneous
 from support import (
-    chart_line_jacobian,
     chart_point,
     form_from_scalars,
     is_smooth_along_line,
@@ -76,6 +76,7 @@ def test_quadric_line_is_free():
     x = make_ci(RATIONALS, 3, (2,), ["S*Z1 + T*Z2"])
     mu = line_param(LineChartPoint.standard(RATIONALS, 3))
     assert tangent_cohomology(x, mu, -1) == ((2, 0),)
+    assert tangent_cohomology(x, mu, 0)[-1] == (4, 0)  # T_X|_L = O(2) + O
 
 
 def test_quintic_line_nonfree_and_nonconvex():
@@ -95,6 +96,31 @@ def test_curve_not_on_x_rejected():
     mu = RationalCurve((bform(r, 1, 0), bform(r, 0, 1), bform(r, 1, 0), bform(r, 1, 1)))
     with pytest.raises(CurveNotOnX):
         tangent_cohomology(x, mu, -1)
+
+
+def test_curve_of_the_wrong_length_rejected():
+    x = make_ci(RATIONALS, 3, (2,), ["S*Z1 + T*Z2"])
+    mu = line_param(LineChartPoint.standard(RATIONALS, 4))
+    with pytest.raises(ConstraintViolated, match="components"):
+        tangent_cohomology(x, mu, 0)
+
+
+def test_tangent_cohomology_checks_the_euler_section(monkeypatch):
+    """The component tuple of the curve is in the kernel of psi(0), and
+    a Jacobian that breaks this is refused by a raised error that python
+    -O keeps: along L = (s : t : 0 : 0) on S Z1 + T Z2 the S-column is
+    0, and a Jacobian claiming s there has coprime minors but breaks the
+    Euler relation."""
+    import cilines.bundles as bundles
+
+    x = make_ci(RATIONALS, 3, (2,), ["S*Z1 + T*Z2"])
+    mu = line_param(LineChartPoint.standard(RATIONALS, 3))
+    jac = restricted_jacobian(x, mu.components)
+    assert jac[0][0].is_zero
+    bad = [[bform(x.field, 1, 0)] + jac[0][1:]]
+    monkeypatch.setattr(bundles, "restricted_jacobian", lambda x, comps: bad)
+    with pytest.raises(InvariantViolated, match="Euler"):
+        tangent_cohomology(x, mu, 0)
 
 
 def test_singular_along_curve_rejected():
@@ -119,91 +145,69 @@ def test_chi_bookkeeping(rng):
             assert h0 - h1 == chi
 
 
-def _outcome(fn, *args):
+def _splitting_or_refusal(x, m_h):
     try:
-        return fn(*args)
-    except (SingularAlongCurve, SingularAlongLine) as exc:
-        return type(exc)
+        return normal_splitting_line(x, m_h)
+    except SingularAlongLine:
+        return SingularAlongLine
 
 
-def test_line_jacobian_route_agrees_with_restriction(rng):
+def m_h_at(x, point):
+    """M(h) evaluated at a chart line, as classify-line hands it to
+    normal_splitting_line."""
+    return nonfree_matrix(x, at=point).matrix
+
+
+def composed_m_h(x, point):
+    """M(h) at a chart line built without the membership system: the
+    Z-partials of X composed with the line by restricted_jacobian, form
+    i's partial by Z_j as row j, block i."""
+    jac = restricted_jacobian(x, line_param(point).components)
+    ring = x.coeff_ring
+    return ExactMatrix.from_rows(
+        ring,
+        [[ring.const(c) for row in jac for c in row[2 + j].coeffs] for j in range(x.n - 1)],
+    )
+
+
+def test_normal_splitting_from_m_h_agrees_with_restriction(rng):
     """On every census line the normal splitting gives the same splitting
-    type, or the same refusal, whether it is handed the Jacobian read off
-    M(h) or the one composed by restriction along the line. Where the
-    splitting exists, tangent_cohomology gives the same counts from the
-    Jacobian read off M(h) as from the one it composes itself. Where X
-    is singular along the line, the restriction route of
-    tangent_cohomology refuses too; the Jacobian route is not asked,
-    since a Jacobian handed in promises smoothness."""
+    type, or the same refusal, whether it is handed M(h) read off the
+    membership system or the matrix of Z-partials composed with the
+    line. Where X is singular along the line, tangent_cohomology, which
+    decides smoothness by the minors of the composed Jacobian, refuses
+    too."""
     singular = 0
     for x, point in census_chart_lines(rng):
-        jac = chart_line_jacobian(x, point)
-        mu = line_param(point)
-        normal = _outcome(normal_splitting_line, x, jac)
-        assert normal == _outcome(normal_splitting_line, x, restricted_jacobian(x, mu.components))
+        normal = _splitting_or_refusal(x, m_h_at(x, point))
+        assert normal == _splitting_or_refusal(x, composed_m_h(x, point))
         if normal is SingularAlongLine:
+            singular += 1
             with pytest.raises(SingularAlongCurve):
-                tangent_cohomology(x, mu, 0)
-        else:
-            assert tangent_cohomology(x, mu, 0, jac) == tangent_cohomology(x, mu, 0)
-        singular += normal is SingularAlongLine
+                tangent_cohomology(x, line_param(point), 0)
     assert singular >= 1
 
 
 def test_every_twist_of_one_pass_matches_the_splitting_type(rng):
-    """On every census line along which X is smooth, one pass to twist 2
-    gives at each twist k the h^0 of the tangent splitting type twisted
-    by k, and the pair that a pass stopping at k gives last."""
+    """On every census line along which X is smooth, one pass of
+    tangent_cohomology to twist 2 gives at each twist k the (h^0, h^1)
+    that classify-line reads off the tangent splitting type twisted by
+    k, and the pair that a pass stopping at k gives last."""
     smooth = 0
     for x, point in census_chart_lines(rng):
-        jac = chart_line_jacobian(x, point)
         try:
-            normal = normal_splitting_line(x, jac)
+            normal = normal_splitting_line(x, m_h_at(x, point))
         except SingularAlongLine:
             continue
         smooth += 1
-        tangent = tangent_splitting_from_normal(normal).entries
+        tangent = tangent_splitting_from_normal(normal)
         mu = line_param(point)
-        twists = tangent_cohomology(x, mu, 2, jac)
+        twists = tangent_cohomology(x, mu, 2)
         assert len(twists) == 4
         for k, pair in zip(range(-1, 3), twists):
-            assert pair[0] == sum(max(0, a + k + 1) for a in tangent)
-            assert tangent_cohomology(x, mu, k, jac)[-1] == pair
+            assert list(pair) == _tangent_pairs(tangent, k)
+            assert tangent_cohomology(x, mu, k)[-1] == pair
     assert smooth >= 10
-
-
-def test_tangent_cohomology_rejects_a_misshapen_jacobian():
-    x = make_ci(RATIONALS, 3, (2,), ["S*Z1 + T*Z2"])
-    point = LineChartPoint.standard(RATIONALS, 3)
-    mu = line_param(point)
-    jac = chart_line_jacobian(x, point)
-    r = x.field
-    assert tangent_cohomology(x, mu, 0, jac)[-1] == (4, 0)  # T_X|_L = O(2) + O
-    for bad in (
-        [],  # no row for the form
-        jac + jac,  # a row too many
-        [jac[0][:-1]],  # an entry short
-        [jac[0][:-1] + [bform(r, 0, 0, 1)]],  # an entry of degree 2 on a line
-    ):
-        with pytest.raises(ConstraintViolated):
-            tangent_cohomology(x, mu, 0, bad)
-    # a degree-2 curve needs entries of degree 2
-    double = precompose(mu, (bform(r, 1, 0, 0), bform(r, 0, 0, 1)))
-    with pytest.raises(ConstraintViolated):
-        tangent_cohomology(x, double, 0, jac)
-
-
-def test_tangent_cohomology_checks_the_euler_section_of_a_given_jacobian():
-    """A handed-in Jacobian skips the containment check but not the
-    invariant: along L = (s : t : 0 : 0) on S Z1 + T Z2 the S-column
-    is 0, and a Jacobian claiming s there breaks the Euler relation."""
-    x = make_ci(RATIONALS, 3, (2,), ["S*Z1 + T*Z2"])
-    point = LineChartPoint.standard(RATIONALS, 3)
-    mu = line_param(point)
-    jac = chart_line_jacobian(x, point)
-    bad = [[bform(x.field, 1, 0)] + jac[0][1:]]
-    with pytest.raises(InvariantViolated, match="Euler"):
-        tangent_cohomology(x, mu, 0, bad)
 
 
 # -- section kernels ----------------------------------------------------------------
@@ -260,7 +264,7 @@ def test_one_pass_section_kernels_match_the_per_dom_reference(rng, field):
 def test_quadric_line_splittings():
     x = make_ci(RATIONALS, 3, (2,), ["S*Z1 + T*Z2"])
     point = LineChartPoint.standard(RATIONALS, 3)
-    assert normal_splitting_line(x, chart_line_jacobian(x, point)).entries == (0,)
+    assert normal_splitting_line(x, m_h_at(x, point)).entries == (0,)
     assert tangent_splitting_line(x, point).entries == (2, 0)
 
 
@@ -276,9 +280,9 @@ def test_splitting_recovery_stops_at_the_degree_floor(monkeypatch):
     x = make_ci(RATIONALS, 3, (2,), ["S*Z1 + T*Z2"])
     point = LineChartPoint.standard(RATIONALS, 3)
     s, t = bform(RATIONALS, 1, 0), bform(RATIONALS, 0, 1)
-    jac = chart_line_jacobian(x, point)
+    m_h = m_h_at(x, point)
     assert bundles._section_kernel_dims([[s, t]], 2) == [0, 0, 1]  # N_{L/X} = O
-    assert normal_splitting_line(x, jac).entries == (0,)
+    assert normal_splitting_line(x, m_h).entries == (0,)
     for dims, error, match in (
         ([0, 0, 0], InvariantViolated, "bookkeeping"),
         ([0, 1, 1], InvariantViolated, "bookkeeping"),
@@ -287,7 +291,7 @@ def test_splitting_recovery_stops_at_the_degree_floor(monkeypatch):
     ):
         monkeypatch.setattr(bundles, "_section_kernel_dims", lambda phi, top, d=dims: d)
         with pytest.raises(error, match=match):
-            normal_splitting_line(x, jac)
+            normal_splitting_line(x, m_h)
 
 
 def test_quintic_line_splittings():
@@ -295,13 +299,13 @@ def test_quintic_line_splittings():
     lines = enumerate_lines_fq(x)
     ln = next(l for l in lines if l.rows == ((1, 0, 6, 0), (0, 1, 0, 6)))
     point = chart_point(ln)
-    assert normal_splitting_line(x, chart_line_jacobian(x, point)).entries == (-3,)
+    assert normal_splitting_line(x, m_h_at(x, point)).entries == (-3,)
     assert tangent_splitting_line(x, point).entries == (2, -3)
 
 
 def test_quadrics_p7_standard_line_splitting():
     built = build_family(FamilySpec("quadrics-general", 7, (2, 2)), RATIONALS)
-    st = normal_splitting_line(built.x, chart_line_jacobian(built.x, built.line))
+    st = normal_splitting_line(built.x, m_h_at(built.x, built.line))
     assert st.rank == 4 and st.degree == 2
     assert st.min_entry <= -1  # the pair sits in the non-free locus
     assert st.entries == (1, 1, 1, -1)
@@ -313,25 +317,40 @@ def test_cubic_threefold_free_line_splitting():
     point = LineChartPoint.standard(RATIONALS, 4)
     nf = nonfree_matrix(x, at=point)
     assert rank_exact(nf.matrix).rank == 3  # free
-    assert normal_splitting_line(x, chart_line_jacobian(x, point)).entries == (0, 0)
+    assert normal_splitting_line(x, m_h_at(x, point)).entries == (0, 0)
     assert tangent_splitting_line(x, point).entries == (2, 0, 0)
 
 
 def test_splitting_constraints_various(rng):
     built = build_family(FamilySpec("mixed-general", 9, (4, 3)), RATIONALS)
     # parameters present: splittings need parameter-free forms, even when
-    # handed the Jacobian of a specialization
+    # handed M(h) of a specialization
     plain = specialized(built.x, dict.fromkeys(built.x.coeff_ring.names, 1))
-    jac = restricted_jacobian(plain, line_param(built.line).components)
     with pytest.raises(ParameterPresent):
-        normal_splitting_line(built.x, jac)
+        normal_splitting_line(built.x, m_h_at(plain, built.line))
+
+
+def test_normal_splitting_refuses_a_misshapen_or_parametric_m_h():
+    """M(h) at a line on X is (N-1) x |d| with constant entries; a matrix
+    of another shape is refused with ConstraintViolated, and one carrying
+    a parameter, as M(h) of a symbolic X does, with ParameterPresent."""
+    x = make_ci(RATIONALS, 3, (2,), ["S*Z1 + T*Z2"])
+    point = LineChartPoint.standard(RATIONALS, 3)
+    m_h = m_h_at(x, point)
+    assert normal_splitting_line(x, m_h).entries == (0,)
+    for rows, cols in (([0], [0, 1]), ([0, 1, 1], [0, 1]), ([0, 1], [0])):
+        bad = m_h.submatrix(rows, cols)
+        with pytest.raises(ConstraintViolated):
+            normal_splitting_line(x, bad)
+    symbolic = make_ci(RATIONALS, 3, (2,), ["c*S*Z1 + T*Z2"], params=("c",))
+    with pytest.raises(ParameterPresent):
+        normal_splitting_line(x, m_h_at(symbolic, point))
 
 
 def test_singular_along_line_rejected_for_splitting():
     x = make_ci(RATIONALS, 3, (2,), ["Z1^2"])
-    jac = chart_line_jacobian(x, LineChartPoint.standard(RATIONALS, 3))
     with pytest.raises(SingularAlongLine):
-        normal_splitting_line(x, jac)
+        normal_splitting_line(x, m_h_at(x, LineChartPoint.standard(RATIONALS, 3)))
 
 
 def through_a_chart_line(rng, field, n, degrees):
@@ -357,10 +376,9 @@ def through_a_chart_line(rng, field, n, degrees):
 def assert_count_decides_smoothness(x, point):
     """normal_splitting_line refuses with SingularAlongLine exactly when
     the maximal minors of the restricted Jacobian share a zero on L."""
-    jac = chart_line_jacobian(x, point)
-    smooth = smooth_along_components(x, jac)
+    smooth = smooth_along_components(x, restricted_jacobian(x, line_param(point).components))
     try:
-        normal_splitting_line(x, jac)
+        normal_splitting_line(x, m_h_at(x, point))
     except SingularAlongLine:
         assert not smooth
     else:
@@ -493,7 +511,7 @@ def test_two_route_freeness_agreement(rng):
                 mu = line_param(point)
                 _, h1 = tangent_cohomology(x2, mu, -1)[-1]
                 free_by_h1 = h1 == 0
-                normal = normal_splitting_line(x2, chart_line_jacobian(x2, point))
+                normal = normal_splitting_line(x2, m_h_at(x2, point))
                 free_by_split = normal.min_entry >= 0
                 assert free_by_rank == free_by_h1 == free_by_split
     assert seen_lines >= 10

@@ -9,7 +9,6 @@ from cilines.chart import (
     all_lines_fq,
     chart_image,
     enumerate_lines_fq,
-    line_jacobian,
     line_param,
     membership_system,
     move_line_to_chart,
@@ -120,8 +119,6 @@ def test_standard_line_on_every_family():
 
 def test_membership_rejects_wrong_width():
     x = make_ci(RATIONALS, 3, (2,), ["S*Z1 + T*Z2"])
-    from cilines.errors import ConstraintViolated
-
     with pytest.raises(ConstraintViolated):
         nonfree_matrix(x, at=LineChartPoint.standard(RATIONALS, 7))
 
@@ -249,9 +246,7 @@ def test_nonfree_matrix_is_its_entries_evaluated_at_the_line(rng):
 
 def test_restricted_jacobian_z_columns_are_the_blocks_of_m_h(rng):
     """The Z-columns of the restricted Jacobian are the rows of M(h) at
-    the line, block i holding form i, and line_jacobian, which reads the
-    S- and T-columns off them too, equals restricted_jacobian in all
-    N+1 columns (in characteristic 2 as well)."""
+    the line, block i holding form i (in characteristic 2 as well)."""
     for x2, point in census_chart_lines(rng):
         jac = restricted_jacobian(x2, line_param(point).components)
         nf = nonfree_matrix(x2, at=point)
@@ -260,17 +255,6 @@ def test_restricted_jacobian_z_columns_are_the_blocks_of_m_h(rng):
             for i, d in enumerate(degrees):
                 lo = sum(degrees[:i])
                 assert list(jac[i][2 + j].coeffs) == [c.constant_value() for c in row[lo : lo + d]]
-        assert line_jacobian(x2, point, nf.matrix) == jac
-
-
-def test_line_jacobian_rejects_a_matrix_of_the_wrong_shape():
-    x = make_ci(RATIONALS, 3, (2,), ["S*Z1 + T*Z2"])
-    point = LineChartPoint.standard(RATIONALS, 3)
-    m_h = nonfree_matrix(x, at=point).matrix
-    with pytest.raises(ConstraintViolated):
-        line_jacobian(x, point, m_h.submatrix([0], [0, 1]))
-    with pytest.raises(ConstraintViolated):
-        line_jacobian(x, LineChartPoint.standard(RATIONALS, 4), m_h)
 
 
 def _rational(sympy, v):
@@ -287,40 +271,6 @@ def _to_sympy(sympy, form, symbols):
             mono *= sym**k
         out += mono
     return out
-
-
-def test_line_jacobian_matches_sympy(rng):
-    """Oracle for the S/T identity: over Q, forms h = sum_j (Z_j - a_j S
-    - b_j T) g_j contain the chart line (a, b); sympy differentiates h,
-    substitutes the line and must get line_jacobian column by column."""
-    sympy = pytest.importorskip("sympy")
-    s, t = sympy.symbols("s t")
-    for n, degrees in ((3, (3,)), (4, (2, 3)), (5, (2, 2, 2))):
-        ring = ambient_ring(RATIONALS, n)
-        symbols = sympy.symbols(ambient_variables(n))
-        for _ in range(3):
-            a = [rng.randint(-3, 3) for _ in range(n - 1)]
-            b = [rng.randint(-3, 3) for _ in range(n - 1)]
-            point = LineChartPoint(RATIONALS, tuple(a), tuple(b))
-            linears = [
-                ring.var(f"Z{j}") - ring.var("S") * ring.const(a[j - 1])
-                - ring.var("T") * ring.const(b[j - 1])
-                for j in range(1, n)
-            ]
-            forms = tuple(_ideal_form(rng, ring, linears, d) for d in degrees)
-            x = CompleteIntersection(CIType(n, degrees), forms)
-            jac = line_jacobian(x, point, nonfree_matrix(x, at=point).matrix)
-            line = {symbols[0]: s, symbols[1]: t}
-            line.update({symbols[2 + j]: a[j] * s + b[j] * t for j in range(n - 1)})
-            for i, (form, d) in enumerate(zip(forms, degrees)):
-                h = _to_sympy(sympy, form, symbols)
-                for w, entry in zip(symbols, jac[i]):
-                    theirs = sympy.expand(sympy.diff(h, w).subs(line, simultaneous=True))
-                    ours = sum(
-                        _rational(sympy, c) * s ** (d - 1 - k) * t**k
-                        for k, c in enumerate(entry.coeffs)
-                    )
-                    assert sympy.expand(ours - theirs) == 0
 
 
 def _form_on_the_standard_line(rng, ring, d):

@@ -295,9 +295,9 @@ def test_enumerate_lines_classify_builds_no_symbolic_m_h(capsys, tmp_path, monke
 
 
 def test_classify_line_takes_the_normal_splitting_once(capsys, tmp_path, monkeypatch):
-    """The tangent splitting is read off the printed normal splitting, and
-    both tangent twists come from one tangent_cohomology pass: one
-    section-kernel elimination per presentation."""
+    """The tangent splitting and both tangent twists are read off the
+    printed normal splitting: one section-kernel elimination, and no
+    tangent_cohomology pass."""
     import cilines.bundles as bundles
     import cilines.cli as cli
 
@@ -325,16 +325,15 @@ def test_classify_line_takes_the_normal_splitting_once(capsys, tmp_path, monkeyp
     assert code == 0
     assert Counter(calls) == {
         "normal_splitting_line": 1,
-        "tangent_cohomology": 1,
-        "_section_kernel_dims": 2,
+        "_section_kernel_dims": 1,
     }
     assert report["tangent_splitting"] == sorted([2] + report["normal_splitting"], reverse=True)
 
 
 def test_classify_line_restricts_nothing(capsys, tmp_path, monkeypatch):
-    """classify-line reads the restricted Jacobian off M(h) and hands
-    it to the bundle routes, so no form is ever restricted along the
-    line; curve-check, along a general curve, still restricts."""
+    """classify-line hands M(h) at the line to the normal splitting, so
+    no form is ever restricted along the line; curve-check, along a
+    general curve, still restricts."""
     import cilines.bundles as bundles
     import cilines.chart as chart
     import cilines.geometry as geometry

@@ -8,7 +8,7 @@ from cilines.errors import BudgetExceeded, ConstraintViolated, ParseError
 from cilines.fields import RATIONALS, Field, field_from_str, is_prime, prime_field
 from cilines.params import ParamRing
 
-from conftest import random_nonzero
+from conftest import random_element, random_nonzero
 
 
 def test_primality_small():
@@ -89,7 +89,7 @@ def test_integral_rationals_are_ints():
     assert f.inv(-1) == -1 and type(f.inv(-1)) is int
     assert f.to_str(3) == "3" and f.to_str(f.make(Fraction(-3, 7))) == "-3/7"
     rng = random.Random(7)
-    assert all(type(f.random(rng)) is int and type(random_nonzero(f, rng)) is int for _ in range(20))
+    assert all(type(random_element(f, rng)) is int and type(random_nonzero(f, rng)) is int for _ in range(20))
 
 
 @pytest.mark.parametrize(

@@ -20,6 +20,7 @@ from conftest import (
     ambient_ring,
     field_of_char,
     naive_evaluate,
+    random_element,
     random_homogeneous,
     random_point,
     random_poly,
@@ -402,7 +403,7 @@ def test_binary_gcd_divides_and_is_divided(rng):
     field = prime_field(7)
 
     def random_form(d):
-        return form_from_scalars(field, [field.random(rng) for _ in range(d + 1)])
+        return form_from_scalars(field, [random_element(field, rng) for _ in range(d + 1)])
 
     def strip(form):
         # (s-power, t-power, core as dense x-polynomial, highest first)
@@ -462,7 +463,7 @@ def test_restrict_along_and_compose_match_substitution(rng):
         return st_ring.from_terms(terms)
 
     def random_form(d):
-        return form_from_scalars(field, [field.random(rng) for _ in range(d + 1)])
+        return form_from_scalars(field, [random_element(field, rng) for _ in range(d + 1)])
 
     ring = ambient_ring(field, 3)
     for _ in range(10):
