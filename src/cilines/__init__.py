@@ -19,11 +19,9 @@ from .bundles import (
 )
 from .chart import (
     FqLine,
-    MembershipSystem,
     NonFreeMatrix,
     all_lines_fq,
     enumerate_lines_fq,
-    line_param,
     membership_system,
     move_line_to_chart,
     nonfree_matrix,
@@ -52,7 +50,6 @@ from .nonfree import (
     SmoothnessReport,
     expected_pair_report,
     jacobian_def_matrix,
-    local_equations,
 )
 from .params import ParamRing, ParamScalar
 from .polytext import parse_poly

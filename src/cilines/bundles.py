@@ -249,23 +249,17 @@ class DegreeGateReport(Value):
     """Outcome of the degree-sum criterion for curves of degree b on a
     complete intersection of the given type."""
 
-    __slots__ = ("ci_type", "curve_degree", "degree_sum", "verdict")
+    __slots__ = ("degree_sum", "verdict")
 
-    ci_type: CIType
-    curve_degree: int
     degree_sum: int  # sum of the splitting entries of mu^* T_X
     verdict: GateVerdict
 
-    def __init__(
-        self, ci_type: CIType, curve_degree: int, degree_sum: int, verdict: GateVerdict
-    ) -> None:
-        _set_ci_type(self, ci_type)
-        _set_curve_degree(self, curve_degree)
+    def __init__(self, degree_sum: int, verdict: GateVerdict) -> None:
         _set_degree_sum(self, degree_sum)
         _set_verdict(self, verdict)
 
 
-_set_ci_type, _set_curve_degree, _set_degree_sum, _set_verdict = slot_setters(DegreeGateReport)
+_set_degree_sum, _set_verdict = slot_setters(DegreeGateReport)
 
 
 def degree_nonfree_gate(ci_type: CIType, b: int) -> DegreeGateReport:
@@ -280,4 +274,4 @@ def degree_nonfree_gate(ci_type: CIType, b: int) -> DegreeGateReport:
     verdict: GateVerdict = (
         "AllImmersionsNonFree" if total > ci_type.ambient_dim else "NotTriggered"
     )
-    return DegreeGateReport(ci_type, b, s, verdict)
+    return DegreeGateReport(s, verdict)

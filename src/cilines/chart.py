@@ -8,14 +8,17 @@ through [[a], [b]], the composite h^i(s, t, s a_1 + t b_1, ...) expands as
 
 with the f^i_k polynomial in the chart coordinates. The line lies on X
 exactly when every f^i_k vanishes at the point; the membership system is
-that list of |d| + r polynomials.
+those |d| + r polynomials, one tuple (f^i_0, ..., f^i_{d^i}) per form.
 
 The non-freeness matrix M(h) is the (N-1) x |d| matrix whose row j,
 block i is the coefficient vector of the restricted partial derivative
 (dh^i/dZ_j) composed with the line, against the basis
 s^{d^i-1}, ..., t^{d^i-1}. For a line on X along which X is smooth, the
 line is free exactly when M(h) evaluated at the chart point has full
-column rank |d|.
+column rank |d|. nonfree_matrix evaluates M(h) at a line from one jet per
+f^i_k; the symbolic grid, read off the membership system by
+_nonfree_entries, is built only for the local equations of a corank-1
+line (nonfree.jacobian_def_matrix).
 """
 
 from __future__ import annotations
@@ -34,14 +37,7 @@ from .errors import (
 )
 from .exactmatrix import ExactMatrix, RankResult, rank_exact
 from .fields import Field, Scalar, Value, slot_setters
-from .geometry import (
-    CIType,
-    CompleteIntersection,
-    LineChartPoint,
-    RationalCurve,
-    ambient_variables,
-    restrict_along,
-)
+from .geometry import CompleteIntersection, LineChartPoint, ambient_variables, restrict_along
 from .multipoly import BinaryForm, MultiPoly, PolyRing, binary_gcd
 from .params import ParamRing, ParamScalar
 
@@ -88,31 +84,9 @@ def chart_image(form: MultiPoly, n: int) -> MultiPoly:
     return form.substitute(assign)
 
 
-def line_param(point: LineChartPoint) -> RationalCurve:
-    """The degree-1 curve (s, t, a_1 s + b_1 t, ...) through a chart point."""
-    field = point.field
-    comps = [BinaryForm(field, 1, (1, 0)), BinaryForm(field, 1, (0, 1))]
-    comps += [BinaryForm(field, 1, ab) for ab in zip(point.a, point.b)]
-    return RationalCurve(tuple(comps))
-
-
-class MembershipSystem(Value):
-    """The s,t-coefficients of every h^i composed with the chart line."""
-
-    __slots__ = ("ci_type", "systems")
-
-    ci_type: CIType
-    systems: tuple[tuple[MultiPoly, ...], ...]  # systems[i] = (f^i_0, ..., f^i_{d^i})
-
-    def __init__(self, ci_type: CIType, systems: tuple[tuple[MultiPoly, ...], ...]) -> None:
-        _set_ci_type(self, ci_type)
-        _set_systems(self, systems)
-
-
-_set_ci_type, _set_systems = slot_setters(MembershipSystem)
-
-
-def membership_system(x: CompleteIntersection) -> MembershipSystem:
+def membership_system(x: CompleteIntersection) -> tuple[tuple[MultiPoly, ...], ...]:
+    """The s,t-coefficients of every h^i composed with the chart line:
+    entry i is (f^i_0, ..., f^i_{d^i})."""
     n = x.n
     ab = chart_ring(x.coeff_ring, n)
     systems = []
@@ -123,55 +97,50 @@ def membership_system(x: CompleteIntersection) -> MembershipSystem:
                 raise InvariantViolated(f"composite of {form} has (s, t)-degree {es + et}, not {d}")
             coeffs[et] = poly
         systems.append(tuple(coeffs))
-    return MembershipSystem(x.ci_type, tuple(systems))
+    return tuple(systems)
 
 
-class NonFreeMatrix(Value, compared=("system", "at", "matrix", "rank")):
+class NonFreeMatrix(Value):
     """M(h) at a chart line on X.
 
     system is the membership system of X that M(h) is read off. matrix is
     M(h) evaluated at the line `at`, over the coefficient parameter ring,
     and rank is rank_exact of matrix, whose pivot rows are the lex-first
-    row basis. entries_ab, the (N-1) x |d| grid of chart polynomials, is
-    built from the system when it is first read: only the local equations
-    of a corank-1 line read it.
+    row basis.
     """
 
-    __slots__ = ("system", "at", "matrix", "rank", "_entries_ab")
+    __slots__ = ("system", "at", "matrix", "rank")
 
-    system: MembershipSystem
+    system: tuple[tuple[MultiPoly, ...], ...]
     at: LineChartPoint
     matrix: ExactMatrix
     rank: RankResult
-    _entries_ab: tuple[tuple[MultiPoly, ...], ...] | None
 
     def __init__(
-        self, system: MembershipSystem, at: LineChartPoint, matrix: ExactMatrix, rank: RankResult
+        self,
+        system: tuple[tuple[MultiPoly, ...], ...],
+        at: LineChartPoint,
+        matrix: ExactMatrix,
+        rank: RankResult,
     ) -> None:
         _set_system(self, system)
         _set_at(self, at)
         _set_matrix(self, matrix)
         _set_rank(self, rank)
-        _set_entries_ab(self, None)
-
-    @property
-    def entries_ab(self) -> tuple[tuple[MultiPoly, ...], ...]:
-        if self._entries_ab is None:
-            _set_entries_ab(self, _nonfree_entries(self.system))
-        return self._entries_ab
 
 
-_set_system, _set_at, _set_matrix, _set_rank, _set_entries_ab = slot_setters(NonFreeMatrix)
+_set_system, _set_at, _set_matrix, _set_rank = slot_setters(NonFreeMatrix)
 
 
-def _nonfree_entries(ms: MembershipSystem) -> tuple[tuple[MultiPoly, ...], ...]:
-    """M(h) read off the membership system: by the chain rule
+def _nonfree_entries(
+    n: int, system: tuple[tuple[MultiPoly, ...], ...]
+) -> tuple[tuple[MultiPoly, ...], ...]:
+    """The symbolic M(h), an (N-1) x |d| grid of chart polynomials, read
+    off the membership system: by the chain rule
     d(h^i o xi)/da_j = s (h^i_{Z_j} o xi), so row j, block i is the
     a_j-derivative of (f^i_0, ..., f^i_{d^i - 1})."""
-    avars, _ = chart_variables(ms.ci_type.ambient_dim)
-    return tuple(
-        tuple(f.differentiate(a) for sys in ms.systems for f in sys[:-1]) for a in avars
-    )
+    avars, _ = chart_variables(n)
+    return tuple(tuple(f.differentiate(a) for sys in system for f in sys[:-1]) for a in avars)
 
 
 def nonfree_matrix(x: CompleteIntersection, at: LineChartPoint) -> NonFreeMatrix:
@@ -179,11 +148,11 @@ def nonfree_matrix(x: CompleteIntersection, at: LineChartPoint) -> NonFreeMatrix
     the evaluated matrix. One jet per f^i_k at the line gives its value,
     for the containment check, and its a_j-partials, the evaluated column
     of M(h)."""
-    ms = membership_system(x)
+    system = membership_system(x)
     avars, _ = chart_variables(x.n)
     vals = at.values(x.n)
     columns = []
-    for sys in ms.systems:
+    for sys in system:
         for k, f in enumerate(sys):
             value, partials = f.jet_at(avars if k < len(sys) - 1 else (), vals)
             if not value.is_zero:
@@ -191,7 +160,7 @@ def nonfree_matrix(x: CompleteIntersection, at: LineChartPoint) -> NonFreeMatrix
             if partials:
                 columns.append(partials)
     matrix = ExactMatrix.from_rows(x.coeff_ring, [list(row) for row in zip(*columns)])
-    return NonFreeMatrix(ms, at, matrix, rank_exact(matrix))
+    return NonFreeMatrix(system, at, matrix, rank_exact(matrix))
 
 
 # -- smoothness along a curve -------------------------------------------------

@@ -50,7 +50,7 @@ from .chart import (
 from .errors import BudgetExceeded, LineNotContained, ParseError, SingularAlongLine, ToolkitError
 from .exactmatrix import ExactMatrix
 from .families import family_report, hypothesis_gates, parse_family_spec
-from .fields import Field, RATIONALS, Value, field_from_str, prime_field
+from .fields import Field, RATIONALS, Value, field_from_str, prime_field, slot_setters
 from .geometry import (
     CIType,
     CompleteIntersection,
@@ -97,13 +97,9 @@ def _positive_int(text: str) -> int:
 
 
 class ProblemFile(Value):
-    """A problem file as read: the one value class whose fields may be
-    assigned; it has no hash."""
+    """A problem file as read, and the echo of it that a report prints."""
 
     __slots__ = ("field", "x", "line", "curve", "echo")
-    __setattr__ = object.__setattr__
-    __delattr__ = object.__delattr__
-    __hash__ = None  # type: ignore[assignment]
 
     field: Field
     x: CompleteIntersection
@@ -119,11 +115,14 @@ class ProblemFile(Value):
         curve: RationalCurve | None,
         echo: dict,
     ) -> None:
-        self.field = field
-        self.x = x
-        self.line = line
-        self.curve = curve
-        self.echo = echo
+        _set_field(self, field)
+        _set_x(self, x)
+        _set_line(self, line)
+        _set_curve(self, curve)
+        _set_echo(self, echo)
+
+
+_set_field, _set_x, _set_line, _set_curve, _set_echo = slot_setters(ProblemFile)
 
 
 def _parse_curve_texts(texts: list[str], coeffs: ParamRing) -> RationalCurve:
@@ -469,16 +468,10 @@ def main(argv: list[str] | None = None) -> int:
     try:
         args = build_parser().parse_args(argv)
         report = args.run(args)
-    except ParseError as exc:
-        print(json.dumps({"error": "ParseError", "message": str(exc)}, sort_keys=True, indent=2))
-        return 1
     except ToolkitError as exc:
-        print(
-            json.dumps(
-                {"error": type(exc).__name__, "message": str(exc)}, sort_keys=True, indent=2
-            )
-        )
-        return 2
+        error = {"error": type(exc).__name__, "message": str(exc)}
+        print(json.dumps(error, sort_keys=True, indent=2))
+        return 1 if isinstance(exc, ParseError) else 2
     print(json.dumps(report, sort_keys=True, indent=2))
     print(f"elapsed: {time.perf_counter() - started:.3f}s", file=sys.stderr)
     return 0

@@ -57,13 +57,14 @@ class Value:
     """Base of the package's immutable value classes. A subclass lists its
     fields in __slots__ and writes them in its own __init__ through the
     slot descriptors (`_set_x, ... = slot_setters(Cls)`), as assigning or
-    deleting an attribute raises AttributeError. Equality (within one
-    class), the hash and the repr `Name(f=v, ...)` read the compared
-    fields, every slot unless the class names fewer by `compared=`,
-    through one operator.attrgetter; pickle and copy rebuild an instance
-    from them. Such a class runs no generated
-    code at import, and builds an instance in about half the time a
-    frozen dataclass takes (Python 3.11)."""
+    deleting an attribute raises AttributeError, in every subclass.
+    Equality (within one class), the hash and the repr `Name(f=v, ...)`
+    read the compared fields, every slot unless the class names fewer by
+    `compared=`, through one operator.attrgetter; a field that cannot be
+    hashed, such as the CLI's echo dict, makes the hash raise TypeError.
+    Pickle and copy rebuild an instance from the compared fields. Such a
+    class runs no generated code at import, and builds an instance in
+    about half the time a frozen dataclass takes (Python 3.11)."""
 
     __slots__ = ()
 

@@ -10,7 +10,9 @@ vanishing at the point. Each g_l is expanded along its extra row, so
 it is a dot product of that row with the signed maximal minors
 (cofactors) of the (|d|-1) x |d| block of pivot rows of the symbolic
 M(h); the cofactors are shared by all m equations and taken once per
-report.
+report. The symbolic M(h) is differentiated from the membership system
+only here, once per corank-1 report: a line of any other corank builds
+none.
 
 The locus is then smooth of the expected local dimension N - r - 2 at
 the line exactly when the (|d|+r+m) x 2(N-1) matrix of first derivatives
@@ -35,6 +37,7 @@ from typing import Literal
 
 from .chart import (
     NonFreeMatrix,
+    _nonfree_entries,
     chart_ring,
     chart_variables,
     membership_system,  # not called here; perfbench's tracer test reads it
@@ -51,9 +54,8 @@ from .params import ParamRing, ParamScalar, sum_of_products
 class LocalEquations(Value):
     """Bordered-minor equations for the non-free locus at a corank-1 line."""
 
-    __slots__ = ("base", "pivot_rows", "pivot_cols", "pivot_det", "minors")
+    __slots__ = ("pivot_rows", "pivot_cols", "pivot_det", "minors")
 
-    base: LineChartPoint
     pivot_rows: tuple[int, ...]
     pivot_cols: tuple[int, ...]
     pivot_det: ParamScalar
@@ -61,13 +63,11 @@ class LocalEquations(Value):
 
     def __init__(
         self,
-        base: LineChartPoint,
         pivot_rows: tuple[int, ...],
         pivot_cols: tuple[int, ...],
         pivot_det: ParamScalar,
         minors: tuple[MultiPoly, ...],
     ) -> None:
-        _set_base(self, base)
         _set_pivot_rows(self, pivot_rows)
         _set_pivot_cols(self, pivot_cols)
         _set_pivot_det(self, pivot_det)
@@ -140,25 +140,11 @@ class SmoothnessReport(Value):
         return bool(self.corank)
 
 
-_set_base, _set_pivot_rows, _set_pivot_cols, _set_pivot_det, _set_minors = slot_setters(
-    LocalEquations
-)
+_set_pivot_rows, _set_pivot_cols, _set_pivot_det, _set_minors = slot_setters(LocalEquations)
 (
     _set_verdict, _set_required_rank, _set_matrix, _set_matrix_rank, _set_corank, _set_equations,
     _set_jacobian_rank, _set_local_dimension, _set_certificate, _set_genericity,
 ) = slot_setters(SmoothnessReport)
-
-
-def local_equations(x: CompleteIntersection, point: LineChartPoint) -> LocalEquations:
-    """Emit the N - |d| bordered minors at a corank-1 chart line.
-
-    The pivot is the lexicographically first nonsingular minor of size
-    |d| - 1; each emitted equation is the determinant of the symbolic
-    M(h) on the pivot rows plus one further row, over all columns.
-    Raises NotCorankOne when the line is free (corank 0) or the drop is
-    deeper than one (corank >= 2, unsupported).
-    """
-    return jacobian_def_matrix(x, nonfree_matrix(x, at=point))[1]
 
 
 def bordered_minors(
@@ -195,16 +181,20 @@ def jacobian_def_matrix(
 ) -> tuple[ExactMatrix, LocalEquations]:
     """The (|d|+r+m) x 2(N-1) derivative matrix at the chart line of the
     evaluated M(h) `nf`, as nonfree_matrix(x, at=point) returns it, and
-    the local equations whose rows it holds.
+    the local equations whose rows it holds: the N - |d| bordered minors
+    at a corank-1 chart line.
 
     The pivot rows are the lex-first row basis that nf.rank reports. One
     more elimination, of the transposed pivot rows, gives the lex-first
     columns as its pivot rows and the pivot minor as its certificate.
-    Rows come in the order f^1_0, ..., f^r_{d^r}, g_1, ..., g_m; the
-    f-rows are assembled from `nf` by the coefficient shift, the g-rows
-    are the gradients of the bordered minors at the line, read from the
-    jet that checks each one vanishes there. Raises NotCorankOne as
-    local_equations does.
+    Each equation is the determinant of the symbolic M(h), read off
+    nf.system here, on the pivot rows plus one further row, over all
+    columns. Rows come in the order f^1_0, ..., f^r_{d^r}, g_1, ..., g_m;
+    the f-rows are assembled from `nf` by the coefficient shift, the
+    g-rows are the gradients of the bordered minors at the line, read
+    from the jet that checks each one vanishes there. Raises NotCorankOne
+    when the line is free (corank 0) or the drop is deeper than one
+    (corank >= 2, unsupported).
     """
     point = nf.at
     pivot_rows = nf.rank.pivot_rows
@@ -230,7 +220,7 @@ def jacobian_def_matrix(
 
     ab = chart_ring(ring, n)
     avars, bvars = chart_variables(n)
-    sym = [[e.flat for e in row] for row in nf.entries_ab]
+    sym = [[e.flat for e in row] for row in _nonfree_entries(n, nf.system)]
     point_vals = point.values(n)
     minors: list[MultiPoly] = []
     for g_flat in bordered_minors(ab.flat, sym, pivot_rows):
@@ -240,7 +230,7 @@ def jacobian_def_matrix(
             raise InvariantViolated("bordered minor fails to vanish at the base point")
         minors.append(g)
         rows.append(row)
-    equations = LocalEquations(point, pivot_rows, pivot.pivot_rows, pivot.certificate, tuple(minors))
+    equations = LocalEquations(pivot_rows, pivot.pivot_rows, pivot.certificate, tuple(minors))
     return ExactMatrix.from_rows(ring, rows), equations
 
 

@@ -291,8 +291,15 @@ class ParamScalar(Value):
         exact quotient has the least key least(self) - least(divisor): a
         guard bit set there refuses the division at once, and so does a
         quotient key below it. The degree in each parameter adds under
-        multiplication, so a divisor of two or more terms that uses a
-        parameter the dividend does not is refused at once too.
+        multiplication too, so an exact quotient's degree in a parameter is
+        at most the dividend's (bounded by the OR of its keys) less the
+        divisor's. For a divisor of two or more terms these bounds, packed
+        as the key `hi` with its degree field capped below the guard,
+        refuse the division at once when one is negative, and refuse any
+        quotient key that exceeds one of them: (hi - qe) sets a guard bit.
+        So a remainder that will not cancel is refused within a few steps,
+        not after the whole walk down to lo. A one-term divisor leaves no
+        remainder to walk and needs no bound.
         """
         ring = self.ring
         divisor = self._coerce(divisor)
@@ -313,8 +320,17 @@ class ParamScalar(Value):
             return ParamScalar(ring, tuple((e, fmul(c, inv)) for e, c in self.packed), self.width)
         guards = _guards(ring.k, w)
         lo = nterms[-1][0] - dterms[-1][0]
-        if lo & guards or (rest and any(d and not n for d, n in zip(_used(divisor), _used(self)))):
+        if lo & guards:
             raise InexactDivision(f"{divisor} does not divide exactly")
+        hi = ((1 << 8 * w * (ring.k + 1)) - 1) ^ guards  # every field at its largest
+        if rest:
+            top = map(max, zip(*(e for e, _ in _unpacked(divisor))))
+            bound = [u - v for u, v in zip(_used(self), top)]
+            if min(bound) < 0:
+                raise InexactDivision(f"{divisor} does not divide exactly")
+            hi = min(sum(bound), (1 << 8 * w - 1) - 1)  # each bound is below its guard
+            for x in bound:
+                hi = hi << 8 * w | x
         tail = [(e, f.neg(c)) for e, c in rest]
         fadd = f.add
         num = dict(nterms)
@@ -326,7 +342,7 @@ class ParamScalar(Value):
             if lc is None:
                 continue
             qe = le - de
-            if qe < lo or qe & guards:
+            if qe < lo or qe & guards or (hi - qe) & guards:
                 raise InexactDivision(f"{divisor} does not divide exactly")
             qc = fmul(lc, inv)
             quo.append((qe, qc))

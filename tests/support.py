@@ -1,8 +1,9 @@
 """Helpers that only the tests call: views and transforms of the
 program's objects that the program itself never needs (evaluation at a
-point, a parameter as a polynomial, a form from loose scalars among
-them), and the per-dom section kernel that bundles._section_kernel_dims
-reads in one pass."""
+point, a parameter as a polynomial, a form from loose scalars, the line
+of a chart point as a curve and the local equations alone among them),
+and the per-dom section kernel that bundles._section_kernel_dims reads in
+one pass."""
 
 from __future__ import annotations
 
@@ -12,7 +13,6 @@ from cilines.bundles import SplittingType, normal_splitting_line, tangent_splitt
 from cilines.chart import (
     FqLine,
     chart_variables,
-    line_param,
     membership_system,
     nonfree_matrix,
     restricted_jacobian,
@@ -22,16 +22,31 @@ from cilines.errors import ConstraintViolated, RingMismatch
 from cilines.exactmatrix import ExactMatrix, kernel_basis, rank_exact
 from cilines.families import _hyp_head
 from cilines.fields import Field, Scalar
-from cilines.geometry import CompleteIntersection, LineChartPoint, ambient_variables
+from cilines.geometry import CompleteIntersection, LineChartPoint, RationalCurve, ambient_variables
 from cilines.multipoly import BinaryForm, MultiPoly, PolyRing
+from cilines.nonfree import LocalEquations, jacobian_def_matrix
 from cilines.params import ParamRing, ParamScalar, jet_from
+
+
+def line_param(point: LineChartPoint) -> RationalCurve:
+    """The degree-1 curve (s, t, a_1 s + b_1 t, ...) through a chart point."""
+    field = point.field
+    comps = [BinaryForm(field, 1, (1, 0)), BinaryForm(field, 1, (0, 1))]
+    comps += [BinaryForm(field, 1, ab) for ab in zip(point.a, point.b)]
+    return RationalCurve(tuple(comps))
+
+
+def local_equations(x: CompleteIntersection, point: LineChartPoint) -> LocalEquations:
+    """The N - |d| bordered minors at a corank-1 chart line, the second
+    half of jacobian_def_matrix (NotCorankOne, LineNotContained)."""
+    return jacobian_def_matrix(x, nonfree_matrix(x, at=point))[1]
 
 
 def on_x(x: CompleteIntersection, point: LineChartPoint) -> bool:
     """Whether the chart line lies on X: every membership polynomial
     evaluated at it vanishes, identically in the parameters."""
     vals = point.values(x.n)
-    return all(evaluate(f, vals).is_zero for sys in membership_system(x).systems for f in sys)
+    return all(evaluate(f, vals).is_zero for sys in membership_system(x) for f in sys)
 
 
 def is_smooth_along_line(x: CompleteIntersection, point: LineChartPoint) -> bool:

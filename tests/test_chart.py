@@ -6,10 +6,10 @@ import pytest
 
 from cilines.chart import (
     _maximal_minors,
+    _nonfree_entries,
     all_lines_fq,
     chart_image,
     enumerate_lines_fq,
-    line_param,
     membership_system,
     move_line_to_chart,
     nonfree_matrix,
@@ -32,7 +32,16 @@ from cilines.params import ParamRing
 from cilines.polytext import parse_poly
 
 from conftest import ambient_ring, field_of_char, random_homogeneous
-from support import chart_point, evaluate, is_smooth_along_line, on_x, permuted, permuted_z, scaled
+from support import (
+    chart_point,
+    evaluate,
+    is_smooth_along_line,
+    line_param,
+    on_x,
+    permuted,
+    permuted_z,
+    scaled,
+)
 
 
 def make_ci(field, n, degrees, texts, params=()):
@@ -69,13 +78,13 @@ def test_line_param_roundtrip():
 
 def test_membership_single_term_example():
     x = make_ci(RATIONALS, 6, (4,), ["T^2*Z4*Z5"])
-    sys = membership_system(x).systems[0]
+    sys = membership_system(x)[0]
     assert [str(f) for f in sys] == ["0", "0", "a4*a5", "a4*b5 + a5*b4", "b4*b5"]
 
 
 def test_membership_4_6_leading_coefficient():
     built = build_family(FamilySpec("hyp-4-6"), RATIONALS)
-    sys = membership_system(built.x).systems[0]
+    sys = membership_system(built.x)[0]
     assert str(sys[0]) == "c1*a1 + c2*a2 + c3*a3"
 
 
@@ -87,12 +96,12 @@ def test_membership_count_and_reconstruction(rng):
             forms = tuple(random_homogeneous(rng, ring, d) for d in degrees)
             x = CompleteIntersection(CIType(n, degrees), forms)
             ms = membership_system(x)
-            assert sum(len(sys) for sys in ms.systems) == sum(degrees) + len(degrees)
+            assert sum(len(sys) for sys in ms) == sum(degrees) + len(degrees)
             # the coefficients reassemble the composite exactly
-            full_vars = ("s", "t") + ms.systems[0][0].ring.variables
+            full_vars = ("s", "t") + ms[0][0].ring.variables
             full = PolyRing(x.coeff_ring, full_vars)
             s, t = full.var("s"), full.var("t")
-            for form, d, sys in zip(forms, degrees, ms.systems):
+            for form, d, sys in zip(forms, degrees, ms):
                 image = chart_image(form, n)
                 rebuilt = full.zero()
                 for k, f in enumerate(sys):
@@ -129,7 +138,7 @@ def test_membership_rejects_wrong_width():
 def test_nonfree_matrix_4_6_symbolic_display():
     built = build_family(FamilySpec("hyp-4-6"), RATIONALS)
     nf = nonfree_matrix(built.x, at=built.line)
-    grid = [[str(e) for e in row] for row in nf.entries_ab]
+    grid = [[str(e) for e in row] for row in _nonfree_entries(built.x.n, nf.system)]
     assert grid == [
         ["c1", "-1", "0", "0"],
         ["c2", "0", "-1", "0"],
@@ -142,7 +151,7 @@ def test_nonfree_matrix_4_6_symbolic_display():
 def test_nonfree_matrix_quadrics_p7_symbolic_display():
     built = build_family(FamilySpec("quadrics-general", 7, (2, 2)), RATIONALS)
     nf = nonfree_matrix(built.x, at=built.line)
-    grid = [[str(e) for e in row] for row in nf.entries_ab]
+    grid = [[str(e) for e in row] for row in _nonfree_entries(built.x.n, nf.system)]
     assert grid == [
         ["1", "0", "0", "0"],
         ["0", "1", "1", "0"],
@@ -241,7 +250,8 @@ def test_nonfree_matrix_is_its_entries_evaluated_at_the_line(rng):
     for x, point in cases:
         nf = nonfree_matrix(x, at=point)
         vals = point.values(x.n)
-        assert nf.matrix.to_lists() == [[evaluate(e, vals) for e in row] for row in nf.entries_ab]
+        grid = _nonfree_entries(x.n, nf.system)
+        assert nf.matrix.to_lists() == [[evaluate(e, vals) for e in row] for row in grid]
 
 
 def test_restricted_jacobian_z_columns_are_the_blocks_of_m_h(rng):
@@ -318,7 +328,8 @@ def test_membership_system_and_m_h_match_sympy(rng, char, params):
         )
         ms = membership_system(x)
         nf = nonfree_matrix(x, at=LineChartPoint.standard(field, n))
-        ab = nf.entries_ab[0][0].ring
+        grid = _nonfree_entries(n, nf.system)
+        ab = grid[0][0].ring
         symbols = sympy.symbols(ab.flat.names)
         by_name = dict(zip(ab.flat.names, symbols))
         avars = [by_name[f"a{j}"] for j in range(1, n)]
@@ -331,10 +342,10 @@ def test_membership_system_and_m_h_match_sympy(rng, char, params):
             composite = sympy.Poly(sympy.expand(h.subs(line, simultaneous=True)), s, t)
             for k in range(d + 1):
                 theirs = composite.coeff_monomial(s ** (d - k) * t**k)
-                assert same(_to_sympy(sympy, ms.systems[i][k], symbols), theirs)
+                assert same(_to_sympy(sympy, ms[i][k], symbols), theirs)
                 if k < d:
                     for j, a in enumerate(avars):
-                        ours = _to_sympy(sympy, nf.entries_ab[j][start + k], symbols)
+                        ours = _to_sympy(sympy, grid[j][start + k], symbols)
                         assert same(ours, sympy.diff(theirs, a))
             start += d
 

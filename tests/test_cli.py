@@ -219,23 +219,25 @@ def test_one_report_builds_m_h_once(capsys, tmp_path, monkeypatch):
     """M(h) is built once per report and passed on: the Jacobian
     matrix, the printed matrix and the bundle route all reuse it. It is
     read off the membership system, so a verify-example report makes
-    one chart substitution per form."""
+    one chart substitution per form. The symbolic M(h) is built where
+    jacobian_def_matrix reads it, in cilines.nonfree."""
     import cilines.chart as chart
+    import cilines.nonfree as nonfree
 
     calls = []
-    build = chart._nonfree_entries
+    build = nonfree._nonfree_entries
     images = []
     image = chart.chart_image
 
-    def counted(ms):
-        calls.append(ms)
-        return build(ms)
+    def counted(n, system):
+        calls.append(system)
+        return build(n, system)
 
     def counted_image(form, n):
         images.append(form)
         return image(form, n)
 
-    monkeypatch.setattr(chart, "_nonfree_entries", counted)
+    monkeypatch.setattr(nonfree, "_nonfree_entries", counted)
     monkeypatch.setattr(chart, "chart_image", counted_image)
 
     code, _ = run(capsys, "verify-example", "hyp-4-6")
@@ -278,7 +280,7 @@ def test_classify_line_walks_each_polynomial_once_at_the_line(
 
 def test_enumerate_lines_classify_builds_no_symbolic_m_h(capsys, tmp_path, monkeypatch):
     """enumerate-lines --classify reads no local equations, so no line
-    builds the symbolic M(h), NonFreeMatrix.entries_ab: the 27 lines of
+    builds the symbolic M(h), chart._nonfree_entries: the 27 lines of
     the Fermat cubic surface over F_7 make no differentiate call."""
     calls = []
     differentiate = MultiPoly.differentiate

@@ -14,13 +14,20 @@ from cilines.nonfree import (
     bordered_minors,
     expected_pair_report,
     jacobian_def_matrix,
-    local_equations,
 )
 from cilines.polytext import parse_poly
 
 import families_reference
 from conftest import field_of_char, random_scalar
-from support import evaluate, permuted, permuted_z, same_differential_span, scaled, specialized
+from support import (
+    evaluate,
+    local_equations,
+    permuted,
+    permuted_z,
+    same_differential_span,
+    scaled,
+    specialized,
+)
 from test_chart import make_ci
 from test_exactmatrix import gaussian_rank_oracle
 
@@ -84,9 +91,9 @@ def test_local_equations_rejects_off_line():
 
 
 def test_local_equations_are_those_of_the_jacobian_matrix():
-    """local_equations is the second half of jacobian_def_matrix at the
-    same line, and refuses a free line and a deeper drop by name (a line
-    off X: test_local_equations_rejects_off_line)."""
+    """jacobian_def_matrix gives equal local equations from separate
+    builds of M(h) at the same line, and refuses a free line and a deeper
+    drop by name (a line off X: test_local_equations_rejects_off_line)."""
     for spec in (FamilySpec("hyp-4-6"), FamilySpec("ci-4-3-P9"), FamilySpec("quadrics-general", 7, (2, 2))):
         built = build_family(spec, RATIONALS)
         nf = nonfree_matrix(built.x, at=built.line)
@@ -164,7 +171,7 @@ def test_jacobian_f_rows_match_direct_differentiation():
     avars = [f"a{j}" for j in range(1, x.n)]
     bvars = [f"b{j}" for j in range(1, x.n)]
     direct = []
-    for sys in ms.systems:
+    for sys in ms:
         for f in sys:
             direct.append(
                 [evaluate(f.differentiate(v), vals) for v in avars]

@@ -1,17 +1,17 @@
+import time
 from fractions import Fraction
 
 import pytest
 
-from cilines.chart import nonfree_matrix
+from cilines.chart import _nonfree_entries, nonfree_matrix
 from cilines.errors import InexactDivision, ParameterPresent, RingMismatch
 from cilines.exactmatrix import ExactMatrix, det
 from cilines.families import FamilySpec, build_family
 from cilines.fields import RATIONALS, prime_field
-from cilines.nonfree import local_equations
 from cilines.params import ParamRing, jet_from, sum_of_products
 
 from conftest import random_scalar
-from support import evaluate
+from support import evaluate, local_equations
 
 
 def ring_q(*names):
@@ -244,6 +244,26 @@ def test_inexact_division_raises_when_a_remainder_is_left(rng):
                 (a * b + 1).exact_div(b)
 
 
+
+def test_inexact_division_is_refused_by_the_degree_bounds_at_once():
+    """An exact quotient's degree in each parameter is the dividend's less
+    the divisor's. Here the remainder soon needs a quotient term in c2,
+    whose bound is 0: the division is refused in a few steps, not after
+    the N^2 or so it would take to walk the remainder down."""
+    r = ParamRing(prime_field(7), ("c1", "c2", "c3"))
+    c1, c2, c3 = (r.var(name) for name in r.names)
+    n = 2000
+    start = time.perf_counter()
+    with pytest.raises(InexactDivision):
+        (c1**n - c3**n + c2 * c1 ** (n - 1)).exact_div(c1 + c2 + c3)
+    assert time.perf_counter() - start < 0.1
+    # the bounds add up past the degree field's guard, which caps them
+    a = c1**100 + c2**100 + c3**100
+    assert (a * (c1 + c2 + c3)).exact_div(c1 + c2 + c3) == a
+    # a divisor in a parameter the dividend lacks is refused before any step
+    with pytest.raises(InexactDivision):
+        (c1 * c1 + 1).exact_div(c1 + c2)
+
 def test_ring_mismatch_on_fast_and_slow_paths():
     pairs = [
         (ParamRing(RATIONALS), ParamRing(prime_field(7))),  # constant fast path
@@ -414,9 +434,10 @@ def test_bordered_minor_det_matches_sympy(rng):
     built = build_family(FamilySpec("hyp-general", n=6, degrees=(3,)), RATIONALS)
     x = built.x
     nf = nonfree_matrix(x, at=built.line)
-    flat = nf.entries_ab[0][0].ring.flat
+    grid = _nonfree_entries(x.n, nf.system)
+    flat = grid[0][0].ring.flat
     symbols = sympy.symbols(flat.names)
-    sym_rows = [[e.flat for e in row] for row in nf.entries_ab]
+    sym_rows = [[e.flat for e in row] for row in grid]
     eqs = local_equations(x, built.line)
     checked = 0
     extras = [i for i in range(x.n - 1) if i not in eqs.pivot_rows]

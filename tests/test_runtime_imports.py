@@ -3,8 +3,8 @@ package, lazy ones inside functions included, names a standard module,
 and none is dataclasses, whose import and generated methods would be most
 of a one-report process's start. Every module-level import is read, no
 check in the package is a bare assert, which python -O strips, no handler
-catches every exception, and every definition is named in code beyond the
-line that defines it."""
+catches every exception, every definition is named in code beyond the
+line that defines it, and every field a value class keeps is read."""
 
 import ast
 import io
@@ -220,3 +220,32 @@ def test_every_definition_in_the_package_is_named_elsewhere():
             if not named.get(node.name, set()) - {(path, node.lineno)}:
                 unnamed.append(f"{path.name}:{node.lineno} defines {node.name}, named nowhere else")
     assert unnamed == []
+
+
+def test_every_slot_is_read():
+    """Every name in the __slots__ of a class in the package is read as an
+    attribute (obj.name, in load context) somewhere in src/, tests/ or
+    perfbench/: a field that nothing reads is carried for nothing."""
+    root = PACKAGE.parent.parent
+    read = {
+        node.attr
+        for top in ("src", "tests", "perfbench")
+        for path in sorted((root / top).rglob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), filename=str(path)))
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+    }
+    unread = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for cls in ast.walk(ast.parse(path.read_text(encoding="utf-8"), filename=str(path))):
+            if not isinstance(cls, ast.ClassDef):
+                continue
+            for node in cls.body:
+                if isinstance(node, ast.Assign) and any(
+                    isinstance(t, ast.Name) and t.id == "__slots__" for t in node.targets
+                ):
+                    unread += [
+                        f"{path.name}:{node.lineno} {cls.name}.{name} is never read"
+                        for name in ast.literal_eval(node.value)
+                        if name not in read
+                    ]
+    assert unread == []
