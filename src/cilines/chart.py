@@ -15,10 +15,10 @@ block i is the coefficient vector of the restricted partial derivative
 (dh^i/dZ_j) composed with the line, against the basis
 s^{d^i-1}, ..., t^{d^i-1}. For a line on X along which X is smooth, the
 line is free exactly when M(h) evaluated at the chart point has full
-column rank |d|. nonfree_matrix evaluates M(h) at a line from one jet per
-f^i_k; the symbolic grid, read off the membership system by
-_nonfree_entries, is built only for the local equations of a corank-1
-line (nonfree.jacobian_def_matrix).
+column rank |d|. nonfree_matrix evaluates M(h) at a line in one walk over
+each form's terms; the symbolic grid, read off the membership system by
+_nonfree_entries, is built only for the local equations at a corank-1
+line with m = N - |d| >= 1 (nonfree.jacobian_def_matrix).
 """
 
 from __future__ import annotations
@@ -38,8 +38,9 @@ from .errors import (
 from .exactmatrix import ExactMatrix, RankResult, rank_exact
 from .fields import Field, Scalar, Value, slot_setters
 from .geometry import CompleteIntersection, LineChartPoint, ambient_variables, restrict_along
-from .multipoly import BinaryForm, MultiPoly, PolyRing, binary_gcd
-from .params import ParamRing, ParamScalar
+from .monomials import _exps
+from .multipoly import BinaryForm, MultiPoly, PolyRing, _times, binary_gcd
+from .params import ParamRing, ParamScalar, _from_rows
 
 
 def chart_variables(n: int) -> tuple[tuple[str, ...], tuple[str, ...]]:
@@ -103,33 +104,24 @@ def membership_system(x: CompleteIntersection) -> tuple[tuple[MultiPoly, ...], .
 class NonFreeMatrix(Value):
     """M(h) at a chart line on X.
 
-    system is the membership system of X that M(h) is read off. matrix is
-    M(h) evaluated at the line `at`, over the coefficient parameter ring,
-    and rank is rank_exact of matrix, whose pivot rows are the lex-first
-    row basis.
+    matrix is M(h) evaluated at the line `at`, over the coefficient
+    parameter ring, and rank is rank_exact of matrix, whose pivot rows are
+    the lex-first row basis.
     """
 
-    __slots__ = ("system", "at", "matrix", "rank")
+    __slots__ = ("at", "matrix", "rank")
 
-    system: tuple[tuple[MultiPoly, ...], ...]
     at: LineChartPoint
     matrix: ExactMatrix
     rank: RankResult
 
-    def __init__(
-        self,
-        system: tuple[tuple[MultiPoly, ...], ...],
-        at: LineChartPoint,
-        matrix: ExactMatrix,
-        rank: RankResult,
-    ) -> None:
-        _set_system(self, system)
+    def __init__(self, at: LineChartPoint, matrix: ExactMatrix, rank: RankResult) -> None:
         _set_at(self, at)
         _set_matrix(self, matrix)
         _set_rank(self, rank)
 
 
-_set_system, _set_at, _set_matrix, _set_rank = slot_setters(NonFreeMatrix)
+_set_at, _set_matrix, _set_rank = slot_setters(NonFreeMatrix)
 
 
 def _nonfree_entries(
@@ -145,22 +137,52 @@ def _nonfree_entries(
 
 def nonfree_matrix(x: CompleteIntersection, at: LineChartPoint) -> NonFreeMatrix:
     """Build M(h) at a chart line, which must lie on X, with the rank of
-    the evaluated matrix. One jet per f^i_k at the line gives its value,
-    for the containment check, and its a_j-partials, the evaluated column
-    of M(h)."""
-    system = membership_system(x)
-    avars, _ = chart_variables(x.n)
-    vals = at.values(x.n)
-    columns = []
-    for sys in system:
-        for k, f in enumerate(sys):
-            value, partials = f.jet_at(avars if k < len(sys) - 1 else (), vals)
-            if not value.is_zero:
-                raise LineNotContained("the chart line is not on X")
-            if partials:
-                columns.append(partials)
-    matrix = ExactMatrix.from_rows(x.coeff_ring, [list(row) for row in zip(*columns)])
-    return NonFreeMatrix(system, at, matrix, rank_exact(matrix))
+    the evaluated matrix, from one walk over each form's flat terms. On
+    the line Z_j is L_j = a_j s + b_j t, whose powers are formed once. A
+    term c S^eS T^eT prod Z_j^e_j adds its restriction to h|_L, whose
+    d + 1 coefficients are the containment check (LineNotContained), and
+    e_j (term / Z_j)|_L to row j of M(h), d coefficients in the form's
+    block. A slot with L_j = 0 (any slot of the standard line) zeroes all
+    of these but row j's, and that one too unless e_j = 1. The sums are
+    raw, in one row per parameter prefix of the keys (params._from_rows)."""
+    n, out = x.n, x.coeff_ring
+    make, k = out.field.make, out.k
+    vals = at.values(n)
+    ladders = [[[1], [vals[f"a{j}"], vals[f"b{j}"]]] for j in range(1, n)]  # [j][e] = L_j^e
+    live = [any(ladder[1]) for ladder in ladders]
+    blocks = []
+    for form, d in zip(x.forms, x.ci_type.degrees):
+        flat = form.flat
+        slots, w = flat.ring.k, flat.width
+        cut, mask = 8 * w * (n + 1), (1 << 8 * w * k) - 1
+        rows: dict[int, list] = {}  # h|_L, then row j's block at (j + 1) d + 1
+        for key, c in flat.packed:
+            e = key.to_bytes(slots + 1, "big")[k + 1 :] if w == 1 else _exps(key, slots, w)[k:]
+            used = [(j, ex) for j, ex in enumerate(e[2:]) if ex]
+            dead = [(j, ex) for j, ex in used if not live[j]]
+            if not dead:  # (place in the row, multiplier, the slot lowered by one)
+                targets = [(e[1], c, -1)] + [((j + 1) * d + 1 + e[1], c * ex, j) for j, ex in used]
+            elif len(dead) == 1 and dead[0][1] == 1:
+                targets = [((dead[0][0] + 1) * d + 1 + e[1], c, dead[0][0])]
+            else:
+                continue
+            acc = rows.get(pk := key >> cut & mask) or rows.setdefault(pk, [0] * (n * d + 1))
+            for base, m, low in targets:
+                prod = (1,)
+                for j, ex in used:
+                    ladder = ladders[j]
+                    while len(ladder) <= ex:
+                        ladder.append(list(map(make, _times(ladder[-1], ladder[1]))))
+                    piece = ladder[ex - (j == low)]
+                    prod = _times(prod, piece) if len(prod) > 1 else piece  # degree 0: 1
+                for i, v in enumerate(prod, base):
+                    acc[i] += m * v
+        outs = _from_rows(out, rows, n * d + 1, w)
+        if not all(v.is_zero for v in outs[: d + 1]):
+            raise LineNotContained("the chart line is not on X")
+        blocks.append([outs[(j + 1) * d + 1 : (j + 2) * d + 1] for j in range(n - 1)])
+    matrix = ExactMatrix.from_rows(out, [sum(row, []) for row in zip(*blocks)])
+    return NonFreeMatrix(at, matrix, rank_exact(matrix))
 
 
 # -- smoothness along a curve -------------------------------------------------

@@ -439,12 +439,7 @@ class BinaryForm(Value):
         is brought into the field once."""
         if other.field != self.field:
             raise RingMismatch("mixed fields")
-        acc = [0] * (self.degree + other.degree + 1)
-        nonzero = [(j, b) for j, b in enumerate(other.coeffs) if b]
-        for i, a in enumerate(self.coeffs):
-            if a:
-                for j, b in nonzero:
-                    acc[i + j] += a * b
+        acc = _times(self.coeffs, other.coeffs)
         return BinaryForm(self.field, len(acc) - 1, tuple(map(self.field.make, acc)))
 
     def compose(self, u: "BinaryForm", w: "BinaryForm") -> "BinaryForm":
@@ -466,6 +461,17 @@ class BinaryForm(Value):
 _set_coeffs, _set_variables, _set_flat = slot_setters(PolyRing)
 _set_ring, _set_poly_flat = slot_setters(MultiPoly)
 _set_field, _set_degree, _set_form_coeffs = slot_setters(BinaryForm)
+
+
+def _times(p: Sequence[Scalar], q: Sequence[Scalar]) -> list:
+    """The raw product of two binary forms as coefficient lists, s^d first."""
+    out = [0] * (len(p) + len(q) - 1)
+    nonzero = [(k, v) for k, v in enumerate(q) if v]  # field zeros are falsy
+    for i, u in enumerate(p):
+        if u:
+            for k, v in nonzero:
+                out[i + k] += u * v
+    return out
 
 
 def _compose_terms(

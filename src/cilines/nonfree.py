@@ -11,8 +11,9 @@ it is a dot product of that row with the signed maximal minors
 (cofactors) of the (|d|-1) x |d| block of pivot rows of the symbolic
 M(h); the cofactors are shared by all m equations and taken once per
 report. The symbolic M(h) is differentiated from the membership system
-only here, once per corank-1 report: a line of any other corank builds
-none.
+only here, once per corank-1 report with m >= 1: a line of any other
+corank, or with m = 0, builds no membership system. M(h) at the line
+itself comes from one walk over each form (chart.nonfree_matrix).
 
 The locus is then smooth of the expected local dimension N - r - 2 at
 the line exactly when the (|d|+r+m) x 2(N-1) matrix of first derivatives
@@ -40,7 +41,7 @@ from .chart import (
     _nonfree_entries,
     chart_ring,
     chart_variables,
-    membership_system,  # not called here; perfbench's tracer test reads it
+    membership_system,
     nonfree_matrix,
 )
 from .errors import InvariantViolated, LineNotContained, NotCorankOne
@@ -188,8 +189,9 @@ def jacobian_def_matrix(
     more elimination, of the transposed pivot rows, gives the lex-first
     columns as its pivot rows and the pivot minor as its certificate.
     Each equation is the determinant of the symbolic M(h), read off
-    nf.system here, on the pivot rows plus one further row, over all
-    columns. Rows come in the order f^1_0, ..., f^r_{d^r}, g_1, ..., g_m;
+    membership_system(x) here, on the pivot rows plus one further row,
+    over all columns; with no further row (m = 0) nothing symbolic is
+    built. Rows come in the order f^1_0, ..., f^r_{d^r}, g_1, ..., g_m;
     the f-rows are assembled from `nf` by the coefficient shift, the
     g-rows are the gradients of the bordered minors at the line, read
     from the jet that checks each one vanishes there. Raises NotCorankOne
@@ -218,18 +220,19 @@ def jacobian_def_matrix(
             rows.append(da + db)
         lo += d
 
-    ab = chart_ring(ring, n)
-    avars, bvars = chart_variables(n)
-    sym = [[e.flat for e in row] for row in _nonfree_entries(n, nf.system)]
-    point_vals = point.values(n)
     minors: list[MultiPoly] = []
-    for g_flat in bordered_minors(ab.flat, sym, pivot_rows):
-        g = MultiPoly(ab, g_flat)
-        value, row = g.jet_at(avars + bvars, point_vals)
-        if not value.is_zero:
-            raise InvariantViolated("bordered minor fails to vanish at the base point")
-        minors.append(g)
-        rows.append(row)
+    if len(pivot_rows) < n - 1:  # m >= 1: some row borders the pivot block
+        ab = chart_ring(ring, n)
+        avars, bvars = chart_variables(n)
+        sym = [[e.flat for e in row] for row in _nonfree_entries(n, membership_system(x))]
+        point_vals = point.values(n)
+        for g_flat in bordered_minors(ab.flat, sym, pivot_rows):
+            g = MultiPoly(ab, g_flat)
+            value, row = g.jet_at(avars + bvars, point_vals)
+            if not value.is_zero:
+                raise InvariantViolated("bordered minor fails to vanish at the base point")
+            minors.append(g)
+            rows.append(row)
     equations = LocalEquations(pivot_rows, pivot.pivot_rows, pivot.certificate, tuple(minors))
     return ExactMatrix.from_rows(ring, rows), equations
 

@@ -108,7 +108,9 @@ class ParamRing(Value, compared=("field", "names")):
         return ParamScalar(self, ((key, self.field.one),), 1)
 
     def from_terms(self, terms: Mapping[Exps, Scalar]) -> "ParamScalar":
-        clean = [t for t in terms.items() if t[1]]  # field zeros are falsy
+        """The scalar with these terms, each coefficient brought into the field."""
+        make = self.field.make
+        clean = [(e, v) for e, c in terms.items() if (v := make(c))]  # field zeros are falsy
         if not clean:
             return self.zero()
         if not self.names:  # the one term ((), v)
@@ -443,9 +445,8 @@ def jet_from(
     or more slots at 0 adds nothing; with one, z, it adds its product over
     the others to the partial by z when x = 1. An exponent 0 mod p adds 0.
     The sums go into one raw row [value, partial, ...] per parameter
-    prefix of the keys, one place per slot however often it is named, and
-    each is brought into the field once; the outputs' keys are the
-    prefixes under their own degree.
+    prefix of the keys, one place per slot however often it is named
+    (_from_rows).
     """
     names, f = p.ring.names, p.ring.field
     k, keep, w = p.ring.k, out.k, p.width
@@ -495,17 +496,24 @@ def jet_from(
                     acc[j] += c * x * invs[i]
         elif oddx == 1 and place[odd]:
             acc[place[odd]] += c
-    top = bits * keep
+    outs = _from_rows(out, rows, size, w)
+    return outs[0], [outs[place[i]] for i in slots]
+
+
+def _from_rows(out: ParamRing, rows: dict[int, list], size: int, w: int) -> list[ParamScalar]:
+    """The `size` scalars of `out` whose raw coefficients at the parameter
+    monomial pk (its fields at width w, no degree) stand in rows[pk]: each
+    is brought into the field once, and keyed by pk under its degree."""
+    top = 8 * w * out.k
     keyed = sorted(((pk + (_field_sum(pk, w) << top), acc) for pk, acc in rows.items()), reverse=True)
-    make = f.make
+    make = out.field.make
     terms: list = [[] for _ in range(size)]
     for key, acc in keyed:
-        for t, v in zip(terms, map(make, acc)):
-            if v:  # field zeros are falsy
-                t.append((key, v))
+        for i, v in enumerate(acc):
+            if v and (v := make(v)):  # field zeros are falsy
+                terms[i].append((key, v))
     zero = out.zero()
-    outs = [_scalar(out, tuple(t), w) if t else zero for t in terms]
-    return outs[0], [outs[place[i]] for i in slots]
+    return [_scalar(out, tuple(t), w) if t else zero for t in terms]
 
 
 #: furthest past the end of a power list that _power extends it

@@ -2,8 +2,9 @@
 program's objects that the program itself never needs (evaluation at a
 point, a parameter as a polynomial, a form from loose scalars, the line
 of a chart point as a curve and the local equations alone among them),
-and the per-dom section kernel that bundles._section_kernel_dims reads in
-one pass."""
+the per-dom section kernel that bundles._section_kernel_dims reads in
+one pass, and M(h) at a line read off the membership system by jets,
+the route chart.nonfree_matrix replaced."""
 
 from __future__ import annotations
 
@@ -12,13 +13,14 @@ from typing import Mapping, Sequence
 from cilines.bundles import SplittingType, normal_splitting_line, tangent_splitting_from_normal
 from cilines.chart import (
     FqLine,
+    NonFreeMatrix,
     chart_variables,
     membership_system,
     nonfree_matrix,
     restricted_jacobian,
     smooth_along_components,
 )
-from cilines.errors import ConstraintViolated, RingMismatch
+from cilines.errors import ConstraintViolated, LineNotContained, RingMismatch
 from cilines.exactmatrix import ExactMatrix, kernel_basis, rank_exact
 from cilines.families import _hyp_head
 from cilines.fields import Field, Scalar
@@ -47,6 +49,25 @@ def on_x(x: CompleteIntersection, point: LineChartPoint) -> bool:
     evaluated at it vanishes, identically in the parameters."""
     vals = point.values(x.n)
     return all(evaluate(f, vals).is_zero for sys in membership_system(x) for f in sys)
+
+
+def nonfree_matrix_by_jets(x: CompleteIntersection, at: LineChartPoint) -> NonFreeMatrix:
+    """Reference for chart.nonfree_matrix, read off the membership system:
+    one jet per f^i_k at the line gives its value, for the containment
+    check, and its a_j-partials, the evaluated column of M(h)."""
+    system = membership_system(x)
+    avars, _ = chart_variables(x.n)
+    vals = at.values(x.n)
+    columns = []
+    for sys in system:
+        for k, f in enumerate(sys):
+            value, partials = f.jet_at(avars if k < len(sys) - 1 else (), vals)
+            if not value.is_zero:
+                raise LineNotContained("the chart line is not on X")
+            if partials:
+                columns.append(partials)
+    matrix = ExactMatrix.from_rows(x.coeff_ring, [list(row) for row in zip(*columns)])
+    return NonFreeMatrix(at, matrix, rank_exact(matrix))
 
 
 def is_smooth_along_line(x: CompleteIntersection, point: LineChartPoint) -> bool:

@@ -37,6 +37,7 @@ from support import (
     evaluate,
     is_smooth_along_line,
     line_param,
+    nonfree_matrix_by_jets,
     on_x,
     permuted,
     permuted_z,
@@ -137,8 +138,8 @@ def test_membership_rejects_wrong_width():
 
 def test_nonfree_matrix_4_6_symbolic_display():
     built = build_family(FamilySpec("hyp-4-6"), RATIONALS)
-    nf = nonfree_matrix(built.x, at=built.line)
-    grid = [[str(e) for e in row] for row in _nonfree_entries(built.x.n, nf.system)]
+    grid = _nonfree_entries(built.x.n, membership_system(built.x))
+    grid = [[str(e) for e in row] for row in grid]
     assert grid == [
         ["c1", "-1", "0", "0"],
         ["c2", "0", "-1", "0"],
@@ -150,8 +151,8 @@ def test_nonfree_matrix_4_6_symbolic_display():
 
 def test_nonfree_matrix_quadrics_p7_symbolic_display():
     built = build_family(FamilySpec("quadrics-general", 7, (2, 2)), RATIONALS)
-    nf = nonfree_matrix(built.x, at=built.line)
-    grid = [[str(e) for e in row] for row in _nonfree_entries(built.x.n, nf.system)]
+    grid = _nonfree_entries(built.x.n, membership_system(built.x))
+    grid = [[str(e) for e in row] for row in grid]
     assert grid == [
         ["1", "0", "0", "0"],
         ["0", "1", "1", "0"],
@@ -238,7 +239,7 @@ def census_chart_lines(rng):
 
 
 def test_nonfree_matrix_is_its_entries_evaluated_at_the_line(rng):
-    """The evaluated M(h), read from one jet per membership polynomial,
+    """The evaluated M(h), from one walk over each form at the line,
     equals each symbolic entry evaluated at the line on its own, on every
     census line of census_chart_lines and on the family lines, symbolic
     over Q and sampled over F_3."""
@@ -250,7 +251,7 @@ def test_nonfree_matrix_is_its_entries_evaluated_at_the_line(rng):
     for x, point in cases:
         nf = nonfree_matrix(x, at=point)
         vals = point.values(x.n)
-        grid = _nonfree_entries(x.n, nf.system)
+        grid = _nonfree_entries(x.n, membership_system(x))
         assert nf.matrix.to_lists() == [[evaluate(e, vals) for e in row] for row in grid]
 
 
@@ -265,6 +266,61 @@ def test_restricted_jacobian_z_columns_are_the_blocks_of_m_h(rng):
             for i, d in enumerate(degrees):
                 lo = sum(degrees[:i])
                 assert list(jac[i][2 + j].coeffs) == [c.constant_value() for c in row[lo : lo + d]]
+
+
+def _route(build, x, point):
+    """What an M(h) builder gives at a chart point: the evaluated matrix
+    and its RankResult, or the refusal of a line that is not on X."""
+    try:
+        nf = build(x, at=point)
+    except LineNotContained:
+        return "LineNotContained"
+    return nf.matrix, nf.rank
+
+
+@pytest.mark.parametrize(
+    "char,params",
+    [(0, ("c1", "c2")), (2, ()), (3, ()), (7, ())],
+    ids=["Q-params", "F2", "F3", "F7"],
+)
+def test_nonfree_matrix_matches_the_jets_of_the_membership_system(rng, char, params):
+    """chart.nonfree_matrix, one walk over each form, agrees with the
+    route it replaced, one jet per membership polynomial
+    (support.nonfree_matrix_by_jets): the same evaluated M(h) and
+    RankResult at chart lines on X, and the same LineNotContained off X.
+    Each form of X is one on the standard line moved onto a random chart
+    point by Z_j -> Z_j - a_j S - b_j T, and a random form is added to
+    take X off the line. Columns with a_j = b_j = 0 come up often, and
+    every fifth point is the standard line."""
+    field = field_of_char(char)
+    seen = {True: 0, False: 0}
+    for draw in range(40):
+        n = rng.randint(3, 6)
+        degrees = (rng.randint(1, 4),) if n < 5 or rng.random() < 0.5 else (2, rng.randint(1, 3))
+        ring = ambient_ring(field, n, params)
+        # every fifth point is the standard line; elsewhere a third of the
+        # entries are 0 and the rest any small value, 0 too
+        a, b = (
+            [draw % 5 and rng.randrange(3) and rng.randrange(field.p or 9) for _ in range(n - 1)]
+            for _ in "ab"
+        )
+        point = LineChartPoint(field, tuple(a), tuple(b))
+        s, t = ring.var("S"), ring.var("T")
+        shift = {"S": s, "T": t}
+        for j in range(1, n):
+            shift[f"Z{j}"] = ring.var(f"Z{j}") - s * a[j - 1] - t * b[j - 1]
+        off = rng.random() < 0.3
+        forms = []
+        for d in degrees:
+            form = _form_on_the_standard_line(rng, ring, d).substitute(shift)
+            if off:
+                form = form + random_homogeneous(rng, ring, d, n_terms=2)
+            forms.append(form if not form.is_zero else ring.var("S") ** d)
+        x = CompleteIntersection(CIType(n, degrees), tuple(forms))
+        ours = _route(nonfree_matrix, x, point)
+        assert ours == _route(nonfree_matrix_by_jets, x, point)
+        seen[ours != "LineNotContained"] += 1
+    assert seen[True] and seen[False]
 
 
 def _rational(sympy, v):
@@ -327,8 +383,7 @@ def test_membership_system_and_m_h_match_sympy(rng, char, params):
             CIType(n, degrees), tuple(_form_on_the_standard_line(rng, ring, d) for d in degrees)
         )
         ms = membership_system(x)
-        nf = nonfree_matrix(x, at=LineChartPoint.standard(field, n))
-        grid = _nonfree_entries(n, nf.system)
+        grid = _nonfree_entries(n, ms)
         ab = grid[0][0].ring
         symbols = sympy.symbols(ab.flat.names)
         by_name = dict(zip(ab.flat.names, symbols))

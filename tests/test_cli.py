@@ -217,10 +217,12 @@ def test_classify_line_quadric(capsys, tmp_path):
 
 def test_one_report_builds_m_h_once(capsys, tmp_path, monkeypatch):
     """M(h) is built once per report and passed on: the Jacobian
-    matrix, the printed matrix and the bundle route all reuse it. It is
-    read off the membership system, so a verify-example report makes
-    one chart substitution per form. The symbolic M(h) is built where
-    jacobian_def_matrix reads it, in cilines.nonfree."""
+    matrix, the printed matrix and the bundle route all reuse it. The
+    symbolic M(h) is built only where jacobian_def_matrix reads it, in
+    cilines.nonfree, from one chart substitution per form: once for the
+    corank-1 verify-example report (m = 1), and not at all at the
+    corank-1 line of the cubic surface, where no row borders the pivot
+    block (m = N - |d| = 0)."""
     import cilines.chart as chart
     import cilines.nonfree as nonfree
 
@@ -249,7 +251,34 @@ def test_one_report_builds_m_h_once(capsys, tmp_path, monkeypatch):
     code, out = run(capsys, "classify-line", path)
     report = json.loads(out)
     assert code == 0 and report["corank"] == 1 and "normal_splitting" in report
-    assert len(calls) == 1
+    assert calls == []
+
+
+@pytest.mark.parametrize(
+    "text,forms", [(CUBIC_F7_CORANK_1, 0), (CUBIC_THREEFOLD_F5, 1)], ids=["m=0", "m=1"]
+)
+def test_classify_line_substitutes_only_for_the_local_equations(
+    capsys, tmp_path, monkeypatch, text, forms
+):
+    """M(h) at the line needs no chart substitution. A corank-1 line with
+    m = N - |d| >= 1 makes one chart_image and one MultiPoly.substitute
+    call per form, for its local equations; with m = 0 it makes none."""
+    import cilines.chart as chart
+
+    calls = []
+
+    def counting(name, original):
+        def counted(*args):
+            calls.append(name)
+            return original(*args)
+
+        return counted
+
+    monkeypatch.setattr(chart, "chart_image", counting("chart_image", chart.chart_image))
+    monkeypatch.setattr(MultiPoly, "substitute", counting("substitute", MultiPoly.substitute))
+    code, out = run(capsys, "classify-line", write_problem(tmp_path, "p.ci", text))
+    assert code == 0 and json.loads(out)["corank"] == 1
+    assert Counter(calls) == Counter({"chart_image": forms, "substitute": forms})
 
 
 @pytest.mark.parametrize(
@@ -259,8 +288,10 @@ def test_classify_line_walks_each_polynomial_once_at_the_line(
     capsys, tmp_path, monkeypatch, text, n, total
 ):
     """A classify-line report at a corank-1 line differentiates only to
-    build the symbolic M(h): the values and partials at the line come from
-    one jet per polynomial, the program's only evaluation."""
+    build the symbolic M(h) for its local equations. M(h) at the line
+    comes from one walk over each form (chart.nonfree_matrix), and the
+    values and partials of the bordered minors at the line from one jet
+    per minor."""
     calls = []
     differentiate = MultiPoly.differentiate
 

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from cilines.chart import _nonfree_entries, nonfree_matrix
+from cilines.chart import _nonfree_entries, membership_system
 from cilines.errors import InexactDivision, ParameterPresent, RingMismatch
 from cilines.exactmatrix import ExactMatrix, det
 from cilines.families import FamilySpec, build_family
@@ -28,6 +28,18 @@ def test_canonical_form_zero_and_sorting():
     q = c2 + c1 ** 2 + 1
     degrees = [sum(e) for e, _ in q.terms]
     assert degrees == sorted(degrees, reverse=True)  # graded order, descending
+
+
+def test_from_terms_brings_each_coefficient_into_the_field():
+    """A coefficient given outside [0, p) is reduced before zeros are
+    dropped: -3 is 1 and 2 is 0 over F_2, and 7 is 0 over F_7."""
+    f2 = ParamRing(prime_field(2), ("c1",))
+    assert f2.from_terms({(1,): -3}) == f2.var("c1")
+    assert str(f2.from_terms({(1,): -3})) == "c1"
+    assert f2.from_terms({(1,): 2}).is_zero
+    f7 = ParamRing(prime_field(7), ("c1",))
+    assert f7.from_terms({(1,): 7}).is_zero
+    assert f7.from_terms({(1,): 7, (0,): 15}) == f7.one()
 
 
 def test_ring_laws_randomized(rng):
@@ -433,8 +445,7 @@ def test_bordered_minor_det_matches_sympy(rng):
     sympy = pytest.importorskip("sympy")
     built = build_family(FamilySpec("hyp-general", n=6, degrees=(3,)), RATIONALS)
     x = built.x
-    nf = nonfree_matrix(x, at=built.line)
-    grid = _nonfree_entries(x.n, nf.system)
+    grid = _nonfree_entries(x.n, membership_system(x))
     flat = grid[0][0].ring.flat
     symbols = sympy.symbols(flat.names)
     sym_rows = [[e.flat for e in row] for row in grid]

@@ -67,7 +67,6 @@ def test_importing_the_cli_loads_neither_dataclasses_nor_inspect():
 #: imports a module keeps without reading them, each with its reason
 UNREAD_ON_PURPOSE = {
     ("bundles.py", "membership_system"): "perfbench's tracer test reads it through this module",
-    ("nonfree.py", "membership_system"): "perfbench's tracer test reads it through this module",
 }
 
 
