@@ -146,7 +146,7 @@ def nonfree_matrix(x: CompleteIntersection, at: LineChartPoint) -> NonFreeMatrix
     of these but row j's, and that one too unless e_j = 1. The sums are
     raw, in one row per parameter prefix of the keys (params._from_rows)."""
     n, out = x.n, x.coeff_ring
-    make, k = out.field.make, out.k
+    reduce, k = out.field.reduce, out.k
     vals = at.values(n)
     ladders = [[[1], [vals[f"a{j}"], vals[f"b{j}"]]] for j in range(1, n)]  # [j][e] = L_j^e
     live = [any(ladder[1]) for ladder in ladders]
@@ -172,7 +172,7 @@ def nonfree_matrix(x: CompleteIntersection, at: LineChartPoint) -> NonFreeMatrix
                 for j, ex in used:
                     ladder = ladders[j]
                     while len(ladder) <= ex:
-                        ladder.append(list(map(make, _times(ladder[-1], ladder[1]))))
+                        ladder.append(list(map(reduce, _times(ladder[-1], ladder[1]))))
                     piece = ladder[ex - (j == low)]
                     prod = _times(prod, piece) if len(prod) > 1 else piece  # degree 0: 1
                 for i, v in enumerate(prod, base):

@@ -10,7 +10,13 @@ whose nonvanishing witnesses the rank over the fraction field.
 rank_exact and det share that loop, _bareiss, but not its pivot search:
 rank_exact takes the first nonzero entry, which fixes its pivot rows (the
 lex-first row basis) and the minor it certifies; det, whose value no
-pivot order changes, takes the entry with the fewest terms.
+pivot order changes, takes the entry with the fewest terms. Its step
+piv*a - head*b is ParamScalar.mul_sub, which takes the two products in
+one accumulation when all four operands have two or more terms.
+
+kernel_basis is Gauss-Jordan on the field elements of a parameter-free
+matrix; each row operation x - f*y is taken raw and reduced once
+(Field.reduce).
 """
 
 from __future__ import annotations
@@ -185,7 +191,7 @@ def _bareiss(
                         continue
                     a = piv * a
                 else:
-                    a = piv * a - head * b
+                    a = piv.mul_sub(a, head, b)
                 row[c] = a if d is one else a.exact_div(d)
             row[k] = zero
             div[i] = piv
@@ -246,6 +252,7 @@ def kernel_basis(m: ExactMatrix) -> list[tuple[Scalar, ...]]:
     entry carries a parameter.
     """
     field = m.ring.field
+    reduce = field.reduce
     grid = [require_constant(m.row(i)) for i in range(m.rows)]
     pivots: list[int] = []  # pivot column of each reduced row
     r = 0
@@ -259,11 +266,11 @@ def kernel_basis(m: ExactMatrix) -> list[tuple[Scalar, ...]]:
             continue
         grid[r], grid[hit] = grid[hit], grid[r]
         inv = field.inv(grid[r][c])
-        grid[r] = [field.mul(x, inv) for x in grid[r]]
+        grid[r] = [reduce(x * inv) for x in grid[r]]
         for i in range(m.rows):
             if i != r and not field.is_zero(grid[i][c]):
                 f = grid[i][c]
-                grid[i] = [field.sub(x, field.mul(f, y)) for x, y in zip(grid[i], grid[r])]
+                grid[i] = [reduce(x - f * y) for x, y in zip(grid[i], grid[r])]
         pivots.append(c)
         r += 1
     pivot_set = set(pivots)
@@ -274,6 +281,6 @@ def kernel_basis(m: ExactMatrix) -> list[tuple[Scalar, ...]]:
         vec = [field.zero] * m.cols
         vec[c] = field.one
         for i, pc in enumerate(pivots):
-            vec[pc] = field.neg(grid[i][c])
+            vec[pc] = reduce(-grid[i][c])
         basis.append(tuple(vec))
     return basis

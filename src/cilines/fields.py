@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from operator import attrgetter
-from typing import Union
+from typing import Callable, Union
 
 from .errors import BudgetExceeded, ConstraintViolated, ParseError
 
@@ -101,12 +101,22 @@ def slot_setters(cls: type) -> list:
     return [getattr(cls, name).__set__ for name in cls.__slots__]
 
 
-class Field(Value):
-    """The rationals (p is None) or the prime field F_p."""
+class Field(Value, compared=("p",)):
+    """The rationals (p is None) or the prime field F_p.
 
-    __slots__ = ("p",)
+    `reduce` maps a raw sum or product of field elements and ints to its
+    field element, as `make` does for such input, without a Python frame
+    of its own over F_p: it is p.__rmod__ there, so it accepts ints only
+    (a Fraction gives NotImplemented), and _rational over Q, which takes
+    ints and Fractions. The hot loops sum raw and reduce once per stored
+    value; `make` is the checked entry point for any other input, such as
+    a Fraction over F_p. Equality, the hash, the repr and pickling read p
+    alone."""
+
+    __slots__ = ("p", "reduce")
 
     p: int | None
+    reduce: Callable[[Scalar], Scalar]
 
     def __init__(self, p: int | None = None) -> None:
         if p is not None:
@@ -115,6 +125,7 @@ class Field(Value):
             if not is_prime(p):
                 raise ConstraintViolated(f"{p} is not prime")
         _set_p(self, p)
+        _set_reduce(self, _rational if p is None else p.__rmod__)
 
     # -- basic queries ------------------------------------------------
 
@@ -206,7 +217,7 @@ class Field(Value):
             raise ParseError(f"bad scalar literal {text!r}: {exc}") from None
 
 
-(_set_p,) = slot_setters(Field)
+_set_p, _set_reduce = slot_setters(Field)
 
 #: shared instance of the rationals
 RATIONALS = Field(None)

@@ -239,12 +239,12 @@ class MultiPoly(Value):
         shift = bits * (slots - 1 - self._slot(v))
         mask = (1 << bits) - 1
         step = (1 << shift) + (1 << bits * slots)  # one off the exponent and the degree
-        field = self.ring.coeffs.field
+        reduce = self.ring.coeffs.field.reduce
         terms = []
         for key, c in flat.packed:
             x = key >> shift & mask
             if x:
-                c = field.mul(c, field.make(x))
+                c = reduce(c * x)
                 if c:  # field zeros are falsy
                     terms.append((key - step, c))
         # taking one step off every key keeps their order
@@ -436,11 +436,11 @@ class BinaryForm(Value):
 
     def __mul__(self, other: "BinaryForm") -> "BinaryForm":
         """The raw products are summed, and each coefficient of the result
-        is brought into the field once."""
+        is reduced into the field once (Field.reduce)."""
         if other.field != self.field:
             raise RingMismatch("mixed fields")
         acc = _times(self.coeffs, other.coeffs)
-        return BinaryForm(self.field, len(acc) - 1, tuple(map(self.field.make, acc)))
+        return BinaryForm(self.field, len(acc) - 1, tuple(map(self.field.reduce, acc)))
 
     def compose(self, u: "BinaryForm", w: "BinaryForm") -> "BinaryForm":
         """Substitute s -> u, t -> w for forms u, w of one common degree."""
@@ -479,25 +479,26 @@ def _compose_terms(
 ) -> BinaryForm:
     """The form sum c * prod_i components[i]^e_i over the terms (e, c), c in
     the components' field, of the given degree. Each power components[i]^x
-    is built once; the sum is taken raw and brought into the field once per
-    coefficient."""
-    field = components[0].field
-    ladders = [[comp] for comp in components]  # ladders[i][x - 1] = components[i]^x
+    is built once, as a reduced coefficient list; a term's product of
+    powers and the sum are taken raw (_times), and each coefficient of the
+    sum is reduced into the field once."""
+    reduce = components[0].field.reduce
+    ladders = [[comp.coeffs] for comp in components]  # ladders[i][x - 1]: components[i]^x
     acc = [0] * (degree + 1)
     for e, c in terms:
         piece = None
         for ladder, x in zip(ladders, e):
             if x:
                 while len(ladder) < x:
-                    ladder.append(ladder[-1] * ladder[0])
-                piece = ladder[x - 1] if piece is None else piece * ladder[x - 1]
+                    ladder.append(list(map(reduce, _times(ladder[-1], ladder[0]))))
+                piece = ladder[x - 1] if piece is None else _times(piece, ladder[x - 1])
         if piece is None:  # the constant term of a degree-0 form
             acc[0] += c
             continue
-        for k, v in enumerate(piece.coeffs):
+        for k, v in enumerate(piece):
             if v:
                 acc[k] += c * v
-    return BinaryForm(field, degree, tuple(map(field.make, acc)))
+    return BinaryForm(components[0].field, degree, tuple(map(reduce, acc)))
 
 
 # -- gcd of binary forms -----------------------------------------------------------

@@ -13,6 +13,12 @@ an operation whose result needs a wider field repacks its operands
 first. Zero is the empty term tuple. Arithmetic, the jet and printing
 read the keys; `terms` is the unpacked view, the (exponent tuple,
 coefficient) pairs in the same order.
+
+Arithmetic sums and multiplies coefficients raw (ints, and Fractions
+over Q) and brings each stored coefficient into the field once with
+Field.reduce. mul_sub is the step self*a - head*b of fraction-free
+elimination: one sum_of_products when all four operands have two or
+more terms, two products and a difference otherwise.
 """
 
 from __future__ import annotations
@@ -204,8 +210,8 @@ class ParamScalar(Value):
     __radd__ = __add__
 
     def __neg__(self) -> "ParamScalar":
-        fneg = self.ring.field.neg
-        return ParamScalar(self.ring, tuple((e, fneg(c)) for e, c in self.packed), self.width)
+        reduce = self.ring.field.reduce
+        return ParamScalar(self.ring, tuple((e, reduce(-c)) for e, c in self.packed), self.width)
 
     def __sub__(self, other) -> "ParamScalar":
         other = self._coerce(other)
@@ -248,10 +254,10 @@ class ParamScalar(Value):
         if not b:
             return other
         ring = self.ring
-        f = ring.field
+        reduce = ring.field.reduce
         if not ring.names:
             # a field has no zero divisors, so the product term is nonzero
-            return ParamScalar(ring, ((0, f.mul(a[0][1], b[0][1])),), 1)
+            return ParamScalar(ring, ((0, reduce(a[0][1] * b[0][1])),), 1)
         if len(a) > 1 and len(b) > 1:
             return sum_of_products(ring, ((self, other),))
         w = self.width
@@ -261,10 +267,21 @@ class ParamScalar(Value):
         if len(a) == 1:
             a, b = b, a
         ((e0, c0),) = b  # adding e0 to every key keeps their order
-        fmul = f.mul
-        return ParamScalar(ring, tuple((e + e0, fmul(c, c0)) for e, c in a), w)
+        return ParamScalar(ring, tuple((e + e0, reduce(c * c0)) for e, c in a), w)
 
     __rmul__ = __mul__
+
+    def mul_sub(self, a: "ParamScalar", head: "ParamScalar", b: "ParamScalar") -> "ParamScalar":
+        """self*a - head*b, for scalars of self's ring. When all four have
+        two or more terms this is one sum_of_products: one accumulation,
+        one sort and one pass into the field, where two products and a
+        difference take three of each. A one-term factor makes its product
+        a shift of keys, which costs less than an accumulation, so such a
+        step keeps the two products (fusing every step of exactmatrix's
+        Bareiss loop doubled its time on the symbolic families)."""
+        if len(self.packed) > 1 and len(a.packed) > 1 and len(head.packed) > 1 and len(b.packed) > 1:
+            return sum_of_products(self.ring, ((self, a), (head, b)), (False, True))
+        return self * a - head * b
 
     def __pow__(self, n: int) -> "ParamScalar":
         if n < 0:
@@ -383,8 +400,8 @@ def sum_of_products(
 
     All the products share one accumulator keyed by their keys, at the
     width of the largest deg x + deg y, so adding two keys multiplies the
-    monomials. The raw coefficient sums are brought into the field once
-    per key, and the keys are sorted once. Over a ring with no parameters
+    monomials. The raw coefficient sums are reduced into the field once
+    per key (Field.reduce), and the keys are sorted once. Over a ring with no parameters
     the constants are summed raw.
     """
     live = []
@@ -399,7 +416,8 @@ def sum_of_products(
             -x.packed[0][1] * y.packed[0][1] if neg else x.packed[0][1] * y.packed[0][1]
             for x, y, neg in live
         )
-        return ring.const(total)
+        total = ring.field.reduce(total)
+        return ParamScalar(ring, ((0, total),), 1) if total else ring.zero()
     if not live:
         return ring.zero()
     w = _width(max(_degree(x) + _degree(y) for x, y, _ in live))
@@ -414,7 +432,7 @@ def sum_of_products(
                 key = k1 + k2
                 acc[key] = get(key, 0) + c1 * c2
     keys = sorted(acc, reverse=True)
-    terms = zip(keys, map(ring.field.make, map(acc.__getitem__, keys)))
+    terms = zip(keys, map(ring.field.reduce, map(acc.__getitem__, keys)))
     return _scalar(ring, tuple(t for t in terms if t[1]), w)  # field zeros are falsy
 
 
@@ -503,14 +521,15 @@ def jet_from(
 def _from_rows(out: ParamRing, rows: dict[int, list], size: int, w: int) -> list[ParamScalar]:
     """The `size` scalars of `out` whose raw coefficients at the parameter
     monomial pk (its fields at width w, no degree) stand in rows[pk]: each
-    is brought into the field once, and keyed by pk under its degree."""
+    is reduced into the field once (Field.reduce), and keyed by pk under
+    its degree."""
     top = 8 * w * out.k
     keyed = sorted(((pk + (_field_sum(pk, w) << top), acc) for pk, acc in rows.items()), reverse=True)
-    make = out.field.make
+    reduce = out.field.reduce
     terms: list = [[] for _ in range(size)]
     for key, acc in keyed:
         for i, v in enumerate(acc):
-            if v and (v := make(v)):  # field zeros are falsy
+            if v and (v := reduce(v)):  # field zeros are falsy
                 terms[i].append((key, v))
     zero = out.zero()
     return [_scalar(out, tuple(t), w) if t else zero for t in terms]

@@ -9,7 +9,10 @@ sum_of_products packs keys for the length of one call, in the base
 
 The oracle tests run the program's kernel and this one on the same
 operands, _bareiss of exactmatrix over both scalar classes, and both
-printers.
+printers. Both classes have mul_sub, the Bareiss step self*a - head*b:
+the program fuses it into one sum_of_products when all four operands
+have two or more terms, and this one always forms two products and their
+difference.
 """
 
 from __future__ import annotations
@@ -135,6 +138,11 @@ class TupleScalar:
             ((e0, c0),) = b
             return TupleScalar(self.ring, tuple((tuple(map(add, e, e0)), f.mul(c, c0)) for e, c in a))
         return sum_of_products(self.ring, ((self, other),))
+
+    def mul_sub(self, a: "TupleScalar", head: "TupleScalar", b: "TupleScalar") -> "TupleScalar":
+        """The Bareiss step self*a - head*b, taken plainly: two products
+        and a difference, whatever the term counts."""
+        return self * a - head * b
 
     def exact_div(self, divisor: "TupleScalar") -> "TupleScalar":
         divisor = self._coerce(divisor)

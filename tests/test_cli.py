@@ -92,6 +92,17 @@ form: S^3 + T^3 + Z1^3 + Z2^3 + Z3^3
 line: 4, 0, 0 | 0, 4, 0
 """
 
+# a cubic threefold over F_5 through the standard line, also of corank 1,
+# whose symbolic M(h) entries all have two or more terms (those of the
+# Fermat cubic above have one each)
+DENSE_CUBIC_THREEFOLD_F5 = """
+field: F:5
+N: 4
+degrees: 3
+form: 2*S^2*Z2 + 2*T^2*Z3 + 3*S*Z1*Z2 + Z1*Z2*Z3 + 2*Z1^2*Z3 + 3*Z2^2*Z3 + 2*Z3^3
+line: 0, 0, 0 | 0, 0, 0
+"""
+
 # parameters c1, c2, c3 over Q: M(h) has the entry (c1 + c2), and the local
 # equations print coefficients of several terms such as (c1*c2 + c2)*a5
 PARAMETRIC_Q = """
@@ -496,6 +507,37 @@ def test_corank_one_line_takes_no_determinant_of_full_size(capsys, tmp_path, mon
     report = json.loads(out)
     assert code == 0 and report["corank"] == 1 and report["num_local_equations"] == 1
     assert sizes and max(sizes) == 2
+
+
+def test_bordered_minor_takes_each_cofactor_in_one_accumulation(capsys, tmp_path, monkeypatch):
+    """At this corank-1 cubic-threefold line every entry of the three 2 x 2
+    cofactors has two or more terms, so each cofactor is one two-pair
+    sum_of_products, and the bordered minor one more: 4 calls, where two
+    products and a difference per cofactor took 7."""
+    import cilines.nonfree as nonfree
+    from cilines import params
+
+    inside, calls = [], []
+    plain_sum, bordered = params.sum_of_products, nonfree.bordered_minors
+
+    def counted_sum(*args):
+        calls.extend(inside)
+        return plain_sum(*args)
+
+    def counted_bordered(*args):
+        inside.append(1)
+        try:
+            return bordered(*args)
+        finally:
+            inside.pop()
+
+    for module in (params, nonfree):
+        monkeypatch.setattr(module, "sum_of_products", counted_sum)
+    monkeypatch.setattr(nonfree, "bordered_minors", counted_bordered)
+    code, out = run(capsys, "classify-line", write_problem(tmp_path, "c3.ci", DENSE_CUBIC_THREEFOLD_F5))
+    report = json.loads(out)
+    assert code == 0 and report["corank"] == 1 and report["num_local_equations"] == 1
+    assert len(calls) == 4
 
 
 def test_cofactors_of_a_long_head_pivot_on_its_constants(capsys, monkeypatch):

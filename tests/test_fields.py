@@ -1,3 +1,5 @@
+import copy
+import pickle
 import random
 import sys
 from fractions import Fraction
@@ -114,3 +116,54 @@ def test_rational_inverse_and_quotient_are_exact(a):
 def test_printing_a_rational_too_long_for_str_is_a_named_error(a):
     with pytest.raises(BudgetExceeded):
         RATIONALS.to_str(a)
+
+
+#: 2^61 - 1, a Mersenne prime: the largest modulus Field allows
+LARGEST_PRIME = (1 << 61) - 1
+
+
+def same(got, want) -> bool:
+    """Equal in value and in class: an int and the Fraction of the same
+    value compare equal."""
+    return got == want and type(got) is type(want)
+
+
+@pytest.mark.parametrize("p", [2, 3, 7, 101, LARGEST_PRIME])
+def test_reduce_equals_make_on_raw_ints_over_f_p(rng, p):
+    """The hot loops sum and multiply field elements raw and reduce each
+    stored value once: negative sums, sums past p^2, and products."""
+    f = prime_field(p)
+    raws = [0, 1, -1, p - 1, p, -p, p * p, p * p - 1, -p * p, p**3 + 1, -(p**3) - 1]
+    for _ in range(300):
+        a, b, c = (rng.randrange(p) for _ in range(3))
+        raws += [a * b, -a * b, a * b + c * c, a - b * c, a * b * c * p + a, rng.randint(-(p**3), p**3)]
+    for x in raws:
+        assert same(f.reduce(x), f.make(x)), x
+        assert 0 <= f.reduce(x) < p
+
+
+def test_reduce_equals_make_on_raw_rationals(rng):
+    f = RATIONALS
+    raws = [0, 1, -1, 10**40, -(10**40), Fraction(6, 3), Fraction(-8, 4), Fraction(1, 2), Fraction(-3, 7)]
+    for _ in range(300):
+        a = Fraction(rng.randint(-50, 50), rng.randint(1, 12))
+        b = Fraction(rng.randint(-50, 50), rng.randint(1, 12))
+        n = rng.randint(-50, 50)
+        raws += [a * b, a - b * n, a + b, a * n, n * n - n]
+    for x in raws:
+        assert same(f.reduce(x), f.make(x)), x
+    for x in (Fraction(6, 3), Fraction(-8, 4), Fraction(1, 2) + Fraction(1, 2)):
+        assert type(f.reduce(x)) is int  # an integral Fraction comes back as int
+
+
+def test_reduce_leaves_equality_hash_repr_and_pickle_on_p_alone():
+    for f, text in ((prime_field(7), "Field(p=7)"), (RATIONALS, "Field(p=None)")):
+        again = Field(f.p)
+        assert f == again and hash(f) == hash(again) == hash(f.p)  # as with the one slot p
+        assert repr(f) == text
+        for back in (pickle.loads(pickle.dumps(f)), copy.copy(f), copy.deepcopy(f)):
+            assert back == f and hash(back) == hash(f) and repr(back) == text
+            assert back.reduce(-3) == f.reduce(-3) == f.make(-3)
+    assert prime_field(7) != prime_field(5)
+    with pytest.raises(AttributeError):
+        prime_field(7).reduce = abs

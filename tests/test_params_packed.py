@@ -232,27 +232,46 @@ def test_exponent_views_are_tuples_at_every_width():
         assert f.field_terms() == [((200, 1), 1), ((0, 201), 1)]
 
 
-def test_bareiss_works_the_same_grid_over_both_kernels(rng):
+def test_bareiss_works_the_same_grid_over_both_kernels(rng, monkeypatch):
+    """Every third grid has entries of two or more terms only, so its first
+    step takes each piv*a - head*b as one two-pair sum_of_products (mul_sub);
+    the reference always forms two products and their difference."""
+    fused = []
+    plain_sum = params.sum_of_products
+
+    def counted(ring, pairs, signs=()):
+        fused.extend(pairs[1:])
+        return plain_sum(ring, pairs, signs)
+
+    monkeypatch.setattr(params, "sum_of_products", counted)
     checked = 0
     for field in FIELDS:
         for names in (("c1",), ("c1", "c2", "c3")):
             ring = ParamRing(field, names)
-            for trial in range(8):
+            for trial in range(12):
                 rows, cols = rng.randint(2, 4), rng.randint(2, 5)
                 edge = 40 if trial % 4 == 3 else None  # products of pivots pass degree 128
-                grid = [
-                    [
-                        ring.zero() if rng.random() < 0.25
-                        else random_operand(rng, ring, rng.randint(1, 3), edge=edge)
-                        for _ in range(cols)
-                    ]
-                    for _ in range(rows)
-                ]
-                m = ExactMatrix.from_rows(ring, grid)
+                dense = trial % 3 == 2
+
+                def entry():
+                    if dense:
+                        x = ring.zero()
+                        while len(x.packed) < 2:
+                            x = random_operand(rng, ring, rng.randint(2, 4), edge=edge)
+                        return x
+                    if rng.random() < 0.25:
+                        return ring.zero()
+                    return random_operand(rng, ring, rng.randint(1, 3), edge=edge)
+
+                m = ExactMatrix.from_rows(ring, [[entry() for _ in range(cols)] for _ in range(rows)])
+                before = len(fused)
                 rank, work, row_ids, col_ids = _bareiss(m)
+                assert len(fused) > before or not dense
                 want_rank, want, want_rows, want_cols = _bareiss(ref.TupleMatrix(m))
                 assert (rank, row_ids, col_ids) == (want_rank, want_rows, want_cols)
+                assert len(work) == len(want)
                 for got_row, want_row in zip(work, want):
+                    assert len(got_row) == len(want_row)
                     for got, exp in zip(got_row, want_row):
                         assert typed(got.terms) == typed(exp.terms)
                 checked += rank
