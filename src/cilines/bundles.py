@@ -25,9 +25,10 @@ line, so the normal splitting takes that matrix from its caller
 section count says so. Since T_X|_L = O(2) (+) N_{L/X}, a line's tangent
 cohomology follows from its splitting type.
 
-Tangent cohomology along a general curve (curve-check) composes the
-Jacobian with the curve by chart.restricted_jacobian, decides smoothness
-by its minors, and is eliminated once, at its largest twist.
+Tangent cohomology along a general curve (curve-check) takes the
+Jacobian along the curve, and its containment check, from one walk per
+form (chart.restricted_jacobian), decides smoothness by its minors, and
+is eliminated once, at its largest twist.
 """
 
 from __future__ import annotations
@@ -43,17 +44,15 @@ from .errors import (
     AllZero,
     BasePointedCover,
     ConstraintViolated,
-    CurveNotOnX,
     InvariantViolated,
     ParameterPresent,
-    RingMismatch,
     SingularAlongCurve,
     SingularAlongLine,
     TwistTooNegative,
 )
 from .exactmatrix import ExactMatrix, kernel_basis
 from .fields import Value, slot_setters
-from .geometry import CIType, CompleteIntersection, RationalCurve, restrict_along
+from .geometry import CIType, CompleteIntersection, RationalCurve
 from .multipoly import BinaryForm, binary_gcd
 from .params import ParamRing, require_constant
 
@@ -129,15 +128,8 @@ def tangent_cohomology(
         raise TwistTooNegative(f"twist {m} is below -1")
     if not x.is_parameter_free:
         raise ParameterPresent("tangent cohomology needs parameter-free forms")
-    if mu.field != x.field:
-        raise RingMismatch("curve and variety live over different fields")
     comps = mu.components
-    if len(comps) != x.n + 1:
-        raise ConstraintViolated(f"curve has {len(comps)} components, expected {x.n + 1}")
-    for form in x.forms:
-        if not restrict_along(form, comps).is_zero:
-            raise CurveNotOnX(f"{form} does not vanish along the curve")
-    jac = restricted_jacobian(x, comps)
+    jac = restricted_jacobian(x, comps)  # CurveNotOnX, and restrict_along's checks of mu
     if not smooth_along_components(x, jac):
         raise SingularAlongCurve("X is singular somewhere along the curve")
 

@@ -15,8 +15,9 @@ block i is the coefficient vector of the restricted partial derivative
 (dh^i/dZ_j) composed with the line, against the basis
 s^{d^i-1}, ..., t^{d^i-1}. For a line on X along which X is smooth, the
 line is free exactly when M(h) evaluated at the chart point has full
-column rank |d|. nonfree_matrix evaluates M(h) at a line in one walk over
-each form's terms; the symbolic grid, read off the membership system by
+column rank |d|. M(h) at a line and the Jacobian along a curve each come
+from one walk per form (multipoly._compose_terms), with the containment
+check; the symbolic grid, read off the membership system by
 _nonfree_entries, is built only for the local equations at a corank-1
 line with m = N - |d| >= 1 (nonfree.jacobian_def_matrix).
 """
@@ -30,6 +31,7 @@ from typing import Iterator, Sequence
 
 from .errors import (
     BudgetExceeded,
+    CurveNotOnX,
     InfiniteField,
     InvariantViolated,
     LineNotContained,
@@ -38,8 +40,7 @@ from .errors import (
 from .exactmatrix import ExactMatrix, RankResult, rank_exact
 from .fields import Field, Scalar, Value, slot_setters
 from .geometry import CompleteIntersection, LineChartPoint, ambient_variables, restrict_along
-from .monomials import _exps
-from .multipoly import BinaryForm, MultiPoly, PolyRing, _times, binary_gcd
+from .multipoly import BinaryForm, MultiPoly, PolyRing, _compose_terms, _prefixed_terms, binary_gcd
 from .params import ParamRing, ParamScalar, _from_rows
 
 
@@ -137,47 +138,18 @@ def _nonfree_entries(
 
 def nonfree_matrix(x: CompleteIntersection, at: LineChartPoint) -> NonFreeMatrix:
     """Build M(h) at a chart line, which must lie on X, with the rank of
-    the evaluated matrix, from one walk over each form's flat terms. On
-    the line Z_j is L_j = a_j s + b_j t, whose powers are formed once. A
-    term c S^eS T^eT prod Z_j^e_j adds its restriction to h|_L, whose
-    d + 1 coefficients are the containment check (LineNotContained), and
-    e_j (term / Z_j)|_L to row j of M(h), d coefficients in the form's
-    block. A slot with L_j = 0 (any slot of the standard line) zeroes all
-    of these but row j's, and that one too unless e_j = 1. The sums are
-    raw, in one row per parameter prefix of the keys (params._from_rows)."""
+    the evaluated matrix, from one walk over each form's terms
+    (multipoly._compose_terms) along the curve s, t, a_j s + b_j t with
+    the Z_j as rows: h|_L is the containment check (LineNotContained),
+    and row j, d raw coefficients per parameter prefix, is row j of the
+    form's block (params._from_rows)."""
     n, out = x.n, x.coeff_ring
-    reduce, k = out.field.reduce, out.k
     vals = at.values(n)
-    ladders = [[[1], [vals[f"a{j}"], vals[f"b{j}"]]] for j in range(1, n)]  # [j][e] = L_j^e
-    live = [any(ladder[1]) for ladder in ladders]
+    images = [(1, 0), (0, 1)] + [(vals[f"a{j}"], vals[f"b{j}"]) for j in range(1, n)]
     blocks = []
     for form, d in zip(x.forms, x.ci_type.degrees):
-        flat = form.flat
-        slots, w = flat.ring.k, flat.width
-        cut, mask = 8 * w * (n + 1), (1 << 8 * w * k) - 1
-        rows: dict[int, list] = {}  # h|_L, then row j's block at (j + 1) d + 1
-        for key, c in flat.packed:
-            e = key.to_bytes(slots + 1, "big")[k + 1 :] if w == 1 else _exps(key, slots, w)[k:]
-            used = [(j, ex) for j, ex in enumerate(e[2:]) if ex]
-            dead = [(j, ex) for j, ex in used if not live[j]]
-            if not dead:  # (place in the row, multiplier, the slot lowered by one)
-                targets = [(e[1], c, -1)] + [((j + 1) * d + 1 + e[1], c * ex, j) for j, ex in used]
-            elif len(dead) == 1 and dead[0][1] == 1:
-                targets = [((dead[0][0] + 1) * d + 1 + e[1], c, dead[0][0])]
-            else:
-                continue
-            acc = rows.get(pk := key >> cut & mask) or rows.setdefault(pk, [0] * (n * d + 1))
-            for base, m, low in targets:
-                prod = (1,)
-                for j, ex in used:
-                    ladder = ladders[j]
-                    while len(ladder) <= ex:
-                        ladder.append(list(map(reduce, _times(ladder[-1], ladder[1]))))
-                    piece = ladder[ex - (j == low)]
-                    prod = _times(prod, piece) if len(prod) > 1 else piece  # degree 0: 1
-                for i, v in enumerate(prod, base):
-                    acc[i] += m * v
-        outs = _from_rows(out, rows, n * d + 1, w)
+        rows = _compose_terms(_prefixed_terms(form), images, range(2, n + 1), d, out.field.reduce)
+        outs = _from_rows(out, rows, n * d + 1, form.flat.width)
         if not all(v.is_zero for v in outs[: d + 1]):
             raise LineNotContained("the chart line is not on X")
         blocks.append([outs[(j + 1) * d + 1 : (j + 2) * d + 1] for j in range(n - 1)])
@@ -207,15 +179,16 @@ def _maximal_minors(jac: Sequence[Sequence[BinaryForm]]) -> dict[tuple[int, ...]
 def restricted_jacobian(
     x: CompleteIntersection, components: Sequence[BinaryForm]
 ) -> list[list[BinaryForm]]:
-    """Full Jacobian (dh^i/dW for all N+1 coordinates W) restricted along
-    the given curve components; row i has entries of degree b(d^i - 1)."""
+    """The full Jacobian (dh^i/dW for all N+1 coordinates W) along a curve
+    on X, from one walk over each form (restrict_along with every row),
+    which refuses a form that does not vanish there (CurveNotOnX); row i
+    has entries of degree b(d^i - 1)."""
     rows = []
-    for form, d in zip(x.forms, x.ci_type.degrees):
-        row = [
-            restrict_along(form.differentiate(w), components, form_degree=d - 1)
-            for w in x.ring.variables
-        ]
-        rows.append(row)
+    for form in x.forms:
+        h, partials = restrict_along(form, components, range(x.n + 1))
+        if not h.is_zero:
+            raise CurveNotOnX(f"{form} does not vanish along the curve")
+        rows.append(partials)
     return rows
 
 

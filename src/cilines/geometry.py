@@ -15,9 +15,9 @@ from __future__ import annotations
 
 from typing import Sequence
 
-from .errors import AllZero, ConstraintViolated, NotHomogeneous, RingMismatch
+from .errors import AllZero, ConstraintViolated, NotHomogeneous, ParameterPresent, RingMismatch
 from .fields import Field, Scalar, Value, slot_setters
-from .multipoly import BinaryForm, MultiPoly, PolyRing, _compose_terms, binary_gcd
+from .multipoly import BinaryForm, MultiPoly, PolyRing, _compose_terms, _prefixed_terms, binary_gcd
 from .params import ParamRing
 
 
@@ -197,30 +197,29 @@ _set_field, _set_a, _set_b = slot_setters(LineChartPoint)
 
 
 def restrict_along(
-    form: MultiPoly, components: Sequence[BinaryForm], form_degree: int | None = None
-) -> BinaryForm:
-    """Compose a homogeneous form with a tuple of binary forms, one per
-    ambient coordinate in ring order; the result has degree b * deg(form).
-
-    form_degree pins the degree when the form may be identically zero
-    (a vanishing partial derivative still occupies a fixed-degree slot in
-    Jacobian matrices). The coefficients of the form must be constants
-    (ParameterPresent) of the components' field.
-    """
+    form: MultiPoly, components: Sequence[BinaryForm], rows: Sequence[int] = ()
+) -> BinaryForm | tuple[BinaryForm, list[BinaryForm]]:
+    """h|_C: a homogeneous form composed with binary forms, one per ambient
+    coordinate in ring order, by the walk of multipoly._compose_terms, of
+    degree b deg(h) (0 for the zero form). With `rows`, coordinate
+    indices, the pair (h|_C, [(dh/dW)|_C for each W of rows]) from that
+    one walk. The form's coefficients must be constants
+    (ParameterPresent) of the components' field."""
     d = form.homogeneous_degree()
-    if d is None:
-        if form.is_zero:
-            d = form_degree if form_degree is not None else 0
-        else:
-            raise NotHomogeneous(f"{form} is not homogeneous")
-    elif form_degree is not None and d != form_degree:
-        raise NotHomogeneous(f"{form} has degree {d}, expected {form_degree}")
-    b = components[0].degree
+    if d is None and not form.is_zero:
+        raise NotHomogeneous(f"{form} is not homogeneous")
+    d = d or 0
     if len(components) != form.ring.n:
-        raise ConstraintViolated(
-            f"{len(components)} components for {form.ring.n} coordinates"
-        )
-    field = components[0].field
+        raise ConstraintViolated(f"{len(components)} components for {form.ring.n} coordinates")
+    field, b = components[0].field, components[0].degree
     if form.ring.coeffs.field != field:
         raise RingMismatch("form and components live over different fields")
-    return _compose_terms(form.field_terms(), components, b * d)
+    if not form.is_parameter_free:
+        raise ParameterPresent(f"{form} carries parameters")
+    reduce, top, size = field.reduce, b * d + 1, b * (d - 1) + 1
+    walk = _compose_terms(_prefixed_terms(form), [c.coeffs for c in components], rows, d, reduce)
+    acc = tuple(map(reduce, walk[0]))
+    h = BinaryForm(field, top - 1, acc[:top])
+    if not rows:
+        return h
+    return h, [BinaryForm(field, size - 1, acc[k : k + size]) for k in range(top, len(acc), size)]

@@ -16,14 +16,14 @@ ParamScalar in the parameters.
 
 BinaryForm is the dense degree-d form in the line coordinates (s:t),
 stored as its vector of base-field coefficients against the monomial
-basis s^d, s^{d-1} t, ..., t^d. Restrictions of forms to lines and rational
-curves, and all the one-variable cohomology bookkeeping, live here.
+basis s^d, s^{d-1} t, ..., t^d. One walk, _compose_terms, composes forms
+and their partials with lines, curves and covers.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from .errors import (
     AllZero,
@@ -446,9 +446,10 @@ class BinaryForm(Value):
         """Substitute s -> u, t -> w for forms u, w of one common degree."""
         if u.degree != w.degree or u.field != self.field or w.field != self.field:
             raise RingMismatch("cover components must share degree and field")
-        d = self.degree
-        terms = (((d - k, k), c) for k, c in enumerate(self.coeffs) if c)
-        return _compose_terms(terms, (u, w), d * u.degree)
+        d, reduce = self.degree, self.field.reduce
+        terms = ((0, (d - k, k), c) for k, c in enumerate(self.coeffs) if c)
+        acc = _compose_terms(terms, (u.coeffs, w.coeffs), (), d, reduce)[0]
+        return BinaryForm(self.field, d * u.degree, tuple(map(reduce, acc)))
 
     def __str__(self) -> str:
         return _print_sum(
@@ -474,31 +475,68 @@ def _times(p: Sequence[Scalar], q: Sequence[Scalar]) -> list:
     return out
 
 
+def _prefixed_terms(form: MultiPoly) -> Iterator[tuple[int, Sequence[int], Scalar]]:
+    """(parameter prefix, coordinate exponents, coefficient) per term of a
+    form; the prefix is the key's parameter fields, 0 with no parameters."""
+    flat, k = form.flat, form.ring.coeffs.k
+    slots, w = flat.ring.k, flat.width
+    cut, mask = 8 * w * form.ring.n, (1 << 8 * w * k) - 1
+    for key, c in flat.packed:
+        e = key.to_bytes(slots + 1, "big")[k + 1 :] if w == 1 else _exps(key, slots, w)[k:]
+        yield key >> cut & mask, e, c
+
+
 def _compose_terms(
-    terms: Iterable[tuple[Exps, Scalar]], components: Sequence[BinaryForm], degree: int
-) -> BinaryForm:
-    """The form sum c * prod_i components[i]^e_i over the terms (e, c), c in
-    the components' field, of the given degree. Each power components[i]^x
-    is built once, as a reduced coefficient list; a term's product of
-    powers and the sum are taken raw (_times), and each coefficient of the
-    sum is reduced into the field once."""
-    reduce = components[0].field.reduce
-    ladders = [[comp.coeffs] for comp in components]  # ladders[i][x - 1]: components[i]^x
-    acc = [0] * (degree + 1)
-    for e, c in terms:
-        piece = None
-        for ladder, x in zip(ladders, e):
-            if x:
-                while len(ladder) < x:
-                    ladder.append(list(map(reduce, _times(ladder[-1], ladder[0]))))
-                piece = ladder[x - 1] if piece is None else _times(piece, ladder[x - 1])
-        if piece is None:  # the constant term of a degree-0 form
-            acc[0] += c
+    terms: Iterable[tuple], images: Sequence[Sequence], rows: Iterable[int], degree: int, reduce
+) -> dict[int, list]:
+    """Compose a form of the given degree, by its terms (_prefixed_terms),
+    with a curve, by one image per coordinate: a binary form's coefficient
+    list, all of one degree b. Each parameter prefix, 0 always, gets one
+    raw list: h|_C (b degree + 1 coefficients), then for each W of `rows`
+    e_W (term / W)|_C, which is (dh/dW)|_C (b (degree - 1) + 1 each).
+    A zero image keeps of a term that uses W only row W, and only when
+    e_W = 1. An image v t^p multiplies by v^x and shifts by p x. Any other
+    image multiplies by its power, from reduced powers formed once each."""
+    b = len(images[0]) - 1
+    place, size = {}, b * degree + 1  # place[W]: where row W's block starts
+    for w in rows:
+        place[w], size = size, size + b * (degree - 1) + 1
+    shift, ladders = [], []  # v t^p: p and v; 0: None and None; else None and [1, img, ...]
+    for img in images:
+        one = len(img) - img.count(0) == 1  # field zeros equal 0
+        p = next(p for p, v in enumerate(img) if v) if one else None
+        shift.append(p)
+        ladders.append(img[p] if one else [[1], list(img)] if any(img) else None)
+    out: dict[int, list] = {0: [0] * size}
+    for pk, e, c in terms:
+        used = [(i, x) for i, x in enumerate(e) if x]
+        dead = [(i, x) for i, x in used if ladders[i] is None]
+        if not dead:  # (place in the row, multiplier, the coordinate lowered by one)
+            targets = [(0, c, -1)] + [(place[i], c * x, i) for i, x in used if i in place]
+        elif len(dead) == 1 and dead[0][1] == 1 and dead[0][0] in place:
+            targets = [(place[dead[0][0]], c, dead[0][0])]
+        else:
             continue
-        for k, v in enumerate(piece):
-            if v:
-                acc[k] += c * v
-    return BinaryForm(components[0].field, degree, tuple(map(reduce, acc)))
+        acc = out.get(pk) or out.setdefault(pk, [0] * size)
+        for base, m, low in targets:
+            prod = None
+            for i, x in used:
+                x -= i == low
+                if not x:
+                    continue
+                ladder, p = ladders[i], shift[i]
+                if p is not None:
+                    base, m = base + p * x, m * ladder**x
+                    continue
+                while len(ladder) <= x:
+                    ladder.append(list(map(reduce, _times(ladder[-1], ladder[1]))))
+                prod = ladder[x] if prod is None else _times(prod, ladder[x])
+            if prod is None:
+                acc[base] += m
+            else:
+                for k, v in enumerate(prod, base):
+                    acc[k] += m * v
+    return out
 
 
 # -- gcd of binary forms -----------------------------------------------------------

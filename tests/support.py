@@ -3,8 +3,10 @@ program's objects that the program itself never needs (evaluation at a
 point, a parameter as a polynomial, a form from loose scalars, the line
 of a chart point as a curve and the local equations alone among them),
 the per-dom section kernel that bundles._section_kernel_dims reads in
-one pass, and M(h) at a line read off the membership system by jets,
-the route chart.nonfree_matrix replaced."""
+one pass, and the routes that the composition walk of
+multipoly._compose_terms replaced: M(h) at a line read off the
+membership system by jets, and the Jacobian along a curve as each
+partial derivative composed term by term."""
 
 from __future__ import annotations
 
@@ -68,6 +70,59 @@ def nonfree_matrix_by_jets(x: CompleteIntersection, at: LineChartPoint) -> NonFr
                 columns.append(partials)
     matrix = ExactMatrix.from_rows(x.coeff_ring, [list(row) for row in zip(*columns)])
     return NonFreeMatrix(at, matrix, rank_exact(matrix))
+
+
+def naive_mul(field: Field, f: Sequence[Scalar], g: Sequence[Scalar]) -> list[Scalar]:
+    """Reference for BinaryForm.__mul__: every product formed and added
+    with the field's own operations, zeros included."""
+    out = [field.zero] * (len(f) + len(g) - 1)
+    for i, a in enumerate(f):
+        for j, b in enumerate(g):
+            out[i + j] = field.add(out[i + j], field.mul(a, b))
+    return out
+
+
+def naive_power(field: Field, f: Sequence[Scalar], x: int) -> list[Scalar]:
+    out = [field.one]
+    for _ in range(x):
+        out = naive_mul(field, out, f)
+    return out
+
+
+def naive_compose_terms(
+    field: Field, terms, comps: Sequence[Sequence[Scalar]], degree: int
+) -> list[Scalar]:
+    """sum c * prod comps[i]^e_i over the terms (e, c), each power by
+    repeated naive_mul."""
+    out = [field.zero] * (degree + 1)
+    for e, c in terms:
+        piece = [c]
+        for comp, x in zip(comps, e):
+            piece = naive_mul(field, piece, naive_power(field, list(comp), x))
+        out = [field.add(a, b) for a, b in zip(out, piece)]
+    return out
+
+
+def restricted_jacobian_by_partials(
+    x: CompleteIntersection, components: Sequence[BinaryForm]
+) -> list[list[BinaryForm]]:
+    """Reference for chart.restricted_jacobian, the route it replaced:
+    each form differentiated by each of the N + 1 coordinates
+    (MultiPoly.differentiate), and each partial composed with the curve
+    term by term (naive_compose_terms). It checks no containment."""
+    field, b = x.field, components[0].degree
+    comps = [c.coeffs for c in components]
+    return [
+        [
+            BinaryForm(
+                field,
+                b * (d - 1),
+                tuple(naive_compose_terms(field, form.differentiate(w).field_terms(), comps, b * (d - 1))),
+            )
+            for w in x.ring.variables
+        ]
+        for form, d in zip(x.forms, x.ci_type.degrees)
+    ]
 
 
 def is_smooth_along_line(x: CompleteIntersection, point: LineChartPoint) -> bool:

@@ -295,32 +295,40 @@ def test_nonfree_matrix_matches_the_jets_of_the_membership_system(rng, char, par
     field = field_of_char(char)
     seen = {True: 0, False: 0}
     for draw in range(40):
-        n = rng.randint(3, 6)
-        degrees = (rng.randint(1, 4),) if n < 5 or rng.random() < 0.5 else (2, rng.randint(1, 3))
-        ring = ambient_ring(field, n, params)
-        # every fifth point is the standard line; elsewhere a third of the
-        # entries are 0 and the rest any small value, 0 too
-        a, b = (
-            [draw % 5 and rng.randrange(3) and rng.randrange(field.p or 9) for _ in range(n - 1)]
-            for _ in "ab"
-        )
-        point = LineChartPoint(field, tuple(a), tuple(b))
-        s, t = ring.var("S"), ring.var("T")
-        shift = {"S": s, "T": t}
-        for j in range(1, n):
-            shift[f"Z{j}"] = ring.var(f"Z{j}") - s * a[j - 1] - t * b[j - 1]
-        off = rng.random() < 0.3
-        forms = []
-        for d in degrees:
-            form = _form_on_the_standard_line(rng, ring, d).substitute(shift)
-            if off:
-                form = form + random_homogeneous(rng, ring, d, n_terms=2)
-            forms.append(form if not form.is_zero else ring.var("S") ** d)
-        x = CompleteIntersection(CIType(n, degrees), tuple(forms))
+        x, point = draw_through_a_chart_point(rng, field, params, draw % 5 == 0)
         ours = _route(nonfree_matrix, x, point)
         assert ours == _route(nonfree_matrix_by_jets, x, point)
         seen[ours != "LineNotContained"] += 1
     assert seen[True] and seen[False]
+
+
+def draw_through_a_chart_point(rng, field, params, standard):
+    """(X, chart point), X on the line three times in ten. Each form of X
+    is one on the standard line moved onto the point by
+    Z_j -> Z_j - a_j S - b_j T, and a random form is added to take X off
+    the line. The point is the standard line when `standard` is set;
+    elsewhere a third of its entries are 0 and the rest any small value,
+    0 too."""
+    n = rng.randint(3, 6)
+    degrees = (rng.randint(1, 4),) if n < 5 or rng.random() < 0.5 else (2, rng.randint(1, 3))
+    ring = ambient_ring(field, n, params)
+    a, b = (
+        [0 if standard else rng.randrange(3) and rng.randrange(field.p or 9) for _ in range(n - 1)]
+        for _ in "ab"
+    )
+    point = LineChartPoint(field, tuple(a), tuple(b))
+    s, t = ring.var("S"), ring.var("T")
+    shift = {"S": s, "T": t}
+    for j in range(1, n):
+        shift[f"Z{j}"] = ring.var(f"Z{j}") - s * a[j - 1] - t * b[j - 1]
+    off = rng.random() < 0.3
+    forms = []
+    for d in degrees:
+        form = _form_on_the_standard_line(rng, ring, d).substitute(shift)
+        if off:
+            form = form + random_homogeneous(rng, ring, d, n_terms=2)
+        forms.append(form if not form.is_zero else ring.var("S") ** d)
+    return CompleteIntersection(CIType(n, degrees), tuple(forms)), point
 
 
 def _rational(sympy, v):
@@ -461,11 +469,12 @@ def test_maximal_minors_match_determinants_at_enough_points(rng):
 
 
 def test_proportional_jacobian_rows_have_only_zero_minors(rng):
-    """Two forms h and 3h: the rows of the restricted Jacobian are
-    proportional, every 2 x 2 minor vanishes, and X is not smooth along
-    the line."""
+    """Two forms h and 3h through the standard line: the rows of the
+    restricted Jacobian are proportional, every 2 x 2 minor vanishes,
+    and X is not smooth along the line."""
     field = prime_field(101)
-    h = random_homogeneous(rng, ambient_ring(field, 4), 2)
+    ring = ambient_ring(field, 4)
+    h = sum(random_homogeneous(rng, ring, 1) * ring.var(z) for z in ("Z1", "Z2", "Z3"))
     x = CompleteIntersection(CIType(4, (2, 2)), (h, 3 * h))
     jac = restricted_jacobian(x, line_param(LineChartPoint.standard(field, 4)).components)
     assert all(m.is_zero for m in _maximal_minors(jac).values())

@@ -205,6 +205,34 @@ def test_enumerate_lines_classify_golden(capsys, tmp_path):
     check_golden("enumerate_quadric_F3_classify.json", out)
 
 
+@pytest.mark.parametrize(
+    "problem, text, args, golden",
+    [
+        (
+            "curve_quintic_F7.ci",
+            QUINTIC_F7,
+            ("--twist", "0", "--cover", "3"),
+            "curve_quintic_F7_twist0_cover3.json",
+        ),
+        (
+            "curve_four_quadrics_P12.ci",
+            FOUR_QUADRICS_P12,
+            ("--twist", "-1", "--cover", "2"),
+            "curve_four_quadrics_P12_twist-1_cover2.json",
+        ),
+    ],
+    ids=["quintic-F7", "four-quadrics-P12"],
+)
+def test_curve_check_golden(capsys, problem, text, args, golden):
+    """curve-check on a problem file kept beside its golden report; the
+    file holds the text of this module's constant for the same variety."""
+    path = GOLDEN / problem
+    assert path.read_text(encoding="utf-8") == text.lstrip("\n")
+    code, out = run(capsys, "curve-check", str(path), *args)
+    assert code == 0
+    check_golden(golden, out)
+
+
 def test_byte_determinism(capsys):
     _, first = run(capsys, "verify-example", "hyp-4-6", "--char", "3")
     _, second = run(capsys, "verify-example", "hyp-4-6", "--char", "3")
@@ -375,29 +403,51 @@ def test_classify_line_takes_the_normal_splitting_once(capsys, tmp_path, monkeyp
 
 
 def test_classify_line_restricts_nothing(capsys, tmp_path, monkeypatch):
-    """classify-line hands M(h) at the line to the normal splitting, so
-    no form is ever restricted along the line; curve-check, along a
-    general curve, still restricts."""
-    import cilines.bundles as bundles
+    """One walk (multipoly._compose_terms) composes each form with a line
+    or a curve. classify-line hands M(h) at the line to the normal
+    splitting, so its only walks are nonfree_matrix's, one per form, and
+    nothing is composed along a curve. curve-check composes each form
+    with the curve once, in restricted_jacobian's restrict_along, which
+    gives the containment check and every row of the Jacobian, and it
+    differentiates nothing; a cover composes each curve component in the
+    same walk (BinaryForm.compose)."""
     import cilines.chart as chart
     import cilines.geometry as geometry
+    import cilines.multipoly as multipoly
 
-    calls = []
-    restrict = geometry.restrict_along
+    walks, differentiated = [], []
+    walk, differentiate = multipoly._compose_terms, MultiPoly.differentiate
 
-    def counted(*args, **kwargs):
-        calls.append(args[0])
-        return restrict(*args, **kwargs)
+    def counted_walk(*args):
+        caller = sys._getframe(1).f_code.co_name
+        if caller == "restrict_along":
+            caller = f"{sys._getframe(2).f_code.co_name}/restrict_along"
+        walks.append(caller)
+        return walk(*args)
 
-    for module in (geometry, chart, bundles):
-        monkeypatch.setattr(module, "restrict_along", counted)
-    for name, text in (("cubic.ci", CUBIC_F7_CORANK_1), ("two.ci", TWO_QUADRICS_F5)):
+    def counted_differentiate(self, *args):
+        differentiated.append(args)
+        return differentiate(self, *args)
+
+    for module in (multipoly, geometry, chart):
+        monkeypatch.setattr(module, "_compose_terms", counted_walk)
+    monkeypatch.setattr(MultiPoly, "differentiate", counted_differentiate)
+    for name, text, forms in (("cubic.ci", CUBIC_F7_CORANK_1, 1), ("two.ci", TWO_QUADRICS_F5, 2)):
         code, out = run(capsys, "classify-line", write_problem(tmp_path, name, text))
         assert code == 0 and "tangent_h0_h1_twist_0" in json.loads(out)
-    assert calls == []
+        assert walks == ["nonfree_matrix"] * forms
+        walks.clear()
 
-    code, _ = run(capsys, "curve-check", write_problem(tmp_path, "quintic.ci", QUINTIC_F7))
-    assert code == 0 and calls
+    differentiated.clear()  # the corank-1 cubic's local equations differentiate
+    code, _ = run(capsys, "curve-check", write_problem(tmp_path, "four.ci", FOUR_QUADRICS_P12))
+    assert code == 0
+    assert walks == ["restricted_jacobian/restrict_along"] * 4 and differentiated == []
+    walks.clear()
+    # a cover composes each of the quintic's four curve components in the same walk
+    code, _ = run(capsys, "curve-check", write_problem(tmp_path, "q.ci", QUINTIC_F7), "--cover", "2")
+    assert code == 0
+    assert walks == ["compose"] * 4 + ["restricted_jacobian/restrict_along"]
+    assert differentiated == []
 
 
 def test_smoothness_minors_serve_curve_check_only(capsys, tmp_path, monkeypatch):

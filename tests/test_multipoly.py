@@ -27,7 +27,7 @@ from conftest import (
     random_scalar,
 )
 from multipoly_reference import NestedPoly
-from support import evaluate, form_from_scalars, gradient_at, param
+from support import evaluate, form_from_scalars, gradient_at, naive_compose_terms, naive_mul, param
 
 
 def test_differentiate_examples():
@@ -479,34 +479,6 @@ def test_restrict_along_and_compose_match_substitution(rng):
 
 
 # -- binary forms against naive references ------------------------------------------
-
-
-def naive_mul(field, f, g):
-    """Test-only reference for BinaryForm.__mul__: every product formed and
-    added with the field's own operations, zeros included."""
-    out = [field.zero] * (len(f) + len(g) - 1)
-    for i, a in enumerate(f):
-        for j, b in enumerate(g):
-            out[i + j] = field.add(out[i + j], field.mul(a, b))
-    return out
-
-
-def naive_power(field, f, x):
-    out = [field.one]
-    for _ in range(x):
-        out = naive_mul(field, out, f)
-    return out
-
-
-def naive_compose_terms(field, terms, comps, degree):
-    """sum c * prod comps[i]^e_i, each power by repeated naive_mul."""
-    out = [field.zero] * (degree + 1)
-    for e, c in terms:
-        piece = [c]
-        for comp, x in zip(comps, e):
-            piece = naive_mul(field, piece, naive_power(field, list(comp), x))
-        out = [field.add(a, b) for a, b in zip(out, piece)]
-    return out
 
 
 def random_values(rng, field, k, zeros=0.3):

@@ -101,6 +101,45 @@ def test_integer_powers_over_q_stop_at_the_cap():
     assert parse_poly("3^99999999*S", f7) == parse_poly(f"{pow(3, 99999999, 7)}*S", f7)
 
 
+def test_an_integer_literal_over_q_stops_at_the_cap_too():
+    """The cap holds at exponent 1: a literal of MAX_INT_BITS bits is read,
+    one bit more is refused over Q, and over F_p it is reduced."""
+    ring, f7 = ring_over(RATIONALS), ring_over(prime_field(7))
+    top, over = str(2**MAX_INT_BITS - 1), str(2**MAX_INT_BITS)
+    assert parse_poly(f"{top}*S", ring) == ring.const(2**MAX_INT_BITS - 1) * ring.var("S")
+    with pytest.raises(ParseError, match="MAX_INT_BITS"):
+        parse_poly(f"{over}*S", ring)
+    assert parse_poly(f"{over}*S", f7) == parse_poly(f"{pow(2, MAX_INT_BITS, 7)}*S", f7)
+
+
+def test_integer_factors_over_f_p_are_multiplied_raw(monkeypatch):
+    """Over F_p an integer factor is pow(b, e, p), or b at e = 1, in plain
+    int arithmetic: the field's pow, mul and add are not called, and make
+    once per term of the result, in ParamRing.from_terms."""
+    from cilines.fields import Field
+
+    calls = []
+    make = Field.make
+
+    def forbidden(*args):
+        raise AssertionError("a Field operation in the term reader")
+
+    def counted(self, x):
+        calls.append(x)
+        return make(self, x)
+
+    for op in ("pow", "mul", "add", "neg"):
+        monkeypatch.setattr(Field, op, forbidden)
+    monkeypatch.setattr(Field, "make", counted)
+    ring = ring_over(prime_field(7))
+    text = "-3*5^2*c1*S^3 + 9*S*T^2 - 4*S^3*c1 + 13^99*T^3"
+    got = parse_poly(text, ring)
+    monkeypatch.undo()
+    assert got == polytext_reference.parse_poly(text, ring)
+    assert str(got) == "5*c1*S^3 + 2*S*T^2 + 6*T^3"
+    assert sorted(calls) == sorted([-3 * pow(5, 2, 7) - 4, 9, pow(13, 99, 7)])
+
+
 def test_an_overlong_integer_is_a_parse_error():
     for text in ("1" * 5000, "S^" + "1" * 5000):
         for field in (RATIONALS, prime_field(7)):
