@@ -47,7 +47,15 @@ from .chart import (
     move_line_to_chart,
     nonfree_matrix,
 )
-from .errors import BudgetExceeded, LineNotContained, ParseError, SingularAlongLine, ToolkitError
+from .errors import (
+    BudgetExceeded,
+    LineNotContained,
+    NotHomogeneous,
+    ParameterPresent,
+    ParseError,
+    SingularAlongLine,
+    ToolkitError,
+)
 from .exactmatrix import ExactMatrix
 from .families import family_report, hypothesis_gates, parse_family_spec
 from .fields import Field, RATIONALS, Value, field_from_str, prime_field, slot_setters
@@ -58,10 +66,10 @@ from .geometry import (
     RationalCurve,
     ambient_variables,
 )
-from .multipoly import BinaryForm, PolyRing
+from .multipoly import BinaryForm, MultiPoly, PolyRing
 from .nonfree import SmoothnessReport, expected_pair_report
 from .params import ParamRing
-from .polytext import _NAME, parse_poly
+from .polytext import _NAME, parse_poly, read_terms
 
 
 #: the largest curve degree: of a problem file's curve, and b * K of its
@@ -126,25 +134,34 @@ _set_field, _set_x, _set_line, _set_curve, _set_echo = slot_setters(ProblemFile)
 
 
 def _parse_curve_texts(texts: list[str], coeffs: ParamRing) -> RationalCurve:
-    ring = PolyRing(coeffs, ("s", "t"))
-    polys = [parse_poly(t, ring) for t in texts]
-    degs = {p.homogeneous_degree() for p in polys if not p.is_zero}
-    degs.discard(None)
+    """Each component's raw sums (polytext.read_terms), reduced once, at the
+    index of their t-power; the degree is that of the terms left."""
+    field, k = coeffs.field, coeffs.k
+    names, reduce = coeffs.names + ("s", "t"), field.reduce
+    comps = []
+    for text in texts:
+        terms = {e: v for e, c in read_terms(text, names, field.p).items() if (v := reduce(c))}
+        comps.append((terms, {e[k] + e[k + 1] for e in terms}))
+    degs = sorted({min(d) for _, d in comps if len(d) == 1})
     if len(degs) != 1:
-        raise ParseError(f"curve components must share one degree, got {sorted(degs)}")
-    b = degs.pop()
+        raise ParseError(f"curve components must share one degree, got {degs}")
+    b = degs[0]
     if b > MAX_CURVE_DEGREE:  # refused before its coefficient vectors are built
         raise BudgetExceeded(
             f"a curve of degree {b}; a problem file's curve has degree at most "
             f"MAX_CURVE_DEGREE = {MAX_CURVE_DEGREE}"
         )
-    comps = []
-    for p in polys:
-        if p.is_zero:
-            comps.append(BinaryForm.zero(coeffs.field, b))
-        else:
-            comps.append(BinaryForm.from_poly(p))
-    return RationalCurve(tuple(comps))
+    forms = []
+    for terms, d in comps:
+        if len(d) > 1 or k and any(any(e[:k]) for e in terms):
+            ring = PolyRing(coeffs, ("s", "t"))
+            poly = MultiPoly(ring, ring.flat.from_terms(terms))
+            if len(d) > 1:
+                raise NotHomogeneous(f"{poly} is not homogeneous")
+            raise ParameterPresent(f"{poly} carries parameters")
+        at = {e[k + 1]: v for e, v in terms.items()}  # by t-power
+        forms.append(BinaryForm(field, b, tuple(at.get(j, field.zero) for j in range(b + 1))))
+    return RationalCurve(tuple(forms))
 
 
 def load_problem(path: str) -> ProblemFile:

@@ -39,10 +39,8 @@ from .params import (
     ParamRing,
     ParamScalar,
     _at,
-    _print_sum,
     _scalar,
-    _signed,
-    _term_text,
+    _sum_text,
     _unpacked,
     _used,
     grlex_key,
@@ -154,12 +152,12 @@ class MultiPoly(Value):
 
     def homogeneous_degree(self) -> int | None:
         """The common degree of all terms, or None if mixed. Zero counts
-        as homogeneous of every degree and reports None."""
-        k = self.ring.coeffs.k
-        degs = {sum(e[k:]) for e, _ in _unpacked(self.flat)}
-        if len(degs) == 1:
-            return degs.pop()
-        return None
+        as homogeneous of every degree and reports None. A term's degree is
+        the field sum of its variable fields (monomials._field_sum)."""
+        flat = self.flat
+        low, base = (1 << 8 * flat.width * self.ring.n) - 1, (1 << 8 * flat.width) - 1
+        degs = {(key & low) % base for key, _ in flat.packed}
+        return degs.pop() if len(degs) == 1 else None
 
     def is_homogeneous(self, d: int | None = None) -> bool:
         if self.is_zero:
@@ -360,17 +358,18 @@ class MultiPoly(Value):
         for key, c in flat.packed:  # within a group, graded-lex on the parameters
             groups.setdefault(key & low, []).append((key >> vbits & high, c))
         texts = _monomial_texts(coeffs.names, w)
+        variables = _monomial_texts(self.ring.variables, w)
 
-        def coefficient(terms: list[tuple[int, Scalar]]) -> tuple[str, bool]:
-            if len(terms) > 1:
-                return f"({_print_sum((texts[pk], *_signed(field, c)) for pk, c in terms)})", False
+        def term(vk: int) -> tuple[str, Scalar]:
+            terms, vm = groups[vk], variables[vk]
+            if len(terms) > 1:  # printed as a monomial of coefficient 1
+                group = f"({_sum_text(field, [(texts[pk], c) for pk, c in terms])})"
+                return f"{group}*{vm}" if vm else group, field.one
             ((pk, c),) = terms
-            cs, neg = _signed(field, c)
-            return _term_text(texts[pk], cs), neg
+            return f"{texts[pk]}*{vm}" if texts[pk] and vm else texts[pk] or vm, c
 
         order = sorted(groups, key=lambda vk: (_field_sum(vk, w), vk), reverse=True)
-        variables = _monomial_texts(self.ring.variables, w)
-        return _print_sum((variables[vk], *coefficient(groups[vk])) for vk in order)
+        return _sum_text(field, [term(vk) for vk in order])
 
 
 # -- binary forms ---------------------------------------------------------------
@@ -382,8 +381,9 @@ class BinaryForm(Value):
     The coefficients are elements of the base field. Every consumer of a
     binary form (gcds, smoothness minors, section ranks) needs them free of
     parameters, so a parameter is refused where a form is built: by
-    from_poly and restrict_along, with ParameterPresent. The zero form is
-    permitted at every degree; `coeffs` always has length degree + 1.
+    restrict_along and cli._parse_curve_texts, with ParameterPresent. The
+    zero form is permitted at every degree; `coeffs` always has length
+    degree + 1.
     """
 
     __slots__ = ("field", "degree", "coeffs")
@@ -402,21 +402,6 @@ class BinaryForm(Value):
     @classmethod
     def zero(cls, field: Field, degree: int) -> "BinaryForm":
         return cls(field, degree, (field.zero,) * (degree + 1))
-
-    @classmethod
-    def from_poly(cls, p: MultiPoly) -> "BinaryForm":
-        """Read a homogeneous polynomial in s and t as a form."""
-        if set(p.ring.variables) != {"s", "t"}:
-            raise UnknownVariable("expected a ring in (s, t)")
-        d = p.homogeneous_degree()
-        if d is None:
-            raise NotHomogeneous(f"{p} is not homogeneous")
-        field = p.ring.coeffs.field
-        coeffs = [field.zero] * (d + 1)
-        si = p.ring.variables.index("s")
-        for e, c in p.field_terms():
-            coeffs[d - e[si]] = c
-        return cls(field, d, tuple(coeffs))
 
     @property
     def is_zero(self) -> bool:
@@ -452,10 +437,9 @@ class BinaryForm(Value):
         return BinaryForm(self.field, d * u.degree, tuple(map(reduce, acc)))
 
     def __str__(self) -> str:
-        return _print_sum(
-            (_monomial(("s", "t"), (self.degree - k, k)), *_signed(self.field, c))
-            for k, c in enumerate(self.coeffs)
-            if c
+        d = self.degree
+        return _sum_text(
+            self.field, [(_monomial(("s", "t"), (d - k, k)), c) for k, c in enumerate(self.coeffs) if c]
         )
 
 

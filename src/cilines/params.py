@@ -381,8 +381,10 @@ class ParamScalar(Value):
     # -- printing -------------------------------------------------------------
 
     def __str__(self) -> str:
-        texts, field = _monomial_texts(self.ring.names, self.width), self.ring.field
-        return _print_sum((texts[key], *_signed(field, c)) for key, c in self.packed)
+        if not self.packed:
+            return "0"
+        texts = _monomial_texts(self.ring.names, self.width)
+        return _sum_text(self.ring.field, [(texts[key], c) for key, c in self.packed])
 
 
 _set_field, _set_names, _set_k, _set_zero, _set_one = slot_setters(ParamRing)
@@ -554,29 +556,26 @@ def _power(f: Field, row: list[Scalar], x: int) -> Scalar:
 # -- printing -------------------------------------------------------------------
 
 
-def _signed(field: Field, c: Scalar) -> tuple[str, bool]:
-    """Text of |c| and whether c is negative; only rationals carry a sign."""
-    neg = field.p is None and c < 0
-    return field.to_str(-c if neg else c), neg
-
-
 def _term_text(mono: str, cs: str) -> str:
     """A term without its sign: an empty monomial is a constant term, and
     a coefficient "1" before a monomial is left out."""
     return cs if not mono else mono if cs == "1" else f"{cs}*{mono}"
 
 
-def _print_sum(terms: Iterable[tuple[str, str, bool]]) -> str:
-    """Print a sum from (monomial, coefficient text, negative) triples,
-    each term as _term_text gives it; a negative term puts its sign in
-    the joiner."""
+def _sum_text(field: Field, terms: Iterable[tuple[str, Scalar]]) -> str:
+    """The text of a sum of (monomial text, coefficient) terms, in one join.
+    Over F_p no coefficient carries a sign, and each prints as its int.
+    Over Q a negative term gives its sign to the joiner before it, or
+    prints it on the first term."""
+    if field.p is not None:
+        return " + ".join([_term_text(mono, str(c)) for mono, c in terms]) or "0"
     pieces: list[str] = []
-    for mono, cs, neg in terms:
-        body = _term_text(mono, cs)
+    for mono, c in terms:
+        body = _term_text(mono, field.to_str(-c if c < 0 else c))
         if pieces:
-            pieces.append(f"- {body}" if neg else f"+ {body}")
+            pieces.append(f"- {body}" if c < 0 else f"+ {body}")
         else:
-            pieces.append(f"-{body}" if neg else body)
+            pieces.append(f"-{body}" if c < 0 else body)
     return " ".join(pieces) or "0"
 
 

@@ -1,7 +1,8 @@
 """Helpers that only the tests call: views and transforms of the
 program's objects that the program itself never needs (evaluation at a
-point, a parameter as a polynomial, a form from loose scalars, the line
-of a chart point as a curve and the local equations alone among them),
+point, a parameter as a polynomial, a form from loose scalars or from a
+polynomial in s and t, the line of a chart point as a curve and the
+local equations alone among them),
 the per-dom section kernel that bundles._section_kernel_dims reads in
 one pass, and the routes that the composition walk of
 multipoly._compose_terms replaced: M(h) at a line read off the
@@ -22,7 +23,13 @@ from cilines.chart import (
     restricted_jacobian,
     smooth_along_components,
 )
-from cilines.errors import ConstraintViolated, LineNotContained, RingMismatch
+from cilines.errors import (
+    ConstraintViolated,
+    LineNotContained,
+    NotHomogeneous,
+    RingMismatch,
+    UnknownVariable,
+)
 from cilines.exactmatrix import ExactMatrix, kernel_basis, rank_exact
 from cilines.families import _hyp_head
 from cilines.fields import Field, Scalar
@@ -164,6 +171,22 @@ def evaluate(p: MultiPoly | ParamScalar, values: Mapping[str, Scalar]):
 def param(ring: PolyRing, name: str) -> MultiPoly:
     """The parameter `name` of ring.coeffs as a polynomial of the ring."""
     return ring.const(ring.coeffs.var(name))
+
+
+def binary_form_from_poly(p: MultiPoly) -> BinaryForm:
+    """A homogeneous polynomial in s and t read as a binary form
+    (NotHomogeneous, ParameterPresent)."""
+    if set(p.ring.variables) != {"s", "t"}:
+        raise UnknownVariable("expected a ring in (s, t)")
+    d = p.homogeneous_degree()
+    if d is None:
+        raise NotHomogeneous(f"{p} is not homogeneous")
+    field = p.ring.coeffs.field
+    coeffs = [field.zero] * (d + 1)
+    si = p.ring.variables.index("s")
+    for e, c in p.field_terms():
+        coeffs[d - e[si]] = c
+    return BinaryForm(field, d, tuple(coeffs))
 
 
 def form_from_scalars(field: Field, values: Sequence[ParamScalar | Scalar]) -> BinaryForm:

@@ -715,6 +715,125 @@ def test_curve_past_the_degree_budget_exits_2_at_once(capsys, tmp_path, b):
     assert report["error"] == "BudgetExceeded" and "MAX_CURVE_DEGREE" in report["message"]
 
 
+# S*Z1 + T*Z2 in P^3 over F_7 with a curve of components {curve}
+CURVE_ON_QUADRIC_F7 = "field: F:7\nN: 3\ndegrees: 2\n{params}form: S*Z1 + T*Z2\ncurve: {curve}\n"
+
+# the report of every curve below that reads as (t, s, 0, 0), of degree 1
+DEGREE_ONE_REPORT = {
+    "chi": 2,
+    "command": "curve-check",
+    "convex_here": None,
+    "cover": None,
+    "curve_degree": 1,
+    "degree_gate": "NotTriggered",
+    "degree_sum": 2,
+    "free": True,
+    "h0": 2,
+    "h1": 0,
+    "problem": {
+        "N": 3,
+        "curve": ["t", "s", "0", "0"],
+        "degrees": [2],
+        "field": "F:7",
+        "forms": ["S*Z1 + T*Z2"],
+        "params": [],
+    },
+    "twist": -1,
+}
+
+
+def error_report(error: str, message: str) -> dict:
+    return {"error": error, "message": message}
+
+
+@pytest.mark.parametrize(
+    "params, curve, code, report",
+    [
+        # a curve's degree is that of the terms left after reduction
+        ("", "s^2 - s^2 + t ; s ; 0 ; 0", 0, DEGREE_ONE_REPORT),
+        ("", "7*s^2 + t ; s ; 0 ; 0", 0, DEGREE_ONE_REPORT),
+        (
+            "",
+            "s^2 + t ; s^2 ; 0 ; 0",
+            2,
+            error_report("NotHomogeneous", "s^2 + t is not homogeneous"),
+        ),
+        # a component of mixed degree gives no degree; the error prints it
+        (
+            "params: c1\n",
+            "c1*s + t^2 ; s^2 ; 0 ; 0",
+            2,
+            error_report("NotHomogeneous", "t^2 + c1*s is not homogeneous"),
+        ),
+        (
+            "",
+            "s + t^2 ; s^3 + t ; 0 ; 0",
+            1,
+            error_report("ParseError", "curve components must share one degree, got []"),
+        ),
+        (
+            "",
+            "0 ; 0 ; 0 ; 0",
+            1,
+            error_report("ParseError", "curve components must share one degree, got []"),
+        ),
+        (
+            "",
+            "s ; s^2 ; 0 ; 0",
+            1,
+            error_report("ParseError", "curve components must share one degree, got [1, 2]"),
+        ),
+        (
+            "params: c1\n",
+            "c1*s ; t ; 0 ; 0",
+            2,
+            error_report("ParameterPresent", "c1*s carries parameters"),
+        ),
+        (
+            "",
+            "S ; t ; 0 ; 0",
+            1,
+            error_report("ParseError", "unknown name 'S' (not a variable or parameter)"),
+        ),
+        (
+            "",
+            "s^99999999 ; t^99999999 ; 0 ; 0",
+            2,
+            error_report(
+                "BudgetExceeded",
+                "a curve of degree 99999999; a problem file's curve has degree at most "
+                "MAX_CURVE_DEGREE = 400",
+            ),
+        ),
+        (
+            "",
+            "s ; s ; 0 ; 0",
+            2,
+            error_report("ConstraintViolated", "components share the projective zero locus of s"),
+        ),
+    ],
+)
+def test_curve_component_reports(capsys, tmp_path, params, curve, code, report):
+    """Whole reports, errors included, of curves whose components cancel,
+    vanish mod p, mix degrees, carry parameters or unknown names."""
+    text = CURVE_ON_QUADRIC_F7.format(params=params, curve=curve)
+    started = time.perf_counter()
+    got = run(capsys, "curve-check", write_problem(tmp_path, "curve.ci", text))
+    assert time.perf_counter() - started < 1.0
+    assert got == (code, json.dumps(report, sort_keys=True, indent=2) + "\n")
+
+
+def test_curve_check_error_golden(capsys):
+    """An error report kept as a golden: a curve component that is not
+    homogeneous exits 2 with NotHomogeneous."""
+    path = GOLDEN / "curve_not_homogeneous.ci"
+    text = CURVE_ON_QUADRIC_F7.format(params="", curve="s^2 + t ; s^2 ; 0 ; 0")
+    assert path.read_text(encoding="utf-8") == text
+    code, out = run(capsys, "curve-check", str(path))
+    assert code == 2
+    check_golden("curve_not_homogeneous.json", out)
+
+
 BINOMIAL_F7 = """
 field: F:7
 N: 3

@@ -27,7 +27,15 @@ from conftest import (
     random_scalar,
 )
 from multipoly_reference import NestedPoly
-from support import evaluate, form_from_scalars, gradient_at, naive_compose_terms, naive_mul, param
+from support import (
+    binary_form_from_poly,
+    evaluate,
+    form_from_scalars,
+    gradient_at,
+    naive_compose_terms,
+    naive_mul,
+    param,
+)
 
 
 def test_differentiate_examples():
@@ -549,7 +557,7 @@ def test_binary_forms_refuse_parameters_where_they_are_built():
         form_from_scalars(RATIONALS, [1, c1])
     st_ring = PolyRing(coeffs, ("s", "t"))
     with pytest.raises(ParameterPresent):
-        BinaryForm.from_poly(st_ring.var("s") * param(st_ring, "c1"))
+        binary_form_from_poly(st_ring.var("s") * param(st_ring, "c1"))
     ring = PolyRing(coeffs, ("S", "T"))
     line = (binform(RATIONALS, 1, 0), binform(RATIONALS, 0, 1))
     with pytest.raises(ParameterPresent):
