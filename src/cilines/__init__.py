@@ -23,7 +23,6 @@ from .chart import (
     all_lines_fq,
     enumerate_lines_fq,
     membership_system,
-    move_line_to_chart,
     nonfree_matrix,
 )
 from .errors import ToolkitError

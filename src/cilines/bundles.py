@@ -156,12 +156,13 @@ def tangent_cohomology(
 
 
 def normal_splitting_line(x: CompleteIntersection, m_h: ExactMatrix) -> SplittingType:
-    """Splitting type of the normal bundle of a chart line L on X, from
-    m_h, M(h) evaluated at L (constant entries, else ParameterPresent).
-    The result has rank N - r - 1, every entry at most 1, and total degree
-    N - 1 - |d|.
+    """Splitting type of the normal bundle of a line L on X, from m_h,
+    M(h) evaluated at L (constant entries, else ParameterPresent), at a
+    chart point or a census line (chart.nonfree_matrix). The result has
+    rank N - r - 1, every entry at most 1, and total degree N - 1 - |d|.
 
-    Row j, block i of m_h is (dh^i/dZ_j)|_L. X is smooth along L exactly
+    Row j, block i of m_h is (dh^i/dZ_j)|_L, Z_j the j-th coordinate off
+    L's pivots (for a chart line, Z_j itself). X is smooth along L exactly
     when these Z-partials map O(1)^{N-1} onto (+)_i O(d^i) with kernel
     E = N_{L/X}. If so, every entry of E is at least floor,
     H^1(E(-floor)) = 0 and the map is onto on sections at twist -floor.

@@ -20,6 +20,11 @@ from one walk per form (multipoly._compose_terms), with the containment
 check; the symbolic grid, read off the membership system by
 _nonfree_entries, is built only for the local equations at a corank-1
 line with m = N - |d| >= 1 (nonfree.jacobian_def_matrix).
+
+M(h) needs only a line's images (each coordinate's (s, t) coefficients)
+and pivots (the coordinates reading s and t; its rows are the others), so
+a census line (FqLine) is classified where it lies, with no change of
+coordinates.
 """
 
 from __future__ import annotations
@@ -31,6 +36,7 @@ from typing import Iterator, Sequence
 
 from .errors import (
     BudgetExceeded,
+    ConstraintViolated,
     CurveNotOnX,
     InfiniteField,
     InvariantViolated,
@@ -39,7 +45,7 @@ from .errors import (
 )
 from .exactmatrix import ExactMatrix, RankResult, rank_exact
 from .fields import Field, Scalar, Value, slot_setters
-from .geometry import CompleteIntersection, LineChartPoint, ambient_variables, restrict_along
+from .geometry import CompleteIntersection, LineChartPoint, restrict_along
 from .multipoly import BinaryForm, MultiPoly, PolyRing, _compose_terms, _prefixed_terms, binary_gcd
 from .params import ParamRing, ParamScalar, _from_rows
 
@@ -103,7 +109,7 @@ def membership_system(x: CompleteIntersection) -> tuple[tuple[MultiPoly, ...], .
 
 
 class NonFreeMatrix(Value):
-    """M(h) at a chart line on X.
+    """M(h) at a line on X, a chart point or a census line.
 
     matrix is M(h) evaluated at the line `at`, over the coefficient
     parameter ring, and rank is rank_exact of matrix, whose pivot rows are
@@ -112,11 +118,11 @@ class NonFreeMatrix(Value):
 
     __slots__ = ("at", "matrix", "rank")
 
-    at: LineChartPoint
+    at: LineChartPoint | FqLine
     matrix: ExactMatrix
     rank: RankResult
 
-    def __init__(self, at: LineChartPoint, matrix: ExactMatrix, rank: RankResult) -> None:
+    def __init__(self, at: LineChartPoint | FqLine, matrix: ExactMatrix, rank: RankResult) -> None:
         _set_at(self, at)
         _set_matrix(self, matrix)
         _set_rank(self, rank)
@@ -136,22 +142,26 @@ def _nonfree_entries(
     return tuple(tuple(f.differentiate(a) for sys in system for f in sys[:-1]) for a in avars)
 
 
-def nonfree_matrix(x: CompleteIntersection, at: LineChartPoint) -> NonFreeMatrix:
-    """Build M(h) at a chart line, which must lie on X, with the rank of
-    the evaluated matrix, from one walk over each form's terms
-    (multipoly._compose_terms) along the curve s, t, a_j s + b_j t with
-    the Z_j as rows: h|_L is the containment check (LineNotContained),
-    and row j, d raw coefficients per parameter prefix, is row j of the
-    form's block (params._from_rows)."""
+def nonfree_matrix(x: CompleteIntersection, at: LineChartPoint | FqLine) -> NonFreeMatrix:
+    """Build M(h) at a line, which must lie on X, with the rank of the
+    evaluated matrix, from one walk over each form's terms
+    (multipoly._compose_terms) along the line's images, the coordinates
+    off its pivots as rows, in increasing order: h|_L is the containment
+    check (LineNotContained), and row j, d raw coefficients per parameter
+    prefix, is row j of the form's block (params._from_rows). A chart
+    point's images are s, t, a_j s + b_j t and its rows the Z_j; a census
+    line is read where it lies, with no change of coordinates."""
     n, out = x.n, x.coeff_ring
-    vals = at.values(n)
-    images = [(1, 0), (0, 1)] + [(vals[f"a{j}"], vals[f"b{j}"]) for j in range(1, n)]
+    images = at.images
+    if len(images) != n + 1:
+        raise ConstraintViolated(f"a line with {len(images)} coordinates, expected {n + 1}")
+    rows = [w for w in range(n + 1) if w not in at.pivots]
     blocks = []
     for form, d in zip(x.forms, x.ci_type.degrees):
-        rows = _compose_terms(_prefixed_terms(form), images, range(2, n + 1), d, out.field.reduce)
-        outs = _from_rows(out, rows, n * d + 1, form.flat.width)
+        walk = _compose_terms(_prefixed_terms(form), images, rows, d, out.field.reduce)
+        outs = _from_rows(out, walk, n * d + 1, form.flat.width)
         if not all(v.is_zero for v in outs[: d + 1]):
-            raise LineNotContained("the chart line is not on X")
+            raise LineNotContained("the line is not on X")
         blocks.append([outs[(j + 1) * d + 1 : (j + 2) * d + 1] for j in range(n - 1)])
     matrix = ExactMatrix.from_rows(out, [sum(row, []) for row in zip(*blocks)])
     return NonFreeMatrix(at, matrix, rank_exact(matrix))
@@ -246,8 +256,13 @@ class FqLine(Value):
     def sort_key(self):
         return (self.pivots, self.rows)
 
+    @property
+    def images(self) -> tuple[tuple[Scalar, Scalar], ...]:
+        """Each coordinate's (s, t) coefficients along the line: a column."""
+        return tuple(zip(*self.rows))
+
     def components(self) -> tuple[BinaryForm, ...]:
-        return tuple(BinaryForm(self.field, 1, ab) for ab in zip(*self.rows))
+        return tuple(BinaryForm(self.field, 1, ab) for ab in self.images)
 
 
 _set_field, _set_rows, _set_pivots = slot_setters(FqLine)
@@ -315,11 +330,10 @@ def enumerate_lines_fq(x: CompleteIntersection) -> list[FqLine]:
     if not x.is_parameter_free:
         raise ParameterPresent("line enumeration needs parameter-free forms")
     q, n = x.field.p, x.n
-    points = (q ** (n + 1) - 1) // (q - 1)
-    if points > MAX_CENSUS_POINTS:
+    # more than 2^N points: a large N is refused before the count is formed
+    if n >= MAX_CENSUS_POINTS.bit_length() or (q ** (n + 1) - 1) // (q - 1) > MAX_CENSUS_POINTS:
         raise BudgetExceeded(
-            f"P^{n}(F_{q}) has {points} points; a line census tabulates "
-            f"at most {MAX_CENSUS_POINTS}"
+            f"P^{n}(F_{q}) has more than MAX_CENSUS_POINTS = {MAX_CENSUS_POINTS} points"
         )
     forms = [
         [([(i, k) for i, k in enumerate(e) if k], c) for e, c in f.field_terms()]
@@ -357,30 +371,3 @@ def enumerate_lines_fq(x: CompleteIntersection) -> list[FqLine]:
                 found.append(line)
     found.sort(key=FqLine.sort_key)
     return found
-
-
-def move_line_to_chart(
-    x: CompleteIntersection, line: FqLine
-) -> tuple[CompleteIntersection, LineChartPoint, tuple[int, ...]]:
-    """Permute coordinates so the line lands in the standard chart.
-
-    Returns the transformed complete intersection, the chart point of the
-    moved line, and the position permutation used (new slot k reads old
-    slot perm[k]). All chart verdicts are equivariant under coordinate
-    permutations, so they may be computed on the transformed pair.
-    """
-    n = x.n
-    j1, j2 = line.pivots
-    rest = [l for l in range(n + 1) if l not in (j1, j2)]
-    perm = [j1, j2] + rest
-    names = ambient_variables(n)
-    inv = [0] * (n + 1)
-    for k, l in enumerate(perm):
-        inv[l] = k
-    mapping = {names[l]: names[inv[l]] for l in range(n + 1)}
-    new_forms = tuple(f.permute_variables(mapping) for f in x.forms)
-    x2 = CompleteIntersection(x.ci_type, new_forms)
-    row1 = tuple(line.rows[0][l] for l in perm)
-    row2 = tuple(line.rows[1][l] for l in perm)
-    point = LineChartPoint(x.field, row1[2:], row2[2:])
-    return x2, point, tuple(perm)

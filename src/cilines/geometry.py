@@ -127,6 +127,9 @@ class LineChartPoint(Value):
     a: tuple[Scalar, ...]
     b: tuple[Scalar, ...]
 
+    #: the coordinates that read s and t along a chart line: S and T
+    pivots = (0, 1)
+
     def __init__(self, field: Field, a: tuple[Scalar, ...], b: tuple[Scalar, ...]) -> None:
         if len(a) != len(b):
             raise ConstraintViolated("a and b must have equal length")
@@ -143,6 +146,11 @@ class LineChartPoint(Value):
     @property
     def width(self) -> int:
         return len(self.a)
+
+    @property
+    def images(self) -> tuple[tuple[Scalar, Scalar], ...]:
+        """Each coordinate's (s, t) coefficients along the line."""
+        return ((1, 0), (0, 1), *zip(self.a, self.b))
 
     def values(self, n: int) -> dict[str, Scalar]:
         """Assignment a_j, b_j -> stored entries for chart polynomials."""

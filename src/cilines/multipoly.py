@@ -326,17 +326,6 @@ class MultiPoly(Value):
         # dropping the exponents that a bucket's terms share keeps their order
         return {fe: MultiPoly(sub, _scalar(sub.flat, tuple(b), w)) for fe, b in buckets.items()}
 
-    def permute_variables(self, mapping: Mapping[str, str]) -> "MultiPoly":
-        """Rename variables by a bijection of the ring's variable set."""
-        variables = self.ring.variables
-        if set(mapping) != set(variables) or set(mapping.values()) != set(variables):
-            raise UnknownVariable("variable permutation must be a bijection of the ring")
-        k = self.ring.coeffs.k
-        source = {variables.index(mapping[v]): j for j, v in enumerate(variables)}
-        order = [*range(k), *(k + source[i] for i in range(self.ring.n))]
-        acc = {tuple(e[i] for i in order): c for e, c in _unpacked(self.flat)}
-        return MultiPoly(self.ring, self.ring.flat.from_terms(acc))
-
     # -- printing ---------------------------------------------------------------
 
     def __str__(self) -> str:

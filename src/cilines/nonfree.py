@@ -44,7 +44,7 @@ from .chart import (
     membership_system,
     nonfree_matrix,
 )
-from .errors import InvariantViolated, LineNotContained, NotCorankOne
+from .errors import ConstraintViolated, InvariantViolated, LineNotContained, NotCorankOne
 from .exactmatrix import ExactMatrix, det, rank_exact
 from .fields import Value, slot_setters
 from .geometry import CompleteIntersection, LineChartPoint
@@ -197,8 +197,12 @@ def jacobian_def_matrix(
     from the jet that checks each one vanishes there. Raises NotCorankOne
     when the line is free (corank 0) or the drop is deeper than one
     (corank >= 2, unsupported).
+    Chart-only: the equations are in a_j, b_j, so `nf` at a census line
+    is refused (ConstraintViolated).
     """
     point = nf.at
+    if not isinstance(point, LineChartPoint):
+        raise ConstraintViolated("local equations need M(h) at a chart point, in a_j and b_j")
     pivot_rows = nf.rank.pivot_rows
     corank = x.ci_type.total_degree - nf.rank.rank
     if corank != 1:
@@ -242,7 +246,8 @@ def expected_pair_report(
 ) -> SmoothnessReport:
     """Full verdict for the pair (line, X): containment, corank of M(h),
     local equations, Jacobian rank against the required |d|+r+m = N+r,
-    and genericity certificates when parameters are present."""
+    and genericity certificates when parameters are present. Chart-only,
+    as the local equations are in a_j, b_j."""
     n, r = x.n, x.ci_type.r
     total = x.ci_type.total_degree
     required = n + r

@@ -6,8 +6,9 @@ local equations alone among them),
 the per-dom section kernel that bundles._section_kernel_dims reads in
 one pass, and the routes that the composition walk of
 multipoly._compose_terms replaced: M(h) at a line read off the
-membership system by jets, and the Jacobian along a curve as each
-partial derivative composed term by term."""
+membership system by jets, the Jacobian along a curve as each
+partial derivative composed term by term, and a census line moved into
+the standard chart by a permutation of the coordinates."""
 
 from __future__ import annotations
 
@@ -36,7 +37,7 @@ from cilines.fields import Field, Scalar
 from cilines.geometry import CompleteIntersection, LineChartPoint, RationalCurve, ambient_variables
 from cilines.multipoly import BinaryForm, MultiPoly, PolyRing
 from cilines.nonfree import LocalEquations, jacobian_def_matrix
-from cilines.params import ParamRing, ParamScalar, jet_from
+from cilines.params import ParamRing, ParamScalar, _unpacked, jet_from
 
 
 def line_param(point: LineChartPoint) -> RationalCurve:
@@ -245,10 +246,43 @@ def specialized(x: CompleteIntersection, values: dict[str, Scalar]) -> CompleteI
     return CompleteIntersection(x.ci_type, tuple(forms))
 
 
+def permute_variables(p: MultiPoly, mapping: Mapping[str, str]) -> MultiPoly:
+    """Rename the variables of p by a bijection of its ring's variable set."""
+    variables = p.ring.variables
+    if set(mapping) != set(variables) or set(mapping.values()) != set(variables):
+        raise UnknownVariable("variable permutation must be a bijection of the ring")
+    k = p.ring.coeffs.k
+    source = {variables.index(mapping[v]): j for j, v in enumerate(variables)}
+    order = [*range(k), *(k + source[i] for i in range(p.ring.n))]
+    acc = {tuple(e[i] for i in order): c for e, c in _unpacked(p.flat)}
+    return MultiPoly(p.ring, p.ring.flat.from_terms(acc))
+
+
 def permuted_z(x: CompleteIntersection, perm: dict[str, str]) -> CompleteIntersection:
     """Apply a permutation of Z1..Z{N-1} (S, T fixed) to every form."""
     full = {"S": "S", "T": "T", **perm}
-    return CompleteIntersection(x.ci_type, tuple(f.permute_variables(full) for f in x.forms))
+    return CompleteIntersection(x.ci_type, tuple(permute_variables(f, full) for f in x.forms))
+
+
+def move_line_to_chart(
+    x: CompleteIntersection, line: FqLine
+) -> tuple[CompleteIntersection, LineChartPoint, tuple[int, ...]]:
+    """Reference for M(h) at a census line read where it lies: permute the
+    coordinates so the line lands in the standard chart.
+
+    Returns the transformed complete intersection, the chart point of the
+    moved line, and the position permutation used (new slot k reads old
+    slot perm[k]). All chart verdicts are equivariant under coordinate
+    permutations, so they may be computed on the transformed pair.
+    """
+    n = x.n
+    j1, j2 = line.pivots
+    perm = [j1, j2] + [l for l in range(n + 1) if l not in (j1, j2)]
+    names = ambient_variables(n)
+    mapping = {names[l]: names[k] for k, l in enumerate(perm)}
+    x2 = CompleteIntersection(x.ci_type, tuple(permute_variables(f, mapping) for f in x.forms))
+    row1, row2 = ([row[l] for l in perm] for row in line.rows)
+    return x2, LineChartPoint(x.field, row1[2:], row2[2:]), tuple(perm)
 
 
 def permuted(point: LineChartPoint, z_perm: Sequence[int]) -> LineChartPoint:

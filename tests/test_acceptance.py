@@ -20,7 +20,6 @@ from cilines.chart import (
     chart_image,
     chart_ring,
     enumerate_lines_fq,
-    move_line_to_chart,
     nonfree_matrix,
 )
 from cilines.exactmatrix import rank_exact
@@ -36,6 +35,7 @@ from support import (
     form_from_scalars,
     is_smooth_along_line,
     line_param,
+    move_line_to_chart,
     same_differential_span,
 )
 from test_chart import make_ci

@@ -13,7 +13,6 @@ from cilines.bundles import (
 )
 from cilines.chart import (
     enumerate_lines_fq,
-    move_line_to_chart,
     nonfree_matrix,
     restricted_jacobian,
     smooth_along_components,
@@ -42,6 +41,7 @@ from support import (
     form_from_scalars,
     is_smooth_along_line,
     line_param,
+    move_line_to_chart,
     section_kernel_dim,
     specialized,
     tangent_splitting_line,

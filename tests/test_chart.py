@@ -11,7 +11,6 @@ from cilines.chart import (
     chart_image,
     enumerate_lines_fq,
     membership_system,
-    move_line_to_chart,
     nonfree_matrix,
     restricted_jacobian,
     smooth_along_components,
@@ -37,6 +36,7 @@ from support import (
     evaluate,
     is_smooth_along_line,
     line_param,
+    move_line_to_chart,
     nonfree_matrix_by_jets,
     on_x,
     permuted,
@@ -131,6 +131,12 @@ def test_membership_rejects_wrong_width():
     x = make_ci(RATIONALS, 3, (2,), ["S*Z1 + T*Z2"])
     with pytest.raises(ConstraintViolated):
         nonfree_matrix(x, at=LineChartPoint.standard(RATIONALS, 7))
+
+
+def test_nonfree_matrix_rejects_a_census_line_of_another_space():
+    x = make_ci(prime_field(3), 3, (2,), ["S*Z1 + T*Z2"])
+    with pytest.raises(ConstraintViolated, match="coordinates"):
+        nonfree_matrix(x, at=next(all_lines_fq(prime_field(3), 4)))
 
 
 # -- the non-freeness matrix -------------------------------------------------------
@@ -524,6 +530,15 @@ def test_enumeration_needs_finite_field():
 
 def test_census_refuses_a_projective_space_over_the_points_budget():
     x = make_ci(prime_field(1000003), 3, (2,), ["S*Z1 + T*Z2"])
+    with pytest.raises(BudgetExceeded, match="points"):
+        enumerate_lines_fq(x)
+
+
+@pytest.mark.parametrize("p, n", [(2**61 - 1, 300), (7, 6000)])
+def test_census_refuses_a_point_count_too_long_to_print(p, n):
+    """(q^(N+1) - 1)/(q - 1) has more digits than Python prints (4,300);
+    the refusal neither prints nor forms it."""
+    x = make_ci(prime_field(p), n, (2,), ["S*Z1 + T*Z2"])
     with pytest.raises(BudgetExceeded, match="points"):
         enumerate_lines_fq(x)
 

@@ -11,6 +11,7 @@ from cilines.cli import (
     MAX_CURVE_DEGREE,
     MAX_FORM_DEGREE,
     MAX_FORM_TERMS,
+    MAX_PROBLEM_N,
     build_parser,
     load_problem,
     main,
@@ -198,9 +199,14 @@ def test_classify_line_golden(capsys, tmp_path, name, text, golden):
     check_golden(golden, out)
 
 
-def test_enumerate_lines_classify_golden(capsys, tmp_path):
-    path = write_problem(tmp_path, "quadric.ci", QUADRIC_F3)
-    code, out = run(capsys, "enumerate-lines", path, "--classify")
+def test_enumerate_lines_classify_golden(capsys):
+    """enumerate-lines --classify on a problem file kept beside its golden
+    report; the file holds QUADRIC_F3. Its eight lines have pivots (0, 1),
+    (0, 2), (0, 3), (1, 2) and (2, 3), so five are classified off the
+    standard chart, each where it lies."""
+    path = GOLDEN / "enumerate_quadric_F3.ci"
+    assert path.read_text(encoding="utf-8") == QUADRIC_F3.lstrip("\n")
+    code, out = run(capsys, "enumerate-lines", str(path), "--classify")
     assert code == 0
     check_golden("enumerate_quadric_F3_classify.json", out)
 
@@ -1007,6 +1013,56 @@ def test_enumerate_lines_over_budget_exits_2_at_once(capsys, tmp_path):
     assert time.perf_counter() - started < 0.5
     assert code == 2
     assert json.loads(out)["error"] == "BudgetExceeded"
+
+
+@pytest.mark.parametrize("field, n", [("F:2305843009213693951", 300), ("F:7", 6000)])
+def test_enumerate_lines_past_a_point_count_too_long_to_print_exits_2(capsys, tmp_path, field, n):
+    """P^N(F_q) has more points than a census tabulates, a count of more
+    digits than Python prints (4,300): the refusal prints no such count.
+    N = 6000 is past MAX_PROBLEM_N as well."""
+    text = f"field: {field}\nN: {n}\ndegrees: 2\nform: S*Z1 + T*Z2\n"
+    code, out = run(capsys, "enumerate-lines", write_problem(tmp_path, "huge.ci", text))
+    assert code == 2
+    assert json.loads(out)["error"] == "BudgetExceeded"
+
+
+@pytest.mark.parametrize("command", ["classify-line", "enumerate-lines", "curve-check"])
+def test_a_problem_file_that_is_not_utf8_exits_1(capsys, tmp_path, command):
+    """A byte no UTF-8 text holds (0xff, in a comment) is a ParseError
+    report, not a UnicodeDecodeError traceback."""
+    path = tmp_path / "latin1.ci"
+    path.write_bytes(QUADRIC_F3.encode("utf-8") + b"# \xff\n")
+    code, out = run(capsys, command, str(path))
+    assert code == 1
+    report = json.loads(out)
+    assert report["error"] == "ParseError" and "UTF-8" in report["message"]
+
+
+def standard_line_problem(n: int) -> str:
+    """S*Z1 + T*Z2 + Z3*Z4 over F_7 in P^n, n >= 5, and the standard line."""
+    zeros = ", ".join(["0"] * (n - 1))
+    return f"field: F:7\nN: {n}\ndegrees: 2\nform: S*Z1 + T*Z2 + Z3*Z4\nline: {zeros} | {zeros}\n"
+
+
+def test_problem_at_the_n_budget_is_classified(capsys, tmp_path):
+    path = write_problem(tmp_path, "wide.ci", standard_line_problem(MAX_PROBLEM_N))
+    code, out = run(capsys, "classify-line", path)
+    assert code == 0
+    report = json.loads(out)
+    assert report["problem"]["N"] == MAX_PROBLEM_N and report["free"]
+
+
+@pytest.mark.parametrize("n", [MAX_PROBLEM_N + 1, 10**6])
+def test_problem_past_the_n_budget_exits_2_at_once(capsys, tmp_path, n):
+    """Refused before the line is read: its rows, of length 4, would be a
+    ParseError at this N."""
+    text = standard_line_problem(5).replace("N: 5", f"N: {n}")
+    started = time.perf_counter()
+    code, out = run(capsys, "classify-line", write_problem(tmp_path, "wide.ci", text))
+    assert time.perf_counter() - started < 1.0
+    assert code == 2
+    report = json.loads(out)
+    assert report["error"] == "BudgetExceeded" and "MAX_PROBLEM_N" in report["message"]
 
 
 def test_curve_check_quintic(capsys, tmp_path):

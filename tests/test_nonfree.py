@@ -2,8 +2,8 @@ from fractions import Fraction
 
 import pytest
 
-from cilines.chart import chart_ring, membership_system, nonfree_matrix
-from cilines.errors import LineNotContained, NotCorankOne
+from cilines.chart import chart_ring, enumerate_lines_fq, membership_system, nonfree_matrix
+from cilines.errors import ConstraintViolated, LineNotContained, NotCorankOne
 from cilines.exactmatrix import ExactMatrix, det, rank_exact
 from cilines.families import FamilySpec, build_family, family_report
 from cilines.fields import RATIONALS, prime_field
@@ -20,6 +20,7 @@ from cilines.polytext import parse_poly
 import families_reference
 from conftest import field_of_char, random_scalar
 from support import (
+    chart_point,
     evaluate,
     local_equations,
     permuted,
@@ -461,3 +462,16 @@ def test_corank_one_report_eliminates_each_matrix_once(monkeypatch):
     assert rep.corank == 1 and rep.equations.pivot_rows == (0, 1, 2)
     # M(h) is 5 x 4; its pivot rows, transposed, 4 x 3; the Jacobian 7 x 10
     assert ranks == eliminations == [(5, 4), (4, 3), (7, 10)]
+
+
+def test_local_equations_refuse_m_h_at_a_census_line():
+    """jacobian_def_matrix is chart-only, as its equations are in a_j and
+    b_j: M(h) at a census line is refused, and M(h) at the same line as a
+    chart point is not. Every line on the Fermat cubic surface over F_7
+    has corank 1."""
+    x = make_ci(prime_field(7), 3, (3,), ["S^3 + T^3 + Z1^3 + Z2^3"])
+    line = next(ln for ln in enumerate_lines_fq(x) if ln.pivots == (0, 1))
+    with pytest.raises(ConstraintViolated, match="chart point"):
+        jacobian_def_matrix(x, nonfree_matrix(x, at=line))
+    jac, eqs = jacobian_def_matrix(x, nonfree_matrix(x, at=chart_point(line)))
+    assert eqs.count == 0 and jac.rows == 4
