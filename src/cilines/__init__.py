@@ -18,7 +18,6 @@ from .bundles import (
     tangent_splitting_from_normal,
 )
 from .chart import (
-    FqLine,
     NonFreeMatrix,
     all_lines_fq,
     enumerate_lines_fq,
@@ -40,7 +39,7 @@ from .fields import Field, RATIONALS, field_from_str, prime_field
 from .geometry import (
     CIType,
     CompleteIntersection,
-    LineChartPoint,
+    Line,
     RationalCurve,
 )
 from .multipoly import BinaryForm, MultiPoly, PolyRing, binary_gcd

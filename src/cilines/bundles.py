@@ -43,6 +43,7 @@ from .chart import (
 from .errors import (
     AllZero,
     BasePointedCover,
+    BudgetExceeded,
     ConstraintViolated,
     InvariantViolated,
     ParameterPresent,
@@ -86,6 +87,17 @@ class SplittingType(Value):
 (_set_entries,) = slot_setters(SplittingType)
 
 
+#: most entries that one section-kernel elimination holds: its grid of
+#: sum_i (deg phi_i + top) rows by top * c columns, c forms per row, and the
+#: kernel basis, at least columns - rows vectors of `columns` entries, so
+#: columns * max(rows, columns). On a 2-core Xeon (Python 3.11),
+#: curve-check --twist 0 --cover 400 on four quadrics in P^12 holds 27.2
+#: million (10.5 s, 480 MB max RSS); classify-line on Z1*S^399 + Z2*T^399
+#: over F_7 holds 36 million at N = 16 (4.4 s, 371 MB) and 635 million at
+#: N = 64, where it did not finish in 50 s
+MAX_SECTION_ENTRIES = 30_000_000
+
+
 def _section_kernel_dims(phi: Sequence[Sequence[BinaryForm]], top: int) -> list[int]:
     """dims[dom] for 0 <= dom <= top: the kernel dimension of the map
     H^0(O(dom-1))^{columns} -> (+)_i H^0(O(deg phi_i + dom - 1)) given by a
@@ -100,7 +112,17 @@ def _section_kernel_dims(phi: Sequence[Sequence[BinaryForm]], top: int) -> list[
     pivots within each prefix of columns as it would on the prefix alone,
     so the kernel at dom has one basis vector per free column below
     dom * columns; a basis vector's free column is its last nonzero entry.
+    A presentation past MAX_SECTION_ENTRIES is refused (BudgetExceeded)
+    before its grid is built.
     """
+    width = len(phi[0])
+    height, columns = sum(forms[0].degree + top for forms in phi), top * width
+    entries = columns * max(height, columns)
+    if entries > MAX_SECTION_ENTRIES:
+        raise BudgetExceeded(
+            f"a {height} x {columns} section kernel holds {entries} entries with its basis; "
+            f"one elimination takes at most MAX_SECTION_ENTRIES = {MAX_SECTION_ENTRIES}"
+        )
     ring = ParamRing(phi[0][0].field)
     zero = ring.zero()
     rows = []
@@ -111,7 +133,6 @@ def _section_kernel_dims(phi: Sequence[Sequence[BinaryForm]], top: int) -> list[
             rows.append(
                 [w[l - k] if 0 <= l - k <= deg else zero for k in range(top) for w in wrapped]
             )
-    width = len(phi[0])
     free = [
         max(j for j, v in enumerate(vec) if v)
         for vec in kernel_basis(ExactMatrix.from_rows(ring, rows))
@@ -157,8 +178,8 @@ def tangent_cohomology(
 
 def normal_splitting_line(x: CompleteIntersection, m_h: ExactMatrix) -> SplittingType:
     """Splitting type of the normal bundle of a line L on X, from m_h,
-    M(h) evaluated at L (constant entries, else ParameterPresent), at a
-    chart point or a census line (chart.nonfree_matrix). The result has
+    M(h) evaluated at L (constant entries, else ParameterPresent), at any
+    line (chart.nonfree_matrix). The result has
     rank N - r - 1, every entry at most 1, and total degree N - 1 - |d|.
 
     Row j, block i of m_h is (dh^i/dZ_j)|_L, Z_j the j-th coordinate off

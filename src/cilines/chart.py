@@ -14,7 +14,7 @@ The non-freeness matrix M(h) is the (N-1) x |d| matrix whose row j,
 block i is the coefficient vector of the restricted partial derivative
 (dh^i/dZ_j) composed with the line, against the basis
 s^{d^i-1}, ..., t^{d^i-1}. For a line on X along which X is smooth, the
-line is free exactly when M(h) evaluated at the chart point has full
+line is free exactly when M(h) evaluated at the line has full
 column rank |d|. M(h) at a line and the Jacobian along a curve each come
 from one walk per form (multipoly._compose_terms), with the containment
 check; the symbolic grid, read off the membership system by
@@ -23,8 +23,8 @@ line with m = N - |d| >= 1 (nonfree.jacobian_def_matrix).
 
 M(h) needs only a line's images (each coordinate's (s, t) coefficients)
 and pivots (the coordinates reading s and t; its rows are the others), so
-a census line (FqLine) is classified where it lies, with no change of
-coordinates.
+a census line (geometry.Line, at any pivots) is classified where it lies,
+with no change of coordinates.
 """
 
 from __future__ import annotations
@@ -44,8 +44,8 @@ from .errors import (
     ParameterPresent,
 )
 from .exactmatrix import ExactMatrix, RankResult, rank_exact
-from .fields import Field, Scalar, Value, slot_setters
-from .geometry import CompleteIntersection, LineChartPoint, restrict_along
+from .fields import Field, Value, slot_setters
+from .geometry import CompleteIntersection, Line, restrict_along
 from .multipoly import BinaryForm, MultiPoly, PolyRing, _compose_terms, _prefixed_terms, binary_gcd
 from .params import ParamRing, ParamScalar, _from_rows
 
@@ -109,7 +109,7 @@ def membership_system(x: CompleteIntersection) -> tuple[tuple[MultiPoly, ...], .
 
 
 class NonFreeMatrix(Value):
-    """M(h) at a line on X, a chart point or a census line.
+    """M(h) at a line on X, in the chart or not.
 
     matrix is M(h) evaluated at the line `at`, over the coefficient
     parameter ring, and rank is rank_exact of matrix, whose pivot rows are
@@ -118,11 +118,11 @@ class NonFreeMatrix(Value):
 
     __slots__ = ("at", "matrix", "rank")
 
-    at: LineChartPoint | FqLine
+    at: Line
     matrix: ExactMatrix
     rank: RankResult
 
-    def __init__(self, at: LineChartPoint | FqLine, matrix: ExactMatrix, rank: RankResult) -> None:
+    def __init__(self, at: Line, matrix: ExactMatrix, rank: RankResult) -> None:
         _set_at(self, at)
         _set_matrix(self, matrix)
         _set_rank(self, rank)
@@ -142,15 +142,15 @@ def _nonfree_entries(
     return tuple(tuple(f.differentiate(a) for sys in system for f in sys[:-1]) for a in avars)
 
 
-def nonfree_matrix(x: CompleteIntersection, at: LineChartPoint | FqLine) -> NonFreeMatrix:
+def nonfree_matrix(x: CompleteIntersection, at: Line) -> NonFreeMatrix:
     """Build M(h) at a line, which must lie on X, with the rank of the
     evaluated matrix, from one walk over each form's terms
     (multipoly._compose_terms) along the line's images, the coordinates
     off its pivots as rows, in increasing order: h|_L is the containment
     check (LineNotContained), and row j, d raw coefficients per parameter
     prefix, is row j of the form's block (params._from_rows). A chart
-    point's images are s, t, a_j s + b_j t and its rows the Z_j; a census
-    line is read where it lies, with no change of coordinates."""
+    line's images are s, t, a_j s + b_j t and its rows the Z_j; a line at
+    other pivots is read where it lies, with no change of coordinates."""
     n, out = x.n, x.coeff_ring
     images = at.images
     if len(images) != n + 1:
@@ -233,42 +233,7 @@ def smooth_along_components(
 # -- exhaustive line enumeration over finite fields ------------------------------
 
 
-class FqLine(Value):
-    """A line in P^N over F_q as its canonical reduced row echelon
-    representative, a full-rank 2 x (N+1) matrix."""
-
-    __slots__ = ("field", "rows", "pivots")
-
-    field: Field
-    rows: tuple[tuple[Scalar, ...], tuple[Scalar, ...]]
-    pivots: tuple[int, int]
-
-    def __init__(
-        self,
-        field: Field,
-        rows: tuple[tuple[Scalar, ...], tuple[Scalar, ...]],
-        pivots: tuple[int, int],
-    ) -> None:
-        _set_field(self, field)
-        _set_rows(self, rows)
-        _set_pivots(self, pivots)
-
-    def sort_key(self):
-        return (self.pivots, self.rows)
-
-    @property
-    def images(self) -> tuple[tuple[Scalar, Scalar], ...]:
-        """Each coordinate's (s, t) coefficients along the line: a column."""
-        return tuple(zip(*self.rows))
-
-    def components(self) -> tuple[BinaryForm, ...]:
-        return tuple(BinaryForm(self.field, 1, ab) for ab in self.images)
-
-
-_set_field, _set_rows, _set_pivots = slot_setters(FqLine)
-
-
-def all_lines_fq(field: Field, n: int) -> Iterator[FqLine]:
+def all_lines_fq(field: Field, n: int) -> Iterator[Line]:
     """Every line of P^n over F_q, one canonical representative each,
     in lexicographic order of (pivot pair, matrix entries)."""
     if not field.is_finite:
@@ -287,7 +252,7 @@ def all_lines_fq(field: Field, n: int) -> Iterator[FqLine]:
                 row1[c] = v
             for c, v in zip(free2, vals[len(free1) :]):
                 row2[c] = v
-            yield FqLine(field, (tuple(row1), tuple(row2)), (j1, j2))
+            yield Line(field, (tuple(row1), tuple(row2)), (j1, j2))
 
 
 #: largest P^N(F_q), counted in points, that a line census tabulates
@@ -313,7 +278,7 @@ def _vanishes_at(terms: list, pt: tuple[int, ...], q: int) -> bool:
     return acc % q == 0
 
 
-def enumerate_lines_fq(x: CompleteIntersection) -> list[FqLine]:
+def enumerate_lines_fq(x: CompleteIntersection) -> list[Line]:
     """All F_q-rational lines of P^N lying on X, canonically sorted.
 
     The forms are evaluated once at every point of P^N(F_q); a line lies
@@ -363,11 +328,11 @@ def enumerate_lines_fq(x: CompleteIntersection) -> list[FqLine]:
                     for t in range(1, q)
                 ):
                     continue
-                line = FqLine(x.field, (r1, r2), (r1.index(1), j2))
+                line = Line(x.field, (r1, r2), (r1.index(1), j2))
                 if not exact:
                     comps = line.components()
                     if not all(restrict_along(f, comps).is_zero for f in x.forms):
                         continue
                 found.append(line)
-    found.sort(key=FqLine.sort_key)
+    found.sort(key=Line.sort_key)
     return found

@@ -57,7 +57,7 @@ from .fields import Field, RATIONALS, Value, field_from_str, prime_field, slot_s
 from .geometry import (
     CIType,
     CompleteIntersection,
-    LineChartPoint,
+    Line,
     RationalCurve,
     ambient_variables,
 )
@@ -111,7 +111,7 @@ class ProblemFile(Value):
 
     field: Field
     x: CompleteIntersection
-    line: LineChartPoint | None
+    line: Line | None
     curve: RationalCurve | None
     echo: dict
 
@@ -119,7 +119,7 @@ class ProblemFile(Value):
         self,
         field: Field,
         x: CompleteIntersection,
-        line: LineChartPoint | None,
+        line: Line | None,
         curve: RationalCurve | None,
         echo: dict,
     ) -> None:
@@ -164,10 +164,16 @@ def _parse_curve_texts(texts: list[str], coeffs: ParamRing) -> RationalCurve:
     return RationalCurve(tuple(forms))
 
 
+def _line_echo(line: Line) -> dict:
+    """A chart line's a and b, as printed in a report."""
+    to_str = line.field.to_str
+    return {"a": [to_str(v) for v in line.rows[0][2:]], "b": [to_str(v) for v in line.rows[1][2:]]}
+
+
 def load_problem(path: str) -> ProblemFile:
     entries: list[tuple[str, str]] = []
     try:
-        with open(path, encoding="utf-8") as fh:
+        with open(path, encoding="utf-8-sig") as fh:  # a leading byte-order mark is dropped
             for raw in fh:
                 stripped = raw.split("#", 1)[0].strip()
                 if not stripped:
@@ -248,7 +254,7 @@ def load_problem(path: str) -> ProblemFile:
         b = tuple(field.parse(v) for v in halves[1].split(","))
         if len(a) != n - 1 or len(b) != n - 1:
             raise ParseError(f"line rows must have {n - 1} entries")
-        line = LineChartPoint(field, a, b)
+        line = Line.chart(field, a, b)
 
     curve = None
     if "curve" in data:
@@ -265,10 +271,7 @@ def load_problem(path: str) -> ProblemFile:
         "forms": [str(p) for p in polys],
     }
     if line is not None:
-        echo["line"] = {
-            "a": [field.to_str(v) for v in line.a],
-            "b": [field.to_str(v) for v in line.b],
-        }
+        echo["line"] = _line_echo(line)
     if curve is not None:
         echo["curve"] = [str(c) for c in curve.components]
     return ProblemFile(field, x, line, curve, echo)
@@ -329,10 +332,7 @@ def _cmd_verify_example(args) -> dict:
         "N": built.x.n,
         "degrees": list(built.x.ci_type.degrees),
         "forms": [str(f) for f in built.x.forms],
-        "line": {
-            "a": [field.to_str(v) for v in built.line.a],
-            "b": [field.to_str(v) for v in built.line.b],
-        },
+        "line": _line_echo(built.line),
         "notes": list(built.notes),
     }
     out.update(_report_from(rep))

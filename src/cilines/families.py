@@ -20,7 +20,7 @@ from typing import Literal, Mapping
 
 from .errors import BudgetExceeded, CharTwoForbidden, ConstraintViolated, ParseError
 from .fields import Field, Scalar, Value, slot_setters
-from .geometry import CIType, CompleteIntersection, LineChartPoint, ambient_variables
+from .geometry import CIType, CompleteIntersection, Line, ambient_variables
 from .multipoly import MultiPoly, PolyRing
 from .params import Exps, ParamRing, ParamScalar
 
@@ -151,7 +151,7 @@ class BuiltFamily(Value):
 
     spec: FamilySpec
     x: CompleteIntersection
-    line: LineChartPoint
+    line: Line
     notes: tuple[str, ...]
     c_values: dict[str, Scalar] | None
 
@@ -159,7 +159,7 @@ class BuiltFamily(Value):
         self,
         spec: FamilySpec,
         x: CompleteIntersection,
-        line: LineChartPoint,
+        line: Line,
         notes: tuple[str, ...] = (),
         c_values: dict[str, Scalar] | None = None,
     ) -> None:
@@ -290,7 +290,7 @@ def build_family(spec: FamilySpec, field: Field) -> BuiltFamily:
             forms.append(_scroll(ring, degrees[i - 1], n - sum(degrees[i - 1 :])))
         x = CompleteIntersection(CIType(n, degrees), tuple(forms))
 
-    line = LineChartPoint.standard(field, x.n)
+    line = Line.standard(field, x.n)
     return BuiltFamily(spec, x, line, tuple(notes), values)
 
 

@@ -206,14 +206,15 @@ class Field(Value, compared=("p",)):
             ) from None
 
     def parse(self, text: str) -> Scalar:
-        """Parse an integer, or a '/'-separated fraction over Q."""
+        """Parse an integer, or a '/'-separated fraction; over F_p a
+        denominator that is 0 mod p is a ParseError, as 1/0 is."""
         text = text.strip()
         try:
             if "/" in text:
                 num, den = text.split("/", 1)
                 return self.make(Fraction(int(num), int(den)))
             return self.make(int(text))
-        except (ValueError, ZeroDivisionError) as exc:
+        except (ValueError, ZeroDivisionError, ConstraintViolated) as exc:
             raise ParseError(f"bad scalar literal {text!r}: {exc}") from None
 
 

@@ -1,4 +1,4 @@
-"""Ambient geometry: complete intersections, chart points, rational curves.
+"""Ambient geometry: complete intersections, lines, rational curves.
 
 Conventions, used everywhere downstream:
 
@@ -7,6 +7,9 @@ Conventions, used everywhere downstream:
 * the chart of lines disjoint from (S = T = 0) is the affine space of
   2 x (N-1) matrices [[a1..a{N-1}], [b1..b{N-1}]], the line being the
   image of (s:t) -> (s : t : s a1 + t b1 : ... : s a{N-1} + t b{N-1});
+* a line is the reduced row echelon form of a full-rank 2 x (N+1)
+  matrix (Line); it lies in the chart exactly when its pivots are S and
+  T, and then its rows are (1, 0, a1, ...) and (0, 1, b1, ...);
 * a rational curve of degree b is an (N+1)-tuple of degree-b binary
   forms in (s, t) with no common projective zero.
 """
@@ -118,49 +121,54 @@ class CompleteIntersection(Value):
         return all(f.is_parameter_free for f in self.forms)
 
 
-class LineChartPoint(Value):
-    """Chart coordinates of a line: row vectors a and b of length N-1."""
+class Line(Value):
+    """A line in P^N as the reduced row echelon form of a full-rank
+    2 x (N+1) matrix: `rows`, with their leading ones at the coordinates
+    `pivots`. Along the line the coordinate W reads rows[0][W] s +
+    rows[1][W] t, so at pivots (0, 1) it is the chart line through
+    a = rows[0][2:] and b = rows[1][2:]."""
 
-    __slots__ = ("field", "a", "b")
+    __slots__ = ("field", "rows", "pivots")
 
     field: Field
-    a: tuple[Scalar, ...]
-    b: tuple[Scalar, ...]
+    rows: tuple[tuple[Scalar, ...], tuple[Scalar, ...]]
+    pivots: tuple[int, int]
 
-    #: the coordinates that read s and t along a chart line: S and T
-    pivots = (0, 1)
-
-    def __init__(self, field: Field, a: tuple[Scalar, ...], b: tuple[Scalar, ...]) -> None:
-        if len(a) != len(b):
-            raise ConstraintViolated("a and b must have equal length")
+    def __init__(
+        self,
+        field: Field,
+        rows: tuple[tuple[Scalar, ...], tuple[Scalar, ...]],
+        pivots: tuple[int, int],
+    ) -> None:
         _set_field(self, field)
-        _set_a(self, tuple(field.make(x) for x in a))
-        _set_b(self, tuple(field.make(x) for x in b))
+        _set_rows(self, rows)
+        _set_pivots(self, pivots)
 
     @classmethod
-    def standard(cls, field: Field, n: int) -> "LineChartPoint":
-        """The origin of the chart: the line Z1 = ... = Z{N-1} = 0."""
-        z = field.zero
-        return cls(field, (z,) * (n - 1), (z,) * (n - 1))
+    def chart(cls, field: Field, a: Sequence[Scalar], b: Sequence[Scalar]) -> "Line":
+        """The chart line (s : t : s a_1 + t b_1 : ...), each entry brought
+        into the field."""
+        if len(a) != len(b):
+            raise ConstraintViolated("a and b must have equal length")
+        make = field.make
+        return cls(field, ((1, 0, *map(make, a)), (0, 1, *map(make, b))), (0, 1))
 
-    @property
-    def width(self) -> int:
-        return len(self.a)
+    @classmethod
+    def standard(cls, field: Field, n: int) -> "Line":
+        """The origin of the chart: the line Z1 = ... = Z{N-1} = 0."""
+        zeros = (field.zero,) * (n - 1)
+        return cls.chart(field, zeros, zeros)
+
+    def sort_key(self):
+        return (self.pivots, self.rows)
 
     @property
     def images(self) -> tuple[tuple[Scalar, Scalar], ...]:
-        """Each coordinate's (s, t) coefficients along the line."""
-        return ((1, 0), (0, 1), *zip(self.a, self.b))
+        """Each coordinate's (s, t) coefficients along the line: a column."""
+        return tuple(zip(*self.rows))
 
-    def values(self, n: int) -> dict[str, Scalar]:
-        """Assignment a_j, b_j -> stored entries for chart polynomials."""
-        if self.width != n - 1:
-            raise ConstraintViolated(f"chart point has width {self.width}, expected {n - 1}")
-        out: dict[str, Scalar] = {}
-        for j in range(1, n):
-            out[f"a{j}"] = self.a[j - 1]
-            out[f"b{j}"] = self.b[j - 1]
-        return out
+    def components(self) -> tuple[BinaryForm, ...]:
+        return tuple(BinaryForm(self.field, 1, ab) for ab in self.images)
 
 
 class RationalCurve(Value):
@@ -200,7 +208,7 @@ class RationalCurve(Value):
 
 _set_ambient_dim, _set_degrees = slot_setters(CIType)
 _set_ci_type, _set_forms = slot_setters(CompleteIntersection)
-_set_field, _set_a, _set_b = slot_setters(LineChartPoint)
+_set_field, _set_rows, _set_pivots = slot_setters(Line)
 (_set_components,) = slot_setters(RationalCurve)
 
 

@@ -47,7 +47,7 @@ from .chart import (
 from .errors import ConstraintViolated, InvariantViolated, LineNotContained, NotCorankOne
 from .exactmatrix import ExactMatrix, det, rank_exact
 from .fields import Value, slot_setters
-from .geometry import CompleteIntersection, LineChartPoint
+from .geometry import CompleteIntersection, Line
 from .multipoly import MultiPoly
 from .params import ParamRing, ParamScalar, sum_of_products
 
@@ -197,12 +197,14 @@ def jacobian_def_matrix(
     from the jet that checks each one vanishes there. Raises NotCorankOne
     when the line is free (corank 0) or the drop is deeper than one
     (corank >= 2, unsupported).
-    Chart-only: the equations are in a_j, b_j, so `nf` at a census line
-    is refused (ConstraintViolated).
+    Chart-only: the equations are in a_j, b_j, read from the line's rows
+    as a = rows[0][2:] and b = rows[1][2:], so a line is refused
+    (ConstraintViolated) unless S = s and T = t along it, that is, unless
+    its first two columns are (1, 0) and (0, 1).
     """
-    point = nf.at
-    if not isinstance(point, LineChartPoint):
-        raise ConstraintViolated("local equations need M(h) at a chart point, in a_j and b_j")
+    s_row, t_row = nf.at.rows
+    if (s_row[:2], t_row[:2]) != ((1, 0), (0, 1)):
+        raise ConstraintViolated("local equations need M(h) at a line with S = s and T = t")
     pivot_rows = nf.rank.pivot_rows
     corank = x.ci_type.total_degree - nf.rank.rank
     if corank != 1:
@@ -229,7 +231,7 @@ def jacobian_def_matrix(
         ab = chart_ring(ring, n)
         avars, bvars = chart_variables(n)
         sym = [[e.flat for e in row] for row in _nonfree_entries(n, membership_system(x))]
-        point_vals = point.values(n)
+        point_vals = dict(zip(avars + bvars, s_row[2:] + t_row[2:]))
         for g_flat in bordered_minors(ab.flat, sym, pivot_rows):
             g = MultiPoly(ab, g_flat)
             value, row = g.jet_at(avars + bvars, point_vals)
@@ -241,9 +243,7 @@ def jacobian_def_matrix(
     return ExactMatrix.from_rows(ring, rows), equations
 
 
-def expected_pair_report(
-    x: CompleteIntersection, point: LineChartPoint
-) -> SmoothnessReport:
+def expected_pair_report(x: CompleteIntersection, point: Line) -> SmoothnessReport:
     """Full verdict for the pair (line, X): containment, corank of M(h),
     local equations, Jacobian rank against the required |d|+r+m = N+r,
     and genericity certificates when parameters are present. Chart-only,

@@ -10,7 +10,7 @@ from __future__ import annotations
 from cilines.errors import CharTwoForbidden, ConstraintViolated
 from cilines.families import BuiltFamily, FamilySpec, _coeff_ring, _require
 from cilines.fields import Field, Scalar
-from cilines.geometry import CIType, CompleteIntersection, LineChartPoint, ambient_variables
+from cilines.geometry import CIType, CompleteIntersection, Line, ambient_variables
 from cilines.multipoly import MultiPoly, PolyRing
 from cilines.params import ParamRing
 
@@ -129,5 +129,5 @@ def build_family(spec: FamilySpec, field: Field, force: bool = False) -> BuiltFa
             forms.append(acc)
         x = CompleteIntersection(CIType(n, degrees), tuple(forms))
 
-    line = LineChartPoint.standard(field, x.n)
+    line = Line.standard(field, x.n)
     return BuiltFamily(spec, x, line, tuple(notes), values)

@@ -1,8 +1,8 @@
 """Helpers that only the tests call: views and transforms of the
 program's objects that the program itself never needs (evaluation at a
 point, a parameter as a polynomial, a form from loose scalars or from a
-polynomial in s and t, the line of a chart point as a curve and the
-local equations alone among them),
+polynomial in s and t, a line as a curve, a chart line's a_j and b_j
+as an assignment, and the local equations alone among them),
 the per-dom section kernel that bundles._section_kernel_dims reads in
 one pass, and the routes that the composition walk of
 multipoly._compose_terms replaced: M(h) at a line read off the
@@ -16,7 +16,6 @@ from typing import Mapping, Sequence
 
 from cilines.bundles import SplittingType, normal_splitting_line, tangent_splitting_from_normal
 from cilines.chart import (
-    FqLine,
     NonFreeMatrix,
     chart_variables,
     membership_system,
@@ -34,40 +33,46 @@ from cilines.errors import (
 from cilines.exactmatrix import ExactMatrix, kernel_basis, rank_exact
 from cilines.families import _hyp_head
 from cilines.fields import Field, Scalar
-from cilines.geometry import CompleteIntersection, LineChartPoint, RationalCurve, ambient_variables
+from cilines.geometry import CompleteIntersection, Line, RationalCurve, ambient_variables
 from cilines.multipoly import BinaryForm, MultiPoly, PolyRing
 from cilines.nonfree import LocalEquations, jacobian_def_matrix
 from cilines.params import ParamRing, ParamScalar, _unpacked, jet_from
 
 
-def line_param(point: LineChartPoint) -> RationalCurve:
-    """The degree-1 curve (s, t, a_1 s + b_1 t, ...) through a chart point."""
-    field = point.field
-    comps = [BinaryForm(field, 1, (1, 0)), BinaryForm(field, 1, (0, 1))]
-    comps += [BinaryForm(field, 1, ab) for ab in zip(point.a, point.b)]
-    return RationalCurve(tuple(comps))
+def line_param(line: Line) -> RationalCurve:
+    """A line as a degree-1 curve: (s, t, a_1 s + b_1 t, ...) in the chart."""
+    return RationalCurve(line.components())
 
 
-def local_equations(x: CompleteIntersection, point: LineChartPoint) -> LocalEquations:
+def chart_values(line: Line) -> dict[str, Scalar]:
+    """The chart coordinates of a line at pivots (0, 1), a_j = rows[0][j + 1]
+    and b_j = rows[1][j + 1], as an assignment for chart polynomials."""
+    if line.pivots != (0, 1):
+        raise ConstraintViolated("line meets (S = T = 0); it has no chart coordinates")
+    avars, bvars = chart_variables(len(line.rows[0]) - 1)
+    return dict(zip(avars + bvars, line.rows[0][2:] + line.rows[1][2:]))
+
+
+def local_equations(x: CompleteIntersection, point: Line) -> LocalEquations:
     """The N - |d| bordered minors at a corank-1 chart line, the second
     half of jacobian_def_matrix (NotCorankOne, LineNotContained)."""
     return jacobian_def_matrix(x, nonfree_matrix(x, at=point))[1]
 
 
-def on_x(x: CompleteIntersection, point: LineChartPoint) -> bool:
+def on_x(x: CompleteIntersection, point: Line) -> bool:
     """Whether the chart line lies on X: every membership polynomial
     evaluated at it vanishes, identically in the parameters."""
-    vals = point.values(x.n)
+    vals = chart_values(point)
     return all(evaluate(f, vals).is_zero for sys in membership_system(x) for f in sys)
 
 
-def nonfree_matrix_by_jets(x: CompleteIntersection, at: LineChartPoint) -> NonFreeMatrix:
+def nonfree_matrix_by_jets(x: CompleteIntersection, at: Line) -> NonFreeMatrix:
     """Reference for chart.nonfree_matrix, read off the membership system:
     one jet per f^i_k at the line gives its value, for the containment
     check, and its a_j-partials, the evaluated column of M(h)."""
     system = membership_system(x)
     avars, _ = chart_variables(x.n)
-    vals = at.values(x.n)
+    vals = chart_values(at)
     columns = []
     for sys in system:
         for k, f in enumerate(sys):
@@ -133,29 +138,22 @@ def restricted_jacobian_by_partials(
     ]
 
 
-def is_smooth_along_line(x: CompleteIntersection, point: LineChartPoint) -> bool:
+def is_smooth_along_line(x: CompleteIntersection, point: Line) -> bool:
     return smooth_along_components(x, restricted_jacobian(x, line_param(point).components))
 
 
-def chart_point(line: FqLine) -> LineChartPoint:
-    """The chart coordinates of a line in the standard chart."""
-    if line.pivots != (0, 1):
-        raise ConstraintViolated("line meets (S = T = 0); move it into the chart first")
-    return LineChartPoint(line.field, line.rows[0][2:], line.rows[1][2:])
-
-
-def tangent_splitting_line(x: CompleteIntersection, point: LineChartPoint) -> SplittingType:
+def tangent_splitting_line(x: CompleteIntersection, point: Line) -> SplittingType:
     """Splitting type of T_X restricted to a chart line."""
     return tangent_splitting_from_normal(normal_splitting_line(x, nonfree_matrix(x, at=point).matrix))
 
 
 def differential_span_matrix(
-    x: CompleteIntersection, polys: list[MultiPoly], point: LineChartPoint
+    x: CompleteIntersection, polys: list[MultiPoly], point: Line
 ) -> ExactMatrix:
     """Rows of first derivatives (d/da_1..d/db_{N-1}) of chart
     polynomials at a point."""
     avars, bvars = chart_variables(x.n)
-    pt = point.values(x.n)
+    pt = chart_values(point)
     return ExactMatrix.from_rows(x.coeff_ring, [gradient_at(g, avars + bvars, pt) for g in polys])
 
 
@@ -213,7 +211,7 @@ def same_differential_span(
     x: CompleteIntersection,
     ours: list[MultiPoly],
     reference: list[MultiPoly],
-    point: LineChartPoint,
+    point: Line,
 ) -> bool:
     """Whether two sets of chart polynomials have equal differential span
     at the point, over the fraction field of the parameters."""
@@ -265,12 +263,12 @@ def permuted_z(x: CompleteIntersection, perm: dict[str, str]) -> CompleteInterse
 
 
 def move_line_to_chart(
-    x: CompleteIntersection, line: FqLine
-) -> tuple[CompleteIntersection, LineChartPoint, tuple[int, ...]]:
+    x: CompleteIntersection, line: Line
+) -> tuple[CompleteIntersection, Line, tuple[int, ...]]:
     """Reference for M(h) at a census line read where it lies: permute the
     coordinates so the line lands in the standard chart.
 
-    Returns the transformed complete intersection, the chart point of the
+    Returns the transformed complete intersection, the chart line of the
     moved line, and the position permutation used (new slot k reads old
     slot perm[k]). All chart verdicts are equivariant under coordinate
     permutations, so they may be computed on the transformed pair.
@@ -282,14 +280,14 @@ def move_line_to_chart(
     mapping = {names[l]: names[k] for k, l in enumerate(perm)}
     x2 = CompleteIntersection(x.ci_type, tuple(permute_variables(f, mapping) for f in x.forms))
     row1, row2 = ([row[l] for l in perm] for row in line.rows)
-    return x2, LineChartPoint(x.field, row1[2:], row2[2:]), tuple(perm)
+    return x2, Line.chart(x.field, row1[2:], row2[2:]), tuple(perm)
 
 
-def permuted(point: LineChartPoint, z_perm: Sequence[int]) -> LineChartPoint:
-    """Reorder columns by the permutation sending slot j to z_perm[j]."""
-    a = tuple(point.a[z_perm[j]] for j in range(point.width))
-    b = tuple(point.b[z_perm[j]] for j in range(point.width))
-    return LineChartPoint(point.field, a, b)
+def permuted(point: Line, z_perm: Sequence[int]) -> Line:
+    """Reorder the Z-columns of a chart line by the permutation sending
+    slot j to z_perm[j]."""
+    a, b = (tuple(row[2 + k] for k in z_perm) for row in point.rows)
+    return Line.chart(point.field, a, b)
 
 
 def identity(ring: ParamRing, n: int) -> ExactMatrix:

@@ -19,6 +19,7 @@ from cilines.chart import (
 )
 from cilines.errors import (
     BasePointedCover,
+    BudgetExceeded,
     ConstraintViolated,
     CurveNotOnX,
     InvariantViolated,
@@ -31,13 +32,12 @@ from cilines.cli import _tangent_pairs
 from cilines.exactmatrix import ExactMatrix, rank_exact
 from cilines.families import FamilySpec, build_family
 from cilines.fields import RATIONALS, prime_field
-from cilines.geometry import CIType, CompleteIntersection, LineChartPoint, RationalCurve
+from cilines.geometry import CIType, CompleteIntersection, Line, RationalCurve
 from cilines.multipoly import BinaryForm
 from cilines.params import ParamRing
 
 from conftest import ambient_ring, random_homogeneous
 from support import (
-    chart_point,
     form_from_scalars,
     is_smooth_along_line,
     line_param,
@@ -74,7 +74,7 @@ def test_splitting_type_validation():
 
 def test_quadric_line_is_free():
     x = make_ci(RATIONALS, 3, (2,), ["S*Z1 + T*Z2"])
-    mu = line_param(LineChartPoint.standard(RATIONALS, 3))
+    mu = line_param(Line.standard(RATIONALS, 3))
     assert tangent_cohomology(x, mu, -1) == ((2, 0),)
     assert tangent_cohomology(x, mu, 0)[-1] == (4, 0)  # T_X|_L = O(2) + O
 
@@ -100,7 +100,7 @@ def test_curve_not_on_x_rejected():
 
 def test_curve_of_the_wrong_length_rejected():
     x = make_ci(RATIONALS, 3, (2,), ["S*Z1 + T*Z2"])
-    mu = line_param(LineChartPoint.standard(RATIONALS, 4))
+    mu = line_param(Line.standard(RATIONALS, 4))
     with pytest.raises(ConstraintViolated, match="components"):
         tangent_cohomology(x, mu, 0)
 
@@ -114,7 +114,7 @@ def test_tangent_cohomology_checks_the_euler_section(monkeypatch):
     import cilines.bundles as bundles
 
     x = make_ci(RATIONALS, 3, (2,), ["S*Z1 + T*Z2"])
-    mu = line_param(LineChartPoint.standard(RATIONALS, 3))
+    mu = line_param(Line.standard(RATIONALS, 3))
     jac = restricted_jacobian(x, mu.components)
     assert jac[0][0].is_zero
     bad = [[bform(x.field, 1, 0)] + jac[0][1:]]
@@ -125,7 +125,7 @@ def test_tangent_cohomology_checks_the_euler_section(monkeypatch):
 
 def test_singular_along_curve_rejected():
     x = make_ci(RATIONALS, 3, (2,), ["Z1^2"])
-    mu = line_param(LineChartPoint.standard(RATIONALS, 3))
+    mu = line_param(Line.standard(RATIONALS, 3))
     with pytest.raises(SingularAlongCurve):
         tangent_cohomology(x, mu, 0)
 
@@ -134,7 +134,7 @@ def test_chi_bookkeeping(rng):
     """h0 - h1 = b(N+1-|d|) + (N-r)(m+1) on every computed instance."""
     cases = []
     x1 = make_ci(RATIONALS, 3, (2,), ["S*Z1 + T*Z2"])
-    cases.append((x1, line_param(LineChartPoint.standard(RATIONALS, 3))))
+    cases.append((x1, line_param(Line.standard(RATIONALS, 3))))
     xq, muq = fermat_quintic_line()
     cases.append((xq, muq))
     cases.append((xq, precompose(muq, (bform(xq.field, 1, 0, 0), bform(xq.field, 0, 0, 1)))))
@@ -258,12 +258,35 @@ def test_one_pass_section_kernels_match_the_per_dom_reference(rng, field):
     assert _section_kernel_dims(zero, 4) == [0, 3, 6, 9, 12]
 
 
+@pytest.mark.parametrize(
+    "degrees, width, top, entries",
+    [((1, 0), 3, 2, 36), ((3, 3), 1, 2, 20)],
+    ids=["columns-past-rows", "rows-past-columns"],
+)
+def test_a_section_kernel_at_the_entry_budget_is_eliminated(
+    monkeypatch, degrees, width, top, entries
+):
+    """MAX_SECTION_ENTRIES bounds columns * max(rows, columns): the grid,
+    sum_i (deg_i + top) rows by top * width columns, and at least
+    columns - rows kernel vectors of `columns` entries. At the bound the
+    kernel is eliminated; one entry past it, it is refused at once."""
+    import cilines.bundles as bundles
+
+    field = prime_field(7)
+    phi = [[bform(field, *range(1, d + 2))] * width for d in degrees]
+    monkeypatch.setattr(bundles, "MAX_SECTION_ENTRIES", entries)
+    assert_one_pass_matches_per_dom(phi, top)
+    monkeypatch.setattr(bundles, "MAX_SECTION_ENTRIES", entries - 1)
+    with pytest.raises(BudgetExceeded, match=f"holds {entries} entries"):
+        _section_kernel_dims(phi, top)
+
+
 # -- splitting types of lines ------------------------------------------------------------
 
 
 def test_quadric_line_splittings():
     x = make_ci(RATIONALS, 3, (2,), ["S*Z1 + T*Z2"])
-    point = LineChartPoint.standard(RATIONALS, 3)
+    point = Line.standard(RATIONALS, 3)
     assert normal_splitting_line(x, m_h_at(x, point)).entries == (0,)
     assert tangent_splitting_line(x, point).entries == (2, 0)
 
@@ -278,7 +301,7 @@ def test_splitting_recovery_stops_at_the_degree_floor(monkeypatch):
     import cilines.bundles as bundles
 
     x = make_ci(RATIONALS, 3, (2,), ["S*Z1 + T*Z2"])
-    point = LineChartPoint.standard(RATIONALS, 3)
+    point = Line.standard(RATIONALS, 3)
     s, t = bform(RATIONALS, 1, 0), bform(RATIONALS, 0, 1)
     m_h = m_h_at(x, point)
     assert bundles._section_kernel_dims([[s, t]], 2) == [0, 0, 1]  # N_{L/X} = O
@@ -298,9 +321,8 @@ def test_quintic_line_splittings():
     x, _ = fermat_quintic_line()
     lines = enumerate_lines_fq(x)
     ln = next(l for l in lines if l.rows == ((1, 0, 6, 0), (0, 1, 0, 6)))
-    point = chart_point(ln)
-    assert normal_splitting_line(x, m_h_at(x, point)).entries == (-3,)
-    assert tangent_splitting_line(x, point).entries == (2, -3)
+    assert normal_splitting_line(x, m_h_at(x, ln)).entries == (-3,)
+    assert tangent_splitting_line(x, ln).entries == (2, -3)
 
 
 def test_quadrics_p7_standard_line_splitting():
@@ -314,7 +336,7 @@ def test_quadrics_p7_standard_line_splitting():
 def test_cubic_threefold_free_line_splitting():
     # free line on a cubic threefold: [2, 0, 0] after the tangent merge
     x = make_ci(RATIONALS, 4, (3,), ["S^2*Z1 + T^2*Z2 + Z3^3 + S*T*Z3"])
-    point = LineChartPoint.standard(RATIONALS, 4)
+    point = Line.standard(RATIONALS, 4)
     nf = nonfree_matrix(x, at=point)
     assert rank_exact(nf.matrix).rank == 3  # free
     assert normal_splitting_line(x, m_h_at(x, point)).entries == (0, 0)
@@ -335,7 +357,7 @@ def test_normal_splitting_refuses_a_misshapen_or_parametric_m_h():
     of another shape is refused with ConstraintViolated, and one carrying
     a parameter, as M(h) of a symbolic X does, with ParameterPresent."""
     x = make_ci(RATIONALS, 3, (2,), ["S*Z1 + T*Z2"])
-    point = LineChartPoint.standard(RATIONALS, 3)
+    point = Line.standard(RATIONALS, 3)
     m_h = m_h_at(x, point)
     assert normal_splitting_line(x, m_h).entries == (0,)
     for rows, cols in (([0], [0, 1]), ([0, 1, 1], [0, 1]), ([0, 1], [0])):
@@ -350,7 +372,7 @@ def test_normal_splitting_refuses_a_misshapen_or_parametric_m_h():
 def test_singular_along_line_rejected_for_splitting():
     x = make_ci(RATIONALS, 3, (2,), ["Z1^2"])
     with pytest.raises(SingularAlongLine):
-        normal_splitting_line(x, m_h_at(x, LineChartPoint.standard(RATIONALS, 3)))
+        normal_splitting_line(x, m_h_at(x, Line.standard(RATIONALS, 3)))
 
 
 def through_a_chart_line(rng, field, n, degrees):
@@ -370,7 +392,7 @@ def through_a_chart_line(rng, field, n, degrees):
     )
     if any(f.is_zero for f in forms):
         return None
-    return CompleteIntersection(CIType(n, degrees), forms), LineChartPoint(field, a, b)
+    return CompleteIntersection(CIType(n, degrees), forms), Line.chart(field, a, b)
 
 
 def assert_count_decides_smoothness(x, point):
@@ -409,7 +431,7 @@ def test_section_count_decides_smoothness_as_the_minors_do(rng, field):
 
 
 def test_precompose_standard_line_squares():
-    point = LineChartPoint.standard(RATIONALS, 6)
+    point = Line.standard(RATIONALS, 6)
     mu = line_param(point)
     r = mu.field
     mu2 = precompose(mu, (bform(r, 1, 0, 0), bform(r, 0, 0, 1)))
@@ -418,7 +440,7 @@ def test_precompose_standard_line_squares():
 
 
 def test_precompose_identity_cover():
-    point = LineChartPoint(RATIONALS, (1, 2), (3, 4))
+    point = Line.chart(RATIONALS, (1, 2), (3, 4))
     mu = line_param(point)
     r = mu.field
     mu1 = precompose(mu, (bform(r, 1, 0), bform(r, 0, 1)))
@@ -426,7 +448,7 @@ def test_precompose_identity_cover():
 
 
 def test_precompose_rejects_basepointed_cover():
-    mu = line_param(LineChartPoint.standard(RATIONALS, 3))
+    mu = line_param(Line.standard(RATIONALS, 3))
     r = mu.field
     with pytest.raises(BasePointedCover):
         precompose(mu, (bform(r, 1, 0, 0), bform(r, 0, 1, 0)))  # s^2, st share s = 0

@@ -22,7 +22,7 @@ from cilines.fields import RATIONALS, prime_field
 from cilines.geometry import (
     CIType,
     CompleteIntersection,
-    LineChartPoint,
+    Line,
     ambient_variables,
     restrict_along,
 )
@@ -32,7 +32,7 @@ from cilines.polytext import parse_poly
 
 from conftest import ambient_ring, field_of_char, random_homogeneous
 from support import (
-    chart_point,
+    chart_values,
     evaluate,
     is_smooth_along_line,
     line_param,
@@ -56,22 +56,37 @@ def make_ci(field, n, degrees, texts, params=()):
 
 
 def test_line_param_standard():
-    point = LineChartPoint.standard(RATIONALS, 6)
+    point = Line.standard(RATIONALS, 6)
     mu = line_param(point)
     assert [str(c) for c in mu.components] == ["s", "t"] + ["0"] * 5
 
 
 def test_line_param_diagonal():
-    point = LineChartPoint(RATIONALS, (1, 0), (0, 1))
+    point = Line.chart(RATIONALS, (1, 0), (0, 1))
     mu = line_param(point)
     assert [str(c) for c in mu.components] == ["s", "t", "s", "t"]
 
 
 def test_line_param_roundtrip():
-    point = LineChartPoint(RATIONALS, (2, -3), (5, 7))
+    point = Line.chart(RATIONALS, (2, -3), (5, 7))
     mu = line_param(point)
     for j, comp in enumerate(mu.components[2:]):
-        assert comp.coeffs == (point.a[j], point.b[j])
+        assert comp.coeffs == (point.rows[0][j + 2], point.rows[1][j + 2])
+
+
+def test_line_chart_refuses_rows_of_unequal_length():
+    with pytest.raises(ConstraintViolated, match="equal length"):
+        Line.chart(RATIONALS, (1, 2), (3,))
+
+
+def test_line_chart_brings_its_entries_into_the_field():
+    """Line.chart reduces each a_j and b_j: 8 is 1 over F_7, and 4/2 is
+    the int 2 over Q."""
+    line = Line.chart(prime_field(7), (8, -1), (0, 14))
+    assert line.rows == ((1, 0, 1, 6), (0, 1, 0, 0)) and line.pivots == (0, 1)
+    line = Line.chart(RATIONALS, (Fraction(4, 2),), (Fraction(1, 3),))
+    assert line.rows == ((1, 0, 2), (0, 1, Fraction(1, 3)))
+    assert type(line.rows[0][2]) is int
 
 
 # -- membership systems -----------------------------------------------------------
@@ -130,7 +145,7 @@ def test_standard_line_on_every_family():
 def test_membership_rejects_wrong_width():
     x = make_ci(RATIONALS, 3, (2,), ["S*Z1 + T*Z2"])
     with pytest.raises(ConstraintViolated):
-        nonfree_matrix(x, at=LineChartPoint.standard(RATIONALS, 7))
+        nonfree_matrix(x, at=Line.standard(RATIONALS, 7))
 
 
 def test_nonfree_matrix_rejects_a_census_line_of_another_space():
@@ -171,7 +186,7 @@ def test_nonfree_matrix_quadrics_p7_symbolic_display():
 
 def test_nonfree_matrix_quadric_p3_free_line():
     x = make_ci(RATIONALS, 3, (2,), ["S*Z1 + T*Z2"])
-    point = LineChartPoint.standard(RATIONALS, 3)
+    point = Line.standard(RATIONALS, 3)
     nf = nonfree_matrix(x, at=point)
     assert nf.matrix.str_rows() == [["1", "0"], ["0", "1"]]
     assert rank_exact(nf.matrix).rank == 2 == x.ci_type.total_degree  # free
@@ -180,7 +195,7 @@ def test_nonfree_matrix_quadric_p3_free_line():
 def test_nonfree_matrix_rejects_off_line_point():
     x = make_ci(RATIONALS, 3, (2,), ["S*Z1 + T*Z2"])
     with pytest.raises(LineNotContained):
-        nonfree_matrix(x, at=LineChartPoint(RATIONALS, (1, 0), (0, 0)))
+        nonfree_matrix(x, at=Line.chart(RATIONALS, (1, 0), (0, 0)))
 
 
 def test_derivative_identities(rng):
@@ -212,7 +227,7 @@ def test_scaling_invariance(rng):
 
 def test_z_permutation_equivariance():
     x = make_ci(RATIONALS, 4, (2,), ["S*Z1 + T*Z2 + Z3^2"])
-    point = LineChartPoint(RATIONALS, (0, 0, 0), (0, 0, 0))
+    point = Line.chart(RATIONALS, (0, 0, 0), (0, 0, 0))
     base_rank = rank_exact(nonfree_matrix(x, at=point).matrix).rank
     # swap Z1 <-> Z3 in both the forms and the chart columns
     perm = {"Z1": "Z3", "Z2": "Z2", "Z3": "Z1"}
@@ -256,7 +271,7 @@ def test_nonfree_matrix_is_its_entries_evaluated_at_the_line(rng):
             cases.append((built.x, built.line))
     for x, point in cases:
         nf = nonfree_matrix(x, at=point)
-        vals = point.values(x.n)
+        vals = chart_values(point)
         grid = _nonfree_entries(x.n, membership_system(x))
         assert nf.matrix.to_lists() == [[evaluate(e, vals) for e in row] for row in grid]
 
@@ -322,7 +337,7 @@ def draw_through_a_chart_point(rng, field, params, standard):
         [0 if standard else rng.randrange(3) and rng.randrange(field.p or 9) for _ in range(n - 1)]
         for _ in "ab"
     )
-    point = LineChartPoint(field, tuple(a), tuple(b))
+    point = Line.chart(field, tuple(a), tuple(b))
     s, t = ring.var("S"), ring.var("T")
     shift = {"S": s, "T": t}
     for j in range(1, n):
@@ -424,12 +439,12 @@ def test_membership_system_and_m_h_match_sympy(rng, char, params):
 
 def test_smooth_quadric_line():
     x = make_ci(RATIONALS, 3, (2,), ["S*Z1 + T*Z2"])
-    assert is_smooth_along_line(x, LineChartPoint.standard(RATIONALS, 3))
+    assert is_smooth_along_line(x, Line.standard(RATIONALS, 3))
 
 
 def test_double_plane_singular_along_line():
     x = make_ci(RATIONALS, 3, (2,), ["Z1^2"])
-    assert not is_smooth_along_line(x, LineChartPoint.standard(RATIONALS, 3))
+    assert not is_smooth_along_line(x, Line.standard(RATIONALS, 3))
 
 
 def test_fermat_quintic_line_smooth_after_swap():
@@ -442,7 +457,7 @@ def test_fermat_quintic_line_smooth_after_swap():
             target = ln
     # (s : t : -s : -t) sits in the chart already
     assert target is not None
-    assert is_smooth_along_line(x, chart_point(target))
+    assert is_smooth_along_line(x, target)
 
 
 def _det_at(grid, t, field):
@@ -482,7 +497,7 @@ def test_proportional_jacobian_rows_have_only_zero_minors(rng):
     ring = ambient_ring(field, 4)
     h = sum(random_homogeneous(rng, ring, 1) * ring.var(z) for z in ("Z1", "Z2", "Z3"))
     x = CompleteIntersection(CIType(4, (2, 2)), (h, 3 * h))
-    jac = restricted_jacobian(x, line_param(LineChartPoint.standard(field, 4)).components)
+    jac = restricted_jacobian(x, line_param(Line.standard(field, 4)).components)
     assert all(m.is_zero for m in _maximal_minors(jac).values())
     assert not smooth_along_components(x, jac)
 

@@ -186,7 +186,7 @@ def test_gates_golden(capsys):
 @pytest.mark.parametrize(
     "name, text, golden",
     [
-        ("cubic.ci", CUBIC_F7_CORANK_1, "classify_cubic_F7_corank1.json"),
+        ("classify_cubic_F7_corank1.ci", CUBIC_F7_CORANK_1, "classify_cubic_F7_corank1.json"),
         ("double.ci", DOUBLE_PLANE_Q, "classify_double_plane_Q.json"),
         ("two.ci", TWO_QUADRICS_F5, "classify_two_quadrics_F5.json"),
         ("parametric.ci", PARAMETRIC_Q, "classify_parametric_Q.json"),
@@ -194,7 +194,15 @@ def test_gates_golden(capsys):
     ids=["corank-1", "singular-along-line", "two-quadrics", "parametric"],
 )
 def test_classify_line_golden(capsys, tmp_path, name, text, golden):
-    code, out = run(capsys, "classify-line", write_problem(tmp_path, name, text))
+    """classify-line against its golden report. The corank-1 problem, whose
+    line has nonzero a and b, is kept beside its golden and holds
+    CUBIC_F7_CORANK_1; the others are written from their constants."""
+    path = GOLDEN / name
+    if path.exists():
+        assert path.read_text(encoding="utf-8") == text.lstrip("\n")
+    else:
+        path = write_problem(tmp_path, name, text)
+    code, out = run(capsys, "classify-line", str(path))
     assert code == 0
     check_golden(golden, out)
 
@@ -866,6 +874,37 @@ def test_form_past_the_degree_budget_exits_2_at_once(capsys, tmp_path, d):
     assert report["error"] == "BudgetExceeded" and "MAX_FORM_DEGREE" in report["message"]
 
 
+def test_classify_line_past_the_section_kernel_budget_exits_2_at_once(capsys, tmp_path):
+    """Z1*S^399 + Z2*T^399 over F_7 in P^16 is within MAX_PROBLEM_N and
+    MAX_FORM_DEGREE, but the normal splitting's section kernel is
+    799 x 6,000 with at least 5,201 basis vectors: 36 million entries,
+    refused before its grid is built."""
+    zeros = ", ".join(["0"] * 15)
+    text = binomial_problem(400).replace("N: 3", "N: 16").replace("0, 0 | 0, 0", f"{zeros} | {zeros}")
+    started = time.perf_counter()
+    code, out = run(capsys, "classify-line", write_problem(tmp_path, "binomial.ci", text))
+    assert time.perf_counter() - started < 1.0
+    assert code == 2
+    report = json.loads(out)
+    assert report["error"] == "BudgetExceeded" and "MAX_SECTION_ENTRIES" in report["message"]
+    assert "799 x 6000" in report["message"]
+
+
+def test_curve_check_past_the_section_kernel_budget_exits_2_at_once(capsys, tmp_path):
+    """A quadric in P^20 along (s^400, t^400, 0, ...): one 2 x 2 minor
+    term per pair, but the section kernel at twist 0 is 801 x 8,421."""
+    zeros = " ; 0" * 19
+    text = f"field: F:7\nN: 20\ndegrees: 2\nform: S*Z1 + T*Z2\ncurve: s ; t{zeros}\n"
+    path = write_problem(tmp_path, "wide_curve.ci", text)
+    started = time.perf_counter()
+    code, out = run(capsys, "curve-check", path, "--twist", "0", "--cover", "400")
+    assert time.perf_counter() - started < 2.0
+    assert code == 2
+    report = json.loads(out)
+    assert report["error"] == "BudgetExceeded" and "MAX_SECTION_ENTRIES" in report["message"]
+    assert "801 x 8421" in report["message"]
+
+
 def dense_problem(terms: int) -> str:
     """A surface over F_7 whose form is the sum of the first `terms`
     monomials in S, T, Z1, Z2 of the least degree that has that many."""
@@ -1036,6 +1075,30 @@ def test_a_problem_file_that_is_not_utf8_exits_1(capsys, tmp_path, command):
     assert code == 1
     report = json.loads(out)
     assert report["error"] == "ParseError" and "UTF-8" in report["message"]
+
+
+def test_a_problem_file_with_a_byte_order_mark_is_read(capsys, tmp_path):
+    """A UTF-8 file may start with the byte-order mark EF BB BF, as some
+    editors write it: the mark is dropped, and the report is that of the
+    file without it."""
+    plain = GOLDEN / "curve_quintic_F7.ci"
+    marked = tmp_path / "curve_quintic_F7.ci"
+    marked.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes())
+    args = ("--twist", "0", "--cover", "3")
+    code, out = run(capsys, "curve-check", str(marked), *args)
+    assert code == 0
+    assert (code, out) == run(capsys, "curve-check", str(plain), *args)
+
+
+@pytest.mark.parametrize("literal", ["1/7", "1/0"])
+def test_a_line_entry_with_no_value_in_the_field_exits_1(capsys, tmp_path, literal):
+    """Over F_7, 1/7 has no value, as 1/0 has none: each is a ParseError
+    naming the literal."""
+    text = CUBIC_F7_CORANK_1.replace("line: 6, 0 | 0, 6", f"line: {literal}, 0 | 0, 6")
+    code, out = run(capsys, "classify-line", write_problem(tmp_path, "cubic.ci", text))
+    assert code == 1
+    report = json.loads(out)
+    assert report["error"] == "ParseError" and repr(literal) in report["message"]
 
 
 def standard_line_problem(n: int) -> str:

@@ -6,7 +6,8 @@ of the coordinates are drawn zero, with one nonzero coefficient, or
 general, and the forms carry Z^p terms, whose partial by Z dies in
 characteristic p. The walk's rows also satisfy the Euler identity
 sum_W C_W (dh/dW)|_C = d h|_C. M(h) at a census line read where it lies
-is checked against the line moved into the standard chart. The draws are
+is checked against the line moved into the standard chart, and a census
+line at pivots (0, 1) against the chart line on its rows. The draws are
 hypothesis's when it is installed, and a fixed-seed loop otherwise."""
 
 import random
@@ -14,10 +15,11 @@ import random
 import pytest
 
 from cilines.bundles import normal_splitting_line, precompose
-from cilines.chart import FqLine, enumerate_lines_fq, nonfree_matrix, restricted_jacobian
+from cilines.chart import enumerate_lines_fq, nonfree_matrix, restricted_jacobian
 from cilines.errors import BasePointedCover, CurveNotOnX, SingularAlongLine
 from cilines.fields import RATIONALS, prime_field
-from cilines.geometry import CIType, CompleteIntersection, LineChartPoint, restrict_along
+from cilines.geometry import CIType, CompleteIntersection, Line, restrict_along
+from cilines.nonfree import expected_pair_report
 from cilines.multipoly import BinaryForm
 
 from conftest import ambient_ring, random_homogeneous, random_nonzero
@@ -140,7 +142,7 @@ def test_restricted_jacobian_matches_the_partials_along_a_cover(seed):
         )
         forms.append(form if not form.is_zero else ring.var("Z1") ** d)
     x = CompleteIntersection(CIType(n, degrees), tuple(forms))
-    line = line_param(LineChartPoint.standard(field, n))
+    line = line_param(Line.standard(field, n))
     k = rng.randint(1, 20)
     while True:
         u, w = (random_image(rng, field, k) for _ in "uw")
@@ -166,7 +168,7 @@ def random_fq_line(rng, field, n):
         rows[0][c] = 0 if c == j2 else rng.randrange(field.p)
     for c in range(j2 + 1, n + 1):
         rows[1][c] = rng.randrange(field.p)
-    return FqLine(field, (tuple(rows[0]), tuple(rows[1])), (j1, j2))
+    return Line(field, (tuple(rows[0]), tuple(rows[1])), (j1, j2))
 
 
 def form_through(rng, ring, line, d):
@@ -217,3 +219,30 @@ def test_m_h_at_a_census_line_matches_the_line_moved_into_the_chart(seed):
         ref = nonfree_matrix(x2, at=point)
         assert (ours.matrix, ours.rank) == (ref.matrix, ref.rank), ln
         assert _splitting(x, ours.matrix) == _splitting(x2, ref.matrix), ln
+
+
+@seeded(30)
+def test_a_census_line_at_pivots_s_and_t_is_its_chart_line(seed):
+    """On a random X over F_3, F_5 or F_7 through a random chart line,
+    r = 1 or 2 and N = r + 2 or r + 3, the planted line is a census line
+    exactly when it lies on X, and each census line at pivots (0, 1), of
+    up to six drawn, is the line Line.chart builds from its rows' a and b,
+    and expected_pair_report gives the same report on both."""
+    rng = random.Random(seed)
+    field = rng.choice((prime_field(3), prime_field(5), prime_field(7)))
+    r = rng.randint(1, 2)
+    n = r + rng.randint(2, 3)
+    ring = ambient_ring(field, n)
+    a, b = ([rng.randrange(field.p) for _ in range(n - 1)] for _ in "ab")
+    planted = Line.chart(field, a, b)
+    degrees = tuple(rng.randint(1, 3) for _ in range(r))
+    x = CompleteIntersection(
+        CIType(n, degrees), tuple(form_through(rng, ring, planted, d) for d in degrees)
+    )
+    charted = [ln for ln in enumerate_lines_fq(x) if ln.pivots == (0, 1)]
+    on_x = all(restrict_along(f, planted.components()).is_zero for f in x.forms)
+    assert (planted in charted) == on_x  # a form may have been taken off it
+    for ln in rng.sample(charted, min(len(charted), 6)):  # a linear X holds hundreds
+        chart = Line.chart(field, ln.rows[0][2:], ln.rows[1][2:])
+        assert ln == chart
+        assert expected_pair_report(x, ln) == expected_pair_report(x, chart), ln

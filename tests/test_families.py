@@ -8,7 +8,7 @@ from cilines.families import (
     parse_family_spec,
 )
 from cilines.fields import RATIONALS, prime_field
-from cilines.geometry import CIType, CompleteIntersection
+from cilines.geometry import CIType, CompleteIntersection, Line
 
 import families_reference
 from support import ci_4_3_p9_literal_forms
@@ -21,7 +21,7 @@ def test_hyp_4_6_is_the_worked_example():
         == "c1*S^3*Z1 + c2*S^3*Z2 + c3*S^3*Z3 - S^2*T*Z1 - S*T^2*Z2 - T^3*Z3 + T^2*Z4*Z5"
     )
     assert built.x.ci_type == CIType(6, (4,))
-    assert all(v == 0 for v in built.line.a + built.line.b)
+    assert built.line == Line.standard(RATIONALS, 6)
 
 
 def test_hyp_4_6_equals_hyp_general_6_4():

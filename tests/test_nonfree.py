@@ -7,7 +7,7 @@ from cilines.errors import ConstraintViolated, LineNotContained, NotCorankOne
 from cilines.exactmatrix import ExactMatrix, det, rank_exact
 from cilines.families import FamilySpec, build_family, family_report
 from cilines.fields import RATIONALS, prime_field
-from cilines.geometry import CIType, CompleteIntersection, LineChartPoint, ambient_variables
+from cilines.geometry import CIType, CompleteIntersection, Line, ambient_variables
 from cilines.multipoly import PolyRing
 from cilines.params import ParamRing
 from cilines.nonfree import (
@@ -20,7 +20,7 @@ from cilines.polytext import parse_poly
 import families_reference
 from conftest import field_of_char, random_scalar
 from support import (
-    chart_point,
+    chart_values,
     evaluate,
     local_equations,
     permuted,
@@ -75,20 +75,20 @@ def test_local_equations_vanish_at_base():
     for spec in (FamilySpec("hyp-4-6"), FamilySpec("quadrics-general", 8, (2, 2))):
         built = build_family(spec, RATIONALS)
         eqs = local_equations(built.x, built.line)
-        vals = built.line.values(built.x.n)
+        vals = chart_values(built.line)
         assert all(evaluate(g, vals).is_zero for g in eqs.minors)
 
 
 def test_local_equations_rejects_free_line():
     x = make_ci(RATIONALS, 3, (2,), ["S*Z1 + T*Z2"])
     with pytest.raises(NotCorankOne):
-        local_equations(x, LineChartPoint.standard(RATIONALS, 3))
+        local_equations(x, Line.standard(RATIONALS, 3))
 
 
 def test_local_equations_rejects_off_line():
     x = make_ci(RATIONALS, 3, (2,), ["S*Z1 + T*Z2"])
     with pytest.raises(LineNotContained):
-        local_equations(x, LineChartPoint(RATIONALS, (1, 0), (0, 0)))
+        local_equations(x, Line.chart(RATIONALS, (1, 0), (0, 0)))
 
 
 def test_local_equations_are_those_of_the_jacobian_matrix():
@@ -101,11 +101,11 @@ def test_local_equations_are_those_of_the_jacobian_matrix():
         assert local_equations(built.x, built.line) == jacobian_def_matrix(built.x, nf)[1]
     x = make_ci(RATIONALS, 3, (2,), ["S*Z1 + T*Z2"])
     with pytest.raises(NotCorankOne, match=r"^corank is 0, not 1 \(the line is free\)$"):
-        local_equations(x, LineChartPoint.standard(RATIONALS, 3))
+        local_equations(x, Line.standard(RATIONALS, 3))
     forms = ["3*c1*S*Z1 + 5*Z1*Z2 + Z2*Z3", "3*c2*T*Z1 + 5*c2*T*Z3 + c1*Z1*Z2"]
     deep = make_ci(BIG, 4, (2, 2), forms, params=("c1", "c2"))
     with pytest.raises(NotCorankOne, match=r"^corank is 2, not 1 \(deeper drops are unsupported\)$"):
-        local_equations(deep, LineChartPoint.standard(BIG, 4))
+        local_equations(deep, Line.standard(BIG, 4))
 
 
 def test_bordered_minors_match_the_bordered_det(rng):
@@ -168,7 +168,7 @@ def test_jacobian_f_rows_match_direct_differentiation():
     x, point = built.x, built.line
     jac, _ = jacobian_def_matrix(x, nonfree_matrix(x, at=point))
     ms = membership_system(x)
-    vals = point.values(x.n)
+    vals = chart_values(point)
     avars = [f"a{j}" for j in range(1, x.n)]
     bvars = [f"b{j}" for j in range(1, x.n)]
     direct = []
@@ -208,9 +208,9 @@ def test_report_4_6_smooth_expected_dim():
 
 def test_report_not_contained_and_not_in_j():
     x = make_ci(RATIONALS, 3, (2,), ["S*Z1 + T*Z2"])
-    off = expected_pair_report(x, LineChartPoint(RATIONALS, (1, 0), (0, 0)))
+    off = expected_pair_report(x, Line.chart(RATIONALS, (1, 0), (0, 0)))
     assert off.verdict == "NotContained" and not off.contained
-    on = expected_pair_report(x, LineChartPoint.standard(RATIONALS, 3))
+    on = expected_pair_report(x, Line.standard(RATIONALS, 3))
     assert on.verdict == "NotInJ" and on.corank == 0 and not on.in_nonfree_locus
 
 
@@ -311,7 +311,7 @@ def oracle_cases(rng):
         degrees = tuple(sorted((rng.randint(2, 3) for _ in range(rng.randint(1, 2))), reverse=True))
         if len(degrees) + 2 <= n:
             ring = PolyRing(ParamRing(BIG, ("c1", "c2")), ambient_variables(n))
-            yield random_parametric_ci(rng, ring, degrees), LineChartPoint.standard(BIG, n)
+            yield random_parametric_ci(rng, ring, degrees), Line.standard(BIG, n)
 
 
 def test_a_symbolic_report_holds_wherever_its_genericity_conditions_do(rng):
@@ -354,7 +354,7 @@ def test_a_corank_two_report_states_its_rank_certificate():
     c1 = 0, c2 = 5."""
     forms = ["3*c1*S*Z1 + 5*Z1*Z2 + Z2*Z3", "3*c2*T*Z1 + 5*c2*T*Z3 + c1*Z1*Z2"]
     x = make_ci(BIG, 4, (2, 2), forms, params=("c1", "c2"))
-    line = LineChartPoint.standard(BIG, 4)
+    line = Line.standard(BIG, 4)
     rep = expected_pair_report(x, line)
     assert (rep.verdict, rep.corank, rep.matrix_rank) == ("NotSmoothOrExcess", 2, 2)
     assert rep.certificate is None
@@ -466,12 +466,25 @@ def test_corank_one_report_eliminates_each_matrix_once(monkeypatch):
 
 def test_local_equations_refuse_m_h_at_a_census_line():
     """jacobian_def_matrix is chart-only, as its equations are in a_j and
-    b_j: M(h) at a census line is refused, and M(h) at the same line as a
-    chart point is not. Every line on the Fermat cubic surface over F_7
-    has corank 1."""
-    x = make_ci(prime_field(7), 3, (3,), ["S^3 + T^3 + Z1^3 + Z2^3"])
-    line = next(ln for ln in enumerate_lines_fq(x) if ln.pivots == (0, 1))
-    with pytest.raises(ConstraintViolated, match="chart point"):
-        jacobian_def_matrix(x, nonfree_matrix(x, at=line))
-    jac, eqs = jacobian_def_matrix(x, nonfree_matrix(x, at=chart_point(line)))
-    assert eqs.count == 0 and jac.rows == 4
+    b_j: M(h) at a census line at pivots (0, 1), where S = s and T = t,
+    gives the report of the chart line on its rows, and M(h) at a census
+    line at other pivots is refused. On the Fermat cubic threefold over
+    F_5, 24 lines at pivots (0, 1) and 21 others have corank 1, with
+    m = 1 local equation."""
+    field = prime_field(5)
+    x = make_ci(field, 4, (3,), ["S^3 + T^3 + Z1^3 + Z2^3 + Z3^3"])
+    seen = {True: 0, False: 0}
+    for line in enumerate_lines_fq(x):
+        nf = nonfree_matrix(x, at=line)
+        if nf.rank.rank != 2:
+            continue
+        seen[line.pivots == (0, 1)] += 1
+        if line.pivots != (0, 1):
+            with pytest.raises(ConstraintViolated, match="S = s and T = t"):
+                jacobian_def_matrix(x, nf)
+            continue
+        chart = Line.chart(field, line.rows[0][2:], line.rows[1][2:])
+        jac, eqs = jacobian_def_matrix(x, nf)
+        assert (jac, eqs) == jacobian_def_matrix(x, nonfree_matrix(x, at=chart))
+        assert eqs.count == 1 and jac.rows == 5
+    assert seen == {True: 24, False: 21}

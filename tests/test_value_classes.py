@@ -14,7 +14,7 @@ from pathlib import Path
 import pytest
 
 from cilines.bundles import DegreeGateReport, SplittingType, degree_nonfree_gate
-from cilines.chart import FqLine, NonFreeMatrix, nonfree_matrix
+from cilines.chart import NonFreeMatrix, nonfree_matrix
 from cilines.cli import ProblemFile
 from cilines.exactmatrix import ExactMatrix, RankResult, rank_exact
 from cilines.families import (
@@ -25,7 +25,7 @@ from cilines.families import (
     hypothesis_gates,
 )
 from cilines.fields import RATIONALS, Field, prime_field
-from cilines.geometry import CIType, CompleteIntersection, LineChartPoint, RationalCurve
+from cilines.geometry import CIType, CompleteIntersection, Line, RationalCurve
 from cilines.multipoly import BinaryForm, MultiPoly, PolyRing
 from cilines.nonfree import LocalEquations, SmoothnessReport, expected_pair_report
 from cilines.params import ParamRing, ParamScalar
@@ -51,7 +51,7 @@ def _pair_objects(built: BuiltFamily) -> dict[type, object]:
         MultiPoly: x.forms[0],
         PolyRing: x.ring,
         ParamRing: x.coeff_ring,
-        LineChartPoint: line,
+        Line: line,
         NonFreeMatrix: nf,
         ExactMatrix: nf.matrix,
         RankResult: nf.rank,
@@ -66,13 +66,11 @@ def _pair_objects(built: BuiltFamily) -> dict[type, object]:
 def _small_objects(p: int) -> dict[type, object]:
     field = prime_field(p)
     ring = ParamRing(field, ("c1",))
-    point = LineChartPoint(field, (1, 2), (3, 4))
     return {
         Field: field,
         ParamScalar: ring.var("c1") + 1,
         BinaryForm: BinaryForm(field, 1, (1, 2)),
-        RationalCurve: line_param(point),
-        FqLine: FqLine(field, ((1, 0, 2), (0, 1, 3)), (0, 1)),
+        RationalCurve: line_param(Line.chart(field, (1, 2), (3, 4))),
         SplittingType: SplittingType((p, 1)),
     }
 
@@ -90,7 +88,7 @@ IDS = [type(a).__name__ for a, _, _ in CASES]
 
 
 def test_every_value_class_is_covered():
-    assert len(CASES) == 22  # the 21 former dataclasses still in use, and ParamScalar
+    assert len(CASES) == 21  # the 20 former dataclasses still in use, and ParamScalar
     assert all(type(a) is type(b) is type(c) for a, b, c in CASES)
 
 
