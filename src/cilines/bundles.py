@@ -178,9 +178,9 @@ def tangent_cohomology(
 
 def normal_splitting_line(x: CompleteIntersection, m_h: ExactMatrix) -> SplittingType:
     """Splitting type of the normal bundle of a line L on X, from m_h,
-    M(h) evaluated at L (constant entries, else ParameterPresent), at any
-    line (chart.nonfree_matrix). The result has
-    rank N - r - 1, every entry at most 1, and total degree N - 1 - |d|.
+    M(h) evaluated at L (constant entries, else ParameterPresent), as
+    chart.nonfree_matrix gives it at any line. The result has rank
+    N - r - 1, every entry at most 1, and total degree N - 1 - |d|.
 
     Row j, block i of m_h is (dh^i/dZ_j)|_L, Z_j the j-th coordinate off
     L's pivots (for a chart line, Z_j itself). X is smooth along L exactly
